@@ -34,8 +34,8 @@ DATA_ROOT = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), ".data"
 )
 
-#: Same dense workload shape as the R1 tiles bench (~28k triangles a
-#: frame) — and the same cached dataset.
+#: A dense mesh (~28k triangles a frame), so compositing and
+#: extraction dominate the frame.
 SCALE = 0.3
 STEPS = 3
 

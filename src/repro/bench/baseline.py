@@ -26,7 +26,6 @@ DEFAULT_TOLERANCE = 0.25
 MICRO_BASELINE = "core_micro.json"
 DERIVED_BASELINE = "derived_cache.json"
 SERVICE_BASELINE = "service_tenants.json"
-TILES_BASELINE = "render_tiles.json"
 SHARDED_BASELINE = "sharded_gbo.json"
 COMPUTE_PROC_BASELINE = "compute_proc.json"
 
@@ -34,7 +33,6 @@ COMPUTE_PROC_BASELINE = "compute_proc.json"
 MICRO_RESULTS = "benchmark_core_micro.json"
 DERIVED_RESULTS = "BENCH_derived_cache.json"
 SERVICE_RESULTS = "BENCH_service_tenants.json"
-TILES_RESULTS = "BENCH_render_tiles.json"
 SHARDED_RESULTS = "BENCH_sharded_gbo.json"
 COMPUTE_PROC_RESULTS = "BENCH_compute_proc.json"
 
@@ -84,19 +82,6 @@ def distill_service(payload: dict) -> Dict[str, float]:
         "clients_served": float(scale["clients_served"]),
         "sessions_leaked": float(scale["sessions_leaked"]),
         "scale_wall_s": float(scale["wall_s"]),
-        "calibration_s": float(payload["calibration_s"]),
-    }
-
-
-def distill_tiles(payload: dict) -> Dict[str, float]:
-    """BENCH_render_tiles.json -> the guarded scalar metrics."""
-    rows = {row["scenario"]: row for row in payload["scenarios"]}
-    tiled = rows["tiled4"]
-    return {
-        "speedup_compute": float(payload["speedup_compute"]),
-        "bit_identical": bool(payload["bit_identical"]),
-        "compute_tasks_tiled": float(tiled["compute_tasks"]),
-        "compute_wall_tiled_s": float(tiled["compute_wall_s"]),
         "calibration_s": float(payload["calibration_s"]),
     }
 
@@ -158,13 +143,6 @@ def update_baselines(results_dir: str, baselines_dir: str) -> List[str]:
         path = os.path.join(baselines_dir, SERVICE_BASELINE)
         with open(path, "w") as f:
             json.dump(distill_service(service), f, indent=1,
-                      sort_keys=True)
-        written.append(path)
-    tiles = _read_json(os.path.join(results_dir, TILES_RESULTS))
-    if tiles is not None:
-        path = os.path.join(baselines_dir, TILES_BASELINE)
-        with open(path, "w") as f:
-            json.dump(distill_tiles(tiles), f, indent=1,
                       sort_keys=True)
         written.append(path)
     sharded = _read_json(os.path.join(results_dir, SHARDED_RESULTS))
@@ -312,53 +290,6 @@ def compare_service(results_dir: str, baselines_dir: str,
     return failures
 
 
-def compare_tiles(results_dir: str, baselines_dir: str,
-                  tolerance: float) -> List[str]:
-    """Tiled-rendering bench comparison: bit-identity is exact, the
-    speedup ratio has a floor, the tiled compute wall is calibrated."""
-    baseline = _read_json(os.path.join(baselines_dir, TILES_BASELINE))
-    current_payload = _read_json(
-        os.path.join(results_dir, TILES_RESULTS)
-    )
-    if baseline is None:
-        return []
-    if current_payload is None:
-        return [f"missing current results {TILES_RESULTS!r} "
-                f"(run bench_render_tiles)"]
-    current = distill_tiles(current_payload)
-    failures: List[str] = []
-    if not current["bit_identical"]:
-        failures.append(
-            "tiled-parallel frames no longer bit-identical to the "
-            "serial renderer"
-        )
-    if current["compute_tasks_tiled"] <= 0:
-        failures.append(
-            "tiled scenario submitted no compute tasks — the pool "
-            "path is no longer exercised"
-        )
-    floor = baseline["speedup_compute"] * (1.0 - tolerance)
-    if current["speedup_compute"] < floor:
-        failures.append(
-            f"tiles metric 'speedup_compute' regressed: "
-            f"{current['speedup_compute']:.2f} vs baseline "
-            f"{baseline['speedup_compute']:.2f} (> -{tolerance:.0%})"
-        )
-    norm_base = (
-        baseline["compute_wall_tiled_s"] / baseline["calibration_s"]
-    )
-    norm_now = (
-        current["compute_wall_tiled_s"] / current["calibration_s"]
-    )
-    if norm_now > norm_base * (1.0 + tolerance):
-        failures.append(
-            f"tiled calibrated compute wall regressed: "
-            f"{norm_now:.2f} vs baseline {norm_base:.2f} "
-            f"(> +{tolerance:.0%})"
-        )
-    return failures
-
-
 def compare_sharded(results_dir: str, baselines_dir: str,
                     tolerance: float) -> List[str]:
     """Sharded-GBO bench comparison: bit-identity and the >= 2x sweep
@@ -489,7 +420,6 @@ def compare_all(results_dir: str, baselines_dir: str,
         compare_micro(results_dir, baselines_dir, tolerance)
         + compare_derived(results_dir, baselines_dir, tolerance)
         + compare_service(results_dir, baselines_dir, tolerance)
-        + compare_tiles(results_dir, baselines_dir, tolerance)
         + compare_sharded(results_dir, baselines_dir, tolerance)
         + compare_compute_proc(results_dir, baselines_dir, tolerance)
     )

@@ -89,6 +89,14 @@ class ComputeTask:
         """
         return self._pool._wait(self)
 
+    def release(self) -> None:
+        """Give back whatever the pool holds for this task's result.
+
+        Nothing on the thread backend (results are plain references);
+        the process backend frees the worker-side result copy. Part of
+        the task protocol so callers release unconditionally.
+        """
+
     @property
     def done(self) -> bool:
         """Whether the task reached a terminal state (unsynchronized

@@ -10,14 +10,14 @@ A second per-node array can be *carried*: its values are interpolated onto
 the output triangle vertices with the same edge weights — used by the
 cutting-plane stage to paint a field onto the slice.
 
-Sub-block extraction: the kernel is also exposed over a contiguous
-*range* of tets (:func:`marching_tets_pieces`), so one large block can
-be split across compute workers instead of straggling as a single
-task. Every (sign case, case triangle) pair has a fixed global *piece
-rank* (:data:`_PIECE_ORDER`); each range returns its per-rank arrays
-and :func:`merge_tet_pieces` reassembles them rank-major,
-range-ascending — precisely the order the whole-block
-:func:`marching_tets` emits, so the merged soup is byte-identical no
+There is one kernel, :func:`_case_pieces`, over a contiguous *range*
+of tets. :func:`marching_tets` runs it over the whole block as a
+single range; :func:`marching_tets_pieces` exposes a sub-range so one
+large block can be split across compute workers instead of straggling
+as a single task. Every (sign case, case triangle) pair has a fixed
+global *piece rank* (:data:`_PIECE_ORDER`); each range returns its
+per-rank arrays and :func:`merge_tet_pieces` reassembles them
+rank-major, range-ascending, so the merged soup is byte-identical no
 matter how the tets were split. (All per-tet arithmetic is
 elementwise or row-indexed, so subsetting rows never changes a row's
 floats.)
@@ -61,8 +61,8 @@ _CASES: Dict[int, List[Tuple[int, int, int]]] = {
 
 #: Global emission order of extraction pieces: one rank per
 #: (sign case, case triangle) pair, in ``_CASES`` iteration order —
-#: the order :func:`marching_tets` has always appended pieces in.
-#: Sub-block results are keyed by rank so the merge can reproduce it.
+#: the order the kernel emits pieces in. Range results are keyed by
+#: rank so the merge can interleave them.
 _PIECE_ORDER: List[Tuple[int, int]] = [
     (mask, tri_index)
     for mask, triangles in _CASES.items()
@@ -142,6 +142,28 @@ def marching_tets(
     is interpolated onto the triangle corners — when omitted the carried
     value is ``level_values`` itself (so every output value equals the
     isovalue, which is what a plain isosurface colors by).
+
+    The whole block as one range: the kernel's pieces, merged.
+    """
+    return merge_tet_pieces([
+        _case_pieces(nodes, tets, level_values, carry_values, isovalue)
+    ])
+
+
+def _case_pieces(
+    nodes: np.ndarray,
+    tets: np.ndarray,
+    level_values: np.ndarray,
+    carry_values: Optional[np.ndarray],
+    isovalue: float,
+) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    """The extraction kernel: rank-keyed raw piece arrays.
+
+    One ``(rank, vertices (k, 3, 3), values (k, 3))`` triple per
+    non-empty (sign case, case triangle) pair, in ``_PIECE_ORDER``
+    order with tets ascending within a piece. ``tets`` is the range to
+    extract (any row subset of the block's connectivity); the per-node
+    arrays are validated here, once, for both entry points.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     tets = np.asarray(tets)
@@ -158,29 +180,6 @@ def marching_tets(
             raise ValueError(
                 f"{len(carry_values)} carry values for {len(nodes)} nodes"
             )
-
-    pieces = _case_pieces(nodes, tets, level_values, carry_values,
-                          isovalue)
-    return TriangleSoup.concatenate(
-        [TriangleSoup(verts, vals) for _rank, verts, vals in pieces]
-    )
-
-
-def _case_pieces(
-    nodes: np.ndarray,
-    tets: np.ndarray,
-    level_values: np.ndarray,
-    carry_values: np.ndarray,
-    isovalue: float,
-) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """The shared extraction core: rank-keyed raw piece arrays.
-
-    One ``(rank, vertices (k, 3, 3), values (k, 3))`` triple per
-    non-empty (sign case, case triangle) pair, in ``_PIECE_ORDER``
-    order with tets ascending within a piece. Both the whole-block
-    and the sub-block entry points delegate here, so their floats are
-    the same by construction.
-    """
     tet_values = level_values[tets]                       # (m, 4)
     inside = tet_values >= isovalue
     masks = inside.astype(np.int8) @ _MASK_WEIGHTS        # (m,)
@@ -232,7 +231,7 @@ def marching_tets_pieces(
 ) -> List[Tuple[int, np.ndarray, np.ndarray]]:
     """Extract over the contiguous tet range ``tets[lo:hi]`` only.
 
-    The sub-block compute kernel: a module-level function of plain
+    The sub-block compute task: a module-level function of plain
     arrays (REP107 — and re-importable by
     :class:`~repro.core.compute_proc.ProcessComputePool` workers, with
     ``nodes``/``tets``/``level_values`` arriving as zero-copy tokens).
@@ -240,13 +239,6 @@ def marching_tets_pieces(
     ascending range order, to :func:`merge_tet_pieces` to obtain the
     byte-identical whole-block soup.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    tets = np.asarray(tets)
-    level_values = np.asarray(level_values, dtype=np.float64)
-    if carry_values is None:
-        carry_values = level_values
-    else:
-        carry_values = np.asarray(carry_values, dtype=np.float64)
     return _case_pieces(nodes, tets[lo:hi], level_values, carry_values,
                         isovalue)
 
@@ -259,9 +251,8 @@ def merge_tet_pieces(
     ``chunks`` must be ordered by ascending tet range. Pieces are laid
     out rank-major, chunk-ascending: for a fixed rank the chunks hold
     disjoint ascending tet subsets, so their concatenation is the
-    ascending selection the whole block would have produced — the
-    merged soup is byte-for-byte what :func:`marching_tets` returns on
-    the unsplit block.
+    ascending selection a single whole-block range produces — the
+    merged soup does not depend on how the block was split.
     """
     pieces: List[TriangleSoup] = []
     for rank in range(len(_PIECE_ORDER)):

@@ -26,7 +26,6 @@ from repro.viz.geometry import (
 from repro.viz.gops import GraphicsOp, GraphicsOps
 from repro.viz.isosurface import (
     TriangleSoup,
-    marching_tets,
     marching_tets_pieces,
     merge_tet_pieces,
 )
@@ -213,8 +212,8 @@ class Pipeline:
         # backend (a bound method over engine state) — fine on threads,
         # impossible on a distributed (process) pool, whose parallelism
         # comes from the sub-block split inside extraction instead.
-        if (pool is not None and getattr(pool, "parallel", False)
-                and not getattr(pool, "distributed", False)
+        if (pool is not None and pool.parallel
+                and not pool.distributed
                 and data.parallel_extract_safe()):
             tasks = []
             for op in self.gops:
@@ -382,37 +381,37 @@ class Pipeline:
                   isovalue: float) -> TriangleSoup:
         """Isosurface extraction, split to sub-block granularity.
 
-        Large blocks fan out as contiguous tet ranges —
-        :func:`~repro.viz.isosurface.marching_tets_pieces` tasks at a
-        priority between tile compositing (0.0) and per-(op, block)
-        lookahead (-1.0) — and merge deterministically, so the soup is
-        byte-identical to the whole-block kernel however the pool
-        schedules the ranges. The mesh arrays are shared once per
-        block (``pool.share``: identity on threads, one token export
-        or staging copy on the process backend). Small blocks and
-        serial pools run the whole-block kernel unchanged.
+        The block is cut into contiguous tet ranges, each range runs
+        :func:`~repro.viz.isosurface.marching_tets_pieces`, and the
+        pieces merge deterministically — the soup is byte-identical
+        however many ranges there are and wherever they ran. A serial
+        build or a small block is one range, run here; a large block
+        on a parallel pool fans out as tasks at a priority between
+        tile compositing (0.0) and per-(op, block) lookahead (-1.0),
+        with the mesh arrays shared once per block (``pool.share``:
+        identity on threads, one token export or staging copy on the
+        process backend).
         """
         pool = self.pool
         n = len(tets)
-        if pool is None or not getattr(pool, "parallel", False):
-            return marching_tets(nodes, tets, node_scalars, isovalue)
-        n_chunks = min(2 * getattr(pool, "workers", 1),
-                       n // SUBBLOCK_MIN_TETS)
-        if n_chunks < 2:
-            return marching_tets(nodes, tets, node_scalars, isovalue)
+        n_chunks = 1
+        if pool is not None and pool.parallel:
+            n_chunks = max(1, min(2 * pool.workers,
+                                  n // SUBBLOCK_MIN_TETS))
+        if n_chunks == 1:
+            return merge_tet_pieces([marching_tets_pieces(
+                nodes, tets, node_scalars, isovalue, 0, n
+            )])
         bounds = np.linspace(0, n, n_chunks + 1).astype(np.int64)
-        s_nodes = pool.share(nodes)
-        s_tets = pool.share(tets)
-        s_scalars = pool.share(node_scalars)
-        tasks = [
-            pool.submit(marching_tets_pieces, s_nodes, s_tets,
-                        s_scalars, isovalue, int(lo), int(hi),
-                        priority=-0.5)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        chunks = [task.wait() for task in tasks]
-        soup = merge_tet_pieces(chunks)
-        for task in tasks:
-            if hasattr(task, "release"):
+        shared = [pool.share(a) for a in (nodes, tets, node_scalars)]
+        tasks: List[object] = []
+        try:
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                tasks.append(pool.submit(
+                    marching_tets_pieces, *shared, isovalue,
+                    int(lo), int(hi), priority=-0.5,
+                ))
+            return merge_tet_pieces([task.wait() for task in tasks])
+        finally:
+            for task in tasks:
                 task.release()
-        return soup

@@ -5,25 +5,29 @@ shades them with per-vertex colors (Gouraud) modulated by a single
 directional light, and composites into an RGB image — the VTK-replacement
 needed to make Voyager produce actual image files.
 
-Two rasterization paths produce byte-for-byte identical frames:
+There is one rasterization path. Every draw projects, culls, bins the
+surviving triangles to ``TILE_SIZE`` screen tiles (disjoint frame/
+z-buffer regions) and composites each tile with
+:func:`_composite_chunks`: chunked vectorized batches that preserve
+submission order. The attached pool only decides *where* a tile runs —
+inline and in place with no pool or a serial one, as one
+:func:`composite_tile_task` per tile on a parallel
+:class:`~repro.core.compute.ComputePool` or
+:class:`~repro.core.compute_proc.ProcessComputePool`.
 
-* the **serial** per-triangle loop (the original implementation, used
-  when no parallel :class:`~repro.core.compute.ComputePool` is
-  attached), and
-* the **tiled** path: triangles bin to screen-space tiles, each tile
-  composites independently (one pool task per tile, disjoint frame/
-  z-buffer regions), and within a tile triangles are evaluated in
-  chunked vectorized batches that preserve submission order.
-
-Determinism argument for the tiled path: per-pixel floats are computed
-with the same operands in the same association order as the serial
-loop (pixel centers are exact ``integer + 0.5`` values either way), the
-per-chunk winner is selected with ``argmin`` — which returns the
-*first* index attaining the minimum, i.e. the earliest-submitted
-triangle — and the z-test against the tile buffer is the same strict
-``pixel_z < z`` comparison, so later triangles never overwrite an
-equal-depth earlier one. An explicit per-triangle bbox mask confines
-evaluation to exactly the pixels the serial loop touches.
+Determinism is stated against the spec the rasterizer replaced, the
+one-triangle-at-a-time loop kept as ``tests/reference_raster.py``:
+per-pixel floats are computed with the same operands in the same
+association order as that loop (pixel centers are exact ``integer +
+0.5`` values either way), the per-chunk winner is selected with
+``argmin`` — which returns the *first* index attaining the minimum,
+i.e. the earliest-submitted triangle — and the z-test against the tile
+buffer is the same strict ``pixel_z < z`` comparison, so later
+triangles never overwrite an equal-depth earlier one. An explicit
+per-triangle bbox mask confines evaluation to exactly the pixels the
+reference loop touches, and tiles are disjoint pixel sets, so the
+order (or process) tiles composite in cannot matter. Frames are
+byte-for-byte the reference's on every schedule.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from repro.viz.colormap import Colormap
 from repro.viz.geometry import triangle_normals
 from repro.viz.isosurface import TriangleSoup
 
-#: Screen-space tile edge in pixels — the parallel compositing grain.
+#: Screen-space tile edge in pixels — the compositing (and task) grain.
 TILE_SIZE = 64
 #: Triangles per vectorized batch inside a tile. Marching-tets emits
 #: triangles in cell order, so consecutive triangles are spatially
@@ -54,13 +58,13 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
     """Composite one tile's triangles in submission order.
 
     ``zbuf``/``frame`` cover exactly the tile's pixel region
-    ``[py0..py1] × [px0..px1]`` and are updated in place — the thread
-    path passes views of the renderer's buffers, the process path a
-    worker-local copy. Triangles are evaluated in chunks of CHUNK_SIZE
-    over the chunk's union bbox (clipped to the tile); within a chunk
-    the depth winner per pixel is the *first* minimum (``argmin``), and
-    chunks apply in ascending submission order with the strict
-    ``z < zbuffer`` test — together exactly the serial loop's
+    ``[py0..py1] × [px0..px1]`` and are updated in place — the inline
+    build passes views of the renderer's buffers, a pool task its own
+    copy. Triangles are evaluated in chunks of CHUNK_SIZE over the
+    chunk's union bbox (clipped to the tile); within a chunk the depth
+    winner per pixel is the *first* minimum (``argmin``), and chunks
+    apply in ascending submission order with the strict
+    ``z < zbuffer`` test — together exactly the reference loop's
     first-wins-on-ties compositing rule.
     """
     # Tile-wide pixel index vectors, sliced per chunk below.
@@ -75,7 +79,7 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         ix = tix[ux0 - px0:ux1 + 1 - px0]
         iy = tiy[uy0 - py0:uy1 + 1 - py0]
         # Pixel centers: exact integer + 0.5 floats, the same
-        # values the serial loop's meshgrid produces.
+        # values the reference loop's meshgrid produces.
         gx = (ix + 0.5)[None, None, :]
         gy = (iy + 0.5)[None, :, None]
         ixg = ix[None, None, :]
@@ -94,7 +98,7 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         w1 = ((y2 - y0) * (gx - x2) + (x0 - x2) * (gy - y2)) / d
         w2 = 1.0 - w0 - w1
         inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        # Confine each triangle to its own bbox — the serial loop
+        # Confine each triangle to its own bbox — the reference loop
         # never evaluates coverage outside it, and float roundoff
         # could otherwise admit hull-adjacent pixels.
         mx = (ixg >= x_min[chunk][:, None, None]) \
@@ -110,7 +114,7 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         pixel_z = 1.0 / np.where(inv_z > 0, inv_z, np.inf)
         cand = np.where(inside, pixel_z, np.inf)
         # First index attaining the minimum == earliest submission:
-        # the serial strict-less tie-break, vectorized.
+        # the reference strict-less tie-break, vectorized.
         k = np.argmin(cand, axis=0)[None, :, :]
         zmin = np.take_along_axis(cand, k, 0)[0]
         better = zmin < ztile
@@ -120,7 +124,7 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         aw1 = np.take_along_axis(a1, k, 0)[0]
         aw2 = np.take_along_axis(a2, k, 0)[0]
         cw = cols[chunk][k[0]]                 # (uh, uw, 3, 3)
-        # Same association order as the serial color blend. Lanes
+        # Same association order as the reference color blend. Lanes
         # that lost (zmin == inf) may produce inf/nan here; they
         # are masked out by `better`.
         with np.errstate(invalid="ignore"):
@@ -133,31 +137,28 @@ def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         ftile[better] = r[better]
 
 
-def composite_tile_task(ty: int, tx: int, tile: int, height: int,
-                        width: int, tri: np.ndarray, pts: np.ndarray,
+def composite_tile_task(px0: int, px1: int, py0: int, py1: int,
+                        tri: np.ndarray, pts: np.ndarray,
                         zs: np.ndarray, cols: np.ndarray,
                         x_min: np.ndarray, x_max: np.ndarray,
                         y_min: np.ndarray, y_max: np.ndarray,
                         denom: np.ndarray, frame_tile: np.ndarray,
                         z_tile: np.ndarray) -> tuple:
-    """Pure compositing kernel for one tile — the process-pool task.
+    """Composite one tile on a copy — the pool task, on either backend.
 
     A module-level function of plain arrays (REP107: no engine or
     arena types), so a
     :class:`~repro.core.compute_proc.ProcessComputePool` worker can
-    re-import it and receive the per-draw arrays as zero-copy tokens.
-    ``frame_tile``/``z_tile`` carry the tile's pre-draw pixels
-    (read-only in the worker); the kernel copies them and runs the
-    exact :func:`_composite_chunks` arithmetic the thread path runs in
-    place, so the returned ``(frame, z)`` pair is byte-identical to
-    the serial result for this tile.
+    re-import it and receive the per-draw arrays as zero-copy tokens;
+    a :class:`~repro.core.compute.ComputePool` thread receives the
+    arrays themselves. ``frame_tile``/``z_tile`` carry the tile's
+    pre-draw pixels (read-only in a worker process); the kernel copies
+    them and runs the exact :func:`_composite_chunks` arithmetic the
+    inline build runs in place, so the returned ``(frame, z)`` pair is
+    byte-identical to the inline result for this tile.
     """
     frame = np.array(frame_tile, dtype=np.float64)
     zbuf = np.array(z_tile, dtype=np.float64)
-    py0 = ty * tile
-    py1 = min(py0 + tile, height) - 1
-    px0 = tx * tile
-    px1 = min(px0 + tile, width) - 1
     _composite_chunks(tri, pts, zs, cols, x_min, x_max, y_min, y_max,
                       denom, zbuf, frame, px0, px1, py0, py1)
     return frame, zbuf
@@ -169,8 +170,7 @@ class Renderer:
     def __init__(self, camera: Camera,
                  background: Sequence[float] = (0.08, 0.08, 0.12),
                  light_dir: Sequence[float] = (0.4, 0.3, 0.85),
-                 pool: Optional[object] = None,
-                 tile_size: int = TILE_SIZE):
+                 pool: Optional[object] = None):
         self.camera = camera
         height, width = camera.height, camera.width
         bg = np.asarray(background, dtype=np.float64)
@@ -178,10 +178,9 @@ class Renderer:
         self._zbuffer = np.full((height, width), np.inf)
         light = np.asarray(light_dir, dtype=np.float64)
         self._light = light / np.linalg.norm(light)
-        #: Optional :class:`~repro.core.compute.ComputePool`; the tiled
-        #: parallel path activates only when ``pool.parallel`` is true.
+        #: Optional :class:`~repro.core.compute.ComputePool` (either
+        #: backend). Tiles composite inline unless ``pool.parallel``.
         self._pool = pool
-        self._tile = int(tile_size)
         #: Total triangles submitted (pipeline statistics).
         self.triangles_drawn = 0
         #: Triangles dropped by the near-plane cull. Any triangle with
@@ -226,12 +225,17 @@ class Renderer:
 
     def _rasterize(self, vertices: np.ndarray,
                    colors: np.ndarray) -> None:
-        """Scanline-free barycentric rasterization, one triangle at a
-        time with vectorized pixel coverage (serial path), or tiled in
-        parallel when a multi-worker pool is attached."""
+        """Project, cull, bin to screen tiles and composite each tile.
+
+        Tiles are disjoint buffer regions, so they share no mutable
+        state and need no locks: the serial build composites them in
+        place, one after another; a parallel pool gets one
+        :func:`composite_tile_task` per tile and the returned pixels
+        are written back. One barrier per draw call keeps inter-draw
+        ordering the same on every schedule.
+        """
         height, width = self._zbuffer.shape
-        flat = vertices.reshape(-1, 3)
-        xy, depth = self.camera.project(flat)
+        xy, depth = self.camera.project(vertices.reshape(-1, 3))
         xy = xy.reshape(-1, 3, 2)
         depth = depth.reshape(-1, 3)
 
@@ -239,67 +243,7 @@ class Renderer:
         # clipping; see triangles_culled).
         visible = np.all(depth > self.camera.near, axis=1)
         self.triangles_culled += int(visible.size - int(visible.sum()))
-        pool = self._pool
-        if pool is not None and getattr(pool, "parallel", False):
-            self._rasterize_tiled(xy, depth, colors, visible, pool)
-            return
-        for tri_index in np.nonzero(visible)[0]:
-            pts = xy[tri_index]                            # (3, 2)
-            zs = depth[tri_index]                          # (3,)
-            cols = colors[tri_index]                       # (3, 3)
-            x_min = max(int(np.floor(pts[:, 0].min())), 0)
-            x_max = min(int(np.ceil(pts[:, 0].max())), width - 1)
-            y_min = max(int(np.floor(pts[:, 1].min())), 0)
-            y_max = min(int(np.ceil(pts[:, 1].max())), height - 1)
-            if x_min > x_max or y_min > y_max:
-                continue
-            (x0, y0), (x1, y1), (x2, y2) = pts
-            denom = (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)
-            if abs(denom) < 1e-12:
-                continue  # degenerate in screen space
-            gx, gy = np.meshgrid(
-                np.arange(x_min, x_max + 1) + 0.5,
-                np.arange(y_min, y_max + 1) + 0.5,
-            )
-            w0 = ((y1 - y2) * (gx - x2) + (x2 - x1) * (gy - y2)) / denom
-            w1 = ((y2 - y0) * (gx - x2) + (x0 - x2) * (gy - y2)) / denom
-            w2 = 1.0 - w0 - w1
-            inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-            if not inside.any():
-                continue
-            # Perspective-correct interpolation of depth and color.
-            inv_z = w0 / zs[0] + w1 / zs[1] + w2 / zs[2]
-            pixel_z = 1.0 / np.where(inv_z > 0, inv_z, np.inf)
-            zslice = self._zbuffer[y_min:y_max + 1, x_min:x_max + 1]
-            closer = inside & (pixel_z < zslice)
-            if not closer.any():
-                continue
-            r = (
-                (w0 / zs[0])[..., None] * cols[0]
-                + (w1 / zs[1])[..., None] * cols[1]
-                + (w2 / zs[2])[..., None] * cols[2]
-            ) * pixel_z[..., None]
-            zslice[closer] = pixel_z[closer]
-            fslice = self._frame[y_min:y_max + 1, x_min:x_max + 1]
-            fslice[closer] = r[closer]
-
-    # ------------------------------------------------------------------
-    # Tiled parallel path
-    # ------------------------------------------------------------------
-    def _rasterize_tiled(self, xy: np.ndarray, depth: np.ndarray,
-                         colors: np.ndarray, visible: np.ndarray,
-                         pool) -> None:
-        """Bin visible triangles to screen tiles and composite each tile
-        as an independent pool task (disjoint buffer regions, so tasks
-        share no mutable state and need no locks). One barrier per draw
-        call keeps inter-draw ordering identical to the serial path."""
-        height, width = self._zbuffer.shape
-        index = np.nonzero(visible)[0]
-        if index.size == 0:
-            return
-        pts = xy[index]                                # (n, 3, 2)
-        zs = depth[index]                              # (n, 3)
-        cols = colors[index]                           # (n, 3, 3)
+        pts = xy[visible]                              # (n, 3, 2)
         x = pts[:, :, 0]
         y = pts[:, :, 1]
         x_min = np.maximum(
@@ -318,107 +262,69 @@ class Renderer:
             (y[:, 1] - y[:, 2]) * (x[:, 0] - x[:, 2])
             + (x[:, 2] - x[:, 1]) * (y[:, 0] - y[:, 2])
         )
-        # Same skips the serial loop applies: off-screen bboxes and
-        # screen-degenerate triangles contribute nothing.
+        # Off-screen bboxes and screen-degenerate triangles contribute
+        # nothing. Boolean masks keep submission order.
         drawable = (
             (x_min <= x_max) & (y_min <= y_max)
             & (np.abs(denom) >= 1e-12)
         )
-        keep = np.nonzero(drawable)[0]   # ascending: submission order
-        if keep.size == 0:
+        keep = np.nonzero(visible)[0][drawable]
+        x_min, x_max, y_min, y_max, denom = (
+            a[drawable] for a in (x_min, x_max, y_min, y_max, denom)
+        )
+        arrays = (xy[keep], depth[keep], colors[keep],
+                  x_min, x_max, y_min, y_max, denom)
+        tiles = self._bin_tiles(x_min, x_max, y_min, y_max)
+        pool = self._pool
+        if pool is None or not pool.parallel:
+            for region, bounds, tri in tiles:
+                _composite_chunks(tri, *arrays, self._zbuffer[region],
+                                  self._frame[region], *bounds)
             return
-        pts = pts[keep]
-        zs = zs[keep]
-        cols = cols[keep]
-        x_min = x_min[keep]
-        x_max = x_max[keep]
-        y_min = y_min[keep]
-        y_max = y_max[keep]
-        denom = denom[keep]
-        tile = self._tile
-        tx_lo = x_min // tile
-        tx_hi = x_max // tile
-        ty_lo = y_min // tile
-        ty_hi = y_max // tile
-        distributed = getattr(pool, "distributed", False)
-        if distributed:
-            # Process backend: the per-draw arrays are shared once (a
-            # token export or one staging copy) instead of being
-            # pickled into every tile's message.
-            shared = [pool.share(a) for a in
-                      (pts, zs, cols, x_min, x_max, y_min, y_max,
-                       denom)]
-        tasks: List[object] = []
-        for ty in range((height + tile - 1) // tile):
+        # The per-draw arrays are shared once (identity on threads, a
+        # token export or one staging copy on the process backend)
+        # instead of travelling with every tile's task.
+        shared = [pool.share(a) for a in arrays]
+        tasks: List[tuple] = []
+        try:
+            for region, bounds, tri in tiles:
+                tasks.append((region, pool.submit(
+                    composite_tile_task, *bounds, tri, *shared,
+                    self._frame[region], self._zbuffer[region],
+                )))
+            # Tiles are disjoint, so merge order is immaterial.
+            for region, task in tasks:
+                self._frame[region], self._zbuffer[region] = task.wait()
+        finally:
+            for _region, task in tasks:
+                task.release()
+
+    def _bin_tiles(self, x_min: np.ndarray, x_max: np.ndarray,
+                   y_min: np.ndarray, y_max: np.ndarray):
+        """Yield ``(region, (px0, px1, py0, py1), tri)`` per non-empty
+        tile: the buffer slices, the inclusive pixel bounds, and the
+        indices of the triangles whose bbox touches the tile."""
+        height, width = self._zbuffer.shape
+        tx_lo = x_min // TILE_SIZE
+        tx_hi = x_max // TILE_SIZE
+        ty_lo = y_min // TILE_SIZE
+        ty_hi = y_max // TILE_SIZE
+        for ty in range((height + TILE_SIZE - 1) // TILE_SIZE):
             row = (ty_lo <= ty) & (ty <= ty_hi)
             if not row.any():
                 continue
-            for tx in range((width + tile - 1) // tile):
+            py0 = ty * TILE_SIZE
+            py1 = min(py0 + TILE_SIZE, height) - 1
+            for tx in range((width + TILE_SIZE - 1) // TILE_SIZE):
                 mask = row & (tx_lo <= tx) & (tx <= tx_hi)
                 if not mask.any():
                     continue
+                px0 = tx * TILE_SIZE
+                px1 = min(px0 + TILE_SIZE, width) - 1
                 # nonzero is ascending, so each tile sees its triangles
                 # in original submission order.
-                tri = np.nonzero(mask)[0]
-                if distributed:
-                    py0 = ty * tile
-                    py1 = min(py0 + tile, height) - 1
-                    px0 = tx * tile
-                    px1 = min(px0 + tile, width) - 1
-                    tasks.append((ty, tx, pool.submit(
-                        composite_tile_task, ty, tx, tile, height,
-                        width, tri, *shared,
-                        self._frame[py0:py1 + 1, px0:px1 + 1],
-                        self._zbuffer[py0:py1 + 1, px0:px1 + 1],
-                    )))
-                else:
-                    tasks.append(pool.submit(
-                        self._composite_tile, ty, tx, tri, pts, zs,
-                        cols, x_min, x_max, y_min, y_max, denom,
-                    ))
-        if distributed:
-            # Tiles are disjoint, so merge order is immaterial; the
-            # per-draw barrier below is the same one the thread path
-            # has always had.
-            for ty, tx, task in tasks:
-                frame_tile, z_tile = task.wait()
-                py0 = ty * tile
-                py1 = min(py0 + tile, height) - 1
-                px0 = tx * tile
-                px1 = min(px0 + tile, width) - 1
-                self._frame[py0:py1 + 1, px0:px1 + 1] = frame_tile
-                self._zbuffer[py0:py1 + 1, px0:px1 + 1] = z_tile
-                if hasattr(task, "release"):
-                    task.release()
-            return
-        for task in tasks:
-            task.wait()
-
-    def _composite_tile(self, ty: int, tx: int, tri: np.ndarray,
-                        pts: np.ndarray, zs: np.ndarray,
-                        cols: np.ndarray, x_min: np.ndarray,
-                        x_max: np.ndarray, y_min: np.ndarray,
-                        y_max: np.ndarray,
-                        denom: np.ndarray) -> None:
-        """Composite one tile in place (thread/steal execution).
-
-        Passes views of the renderer's frame/z-buffer regions to
-        :func:`_composite_chunks` — the identical arithmetic the
-        process backend runs on a worker-local copy via
-        :func:`composite_tile_task`.
-        """
-        tile = self._tile
-        height, width = self._zbuffer.shape
-        py0 = ty * tile
-        py1 = min(py0 + tile, height) - 1
-        px0 = tx * tile
-        px1 = min(px0 + tile, width) - 1
-        _composite_chunks(
-            tri, pts, zs, cols, x_min, x_max, y_min, y_max, denom,
-            self._zbuffer[py0:py1 + 1, px0:px1 + 1],
-            self._frame[py0:py1 + 1, px0:px1 + 1],
-            px0, px1, py0, py1,
-        )
+                yield ((slice(py0, py1 + 1), slice(px0, px1 + 1)),
+                       (px0, px1, py0, py1), np.nonzero(mask)[0])
 
     def draw_colorbar(self, colormap: Colormap,
                       width: int = 12,

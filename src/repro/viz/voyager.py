@@ -64,11 +64,12 @@ class VoyagerConfig:
     #: Memoize derived arrays/frames in the GBO's budget-charged derived
     #: cache (G/TG modes only; the O build has no cache plane).
     derived_cache: bool = True
-    #: Compute-plane worker pool size. 1 (the default) is the
-    #: paper-faithful serial build; >1 rasterizes screen-space tiles in
-    #: parallel and, in the G/TG modes, overlaps extraction of the next
-    #: snapshot with rasterization of the current one. Frames are
-    #: byte-for-byte identical to the serial build either way.
+    #: Compute-plane worker pool size. Every build bins triangles to
+    #: screen tiles and composites them with the same kernel; 1 (the
+    #: default, paper-faithful serial build) runs the tiles inline,
+    #: >1 runs them as pool tasks and, in the G/TG modes, overlaps
+    #: extraction of the next snapshot with rasterization of the
+    #: current one. Frames are byte-for-byte identical either way.
     compute_workers: int = 1
     #: Compute-plane backend: ``"thread"`` (in-process pool) or
     #: ``"process"`` (:class:`~repro.core.compute_proc.ProcessComputePool`
@@ -451,7 +452,7 @@ class Voyager:
         # only fires when try_wait_unit pins an already-resident unit —
         # never a blocking load, so a squeezed budget degrades to the
         # serial schedule instead of deadlocking.
-        pipelining = pool is not None and getattr(pool, "parallel", False)
+        pipelining = pool is not None and pool.parallel
         lookahead = None  # FramePlan for the next visit, unit pinned
         try:
             for visit, step in enumerate(steps):
@@ -547,8 +548,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="disable the budget-charged derived-data "
                              "memo cache (G/TG modes)")
     parser.add_argument("--compute-workers", type=int, default=1,
-                        help="compute-plane worker threads (tiled "
-                             "rasterization and frame pipelining; 1 = "
+                        help="compute-plane workers (tile compositing "
+                             "as pool tasks and frame pipelining; 1 = "
                              "paper-faithful serial, bit-identical "
                              "frames either way)")
     parser.add_argument("--compute-backend", default="thread",

@@ -10,10 +10,17 @@ Marked ``races`` so the sanitizer job replays the threaded paths under
 the lockset race detector and lock-order graph.
 """
 
+import contextlib
+import threading
+
 import numpy as np
 import pytest
+from pool_doubles import RecordingPool
+from reference_raster import ReferenceRenderer
 
+import repro.viz.render as render_module
 from repro.core.compute import ComputePool
+from repro.core.compute_proc import ProcessComputePool
 from repro.core.database import GBO
 from repro.errors import DatabaseClosedError
 from repro.viz.camera import Camera
@@ -110,9 +117,9 @@ class TestVoyagerBitIdentity:
             assert a == b
 
 
-def camera_64():
+def camera(width=64, height=64):
     return Camera(position=(0.0, -5.0, 0.0), look_at=(0.0, 0.0, 0.0),
-                  up=(0, 0, 1), width=64, height=64)
+                  up=(0, 0, 1), width=width, height=height)
 
 
 def random_soup(n, seed, spread=2.0, behind=0):
@@ -126,47 +133,187 @@ def random_soup(n, seed, spread=2.0, behind=0):
     return TriangleSoup(verts, values)
 
 
-class TestRendererBitIdentity:
-    def draw_both(self, soup):
-        serial = Renderer(camera_64())
-        serial.draw(soup, Colormap("rainbow"))
+def adversarial_soup(seed, shuffled=False):
+    """Everything the compositor has a rule for, in one soup: triangles
+    straddling tile seams (and spanning the whole frame), duplicate
+    coplanar pairs with different colors, off-screen and
+    screen-degenerate triangles, and near-plane-culled ones."""
+    rng = np.random.default_rng(seed)
+    medium = random_soup(60, seed).vertices
+    huge = random_soup(6, seed + 1, spread=6.0).vertices
+    duplicates = medium[:8]
+    offscreen = random_soup(5, seed + 2).vertices + (80.0, 0.0, 0.0)
+    degenerate = random_soup(5, seed + 3).vertices
+    degenerate[:3, 1] = degenerate[:3, 0]          # zero-area
+    degenerate[3:, 2] = 2.0 * degenerate[3:, 1] - degenerate[3:, 0]
+    culled = random_soup(7, seed + 4, behind=7).vertices
+    verts = np.concatenate(
+        [medium, huge, duplicates, offscreen, degenerate, culled]
+    )
+    values = rng.uniform(0.0, 1.0, size=(len(verts), 3))
+    if shuffled:
+        order = rng.permutation(len(verts))
+        verts, values = verts[order], values[order]
+    return TriangleSoup(verts, values)
+
+
+class CountingLock:
+    """A lock double that counts acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquisitions = 0
+
+    def acquire(self, *args, **kwargs):
+        self.acquisitions += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@contextlib.contextmanager
+def schedule(kind):
+    """The pool for one of the four placements a tile can get."""
+    if kind == "inline":
+        yield None
+    elif kind == "pool1":
+        with ComputePool(1) as pool:
+            yield pool
+    elif kind == "threads":
         with ComputePool(4, spawn_threads=2) as pool:
-            tiled = Renderer(camera_64(), pool=pool)
+            yield pool
+    else:
+        with ProcessComputePool(2, spawn_procs=2,
+                                start_method="fork") as pool:
+            yield pool
+
+
+SCHEDULES = ["inline", "pool1", "threads", "process"]
+
+
+def assert_same_render(renderer, oracle):
+    assert np.array_equal(renderer._zbuffer, oracle._zbuffer)
+    assert np.array_equal(renderer._frame, oracle._frame)
+    assert np.array_equal(renderer.image(), oracle.image())
+    assert renderer.triangles_culled == oracle.triangles_culled
+    assert renderer.triangles_drawn == oracle.triangles_drawn
+
+
+class TestRendererBitIdentity:
+    """Every schedule of the one rasterizer against the per-triangle
+    reference loop (``tests/reference_raster.py``)."""
+
+    def draw_both(self, soup):
+        oracle = ReferenceRenderer(camera())
+        oracle.draw(soup, Colormap("rainbow"))
+        inline = Renderer(camera())
+        inline.draw(soup, Colormap("rainbow"))
+        assert_same_render(inline, oracle)
+        with ComputePool(4, spawn_threads=2) as pool:
+            tiled = Renderer(camera(), pool=pool)
             tiled.draw(soup, Colormap("rainbow"))
-        return serial, tiled
+        return oracle, tiled
 
     def test_random_soup_identical(self):
-        serial, tiled = self.draw_both(random_soup(200, seed=7))
-        assert np.array_equal(serial._zbuffer, tiled._zbuffer)
-        assert np.array_equal(serial._frame, tiled._frame)
-        assert np.array_equal(serial.image(), tiled.image())
+        oracle, tiled = self.draw_both(random_soup(200, seed=7))
+        assert_same_render(tiled, oracle)
 
     def test_duplicate_coplanar_triangles_tie_break(self):
         # Identical triangles produce identical depths at every covered
-        # pixel: the serial rule keeps the *first* submission (strict
-        # z < zbuffer). The tiled path must pick the same winner.
+        # pixel: the reference rule keeps the *first* submission (strict
+        # z < zbuffer). The compositor must pick the same winner.
         base = random_soup(8, seed=3)
         dup = TriangleSoup(
             np.concatenate([base.vertices, base.vertices]),
             np.concatenate([base.values, 1.0 - base.values]),
         )
-        serial, tiled = self.draw_both(dup)
-        assert np.array_equal(serial.image(), tiled.image())
+        oracle, tiled = self.draw_both(dup)
+        assert_same_render(tiled, oracle)
 
     def test_near_plane_cull_parity(self):
         soup = random_soup(50, seed=11, behind=10)
-        serial, tiled = self.draw_both(soup)
-        assert serial.triangles_culled == tiled.triangles_culled == 10
-        assert np.array_equal(serial.image(), tiled.image())
+        oracle, tiled = self.draw_both(soup)
+        assert oracle.triangles_culled == tiled.triangles_culled == 10
+        assert_same_render(tiled, oracle)
 
-    def test_serial_pool_uses_serial_path(self):
-        # A workers=1 pool is not parallel: the renderer must take the
-        # plain serial loop, not the tiled one.
-        pool = ComputePool(1)
-        renderer = Renderer(camera_64(), pool=pool)
-        renderer.draw(random_soup(10, seed=1), Colormap("gray"))
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["submitted", "shuffled"])
+    @pytest.mark.parametrize("size", [(64, 64), (150, 100)],
+                             ids=["one-tile", "ragged-tiles"])
+    @pytest.mark.parametrize("kind", SCHEDULES)
+    def test_schedules_match_oracle(self, kind, size, shuffled):
+        soup = adversarial_soup(seed=5, shuffled=shuffled)
+        second = random_soup(40, seed=9)
+        oracle = ReferenceRenderer(camera(*size))
+        oracle.draw(soup, Colormap("rainbow"))
+        oracle.draw(second, Colormap("gray"))
+        with schedule(kind) as pool:
+            renderer = Renderer(camera(*size), pool=pool)
+            renderer.draw(soup, Colormap("rainbow"))
+            # A second draw composites over the first's z-buffer.
+            renderer.draw(second, Colormap("gray"))
+            if kind in ("threads", "process"):
+                assert pool.stats.compute_tasks > 0
+        assert oracle.triangles_culled >= 7
+        assert_same_render(renderer, oracle)
+
+    def test_adversarial_soup_straddles_seams(self):
+        # The matrix above only tests seams if bboxes really cross the
+        # x=64/128 and y=64 tile edges of the 150x100 frame.
+        xy, depth = camera(150, 100).project(
+            adversarial_soup(seed=5).vertices.reshape(-1, 3)
+        )
+        xy = xy.reshape(-1, 3, 2)[np.all(depth.reshape(-1, 3) > 0, axis=1)]
+        lo, hi = xy.min(axis=1), xy.max(axis=1)
+        for axis, seam in ((0, 64), (0, 128), (1, 64)):
+            crossing = (lo[:, axis] < seam) & (hi[:, axis] > seam)
+            assert crossing.sum() >= 5
+
+    def test_serial_build_composites_inline(self):
+        # No pool, or a workers=1 pool: same kernel, run in place — no
+        # task object, no thread, and the pool lock is never taken.
+        threads_before = threading.active_count()
+        lock = CountingLock()
+        pool = ComputePool(1, lock=lock, cond=threading.Condition(lock))
+        soup = random_soup(10, seed=1)
+        oracle = ReferenceRenderer(camera())
+        oracle.draw(soup, Colormap("gray"))
+        for attached in (None, pool):
+            renderer = Renderer(camera(), pool=attached)
+            renderer.draw(soup, Colormap("gray"))
+            assert_same_render(renderer, oracle)
         assert pool.stats.compute_tasks == 0
+        assert lock.acquisitions == 0
+        assert threading.active_count() == threads_before
         pool.close()
+
+    def test_failed_tile_releases_every_task(self, monkeypatch):
+        # One of several tile tasks raises: the original exception
+        # propagates and no task keeps its result extent.
+        pool = RecordingPool()
+        real = render_module._composite_chunks
+        calls = []
+
+        def flaky(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("tile kernel failed")
+            return real(*args)
+
+        monkeypatch.setattr(render_module, "_composite_chunks", flaky)
+        renderer = Renderer(camera(150, 100), pool=pool)
+        with pytest.raises(FloatingPointError, match="tile kernel"):
+            renderer.draw(adversarial_soup(seed=5), Colormap("gray"))
+        assert len(pool.tasks) == 6           # 3 x 2 tiles
+        assert [task.waited for task in pool.tasks] == [True] * 2 + [False] * 4
+        assert all(task.released for task in pool.tasks)
 
 
 class TestTryWaitUnit:

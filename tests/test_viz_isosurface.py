@@ -5,7 +5,12 @@ import pytest
 
 from repro.gen.tetmesh import structured_tet_block
 from repro.viz.geometry import triangle_areas
-from repro.viz.isosurface import TriangleSoup, marching_tets
+from repro.viz.isosurface import (
+    TriangleSoup,
+    marching_tets,
+    marching_tets_pieces,
+    merge_tet_pieces,
+)
 
 # One reference tet.
 TET_NODES = np.array([
@@ -92,6 +97,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             marching_tets(TET_NODES, TET, np.zeros(4), 0.5,
                           carry_values=np.zeros(3))
+
+    def test_pieces_entry_point_validates_too(self):
+        # One kernel, one check: the sub-range entry point rejects the
+        # same length mismatches as the whole-block one.
+        with pytest.raises(ValueError, match="level values"):
+            marching_tets_pieces(TET_NODES, TET, np.zeros(3), 0.5, 0, 1)
+        with pytest.raises(ValueError, match="carry values"):
+            marching_tets_pieces(TET_NODES, TET, np.zeros(4), 0.5, 0, 1,
+                                 carry_values=np.zeros(3))
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("n_ranges", [1, 2, 5])
+    def test_whole_block_equals_merged_ranges(self, n_ranges):
+        mesh = structured_tet_block(5, 4, 3)
+        levels = np.sin(mesh.nodes @ np.array([3.0, 5.0, 7.0]))
+        carry = np.cos(mesh.nodes @ np.array([2.0, 1.0, 4.0]))
+        whole = marching_tets(mesh.nodes, mesh.tets, levels, 0.1,
+                              carry_values=carry)
+        assert whole.n_triangles > 0
+        bounds = np.linspace(0, mesh.n_tets, n_ranges + 1).astype(int)
+        merged = merge_tet_pieces([
+            marching_tets_pieces(mesh.nodes, mesh.tets, levels, 0.1,
+                                 lo, hi, carry_values=carry)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ])
+        assert merged.vertices.tobytes() == whole.vertices.tobytes()
+        assert merged.values.tobytes() == whole.values.tobytes()
 
 
 class TestTriangleSoup:

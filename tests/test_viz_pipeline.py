@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from pool_doubles import RecordingPool
 
+import repro.viz.pipeline as pipeline_module
 from repro.gen.quantities import node_fields, element_fields
 from repro.gen.tetmesh import structured_tet_block
 from repro.viz.camera import Camera
 from repro.viz.gops import GraphicsOp, GraphicsOps
+from repro.viz.isosurface import marching_tets
 from repro.viz.pipeline import (
     Pipeline,
     SnapshotData,
@@ -144,6 +147,61 @@ class TestPipeline:
             data.connectivity("b")
         with pytest.raises(NotImplementedError):
             data.field("b", "f")
+
+
+class TestMarchingFanOut:
+    """``Pipeline._marching``: one kernel, however many ranges."""
+
+    def marching(self, pool, n=8):
+        mesh = structured_tet_block(n, n, n)
+        levels = np.linalg.norm(mesh.nodes - 0.5, axis=1)
+        pipeline = Pipeline(GraphicsOps([
+            GraphicsOp("isosurface", "temperature", isovalue=0.35),
+        ]), render=False, pool=pool)
+        whole = marching_tets(mesh.nodes, mesh.tets, levels, 0.35)
+        return whole, lambda: pipeline._marching(
+            mesh.nodes, mesh.tets, levels, 0.35
+        )
+
+    def test_fan_out_matches_single_range_and_releases(self):
+        pool = RecordingPool()
+        whole, run = self.marching(pool)
+        soup = run()
+        assert len(pool.tasks) >= 2
+        assert all(task.released for task in pool.tasks)
+        assert soup.vertices.tobytes() == whole.vertices.tobytes()
+        assert soup.values.tobytes() == whole.values.tobytes()
+
+    @pytest.mark.parametrize("pool", [None, RecordingPool()],
+                             ids=["no-pool", "small-block"])
+    def test_single_range_runs_inline(self, pool):
+        # No pool, or a block under SUBBLOCK_MIN_TETS on a parallel
+        # pool: one range, run here, no task.
+        whole, run = self.marching(pool, n=3)
+        soup = run()
+        assert pool is None or pool.tasks == []
+        assert soup.vertices.tobytes() == whole.vertices.tobytes()
+
+    def test_failed_range_releases_every_task(self, monkeypatch):
+        pool = RecordingPool()
+        _whole, run = self.marching(pool)
+        real = pipeline_module.marching_tets_pieces
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("range kernel failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "marching_tets_pieces",
+                            flaky)
+        with pytest.raises(FloatingPointError, match="range kernel"):
+            run()
+        assert len(pool.tasks) >= 3
+        assert [task.waited for task in pool.tasks][:3] == \
+            [True, True, False]
+        assert all(task.released for task in pool.tasks)
 
 
 def test_pipeline_colorbar_overlay():
