@@ -64,6 +64,48 @@ def test_bench_marching_tets(benchmark):
     assert soup.n_triangles > 500
 
 
+def test_bench_extract_snapshot(benchmark):
+    """One snapshot of the e2e shape — 48 blocks of 168 tets — through
+    the nine complex ops, uncached: one kernel pass per op over the
+    merged mesh. Sliding back to per-(op, block) dispatch (432 kernel
+    calls) costs ~8x here, far outside the guard's tolerance."""
+    from repro.gen.quantities import node_fields
+    from repro.viz.gops import test_gops
+    from repro.viz.pipeline import Pipeline, SnapshotData
+
+    block = structured_tet_block(7, 2, 2)
+    assert block.n_tets == 168
+
+    class Blocks(SnapshotData):
+        def __init__(self):
+            self._blocks = {}
+            for index in range(48):
+                coords = block.nodes * [2.0, 2.0, 10.0 / 48] + [
+                    -1.0, -1.0, index * 10.0 / 48]
+                self._blocks[f"block_{index:04d}"] = (
+                    coords, node_fields(coords, 1e-4))
+
+        def block_ids(self):
+            return list(self._blocks)
+
+        def coords(self, block_id):
+            return self._blocks[block_id][0]
+
+        def connectivity(self, block_id):
+            return block.tets
+
+        def field(self, block_id, name):
+            return self._blocks[block_id][1][name]
+
+    data = Blocks()
+    gops = test_gops("complex")
+    pipeline = Pipeline(gops, render=False)
+    triangles = benchmark(
+        lambda: sum(pipeline.extract(data, op).n_triangles for op in gops)
+    )
+    assert triangles > 500
+
+
 def test_bench_scalarize_magnitude(benchmark):
     """Vector-magnitude reduction (einsum path) over a large field."""
     from repro.viz.pipeline import scalarize

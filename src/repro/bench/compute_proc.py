@@ -3,7 +3,7 @@
 The :class:`~repro.core.compute_proc.ProcessComputePool` claim is
 GIL-free parallelism over the arena seam: worker processes receive
 sealed shared-memory tokens (zero-copy attach), run the tile rasterizer
-and sub-block marching-tets kernels, and return results as tokens —
+and tet-range marching-tets kernels, and return results as tokens —
 while every frame stays **byte-for-byte identical** to the paper-
 faithful serial build.
 

@@ -2,7 +2,7 @@
 
 Generalizes the :class:`~repro.core.io_scheduler.IoScheduler`'s
 priority-queue/worker machinery from I/O callbacks to arbitrary compute
-tasks: tile rasterization jobs, per-(op, block) extraction kernels, and
+tasks: tile rasterization jobs, per-op extraction kernels, and
 whatever future compute stages need fan-out. The pool is deliberately
 engine-agnostic — it knows nothing about units, records, or budgets —
 so ``repro.viz`` may use it directly (it is not one of the REP107
@@ -370,7 +370,7 @@ class ComputePool:
         and a waiting thread never idles while work is queued — on a
         single-core host the waiter ends up doing most of the work
         itself, which is exactly the cheap path. Task bodies that wait
-        on their *own* sub-tasks (the isosurface sub-block fan-out)
+        on their *own* sub-tasks (the isosurface tet-range fan-out)
         recurse on the waiter's stack: the inner wait helps or sleeps
         on the same condition, bounded by the fan-out depth (one
         level), so the recursion is shallow and cannot deadlock.

@@ -113,6 +113,10 @@ _POLL_S = 0.2
 #: Worker join grace before escalating to terminate() at close.
 _JOIN_TIMEOUT_S = 10.0
 
+#: Stop message: ends a worker's task loop and, on the result queue,
+#: the collector thread's.
+_STOP = ("stop",)
+
 
 class _TokenRef:
     """Wire marker: this argument/result slot is an arena token."""
@@ -166,10 +170,11 @@ class ProcComputeTask(ComputeTask):
     def release(self) -> None:
         """Free the worker-side copies of this task's token results.
 
-        Call after the result has been consumed. Attached views that
-        are still alive stay readable (freed extents are never
-        recycled); the worker's memory is returned. Idempotent, no-op
-        for inline/thread results.
+        Call after the result has been consumed — or abandoned: a task
+        released while still queued (never dispatched) is cancelled.
+        Attached views that are still alive stay readable (freed
+        extents are never recycled); the worker's memory is returned.
+        Idempotent, no-op for inline/thread results.
         """
         self._pool._release_task(self)
 
@@ -436,7 +441,6 @@ class ProcessComputePool:
         self._task_queues: List[Any] = []
         self._result_q: Any = None
         self._collector: Optional[Any] = None
-        self._stop_collector = False
         self._staging: Optional[SharedMemoryArena] = None
         self._attach_cache = _AttachCache()
 
@@ -536,7 +540,7 @@ class ProcessComputePool:
             collector = self._collector
         for task_q in task_queues:
             try:
-                task_q.put(("stop",))
+                task_q.put(_STOP)
             except (ValueError, OSError):  # queue torn down already
                 pass
         for proc in procs:
@@ -544,9 +548,11 @@ class ProcessComputePool:
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join()
-        with self._lock:
-            self._stop_collector = True
         if collector is not None:
+            # Every worker has exited, so its results are already in
+            # the queue ahead of this sentinel: the collector settles
+            # them, sees the sentinel and returns — no poll to wait out.
+            self._result_q.put(_STOP)
             collector.join()
         # Any task a dead worker stranded: run it here so waiters see a
         # terminal state (graceful degradation, not a hang).
@@ -817,8 +823,8 @@ class ProcessComputePool:
                 if task.state in _TERMINAL:
                     if task.state == CANCELLED:
                         raise ComputePoolClosedError(
-                            f"task #{task.task_id} cancelled by pool "
-                            f"close"
+                            f"task #{task.task_id} cancelled (pool "
+                            f"closed or task released while queued)"
                         )
                     if task.state == FAILED:
                         raise task.error
@@ -876,12 +882,11 @@ class ProcessComputePool:
             try:
                 msg = result_q.get(timeout=_POLL_S)
             except _queue_mod.Empty:
-                with self._lock:
-                    if self._stop_collector:
-                        return
                 self._reap_dead_workers()
                 continue
             except (EOFError, OSError):  # pragma: no cover - teardown
+                return
+            if msg == _STOP:
                 return
             self._settle_remote(msg)
             self._pump()
@@ -942,8 +947,14 @@ class ProcessComputePool:
     # Result release
     # ------------------------------------------------------------------
     def _release_task(self, task: ProcComputeTask) -> None:
-        """Tell the owning worker to free a task's result allocations."""
-        with self._lock:
+        """Tell the owning worker to free a task's result allocations;
+        a task still queued is cancelled instead, so no worker ever
+        produces a result nobody will release."""
+        with self._cond:
+            if task.state == PENDING and self._queue.remove(task):
+                task.state = CANCELLED
+                self._cond.notify_all()
+                return
             worker = task.worker
             task.worker = None
             if (worker is None or self._closed

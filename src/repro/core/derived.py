@@ -42,7 +42,16 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -74,6 +83,21 @@ def content_token(array: np.ndarray) -> str:
     array = np.ascontiguousarray(array)
     digest = hashlib.blake2b(array, digest_size=16).hexdigest()
     return f"{array.dtype.str}{array.shape}{digest}"
+
+
+def fold_tokens(tokens: Iterable[Optional[str]]) -> Optional[str]:
+    """One token for an ordered sequence of content tokens.
+
+    Names the concatenation of the arrays behind ``tokens`` (e.g. one
+    field across every block of a snapshot) without touching them.
+    None when any part is unknown — an unknown part disables caching,
+    as it does for a single token.
+    """
+    parts = list(tokens)
+    if None in parts:
+        return None
+    joined = "|".join(parts).encode("ascii")
+    return "fold:" + hashlib.blake2b(joined, digest_size=16).hexdigest()
 
 
 def nbytes_of(value: Any) -> int:
@@ -352,11 +376,34 @@ class DerivedCache:
         mesh that is constant across the snapshot series share one
         cached boundary skin. Hashing runs without the lock.
         """
+        return self._memoized_token(
+            identity, lambda: content_token(array_provider())
+        )
+
+    def folded_token(
+        self, identity: Hashable,
+        parts_provider: Callable[[], Iterable[Optional[str]]],
+    ) -> Optional[str]:
+        """Memoized :func:`fold_tokens` for the sequence behind
+        ``identity`` — e.g. one field across every block of a snapshot,
+        so a revisit costs one lookup instead of one per block. An
+        unknown part (None) makes the fold None, which is not memoized.
+        """
+        return self._memoized_token(
+            identity, lambda: fold_tokens(parts_provider())
+        )
+
+    def _memoized_token(
+        self, identity: Hashable,
+        compute: Callable[[], Optional[str]],
+    ) -> Optional[str]:
         with self._lock:
             tok = self._tokens.get(identity)
         if tok is not None:
             return tok
-        tok = content_token(array_provider())
+        tok = compute()
+        if tok is None:
+            return None
         with self._lock:
             while len(self._tokens) >= MAX_TOKENS:
                 self._tokens.pop(next(iter(self._tokens)))

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -111,6 +111,15 @@ class TenantDerivedView:
         alias their tokens.
         """
         return self._cache.token((self._scope, identity), array_provider)
+
+    def folded_token(
+        self, identity: Hashable,
+        parts_provider: Callable[[], Iterable[Optional[str]]],
+    ) -> Optional[str]:
+        """Tenant-scoped memoized fold (see
+        ``DerivedCache.folded_token``)."""
+        return self._cache.folded_token((self._scope, identity),
+                                        parts_provider)
 
     def __contains__(self, key: Any) -> bool:
         return self._scoped(key) in self._cache

@@ -11,16 +11,25 @@ the output triangle vertices with the same edge weights — used by the
 cutting-plane stage to paint a field onto the slice.
 
 There is one kernel, :func:`_case_pieces`, over a contiguous *range*
-of tets. :func:`marching_tets` runs it over the whole block as a
+of tets. :func:`marching_tets` runs it over the whole mesh as a
 single range; :func:`marching_tets_pieces` exposes a sub-range so one
-large block can be split across compute workers instead of straggling
+large mesh can be split across compute workers instead of straggling
 as a single task. Every (sign case, case triangle) pair has a fixed
-global *piece rank* (:data:`_PIECE_ORDER`); each range returns its
-per-rank arrays and :func:`merge_tet_pieces` reassembles them
-rank-major, range-ascending, so the merged soup is byte-identical no
-matter how the tets were split. (All per-tet arithmetic is
-elementwise or row-indexed, so subsetting rows never changes a row's
-floats.)
+global *piece rank* (its position in ``_CASES`` iteration order);
+each range returns its per-rank arrays and :func:`merge_tet_pieces`
+reassembles them rank-major, range-ascending, so the merged soup is
+byte-identical no matter how the tets were split. (All per-tet
+arithmetic is elementwise or row-indexed, so subsetting rows never
+changes a row's floats.)
+
+The mesh may be several blocks *merged* — node arrays concatenated,
+connectivity offset into the merged node range, and a ``tet_block``
+array naming each tet's block (non-decreasing). The kernel then
+carries each output triangle's block index through its pieces and the
+merge finishes with one stable sort on it, which turns rank-major
+order into block-major / rank-major / tet-ascending: exactly the
+bytes of extracting every block on its own and concatenating the
+soups in block order, from one kernel pass instead of one per block.
 """
 
 from __future__ import annotations
@@ -59,15 +68,11 @@ _CASES: Dict[int, List[Tuple[int, int, int]]] = {
     0b1110: [(0, 2, 1)],
 }
 
-#: Global emission order of extraction pieces: one rank per
+#: One kernel output piece: ``(rank, vertices, values, blocks)``. The
+#: rank is the piece's position in the global emission order — one per
 #: (sign case, case triangle) pair, in ``_CASES`` iteration order —
-#: the order the kernel emits pieces in. Range results are keyed by
-#: rank so the merge can interleave them.
-_PIECE_ORDER: List[Tuple[int, int]] = [
-    (mask, tri_index)
-    for mask, triangles in _CASES.items()
-    for tri_index in range(len(triangles))
-]
+#: which is what lets the merge interleave several ranges' results.
+Piece = Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass
@@ -135,6 +140,7 @@ def marching_tets(
     level_values: np.ndarray,
     isovalue: float,
     carry_values: Optional[np.ndarray] = None,
+    tet_block: Optional[np.ndarray] = None,
 ) -> TriangleSoup:
     """Extract the ``level_values == isovalue`` surface.
 
@@ -142,11 +148,15 @@ def marching_tets(
     is interpolated onto the triangle corners — when omitted the carried
     value is ``level_values`` itself (so every output value equals the
     isovalue, which is what a plain isosurface colors by).
+    ``tet_block`` (per-tet, non-decreasing, optional) marks a merged
+    multi-block mesh: the soup comes out block-major, as if each block
+    had been extracted separately.
 
-    The whole block as one range: the kernel's pieces, merged.
+    The whole mesh as one range: the kernel's pieces, merged.
     """
     return merge_tet_pieces([
-        _case_pieces(nodes, tets, level_values, carry_values, isovalue)
+        _case_pieces(nodes, tets, level_values, carry_values, isovalue,
+                     tet_block)
     ])
 
 
@@ -156,13 +166,16 @@ def _case_pieces(
     level_values: np.ndarray,
     carry_values: Optional[np.ndarray],
     isovalue: float,
-) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    tet_block: Optional[np.ndarray] = None,
+) -> List[Piece]:
     """The extraction kernel: rank-keyed raw piece arrays.
 
-    One ``(rank, vertices (k, 3, 3), values (k, 3))`` triple per
-    non-empty (sign case, case triangle) pair, in ``_PIECE_ORDER``
-    order with tets ascending within a piece. ``tets`` is the range to
-    extract (any row subset of the block's connectivity); the per-node
+    One ``(rank, vertices (k, 3, 3), values (k, 3), blocks)`` tuple per
+    non-empty (sign case, case triangle) pair, in rank order with tets
+    ascending within a piece. ``tets`` is the range to extract (any
+    row subset of the mesh's connectivity) and ``tet_block`` the
+    matching rows of the tet->block index; ``blocks`` is its selection
+    for the piece's triangles (None without an index). The per-node
     arrays are validated here, once, for both entry points.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
@@ -184,7 +197,7 @@ def _case_pieces(
     inside = tet_values >= isovalue
     masks = inside.astype(np.int8) @ _MASK_WEIGHTS        # (m,)
 
-    pieces: List[Tuple[int, np.ndarray, np.ndarray]] = []
+    pieces: List[Piece] = []
     rank = 0
     for mask, triangles in _CASES.items():
         selected = np.nonzero(masks == mask)[0]
@@ -212,10 +225,11 @@ def _case_pieces(
             ca = carry_values[sel_tets[:, a]]
             cb = carry_values[sel_tets[:, b]]
             edge_carry[edge] = ca + t * (cb - ca)
+        blocks = None if tet_block is None else tet_block[selected]
         for tri in triangles:
             verts = np.stack([edge_pos[e] for e in tri], axis=1)
             vals = np.stack([edge_carry[e] for e in tri], axis=1)
-            pieces.append((rank, verts, vals))
+            pieces.append((rank, verts, vals, blocks))
             rank += 1
     return pieces
 
@@ -228,36 +242,50 @@ def marching_tets_pieces(
     lo: int,
     hi: int,
     carry_values: Optional[np.ndarray] = None,
-) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+    tet_block: Optional[np.ndarray] = None,
+) -> List[Piece]:
     """Extract over the contiguous tet range ``tets[lo:hi]`` only.
 
-    The sub-block compute task: a module-level function of plain
+    The sub-range compute task: a module-level function of plain
     arrays (REP107 — and re-importable by
     :class:`~repro.core.compute_proc.ProcessComputePool` workers, with
-    ``nodes``/``tets``/``level_values`` arriving as zero-copy tokens).
-    Returns rank-keyed raw piece arrays; feed every range's result, in
-    ascending range order, to :func:`merge_tet_pieces` to obtain the
-    byte-identical whole-block soup.
+    the mesh arrays arriving as zero-copy tokens). Returns rank-keyed
+    raw piece arrays; feed every range's result, in ascending range
+    order, to :func:`merge_tet_pieces` to obtain the byte-identical
+    whole-mesh soup.
     """
-    return _case_pieces(nodes, tets[lo:hi], level_values, carry_values,
-                        isovalue)
+    return _case_pieces(
+        nodes, tets[lo:hi], level_values, carry_values, isovalue,
+        None if tet_block is None else tet_block[lo:hi],
+    )
 
 
-def merge_tet_pieces(
-    chunks: List[List[Tuple[int, np.ndarray, np.ndarray]]],
-) -> TriangleSoup:
-    """Reassemble sub-block piece lists into the whole-block soup.
+def merge_tet_pieces(chunks: List[List[Piece]]) -> TriangleSoup:
+    """Reassemble sub-range piece lists into the whole-mesh soup.
 
     ``chunks`` must be ordered by ascending tet range. Pieces are laid
     out rank-major, chunk-ascending: for a fixed rank the chunks hold
     disjoint ascending tet subsets, so their concatenation is the
-    ascending selection a single whole-block range produces — the
-    merged soup does not depend on how the block was split.
+    ascending selection a single whole-mesh range produces — the
+    merged soup does not depend on how the mesh was split. Pieces that
+    carry block indices (a merged multi-block mesh) are then stably
+    sorted by block: within a rank the blocks already ascend, so the
+    sort yields block-major / rank-major / tet-ascending order — the
+    concatenation of the per-block soups.
     """
-    pieces: List[TriangleSoup] = []
-    for rank in range(len(_PIECE_ORDER)):
-        for chunk in chunks:
-            for piece_rank, verts, vals in chunk:
-                if piece_rank == rank:
-                    pieces.append(TriangleSoup(verts, vals))
-    return TriangleSoup.concatenate(pieces)
+    # Chunk-major in, stable sort on rank: rank-major, chunk-ascending.
+    pieces = sorted(
+        (piece for chunk in chunks for piece in chunk),
+        key=lambda piece: piece[0],
+    )
+    if not pieces:
+        return TriangleSoup.empty()
+    vertices = np.concatenate([piece[1] for piece in pieces])
+    values = np.concatenate([piece[2] for piece in pieces])
+    if pieces[0][3] is not None:
+        order = np.argsort(
+            np.concatenate([piece[3] for piece in pieces]), kind="stable"
+        )
+        vertices = vertices[order]
+        values = values[order]
+    return TriangleSoup(vertices, values)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.derived import fold_tokens
 from repro.gen.quantities import ELEMENT_FIELDS, NODE_FIELDS
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
@@ -32,14 +33,23 @@ from repro.viz.isosurface import (
 from repro.viz.render import Renderer
 from repro.viz.slice_plane import slice_mesh
 
-#: Minimum tets per sub-block extraction task. Blocks smaller than two
-#: grains run whole — the fan-out's share/merge overhead would exceed
-#: the kernel time it parallelizes.
-SUBBLOCK_MIN_TETS = 1024
+#: Minimum tets per extraction task when one op's marching-tets pass
+#: fans out over tet ranges. Meshes smaller than two grains run whole —
+#: the fan-out's share/dispatch/merge overhead would exceed the kernel
+#: time it parallelizes.
+SUBBLOCK_MIN_TETS = 32768
 
 
 class SnapshotData:
-    """Access interface for one snapshot's data, per block."""
+    """Access interface for one snapshot's data, per block.
+
+    :meth:`Pipeline.extract` reads an op's source arrays in a fixed
+    order: ``begin_op(op)``, then for each block of ``block_ids()`` in
+    turn ``coords``, ``connectivity``, ``field(block, op.field)`` —
+    minus whatever a derived cache already holds merged (both mesh
+    arrays together, or the field). Backends whose cost depends on the
+    access pattern (the original Voyager's file reads) may rely on it.
+    """
 
     def begin_op(self, op: "GraphicsOp") -> None:
         """Pipeline notification that a new operation starts.
@@ -68,8 +78,19 @@ class SnapshotData:
         """
         return None
 
+    def snapshot_token(self, name: str) -> Optional[str]:
+        """Content token of one source array across the whole
+        snapshot: the per-block :meth:`derived_token` values folded in
+        ``block_ids()`` order, or None when any of them is unknown.
+        Extraction memoizes at this grain; backends may memoize the
+        fold itself (it is asked for once per op)."""
+        return fold_tokens([
+            self.derived_token(block_id, name)
+            for block_id in self.block_ids()
+        ])
+
     def parallel_extract_safe(self) -> bool:
-        """Whether per-(op, block) extraction may run on compute-pool
+        """Whether per-op extraction may run on compute-pool
         threads. False (the default) keeps extraction on the calling
         thread — correct for backends with per-op mutable state such as
         the original Voyager's re-reading grid. GODIVA-backed data
@@ -127,6 +148,24 @@ def scalarize(values: np.ndarray, component: Optional[str]) -> np.ndarray:
     return values[:, index]
 
 
+def merge_blocks(coords: Sequence[np.ndarray],
+                 conn: Sequence[np.ndarray]) -> tuple:
+    """Per-block meshes -> one mesh ``(nodes, tets, tet_block)``.
+
+    Node arrays are concatenated, each block's connectivity is offset
+    into its slice of the merged node range, and ``tet_block`` names
+    each tet's block (non-decreasing). Blocks keep disjoint node
+    ranges, so every per-node scatter and every face-uniqueness test
+    sees exactly the rows it saw block by block.
+    """
+    node_counts = [len(block) for block in coords]
+    tet_counts = [len(block) for block in conn]
+    offsets = np.cumsum([0] + node_counts[:-1])
+    tets = np.concatenate(conn) + np.repeat(offsets, tet_counts)[:, None]
+    tet_block = np.repeat(np.arange(len(conn)), tet_counts)
+    return np.concatenate(coords), tets, tet_block
+
+
 @dataclass
 class PipelineResult:
     """Per-snapshot processing outcome."""
@@ -143,9 +182,9 @@ class FramePlan:
     :meth:`Pipeline.begin` and :meth:`Pipeline.finish`.
 
     Either ``cached`` holds the memoized frame (nothing left to do), or
-    ``tasks`` holds the in-flight extraction futures (op-major, block-
-    minor, mirroring the serial loop order), or both are None and
-    :meth:`Pipeline.finish` extracts synchronously.
+    ``tasks`` holds the in-flight extraction futures (one per op, in op
+    order), or both are None and :meth:`Pipeline.finish` extracts
+    synchronously.
     """
 
     data: SnapshotData
@@ -153,8 +192,8 @@ class FramePlan:
     cache: Optional[object]
     #: Memoized ``(image, op_triangles)`` when the frame cache hit.
     cached: Optional[tuple] = None
-    #: One list of ComputeTask per op (None = extract synchronously).
-    tasks: Optional[List[List[object]]] = None
+    #: One ComputeTask per op (None = extract synchronously).
+    tasks: Optional[List[object]] = None
 
 
 class Pipeline:
@@ -171,14 +210,14 @@ class Pipeline:
         #: Optional :class:`~repro.core.compute.ComputePool`. When it is
         #: parallel, tile rasterization fans out to it, and — for data
         #: backends declaring :meth:`SnapshotData.parallel_extract_safe`
-        #: — per-(op, block) extraction does too, which is what lets
-        #: the driver overlap extraction of t+1 with rasterization of t.
+        #: — per-op extraction does too, which is what lets the driver
+        #: overlap extraction of t+1 with rasterization of t.
         self.pool = pool
 
     def process(self, data: SnapshotData) -> PipelineResult:
-        """Run every op over every block; returns the composited image.
+        """Run every op over the snapshot; returns the composited image.
 
-        The op-major / block-minor loop order matters: it is what makes
+        The op-major / block-minor read order matters: it is what makes
         the original Voyager's per-op mesh reads *re-reads* (the GODIVA
         builds are insensitive to the order since buffers are resident).
 
@@ -195,8 +234,8 @@ class Pipeline:
 
     def begin(self, data: SnapshotData) -> FramePlan:
         """Start a frame: probe the frame cache and, on a miss with a
-        parallel pool and a thread-safe backend, submit per-(op, block)
-        extraction to the pool (below tile priority, so lookahead work
+        parallel pool and a thread-safe backend, submit one extraction
+        task per op to the pool (below tile priority, so lookahead work
         never starves the current frame's rasterization). Frame-cache
         hits skip the pool entirely.
         """
@@ -207,22 +246,16 @@ class Pipeline:
             if cached is not None:
                 return FramePlan(data, frame_key, cache, cached=cached)
         pool = self.pool
-        tasks: Optional[List[List[object]]] = None
-        # Per-(op, block) lookahead needs tasks that capture the data
-        # backend (a bound method over engine state) — fine on threads,
-        # impossible on a distributed (process) pool, whose parallelism
-        # comes from the sub-block split inside extraction instead.
+        tasks: Optional[List[object]] = None
+        # Lookahead tasks capture the data backend (a bound method over
+        # engine state) — fine on threads, impossible on a distributed
+        # (process) pool, whose parallelism comes from the tet-range
+        # split inside extraction instead.
         if (pool is not None and pool.parallel
                 and not pool.distributed
                 and data.parallel_extract_safe()):
-            tasks = []
-            for op in self.gops:
-                data.begin_op(op)
-                tasks.append([
-                    pool.submit(self._extract, data, block_id, op,
-                                priority=-1.0)
-                    for block_id in data.block_ids()
-                ])
+            tasks = [pool.submit(self.extract, data, op, priority=-1.0)
+                     for op in self.gops]
         return FramePlan(data, frame_key, cache, tasks=tasks)
 
     def finish(self, plan: FramePlan) -> PipelineResult:
@@ -241,9 +274,7 @@ class Pipeline:
         total = 0
         for index, op in enumerate(self.gops):
             if plan.tasks is not None:
-                soup = TriangleSoup.concatenate(
-                    [task.wait() for task in plan.tasks[index]]
-                )
+                soup = plan.tasks[index].wait()
             else:
                 soup = self.extract(plan.data, op)
             op_triangles.append(soup.n_triangles)
@@ -265,19 +296,17 @@ class Pipeline:
     def _frame_key(self, data: SnapshotData) -> Optional[tuple]:
         """Cache key covering everything the composited frame depends
         on: the full op list (including color mapping), the camera, the
-        render/colorbar flags, and a content token per source array of
-        every block. None (= no frame caching) when the backend has no
-        cache or any token is unknown."""
+        render/colorbar flags, and the snapshot token of every source
+        array. None (= no frame caching) when the backend has no cache
+        or any token is unknown."""
         if data.derived_cache() is None:
             return None
-        fields = sorted(self.gops.fields_used())
-        tokens: List[str] = []
-        for block_id in data.block_ids():
-            for name in ("coords", "conn", *fields):
-                token = data.derived_token(block_id, name)
-                if token is None:
-                    return None
-                tokens.append(token)
+        tokens = [
+            data.snapshot_token(name)
+            for name in ("coords", "conn", *sorted(self.gops.fields_used()))
+        ]
+        if None in tokens:
+            return None
         cam = self.camera
         camera_sig = (
             tuple(cam.position), tuple(cam.look_at), tuple(cam.up),
@@ -291,104 +320,156 @@ class Pipeline:
 
     def extract(self, data: SnapshotData,
                 op: GraphicsOp) -> TriangleSoup:
-        """Run one op over every block; returns the merged soup
-        (without rendering). Public so distributed front-ends can merge
-        soups across processes before drawing."""
-        data.begin_op(op)
-        return TriangleSoup.concatenate([
-            self._extract(data, block_id, op)
-            for block_id in data.block_ids()
-        ])
+        """Run one op over the whole snapshot; returns its soup (without
+        rendering). Public so distributed front-ends can merge soups
+        across processes before drawing.
 
-    def _extract(self, data: SnapshotData, block_id: str,
-                 op: GraphicsOp) -> TriangleSoup:
-        """One op over one block -> triangle soup with color scalars.
+        The snapshot's blocks are merged into one mesh and the op runs
+        as one kernel pass over it; the soup is byte-identical to
+        extracting block by block and concatenating in ``block_ids()``
+        order. With a derived cache and content tokens for every source
+        array the soup is memoized under the op's geometry parameters
+        plus the snapshot tokens, and so are the stages beneath it —
+        the merged mesh and field, magnitude scalarization, node
+        incidence counts, the element-to-node scatter, the boundary
+        skin — which is where ops *within* one frame share work (the
+        complex test's five stacked isosurfaces scatter the same stress
+        field once) and where a mesh constant across time-steps is
+        merged once.
 
-        With a derived cache available the whole per-(op, block) soup is
-        memoized under the op's geometry parameters plus the source
-        arrays' content tokens; the recompute path additionally memoizes
-        its inner kernels (magnitude scalarization, node incidence
-        counts, element-to-node scatter, boundary skin), which is where
-        ops *within* one frame share work — the complex test's five
-        stacked isosurfaces scatter the same stress field once.
+        Source arrays are read through the accessors in a fixed order —
+        for each block in turn ``coords``, ``connectivity``, ``field``
+        (see :meth:`_gather`) — the O build's read/seek pattern.
         """
+        data.begin_op(op)
         cache = data.derived_cache()
         if cache is not None:
-            coords_tok = data.derived_token(block_id, "coords")
-            conn_tok = data.derived_token(block_id, "conn")
-            field_tok = data.derived_token(block_id, op.field)
-            if None not in (coords_tok, conn_tok, field_tok):
-                key = (
-                    "soup", op.kind, op.field, op.component,
-                    op.isovalue, op.origin, op.normal,
-                    coords_tok, conn_tok, field_tok,
+            tokens = tuple(data.snapshot_token(name)
+                           for name in ("coords", "conn", op.field))
+            if None not in tokens:
+                key = ("soup", op.kind, op.field, op.component,
+                       op.isovalue, op.origin, op.normal, *tokens)
+                return cache.get_or_compute(
+                    key, lambda: self._soup(data, op, cache, tokens)
                 )
-                return cache.get_or_compute(key, lambda: self._derive(
-                    data, block_id, op,
-                    cache=cache, conn_tok=conn_tok, field_tok=field_tok,
-                ))
-        return self._derive(data, block_id, op)
+        return self._soup(data, op, None, (None, None, None))
 
-    def _derive(self, data: SnapshotData, block_id: str, op: GraphicsOp,
-                cache: Optional[object] = None,
-                conn_tok: Optional[str] = None,
-                field_tok: Optional[str] = None) -> TriangleSoup:
-        """The uncached extraction kernels (memoized individually when a
-        cache and the source tokens are supplied)."""
-        nodes = data.coords(block_id)
-        tets = data.connectivity(block_id)
-        raw = data.field(block_id, op.field)
+    def _soup(self, data: SnapshotData, op: GraphicsOp,
+              cache: Optional[object], tokens: tuple) -> TriangleSoup:
+        """The extraction stages for one op (memoized individually
+        when a cache and the snapshot tokens are supplied)."""
+        coords_tok, conn_tok, field_tok = tokens
 
         def memo(key, compute):
             if cache is None:
                 return compute()
             return cache.get_or_compute(key, compute)
 
-        if raw.ndim == 2 and op.component in (None, "magnitude"):
-            scalars = memo(("mag", field_tok),
-                           lambda: scalarize(raw, op.component))
-        else:
-            scalars = scalarize(raw, op.component)
+        mesh, raw = self._gather(data, op.field, cache, tokens)
+        if mesh is None:
+            return TriangleSoup.empty()
+        nodes, tets, tet_block = mesh
+        n_nodes = len(nodes)
+
+        def tets_tok():
+            # Merged connectivity depends on the per-block node counts
+            # as well as on the per-block connectivity, so the stages
+            # that are functions of it alone are keyed by its own
+            # content token: a deforming mesh (new coords every step)
+            # still shares them.
+            if cache is None:
+                return None
+            return cache.token(("merged-tets", coords_tok, conn_tok),
+                               lambda: tets)
+
+        def scalars():
+            if raw.ndim == 2 and op.component in (None, "magnitude"):
+                return memo(("mag", op.field, field_tok),
+                            lambda: scalarize(raw, op.component))
+            return scalarize(raw, op.component)
+
         if is_element_field(op.field):
-            counts = memo(("adj", conn_tok, len(nodes)),
-                          lambda: node_tet_counts(len(nodes), tets))
             node_scalars = memo(
-                ("e2n", conn_tok, field_tok, op.component, len(nodes)),
+                ("e2n", tets_tok(), op.field, field_tok, op.component,
+                 n_nodes),
                 lambda: element_to_node(
-                    len(nodes), tets, scalars, counts=counts
+                    n_nodes, tets, scalars(),
+                    counts=memo(("adj", tets_tok(), n_nodes),
+                                lambda: node_tet_counts(n_nodes, tets)),
                 ),
             )
         else:
-            node_scalars = scalars
+            node_scalars = scalars()
 
         if op.kind == "boundary":
-            faces = memo(("bfaces", conn_tok),
+            faces = memo(("bfaces", tets_tok()),
                          lambda: boundary_faces(tets))
             if not len(faces):
                 return TriangleSoup.empty()
             return TriangleSoup(nodes[faces], node_scalars[faces])
         if op.kind == "isosurface":
             return self._marching(nodes, tets, node_scalars,
-                                  op.isovalue)
+                                  op.isovalue, tet_block)
         if op.kind == "slice":
             return slice_mesh(
-                nodes, tets, node_scalars, op.origin, op.normal
+                nodes, tets, node_scalars, op.origin, op.normal,
+                tet_block=tet_block,
             )
         raise AssertionError(f"unreachable op kind {op.kind!r}")
 
-    def _marching(self, nodes: np.ndarray, tets: np.ndarray,
-                  node_scalars: np.ndarray,
-                  isovalue: float) -> TriangleSoup:
-        """Isosurface extraction, split to sub-block granularity.
+    @staticmethod
+    def _gather(data: SnapshotData, field_name: str,
+                cache: Optional[object], tokens: tuple) -> tuple:
+        """The snapshot's merged mesh and merged raw field.
 
-        The block is cut into contiguous tet ranges, each range runs
-        :func:`~repro.viz.isosurface.marching_tets_pieces`, and the
-        pieces merge deterministically — the soup is byte-identical
-        however many ranges there are and wherever they ran. A serial
-        build or a small block is one range, run here; a large block
-        on a parallel pool fans out as tasks at a priority between
-        tile compositing (0.0) and per-(op, block) lookahead (-1.0),
-        with the mesh arrays shared once per block (``pool.share``:
+        Whatever the cache does not already hold is read through the
+        accessors in one block-major pass — per block ``coords``,
+        ``connectivity``, then the field, exactly the per-block order
+        the O build's I/O pattern was measured with — and merged
+        (:func:`merge_blocks`, ``np.concatenate``). Returns
+        ``(None, None)`` for a snapshot with no blocks.
+        """
+        coords_tok, conn_tok, field_tok = tokens
+        mesh_key = ("mesh", coords_tok, conn_tok)
+        field_key = ("field", field_name, field_tok)
+        mesh = raw = None
+        if cache is not None:
+            mesh = cache.get(mesh_key)
+            raw = cache.get(field_key)
+        readers = []
+        if mesh is None:
+            readers += [data.coords, data.connectivity]
+        if raw is None:
+            readers.append(lambda block_id: data.field(block_id,
+                                                       field_name))
+        rows = [[read(block_id) for read in readers]
+                for block_id in data.block_ids()]
+        if not rows:
+            return None, None
+        columns = list(zip(*rows))
+        if mesh is None:
+            mesh = merge_blocks(columns[0], columns[1])
+            if cache is not None:
+                mesh = cache.put(mesh_key, mesh)
+        if raw is None:
+            raw = np.concatenate(columns[-1])
+            if cache is not None:
+                raw = cache.put(field_key, raw)
+        return mesh, raw
+
+    def _marching(self, nodes: np.ndarray, tets: np.ndarray,
+                  node_scalars: np.ndarray, isovalue: float,
+                  tet_block: np.ndarray) -> TriangleSoup:
+        """Isosurface extraction, split into tet ranges.
+
+        The (merged) tet array is cut into contiguous ranges, each
+        range runs :func:`~repro.viz.isosurface.marching_tets_pieces`,
+        and the pieces merge deterministically — the soup is
+        byte-identical however many ranges there are and wherever they
+        ran. A serial build or a mesh under two grains is one range,
+        run here; a large mesh on a parallel pool fans out as tasks at
+        a priority between tile compositing (0.0) and per-op lookahead
+        (-1.0), with the mesh arrays shared once (``pool.share``:
         identity on threads, one token export or staging copy on the
         process backend).
         """
@@ -400,16 +481,19 @@ class Pipeline:
                                   n // SUBBLOCK_MIN_TETS))
         if n_chunks == 1:
             return merge_tet_pieces([marching_tets_pieces(
-                nodes, tets, node_scalars, isovalue, 0, n
+                nodes, tets, node_scalars, isovalue, 0, n,
+                tet_block=tet_block,
             )])
         bounds = np.linspace(0, n, n_chunks + 1).astype(np.int64)
         shared = [pool.share(a) for a in (nodes, tets, node_scalars)]
+        shared_block = pool.share(tet_block)
         tasks: List[object] = []
         try:
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 tasks.append(pool.submit(
                     marching_tets_pieces, *shared, isovalue,
-                    int(lo), int(hi), priority=-0.5,
+                    int(lo), int(hi), tet_block=shared_block,
+                    priority=-0.5,
                 ))
             return merge_tet_pieces([task.wait() for task in tasks])
         finally:

@@ -8,7 +8,7 @@ which is exactly what :func:`repro.viz.isosurface.marching_tets` supports.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,13 +33,17 @@ def slice_mesh(
     field_values: np.ndarray,
     origin: Sequence[float],
     normal: Sequence[float],
+    tet_block: Optional[np.ndarray] = None,
 ) -> TriangleSoup:
     """Cut the mesh with a plane, painting ``field_values`` on the cut.
 
     ``field_values`` is per-node (convert element data first with
-    :func:`repro.viz.geometry.element_to_node`).
+    :func:`repro.viz.geometry.element_to_node`). ``tet_block`` marks a
+    merged multi-block mesh, as for
+    :func:`~repro.viz.isosurface.marching_tets`.
     """
     distances = plane_signed_distance(nodes, origin, normal)
     return marching_tets(
-        nodes, tets, distances, 0.0, carry_values=field_values
+        nodes, tets, distances, 0.0, carry_values=field_values,
+        tet_block=tet_block,
     )

@@ -247,13 +247,13 @@ class GodivaSnapshotData(SnapshotData):
         self._gbo = gbo
         self._tsid = tsid
         self._tsid_key = tsid.encode("ascii")
-        self._block_order = list(block_ids)
+        self._block_order = tuple(block_ids)
         self._derived = getattr(gbo, "derived", None)
 
     def parallel_extract_safe(self) -> bool:
         """True: buffer queries go through the engine lock and the
-        derived cache tolerates racing computes, so per-(op, block)
-        extraction may run on compute-pool threads."""
+        derived cache tolerates racing computes, so per-op extraction
+        may run on compute-pool threads."""
         return True
 
     def block_ids(self) -> List[str]:
@@ -284,6 +284,18 @@ class GodivaSnapshotData(SnapshotData):
             lambda: self._gbo.get_field_buffer(
                 "solid", name, self._keys(block_id)
             ),
+        )
+
+    def snapshot_token(self, name: str) -> Optional[str]:
+        """The folded per-block tokens, memoized per (field, snapshot)
+        identity in the cache's token table like the per-block tokens
+        themselves: a revisit asks once, not once per block."""
+        if self._derived is None:
+            return None
+        return self._derived.folded_token(
+            ("solid", name, self._block_order, self._tsid),
+            lambda: [self.derived_token(block_id, name)
+                     for block_id in self._block_order],
         )
 
     def coords(self, block_id: str) -> np.ndarray:

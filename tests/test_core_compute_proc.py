@@ -72,6 +72,12 @@ def total(array):
     return float(np.sum(array))
 
 
+def slow_block(seconds):
+    """A result big enough to come back as a worker-held token."""
+    time.sleep(seconds)
+    return np.zeros(SHAPE)
+
+
 def boom():
     raise ValueError("kernel exploded")
 
@@ -188,6 +194,24 @@ def test_close_cancels_queued_tasks():
             task.wait()
 
 
+def test_release_cancels_a_queued_task():
+    """A task released while still queued never runs: it leaves the
+    queue as CANCELLED, its siblings are untouched."""
+    stats = GodivaStats()
+    pool = ProcessComputePool(4, spawn_procs=0, stats=stats)
+    pool.start()
+    tasks = [pool.submit(add, i, 1) for i in range(3)]
+    tasks[1].release()
+    tasks[1].release()  # idempotent
+    assert tasks[1].done
+    with pytest.raises(ComputePoolClosedError, match="released"):
+        tasks[1].wait()
+    assert [tasks[0].wait(), tasks[2].wait()] == [1, 3]
+    assert stats.compute_tasks == 2
+    tasks[0].release()  # settled inline: nothing to free, no error
+    pool.close()
+
+
 def test_map_and_wait_all():
     pool = ProcessComputePool(4, spawn_procs=0)
     pool.start()
@@ -235,6 +259,57 @@ def test_worker_error_reraised(start_method):
     task = pool.submit(boom)
     with pytest.raises(ValueError, match="kernel exploded"):
         task.wait()
+    pool.close()
+    assert _shm_entries(pool.shm_prefix) == []
+
+
+def test_close_does_not_wait_out_the_poll_interval(monkeypatch):
+    """The collector is woken by a sentinel, not by its poll timing
+    out: close() of a pool with live workers is prompt and still
+    sweeps ``/dev/shm``."""
+    from repro.core import compute_proc
+
+    monkeypatch.setattr(compute_proc, "_POLL_S", 5.0)
+    pool = ProcessComputePool(2, spawn_procs=2, start_method="fork")
+    pool.start()
+    result = pool.submit(double, np.ones(SHAPE)).wait()
+    assert result[0, 0] == 2.0
+    assert _shm_entries(pool.shm_prefix)
+    t0 = time.monotonic()
+    pool.close()
+    assert time.monotonic() - t0 < 1.0
+    assert _shm_entries(pool.shm_prefix) == []
+
+
+def test_failed_fan_out_releases_queued_tasks_too():
+    """The fan-out error path (wait raises -> release every task) on
+    real workers: tasks the failure found still queued are cancelled,
+    so no worker later computes a result that would sit in its arena
+    until the pool closes."""
+    stats = GodivaStats()
+    pool = ProcessComputePool(2, spawn_procs=2, start_method="fork",
+                              stats=stats)
+    pool.start()
+    tasks = [pool.submit(boom)]
+    tasks += [pool.submit(slow_block, 0.2) for _ in range(15)]
+    try:
+        with pytest.raises(ValueError, match="kernel exploded"):
+            for task in tasks:
+                task.wait()
+    finally:
+        for task in tasks:
+            task.release()
+    with pool._lock:
+        assert pool.queue_len() == 0
+    from repro.core.compute import CANCELLED
+
+    cancelled = [task for task in tasks if task.state == CANCELLED]
+    assert cancelled   # the window is 4: most of the 16 never left
+    deadline = time.monotonic() + 10.0
+    while not all(task.done for task in tasks):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert stats.compute_tasks == len(tasks) - len(cancelled)
     pool.close()
     assert _shm_entries(pool.shm_prefix) == []
 

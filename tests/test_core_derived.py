@@ -18,6 +18,7 @@ from repro.core.derived import (
     DerivedCache,
     canonical_key,
     content_token,
+    fold_tokens,
     freeze_value,
     nbytes_of,
 )
@@ -233,6 +234,28 @@ class TestTokens:
         tok0 = cache.token(("id", 0), lambda: a)
         tok1 = cache.token(("id", 1), lambda: a.copy())
         assert tok0 == tok1
+
+    def test_fold_tokens_is_ordered_and_unambiguous(self):
+        assert fold_tokens(["a", "b"]) == fold_tokens(iter(["a", "b"]))
+        assert fold_tokens(["a", "b"]) != fold_tokens(["b", "a"])
+        assert fold_tokens(["ab"]) != fold_tokens(["a", "b"])
+        assert fold_tokens(["a", None]) is None
+
+    def test_folded_token_memoized_unless_unknown(self, cache):
+        calls = []
+
+        def parts(values):
+            calls.append(values)
+            return values
+
+        first = cache.folded_token("snap", lambda: parts(["a", "b"]))
+        assert first == fold_tokens(["a", "b"])
+        assert cache.folded_token("snap", lambda: parts(["x"])) == first
+        assert calls == [["a", "b"]]
+        # An unknown part folds to None and is asked for again.
+        assert cache.folded_token("other", lambda: ["a", None]) is None
+        assert cache.folded_token("other", lambda: ["a"]) == \
+            fold_tokens(["a"])
 
 
 def _bulk_schema():

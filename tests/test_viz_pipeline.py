@@ -126,7 +126,8 @@ class TestPipeline:
         assert data.ops_seen == ["velocity", "temperature"]
 
     def test_access_counts_op_major(self):
-        """The pipeline asks for mesh + field per (op, block)."""
+        """The pipeline asks for mesh + field per (op, block) when no
+        derived cache holds them merged."""
         data = StubData()
         pipeline = Pipeline(GraphicsOps([
             GraphicsOp("boundary", "velocity"),
@@ -152,6 +153,12 @@ class TestPipeline:
 class TestMarchingFanOut:
     """``Pipeline._marching``: one kernel, however many ranges."""
 
+    @pytest.fixture(autouse=True)
+    def small_grain(self, monkeypatch):
+        # The shipped grain only fans out genuinely large meshes; shrink
+        # it so an 8^3 block (3072 tets) splits and a 3^3 one does not.
+        monkeypatch.setattr(pipeline_module, "SUBBLOCK_MIN_TETS", 1024)
+
     def marching(self, pool, n=8):
         mesh = structured_tet_block(n, n, n)
         levels = np.linalg.norm(mesh.nodes - 0.5, axis=1)
@@ -160,7 +167,8 @@ class TestMarchingFanOut:
         ]), render=False, pool=pool)
         whole = marching_tets(mesh.nodes, mesh.tets, levels, 0.35)
         return whole, lambda: pipeline._marching(
-            mesh.nodes, mesh.tets, levels, 0.35
+            mesh.nodes, mesh.tets, levels, 0.35,
+            np.zeros(mesh.n_tets, dtype=np.int64),
         )
 
     def test_fan_out_matches_single_range_and_releases(self):
@@ -175,7 +183,7 @@ class TestMarchingFanOut:
     @pytest.mark.parametrize("pool", [None, RecordingPool()],
                              ids=["no-pool", "small-block"])
     def test_single_range_runs_inline(self, pool):
-        # No pool, or a block under SUBBLOCK_MIN_TETS on a parallel
+        # No pool, or a mesh under SUBBLOCK_MIN_TETS on a parallel
         # pool: one range, run here, no task.
         whole, run = self.marching(pool, n=3)
         soup = run()
