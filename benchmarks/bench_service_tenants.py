@@ -68,4 +68,3 @@ def test_service_tenants_json(fairness_result, scale_result,
     assert payload["experiment"] == "service_tenants"
     assert payload["fairness"]["isolation_held"] is True
     assert payload["async_scale"]["clients_served"] == N_CLIENTS
-    assert payload["calibration_s"] > 0

@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 import os
+import platform
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Two-sided 97.5 % Student-t quantiles for small sample sizes (index =
 #: degrees of freedom); enough for the five-run experiments.
@@ -19,6 +22,21 @@ _T_975 = {
     1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
     6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
 }
+
+
+def host_info() -> Dict[str, object]:
+    """The host a result file was measured on — core count, affinity
+    mask, python and numpy versions — written beside every wall-clock
+    number a bench archives: a wall is only comparable with another
+    from a host of the same width."""
+    affinity = (sorted(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else [])
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "affinity": affinity,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def mean_ci95(samples: Sequence[float]) -> Tuple[float, float]:

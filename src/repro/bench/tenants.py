@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.bench.derived import calibration_seconds
+from repro.bench.report import host_info
 from repro.service import AsyncGodivaClient, GodivaService
 from repro.simulate.tenants import (
     TenantSpec,
@@ -139,7 +139,7 @@ def service_tenants_json(
     }
     payload = {
         "experiment": "service_tenants",
-        "calibration_s": calibration_seconds(),
+        "host": host_info(),
         "fairness": {
             "tenants": tenants,
             "total_acquisitions": fairness.total_acquisitions,

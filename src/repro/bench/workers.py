@@ -30,7 +30,7 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.bench.report import Table, mean_ci95
+from repro.bench.report import Table, host_info, mean_ci95
 from repro.core.database import GBO
 from repro.gen.snapshot import DatasetManifest
 from repro.io.disk import ENGLE_DISK, DiskProfile, IoStats
@@ -188,6 +188,7 @@ def worker_sweep_json(
     path = os.path.join(directory, filename)
     payload = {
         "experiment": "io_worker_sweep",
+        "host": host_info(),
         "real_pipeline": list(real_rows),
         "simulated": list(sim_rows),
     }

@@ -1,6 +1,8 @@
 """The benchmark harness itself: stats, tables, dataset cache, figure3."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,10 +12,12 @@ from repro.bench.figure3 import (
     panel_table,
     run_figure3_panel,
 )
-from repro.bench.report import Table, format_table, mean_ci95
+from repro.bench.report import Table, format_table, host_info, mean_ci95
 from repro.bench.workloads import ensure_dataset
 from repro.simulate.machine import ENGLE, TURING
 from repro.simulate.workload import IoProfile, TestWorkload
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestStats:
@@ -38,6 +42,14 @@ class TestStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_ci95([])
+
+
+class TestHostInfo:
+    def test_keys(self):
+        """The stamp every archived wall-clock result carries."""
+        host = host_info()
+        assert set(host) == {"cpu_count", "affinity", "python", "numpy"}
+        assert host["cpu_count"] >= 1
 
 
 class TestTables:
@@ -151,3 +163,18 @@ class TestSummaryCli:
         assert "no archived results" in render_summary(
             str(tmp_path / "nothing")
         )
+
+
+def test_every_bench_driver_collects():
+    """A dangling ``repro.bench.*`` import in any ``bench_*.py`` fails
+    tier-1 here, not in a CI bench step."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(ROOT, "src"), env.get("PYTHONPATH"),
+    ]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "benchmarks"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

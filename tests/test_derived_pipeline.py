@@ -158,9 +158,13 @@ class TestBitIdentity:
         schedule = [0, 1, 0, 1]
         on = _run(small_dataset, tmp_path / "on", test="simple",
                   derived_cache=True, snapshot_indices=schedule)
+        # Half a megabyte holds neither the frames nor both units:
+        # cache entries and a unit are evicted and the unit reloaded.
         squeezed = _run(small_dataset, tmp_path / "sq", test="simple",
-                        derived_cache=True, mem_mb=2.0,
+                        derived_cache=True, mem_mb=0.5,
                         snapshot_indices=schedule)
+        assert squeezed.gbo_stats["derived_evictions"] > 0
+        assert squeezed.gbo_stats["units_reloaded"] > 0
         assert squeezed.triangles == on.triangles
         frames_on, frames_sq = _frames(on), _frames(squeezed)
         assert frames_on.keys() == frames_sq.keys()

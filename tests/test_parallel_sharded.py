@@ -48,15 +48,22 @@ def serial_frames(dataset, mem_mb=64.0):
 
 
 class TestByteIdentity:
-    def test_two_shards_match_serial(self, small_dataset):
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_shards_match_serial(self, small_dataset, n_shards):
         reference = serial_frames(small_dataset)
         result = render_sharded(
-            small_dataset.directory, 2, test=TEST, mem_mb=64.0,
+            small_dataset.directory, n_shards, test=TEST, mem_mb=64.0,
         )
         assert result.frames.keys() == reference.keys()
         for step, frame in result.frames.items():
             assert not frame.flags.writeable
             assert frame.tobytes() == reference[step]
+        # Each shard rendered exactly its rendezvous-assigned steps (a
+        # shard may draw none when units per shard get thin).
+        assert {s.shard_id: s.n_frames for s in result.shards} == {
+            shard_id: len(steps)
+            for shard_id, steps in result.assignment.items()
+        }
 
     def test_zero_copy_frames_valid_until_close(self, small_dataset):
         reference = serial_frames(small_dataset)

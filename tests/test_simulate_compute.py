@@ -20,7 +20,8 @@ from repro.simulate import (
 )
 from repro.simulate.workload import IoProfile
 
-#: Same shape as the P1 bench sweep: complex op-set, compute-heavy.
+#: The shape EXPERIMENTS.md's PC1 model table is computed on: complex
+#: op-set, compute-heavy.
 WORKLOAD = TestWorkload(
     test="complex",
     n_snapshots=32,

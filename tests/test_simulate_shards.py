@@ -62,6 +62,10 @@ def test_private_disk_scaling_hits_the_bar():
     four = sweep.point(4)
     assert four.throughput_units_s >= 2.0 * one.throughput_units_s
     assert one.speedup == 1.0
+    # Monotone through the small counts — placement skew only bites
+    # once units per shard get thin.
+    speedups = [p.speedup for p in sweep.points[:4]]
+    assert speedups == sorted(speedups)
     # Dozens of simulated shard hosts at the top end keep helping.
     top = sweep.points[-1]
     assert top.n_shards >= 24
