@@ -170,6 +170,42 @@ def test_bench_rasterizer(benchmark):
     assert image.shape == (120, 160, 3)
 
 
+def _scattered_soup(n, seed, spread, size):
+    """``n`` triangles in random (spatially incoherent) order: centers
+    uniform in a cube of half-edge ``spread`` around the origin,
+    vertices within ``size`` of their center."""
+    from repro.viz.isosurface import TriangleSoup
+
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-spread, spread, size=(n, 1, 3))
+    return TriangleSoup(centers + rng.uniform(-size, size, size=(n, 3, 3)),
+                        rng.uniform(0.0, 1.0, size=(n, 3)))
+
+
+@pytest.mark.parametrize("n, spread, size", [
+    # The regime the fragment compositor is built for — thousands of
+    # few-pixel triangles — submitted in spatially incoherent order.
+    pytest.param(4000, 1.8, 0.03, id="small-incoherent"),
+    # Its recorded losing side (DESIGN.md section 6): few triangles,
+    # each spanning most of the frame.
+    pytest.param(40, 0.3, 2.0, id="large"),
+])
+def test_bench_rasterizer_regimes(benchmark, n, spread, size):
+    soup = _scattered_soup(n, 1, spread, size)
+    camera = Camera(position=(0.0, -5.0, 0.0), look_at=(0.0, 0.0, 0.0),
+                    up=(0, 0, 1), width=256, height=256)
+    cmap = Colormap("rainbow")
+
+    def render():
+        renderer = Renderer(camera)
+        renderer.draw(soup, cmap)
+        return renderer
+
+    renderer = benchmark(render)
+    assert renderer.fragments_evaluated > 10 * n
+    assert np.isfinite(renderer._zbuffer).any()
+
+
 def test_bench_unit_lifecycle(benchmark):
     """add_unit -> wait_unit -> delete_unit cycle cost (single-thread
     build, trivial read callback): the library's per-unit overhead."""

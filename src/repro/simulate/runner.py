@@ -297,9 +297,12 @@ def compute_sweep(
     a zero-contention four-core :func:`~repro.simulate.machine.compute_host`)
     and reports each cell's compute wall
     (:attr:`SimRunResult.computation_s`) as a speedup over the serial
-    run. Deterministic — the W1-mirroring sweep the P1 bench emits: the
-    thread backend plateaus at ``1 / (f + (1-f)/W)`` under the GIL
-    while the process backend tracks ``W / (1 + overhead)``.
+    run. Returns one :class:`ComputeSweepPoint` per (backend, workers)
+    cell, backends outermost, in the order given. Deterministic, and a
+    model, not a measurement: ``tests/test_simulate_compute.py`` asserts
+    its shape — the thread backend plateaus at ``1 / (f + (1-f)/W)``
+    under the GIL while the process backend tracks
+    ``W / (1 + overhead)``.
     """
     if machine is None:
         machine = compute_host(4)

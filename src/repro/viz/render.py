@@ -8,26 +8,28 @@ needed to make Voyager produce actual image files.
 There is one rasterization path. Every draw projects, culls, bins the
 surviving triangles to ``TILE_SIZE`` screen tiles (disjoint frame/
 z-buffer regions) and composites each tile with
-:func:`_composite_chunks`: chunked vectorized batches that preserve
-submission order. The attached pool only decides *where* a tile runs —
-inline and in place with no pool or a serial one, as one
-:func:`composite_tile_task` per tile on a parallel
-:class:`~repro.core.compute.ComputePool` or
+:func:`_composite_fragments`: submission-ordered runs of triangles,
+each expanded into one flat batch of (triangle, pixel) fragments. The
+attached pool only decides *where* a tile runs — inline and in place
+with no pool or a serial one, as one :func:`composite_tile_task` per
+tile on a parallel :class:`~repro.core.compute.ComputePool` or
 :class:`~repro.core.compute_proc.ProcessComputePool`.
 
 Determinism is stated against the spec the rasterizer replaced, the
 one-triangle-at-a-time loop kept as ``tests/reference_raster.py``:
-per-pixel floats are computed with the same operands in the same
-association order as that loop (pixel centers are exact ``integer +
-0.5`` values either way), the per-chunk winner is selected with
-``argmin`` — which returns the *first* index attaining the minimum,
-i.e. the earliest-submitted triangle — and the z-test against the tile
-buffer is the same strict ``pixel_z < z`` comparison, so later
-triangles never overwrite an equal-depth earlier one. An explicit
-per-triangle bbox mask confines evaluation to exactly the pixels the
-reference loop touches, and tiles are disjoint pixel sets, so the
-order (or process) tiles composite in cannot matter. Frames are
-byte-for-byte the reference's on every schedule.
+(a) every fragment's floats are computed with the same operands in the
+same association order as that loop (pixel centers are exact ``integer
++ 0.5`` values either way); (b) a pixel's winner within a run is its
+minimum depth, the earliest submission on ties — the first entry of the
+pixel's group after a stable ``np.lexsort`` over fragments laid out in
+submission order — tested with the same strict ``pixel_z < z`` against
+the buffer as it stood before the run, and runs apply in ascending
+submission order, so later triangles never overwrite an equal-depth
+earlier one; (c) a fragment exists only inside its own triangle's bbox
+∩ tile, exactly the pixels the reference loop touches, and tiles are
+disjoint pixel sets, so the order (or process) tiles composite in
+cannot matter. Frames are byte-for-byte the reference's on every
+schedule and for every ``FRAGMENT_BATCH``.
 """
 
 from __future__ import annotations
@@ -43,98 +45,118 @@ from repro.viz.isosurface import TriangleSoup
 
 #: Screen-space tile edge in pixels — the compositing (and task) grain.
 TILE_SIZE = 64
-#: Triangles per vectorized batch inside a tile. Marching-tets emits
-#: triangles in cell order, so consecutive triangles are spatially
-#: coherent and a small chunk's union bbox stays tight.
-CHUNK_SIZE = 16
+#: Most (triangle, pixel) fragments one vectorized pass evaluates: the
+#: pass's temporaries (~20 float64 arrays this long) should stay inside
+#: the L2 cache. Swept 2^10..2^17 on the e2e and full-scale meshes
+#: (DESIGN.md section 6): shorter is interpreter-bound, longer is slower
+#: *and* raises peak RSS.
+FRAGMENT_BATCH = 1 << 13
 
 
-def _composite_chunks(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
-                      cols: np.ndarray, x_min: np.ndarray,
-                      x_max: np.ndarray, y_min: np.ndarray,
-                      y_max: np.ndarray, denom: np.ndarray,
-                      zbuf: np.ndarray, frame: np.ndarray,
-                      px0: int, px1: int, py0: int, py1: int) -> None:
+def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
+                         cols: np.ndarray, x_min: np.ndarray,
+                         x_max: np.ndarray, y_min: np.ndarray,
+                         y_max: np.ndarray, denom: np.ndarray,
+                         zbuf: np.ndarray, frame: np.ndarray,
+                         px0: int, px1: int, py0: int, py1: int) -> None:
     """Composite one tile's triangles in submission order.
 
     ``zbuf``/``frame`` cover exactly the tile's pixel region
     ``[py0..py1] × [px0..px1]`` and are updated in place — the inline
     build passes views of the renderer's buffers, a pool task its own
-    copy. Triangles are evaluated in chunks of CHUNK_SIZE over the
-    chunk's union bbox (clipped to the tile); within a chunk the depth
-    winner per pixel is the *first* minimum (``argmin``), and chunks
-    apply in ascending submission order with the strict
-    ``z < zbuffer`` test — together exactly the reference loop's
-    first-wins-on-ties compositing rule.
+    copy. Each triangle's bbox is clipped to the tile; submission-
+    ordered runs of triangles whose clipped areas sum to at most
+    FRAGMENT_BATCH (a larger triangle is a run of its own) are expanded
+    into flat (triangle, pixel) fragment arrays and evaluated in one
+    vectorized pass. Why the result is the reference loop's, bit for
+    bit:
+
+    (a) every fragment evaluates the reference's barycentric, ``inv_z``
+        and color expressions on the same operands in the same
+        association order — per-triangle and per-row terms are computed
+        once and *copied* to their fragments (``np.repeat``), never
+        re-associated;
+    (b) a fragment survives only if it is inside and strictly ``<`` the
+        buffer *as it stood before the run*; among a pixel's survivors
+        the winner is the minimum z, the earliest submission on ties —
+        ``np.lexsort`` is documented stable and fragments are laid out
+        in submission order, so the first entry of each pixel group is
+        that winner — and runs apply in ascending submission order:
+        together the reference's strict-``<`` first-wins rule;
+    (c) a fragment exists only for a pixel of its triangle's bbox ∩
+        tile, so coverage is confined to the pixels the reference
+        evaluates by construction, whatever the submission order.
     """
-    # Tile-wide pixel index vectors, sliced per chunk below.
-    tix = np.arange(px0, px1 + 1)
-    tiy = np.arange(py0, py1 + 1)
-    for start in range(0, tri.size, CHUNK_SIZE):
-        chunk = tri[start:start + CHUNK_SIZE]
-        ux0 = max(int(x_min[chunk].min()), px0)
-        ux1 = min(int(x_max[chunk].max()), px1)
-        uy0 = max(int(y_min[chunk].min()), py0)
-        uy1 = min(int(y_max[chunk].max()), py1)
-        ix = tix[ux0 - px0:ux1 + 1 - px0]
-        iy = tiy[uy0 - py0:uy1 + 1 - py0]
-        # Pixel centers: exact integer + 0.5 floats, the same
-        # values the reference loop's meshgrid produces.
-        gx = (ix + 0.5)[None, None, :]
-        gy = (iy + 0.5)[None, :, None]
-        ixg = ix[None, None, :]
-        iyg = iy[None, :, None]
-        ztile = zbuf[uy0 - py0:uy1 + 1 - py0, ux0 - px0:ux1 + 1 - px0]
-        ftile = frame[uy0 - py0:uy1 + 1 - py0, ux0 - px0:ux1 + 1 - px0]
-        p = pts[chunk]
-        x0 = p[:, 0, 0][:, None, None]
-        y0 = p[:, 0, 1][:, None, None]
-        x1 = p[:, 1, 0][:, None, None]
-        y1 = p[:, 1, 1][:, None, None]
-        x2 = p[:, 2, 0][:, None, None]
-        y2 = p[:, 2, 1][:, None, None]
-        d = denom[chunk][:, None, None]
-        w0 = ((y1 - y2) * (gx - x2) + (x2 - x1) * (gy - y2)) / d
-        w1 = ((y2 - y0) * (gx - x2) + (x0 - x2) * (gy - y2)) / d
+    bx0 = np.maximum(x_min[tri], px0)
+    by0 = np.maximum(y_min[tri], py0)
+    bw = np.minimum(x_max[tri], px1) - bx0 + 1
+    bh = np.minimum(y_max[tri], py1) - by0 + 1
+    ends = np.cumsum(bw * bh)
+    row_ends = np.cumsum(bh)
+    p = pts[tri]
+    x0, y0 = p[:, 0, 0], p[:, 0, 1]
+    x1, y1 = p[:, 1, 0], p[:, 1, 1]
+    x2, y2 = p[:, 2, 0], p[:, 2, 1]
+    # One matrix row per per-triangle operand: np.repeat copies whole
+    # columns to rows and then to fragments, several times cheaper
+    # than gathering each operand through an index array.
+    coef = np.array([y1 - y2, y2 - y0, x2, denom[tri],
+                     x2 - x1, x0 - x2, y2])
+    # "Position minus (group start - origin)" numbers the rows of a
+    # triangle, and below the pixels of a row, without an integer divide.
+    cell = np.array([row_ends - bh - by0, bx0, bw, tri])
+    width = px1 - px0 + 1
+    lo = 0
+    while lo < tri.size:
+        budget = (ends[lo - 1] if lo else 0) + FRAGMENT_BATCH
+        hi = max(int(np.searchsorted(ends, budget, side="right")), lo + 1)
+        # (triangle, row): the y term of both edge functions.
+        nb = bh[lo:hi]
+        rows = np.repeat(coef[:, lo:hi], nb, axis=1)
+        shift, ix0, rw, t = np.repeat(cell[:, lo:hi], nb, axis=1)
+        iy = np.arange(row_ends[hi - 1] - rw.size, row_ends[hi - 1]) - shift
+        lo = hi
+        # Pixel centers: exact integer + 0.5 floats, the same values
+        # the reference loop's meshgrid produces.
+        gy = (iy + 0.5) - rows[6]
+        rows[4] *= gy
+        rows[5] *= gy
+        # (triangle, row, column): one fragment per bbox ∩ tile pixel.
+        a, c, fx2, fd, by, dy = np.repeat(rows[:6], rw, axis=1)
+        shift, row = np.repeat(
+            np.array([np.cumsum(rw) - rw - ix0, np.arange(rw.size)]),
+            rw, axis=1)
+        ix = np.arange(row.size) - shift
+        gx = (ix + 0.5) - fx2
+        w0 = (a * gx + by) / fd
+        w1 = (c * gx + dy) / fd
         w2 = 1.0 - w0 - w1
-        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        # Confine each triangle to its own bbox — the reference loop
-        # never evaluates coverage outside it, and float roundoff
-        # could otherwise admit hull-adjacent pixels.
-        mx = (ixg >= x_min[chunk][:, None, None]) \
-            & (ixg <= x_max[chunk][:, None, None])
-        my = (iyg >= y_min[chunk][:, None, None]) \
-            & (iyg <= y_max[chunk][:, None, None])
-        inside &= mx & my
-        z = zs[chunk]
-        a0 = w0 / z[:, 0][:, None, None]
-        a1 = w1 / z[:, 1][:, None, None]
-        a2 = w2 / z[:, 2][:, None, None]
+        inside = np.nonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))[0]
+        # Perspective-correct depth, for covered fragments only.
+        row = row[inside]
+        t, ry, rx = t[row], iy[row] - py0, ix[inside] - px0
+        z0, z1, z2 = zs[t].T
+        a0 = w0[inside] / z0
+        a1 = w1[inside] / z1
+        a2 = w2[inside] / z2
         inv_z = a0 + a1 + a2
         pixel_z = 1.0 / np.where(inv_z > 0, inv_z, np.inf)
-        cand = np.where(inside, pixel_z, np.inf)
-        # First index attaining the minimum == earliest submission:
-        # the reference strict-less tie-break, vectorized.
-        k = np.argmin(cand, axis=0)[None, :, :]
-        zmin = np.take_along_axis(cand, k, 0)[0]
-        better = zmin < ztile
-        if not better.any():
+        closer = np.nonzero(pixel_z < zbuf[ry, rx])[0]
+        if closer.size == 0:
             continue
-        aw0 = np.take_along_axis(a0, k, 0)[0]
-        aw1 = np.take_along_axis(a1, k, 0)[0]
-        aw2 = np.take_along_axis(a2, k, 0)[0]
-        cw = cols[chunk][k[0]]                 # (uh, uw, 3, 3)
-        # Same association order as the reference color blend. Lanes
-        # that lost (zmin == inf) may produce inf/nan here; they
-        # are masked out by `better`.
-        with np.errstate(invalid="ignore"):
-            r = (
-                aw0[..., None] * cw[:, :, 0, :]
-                + aw1[..., None] * cw[:, :, 1, :]
-                + aw2[..., None] * cw[:, :, 2, :]
-            ) * zmin[..., None]
-        ztile[better] = zmin[better]
-        ftile[better] = r[better]
+        # Sort by pixel, then depth; the stable sort keeps submission
+        # order among equals, so each pixel group leads with its winner.
+        pix = ry[closer] * width + rx[closer]
+        order = np.lexsort((pixel_z[closer], pix))
+        win = closer[order[np.diff(pix[order], prepend=-1) != 0]]
+        ry, rx, pz, cw = ry[win], rx[win], pixel_z[win], cols[t[win]]
+        zbuf[ry, rx] = pz
+        # Same association order as the reference color blend.
+        frame[ry, rx] = (
+            a0[win][:, None] * cw[:, 0]
+            + a1[win][:, None] * cw[:, 1]
+            + a2[win][:, None] * cw[:, 2]
+        ) * pz[:, None]
 
 
 def composite_tile_task(px0: int, px1: int, py0: int, py1: int,
@@ -153,13 +175,13 @@ def composite_tile_task(px0: int, px1: int, py0: int, py1: int,
     a :class:`~repro.core.compute.ComputePool` thread receives the
     arrays themselves. ``frame_tile``/``z_tile`` carry the tile's
     pre-draw pixels (read-only in a worker process); the kernel copies
-    them and runs the exact :func:`_composite_chunks` arithmetic the
+    them and runs the exact :func:`_composite_fragments` arithmetic the
     inline build runs in place, so the returned ``(frame, z)`` pair is
     byte-identical to the inline result for this tile.
     """
     frame = np.array(frame_tile, dtype=np.float64)
     zbuf = np.array(z_tile, dtype=np.float64)
-    _composite_chunks(tri, pts, zs, cols, x_min, x_max, y_min, y_max,
+    _composite_fragments(tri, pts, zs, cols, x_min, x_max, y_min, y_max,
                       denom, zbuf, frame, px0, px1, py0, py1)
     return frame, zbuf
 
@@ -188,6 +210,10 @@ class Renderer:
         #: geometry crossing the near plane is not clipped (a known
         #: limitation); this counter makes the loss observable.
         self.triangles_culled = 0
+        #: (triangle, pixel) pairs evaluated: the sum of the drawable
+        #: triangles' screen-clipped bbox areas — the compositor's cost
+        #: model input, the same on every schedule.
+        self.fragments_evaluated = 0
 
     def draw(self, soup: TriangleSoup, colormap: Colormap,
              vmin: Optional[float] = None,
@@ -272,13 +298,15 @@ class Renderer:
         x_min, x_max, y_min, y_max, denom = (
             a[drawable] for a in (x_min, x_max, y_min, y_max, denom)
         )
+        self.fragments_evaluated += int(
+            ((x_max - x_min + 1) * (y_max - y_min + 1)).sum())
         arrays = (xy[keep], depth[keep], colors[keep],
                   x_min, x_max, y_min, y_max, denom)
         tiles = self._bin_tiles(x_min, x_max, y_min, y_max)
         pool = self._pool
         if pool is None or not pool.parallel:
             for region, bounds, tri in tiles:
-                _composite_chunks(tri, *arrays, self._zbuffer[region],
+                _composite_fragments(tri, *arrays, self._zbuffer[region],
                                   self._frame[region], *bounds)
             return
         # The per-draw arrays are shared once (identity on threads, a

@@ -1,11 +1,14 @@
 """Property-based tests for the visualization kernels (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from reference_raster import ReferenceRenderer
 
+import repro.viz.render as render_module
 from repro.gen.tetmesh import structured_tet_block
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
@@ -112,10 +115,12 @@ def test_gray_colormap_monotone(a, b):
                                                  st.just(3), st.just(3)),
                     elements=st.floats(-4.0, 4.0)),
     order_seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 2 * render_module.FRAGMENT_BATCH),
 )
-def test_rasterizer_matches_reference_loop(vertices, order_seed):
-    """Any soup, in any submission order, composites to exactly the
-    per-triangle reference loop's frame (ragged multi-tile frame)."""
+def test_rasterizer_matches_reference_loop(vertices, order_seed, batch):
+    """Any soup, in any submission order, cut into fragment batches of
+    any size, composites to exactly the per-triangle reference loop's
+    frame (ragged multi-tile frame)."""
     rng = np.random.default_rng(order_seed)
     order = rng.permutation(len(vertices))
     soup = TriangleSoup(vertices[order],
@@ -125,7 +130,8 @@ def test_rasterizer_matches_reference_loop(vertices, order_seed):
         renderer = cls(Camera(position=(0.0, -5.0, 0.0),
                               look_at=(0.0, 0.0, 0.0), up=(0, 0, 1),
                               width=100, height=70))
-        renderer.draw(soup, Colormap("rainbow"))
+        with mock.patch.object(render_module, "FRAGMENT_BATCH", batch):
+            renderer.draw(soup, Colormap("rainbow"))
         frames.append(renderer)
     oracle, inline = frames
     assert np.array_equal(inline._zbuffer, oracle._zbuffer)

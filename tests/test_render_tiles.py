@@ -2,8 +2,8 @@
 
 The contract under test (DESIGN.md, compute plane): for any op-set,
 memory budget, and mode, frames produced with ``compute_workers > 1``
-are **byte-for-byte identical** to the serial build's — tiling, chunked
-compositing, helping waiters, and frame pipelining change the schedule,
+are **byte-for-byte identical** to the serial build's — tiling, fragment
+batching, helping waiters, and frame pipelining change the schedule,
 never the pixels.
 
 Marked ``races`` so the sanitizer job replays the threaded paths under
@@ -196,6 +196,8 @@ def schedule(kind):
 
 
 SCHEDULES = ["inline", "pool1", "threads", "process"]
+#: Read once: the batch tests monkeypatch the module attribute.
+SHIPPED_BATCH = render_module.FRAGMENT_BATCH
 
 
 def assert_same_render(renderer, oracle):
@@ -219,6 +221,7 @@ class TestRendererBitIdentity:
         with ComputePool(4, spawn_threads=2) as pool:
             tiled = Renderer(camera(), pool=pool)
             tiled.draw(soup, Colormap("rainbow"))
+        assert tiled.fragments_evaluated == inline.fragments_evaluated > 0
         return oracle, tiled
 
     def test_random_soup_identical(self):
@@ -264,6 +267,74 @@ class TestRendererBitIdentity:
         assert oracle.triangles_culled >= 7
         assert_same_render(renderer, oracle)
 
+    def assert_batches_match_oracle(self, monkeypatch, size, draws):
+        """The oracle against the inline renderer with FRAGMENT_BATCH
+        at 1 (every triangle a run of its own), 64 and the shipped
+        value: equal to the oracle, hence to each other."""
+        oracle = ReferenceRenderer(camera(*size))
+        for soup in draws:
+            oracle.draw(soup, Colormap("rainbow"))
+        fragments = set()
+        for batch in (1, 64, SHIPPED_BATCH):
+            monkeypatch.setattr(render_module, "FRAGMENT_BATCH", batch)
+            renderer = Renderer(camera(*size))
+            for soup in draws:
+                renderer.draw(soup, Colormap("rainbow"))
+            assert_same_render(renderer, oracle)
+            fragments.add(renderer.fragments_evaluated)
+        assert len(fragments) == 1
+        return oracle
+
+    def test_tie_break_across_batch_boundary(self, monkeypatch):
+        # A coplanar pair with different colors, in front of everything
+        # and separated by more filler fragments than one batch holds:
+        # the two land in different runs at every batch size, and the
+        # first submission must still win.
+        front = random_soup(1, seed=2, spread=1.0).vertices
+        front[:, :, 1] = -3.0
+        filler = random_soup(60, seed=4)
+        counted = Renderer(camera())
+        counted.draw(filler, Colormap("rainbow"))
+        assert counted.fragments_evaluated > SHIPPED_BATCH
+        vertices = np.concatenate([front, filler.vertices, front])
+        values = [np.zeros((1, 3)), filler.values, np.ones((1, 3))]
+        soups = [TriangleSoup(vertices, np.concatenate(colored))
+                 for colored in (values, values[::-1])]
+        first, swapped = (
+            self.assert_batches_match_oracle(monkeypatch, (64, 64), [soup])
+            for soup in soups
+        )
+        assert np.isfinite(first._zbuffer).any()
+        assert np.array_equal(first._zbuffer, swapped._zbuffer)
+        assert not np.array_equal(first._frame, swapped._frame)
+
+    def test_triangle_larger_than_a_batch(self, monkeypatch):
+        # Frame-spanning triangles: at batch 1 and 64 every clipped
+        # bbox alone exceeds the batch and runs on its own.
+        soup = random_soup(12, seed=6, spread=6.0)
+        self.assert_batches_match_oracle(monkeypatch, (150, 100), [soup])
+
+    def test_small_shuffled_triangles_at_any_batch(self, monkeypatch):
+        # 2 000 small triangles in spatially incoherent order over a
+        # 4 x 4 tile frame: consecutive triangles share no pixels, so a
+        # run's fragments scatter over its whole tile.
+        rng = np.random.default_rng(8)
+        centers = rng.uniform(-1.5, 1.5, size=(2000, 1, 3))
+        soup = TriangleSoup(
+            centers + rng.uniform(-0.05, 0.05, size=(2000, 3, 3)),
+            rng.uniform(0.0, 1.0, size=(2000, 3)),
+        )
+        self.assert_batches_match_oracle(monkeypatch, (256, 256), [soup])
+
+    def test_second_draw_over_first_at_any_batch(self, monkeypatch):
+        # The strict < is against the buffer before the run, and that
+        # buffer already holds another draw's depths.
+        self.assert_batches_match_oracle(
+            monkeypatch, (150, 100),
+            [adversarial_soup(seed=5, shuffled=True),
+             random_soup(40, seed=9)],
+        )
+
     def test_adversarial_soup_straddles_seams(self):
         # The matrix above only tests seams if bboxes really cross the
         # x=64/128 and y=64 tile edges of the 150x100 frame.
@@ -298,7 +369,7 @@ class TestRendererBitIdentity:
         # One of several tile tasks raises: the original exception
         # propagates and no task keeps its result extent.
         pool = RecordingPool()
-        real = render_module._composite_chunks
+        real = render_module._composite_fragments
         calls = []
 
         def flaky(*args):
@@ -307,7 +378,7 @@ class TestRendererBitIdentity:
                 raise FloatingPointError("tile kernel failed")
             return real(*args)
 
-        monkeypatch.setattr(render_module, "_composite_chunks", flaky)
+        monkeypatch.setattr(render_module, "_composite_fragments", flaky)
         renderer = Renderer(camera(150, 100), pool=pool)
         with pytest.raises(FloatingPointError, match="tile kernel"):
             renderer.draw(adversarial_soup(seed=5), Colormap("gray"))

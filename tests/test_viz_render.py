@@ -190,3 +190,31 @@ class TestTrianglesCulledStat:
         renderer = Renderer(front_camera())
         renderer.draw_flat(facing_triangle(), (1.0, 1.0, 1.0))
         assert renderer.triangles_culled == 0
+
+
+class TestFragmentsEvaluatedStat:
+    def test_sums_screen_clipped_bbox_areas(self):
+        camera = front_camera()
+        renderer = Renderer(camera)
+        assert renderer.fragments_evaluated == 0
+        soup = facing_triangle()
+        xy, _ = camera.project(soup.vertices.reshape(-1, 3))
+        lo = np.floor(xy.min(axis=0)).astype(int)
+        hi = np.ceil(xy.max(axis=0)).astype(int)
+        area = int(np.prod(hi - lo + 1))
+        renderer.draw_flat(soup, (1.0, 1.0, 1.0))
+        assert renderer.fragments_evaluated == area
+        # Accumulates per draw; covered pixels are a subset of it.
+        renderer.draw(soup, Colormap("gray"))
+        assert renderer.fragments_evaluated == 2 * area
+        assert np.isfinite(renderer._zbuffer).sum() < area
+
+    def test_offscreen_part_and_undrawable_triangles_not_counted(self):
+        renderer = Renderer(front_camera())
+        # Far larger than the frustum: clipped to the 64 x 64 frame.
+        renderer.draw_flat(facing_triangle(size=20.0), (1.0, 1.0, 1.0))
+        assert renderer.fragments_evaluated == 64 * 64
+        # Near-plane culled and screen-degenerate triangles add nothing.
+        renderer.draw_flat(facing_triangle(y=-10.0), (1.0, 1.0, 1.0))
+        renderer.draw_flat(facing_triangle(size=0.0), (1.0, 1.0, 1.0))
+        assert renderer.fragments_evaluated == 64 * 64
