@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate hot paths.
 
 Not a paper artifact — engineering guardrails for the pieces every
-experiment exercises: the RB-tree index, the SDF reader, marching
+experiment exercises: the record index, the SDF reader, marching
 tetrahedra, and the rasterizer.
 """
 
@@ -10,32 +10,96 @@ import pytest
 
 from repro.gen.tetmesh import structured_tet_block
 from repro.io.sdf import SdfReader, SdfWriter
-from repro.structures.rbtree import RedBlackTree
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
 from repro.viz.isosurface import marching_tets
 from repro.viz.render import Renderer
 
 
-def test_bench_rbtree_insert(benchmark):
-    keys = [(f"block_{i % 997:04d}$".encode(), f"{i}".encode())
-            for i in range(1000)]
+def _keyed_records(n):
+    """``n`` uncommitted one-key records shaped like the e2e dataset's
+    (a block id and a counter in the key bytes)."""
+    from repro.core.record import Record
+    from repro.core.types import DataType, FieldType, RecordType
+
+    rtype = RecordType("bench", num_keys=1)
+    rtype.insert_field(FieldType("id", DataType.STRING, 16), True)
+    rtype.commit()
+    records = []
+    for i in range(n):
+        record = Record(rtype)
+        record.field("id").write(f"block_{i % 997:04d}${i:05d}".encode())
+        records.append(record)
+    return records
+
+
+def test_bench_record_index_commit(benchmark):
+    """1 000 commits into a fresh RecordIndex: key snapshot, duplicate
+    check, insert."""
+    from repro.core.index import RecordIndex
+
+    records = _keyed_records(1000)
 
     def build():
-        tree = RedBlackTree()
-        for key in keys:
-            tree.insert(key, key)
-        return tree
+        index = RecordIndex()
+        for record in records:
+            index.commit(record)
+        return index
 
-    tree = benchmark(build)
-    assert len(tree) == 1000
+    index = benchmark(build)
+    assert index.count("bench") == 1000
 
 
-def test_bench_rbtree_lookup(benchmark):
-    tree = RedBlackTree()
-    for i in range(10_000):
-        tree.insert(i, i)
-    benchmark(lambda: tree.find(7777))
+def test_bench_record_index_lookup(benchmark):
+    """One exact-key lookup among 10 000 committed records — the index
+    half of every ``get_field_buffer``."""
+    from repro.core.index import RecordIndex
+
+    index = RecordIndex()
+    records = _keyed_records(10_000)
+    for record in records:
+        index.commit(record)
+    key = records[7777].committed_key
+    assert benchmark(lambda: index.lookup("bench", key)) is records[7777]
+
+
+def test_bench_sdf_open(benchmark, tmp_path):
+    """Open a 210-entry file (one e2e unit file's directory) and read
+    its file attributes: header, directory parse, attribute block."""
+    path = str(tmp_path / "open.sdf")
+    with SdfWriter(path) as writer:
+        writer.set_attribute("time", 0.5)
+        for i in range(210):
+            writer.add_dataset(f"block_{i // 7:04d}:field{i % 7}",
+                               np.zeros(4))
+
+    def open_file():
+        with SdfReader(path) as reader:
+            return len(reader.dataset_names), reader.file_attributes()
+
+    assert benchmark(open_file) == (210, {"time": 0.5})
+
+
+def test_bench_read_into(benchmark, tmp_path):
+    """210 datasets of 6 KB into GODIVA field buffers through
+    ``read_into`` — the per-buffer read of the unit_churn path."""
+    from repro.core.record import FieldBuffer
+    from repro.core.types import DataType, FieldType
+
+    path = str(tmp_path / "into.sdf")
+    data = np.random.default_rng(0).random(750)          # 6 000 bytes
+    with SdfWriter(path) as writer:
+        for i in range(210):
+            writer.add_dataset(f"d{i}", data)
+    buf = FieldBuffer(FieldType("v", DataType.DOUBLE, data.nbytes))
+
+    def read_all():
+        with SdfReader(path) as reader:
+            for name in reader.dataset_names:
+                reader.read_into(name, buf.as_array())
+
+    benchmark(read_all)
+    assert np.array_equal(buf.as_array(), data)
 
 
 def test_bench_sdf_read(benchmark, tmp_path):

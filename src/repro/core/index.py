@@ -1,21 +1,30 @@
-"""The record index: key-field values -> record, one tree per record type.
+"""The record index: key-field values -> record, one dict per record type.
 
 Section 3.3: "The records in the GODIVA database are organized in a C++ STL
-map, indexed with the key field values in a RB-tree." We use our own
-:class:`~repro.structures.rbtree.RedBlackTree` keyed on tuples of raw key
-bytes. A second index maps unit name -> records "so that when a unit is
-evicted from the cache, all of its records can be deleted efficiently."
+map, indexed with the key field values in a RB-tree." The tree is that
+section's implementation note, not API: every query is an exact-key lookup
+and nothing range-scans, so the index is a ``dict`` keyed on tuples of raw
+key bytes, and :meth:`RecordIndex.records_of_type` — the one ordered
+consumer — sorts the keys when it iterates (``tests/reference_rbtree.py``
+is the tree, kept as the oracle). A second index maps unit name -> records
+"so that when a unit is evicted from the cache, all of its records can be
+deleted efficiently."
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.core.record import Record
 from repro.errors import DuplicateKeyError, KeyLookupError
-from repro.structures.rbtree import RedBlackTree
 
 KeyTuple = Tuple[bytes, ...]
+
+#: Read-only stand-in for a record type nothing was committed under yet.
+_EMPTY: Mapping[KeyTuple, Record] = MappingProxyType({})
 
 
 def normalize_key_values(values: Sequence) -> KeyTuple:
@@ -47,10 +56,10 @@ def normalize_key_values(values: Sequence) -> KeyTuple:
 
 
 class RecordIndex:
-    """Key index (RB-tree per record type) + per-unit record lists."""
+    """Key index (dict per record type) + per-unit record lists."""
 
     def __init__(self) -> None:
-        self._by_type: Dict[str, RedBlackTree] = {}
+        self._by_type: Dict[str, Dict[KeyTuple, Record]] = {}
         self._by_unit: Dict[str, List[Record]] = {}
         #: Records not attributed to any unit (created outside a read
         #: callback). They are only removed explicitly.
@@ -62,15 +71,13 @@ class RecordIndex:
     def commit(self, record: Record) -> KeyTuple:
         """Index ``record`` under its current key-field values."""
         key = record.key_tuple()
-        tree = self._by_type.setdefault(
-            record.record_type.name, RedBlackTree()
-        )
-        if key in tree:
+        records = self._by_type.setdefault(record.record_type.name, {})
+        if key in records:
             raise DuplicateKeyError(
                 f"record type {record.record_type.name!r} already has a "
                 f"record with key {key!r}"
             )
-        tree.insert(key, record)
+        records[key] = record
         record.mark_committed(key)
         return key
 
@@ -83,8 +90,7 @@ class RecordIndex:
             self._by_unit.setdefault(unit_name, []).append(record)
 
     def lookup(self, type_name: str, key: KeyTuple) -> Record:
-        tree = self._by_type.get(type_name)
-        record = tree.find(key) if tree is not None else None
+        record = self._by_type.get(type_name, _EMPTY).get(key)
         if record is None:
             raise KeyLookupError(
                 f"no record of type {type_name!r} with key {key!r}"
@@ -92,22 +98,20 @@ class RecordIndex:
         return record
 
     def contains(self, type_name: str, key: KeyTuple) -> bool:
-        tree = self._by_type.get(type_name)
-        return tree is not None and key in tree
+        return key in self._by_type.get(type_name, _EMPTY)
 
     def records_of_type(self, type_name: str) -> Iterator[Record]:
         """All committed records of one type, in key order."""
-        tree = self._by_type.get(type_name)
-        if tree is None:
-            return
-        yield from tree.values()
+        # Keys are unique, so the pair sort never compares two records.
+        for _key, record in sorted(
+                self._by_type.get(type_name, _EMPTY).items()):
+            yield record
 
     def count(self, type_name: Optional[str] = None) -> int:
         """Number of committed records (optionally of one type)."""
         if type_name is not None:
-            tree = self._by_type.get(type_name)
-            return len(tree) if tree is not None else 0
-        return sum(len(tree) for tree in self._by_type.values())
+            return len(self._by_type.get(type_name, _EMPTY))
+        return sum(len(records) for records in self._by_type.values())
 
     # ------------------------------------------------------------------
     # Unit-level removal
@@ -146,13 +150,12 @@ class RecordIndex:
 
     def _unindex(self, record: Record) -> None:
         if record.committed and record.committed_key is not None:
-            tree = self._by_type.get(record.record_type.name)
-            if tree is not None:
-                # The tree entry may already map to a different record if
-                # the application mutated key buffers (paper's caveat); only
-                # delete when it is really this record.
-                if tree.find(record.committed_key) is record:
-                    tree.delete(record.committed_key)
+            records = self._by_type.get(record.record_type.name, _EMPTY)
+            # The entry may already map to a different record if the
+            # application mutated key buffers (paper's caveat); only
+            # delete when it is really this record.
+            if records.get(record.committed_key) is record:
+                del records[record.committed_key]
 
     def clear(self) -> List[Record]:
         """Drop everything; returns all records for buffer release."""

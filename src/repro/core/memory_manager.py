@@ -218,15 +218,12 @@ class MemoryManager:
                 f"{self._accountant.budget_bytes} bytes",
                 needed=nbytes,
             )
-        thread = threading.current_thread()
         scheduler = self._scheduler
-        on_io_thread = (
-            scheduler is not None and scheduler.is_io_thread(thread)
-        )
         while not self._accountant.fits(nbytes):
             if self.evict_next_victim():
                 continue
-            if on_io_thread:
+            thread = threading.current_thread()
+            if scheduler is not None and scheduler.is_io_thread(thread):
                 loading = scheduler.current_load_unit()
                 if loading is not None and loading in self._abort_loads:
                     # A waiter needs this load's partial charges rolled

@@ -1,7 +1,7 @@
 """RecordEngine — the record/query layer of the GODIVA engine.
 
 Owns the schema registries (field types, record types), record
-instances, the key index (RB-tree per record type, section 3.3), and
+instances, the key index (dict per record type, section 3.3), and
 the query path — the paper's *record operations* and *dataset queries*
 interface groups, including the TOCTOU-safe ``ensure_record_type``
 definition path.

@@ -60,18 +60,13 @@ class DataType(enum.Enum):
     def __init__(self, dtype_code: str, itemsize: int):
         self.dtype_code = dtype_code
         self.itemsize = itemsize
-
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        """The numpy dtype used for this field's buffer view.
-
-        STRING buffers are exposed as raw bytes (``uint8``); all numeric
-        types use fixed little-endian layouts so buffers round-trip through
-        the portable file formats unchanged.
-        """
-        if self is DataType.STRING:
-            return np.dtype("u1")
-        return np.dtype(self.dtype_code)
+        #: The numpy dtype used for this field's buffer view. STRING
+        #: buffers are exposed as raw bytes (``uint8``); all numeric types
+        #: use fixed little-endian layouts so buffers round-trip through
+        #: the portable file formats unchanged.
+        self.numpy_dtype = np.dtype(
+            "u1" if dtype_code == "S" else dtype_code
+        )
 
 
 @dataclass(frozen=True)

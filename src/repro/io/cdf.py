@@ -27,7 +27,10 @@ import numpy as np
 
 from repro.errors import StorageFormatError
 from repro.io.disk import NULL_DISK, CostedFile, DiskProfile, IoStats
-from repro.io.sdf import AttrValue, DatasetInfo, _decode_attrs, _encode_attrs
+from repro.io.sdf import (
+    AttrValue, DatasetInfo, WritableBuffer, _decode_attrs, _encode_attrs,
+    writable_target,
+)
 
 _MAGIC = b"CDF1"
 _HEADER = struct.Struct("<4sIIQ")        # magic, version, n_vars, hdr len
@@ -224,9 +227,15 @@ class CdfReader:
             raise StorageFormatError(f"truncated data for {name!r}")
         return np.frombuffer(data, dtype=info.dtype).reshape(info.shape)
 
-    def read_into(self, name: str, out) -> None:
-        array = self.read(name)
-        np.copyto(np.asarray(out).reshape(array.shape), array)
+    def read_into(self, name: str, out: WritableBuffer) -> None:
+        """``SdfReader.read_into``'s contract and charging: one seek +
+        ``readinto`` into a writable C-contiguous ``out`` of exactly
+        ``data_nbytes`` bytes (else ``ValueError``, before any read)."""
+        info = self.info(name)
+        view = writable_target(out, info.data_nbytes, name)
+        self._file.seek(info.data_offset)
+        if self._file.readinto(view) != info.data_nbytes:
+            raise StorageFormatError(f"truncated data for {name!r}")
 
     def close(self) -> None:
         self._file.close()

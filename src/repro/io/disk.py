@@ -204,10 +204,10 @@ class CostedFile:
     """Read-only binary file charging virtual I/O cost per access.
 
     Supports the subset of the file protocol the formats need: ``read``,
-    ``seek``, ``tell``, context management. A read is *sequential* when it
-    starts exactly where the previous read (on this handle) ended —
-    matching how a disk's head position behaves for a single-stream
-    reader.
+    ``readinto``, ``seek``, ``tell``, context management. A read is
+    *sequential* when it starts exactly where the previous read (on this
+    handle) ended — matching how a disk's head position behaves for a
+    single-stream reader.
     """
 
     def __init__(self, path: str, stats: Optional[IoStats] = None,
@@ -228,14 +228,27 @@ class CostedFile:
     def read(self, nbytes: int = -1) -> bytes:
         start = self._file.tell()
         data = self._file.read(nbytes)
-        gap = None if self._last_end is None else start - self._last_end
-        self._last_end = start + len(data)
-        if self._stats is not None:
-            cost = self._profile.read_cost_s(len(data), gap)
-            self._stats.record_read(
-                self._path, len(data), gap, cost, self._profile
-            )
+        self._charge(start, len(data))
         return data
+
+    def readinto(self, buffer: memoryview) -> int:
+        """Fill ``buffer`` (writable, C-contiguous) from the current
+        position and return the byte count read — fewer than its length
+        only at end of file. Charged exactly as a ``read`` of that many
+        bytes: one read call, same gap / seek / settle / cost rule."""
+        start = self._file.tell()
+        nbytes = self._file.readinto(buffer)
+        self._charge(start, nbytes)
+        return nbytes
+
+    def _charge(self, start: int, nbytes: int) -> None:
+        gap = None if self._last_end is None else start - self._last_end
+        self._last_end = start + nbytes
+        if self._stats is not None:
+            cost = self._profile.read_cost_s(nbytes, gap)
+            self._stats.record_read(
+                self._path, nbytes, gap, cost, self._profile
+            )
 
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
         # Seeking is free until the next read actually starts elsewhere;

@@ -38,8 +38,19 @@ _HEADER = struct.Struct("<4sIIQIQ")          # 32 bytes
 _ENTRY = struct.Struct("<64s8sI4QQQIQQ")     # 64+8+4+32+8+8+4+8+8 = 144 B
 _MAX_RANK = 4
 _MAX_NAME = 64
+#: The same 144 bytes as ``_ENTRY``, as columns, so the reader parses the
+#: whole directory with one ``np.frombuffer``.
+_ENTRY_DTYPE = np.dtype([
+    ("name", "S64"), ("dtype", "S8"), ("rank", "<u4"),
+    ("dims", "<u8", (_MAX_RANK,)), ("data_offset", "<u8"),
+    ("data_nbytes", "<u8"), ("n_attrs", "<u4"), ("attr_offset", "<u8"),
+    ("attr_nbytes", "<u8"),
+])
+assert _ENTRY_DTYPE.itemsize == _ENTRY.size == 144
 
 AttrValue = Union[bytes, str, int, float]
+#: What ``read_into`` can fill: anything exporting a writable buffer.
+WritableBuffer = Union[np.ndarray, bytearray, memoryview]
 
 # Attribute type codes.
 _ATTR_BYTES = 0
@@ -123,6 +134,23 @@ class DatasetInfo:
         for dim in self.shape:
             n *= dim
         return n
+
+
+def writable_target(out: WritableBuffer, nbytes: int,
+                    name: str) -> memoryview:
+    """``out`` as the buffer a ``read_into`` of ``nbytes`` may fill.
+
+    Shared by both readers so their ``read_into`` contract is one rule:
+    writable, C-contiguous, exactly ``nbytes`` long.
+    """
+    view = memoryview(out)
+    if view.readonly or not view.c_contiguous or view.nbytes != nbytes:
+        raise ValueError(
+            f"read_into target for dataset {name!r} must be a writable "
+            f"C-contiguous buffer of {nbytes} bytes (got {view.nbytes}, "
+            f"readonly={view.readonly}, contiguous={view.c_contiguous})"
+        )
+    return view
 
 
 class SdfWriter:
@@ -251,29 +279,31 @@ class SdfReader:
             )
         if version != _VERSION:
             raise StorageFormatError(f"unsupported SDF version {version}")
+        if dir_offset + n_datasets * _ENTRY.size > self._file.size():
+            raise StorageFormatError("truncated SDF directory")
         self._fattr_offset = fattr_offset
+        self._dir_offset = dir_offset
         self._file.seek(dir_offset)
         blob = self._file.read(n_datasets * _ENTRY.size)
         if len(blob) != n_datasets * _ENTRY.size:
             raise StorageFormatError("truncated SDF directory")
-        for i in range(n_datasets):
-            (
-                name_b, dtype_b, rank, d0, d1, d2, d3,
-                data_offset, data_nbytes, _n_attrs, attr_offset,
-                attr_nbytes,
-            ) = _ENTRY.unpack_from(blob, i * _ENTRY.size)
-            name = name_b.rstrip(b"\x00").decode("utf-8")
-            dims = (d0, d1, d2, d3)[:rank]
-            info = DatasetInfo(
-                name=name,
-                dtype=np.dtype(dtype_b.rstrip(b"\x00").decode("ascii")),
-                shape=tuple(int(d) for d in dims),
-                data_offset=data_offset,
-                data_nbytes=data_nbytes,
-                attr_offset=attr_offset,
-                attr_nbytes=attr_nbytes,
-            )
-            self._infos[name] = info
+        # One structured view over the whole directory; every column
+        # leaves numpy through tolist(), so DatasetInfo holds Python ints
+        # and bytes (S-typed columns drop trailing NULs).
+        entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
+        columns = (entries[field].tolist() for field in (
+            "name", "dtype", "rank", "dims", "data_offset", "data_nbytes",
+            "attr_offset", "attr_nbytes"))
+        dtypes: Dict[bytes, np.dtype] = {}
+        for (name_b, dtype_b, rank, dims, data_offset, data_nbytes,
+             attr_offset, attr_nbytes) in zip(*columns):
+            name = name_b.decode("utf-8")
+            dtype = dtypes.get(dtype_b)
+            if dtype is None:
+                dtype = dtypes[dtype_b] = np.dtype(dtype_b.decode("ascii"))
+            self._infos[name] = DatasetInfo(
+                name, dtype, tuple(dims[:rank]), data_offset, data_nbytes,
+                attr_offset, attr_nbytes)
             self._order.append(name)
 
     # ------------------------------------------------------------------
@@ -294,15 +324,10 @@ class SdfReader:
         return name in self._infos
 
     def file_attributes(self) -> Dict[str, AttrValue]:
+        # The file-attr block runs from its offset up to the directory.
         self._file.seek(self._fattr_offset)
-        # The file-attr block runs up to the directory; read generously by
-        # re-deriving its length from the count prefix via _decode_attrs.
-        blob = self._file.read(self._dir_start() - self._fattr_offset)
+        blob = self._file.read(self._dir_offset - self._fattr_offset)
         return _decode_attrs(blob)
-
-    def _dir_start(self) -> int:
-        # The directory is the last n_datasets * entry bytes of the file.
-        return self._file.size() - len(self._order) * _ENTRY.size
 
     def attributes(self, name: str) -> Dict[str, AttrValue]:
         """Per-dataset attributes (one seek + read)."""
@@ -321,11 +346,24 @@ class SdfReader:
             )
         return np.frombuffer(data, dtype=info.dtype).reshape(info.shape)
 
-    def read_into(self, name: str, out) -> None:
-        """Read a dataset directly into a writable buffer (e.g. a GODIVA
-        field buffer view), avoiding a second copy."""
-        array = self.read(name)
-        np.copyto(np.asarray(out).reshape(array.shape), array)
+    def read_into(self, name: str, out: WritableBuffer) -> None:
+        """Read one dataset's bytes straight into ``out`` (e.g. a GODIVA
+        field buffer view): one seek + one ``readinto``, so the only copy
+        is the kernel's, into the target.
+
+        ``out`` must expose a writable C-contiguous buffer of exactly
+        ``info(name).data_nbytes`` bytes; anything else is a ``ValueError``
+        raised before the read, so nothing is charged. The bytes land
+        uninterpreted — ``out``'s dtype and shape are the caller's.
+        ``IoStats`` is charged exactly as :meth:`read` charges it.
+        """
+        info = self.info(name)
+        view = writable_target(out, info.data_nbytes, name)
+        self._file.seek(info.data_offset)
+        if self._file.readinto(view) != info.data_nbytes:
+            raise StorageFormatError(
+                f"truncated data for dataset {name!r}"
+            )
 
     def close(self) -> None:
         self._file.close()

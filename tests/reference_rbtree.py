@@ -1,9 +1,15 @@
-"""A classic red-black tree mapping ordered keys to values.
+"""A classic red-black tree mapping ordered keys to values — the record
+index's spec, kept as a test oracle.
 
 The paper stores committed records in a C++ STL ``map`` "indexed with the key
 field values in a RB-tree" (section 3.3). This module reimplements that
 structure from scratch: an ordered map with O(log n) insert, delete and
-lookup, in-order iteration, and range scans.
+lookup, in-order iteration, and range scans. It was
+``repro.structures.rbtree`` and backed :class:`repro.core.index.RecordIndex`
+until the index became a ``dict`` per record type (nothing range-scans, and
+the interpreted descent was a measurable share of every commit and lookup);
+it moved here verbatim, and ``tests/test_core_index.py`` drives the index
+against it.
 
 Keys may be any mutually comparable Python values (the GODIVA index uses
 tuples of ``bytes``). Values are arbitrary objects.

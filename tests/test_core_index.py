@@ -2,6 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+from reference_rbtree import RedBlackTree
 
 from repro.core.index import RecordIndex, normalize_key_values
 from repro.core.record import Record
@@ -167,3 +176,125 @@ class TestRecordIndex:
         index.drop_unit("u1")
         # The slot under the *original* key was first's; it is gone.
         assert not index.contains("fluid", (b"A001",))
+
+    def test_stale_drop_leaves_the_slots_new_owner(self):
+        """The caveat's other half: a record dropped once still carries
+        its committed key; dropping it again after another record took
+        that key must not unindex the newcomer."""
+        index = RecordIndex()
+        rt = make_type()
+        first = make_record(rt, b"A001")
+        index.commit(first)
+        index.track(first, "u1")
+        index.drop_unit("u1")
+        second = make_record(rt, b"A001")
+        index.commit(second)
+        index.track(second, "u2")
+        index.drop_record(first)
+        assert index.lookup("fluid", (b"A001",)) is second
+        assert index.unit_records("u2") == [second]
+
+
+TYPES = {name: make_type(name) for name in ("fluid", "solid")}
+type_names = st.sampled_from(sorted(TYPES))
+# A small key space, so duplicates, re-commits under a freed key and
+# drops of stale records all come up.
+key_bytes = st.sampled_from([b"A001", b"A002", b"B001"])
+unit_names = st.sampled_from([None, "u1", "u2"])
+
+
+class RecordIndexMachine(RuleBasedStateMachine):
+    """``RecordIndex`` against the red-black tree it used to be built on
+    (one reference tree per record type) plus plain unit lists."""
+
+    def __init__(self):
+        super().__init__()
+        self.index = RecordIndex()
+        self.trees = {name: RedBlackTree() for name in TYPES}
+        self.units = {}        # unit name (or None) -> tracked records
+        self.records = []      # every record ever committed, live or not
+
+    def unindex(self, record):
+        """The paper's caveat as the model states it: the entry goes only
+        if it still maps to this very record."""
+        tree = self.trees[record.record_type.name]
+        if tree.find(record.committed_key) is record:
+            tree.delete(record.committed_key)
+
+    @rule(type_name=type_names, key=key_bytes, unit=unit_names)
+    def commit(self, type_name, key, unit):
+        record = make_record(TYPES[type_name], key)
+        if (key,) in self.trees[type_name]:
+            with pytest.raises(DuplicateKeyError):
+                self.index.commit(record)
+            assert not record.committed
+            return
+        assert self.index.commit(record) == (key,)
+        self.index.track(record, unit)
+        self.trees[type_name].insert((key,), record)
+        self.units.setdefault(unit, []).append(record)
+        self.records.append(record)
+
+    @rule(type_name=type_names, key=key_bytes)
+    def lookup(self, type_name, key):
+        expected = self.trees[type_name].find((key,))
+        assert self.index.contains(type_name, (key,)) == (
+            expected is not None)
+        if expected is None:
+            with pytest.raises(KeyLookupError):
+                self.index.lookup(type_name, (key,))
+        else:
+            assert self.index.lookup(type_name, (key,)) is expected
+
+    @precondition(lambda self: self.records)
+    @rule(data=st.data(), key=key_bytes)
+    def mutate_key_buffer(self, data, key):
+        """Allowed after commit; the index keeps the snapshotted key."""
+        record = data.draw(st.sampled_from(self.records))
+        record.field("id").write(key)
+
+    @precondition(lambda self: self.records)
+    @rule(data=st.data())
+    def drop_record(self, data):
+        """Any record ever committed — so also one dropped before whose
+        key slot now belongs to a later record."""
+        record = data.draw(st.sampled_from(self.records))
+        self.index.drop_record(record)
+        self.unindex(record)
+        bucket = self.units.get(record.unit_name, [])
+        if record in bucket:
+            bucket.remove(record)
+
+    @rule(unit=st.sampled_from(["u1", "u2", "ghost"]))
+    def drop_unit(self, unit):
+        expected = self.units.pop(unit, [])
+        assert self.index.drop_unit(unit) == expected
+        for record in expected:
+            self.unindex(record)
+
+    @rule()
+    def clear(self):
+        expected = [r for bucket in self.units.values() for r in bucket]
+        cleared = self.index.clear()
+        assert sorted(map(id, cleared)) == sorted(map(id, expected))
+        self.units.clear()
+        for tree in self.trees.values():
+            tree.clear()
+
+    @invariant()
+    def same_contents_in_tree_order(self):
+        for name, tree in self.trees.items():
+            tree.check_invariants()
+            ordered = list(self.index.records_of_type(name))
+            assert len(ordered) == len(tree) == self.index.count(name)
+            assert all(a is b for a, b in zip(ordered, tree.values()))
+        assert self.index.count() == sum(
+            len(tree) for tree in self.trees.values())
+        for unit in ("u1", "u2"):
+            assert self.index.unit_records(unit) == self.units.get(unit, [])
+
+
+TestRecordIndexStateful = RecordIndexMachine.TestCase
+TestRecordIndexStateful.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None
+)

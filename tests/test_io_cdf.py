@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from read_into_contract import ReadIntoContract
 
 from repro.errors import StorageFormatError
 from repro.io.cdf import CdfReader, CdfWriter
@@ -66,6 +67,11 @@ class TestRoundTrip:
         with CdfReader(cdf_path) as reader:
             assert reader.dataset_names == []
             assert reader.file_attributes() == {}
+
+
+class TestReadIntoContract(ReadIntoContract):
+    writer = CdfWriter
+    reader = CdfReader
 
 
 class TestValidation:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from read_into_contract import ReadIntoContract
 
 from repro.errors import StorageFormatError
 from repro.io.disk import ENGLE_DISK, IoStats
-from repro.io.sdf import DatasetInfo, SdfReader, SdfWriter
+from repro.core.types import DataType
+from repro.io.sdf import _ENTRY, _HEADER, DatasetInfo, SdfReader, SdfWriter
 
 
 @pytest.fixture
@@ -112,6 +114,11 @@ class TestRoundTrip:
             assert np.array_equal(reader.read("strided"), base[:, ::2])
 
 
+class TestReadIntoContract(ReadIntoContract):
+    writer = SdfWriter
+    reader = SdfReader
+
+
 class TestWriterValidation:
     def test_duplicate_dataset_rejected(self, sdf_path):
         with SdfWriter(sdf_path) as writer:
@@ -171,6 +178,139 @@ class TestReaderValidation:
                 reader.read("ghost")
             with pytest.raises(StorageFormatError):
                 reader.info("ghost")
+
+
+def reference_directory(path):
+    """The directory parse the vectorized one replaced — one
+    ``_ENTRY.unpack_from`` per entry — kept as its oracle."""
+    with open(path, "rb") as f:
+        _magic, _version, n_datasets, dir_offset, _n, _fattr_offset = (
+            _HEADER.unpack(f.read(_HEADER.size)))
+        f.seek(dir_offset)
+        blob = f.read(n_datasets * _ENTRY.size)
+    infos = []
+    for i in range(n_datasets):
+        (name_b, dtype_b, rank, d0, d1, d2, d3, data_offset, data_nbytes,
+         _n_attrs, attr_offset, attr_nbytes) = _ENTRY.unpack_from(
+            blob, i * _ENTRY.size)
+        infos.append(DatasetInfo(
+            name=name_b.rstrip(b"\x00").decode("utf-8"),
+            dtype=np.dtype(dtype_b.rstrip(b"\x00").decode("ascii")),
+            shape=tuple(int(d) for d in (d0, d1, d2, d3)[:rank]),
+            data_offset=data_offset, data_nbytes=data_nbytes,
+            attr_offset=attr_offset, attr_nbytes=attr_nbytes,
+        ))
+    return infos
+
+
+def parsed_directory(path):
+    with SdfReader(path) as reader:
+        return [reader.info(name) for name in reader.dataset_names]
+
+
+class TestDirectoryParse:
+    def assert_same_directory(self, path):
+        parsed, expected = parsed_directory(path), reference_directory(path)
+        assert parsed == expected
+        for info, want in zip(parsed, expected):
+            assert type(info.name) is str
+            assert info.dtype == want.dtype
+            assert info.dtype.str == want.dtype.str
+            for value in (*info.shape, info.data_offset, info.data_nbytes,
+                          info.attr_offset, info.attr_nbytes):
+                assert type(value) is int
+        return parsed
+
+    def test_names_ranks_and_dtypes(self, sdf_path):
+        full = "n" * 61 + "\u00e9z"                  # 64 bytes, no NUL
+        assert len(full.encode("utf-8")) == 64
+        shapes = [(), (5,), (2, 3), (2, 1, 3), (1, 2, 3, 4)]
+        with SdfWriter(sdf_path) as writer:
+            writer.add_dataset(full, np.zeros(3))
+            writer.add_dataset("r\u00e9seau:\u6e29\u5ea6", np.ones(2, "<i4"))
+            writer.add_dataset("", np.zeros((0, 3)))
+            for rank, shape in enumerate(shapes):
+                writer.add_dataset(f"rank{rank}", np.zeros(shape, "<f4"),
+                                   attrs={"rank": rank})
+            for data_type in DataType:
+                writer.add_dataset(
+                    f"type:{data_type.name}",
+                    np.zeros(4, dtype=data_type.numpy_dtype))
+            writer.add_dataset("text", np.array([b"ab", b"cdef"]))
+        parsed = self.assert_same_directory(sdf_path)
+        names = [info.name for info in parsed]
+        assert names[:3] == [full, "r\u00e9seau:\u6e29\u5ea6", ""]
+        assert [info.shape for info in parsed[3:8]] == shapes
+        assert parsed[-1].dtype == np.dtype("S4")
+        with SdfReader(sdf_path) as reader:
+            assert reader.dataset_names == names
+            assert reader.attributes("rank3") == {"rank": 3}
+
+    def test_e2e_sized_directory(self, sdf_path):
+        with SdfWriter(sdf_path) as writer:
+            for i in range(210):
+                writer.add_dataset(f"field{i % 7}:block_{i // 7:04d}",
+                                   np.arange(i % 5, dtype="<f8"))
+        assert len(self.assert_same_directory(sdf_path)) == 210
+
+    def test_generated_snapshot(self, small_dataset):
+        for path in small_dataset.snapshot_paths(0):
+            assert len(self.assert_same_directory(path)) > 0
+
+    def test_one_dtype_object_per_dtype_string(self, sdf_path):
+        with SdfWriter(sdf_path) as writer:
+            for i in range(4):
+                writer.add_dataset(f"d{i}", np.zeros(2))
+        parsed = parsed_directory(sdf_path)
+        assert all(info.dtype is parsed[0].dtype for info in parsed)
+
+
+class TestDirectoryOffset:
+    """``file_attributes`` uses the header's ``dir_offset``; it used to
+    re-derive it as ``file size - n * 144`` with an ``fstat`` per call."""
+
+    def attribute_block(self, path):
+        """(file attributes, bytes the call read)."""
+        stats = IoStats()
+        with SdfReader(path, stats=stats) as reader:
+            before = stats.bytes_read
+            return reader.file_attributes(), stats.bytes_read - before
+
+    def test_trailing_bytes_after_the_directory(self, sdf_path):
+        """The old derivation read the attribute block plus as many
+        bytes of the directory as trailed it (the count prefix hid it)."""
+        write_sample(sdf_path)
+        expected = self.attribute_block(sdf_path)
+        with open(sdf_path, "ab") as f:
+            f.write(b"\x00" * 100)
+        assert self.attribute_block(sdf_path) == expected
+        with SdfReader(sdf_path) as reader:
+            assert reader.dataset_names == ["coords", "conn", "scalar"]
+            assert reader.read("conn").tolist() == [[0, 1, 2, 3],
+                                                    [4, 5, 6, 7]]
+
+    def test_file_attributes_needs_no_fstat(self, sdf_path, monkeypatch):
+        write_sample(sdf_path)
+        with SdfReader(sdf_path) as reader:
+            monkeypatch.setattr(
+                "repro.io.disk.os.fstat",
+                lambda fd: pytest.fail("file_attributes called fstat"))
+            assert reader.file_attributes()["step"] == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_datasets", 4), ("n_datasets", 2 ** 32 - 1),
+        ("dir_offset", 2 ** 40),
+    ])
+    def test_directory_past_end_of_file(self, sdf_path, field, value):
+        write_sample(sdf_path)
+        with open(sdf_path, "r+b") as f:
+            header = list(_HEADER.unpack(f.read(_HEADER.size)))
+            header[{"n_datasets": 2, "dir_offset": 3}[field]] = value
+            f.seek(0)
+            f.write(_HEADER.pack(*header))
+        with pytest.raises(StorageFormatError,
+                           match="truncated SDF directory"):
+            SdfReader(sdf_path)
 
 
 class TestCostAccounting:

@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for the foundational structures.
 
 Each structure is driven with random operation sequences against a plain
-Python model; the red-black tree additionally re-verifies its five
+Python model; the red-black tree (the record index's oracle,
+``tests/reference_rbtree.py``) additionally re-verifies its five
 invariants after every mutation.
 """
 
@@ -14,10 +15,10 @@ from hypothesis.stateful import (
     invariant,
     rule,
 )
+from reference_rbtree import RedBlackTree
 
 from repro.structures.fifoqueue import FifoQueue
 from repro.structures.lru import LruList
-from repro.structures.rbtree import RedBlackTree
 
 keys = st.integers(min_value=-50, max_value=50)
 values = st.integers()

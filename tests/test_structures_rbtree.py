@@ -1,8 +1,8 @@
-"""Unit tests for the red-black tree (the record index's backbone)."""
+"""Unit tests for the red-black tree (``tests/reference_rbtree.py``, the
+record index's oracle: it has to be right to be one)."""
 
 import pytest
-
-from repro.structures.rbtree import RedBlackTree
+from reference_rbtree import RedBlackTree
 
 
 @pytest.fixture

@@ -81,6 +81,27 @@ class TestPaperMetrics:
         assert g.bytes_read < o.bytes_read
         assert g.read_calls < o.read_calls
 
+    def test_o_build_reads_without_read_into(self, small_dataset,
+                                             monkeypatch):
+        """The O side of N1 / N2 goes through ``reader.read`` only, so
+        its pins cannot move with ``read_into``; G's buffers all arrive
+        through it (and are charged as reads: see
+        ``tests/read_into_contract.py``)."""
+        from repro.io.sdf import SdfReader
+
+        calls = []
+        real = SdfReader.read_into
+
+        def counted(self, name, out):
+            calls.append(name)
+            real(self, name, out)
+
+        monkeypatch.setattr(SdfReader, "read_into", counted)
+        o = run(small_dataset, "O", steps=1)
+        assert o.bytes_read > 0 and calls == []
+        g = run(small_dataset, "G", steps=1)
+        assert g.bytes_read > 0 and calls
+
     def test_medium_has_largest_reduction(self, small_dataset):
         reductions = {}
         for test in ("simple", "medium", "complex"):
