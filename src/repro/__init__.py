@@ -37,7 +37,6 @@ from repro.core import (
     FieldBuffer,
     FieldType,
     GodivaStats,
-    PaperGBO,
     Record,
     RecordType,
     UnitHandle,
@@ -54,7 +53,6 @@ from repro.errors import (
     GodivaError,
     KeyLookupError,
     MemoryBudgetError,
-    PaperAliasError,
     ReadFunctionError,
     RecordStateError,
     SchemaError,
@@ -69,7 +67,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "GBO",
-    "PaperGBO",
     "DataType",
     "FieldType",
     "RecordType",
@@ -97,7 +94,6 @@ __all__ = [
     "ReadFunctionError",
     "AdmissionError",
     "ArenaError",
-    "PaperAliasError",
     "GodivaService",
     "ServiceSession",
     "AsyncGodivaClient",

@@ -15,8 +15,8 @@ Three layers, all optional and all off by default:
    :func:`~repro.analysis.races.guarded_by`; the pytest races fixture
    turns the existing ``test_database_*`` suites into race tests.
 3. **repro-lint** (:mod:`repro.analysis.lint`) — repo-specific AST
-   rules (no bare locks, waits in while loops, no paper aliases outside
-   compat, no mutable defaults, docstring/annotation coverage, no
+   rules (no bare locks, waits in while loops, no camelCase paper
+   aliases, no mutable defaults, docstring/annotation coverage, no
    sleeps/bare I/O in engine code, guarded fields registered) with a
    committed baseline, run in CI.
 4. **repro-check** (:mod:`repro.analysis.static`) — the whole-program

@@ -16,8 +16,8 @@ REP102   ``<something named *cond*>.wait(...)`` must be lexically inside
          a ``while`` loop: condition waits without a predicate re-check
          are lost-wakeup bugs waiting to happen.
 REP103   No camelCase paper aliases (``addUnit``, ``defineField``, …)
-         defined or called outside ``core/compat.py`` — the compat shim
-         is the one place the paper's C++ spellings live.
+         defined or called — the paper's C++ spellings left the
+         library; :data:`PAPER_ALIAS_NAMES` is the list.
 REP104   No mutable default arguments (list/dict/set literals,
          comprehensions, or constructor calls).
 REP105   Public modules, classes, functions and methods need docstrings.
@@ -78,9 +78,9 @@ __all__ = [
     "iter_python_files", "load_baseline", "write_baseline", "main",
 ]
 
-#: Paper-API camelCase spellings (mirrors ``PAPER_ALIASES`` in
-#: ``repro.core.compat``; a unit test keeps the two in sync so the
-#: linter never has to import the library it lints).
+#: The paper's camelCase spellings of the GBO interface (Figure 1 plus
+#: ``setMemSpace``, ``cancelUnit`` and the schema calls of section
+#: 3.1); each is the snake_case method name with the words fused.
 PAPER_ALIAS_NAMES = frozenset({
     "defineField", "defineRecord", "insertField", "commitRecordType",
     "newRecord", "allocFieldBuffer", "commitRecord", "getFieldBuffer",
@@ -93,10 +93,8 @@ _THREADING_PRIMITIVES = frozenset({
 })
 
 #: Path fragments exempt from the concurrency rules: the sanitizer's
-#: own wrappers must build on the raw primitives, and the compat shim
-#: owns the camelCase names.
+#: own wrappers must build on the raw primitives.
 _CONCURRENCY_EXEMPT = ("repro/analysis/",)
-_ALIAS_EXEMPT = ("repro/core/compat.py",)
 
 #: Engine-layer modules and class names that only the core facade and
 #: the service layer may import (REP107); everyone else goes through
@@ -148,7 +146,6 @@ class _Linter(ast.NodeVisitor):
         self._while_depth = 0
         self._threading_imports: Set[str] = set()
         self._concurrency_exempt = _is_exempt(path, _CONCURRENCY_EXEMPT)
-        self._alias_exempt = _is_exempt(path, _ALIAS_EXEMPT)
         self._engine_exempt = _is_exempt(path, _ENGINE_EXEMPT)
         self._arena_exempt = _is_exempt(path, _ARENA_EXEMPT)
         self._core_module = "repro/core/" in path
@@ -325,12 +322,12 @@ class _Linter(ast.NodeVisitor):
                     "spurious wakeups and missed notifies require "
                     "`while not predicate: cond.wait()`",
                 )
-        if not self._alias_exempt and isinstance(func, ast.Attribute) \
+        if isinstance(func, ast.Attribute) \
                 and func.attr in PAPER_ALIAS_NAMES:
             self._add(
                 "REP103", node,
-                f"camelCase paper alias {func.attr!r} called outside "
-                f"core/compat.py — use the snake_case API",
+                f"camelCase paper alias {func.attr!r} called — use the "
+                f"snake_case API",
             )
         if self._core_module:
             if isinstance(func, ast.Attribute) \
@@ -390,14 +387,12 @@ class _Linter(ast.NodeVisitor):
 
     # -- helpers for the def rules -------------------------------------
     def _check_camelcase_def(self, node) -> None:
-        if self._alias_exempt:
-            return
         name = node.name
         if name.lower() != name and name[:1].islower() \
                 and "_" not in name:
             self._add(
                 "REP103", node,
-                f"camelCase definition {name!r} outside core/compat.py",
+                f"camelCase definition {name!r}",
                 symbol=self._qualname(name),
             )
 

@@ -74,17 +74,9 @@ LOCK_TABLE: Dict[str, dict] = {
             "ComputePool": (
                 "_queue", "_closed", "_next_id", "_threads", "_started",
             ),
-        },
-    },
-    "compute_proc": {
-        "rank": 3,
-        "leaf": True,
-        "owner": "ProcessComputePool._lock",
-        "classes": {
-            "ProcessComputePool": (
-                "_queue", "_closed", "_next_id", "_procs", "_started",
-                "_inflight",
-            ),
+            # The subclass synchronizes on the inherited lock; listed
+            # are the fields it adds.
+            "ProcessComputePool": ("_children",),
         },
     },
     "arena": {
@@ -157,9 +149,8 @@ WIRING: Dict[Tuple[str, str], str] = {
     ("ComputeTask", "_pool"): "ComputePool",
     ("ProcComputeTask", "_pool"): "ProcessComputePool",
     # GBO._compute is constructed in a backend branch (thread vs
-    # process); pin the inferred type to the thread pool — both pools
-    # share the submit/wait surface and the process pool's lock is its
-    # own role, checked through its own methods.
+    # process); pin the inferred type to the base class, whose
+    # submit/wait surface and lock the process pool inherits.
     ("GBO", "_compute"): "ComputePool",
     # The arena seam: constructor/bind parameters are untyped (the core
     # layers must not depend on a concrete arena), so the shared-memory

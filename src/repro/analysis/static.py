@@ -82,10 +82,7 @@ _LOCK_ATTRS = frozenset({"_lock", "_cond", "lock", "cond"})
 _BLOCKING_TARGETS = frozenset({
     ("ComputePool", "submit"), ("ComputePool", "map"),
     ("ComputePool", "wait_all"), ("ComputePool", "_wait"),
-    ("ComputeTask", "wait"),
-    ("ProcessComputePool", "submit"), ("ProcessComputePool", "map"),
-    ("ProcessComputePool", "wait_all"), ("ProcessComputePool", "_wait"),
-    ("ProcComputeTask", "wait"),
+    ("ComputeTask", "wait"), ("ProcComputeTask", "wait"),
 })
 
 #: Per-function cap on distinct propagated entry locksets — plenty for

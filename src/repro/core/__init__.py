@@ -12,7 +12,6 @@ from repro.core.cache import (
     make_policy,
 )
 from repro.core.database import GBO
-from repro.core.compat import PaperGBO, install_paper_aliases
 from repro.core.derived import (
     DERIVED_PREFIX,
     DerivedCache,
@@ -38,8 +37,6 @@ from repro.core.units import ProcessingUnit, UnitHandle, UnitState
 
 __all__ = [
     "GBO",
-    "PaperGBO",
-    "install_paper_aliases",
     "DataType",
     "FieldType",
     "RecordType",

@@ -89,6 +89,10 @@ class ComputeTask:
         """
         return self._pool._wait(self)
 
+    def _run(self) -> Any:
+        """Call the task's callable in this thread."""
+        return self._fn(*self._args, **self._kwargs)
+
     def release(self) -> None:
         """Give back whatever the pool holds for this task's result.
 
@@ -158,6 +162,9 @@ class ComputePool:
     #: and arrays need no staging (see ProcessComputePool.distributed).
     distributed = False
 
+    #: The task class :meth:`submit` instantiates.
+    _task_type = ComputeTask
+
     def __init__(
         self,
         workers: int = 1,
@@ -212,20 +219,12 @@ class ComputePool:
                 self._started = True
                 return
             self._started = True
-            if self._spawn_threads is not None:
-                count = max(0, min(self._spawn_threads, self._workers))
-            else:
-                count = max(
-                    0, min(self._workers, os.cpu_count() or 1) - 1
-                )
-            if self._max_threads is not None:
-                count = min(count, self._max_threads)
             spawned = [
                 self._thread_factory(
                     target=self._work_loop,
                     name=f"{self._name}-{index}", daemon=True,
                 )
-                for index in range(count)
+                for index in range(self._worker_count())
             ]
             self._threads.extend(spawned)
             # Started under the lock so a concurrent close() can never
@@ -233,6 +232,17 @@ class ComputePool:
             # yet; the workers themselves begin by re-acquiring it.
             for thread in spawned:
                 thread.start()
+
+    def _worker_count(self) -> int:
+        """Worker threads :meth:`start` spawns (see ``spawn_threads``
+        and ``max_threads``)."""
+        if self._spawn_threads is not None:
+            count = max(0, min(self._spawn_threads, self._workers))
+        else:
+            count = max(0, min(self._workers, os.cpu_count() or 1) - 1)
+        if self._max_threads is not None:
+            count = min(count, self._max_threads)
+        return count
 
     def close(self) -> None:
         """Shut the pool down: cancel queued tasks, join the workers.
@@ -324,11 +334,11 @@ class ComputePool:
                 raise ComputePoolClosedError(
                     "submit on a closed ComputePool"
                 )
-            task = ComputeTask(self, fn, args, kwargs,
-                               task_id=self._next_id, priority=priority)
+            task = self._task_type(self, fn, args, kwargs,
+                                   task_id=self._next_id,
+                                   priority=priority)
             self._next_id += 1
-            if self._workers > 1:
-                task.state = PENDING
+            if self._queues(fn):
                 self._queue.push(task, priority=priority)
                 depth = len(self._queue)
                 if depth > self.stats.compute_queue_depth_peak:
@@ -336,9 +346,15 @@ class ComputePool:
                 self._cond.notify_all()
                 return task
             task.state = RUNNING
-        # Serial build: execute inline, outside the lock.
+        # Not queued (the serial build): inline, outside the lock.
         self._execute(task)
         return task
+
+    def _queues(self, fn: Callable[..., Any]) -> bool:
+        """Whether a task calling ``fn`` joins the queue; otherwise
+        :meth:`submit` runs it in the caller. Lock held."""
+        self._check_locked()
+        return self._workers > 1
 
     def map(self, fn: Callable[..., Any], items: Iterable[Any],
             priority: float = 0.0) -> List[Any]:
@@ -382,8 +398,8 @@ class ComputePool:
                 if task.state in _TERMINAL:
                     if task.state == CANCELLED:
                         raise ComputePoolClosedError(
-                            f"task #{task.task_id} cancelled by pool "
-                            f"close"
+                            f"task #{task.task_id} cancelled (pool "
+                            f"closed or task released while queued)"
                         )
                     if task.state == FAILED:
                         raise task.error
@@ -410,22 +426,30 @@ class ComputePool:
             self._execute(task)
 
     def _execute(self, task: ComputeTask) -> None:
-        """Run a RUNNING task's callable (lock NOT held) and settle it."""
+        """Run a RUNNING task in this thread (lock NOT held) and settle
+        it."""
         t0 = self._clock()
         result: Any = None
         error: Optional[BaseException] = None
         try:
-            result = task._fn(*task._args, **task._kwargs)
-        except BaseException as exc:
+            result = task._run()
+        except BaseException as exc:  # re-raised by the task's waiter
             error = exc
         elapsed = self._clock() - t0
         with self._cond:
-            if error is not None:
-                task.error = error
-                task.state = FAILED
-            else:
-                task.result = result
-                task.state = DONE
-            self.stats.compute_tasks += 1
-            self.stats.compute_task_seconds += elapsed
-            self._cond.notify_all()
+            self._settle(task, result, error, elapsed)
+
+    def _settle(self, task: ComputeTask, result: Any,
+                error: Optional[BaseException], elapsed: float) -> None:
+        """Move a RUNNING task to its terminal state and wake its
+        waiters. Lock held."""
+        self._check_locked()
+        if error is not None:
+            task.error = error
+            task.state = FAILED
+        else:
+            task.result = result
+            task.state = DONE
+        self.stats.compute_tasks += 1
+        self.stats.compute_task_seconds += elapsed
+        self._cond.notify_all()

@@ -1,26 +1,32 @@
 """ProcessComputePool — the compute plane on worker *processes*.
 
-A drop-in sibling of :class:`~repro.core.compute.ComputePool` (same
-``submit``/``wait``/priority/stats surface, selected via
-``GBO(compute_backend="process")``) whose tasks run in long-lived
-worker processes instead of threads, so vectorized kernels stop
-serializing on the GIL. The classic cost of multiprocessing — pickling
-the inputs — is removed by the PR-9 arena seam: large arrays cross the
-process boundary as :class:`~repro.core.arena.BufferToken`\\ s (a few
-dozen bytes naming shared pages), workers attach them zero-copy
-read-only, and large results come back the same way from a per-worker
-result arena the coordinator attaches read-only.
+A :class:`~repro.core.compute.ComputePool` subclass (selected via
+``GBO(compute_backend="process")``): the queue, priorities, task
+states, ``submit``/``map``/``wait_all``, helping waiters and
+cancel-on-close are inherited, and the one thing overridden is *where
+a task runs*. Each pool thread is the proxy for one long-lived worker
+process — it pops a task, ships it down the child's pipe, blocks until
+the reply (or the child's death) and settles the task — so vectorized
+kernels stop serializing on the GIL. The classic cost of
+multiprocessing — pickling the inputs — is removed by the PR-9 arena
+seam: large arrays cross the process boundary as
+:class:`~repro.core.arena.BufferToken`\\ s (a few dozen bytes naming
+shared pages), workers attach them zero-copy read-only, and large
+results come back the same way from a per-worker result arena the
+coordinator attaches read-only.
 
 Task routing
 ------------
 
 ``submit`` accepts any callable, exactly like the thread pool, but only
-*dispatchable* tasks ship to a worker: the callable must be a
+*dispatchable* tasks join the queue: the callable must be a
 module-level function (so the worker can re-import it by name). Bound
-methods and closures — and any task whose token export or attach fails
-— run **inline in the coordinator** instead (counted in
-``stats.compute_fallback_inline``); results are identical, only the
-parallelism is lost. The two hot kernels
+methods and closures run **inline in the submitter** instead. A queued
+task runs on a worker process when a pool thread pops it, and in the
+coordinator when a helping waiter does — or when the thread's token
+export, pipe or result attach fails, or its child has died. Every such
+degradation is counted in ``stats.compute_fallback_inline``; results
+are identical, only the parallelism is lost. The two hot kernels
 (:func:`repro.viz.render.composite_tile_task` and
 :func:`repro.viz.isosurface.marching_tets_pieces`) are module-level
 pure functions for exactly this reason.
@@ -35,27 +41,26 @@ until every task referencing it settles.
 
 Results: each worker owns a private :class:`SharedMemoryArena`; arrays
 above the threshold are copied in, sealed, and returned as tokens the
-coordinator attaches read-only. :meth:`ProcComputeTask.release` frees
-the worker-side copy once the result is consumed (attached views stay
-valid — the bump allocator never recycles a freed extent).
+coordinator attaches read-only. :meth:`ProcComputeTask.release` marks
+the worker-side copy for freeing; the ids ride the next task message
+to that worker, and whatever is left goes when the worker closes its
+arena (attached views stay valid — the bump allocator never recycles a
+freed extent).
 
 Degradation and hygiene
 -----------------------
 
-* ``workers == 1`` never creates a process: tasks run inline at
-  submission, byte-identical to the serial build.
-* Waiters *help* exactly like the thread pool: tasks not yet handed to
-  a worker are stolen and run inline by whoever waits.
-* A worker killed mid-task is detected by the collector; its in-flight
-  tasks re-run inline and its shared-memory segments are unlinked.
-* ``close()`` drains and joins the workers, then sweeps ``/dev/shm``
-  for any segment carrying the pool's name prefix — leak-checked in
-  ``tests/test_core_compute_proc.py`` under both ``fork`` and
-  ``spawn`` start methods.
+* A worker killed mid-task wakes its thread through the process
+  sentinel; the thread re-runs the task in-process, unlinks the dead
+  worker's segments and keeps draining the queue in-process.
+* ``close()`` joins the pool threads and the workers, then sweeps
+  ``/dev/shm`` for any segment carrying the pool's name prefix —
+  leak-checked in ``tests/test_core_compute_proc.py`` under both
+  ``fork`` and ``spawn`` start methods.
 
-The pool lock is a **leaf** (rank 3, role ``compute_proc`` in DESIGN's
-table): no task body, queue operation, arena call, or attach runs
-under it.
+The pool lock is the inherited **leaf** (role ``compute`` in DESIGN's
+table): no task body, pipe operation, arena call, or attach runs under
+it.
 """
 
 from __future__ import annotations
@@ -63,59 +68,38 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue as _queue_mod
 import secrets
 import sys
 import threading
 import time
 from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-from repro.analysis.primitives import (
-    TrackedCondition,
-    TrackedLock,
-    make_held_checker,
-)
 from repro.analysis.races import guarded_by
 from repro.core.arena import (
+    DEFAULT_SEGMENT_BYTES,
     Arena,
     BufferToken,
     SharedMemoryArena,
     _close_mapping,
     _destroy_segment,
 )
-from repro.core.compute import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    PENDING,
-    RUNNING,
-    _TERMINAL,
-    ComputeTask,
-)
+from repro.core.compute import CANCELLED, PENDING, ComputePool, ComputeTask
 from repro.core.stats import GodivaStats
-from repro.errors import ArenaError, ComputePoolClosedError, ComputeWorkerError
+from repro.errors import ComputeWorkerError
 
 #: Arrays at or above this many bytes cross the boundary as tokens;
 #: smaller ones are cheaper to pickle than to stage + attach.
 TOKEN_MIN_BYTES = 32 * 1024
 
-#: Dispatched-but-unsettled tasks per worker; the rest stay in the
-#: coordinator's priority queue where helping waiters can steal them.
-_WINDOW_PER_WORKER = 2
-
-#: Collector poll period — how often worker liveness is re-checked
-#: while the result queue is idle.
-_POLL_S = 0.2
-
 #: Worker join grace before escalating to terminate() at close.
 _JOIN_TIMEOUT_S = 10.0
 
-#: Stop message: ends a worker's task loop and, on the result queue,
-#: the collector thread's.
-_STOP = ("stop",)
+#: ``SharedInput.token`` while one pool thread is staging the array.
+_STAGING = object()
 
 
 class _TokenRef:
@@ -126,21 +110,18 @@ class _TokenRef:
     def __init__(self, token: BufferToken) -> None:
         self.token = token
 
-    def __reduce__(self):
-        return (_TokenRef, (self.token,))
-
 
 class SharedInput:
     """A coordinator-side handle to one array shared with the workers.
 
     Produced by :meth:`ProcessComputePool.share`; pass it to ``submit``
     in place of the array. Workers see the underlying ndarray
-    (read-only, zero-copy); inline execution paths see ``array``
+    (read-only, zero-copy); in-process execution sees ``array``
     unchanged. ``refs``/``token``/``staged`` are pool bookkeeping,
     mutated under the pool lock.
     """
 
-    __slots__ = ("array", "token", "staged", "located", "refs")
+    __slots__ = ("array", "token", "staged", "refs")
 
     def __init__(self, array: np.ndarray) -> None:
         self.array = array
@@ -148,24 +129,29 @@ class SharedInput:
         #: The staging-arena copy to free when ``refs`` drains (None
         #: for zero-copy located exports — the owner frees those).
         self.staged: Optional[np.ndarray] = None
-        self.located = False
+        #: Dispatched, unsettled tasks whose message names the token.
         self.refs = 0
 
 
 class ProcComputeTask(ComputeTask):
     """A :class:`ComputeTask` that may settle from a worker process."""
 
-    __slots__ = ("worker", "shared")
+    __slots__ = ("worker", "shared", "drained")
 
-    def __init__(self, pool: "ProcessComputePool", fn: Callable[..., Any],
-                 args: tuple, kwargs: dict, task_id: int,
-                 priority: float) -> None:
-        super().__init__(pool, fn, args, kwargs, task_id, priority)
-        #: Worker index the task was dispatched to (None = not
-        #: dispatched: ran inline or still queued).
-        self.worker: Optional[int] = None
-        #: SharedInputs referenced by the dispatched message.
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        #: The worker holding token copies of this task's result until
+        #: :meth:`release` (None = nothing to free there).
+        self.worker: Optional["_Child"] = None
+        #: SharedInputs pinned for the dispatched message.
         self.shared: List[SharedInput] = []
+        #: Staged copies this task's settling left unreferenced.
+        self.drained: List[np.ndarray] = []
+
+    def _run(self) -> Any:
+        """In-process execution: the callable sees the arrays, not
+        their :class:`SharedInput` handles."""
+        return self._fn(*_unwrap(self._args), **_unwrap(self._kwargs))
 
     def release(self) -> None:
         """Free the worker-side copies of this task's token results.
@@ -173,23 +159,30 @@ class ProcComputeTask(ComputeTask):
         Call after the result has been consumed — or abandoned: a task
         released while still queued (never dispatched) is cancelled.
         Attached views that are still alive stay readable (freed
-        extents are never recycled); the worker's memory is returned.
-        Idempotent, no-op for inline/thread results.
+        extents are never recycled); the worker's memory is returned
+        when it receives its next task. Idempotent, no-op for results
+        computed in-process.
         """
         self._pool._release_task(self)
 
 
-def _unwrap(value: Any) -> Any:
-    """Replace SharedInput handles with their arrays (inline paths)."""
-    if isinstance(value, SharedInput):
-        return value.array
+def _map_tree(value: Any, leaf: Callable[[Any], Any]) -> Any:
+    """``value`` with ``leaf`` applied to whatever is not a tuple, list
+    or dict; those are rebuilt around their mapped items."""
     if isinstance(value, tuple):
-        return tuple(_unwrap(item) for item in value)
+        return tuple(_map_tree(item, leaf) for item in value)
     if isinstance(value, list):
-        return [_unwrap(item) for item in value]
+        return [_map_tree(item, leaf) for item in value]
     if isinstance(value, dict):
-        return {key: _unwrap(item) for key, item in value.items()}
-    return value
+        return {key: _map_tree(item, leaf) for key, item in value.items()}
+    return leaf(value)
+
+
+def _unwrap(value: Any) -> Any:
+    """Replace SharedInput handles with their arrays (in-process
+    execution)."""
+    return _map_tree(value, lambda item: item.array
+                     if isinstance(item, SharedInput) else item)
 
 
 def _is_dispatchable(fn: Callable[..., Any]) -> bool:
@@ -231,15 +224,8 @@ class _AttachCache:
 
 def _decode(value: Any, cache: _AttachCache) -> Any:
     """Resolve _TokenRef markers to attached read-only arrays."""
-    if isinstance(value, _TokenRef):
-        return cache.attach(value.token)
-    if isinstance(value, tuple):
-        return tuple(_decode(item, cache) for item in value)
-    if isinstance(value, list):
-        return [_decode(item, cache) for item in value]
-    if isinstance(value, dict):
-        return {key: _decode(item, cache) for key, item in value.items()}
-    return value
+    return _map_tree(value, lambda item: cache.attach(item.token)
+                     if isinstance(item, _TokenRef) else item)
 
 
 def _tokenizable(value: Any, threshold: int) -> bool:
@@ -247,26 +233,24 @@ def _tokenizable(value: Any, threshold: int) -> bool:
             and value.nbytes >= threshold)
 
 
+def _stage(array: np.ndarray, arena: SharedMemoryArena) -> tuple:
+    """Copy ``array`` into ``arena`` and seal it: ``(copy, token)``."""
+    copy = arena.allocate(dtype=array.dtype, shape=tuple(array.shape))
+    copy[...] = array
+    arena.seal(copy)
+    return copy, arena.export_token(copy)
+
+
 def _export_result(value: Any, arena: SharedMemoryArena, threshold: int,
                    out_allocs: List[np.ndarray]) -> Any:
     """Worker-side result encoding: big arrays become arena tokens."""
-    if _tokenizable(value, threshold):
-        copy = arena.allocate(dtype=value.dtype,
-                              shape=tuple(value.shape))
-        copy[...] = value
-        arena.seal(copy)
+    def export(item: Any) -> Any:
+        if not _tokenizable(item, threshold):
+            return item
+        copy, token = _stage(item, arena)
         out_allocs.append(copy)
-        return _TokenRef(arena.export_token(copy))
-    if isinstance(value, tuple):
-        return tuple(_export_result(item, arena, threshold, out_allocs)
-                     for item in value)
-    if isinstance(value, list):
-        return [_export_result(item, arena, threshold, out_allocs)
-                for item in value]
-    if isinstance(value, dict):
-        return {key: _export_result(item, arena, threshold, out_allocs)
-                for key, item in value.items()}
-    return value
+        return _TokenRef(token)
+    return _map_tree(value, export)
 
 
 def _resolve_fn(module: str, name: str) -> Callable[..., Any]:
@@ -280,14 +264,17 @@ def _resolve_fn(module: str, name: str) -> Callable[..., Any]:
     return fn
 
 
-def _worker_main(index: int, arena_prefix: str, segment_bytes: int,
-                 threshold: int, task_q, result_q) -> None:
+def _worker_main(arena_prefix: str, segment_bytes: int, threshold: int,
+                 conn) -> None:
     """Worker process main loop: attach inputs, run, token the results.
 
     Owns a private result :class:`SharedMemoryArena` (``arena_prefix``
     names it, so the coordinator can sweep it if this process dies
-    uncleanly) and an input attach cache. Messages: ``("task", id,
-    module, name, args, kwargs)``, ``("release", ids)``, ``("stop",)``.
+    uncleanly) and an input attach cache. One message per task,
+    ``(id, module, name, args, kwargs, frees)`` — ``frees`` lists
+    earlier tasks whose result copies may go — answered by one
+    ``(result, error, seconds, result token bytes)``; ``None`` stops
+    the loop.
     """
     arena = SharedMemoryArena(name_prefix=arena_prefix,
                               segment_bytes=segment_bytes)
@@ -296,20 +283,16 @@ def _worker_main(index: int, arena_prefix: str, segment_bytes: int,
     try:
         while True:
             try:
-                msg = task_q.get()
+                msg = conn.recv()
             except (EOFError, OSError):
                 break
-            kind = msg[0]
-            if kind == "stop":
+            if msg is None:
                 break
-            if kind == "release":
-                for task_id in msg[1]:
-                    for array in held.pop(task_id, ()):
-                        arena.release(array)
-                continue
-            _kind, task_id, module, name, enc_args, enc_kwargs = msg
-            t0 = time.monotonic
-            start = t0()
+            task_id, module, name, enc_args, enc_kwargs, frees = msg
+            for freed in frees:
+                for array in held.pop(freed, ()):
+                    arena.release(array)
+            start = time.monotonic()
             error: Optional[BaseException] = None
             encoded: Any = None
             shipped = 0
@@ -325,7 +308,7 @@ def _worker_main(index: int, arena_prefix: str, segment_bytes: int,
                     shipped = sum(a.nbytes for a in allocs)
             except BaseException as exc:  # settled on the coordinator
                 error = exc
-            elapsed = t0() - start
+            elapsed = time.monotonic() - start
             if error is not None:
                 try:
                     pickle.dumps(error)
@@ -334,23 +317,41 @@ def _worker_main(index: int, arena_prefix: str, segment_bytes: int,
                         f"worker task raised unpicklable "
                         f"{type(error).__name__}: {error!r}"
                     )
-            result_q.put(("done", task_id, index, encoded, error,
-                          elapsed, shipped))
+            conn.send((encoded, error, elapsed, shipped))
     finally:
         cache.close()
         arena.close()
 
 
-@guarded_by("_queue", "_closed", "_next_id", "_procs", "_started",
-            "_inflight", lock="_lock")
-class ProcessComputePool:
-    """Priority-ordered compute pool over long-lived worker processes.
+class _Child:
+    """Coordinator-side handle to one worker process.
 
-    Mirrors :class:`~repro.core.compute.ComputePool`'s surface
-    (``submit``/``map``/``wait_all``/``start``/``close``, helping
-    waiters, serial inline at ``workers == 1``) and adds the process
-    backend's seams: :meth:`share` for zero-copy inputs and
-    ``distributed = True`` so callers can route only module-level pure
+    ``conn`` (None once the process was found dead) and ``cache`` (the
+    mappings of its result segments) are used only by the pool thread
+    that proxies this child, and by ``close()`` after that thread was
+    joined; ``frees`` — ids of settled tasks whose result copies the
+    worker may free, sent along with its next task — is guarded by the
+    pool lock.
+    """
+
+    __slots__ = ("index", "proc", "conn", "cache", "frees")
+
+    def __init__(self, index: int, proc: Any, conn: Any) -> None:
+        self.index = index
+        self.proc = proc
+        self.conn = conn
+        self.cache = _AttachCache()
+        self.frees: List[int] = []
+
+
+@guarded_by("_children", lock="_lock")
+class ProcessComputePool(ComputePool):
+    """A :class:`~repro.core.compute.ComputePool` whose worker threads
+    each run their tasks in one long-lived worker *process*.
+
+    Everything but *where a task runs* is the base class's (see the
+    module docstring). Adds :meth:`share` for zero-copy inputs and
+    ``distributed = True`` so callers route only module-level pure
     kernels here.
 
     Parameters
@@ -380,7 +381,7 @@ class ProcessComputePool:
         pool's ``max_threads``).
     token_min_bytes:
         Array-size threshold for token transport (below it, pickling
-        through the queue is cheaper).
+        through the pipe is cheaper).
     segment_bytes:
         Segment size for the pool's staging and worker result arenas.
     """
@@ -388,6 +389,8 @@ class ProcessComputePool:
     #: Tasks execute in other *processes*: only module-level callables
     #: dispatch; engine objects must not be captured in task args.
     distributed = True
+
+    _task_type = ProcComputeTask
 
     def __init__(
         self,
@@ -403,51 +406,37 @@ class ProcessComputePool:
         token_min_bytes: int = TOKEN_MIN_BYTES,
         segment_bytes: Optional[int] = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if max_procs is not None and max_procs < 1:
             raise ValueError(f"max_procs must be >= 1, got {max_procs}")
-        self._lock = TrackedLock(f"ProcessComputePool._lock@{id(self):#x}")
-        self._cond = TrackedCondition(self._lock)
-        self._check_locked = make_held_checker(
-            self._lock, "ProcessComputePool helper"
-        )
-        self._clock = clock
-        self.stats = stats if stats is not None else GodivaStats()
-        from repro.structures.priorityqueue import PriorityQueue
-
-        self._queue = PriorityQueue()
-        self._workers = int(workers)
-        self._name = name
+        super().__init__(workers, name=name, stats=stats, clock=clock)
         self._start_method = start_method
         self._spawn_procs = spawn_procs
         self._max_procs = max_procs
         self._token_min = int(token_min_bytes)
-        self._segment_bytes = segment_bytes
+        self._segment_bytes = (segment_bytes if segment_bytes is not None
+                               else DEFAULT_SEGMENT_BYTES)
         self._share_arena = (share_arena if share_arena is not None
                              and share_arena.shareable else None)
         #: Unique /dev/shm namespace for every segment this pool (its
         #: staging arena and each worker's result arena) creates — the
         #: close-time sweep and crash cleanup key on it.
         self.shm_prefix = f"{name}-proc-{secrets.token_hex(4)}"
-        self._procs: List[multiprocessing.process.BaseProcess] = []
-        self._started = False
-        self._closed = False
-        self._next_id = 0
-        #: task_id -> dispatched task, settled by the collector.
-        self._inflight: Dict[int, ProcComputeTask] = {}
-        self._worker_load: Dict[int, int] = {}
-        self._dead_workers: set = set()
-        self._task_queues: List[Any] = []
-        self._result_q: Any = None
-        self._collector: Optional[Any] = None
+        self._children: List[_Child] = []
+        #: Children no pool thread has claimed yet (pool lock).
+        self._unclaimed: Iterator[_Child] = iter(())
+        #: ``.child`` is the calling pool thread's own child; unset on
+        #: every other thread.
+        self._proxy = threading.local()
+        #: Created by start(), closed by close(); in between only pool
+        #: threads touch it, and close() joins them first.
         self._staging: Optional[SharedMemoryArena] = None
-        self._attach_cache = _AttachCache()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _proc_count(self) -> int:
+    def _worker_count(self) -> int:
+        """Worker processes — and the pool threads proxying them —
+        :meth:`start` spawns (see ``spawn_procs`` and ``max_procs``)."""
         if self._spawn_procs is not None:
             return max(0, min(self._spawn_procs, self._workers))
         count = min(self._workers, os.cpu_count() or 1)
@@ -456,163 +445,89 @@ class ProcessComputePool:
         return max(1, count)
 
     def start(self) -> None:
-        """Spawn the worker processes and the collector thread (no-op
-        for the serial build and when already started)."""
+        """Spawn the worker processes, then one pool thread per process
+        (no-op for the serial build and when already started)."""
         with self._lock:
-            if self._started or self._closed or self._workers == 1:
-                self._started = True
-                return
-            self._started = True
-            count = self._proc_count()
-            ctx = multiprocessing.get_context(self._start_method)
-            # Start the resource tracker *before* the workers exist, so
-            # every process (coordinator and children alike) registers
-            # segments with the one shared tracker — otherwise each
-            # fork child lazily spawns its own and the per-tracker
-            # register/unregister ledgers can never balance (spurious
-            # "leaked shared_memory" warnings at exit).
-            try:
-                from multiprocessing import resource_tracker
+            if (self._staging is None and not self._closed
+                    and self._workers > 1):
+                self._spawn_children()
+        super().start()
 
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - platform-specific
-                pass
-            segment_bytes = self._segment_bytes
-            if segment_bytes is None:
-                from repro.core.arena import DEFAULT_SEGMENT_BYTES
+    def _spawn_children(self) -> None:
+        """Create the staging arena and start the workers. Lock held,
+        so a concurrent close() sees all of them or none."""
+        self._check_locked()
+        # Start the resource tracker *before* the workers exist, so
+        # every process (coordinator and children alike) registers
+        # segments with the one shared tracker — otherwise each fork
+        # child lazily spawns its own and the per-tracker
+        # register/unregister ledgers can never balance (spurious
+        # "leaked shared_memory" warnings at exit).
+        try:
+            from multiprocessing import resource_tracker
 
-                segment_bytes = DEFAULT_SEGMENT_BYTES
-            self._staging = SharedMemoryArena(
-                name_prefix=f"{self.shm_prefix}-s",
-                segment_bytes=segment_bytes,
+            resource_tracker.ensure_running()
+        except Exception:  # pragma: no cover - platform-specific
+            pass
+        self._staging = SharedMemoryArena(
+            name_prefix=f"{self.shm_prefix}-s",
+            segment_bytes=self._segment_bytes,
+        )
+        ctx = multiprocessing.get_context(self._start_method)
+        for index in range(self._worker_count()):
+            conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_main,
+                args=(f"{self.shm_prefix}-w{index}", self._segment_bytes,
+                      self._token_min, child_conn),
+                name=f"{self._name}-{index}", daemon=True,
             )
-            if count == 0:
-                return
-            self._result_q = ctx.Queue()
-            spawned = []
-            for index in range(count):
-                task_q = ctx.Queue()
-                self._task_queues.append(task_q)
-                self._worker_load[index] = 0
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(index, f"{self.shm_prefix}-w{index}",
-                          segment_bytes, self._token_min,
-                          task_q, self._result_q),
-                    name=f"{self._name}-{index}",
-                    daemon=True,
-                )
-                spawned.append(proc)
-            self._procs.extend(spawned)
-            # Started under the lock so a concurrent close() can never
-            # observe (and try to join) a process it did not see start.
-            for proc in spawned:
-                proc.start()
-            collector = threading.Thread(
-                target=self._collect_loop,
-                name=f"{self._name}-collect", daemon=True,
-            )
-            self._collector = collector
-            collector.start()
-        self._pump()
+            proc.start()
+            # The child holds the only copy of its end now, so its
+            # death reads as EOF/EPIPE on ours.
+            child_conn.close()
+            self._children.append(_Child(index, proc, conn))
+        self._unclaimed = iter(self._children)
 
     def close(self) -> None:
-        """Shut down: cancel queued tasks, drain + join workers, sweep
+        """Shut down: cancel queued tasks, join the pool threads, stop
+        and join the workers, sweep ``/dev/shm``.
+
+        Idempotent. A task already shipped to a worker settles normally
+        before its thread exits; tasks still queued move to
+        ``CANCELLED``. After the join, every segment under the pool's
+        name prefix is unlinked — nothing the pool created survives in
         ``/dev/shm``.
-
-        Idempotent. Dispatched tasks settle normally before their
-        worker sees the stop message; tasks still queued move to
-        ``CANCELLED``; a task stranded by a dead worker is re-run
-        inline so no waiter hangs. After the join, every segment under
-        the pool's name prefix is unlinked — nothing the pool created
-        survives in ``/dev/shm``.
         """
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            while self._queue:
-                task: ProcComputeTask = self._queue.pop()
-                task.state = CANCELLED
-            self._cond.notify_all()
-            procs = list(self._procs)
-            task_queues = list(self._task_queues)
-            collector = self._collector
-        for task_q in task_queues:
-            try:
-                task_q.put(_STOP)
-            except (ValueError, OSError):  # queue torn down already
-                pass
-        for proc in procs:
-            proc.join(timeout=_JOIN_TIMEOUT_S)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join()
-        if collector is not None:
-            # Every worker has exited, so its results are already in
-            # the queue ahead of this sentinel: the collector settles
-            # them, sees the sentinel and returns — no poll to wait out.
-            self._result_q.put(_STOP)
-            collector.join()
-        # Any task a dead worker stranded: run it here so waiters see a
-        # terminal state (graceful degradation, not a hang).
+        super().close()
         with self._lock:
-            stranded = list(self._inflight.values())
-            self._inflight.clear()
-        for task in stranded:
-            self._run_inline(task, fallback=True)
-        self._attach_cache.close()
-        with self._lock:
+            children, self._children = self._children, []
             staging, self._staging = self._staging, None
-            result_q = self._result_q
-        if staging is not None:
-            staging.close()
-        for task_q in task_queues:
-            task_q.close()
-            task_q.cancel_join_thread()
-        if result_q is not None:
-            result_q.close()
-            result_q.cancel_join_thread()
+        if staging is None:  # never started, or closed already
+            return
+        # Every pool thread has exited, so every live child is idle.
+        for child in children:
+            if child.conn is not None:
+                try:
+                    child.conn.send(None)
+                except OSError:  # died idle; nobody noticed until now
+                    pass
+        for child in children:
+            child.proc.join(timeout=_JOIN_TIMEOUT_S)
+            if child.proc.is_alive():  # pragma: no cover - stuck worker
+                child.proc.terminate()
+                child.proc.join()
+            if child.conn is not None:
+                child.conn.close()
+            child.cache.close()
+        staging.close()
         sweep_shm_prefix(self.shm_prefix)
-
-    def __enter__(self) -> "ProcessComputePool":
-        """Context-manager entry: starts the workers."""
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Context-manager exit: closes the pool."""
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def workers(self) -> int:
-        """Configured worker count (1 = serial inline execution)."""
-        return self._workers
-
-    @property
-    def parallel(self) -> bool:
-        """Whether submitted tasks may run outside the caller."""
-        return self._workers > 1
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has completed its cancel phase."""
-        with self._lock:
-            return self._closed
 
     @property
     def procs(self) -> List[Any]:
-        """The live worker processes (empty before start/serial)."""
+        """The worker processes (empty before start/serial)."""
         with self._lock:
-            return list(self._procs)
-
-    def queue_len(self) -> int:
-        """Tasks currently pending (undispatched). Lock held."""
-        self._check_locked()
-        return len(self._queue)
+            return [child.proc for child in self._children]
 
     # ------------------------------------------------------------------
     # Input sharing
@@ -627,345 +542,153 @@ class ProcessComputePool:
         copy) into the pool's staging arena at first dispatch. The
         caller must keep the array alive and unmodified until every
         task referencing it has settled; the staged copy is freed when
-        the last such task settles.
+        the last dispatched task referencing it settles.
         """
         if not self.parallel:
             return array
         return SharedInput(np.ascontiguousarray(array))
 
-    def _ensure_token(self, shared: SharedInput) -> BufferToken:
-        """Token for a SharedInput, staging on first use. No pool lock
-        held (arena allocation and the segment scan both block)."""
-        token = shared.token
-        if token is not None:
-            return token
-        if self._share_arena is not None:
-            located = self._share_arena.locate(shared.array)
-            if located is not None:
-                shared.token = located
-                shared.located = True
-                return located
-        staging = self._staging
-        if staging is None:
-            raise ArenaError("pool staging arena not started")
-        copy = staging.allocate(dtype=shared.array.dtype,
-                                shape=tuple(shared.array.shape))
-        copy[...] = shared.array
-        staging.seal(copy)
-        shared.staged = copy
-        shared.token = staging.export_token(copy)
-        return shared.token
+    def _pin(self, shared: SharedInput) -> BufferToken:
+        """Take one reference on ``shared`` (dropped by :meth:`_settle`)
+        and return its token, staging the array if no thread has yet.
 
-    def _encode(self, value: Any, shared_out: List[SharedInput]) -> Any:
-        """Encode one args/kwargs tree for the wire (lock-free path)."""
-        if isinstance(value, SharedInput):
-            shared_out.append(value)
-            return _TokenRef(self._ensure_token(value))
-        if _tokenizable(value, self._token_min):
-            auto = SharedInput(np.ascontiguousarray(value))
-            shared_out.append(auto)
-            return _TokenRef(self._ensure_token(auto))
-        if isinstance(value, tuple):
-            return tuple(self._encode(item, shared_out) for item in value)
-        if isinstance(value, list):
-            return [self._encode(item, shared_out) for item in value]
-        if isinstance(value, dict):
-            return {key: self._encode(item, shared_out)
-                    for key, item in value.items()}
-        return value
-
-    def _drop_shared_ref_locked(self, shared: SharedInput,
-                                releasable: List[np.ndarray]) -> None:
-        """Decref one shared input; collect drained staged copies for
-        release outside the lock. Lock held."""
-        self._check_locked()
-        shared.refs -= 1
-        if shared.refs <= 0 and shared.staged is not None:
-            releasable.append(shared.staged)
-            shared.staged = None
-            shared.token = None
-
-    def _release_staged(self, releasable: List[np.ndarray]) -> None:
-        staging = self._staging
-        if staging is None:
-            return
-        for array in releasable:
-            staging.release(array)
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-    def submit(self, fn: Callable[..., Any], *args: Any,
-               priority: float = 0.0, **kwargs: Any) -> ProcComputeTask:
-        """Queue ``fn(*args, **kwargs)`` and return its task.
-
-        Serial build: runs inline before returning. Parallel:
-        module-level callables join the priority queue and dispatch to
-        worker processes (helping waiters steal what is not yet
-        dispatched); anything a worker could not re-import runs inline
-        immediately (``stats.compute_fallback_inline``).
+        The reference comes first, so a sibling settling the last
+        earlier task cannot free the copy in between; of two threads
+        pinning an unstaged input the second waits for the first's
+        copy. Lock NOT held on entry (arena calls block).
         """
         with self._cond:
-            if self._closed:
-                raise ComputePoolClosedError(
-                    "submit on a closed ProcessComputePool"
-                )
-            task = ProcComputeTask(self, fn, args, kwargs,
-                                   task_id=self._next_id,
-                                   priority=priority)
-            self._next_id += 1
-            if self._workers > 1 and _is_dispatchable(fn):
-                task.state = PENDING
-                self._queue.push(task, priority=priority)
-                depth = len(self._queue)
-                if depth > self.stats.compute_queue_depth_peak:
-                    self.stats.compute_queue_depth_peak = depth
-                self._cond.notify_all()
-                pump = True
-            else:
-                task.state = RUNNING
-                pump = False
-        if pump:
-            self._pump()
-            return task
-        # Serial build or undispatchable callable: inline, no lock.
-        self._run_inline(task, fallback=self._workers > 1)
-        return task
-
-    def map(self, fn: Callable[..., Any], items: Iterable[Any],
-            priority: float = 0.0) -> List[Any]:
-        """Submit ``fn(item)`` per item; results in item order."""
-        tasks = [self.submit(fn, item, priority=priority)
-                 for item in items]
-        return [task.wait() for task in tasks]
-
-    def wait_all(self, tasks: Iterable[ComputeTask]) -> List[Any]:
-        """Wait for every task; returns results in the given order."""
-        return [task.wait() for task in tasks]
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def _pick_worker_locked(self) -> Optional[int]:
-        """Least-loaded live worker with window room. Lock held."""
-        self._check_locked()
-        best = None
-        best_load = _WINDOW_PER_WORKER
-        for index, load in self._worker_load.items():
-            if index in self._dead_workers:
-                continue
-            if load < best_load:
-                best, best_load = index, load
-        return best
-
-    def _pump(self) -> None:
-        """Feed queued tasks to workers up to the in-flight window.
-
-        Encoding (arena staging, token export) and the queue put both
-        happen outside the pool lock; only the pick/bookkeeping is
-        locked. Called after submit, start, and every settle.
-        """
-        while True:
-            with self._lock:
-                if self._closed or not self._queue:
-                    return
-                worker = self._pick_worker_locked()
-                if worker is None:
-                    return
-                task: ProcComputeTask = self._queue.pop()
-                task.state = RUNNING
-                task.worker = worker
-                self._worker_load[worker] += 1
-                self._inflight[task.task_id] = task
-            try:
-                shared: List[SharedInput] = []
-                enc_args = self._encode(task._args, shared)
-                enc_kwargs = self._encode(task._kwargs, shared)
-                msg = ("task", task.task_id, task._fn.__module__,
-                       task._fn.__qualname__, enc_args, enc_kwargs)
-                with self._lock:
-                    task.shared = shared
-                    for item in shared:
-                        item.refs += 1
-                    token_bytes = sum(
-                        item.array.nbytes for item in shared
-                    )
-                    self.stats.compute_token_bytes += token_bytes
-                self._task_queues[worker].put(msg)
-                with self._lock:
-                    self.stats.compute_dispatches += 1
-            except Exception:
-                # Token export/staging/pickling failed: degrade to
-                # inline execution — same result, no parallelism.
-                with self._lock:
-                    self._inflight.pop(task.task_id, None)
-                    self._worker_load[worker] -= 1
-                    task.worker = None
-                self._run_inline(task, fallback=True)
-
-    # ------------------------------------------------------------------
-    # Waiting / helping
-    # ------------------------------------------------------------------
-    def _wait(self, task: ComputeTask) -> Any:
-        """Blocking rendezvous with ``task``, helping while it blocks.
-
-        Identical discipline to the thread pool: while the target is
-        unfinished the waiter steals and runs still-undispatched tasks
-        (highest priority first), and only sleeps when the local queue
-        is empty and the target is in flight on a worker. Nested waits
-        (a stolen task waiting on its own sub-tasks) are safe: the
-        inner wait helps or sleeps on the same condition.
-        """
-        while True:
-            with self._cond:
-                while task.state == RUNNING and not self._queue:
-                    self._cond.wait()
-                if task.state in _TERMINAL:
-                    if task.state == CANCELLED:
-                        raise ComputePoolClosedError(
-                            f"task #{task.task_id} cancelled (pool "
-                            f"closed or task released while queued)"
-                        )
-                    if task.state == FAILED:
-                        raise task.error
-                    return task.result
-                steal: ProcComputeTask = self._queue.pop()
-                steal.state = RUNNING
-                self.stats.compute_steals += 1
-            self._run_inline(steal)
-
-    def _run_inline(self, task: ProcComputeTask,
-                    fallback: bool = False) -> None:
-        """Run a task in this process (serial, steal, or degraded
-        path) and settle it. Lock NOT held."""
-        t0 = self._clock()
-        result: Any = None
-        error: Optional[BaseException] = None
+            shared.refs += 1
+            while shared.token is _STAGING:
+                self._cond.wait()
+            if shared.token is not None:
+                return shared.token
+            shared.token = _STAGING
+        token = copy = None
         try:
-            result = task._fn(*_unwrap(task._args),
-                              **_unwrap(task._kwargs))
-        except BaseException as exc:
-            error = exc
-        elapsed = self._clock() - t0
-        releasable: List[np.ndarray] = []
-        with self._cond:
-            self._settle_locked(task, result, error, elapsed, releasable)
-            if fallback:
-                self.stats.compute_fallback_inline += 1
-        self._release_staged(releasable)
-
-    def _settle_locked(self, task: ProcComputeTask, result: Any,
-                       error: Optional[BaseException], elapsed: float,
-                       releasable: List[np.ndarray]) -> None:
-        """Move a task to its terminal state and notify. Lock held."""
-        self._check_locked()
-        if error is not None:
-            task.error = error
-            task.state = FAILED
-        else:
-            task.result = result
-            task.state = DONE
-        self.stats.compute_tasks += 1
-        self.stats.compute_task_seconds += elapsed
-        for shared in task.shared:
-            self._drop_shared_ref_locked(shared, releasable)
-        task.shared = []
-        self._cond.notify_all()
+            if self._share_arena is not None:
+                token = self._share_arena.locate(shared.array)
+            if token is None:
+                copy, token = _stage(shared.array, self._staging)
+            return token
+        finally:
+            with self._cond:
+                shared.token, shared.staged = token, copy
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Collection
+    # Where a task runs
     # ------------------------------------------------------------------
-    def _collect_loop(self) -> None:
-        """Collector thread: settle worker results, watch liveness."""
-        while True:
-            result_q = self._result_q
-            try:
-                msg = result_q.get(timeout=_POLL_S)
-            except _queue_mod.Empty:
-                self._reap_dead_workers()
-                continue
-            except (EOFError, OSError):  # pragma: no cover - teardown
-                return
-            if msg == _STOP:
-                return
-            self._settle_remote(msg)
-            self._pump()
+    def _queues(self, fn: Callable[..., Any]) -> bool:
+        """Only a callable the workers can re-import joins the queue;
+        any other runs in the submitter, counted in
+        ``stats.compute_fallback_inline``. Lock held."""
+        if not super()._queues(fn):
+            return False
+        if _is_dispatchable(fn):
+            return True
+        self.stats.compute_fallback_inline += 1
+        return False
 
-    def _settle_remote(self, msg: tuple) -> None:
-        """Decode and settle one worker result message."""
-        _kind, task_id, worker, encoded, error, elapsed, shipped = msg
+    def _work_loop(self) -> None:
+        """Pool thread: claim one child, then drain the queue as its
+        proxy until close."""
         with self._lock:
-            task = self._inflight.pop(task_id, None)
-            if task is not None:
-                self._worker_load[worker] = max(
-                    0, self._worker_load[worker] - 1
-                )
-        if task is None:  # duplicate/late message
-            return
-        if error is None:
+            self._proxy.child = next(self._unclaimed, None)
+        super()._work_loop()
+
+    def _execute(self, task: ProcComputeTask) -> None:
+        """Run a RUNNING task (lock NOT held) and settle it: on the
+        calling pool thread's child, or — for every other caller, and
+        when the child cannot take it — in this process."""
+        child = getattr(self._proxy, "child", None)
+        if child is None:
+            super()._execute(task)
+        else:
             try:
-                result = _decode(encoded, self._attach_cache)
+                result, error, elapsed, shipped = self._remote_call(
+                    child, task)
             except Exception:
-                # Result attach failed (segment gone?): degrade to
-                # inline re-execution rather than failing the task.
-                self._run_inline(task, fallback=True)
-                return
-        else:
-            result = None
-        releasable: List[np.ndarray] = []
-        with self._cond:
-            self._settle_locked(task, result, error, elapsed, releasable)
-            self.stats.compute_result_token_bytes += shipped
-        self._release_staged(releasable)
+                # Staging, pickling, the pipe or the result attach
+                # failed, or the child is dead (then its result arena
+                # is ours to unlink): same result, computed here.
+                if child.conn is not None and not child.proc.is_alive():
+                    child.conn.close()
+                    child.conn = None
+                    sweep_shm_prefix(f"{self.shm_prefix}-w{child.index}-")
+                with self._lock:
+                    self.stats.compute_fallback_inline += 1
+                super()._execute(task)
+            else:
+                with self._cond:
+                    self.stats.compute_dispatches += 1
+                    self.stats.compute_result_token_bytes += shipped
+                    if shipped:
+                        task.worker = child
+                    self._settle(task, result, error, elapsed)
+        for array in task.drained:
+            self._staging.release(array)
+        task.drained = []
 
-    def _reap_dead_workers(self) -> None:
-        """Detect crashed workers; rescue their tasks, sweep their
-        segments."""
+    def _remote_call(self, child: _Child, task: ProcComputeTask) -> tuple:
+        """Ship ``task`` to ``child`` and block for the reply:
+        ``(result, error, worker-side seconds, result bytes returned
+        as tokens)``. Raises if it cannot be had. Lock NOT held."""
+        if child.conn is None:
+            raise ComputeWorkerError(f"worker {child.index} has died")
+        task.shared = pinned = []
+
+        def encode(item: Any) -> Any:
+            """Pin every array that travels as a token."""
+            if _tokenizable(item, self._token_min):
+                item = SharedInput(np.ascontiguousarray(item))
+            if not isinstance(item, SharedInput):
+                return item
+            pinned.append(item)
+            return _TokenRef(self._pin(item))
+
+        enc_args, enc_kwargs = _map_tree((task._args, task._kwargs),
+                                         encode)
         with self._lock:
-            procs = list(enumerate(self._procs))
-            dead = self._dead_workers
-        for index, proc in procs:
-            if index in dead or proc.is_alive() \
-                    or proc.exitcode is None:
-                continue
-            with self._lock:
-                self._dead_workers.add(index)
-                stranded = [t for t in self._inflight.values()
-                            if t.worker == index]
-                for task in stranded:
-                    self._inflight.pop(task.task_id, None)
-                self._worker_load[index] = 0
-            # The dead worker's result arena can never release or
-            # unlink itself now — unlink its segments here.
-            sweep_shm_prefix(f"{self.shm_prefix}-w{index}")
-            for task in stranded:
-                self._run_inline(task, fallback=True)
-            if stranded:
-                self._pump()
+            self.stats.compute_token_bytes += sum(
+                item.array.nbytes for item in pinned
+            )
+            frees, child.frees = child.frees, []
+        child.conn.send((task.task_id, task._fn.__module__,
+                         task._fn.__qualname__, enc_args, enc_kwargs,
+                         frees))
+        # The sentinel wakes the wait when the child dies mid-task; a
+        # reply that beat the death is still read.
+        if child.conn not in wait([child.conn, child.proc.sentinel]):
+            raise ComputeWorkerError(f"worker {child.index} has died")
+        encoded, error, elapsed, shipped = child.conn.recv()
+        return _decode(encoded, child.cache), error, elapsed, shipped
 
-    # ------------------------------------------------------------------
-    # Result release
-    # ------------------------------------------------------------------
+    def _settle(self, task: ProcComputeTask, result: Any,
+                error: Optional[BaseException], elapsed: float) -> None:
+        """Settle, and drop the task's references on its shared inputs;
+        a staged copy nothing references any more moves to
+        ``task.drained`` for :meth:`_execute` to free once the lock is
+        released. Lock held."""
+        super()._settle(task, result, error, elapsed)
+        for shared in task.shared:
+            shared.refs -= 1
+            if shared.refs == 0 and shared.staged is not None:
+                task.drained.append(shared.staged)
+                shared.staged = shared.token = None
+        task.shared = []
+
     def _release_task(self, task: ProcComputeTask) -> None:
-        """Tell the owning worker to free a task's result allocations;
-        a task still queued is cancelled instead, so no worker ever
-        produces a result nobody will release."""
+        """Queue the task's result copies for freeing by the worker
+        that holds them; a task still queued is cancelled instead, so
+        no worker ever produces a result nobody will release."""
         with self._cond:
             if task.state == PENDING and self._queue.remove(task):
                 task.state = CANCELLED
                 self._cond.notify_all()
-                return
-            worker = task.worker
-            task.worker = None
-            if (worker is None or self._closed
-                    or worker in self._dead_workers
-                    or worker >= len(self._task_queues)):
-                return
-            task_q = self._task_queues[worker]
-        try:
-            task_q.put(("release", (task.task_id,)))
-        except (ValueError, OSError):  # pragma: no cover - teardown
-            pass
+            elif task.worker is not None:
+                task.worker.frees.append(task.task_id)
+                task.worker = None
 
 
 def sweep_shm_prefix(prefix: str) -> int:

@@ -117,13 +117,6 @@ class AdmissionError(GodivaError):
     the tenant name is already bound to a live session."""
 
 
-class PaperAliasError(GodivaError, TypeError):
-    """A removed camelCase paper alias (``addUnit``, ``defineField``, …)
-    was called. The aliases were deprecation shims through PR 1–5 and are
-    now hard errors; the message names the snake_case replacement and
-    the :mod:`repro.compat` migration shim."""
-
-
 class StorageFormatError(GodivaError):
     """A file does not conform to the SDF/plain-binary on-disk layout."""
 

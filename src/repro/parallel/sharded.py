@@ -809,21 +809,35 @@ class ShardedGBO:
         pending: Dict[object, _Pressure] = {}
         done: Dict[str, ShardReport] = {}
         failure: Optional[Tuple[str, dict]] = None
+        poll_s = min(1.0, self.protocol_timeout_s)
+        silent_until = time.monotonic() + self.protocol_timeout_s
         try:
             while len(done) < self.n_shards and failure is None:
+                # A host flushes its last message before it exits, so
+                # one that is gone, and still unheard from once the
+                # queue has run dry, died without reporting.
+                gone = {
+                    p.name: p.exitcode for p in self._processes
+                    if p.name not in done and not p.is_alive()
+                }
                 try:
-                    msg = res_q.get(timeout=self.protocol_timeout_s)
+                    msg = res_q.get(block=not gone, timeout=poll_s)
                 except queue_module.Empty:
-                    dead = [
-                        p.name for p in self._processes
-                        if not p.is_alive()
-                        and p.name not in done
-                    ]
-                    raise GodivaError(
-                        "sharded run wedged: no shard message for "
-                        f"{self.protocol_timeout_s:.0f}s"
-                        + (f"; dead shards: {dead}" if dead else "")
-                    )
+                    if gone:
+                        raise GodivaError(
+                            "shard host exited without reporting: "
+                            + ", ".join(
+                                f"{shard} (exitcode {code})"
+                                for shard, code in sorted(gone.items())
+                            )
+                        )
+                    if time.monotonic() >= silent_until:
+                        raise GodivaError(
+                            "sharded run wedged: no shard message for "
+                            f"{self.protocol_timeout_s:.0f}s"
+                        )
+                    continue
+                silent_until = time.monotonic() + self.protocol_timeout_s
                 kind = msg["type"]
                 if kind == "frame":
                     self._note_usage(msg["shard"], msg.get("used"))

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite, plus the races plugin.
 
-The ``races`` marker turns the existing ``test_database_*`` suites into
-lockset-race tests: with ``REPRO_ANALYSIS=1`` (see
+The ``races`` marker turns the existing ``test_database_*``,
+``test_service_*`` and ``test_core_compute*`` suites into lockset-race
+tests: with ``REPRO_ANALYSIS=1`` (see
 :mod:`repro.analysis`), every GBO built by a test uses tracked locks,
 the ``@guarded_by`` descriptors are installed for the duration of each
 test, and the Eraser tracker plus the lock-order graph are checked
@@ -29,7 +30,8 @@ def pytest_configure(config):
 def pytest_collection_modifyitems(items):
     for item in items:
         filename = item.nodeid.split("::", 1)[0].rsplit("/", 1)[-1]
-        if filename.startswith(("test_database_", "test_service_")):
+        if filename.startswith(("test_database_", "test_service_",
+                                "test_core_compute")):
             item.add_marker(pytest.mark.races)
 
 

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.analysis import lint
-from repro.core.compat import PAPER_ALIASES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -100,23 +99,23 @@ class TestRep103PaperAliases:
         src = DOC + "def _f(gbo):\n    gbo.waitUnit('u')\n"
         assert rules(src) == ["REP103"]
 
-    def test_compat_module_is_exempt(self):
-        src = DOC + (
-            "def addUnit() -> None:\n"
-            "    pass\n"
-            "def _f(gbo):\n"
-            "    gbo.waitUnit('u')\n"
-        )
-        assert rules(src, "src/repro/core/compat.py") == []
-
     def test_snake_case_is_clean(self):
         src = DOC + "def _f(gbo):\n    gbo.wait_unit('u')\n"
         assert rules(src) == []
 
-    def test_alias_table_matches_compat_shim(self):
-        # The linter never imports the library it lints, so its copy of
-        # the camelCase spellings must be kept in sync by this test.
-        assert lint.PAPER_ALIAS_NAMES == frozenset(PAPER_ALIASES)
+    def test_alias_table_covers_figure1_interfaces(self):
+        # The three interface groups of Figure 1 plus the schema and
+        # memory calls — and none of them survives on the GBO.
+        from repro.core.database import GBO
+
+        for name in ("defineField", "defineRecord", "insertField",
+                     "commitRecordType", "newRecord", "allocFieldBuffer",
+                     "commitRecord", "getFieldBuffer",
+                     "getFieldBufferSize", "addUnit", "readUnit",
+                     "waitUnit", "finishUnit", "deleteUnit",
+                     "cancelUnit", "setMemSpace"):
+            assert name in lint.PAPER_ALIAS_NAMES
+            assert not hasattr(GBO, name)
 
 
 class TestRep104MutableDefaults:

@@ -1,8 +1,8 @@
 """ComputePool: serial inline execution, workers, helping waiters,
 close semantics, and stats accounting.
 
-Marked ``races`` so the sanitizer job replays the threaded paths under
-the lockset race detector.
+Marked ``races`` (by ``conftest.py``, filename prefix) so the sanitizer
+job replays the threaded paths under the lockset race detector.
 """
 
 import threading
@@ -17,8 +17,6 @@ from repro.core.compute import (
 )
 from repro.core.stats import GodivaStats
 from repro.errors import ComputePoolClosedError
-
-pytestmark = pytest.mark.races
 
 
 def test_workers_validated():

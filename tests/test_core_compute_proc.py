@@ -2,20 +2,20 @@
 
 The contracts under test (DESIGN.md, compute plane):
 
-* **surface parity** — drop-in sibling of :class:`ComputePool`: same
-  ``submit``/``map``/``wait_all``/priority/steal/stats behaviour, so
-  the renderer and pipeline never know which backend they run on;
+* **one pool core** — a :class:`ComputePool` subclass: ``submit``/
+  ``map``/``wait_all``/priority/steal/stats are the inherited methods,
+  so the renderer and pipeline never know which backend they run on;
 * **zero-copy transport** — ndarray inputs at or above the token
   threshold travel as sealed shared-memory tokens, results come back
   as tokens the coordinator attaches read-only;
 * **graceful degradation** — non-importable callables run inline,
-  ``workers == 1`` never forks, a worker killed mid-task is reaped and
-  its in-flight tasks re-run inline;
+  ``workers == 1`` never forks, a worker killed mid-task, while idle
+  or before its first task has its tasks run in-process instead;
 * **shm hygiene** — ``close()`` drains, joins, and leaves zero
   residual ``/dev/shm`` segments, under both ``fork`` and ``spawn``.
 
-Marked ``races`` so the sanitizer job replays the coordinator-side
-locking under the lockset detector.
+Marked ``races`` (by ``conftest.py``, filename prefix) so the sanitizer
+job replays the coordinator-side locking under the lockset detector.
 """
 
 import os
@@ -35,8 +35,6 @@ from repro.core.compute_proc import (
 from repro.core.stats import GodivaStats
 from repro.errors import ComputePoolClosedError
 
-pytestmark = pytest.mark.races
-
 #: Start methods exercised for the real-worker tests. Both must hold:
 #: fork is linux's default, spawn is what macOS/Windows (and any
 #: fork-unsafe embedder) would use.
@@ -51,6 +49,15 @@ def _shm_entries(prefix):
         return [n for n in os.listdir("/dev/shm") if prefix in n]
     except FileNotFoundError:
         return []
+
+
+def _let_workers_settle(tasks, timeout=10.0):
+    """Block *without helping* until the pool's own threads settled
+    every task — ``wait()`` would run queued ones in this process."""
+    deadline = time.monotonic() + timeout
+    while not all(task.done for task in tasks):
+        assert time.monotonic() < deadline, "workers never settled"
+        time.sleep(0.005)
 
 
 # ----------------------------------------------------------------------
@@ -127,6 +134,18 @@ def test_surface_parity_with_thread_pool():
         assert hasattr(ProcessComputePool(1), name), name
     assert ProcessComputePool.distributed is True
     assert ComputePool.distributed is False
+
+
+def test_queue_and_waiting_are_the_thread_pools():
+    """One pool core: the process pool *is* a ComputePool and defines
+    no private copy of the queueing/waiting surface."""
+    assert issubclass(ProcessComputePool, ComputePool)
+    for name in ("submit", "map", "wait_all", "_wait", "__enter__",
+                 "__exit__", "workers", "parallel", "closed",
+                 "queue_len"):
+        assert name not in ProcessComputePool.__dict__, name
+        assert getattr(ProcessComputePool, name) \
+            is getattr(ComputePool, name), name
 
 
 def test_waiter_helps_without_processes():
@@ -238,6 +257,7 @@ def test_workers_roundtrip_tokens(start_method):
     arrays = [np.random.default_rng(seed).normal(size=SHAPE)
               for seed in range(4)]
     tasks = [pool.submit(double, a) for a in arrays]
+    _let_workers_settle(tasks)
     for task, array in zip(tasks, arrays):
         out = task.wait()
         np.testing.assert_array_equal(out, array * 2.0)
@@ -263,17 +283,15 @@ def test_worker_error_reraised(start_method):
     assert _shm_entries(pool.shm_prefix) == []
 
 
-def test_close_does_not_wait_out_the_poll_interval(monkeypatch):
-    """The collector is woken by a sentinel, not by its poll timing
-    out: close() of a pool with live workers is prompt and still
+def test_close_does_not_wait_out_the_poll_interval():
+    """There is no poll interval to wait out any more: close() of a
+    pool with live workers stops and joins them at once and still
     sweeps ``/dev/shm``."""
-    from repro.core import compute_proc
-
-    monkeypatch.setattr(compute_proc, "_POLL_S", 5.0)
     pool = ProcessComputePool(2, spawn_procs=2, start_method="fork")
     pool.start()
-    result = pool.submit(double, np.ones(SHAPE)).wait()
-    assert result[0, 0] == 2.0
+    task = pool.submit(double, np.ones(SHAPE))
+    _let_workers_settle([task])
+    assert task.wait()[0, 0] == 2.0
     assert _shm_entries(pool.shm_prefix)
     t0 = time.monotonic()
     pool.close()
@@ -304,7 +322,7 @@ def test_failed_fan_out_releases_queued_tasks_too():
     from repro.core.compute import CANCELLED
 
     cancelled = [task for task in tasks if task.state == CANCELLED]
-    assert cancelled   # the window is 4: most of the 16 never left
+    assert cancelled   # one in flight per worker: most never left
     deadline = time.monotonic() + 10.0
     while not all(task.done for task in tasks):
         assert time.monotonic() < deadline
@@ -326,10 +344,15 @@ def test_share_reuses_sealed_arena_buffer():
     pool.start()
     shared = pool.share(buf)
     assert isinstance(shared, SharedInput)
+    stats = pool.stats
     tasks = [pool.submit(total, shared) for _ in range(3)]
+    _let_workers_settle(tasks)
     for task in tasks:
         assert task.wait() == pytest.approx(7.5 * buf.size)
-    assert shared.located and shared.staged is None
+    assert stats.compute_dispatches == 3
+    assert stats.compute_fallback_inline == 0
+    assert shared.token is not None and shared.staged is None
+    assert _shm_entries(f"{pool.shm_prefix}-s") == []
     pool.close()
     assert _shm_entries(pool.shm_prefix) == []
     arena.close()
@@ -343,8 +366,9 @@ def test_share_is_identity_when_serial():
 
 
 def test_worker_killed_mid_task_is_rescued(tmp_path):
-    """SIGKILL a worker mid-task: the collector reaps it, re-runs the
-    in-flight task inline, and sweeps the dead worker's segments."""
+    """SIGKILL a worker mid-task: its thread wakes on the process
+    sentinel, re-runs the task in-process, and sweeps the dead
+    worker's segments."""
     marker_dir = str(tmp_path)
     pool = ProcessComputePool(2, start_method="fork", spawn_procs=1)
     pool.start()
@@ -361,6 +385,58 @@ def test_worker_killed_mid_task_is_rescued(tmp_path):
     with open(os.path.join(marker_dir, "stop"), "w") as f:
         f.write("x")
     assert task.wait() == 6.0
+    pool.close()
+    assert _shm_entries(pool.shm_prefix) == []
+
+
+def test_worker_killed_while_idle_is_noticed_at_next_dispatch():
+    """SIGKILL an idle worker that holds a result copy: the next tasks
+    still complete (in-process, counted), and the dead worker's
+    segments are swept before close()."""
+    stats = GodivaStats()
+    pool = ProcessComputePool(2, start_method="fork", spawn_procs=1,
+                              stats=stats)
+    pool.start()
+    first = pool.submit(double, np.ones(SHAPE))
+    _let_workers_settle([first])
+    assert first.wait()[0, 0] == 2.0
+    assert stats.compute_dispatches == 1
+    assert _shm_entries(f"{pool.shm_prefix}-w0")
+    victim = pool.procs[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(5.0)
+    assert not victim.is_alive()
+    tasks = [pool.submit(double, np.full(SHAPE, float(i)))
+             for i in range(3)]
+    _let_workers_settle(tasks)
+    assert [task.wait()[0, 0] for task in tasks] == [0.0, 2.0, 4.0]
+    assert stats.compute_dispatches == 1
+    assert stats.compute_fallback_inline >= 1
+    assert _shm_entries(f"{pool.shm_prefix}-w0") == []
+    pool.close()
+    assert _shm_entries(pool.shm_prefix) == []
+
+
+def test_worker_dead_before_its_first_task():
+    """A worker that never got as far as its task loop (killed while
+    ``spawn`` was still booting it): tasks complete in-process
+    promptly, close() leaves ``/dev/shm`` empty."""
+    stats = GodivaStats()
+    pool = ProcessComputePool(2, start_method="spawn", spawn_procs=1,
+                              stats=stats)
+    pool.start()
+    victim = pool.procs[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(5.0)
+    assert not victim.is_alive()
+    t0 = time.monotonic()
+    tasks = [pool.submit(double, np.full(SHAPE, float(i)))
+             for i in range(3)]
+    _let_workers_settle(tasks, timeout=5.0)
+    assert [task.wait()[0, 0] for task in tasks] == [0.0, 2.0, 4.0]
+    assert time.monotonic() - t0 < 5.0
+    assert stats.compute_dispatches == 0
+    assert stats.compute_fallback_inline == 3
     pool.close()
     assert _shm_entries(pool.shm_prefix) == []
 

@@ -38,6 +38,31 @@ class TestSchemaInterfaces:
         gbo.define_field("x coordinates", DataType.DOUBLE, UNKNOWN)
         gbo.define_field("x coordinates", DataType.DOUBLE, UNKNOWN)
 
+    def test_snake_case_paper_sample_still_runs(self):
+        """The paper's sample code, in the snake_case spelling (its
+        ``new GBO(400)`` is ``GBO(mem_mb=400)``)."""
+        godiva = GBO(mem_mb=400)
+        try:
+            godiva.define_field("block id", DataType.STRING, 11)
+            godiva.define_field("pressure", DataType.DOUBLE)
+
+            godiva.define_record("fluid", 1)
+            godiva.insert_field("fluid", "block id", True)
+            godiva.insert_field("fluid", "pressure", False)
+            godiva.commit_record_type("fluid")
+
+            record = godiva.new_record("fluid")
+            record.field("block id").write(b"block_0003$")
+            godiva.alloc_field_buffer(record, "pressure", 80_000)
+            godiva.commit_record(record)
+
+            buf = godiva.get_field_buffer(
+                "fluid", "pressure", [b"block_0003$"])
+            assert len(buf) == 10_000
+            godiva.set_mem_space(300)
+        finally:
+            godiva.close()
+
     def test_define_record_duplicate_raises(self, gbo):
         gbo.define_record("r", 1)
         with pytest.raises(SchemaError, match="already defined"):

@@ -1,12 +1,15 @@
 """ShardedGBO: real shard processes, byte-identity, budget protocol."""
 
 import glob
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.database import GBO
-from repro.errors import GodivaDeadlockError
+from repro.errors import GodivaDeadlockError, GodivaError
 from repro.io.readers import (
     make_snapshot_read_fn,
     snapshot_unit_name,
@@ -127,6 +130,37 @@ class TestBudgetProtocol:
                 mem_mb=0.09375, carveout_fraction=1.0,
                 background_io=False,
             )
+
+
+def exit_at_startup(spec, cmd_q, res_q):
+    """A shard host that dies before it says anything (what a `spawn`
+    fleet whose ``__main__`` cannot be re-imported does in every
+    host)."""
+    os._exit(3)
+
+
+class TestHostFailure:
+    def test_host_dead_at_startup_fails_the_run_at_once(
+            self, small_dataset, monkeypatch):
+        """The coordinator learns of a host that exited without a
+        ``done``/``error`` message from its liveness, within seconds —
+        not from ``protocol_timeout_s`` (60 s) of silence."""
+        from repro.parallel import sharded
+
+        monkeypatch.setattr(sharded, "_shard_main", exit_at_startup)
+        fleet = ShardedGBO(small_dataset.directory, 2, test=TEST,
+                           mem_mb=64.0)
+        assert fleet.protocol_timeout_s >= 60.0
+        t0 = time.monotonic()
+        with pytest.raises(GodivaError,
+                           match=r"shard\d+ \(exitcode 3\)"):
+            fleet.render_all()
+        assert time.monotonic() - t0 < 5.0
+        # _shutdown_shards still joined every host.
+        assert fleet._processes == []
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("shard")]
+        fleet.close()
 
 
 class TestValidation:
