@@ -28,7 +28,7 @@ N_CLIENTS = 64
 @pytest.fixture(scope="module")
 def fairness_result():
     """Deterministic steady-vs-thrash workload on a 16 MB service."""
-    return run_fairness(mem_mb=16.0, io_workers=2)
+    return run_fairness(mem_mb=16.0)
 
 
 @pytest.fixture(scope="module")

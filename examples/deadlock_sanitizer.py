@@ -46,7 +46,7 @@ def read_item(gbo, unit_name):
 
 def main():
     budget = 2 * UNIT_FOOTPRINT
-    with GBO(mem_bytes=budget, io_workers=1) as gbo:
+    with GBO(mem=budget, io_workers=1) as gbo:
         for i in range(4):
             gbo.add_unit(f"u{i}", read_item)
         # u0/u1 fill the budget; the waits pin them (paper rule: a

@@ -42,6 +42,12 @@ REP109   Every ``@guarded_by``-declared field must appear in the
          (:mod:`repro.analysis.lockfacts`) or be covered by a
          "Lock held." contract in its class, so the static checker
          (``repro-check``) can verify it.
+REP110   No function parameter or dataclass field that is named like an
+         :class:`~repro.core.config.EngineConfig` field *and* carries a
+         default, outside ``repro/core/config.py`` and
+         ``repro/simulate/`` — a tier forwards engine keywords
+         (``**engine``) to the config, where each knob's default and
+         rule live once (:data:`ENGINE_KNOB_NAMES` is the list).
 =======  ==============================================================
 
 Pre-existing violations live in a committed baseline file
@@ -74,7 +80,7 @@ from repro.analysis.baseline import (
 from repro.analysis.lockfacts import CONTRACT_RE, GUARDED_FIELDS
 
 __all__ = [
-    "PAPER_ALIAS_NAMES", "Violation", "lint_source", "lint_paths",
+    "PAPER_ALIAS_NAMES", "ENGINE_KNOB_NAMES", "Violation", "lint_source", "lint_paths",
     "iter_python_files", "load_baseline", "write_baseline", "main",
 ]
 
@@ -120,6 +126,17 @@ _ARENA_EXEMPT = (
     "repro/core/", "repro/service/", "repro/parallel/", "repro/api.py",
 )
 
+#: The fields of :class:`repro.core.config.EngineConfig` (REP110), as
+#: data so the linter imports nothing it lints; a test holds the two in
+#: step. A knob may carry a default where it is declared, and so may
+#: the simulator's own model parameters of the same names.
+ENGINE_KNOB_NAMES = frozenset({
+    "budget_bytes", "background_io", "io_workers", "eviction_policy",
+    "derived_cache", "compute_workers", "compute_backend",
+    "compute_max_threads",
+})
+_ENGINE_KNOB_EXEMPT = ("repro/core/config.py", "repro/simulate/")
+
 _MUTABLE_DEFAULT_NODES = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
 )
@@ -149,6 +166,7 @@ class _Linter(ast.NodeVisitor):
         self._engine_exempt = _is_exempt(path, _ENGINE_EXEMPT)
         self._arena_exempt = _is_exempt(path, _ARENA_EXEMPT)
         self._core_module = "repro/core/" in path
+        self._knob_exempt = _is_exempt(path, _ENGINE_KNOB_EXEMPT)
 
     # -- plumbing ------------------------------------------------------
     def _qualname(self, name: Optional[str] = None) -> str:
@@ -242,6 +260,11 @@ class _Linter(ast.NodeVisitor):
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_camelcase_def(node)
         self._check_guarded_fields(node)
+        self._check_engine_knob_defaults(node, [
+            stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+            and isinstance(stmt.target, ast.Name)
+        ])
         if self._is_public_context(node.name) \
                 and ast.get_docstring(node) is None:
             self._add("REP105", node,
@@ -262,6 +285,15 @@ class _Linter(ast.NodeVisitor):
     def _visit_function(self, node) -> None:
         self._check_camelcase_def(node)
         self._check_mutable_defaults(node)
+        args = node.args
+        named = args.posonlyargs + args.args
+        self._check_engine_knob_defaults(node, [
+            arg.arg for arg in named[len(named) - len(args.defaults):]
+        ] + [
+            arg.arg for arg, default in zip(args.kwonlyargs,
+                                            args.kw_defaults)
+            if default is not None
+        ])
         if self._is_public_context(node.name):
             if ast.get_docstring(node) is None \
                     and not self._is_trivial_def(node):
@@ -412,6 +444,22 @@ class _Linter(ast.NodeVisitor):
                     f"mutable default argument in {node.name!r} — "
                     f"default to None and create inside the body",
                     symbol=self._qualname(node.name),
+                )
+
+    def _check_engine_knob_defaults(self, node,
+                                    defaulted: Sequence[str]) -> None:
+        """REP110: ``defaulted`` are the names ``node`` (a function or
+        a class body) gives a default."""
+        if self._knob_exempt:
+            return
+        for name in defaulted:
+            if name in ENGINE_KNOB_NAMES:
+                self._add(
+                    "REP110", node,
+                    f"{node.name!r} re-declares a default for engine "
+                    f"knob {name!r} — forward engine keywords to "
+                    f"repro.core.config.EngineConfig instead",
+                    symbol=self._qualname(f"{node.name}.{name}"),
                 )
 
     def _is_public_context(self, name: str) -> bool:

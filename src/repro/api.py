@@ -18,6 +18,10 @@ Two ways to hold a database:
   :class:`~repro.service.aio.AsyncGodivaClient` bridges asyncio
   clients onto the same engine.
 
+Every tier that hosts an engine takes the same budget spellings
+(``mem=`` / ``mem_mb=``) and the same engine keywords, declared once as
+the fields of :class:`~repro.core.config.EngineConfig`.
+
 All three database-shaped objects are context managers, mirroring
 :class:`~repro.core.units.UnitHandle`'s ``with`` discipline::
 
@@ -40,6 +44,7 @@ the batch visualization tool against a shared engine.
 """
 
 from repro.core.arena import Arena, HeapArena, SharedMemoryArena
+from repro.core.config import EngineConfig
 from repro.core.database import GBO
 from repro.core.units import UnitHandle
 from repro.parallel.sharded import ShardedGBO, render_sharded
@@ -49,6 +54,7 @@ from repro.viz.voyager import VoyagerConfig
 
 __all__ = [
     "GBO",
+    "EngineConfig",
     "UnitHandle",
     "GodivaService",
     "ServiceSession",

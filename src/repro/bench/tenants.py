@@ -51,10 +51,9 @@ def fairness_specs() -> List[TenantSpec]:
     ]
 
 
-def run_fairness(*, mem_mb: float = 16.0,
-                 io_workers: int = 2) -> WorkloadResult:
+def run_fairness(*, mem_mb: float = 16.0) -> WorkloadResult:
     """Drive the steady-vs-thrash workload on a fresh service."""
-    with GodivaService(mem_mb=mem_mb, io_workers=io_workers) as svc:
+    with GodivaService(mem_mb=mem_mb, io_workers=2) as svc:
         return run_tenant_workload(svc, fairness_specs())
 
 
@@ -76,7 +75,6 @@ def run_async_scale(
     units_per_client: int = 2,
     unit_bytes: int = 4 * KB,
     mem_mb: float = 32.0,
-    io_workers: int = 4,
     client_workers: int = 16,
 ) -> AsyncScaleResult:
     """N concurrent asyncio clients on one shared engine.
@@ -90,7 +88,7 @@ def run_async_scale(
     async def one_client(svc: GodivaService, i: int) -> int:
         """One tenant's full connect/work/close round trip."""
         client = await AsyncGodivaClient.connect(
-            svc, f"c{i}", mem_bytes=16 * KB
+            svc, f"c{i}", mem=16 * KB
         )
         async with client:
             for step in range(units_per_client):
@@ -102,7 +100,7 @@ def run_async_scale(
 
     async def go() -> AsyncScaleResult:
         """Host the service and gather every client."""
-        with GodivaService(mem_mb=mem_mb, io_workers=io_workers,
+        with GodivaService(mem_mb=mem_mb, io_workers=4,
                            client_workers=client_workers) as svc:
             t0 = time.perf_counter()
             served = await asyncio.gather(

@@ -11,6 +11,7 @@ from repro.core.cache import (
     MruEvictionPolicy,
     make_policy,
 )
+from repro.core.config import EngineConfig
 from repro.core.database import GBO
 from repro.core.derived import (
     DERIVED_PREFIX,
@@ -37,6 +38,7 @@ from repro.core.units import ProcessingUnit, UnitHandle, UnitState
 
 __all__ = [
     "GBO",
+    "EngineConfig",
     "DataType",
     "FieldType",
     "RecordType",

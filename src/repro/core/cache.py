@@ -13,7 +13,7 @@ asks for a victim when memory runs low.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from repro.structures.fifoqueue import FifoQueue
 from repro.structures.lru import LruList
@@ -175,12 +175,15 @@ _POLICIES = {
 }
 
 
-def make_policy(name: str) -> EvictionPolicy:
-    """Instantiate an eviction policy by name ('lru', 'mru', 'fifo')."""
+def make_policy(policy: Union[str, EvictionPolicy]) -> EvictionPolicy:
+    """Instantiate an eviction policy by name ('lru', 'mru', 'fifo');
+    a ready instance passes through."""
+    if isinstance(policy, EvictionPolicy):
+        return policy
     try:
-        return _POLICIES[name]()
+        return _POLICIES[policy]()
     except KeyError:
         raise ValueError(
-            f"unknown eviction policy {name!r}; choose from "
+            f"unknown eviction policy {policy!r}; choose from "
             f"{sorted(_POLICIES)}"
         ) from None

@@ -22,13 +22,12 @@ import numpy as np
 from repro.analysis.primitives import TrackedCondition, TrackedLock
 from repro.analysis.races import guarded_by
 from repro.core.arena import Arena, HeapArena, SharedMemoryArena
-from repro.core.cache import EvictionPolicy
 from repro.core.compute import ComputePool
-from repro.core.compute_proc import ProcessComputePool
+from repro.core.config import EngineConfig, resolve_budget
 from repro.core.derived import DerivedCache
 from repro.core.io_scheduler import IoScheduler
-from repro.core.memory import MemoryAccountant, parse_budget
-from repro.core.memory_manager import LoadYield, MemoryManager
+from repro.core.memory import MemoryAccountant
+from repro.core.memory_manager import MemoryManager
 from repro.core.record import FieldBuffer, Record
 from repro.core.record_engine import RecordEngine
 from repro.core.stats import GodivaStats
@@ -36,8 +35,6 @@ from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
 from repro.core.unit_store import UnitStore
 from repro.core.units import ReadFunction, UnitHandle, UnitState
 from repro.errors import DatabaseClosedError
-
-_LoadYield = LoadYield  # compat alias; now lives in memory_manager
 
 #: Pure one-frame record delegates, fast-bound per GBO instance.
 _RECORD_DELEGATES = (
@@ -52,26 +49,12 @@ _RECORD_DELEGATES = (
 class GBO:
     """The GODIVA database object (facade over the four engine layers).
 
-    ``mem``/``mem_mb``/``mem_bytes``: one-of-three budget spellings
-    (:func:`repro.core.memory.parse_budget`); ``background_io=False``
-    selects the single-thread *G* build; ``io_workers`` sizes the pool;
-    ``eviction_policy`` is ``'lru'``/``'fifo'``/``'mru'`` or a ready
-    :class:`~repro.core.cache.EvictionPolicy` instance (the service
-    layer injects a tenant-aware one);
-    ``derived_cache=False`` disables the budget-charged derived-data
-    memo cache (:attr:`derived`); ``compute_workers`` sizes the
-    compute plane's worker pool (:attr:`compute`; 1 = the
-    paper-faithful serial build — tasks run inline);
-    ``compute_backend`` picks the pool flavour — ``'thread'`` (the
-    default :class:`~repro.core.compute.ComputePool`) or ``'process'``
-    (a :class:`~repro.core.compute_proc.ProcessComputePool`, which
-    escapes the GIL by running kernels in worker processes fed through
-    arena tokens; with no injected arena the GBO then defaults its
-    arena to a :class:`~repro.core.arena.SharedMemoryArena` so
-    resident buffers export zero-copy);
-    ``compute_max_threads`` caps the thread pool's spawned complement
-    (and the process pool's worker count) so several pools in one
-    process do not oversubscribe the host; ``arena`` is the
+    ``mem`` / ``mem_mb`` spell the budget and ``**engine`` names any
+    other :class:`~repro.core.config.EngineConfig` field (defaults and
+    rules live there); ``config`` hands over a ready one instead. With
+    the process compute backend and no injected arena the GBO defaults
+    its arena to a :class:`~repro.core.arena.SharedMemoryArena` so
+    resident buffers export zero-copy. ``arena`` is the
     :class:`~repro.core.arena.Arena` every buffer (unit payloads,
     derived products) is allocated from — default a private
     :class:`~repro.core.arena.HeapArena`, byte-identical to plain heap
@@ -88,28 +71,21 @@ class GBO:
         mem: Union[str, int, float, None] = None,
         *,
         mem_mb: Optional[float] = None,
-        mem_bytes: Optional[int] = None,
-        background_io: bool = True,
-        io_workers: int = 1,
-        eviction_policy: Union[str, "EvictionPolicy"] = "lru",
-        derived_cache: bool = True,
-        compute_workers: int = 1,
-        compute_backend: str = "thread",
-        compute_max_threads: Optional[int] = None,
+        config: Optional[EngineConfig] = None,
         arena: Optional[Arena] = None,
         clock: Callable[[], float] = time.monotonic,
         unit_event_hook: Optional[Callable[[str, str, float], None]] = None,
+        **engine: object,
     ):
-        budget = parse_budget(mem, mem_mb, mem_bytes)
-        if io_workers < 1:
-            raise ValueError("io_workers must be at least 1")
-        if compute_workers < 1:
-            raise ValueError("compute_workers must be at least 1")
-        if compute_backend not in ("thread", "process"):
-            raise ValueError(
-                f"compute_backend must be 'thread' or 'process', "
-                f"got {compute_backend!r}"
+        if config is None:
+            config = EngineConfig(resolve_budget(mem, mem_mb), **engine)
+        elif mem is not None or mem_mb is not None or engine:
+            raise TypeError(
+                "config= replaces the budget and engine keywords; "
+                "pass one or the other"
             )
+        #: The engine configuration this GBO was built from.
+        self.config = config
 
         self._lock = TrackedLock(f"GBO._lock@{id(self):#x}")
         self._cond = TrackedCondition(self._lock)
@@ -117,28 +93,28 @@ class GBO:
         self._closing = False
         self._closed = False
         self._owns_arena = arena is None
-        if arena is None and compute_backend == "process" \
-                and compute_workers > 1:
+        if arena is None and config.process_compute:
             # Resident buffers must live in shareable memory for the
             # process pool to export them zero-copy; a HeapArena would
             # force a staging copy of every input.
             arena = SharedMemoryArena()
             self._owns_arena = True
         self._arena = arena if arena is not None else HeapArena()
-        self._compute_backend = compute_backend
 
         self._records = RecordEngine(stats=self.stats, clock=clock,
                                      arena=self._arena)
         self._store = UnitStore(lock=self._lock, cond=self._cond, stats=self.stats,
                                 clock=clock, unit_event_hook=unit_event_hook)
-        self._mem = MemoryManager(budget, policy=eviction_policy, lock=self._lock,
+        self._mem = MemoryManager(config.budget_bytes,
+                                  policy=config.eviction_policy, lock=self._lock,
                                   cond=self._cond, stats=self.stats, clock=clock)
         self._io = IoScheduler(lock=self._lock, cond=self._cond, stats=self.stats,
-                               clock=clock, workers=io_workers if background_io else 0)
+                               clock=clock,
+                               workers=config.io_workers if config.background_io else 0)
         self._derived = (
             DerivedCache(self._mem, lock=self._lock, cond=self._cond, stats=self.stats,
                          clock=clock, event_hook=unit_event_hook, arena=self._arena)
-            if derived_cache else None
+            if config.derived_cache else None
         )
         self._store.bind(memory=self._mem, scheduler=self._io)
         self._mem.bind(units=self._store, scheduler=self._io,
@@ -152,18 +128,9 @@ class GBO:
                            touch_unit=self._touch_unit)
         # The compute plane has its own leaf lock — pool tasks may take
         # the engine lock (extraction kernels do), never the reverse.
-        if compute_backend == "process" and compute_workers > 1:
-            self._compute = ProcessComputePool(
-                compute_workers, name="godiva-compute",
-                stats=self.stats, clock=clock,
-                share_arena=self._arena,
-                max_procs=compute_max_threads,
-            )
-        else:
-            self._compute = ComputePool(compute_workers,
-                                        name="godiva-compute",
-                                        stats=self.stats, clock=clock,
-                                        max_threads=compute_max_threads)
+        self._compute = config.make_compute_pool(
+            "godiva-compute", stats=self.stats, clock=clock,
+            share_arena=self._arena)
         self._io.start()
         self._compute.start()
         if type(self) is GBO:
@@ -226,7 +193,7 @@ class GBO:
         """The configured compute-plane flavour: ``'thread'`` or
         ``'process'``. (With ``compute_workers=1`` both flavours run
         tasks inline and no threads or processes exist.)"""
-        return self._compute_backend
+        return self.config.compute_backend
 
     @property
     def background_io(self) -> bool:
@@ -315,11 +282,10 @@ class GBO:
             return self._mem.accountant.high_water_bytes
 
     def set_mem_space(self, mem_mb: Optional[float] = None,
-                      *, mem_bytes: Optional[int] = None,
-                      mem: Union[str, int, float, None] = None) -> None:
+                      *, mem: Union[str, int, float, None] = None) -> None:
         """Adjust the budget (setMemSpace, MB positional); shrinking
         evicts finished units immediately."""
-        budget = parse_budget(mem, mem_mb, mem_bytes)
+        budget = resolve_budget(mem, mem_mb)
         with self._cond:
             self._check_open()
             self._mem.set_budget(budget)

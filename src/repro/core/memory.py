@@ -12,8 +12,6 @@ database, which owns the lock.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 from repro.errors import MemoryBudgetError
 
 #: Bytes charged per record for index bookkeeping (tree node, unit list
@@ -35,13 +33,14 @@ _MEM_SUFFIXES = {
 def parse_mem(value) -> int:
     """Normalize a memory-budget spec to bytes.
 
-    Accepts the three spellings the ``GBO(mem=...)`` constructor takes:
+    Accepts the three spellings ``mem=`` takes at every tier
+    (:func:`repro.core.config.resolve_budget`):
 
     * ``str`` — a number with a unit suffix (``"384MB"``, ``"1.5GB"``,
       ``"4096 KB"``, ``"512B"``); a bare numeric string means bytes;
     * ``int`` — a byte count;
-    * ``float`` — megabytes (matching the paper's ``new GBO(400)``
-      convention of the legacy ``mem_mb`` argument).
+    * ``float`` — megabytes (the paper's ``new GBO(400)`` unit, as
+      the ``mem_mb`` keyword).
 
     Negative amounts raise :class:`ValueError` in every spelling: a
     budget below zero is always a caller bug, and catching it here
@@ -49,72 +48,44 @@ def parse_mem(value) -> int:
     Zero parses fine — whether an empty budget is usable is the
     :class:`MemoryAccountant`'s decision, not the parser's.
     """
-    if isinstance(value, bool):
-        raise TypeError("memory budget must be a number or string")
-    if isinstance(value, (int, float)):
-        nbytes = int(value) if isinstance(value, int) else int(value * MB)
-        if nbytes < 0:
-            raise ValueError(
-                f"memory spec must be non-negative, got {value!r}"
-            )
-        return nbytes
-    if isinstance(value, str):
-        text = value.strip().lower()
-        for suffix, multiplier in _MEM_SUFFIXES.items():
-            if text.endswith(suffix) and (
-                suffix != "b" or not text.endswith(("kb", "mb", "gb", "tb"))
-            ):
-                number = text[: -len(suffix)].strip()
-                try:
-                    nbytes = int(float(number) * multiplier)
-                except ValueError:
-                    raise ValueError(
-                        f"unparseable memory spec {value!r} — the "
-                        f"amount before {suffix.upper()!r} must be a "
-                        f"number, e.g. '384MB' or '1.5GB'"
-                    ) from None
-                if nbytes < 0:
-                    raise ValueError(
-                        f"memory spec must be non-negative, "
-                        f"got {value!r}"
-                    )
-                return nbytes
-        try:
-            nbytes = int(text)
-        except ValueError:
-            raise ValueError(
-                f"unparseable memory spec {value!r} — expected e.g. "
-                f"'384MB', '1.5GB', or a byte count"
-            ) from None
-        if nbytes < 0:
-            raise ValueError(
-                f"memory spec must be non-negative, got {value!r}"
-            )
-        return nbytes
-    raise TypeError(
-        f"memory budget must be a str, int, or float, "
-        f"not {type(value).__name__}"
-    )
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(
+            f"memory budget must be a str, int, or float, "
+            f"not {type(value).__name__}"
+        )
+    if isinstance(value, int):
+        nbytes = value
+    elif isinstance(value, float):
+        nbytes = int(value * MB)
+    else:
+        nbytes = _parse_mem_text(value)
+    if nbytes < 0:
+        raise ValueError(f"memory spec must be non-negative, got {value!r}")
+    return nbytes
 
 
-def parse_budget(
-    mem: Union[str, int, float, None],
-    mem_mb: Optional[float] = None,
-    mem_bytes: Optional[int] = None,
-) -> int:
-    """Resolve the GBO's one-of-three budget spellings to a byte count.
-
-    ``mem`` takes any :func:`parse_mem` spelling; ``mem_mb`` and
-    ``mem_bytes`` are the legacy keyword forms. Exactly one of the three
-    must be given, otherwise :class:`ValueError` is raised.
-    """
-    if sum(x is not None for x in (mem, mem_mb, mem_bytes)) != 1:
-        raise ValueError("specify exactly one of mem, mem_mb or mem_bytes")
-    if mem is not None:
-        return parse_mem(mem)
-    if mem_mb is not None:
-        return int(mem_mb * MB)
-    return int(mem_bytes)
+def _parse_mem_text(value: str) -> int:
+    """The byte count a ``"<number>[<unit>]"`` string spells."""
+    text = value.strip().lower()
+    for suffix, multiplier in _MEM_SUFFIXES.items():
+        if text.endswith(suffix) and (
+            suffix != "b" or not text.endswith(("kb", "mb", "gb", "tb"))
+        ):
+            try:
+                return int(float(text[: -len(suffix)].strip()) * multiplier)
+            except ValueError:
+                raise ValueError(
+                    f"unparseable memory spec {value!r} — the "
+                    f"amount before {suffix.upper()!r} must be a "
+                    f"number, e.g. '384MB' or '1.5GB'"
+                ) from None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"unparseable memory spec {value!r} — expected e.g. "
+            f"'384MB', '1.5GB', or a byte count"
+        ) from None
 
 
 class MemoryAccountant:

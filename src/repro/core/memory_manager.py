@@ -89,10 +89,7 @@ class MemoryManager:
         self._clock = clock
         self.stats = stats if stats is not None else GodivaStats()
         self._accountant = MemoryAccountant(budget_bytes)
-        if isinstance(policy, EvictionPolicy):
-            self._policy = policy
-        else:
-            self._policy = make_policy(policy)
+        self._policy = make_policy(policy)
         #: Worker threads blocked on memory: thread -> (bytes needed,
         #: name of the unit the blocked worker is loading).
         self._io_blocked: Dict[

@@ -8,7 +8,7 @@ per-worker results into a :class:`ParallelResult`.
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import multiprocessing
 from dataclasses import dataclass
 from typing import List
@@ -79,12 +79,11 @@ def run_parallel_voyager(
         out_dir = config.out_dir
         if out_dir is not None:
             out_dir = f"{out_dir}/worker{worker:02d}"
-        worker_configs.append(dataclasses.replace(
-            config,
-            snapshot_indices=indices,
-            steps=None,
-            out_dir=out_dir,
-        ))
+        worker_config = copy.copy(config)
+        worker_config.snapshot_indices = indices
+        worker_config.steps = None
+        worker_config.out_dir = out_dir
+        worker_configs.append(worker_config)
 
     if use_processes and n_workers > 1:
         context = multiprocessing.get_context("spawn")

@@ -57,6 +57,7 @@ from repro.core.arena import (
     SharedMemoryArena,
     attach_token,
 )
+from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
 from repro.core.stats import GodivaStats
 from repro.errors import (
@@ -99,21 +100,12 @@ class ShardSpec:
     data_dir: str
     test: str
     steps: List[int]
-    budget_bytes: int
+    #: This shard's engine: the fleet's knobs, this shard's budget
+    #: slice, and the coordinator's oversubscription guard
+    #: (``compute_max_threads`` = host cores // shard count).
+    config: EngineConfig
     render: bool = True
     disk: DiskProfile = ENGLE_DISK
-    io_workers: int = 1
-    background_io: bool = True
-    derived_cache: bool = True
-    eviction_policy: str = "lru"
-    #: Compute-plane worker count inside this shard's GBO (1 = serial).
-    compute_workers: int = 1
-    #: Compute-plane backend for this shard: "thread" or "process".
-    compute_backend: str = "thread"
-    #: Oversubscription guard: cap on actual compute threads/processes
-    #: per shard (the coordinator divides the host's cores by the shard
-    #: count here). ``None`` leaves the pool's own sizing alone.
-    compute_max_threads: Optional[int] = None
     segment_bytes: int = 4 * _MB
     max_pressure_rounds: int = 8
     protocol_timeout_s: float = DEFAULT_PROTOCOL_TIMEOUT_S
@@ -207,17 +199,7 @@ class _ShardHost:
             name_prefix=f"godiva-{spec.shard_id}",
             segment_bytes=spec.segment_bytes,
         )
-        self.gbo = GBO(
-            mem_bytes=spec.budget_bytes,
-            background_io=spec.background_io,
-            io_workers=spec.io_workers,
-            eviction_policy=spec.eviction_policy,
-            derived_cache=spec.derived_cache,
-            compute_workers=spec.compute_workers,
-            compute_backend=spec.compute_backend,
-            compute_max_threads=spec.compute_max_threads,
-            arena=self.arena,
-        )
+        self.gbo = GBO(config=spec.config, arena=self.arena)
         self.io_stats = IoStats()
         #: Sealed frame arrays, kept alive until shutdown so the
         #: coordinator can attach their tokens at leisure.
@@ -266,8 +248,7 @@ class _ShardHost:
                 # grant can never interleave with a concurrent
                 # reclaim's read-modify-write of the budget.
                 self.gbo.set_mem_space(
-                    mem_bytes=self.gbo.mem_budget_bytes
-                    + int(msg["mem_delta"])
+                    mem=self.gbo.mem_budget_bytes + int(msg["mem_delta"])
                 )
                 # Shield the grant until the retry actually runs: a
                 # reclaim landing between here and the render thread's
@@ -292,10 +273,10 @@ class _ShardHost:
         target = max(old - max(int(steal_bytes), 0), 1)
         if target >= old:
             return 0
-        self.gbo.set_mem_space(mem_bytes=target)
+        self.gbo.set_mem_space(mem=target)
         achieved = max(target, self.gbo.mem_used_bytes)
         if achieved > target:
-            self.gbo.set_mem_space(mem_bytes=achieved)
+            self.gbo.set_mem_space(mem=achieved)
         return old - achieved
 
     # -- render loop (main thread) -------------------------------------
@@ -517,6 +498,9 @@ class ShardedGBO:
     budgets; each shard's *carve-out* (guaranteed floor) is
     ``carveout_fraction`` of its slice, and the slack above the floors
     is what the pressure protocol can move between shards.
+
+    ``**engine`` keywords (:class:`~repro.core.config.EngineConfig`
+    fields) configure every shard host's engine alike.
     """
 
     def __init__(self, data_dir: str, n_shards: int = 2, *,
@@ -528,22 +512,21 @@ class ShardedGBO:
                  steps: Optional[int] = None,
                  render: bool = True,
                  disk: DiskProfile = ENGLE_DISK,
-                 io_workers: int = 1,
-                 background_io: bool = True,
-                 derived_cache: bool = True,
-                 eviction_policy: str = "lru",
-                 compute_workers: int = 1,
-                 compute_backend: str = "thread",
-                 protocol_timeout_s: float = DEFAULT_PROTOCOL_TIMEOUT_S):
+                 protocol_timeout_s: float = DEFAULT_PROTOCOL_TIMEOUT_S,
+                 **engine: object):
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if compute_workers < 1:
-            raise ValueError("compute_workers must be at least 1")
-        if compute_backend not in ("thread", "process"):
-            raise ValueError(
-                "compute_backend must be 'thread' or 'process', "
-                f"got {compute_backend!r}"
-            )
+        # Built, so validated, here in the parent: a bad knob must not
+        # take a fleet of spawned hosts to find. compute_max_threads is
+        # the oversubscription guard — n_shards pools each sizing
+        # themselves to the whole machine would run n_shards * cores
+        # compute threads, so the cores are divided across shards.
+        slice_bytes = max(resolve_budget(mem_mb=mem_mb) // n_shards, 1)
+        shard_config = EngineConfig(
+            slice_bytes,
+            compute_max_threads=max(1, (os.cpu_count() or 1) // n_shards),
+            **engine,
+        )
         if placement not in PLACEMENTS:
             raise ValueError(
                 f"unknown placement {placement!r}; choose one of "
@@ -567,8 +550,6 @@ class ShardedGBO:
             n_steps = min(n_steps, steps)
         self.assignment = self._assign(placement, n_steps, weights)
 
-        total_bytes = int(mem_mb * _MB)
-        slice_bytes = max(total_bytes // n_shards, 1)
         self._lock = TrackedLock(f"ShardedGBO._lock@{id(self):#x}")
         self._check_locked = make_held_checker(self._lock, "ShardedGBO")
         self._budgets: Dict[str, int] = {
@@ -592,10 +573,6 @@ class ShardedGBO:
                     shard, int(slice_bytes * carveout_fraction)
                 )
 
-        # Oversubscription guard: n_shards pools each sizing themselves
-        # to the whole machine would run n_shards * cores compute
-        # threads. Divide the cores across shards instead.
-        shard_cap = max(1, (os.cpu_count() or 1) // n_shards)
         self._specs = [
             ShardSpec(
                 shard_index=index,
@@ -603,16 +580,9 @@ class ShardedGBO:
                 data_dir=data_dir,
                 test=test,
                 steps=self.assignment[shard],
-                budget_bytes=slice_bytes,
+                config=shard_config,
                 render=render,
                 disk=disk,
-                io_workers=io_workers,
-                background_io=background_io,
-                derived_cache=derived_cache,
-                eviction_policy=eviction_policy,
-                compute_workers=compute_workers,
-                compute_backend=compute_backend,
-                compute_max_threads=shard_cap,
                 protocol_timeout_s=protocol_timeout_s,
             )
             for index, shard in enumerate(self.shard_ids)

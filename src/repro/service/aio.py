@@ -63,7 +63,6 @@ class AsyncGodivaClient:
         *,
         mem: Union[str, int, float, None] = None,
         mem_mb: Optional[float] = None,
-        mem_bytes: Optional[int] = None,
         admission: str = "reject",
         timeout: Optional[float] = None,
     ) -> "AsyncGodivaClient":
@@ -78,7 +77,7 @@ class AsyncGodivaClient:
             service.executor,
             functools.partial(
                 service.create_session, tenant,
-                mem=mem, mem_mb=mem_mb, mem_bytes=mem_bytes,
+                mem=mem, mem_mb=mem_mb,
                 admission=admission, timeout=timeout,
             ),
         )

@@ -36,6 +36,7 @@ closers block until it finishes), and any session call racing a
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
@@ -44,10 +45,10 @@ from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
 import numpy as np
 
 from repro.analysis.races import guarded_by
-from repro.core.cache import EvictionPolicy, make_policy
+from repro.core.cache import make_policy
+from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
 from repro.core.derived import DERIVED_PREFIX, DerivedCache
-from repro.core.memory import parse_budget
 from repro.core.record import FieldBuffer, Record
 from repro.core.stats import GodivaStats
 from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
@@ -526,10 +527,9 @@ class ServiceSession:
 class GodivaService:
     """A multi-tenant host for one shared GODIVA engine.
 
-    Construction mirrors :class:`~repro.core.database.GBO` (one
-    ``mem``/``mem_mb``/``mem_bytes`` budget spelling, ``io_workers``,
-    ``eviction_policy``, ``derived_cache``, ``compute_workers``,
-    ``compute_backend``); the
+    Construction mirrors :class:`~repro.core.database.GBO`: one
+    ``mem`` / ``mem_mb`` budget spelling plus ``**engine`` keywords
+    (:class:`~repro.core.config.EngineConfig`), except that the
     service always runs
     the *TG* build (background I/O) and wraps the chosen eviction
     policy in a :class:`~repro.service.tenancy.TenantAwareEvictionPolicy`
@@ -548,27 +548,22 @@ class GodivaService:
         mem: Union[str, int, float, None] = None,
         *,
         mem_mb: Optional[float] = None,
-        mem_bytes: Optional[int] = None,
-        io_workers: int = 1,
-        eviction_policy: Union[str, EvictionPolicy] = "lru",
-        derived_cache: bool = True,
-        compute_workers: int = 1,
-        compute_backend: str = "thread",
         client_workers: int = 8,
         clock: Callable[[], float] = time.monotonic,
         unit_event_hook: Optional[Callable[[str, str, float], None]] = None,
+        **engine: object,
     ) -> None:
         if client_workers < 1:
             raise ValueError("client_workers must be at least 1")
+        config = EngineConfig(resolve_budget(mem, mem_mb),
+                              background_io=True, **engine)
         self._ledger = TenantLedger()
-        base = (make_policy(eviction_policy)
-                if isinstance(eviction_policy, str) else eviction_policy)
         self._gbo = GBO(
-            mem, mem_mb=mem_mb, mem_bytes=mem_bytes,
-            background_io=True, io_workers=io_workers,
-            eviction_policy=TenantAwareEvictionPolicy(base, self._ledger),
-            derived_cache=derived_cache, compute_workers=compute_workers,
-            compute_backend=compute_backend,
+            config=dataclasses.replace(
+                config,
+                eviction_policy=TenantAwareEvictionPolicy(
+                    make_policy(config.eviction_policy), self._ledger),
+            ),
             clock=clock, unit_event_hook=unit_event_hook,
         )
         self._lock = self._gbo._lock
@@ -592,14 +587,13 @@ class GodivaService:
         *,
         mem: Union[str, int, float, None] = None,
         mem_mb: Optional[float] = None,
-        mem_bytes: Optional[int] = None,
         admission: str = "reject",
         timeout: Optional[float] = None,
     ) -> ServiceSession:
         """Admit a tenant and return its session handle.
 
-        ``mem``/``mem_mb``/``mem_bytes`` spell the tenant's *carve-out*
-        (guaranteed floor; omit all three for a best-effort session
+        ``mem`` / ``mem_mb`` spell the tenant's *carve-out*
+        (guaranteed floor; omit both for a best-effort session
         with no floor). Admission control keeps the sum of live
         carve-outs within the global budget: ``admission='reject'``
         raises :class:`~repro.errors.AdmissionError` immediately when
@@ -610,10 +604,10 @@ class GodivaService:
         """
         if admission not in ("reject", "queue"):
             raise ValueError("admission must be 'reject' or 'queue'")
-        if (mem, mem_mb, mem_bytes) == (None, None, None):
+        if mem is None and mem_mb is None:
             carveout = 0
         else:
-            carveout = parse_budget(mem, mem_mb, mem_bytes)
+            carveout = resolve_budget(mem, mem_mb)
         if tenant is not None:
             validate_tenant_id(tenant)
         deadline = (None if timeout is None

@@ -22,6 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
 from repro.gen.snapshot import DatasetManifest, load_manifest
 from repro.io.disk import ENGLE_DISK, DiskProfile, IoStats
@@ -57,7 +58,9 @@ class ApolloSession:
     Each :meth:`view` request blocks until the requested snapshot is
     resident (a cache hit when the user revisits recent data), processes
     it through the pipeline, and marks the unit *finished* — evictable
-    but retained while memory allows.
+    but retained while memory allows. ``**engine`` keywords
+    (:class:`~repro.core.config.EngineConfig` fields) configure the
+    session's GBO.
     """
 
     def __init__(
@@ -65,13 +68,13 @@ class ApolloSession:
         data_dir: str,
         test: str = "simple",
         mem_mb: float = 64.0,
-        eviction_policy: str = "lru",
         disk: DiskProfile = ENGLE_DISK,
         render: bool = False,
         camera: Optional[Camera] = None,
         gops: Optional[GraphicsOps] = None,
         predictive: bool = False,
         prefetch_depth: int = 2,
+        **engine: object,
     ):
         self.manifest: DatasetManifest = load_manifest(data_dir)
         self.gops = gops if gops is not None else test_gops(test)
@@ -92,11 +95,9 @@ class ApolloSession:
             from repro.viz.prefetch import AccessPredictor
 
             self._predictor = AccessPredictor(depth=prefetch_depth)
-        self._gbo = GBO(
-            mem_mb=mem_mb,
-            background_io=predictive,
-            eviction_policy=eviction_policy,
-        )
+        self._gbo = GBO(config=EngineConfig(
+            resolve_budget(mem_mb=mem_mb), background_io=predictive,
+            **engine))
         solid_schema().ensure(self._gbo)
         self._pipeline = Pipeline(
             self.gops,

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import EngineConfig, resolve_budget
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
 from repro.viz.gops import GraphicsOps, test_gops
@@ -33,17 +34,23 @@ from repro.viz.isosurface import TriangleSoup
 from repro.viz.render import Renderer
 
 
-@dataclass
 class HoustonConfig:
     """Cluster-wide configuration (each server receives a copy plus its
-    block partition)."""
+    block partition). ``**engine`` keywords
+    (:class:`~repro.core.config.EngineConfig` fields) configure every
+    server's private GBO — always the single-thread *G* library, since
+    interactive mode reads in the foreground."""
 
-    data_dir: str
-    test: str = "simple"
-    n_servers: int = 2
-    mem_mb_per_server: float = 64.0
-    eviction_policy: str = "lru"
-    gops: Optional[GraphicsOps] = None
+    def __init__(self, data_dir: str, test: str = "simple",
+                 n_servers: int = 2, mem_mb_per_server: float = 64.0,
+                 gops: Optional[GraphicsOps] = None, **engine: object):
+        self.data_dir = data_dir
+        self.test = test
+        self.n_servers = n_servers
+        self.gops = gops
+        self.engine = EngineConfig(
+            resolve_budget(mem_mb=mem_mb_per_server),
+            background_io=False, **engine)
 
     def resolve_gops(self) -> GraphicsOps:
         return self.gops if self.gops is not None else test_gops(
@@ -87,11 +94,7 @@ def _server_main(conn, config: HoustonConfig,
     pipeline = Pipeline(gops, render=False)
     server_index = conn.recv()
 
-    with GBO(
-        mem_mb=config.mem_mb_per_server,
-        background_io=False,
-        eviction_policy=config.eviction_policy,
-    ) as gbo:
+    with GBO(config=config.engine) as gbo:
         solid_schema().ensure(gbo)
         while True:
             message = conn.recv()

@@ -28,7 +28,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.compute import ComputePool
+from repro.core.config import (
+    EngineConfig,
+    add_engine_arguments,
+    resolve_budget,
+)
 from repro.core.database import GBO
 from repro.gen.snapshot import DatasetManifest, block_key, load_manifest
 from repro.io.disk import ENGLE_DISK, NULL_DISK, DiskProfile, IoStats
@@ -46,64 +50,61 @@ from repro.viz.pipeline import Pipeline, SnapshotData, field_components
 MODES = ("O", "G", "TG")
 
 
-@dataclass
 class VoyagerConfig:
-    """One Voyager run's parameters."""
+    """One Voyager run's parameters.
 
-    data_dir: str
-    test: str = "simple"
-    mode: str = "O"
-    mem_mb: float = 384.0
-    out_dir: Optional[str] = None
-    camera: Optional[Camera] = None
-    disk: DiskProfile = ENGLE_DISK
-    eviction_policy: str = "lru"
-    #: Background I/O worker pool size for the TG mode; 1 is the paper's
-    #: single prefetch thread.
-    io_workers: int = 1
-    #: Memoize derived arrays/frames in the GBO's budget-charged derived
-    #: cache (G/TG modes only; the O build has no cache plane).
-    derived_cache: bool = True
-    #: Compute-plane worker pool size. Every build bins triangles to
-    #: screen tiles and composites them with the same kernel; 1 (the
-    #: default, paper-faithful serial build) runs the tiles inline,
-    #: >1 runs them as pool tasks and, in the G/TG modes, overlaps
-    #: extraction of the next snapshot with rasterization of the
-    #: current one. Frames are byte-for-byte identical either way.
-    compute_workers: int = 1
-    #: Compute-plane backend: ``"thread"`` (in-process pool) or
-    #: ``"process"`` (:class:`~repro.core.compute_proc.ProcessComputePool`
-    #: — long-lived worker processes fed zero-copy shared-memory tokens,
-    #: escaping the GIL). Frames stay byte-identical either way.
-    compute_backend: str = "thread"
-    render: bool = True
-    steps: Optional[int] = None          # limit snapshot count
-    gops: Optional[GraphicsOps] = None   # overrides `test` if given
-    #: Explicit snapshot indices to process (parallel workers get their
-    #: partition here); overrides `steps`.
-    snapshot_indices: Optional[List[int]] = None
-    #: Run against a multi-tenant service session
-    #: (:class:`repro.service.ServiceSession`) instead of a private GBO.
-    #: The session's shared engine always prefetches in the background,
-    #: so the mode is forced to "TG"; ``mem_mb``/``eviction_policy``/
-    #: ``io_workers``/``derived_cache`` are the *service's* to configure
-    #: and are ignored here. Voyager never closes the session.
-    session: Optional[object] = None
+    ``mem_mb`` and the ``**engine`` keywords
+    (:class:`~repro.core.config.EngineConfig` fields) build
+    :attr:`engine`, the configuration of the private GBO the G/TG modes
+    open (``background_io`` is the mode's to set); the O build has no
+    GBO and takes only its compute pool from it. ``compute_workers``
+    > 1 runs tile compositing as pool tasks and, in the G/TG modes,
+    overlaps extraction of the next snapshot with rasterization of the
+    current one — frames are byte-for-byte identical either way.
 
-    def __post_init__(self):
-        if self.mode not in MODES:
+    ``gops`` overrides ``test``; ``snapshot_indices`` (a parallel
+    worker's partition) overrides ``steps``, the snapshot-count limit.
+    ``session`` runs against a multi-tenant service session
+    (:class:`repro.service.ServiceSession`) instead of a private GBO:
+    its shared engine always prefetches in the background, so the mode
+    is forced to "TG"; budget and engine keywords are the *service's*
+    to configure and are ignored here; Voyager never closes it.
+    """
+
+    def __init__(
+        self,
+        data_dir: str,
+        test: str = "simple",
+        mode: str = "O",
+        mem_mb: float = 384.0,
+        out_dir: Optional[str] = None,
+        camera: Optional[Camera] = None,
+        disk: DiskProfile = ENGLE_DISK,
+        render: bool = True,
+        steps: Optional[int] = None,
+        gops: Optional[GraphicsOps] = None,
+        snapshot_indices: Optional[List[int]] = None,
+        session: Optional[object] = None,
+        **engine: object,
+    ):
+        if mode not in MODES:
             raise ValueError(
-                f"unknown mode {self.mode!r}; choose from {MODES}"
+                f"unknown mode {mode!r}; choose from {MODES}"
             )
-        if self.compute_workers < 1:
-            raise ValueError("compute_workers must be at least 1")
-        if self.compute_backend not in ("thread", "process"):
-            raise ValueError(
-                "compute_backend must be 'thread' or 'process', "
-                f"got {self.compute_backend!r}"
-            )
-        if self.session is not None:
-            self.mode = "TG"
+        self.data_dir = data_dir
+        self.test = test
+        self.mode = mode if session is None else "TG"
+        self.out_dir = out_dir
+        self.camera = camera
+        self.disk = disk
+        self.render = render
+        self.steps = steps
+        self.gops = gops
+        self.snapshot_indices = snapshot_indices
+        self.session = session
+        self.engine = EngineConfig(resolve_budget(mem_mb=mem_mb),
+                                   background_io=self.mode == "TG",
+                                   **engine)
 
     def resolve_gops(self) -> GraphicsOps:
         return self.gops if self.gops is not None else test_gops(self.test)
@@ -364,17 +365,8 @@ class Voyager:
         # The O build has no GBO (hence no engine-owned pool), but tile
         # rasterization still parallelizes; extraction stays serial —
         # DirectSnapshotData's per-op grid state is not thread-safe.
-        pool = None
-        if self.config.compute_workers > 1:
-            if self.config.compute_backend == "process":
-                from repro.core.compute_proc import ProcessComputePool
-
-                pool = ProcessComputePool(self.config.compute_workers,
-                                          name="voyager-compute")
-            else:
-                pool = ComputePool(self.config.compute_workers,
-                                   name="voyager-compute")
-            pool.start()
+        pool = self.config.engine.make_compute_pool("voyager-compute")
+        pool.start()
         self.pipeline.pool = pool
         t_start = time.perf_counter()
         try:
@@ -396,8 +388,7 @@ class Voyager:
             total = time.perf_counter() - t_start
         finally:
             self.pipeline.pool = None
-            if pool is not None:
-                pool.close()
+            pool.close()
         io = self.io_stats.snapshot()
         return VoyagerResult(
             mode="O",
@@ -422,15 +413,7 @@ class Voyager:
             # the service owns budget/policy/workers and the close.
             return self._drive_godiva(self.config.session,
                                       multi_thread=True)
-        with GBO(
-            mem_mb=self.config.mem_mb,
-            background_io=multi_thread,
-            io_workers=self.config.io_workers if multi_thread else 1,
-            eviction_policy=self.config.eviction_policy,
-            derived_cache=self.config.derived_cache,
-            compute_workers=self.config.compute_workers,
-            compute_backend=self.config.compute_backend,
-        ) as gbo:
+        with GBO(config=self.config.engine) as gbo:
             return self._drive_godiva(gbo, multi_thread=multi_thread)
 
     def _drive_godiva(self, gbo, multi_thread: bool) -> VoyagerResult:
@@ -553,22 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel worker processes (snapshots are "
                              "partitioned across them)")
-    parser.add_argument("--io-workers", type=int, default=1,
-                        help="background I/O threads in the TG mode "
-                             "(1 = the paper's single prefetch thread)")
-    parser.add_argument("--no-derived-cache", action="store_true",
-                        help="disable the budget-charged derived-data "
-                             "memo cache (G/TG modes)")
-    parser.add_argument("--compute-workers", type=int, default=1,
-                        help="compute-plane workers (tile compositing "
-                             "as pool tasks and frame pipelining; 1 = "
-                             "paper-faithful serial, bit-identical "
-                             "frames either way)")
-    parser.add_argument("--compute-backend", default="thread",
-                        choices=("thread", "process"),
-                        help="compute-plane backend: in-process threads "
-                             "or GIL-free worker processes fed zero-copy "
-                             "shared-memory tokens")
+    engine_flags = add_engine_arguments(parser)
     args = parser.parse_args(argv)
 
     config = VoyagerConfig(
@@ -576,13 +544,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         test=args.test,
         mode=args.mode,
         mem_mb=args.mem_mb,
-        io_workers=args.io_workers,
-        derived_cache=not args.no_derived_cache,
-        compute_workers=args.compute_workers,
-        compute_backend=args.compute_backend,
         out_dir=args.out,
         render=not args.no_render,
         steps=args.steps,
+        **{name: getattr(args, name) for name in engine_flags},
     )
     if args.workers > 1:
         from repro.parallel import run_parallel_voyager

@@ -110,7 +110,7 @@ class TestIoBlockedReport:
 
     def test_wedged_worker_reported_with_details(self):
         budget = 2 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=1) as gbo:
+        with GBO(mem=budget, io_workers=1) as gbo:
             for i in range(3):
                 gbo.add_unit(f"u{i}", reader())
             gbo.wait_unit("u0")
@@ -139,7 +139,7 @@ class TestPredictDeadlock:
         genuinely wedged state — and the wedge must clear once the
         application finishes a pinned unit."""
         budget = 2 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=1) as gbo:
+        with GBO(mem=budget, io_workers=1) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader())
             gbo.wait_unit("u0")
@@ -172,7 +172,7 @@ class TestPredictDeadlock:
         demand fetch: the predictor stays silent and the runtime
         detector emergency-evicts the idle unit instead of raising."""
         budget = 2 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=1) as gbo:
+        with GBO(mem=budget, io_workers=1) as gbo:
             gbo.add_unit("u0", reader())
             gbo.add_unit("u1", reader())
             gbo.wait_unit("u0")  # pinned; u1 loads but is never waited

@@ -333,6 +333,50 @@ class TestRep109GuardedFieldCoverage:
         assert rules(src) == []
 
 
+class TestRep110EngineKnobDefaults:
+    def test_redeclared_defaults_flagged(self):
+        """A parameter (positional or keyword-only) and a dataclass
+        field, each named like an EngineConfig field and defaulted."""
+        src = DOC + (
+            "def _open(mem_mb, io_workers=1, *, compute_backend='thread'):\n"
+            "    return mem_mb\n"
+            "class _Spec:\n"
+            "    derived_cache: bool = True\n"
+        )
+        violations = lint.lint_source(src, "src/repro/viz/x.py")
+        assert [v.rule for v in violations] == ["REP110"] * 3
+        assert [v.symbol for v in violations] == [
+            "_open.io_workers", "_open.compute_backend",
+            "_Spec.derived_cache",
+        ]
+
+    def test_forwarding_tiers_are_clean(self):
+        """Forwarded keywords, a required parameter of a knob's name, a
+        tier's own budget *amount*, and the declaration itself."""
+        src = DOC + (
+            "def _open(mem_mb=384.0, **engine):\n"
+            "    return _build(io_workers=2, **engine)\n"
+            "def _scheduler(io_workers, budget_bytes):\n"
+            "    return io_workers\n"
+            "class _Spec:\n"
+            "    config: object\n"
+            "    render: bool = True\n"
+        )
+        assert rules(src, "src/repro/viz/x.py") == []
+        declared = DOC + "class _Config:\n    io_workers: int = 1\n"
+        assert rules(declared, "src/repro/core/config.py") == []
+        assert rules(declared, "src/repro/simulate/runner.py") == []
+
+    def test_knob_names_are_the_dataclass_fields(self):
+        import dataclasses
+
+        from repro.core.config import EngineConfig
+
+        assert lint.ENGINE_KNOB_NAMES == {
+            f.name for f in dataclasses.fields(EngineConfig)
+        }
+
+
 class TestBaseline:
     def test_violation_key_is_line_number_free(self):
         src = DOC + "def run(count) -> int:\n    '''D.'''\n    return 1\n"

@@ -92,7 +92,7 @@ class TestUnitTracer:
 
     def test_eviction_and_reload_events(self):
         tracer = UnitTracer()
-        with GBO(mem_bytes=5000, background_io=False,
+        with GBO(mem=5000, background_io=False,
                  unit_event_hook=tracer) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))

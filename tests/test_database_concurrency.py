@@ -148,7 +148,7 @@ class TestConcurrentLifecycle:
         """Tight budget + many threads cycling units: accounting and
         index survive; all data remains correct."""
         unit_bytes = 1000
-        with GBO(mem_bytes=6 * (unit_bytes + 300)) as gbo:
+        with GBO(mem=6 * (unit_bytes + 300)) as gbo:
             n_units = 12
             for i in range(n_units):
                 gbo.add_unit(f"u{i:03d}", reader(nbytes=unit_bytes))
@@ -191,7 +191,7 @@ class TestWorkerPoolStress:
         n_units = 40
         window = 4
         budget = 6 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=io_workers) as gbo:
+        with GBO(mem=budget, io_workers=io_workers) as gbo:
             handles = {}
             added = 0
             for i in range(n_units):
@@ -220,7 +220,7 @@ class TestWorkerPoolStress:
         timeout converts a lost wakeup into a test failure."""
         n_units = 24
         with GBO(
-            mem_bytes=n_units * UNIT_FOOTPRINT + 1024,
+            mem=n_units * UNIT_FOOTPRINT + 1024,
             io_workers=io_workers,
         ) as gbo:
             for i in range(n_units):
@@ -236,7 +236,7 @@ class TestWorkerPoolStress:
             # Mass eviction, then a re-wait pass: every wait must
             # trigger a reload through the queue (boosted to the front)
             # rather than hanging on an evicted unit.
-            gbo.set_mem_space(mem_bytes=4 * UNIT_FOOTPRINT)
+            gbo.set_mem_space(mem=4 * UNIT_FOOTPRINT)
             threads = [
                 threading.Thread(target=churner, args=(i,), daemon=True)
                 for i in range(3)
@@ -257,7 +257,7 @@ class TestWorkerPoolStress:
         n_units = 30
         window = 4
         budget = 6 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=io_workers) as gbo:
+        with GBO(mem=budget, io_workers=io_workers) as gbo:
             added = 0
             for i in range(n_units):
                 while added < min(n_units, i + window):
@@ -284,7 +284,7 @@ class TestWorkerPoolStress:
         budget full of never-finished units, waiting on a still-queued
         unit must raise rather than hang."""
         budget = 2 * UNIT_FOOTPRINT
-        with GBO(mem_bytes=budget, io_workers=io_workers) as gbo:
+        with GBO(mem=budget, io_workers=io_workers) as gbo:
             for i in range(io_workers + 4):
                 gbo.add_unit(f"u{i}", reader(nbytes=UNIT_BYTES))
             gbo.wait_unit("u0")

@@ -39,7 +39,7 @@ class TestMemoryBudget:
             gbo_single.alloc_field_buffer(record, "data", too_big)
 
     def test_main_thread_alloc_with_nothing_evictable_raises(self):
-        with GBO(mem_bytes=4096, background_io=False) as gbo:
+        with GBO(mem=4096, background_io=False) as gbo:
             ITEM.ensure(gbo)
             first = gbo.new_record("item")
             gbo.alloc_field_buffer(first, "data", 3000)
@@ -50,7 +50,7 @@ class TestMemoryBudget:
 
     def test_alloc_succeeds_after_eviction(self):
         """When a finished unit is evictable, allocation reclaims it."""
-        with GBO(mem_bytes=6000, background_io=False) as gbo:
+        with GBO(mem=6000, background_io=False) as gbo:
             gbo.add_unit("old", reader(4000))
             gbo.wait_unit("old")
             gbo.finish_unit("old")
@@ -62,11 +62,11 @@ class TestMemoryBudget:
             assert gbo.unit_state("old") is UnitState.EVICTED
 
     def test_shrinking_budget_evicts_finished_units(self):
-        with GBO(mem_bytes=10_000, background_io=False) as gbo:
+        with GBO(mem=10_000, background_io=False) as gbo:
             gbo.add_unit("u", reader(4000))
             gbo.wait_unit("u")
             gbo.finish_unit("u")
-            gbo.set_mem_space(mem_bytes=1000)
+            gbo.set_mem_space(mem=1000)
             from repro.core.units import UnitState
 
             assert gbo.unit_state("u") is UnitState.EVICTED
@@ -80,7 +80,7 @@ class TestDeadlockDetection:
         never load. GODIVA must detect this rather than hang."""
         unit_bytes = 2048
         budget = 2 * (unit_bytes + 512)
-        with GBO(mem_bytes=budget) as gbo:
+        with GBO(mem=budget) as gbo:
             for i in range(5):
                 gbo.add_unit(f"u{i}", reader(unit_bytes))
             gbo.wait_unit("u0")
@@ -94,7 +94,7 @@ class TestDeadlockDetection:
         """The same tight budget works when units are deleted."""
         unit_bytes = 2048
         budget = 2 * (unit_bytes + 512)
-        with GBO(mem_bytes=budget) as gbo:
+        with GBO(mem=budget) as gbo:
             for i in range(5):
                 gbo.add_unit(f"u{i}", reader(unit_bytes))
             for i in range(5):

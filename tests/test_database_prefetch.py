@@ -119,7 +119,7 @@ class TestEvictionAndReload:
         """Finished units are evicted LRU-first when memory runs low."""
         unit_bytes = 2000
         budget = 3 * (unit_bytes + 200)
-        with GBO(mem_bytes=budget, background_io=False) as gbo:
+        with GBO(mem=budget, background_io=False) as gbo:
             for i in range(6):
                 gbo.add_unit(f"u{i}", reader(nbytes=unit_bytes))
             for i in range(6):
@@ -131,7 +131,7 @@ class TestEvictionAndReload:
             assert gbo.unit_state("u5") is UnitState.RESIDENT
 
     def test_evicted_unit_records_unqueryable(self):
-        with GBO(mem_bytes=5000, background_io=False) as gbo:
+        with GBO(mem=5000, background_io=False) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))
                 gbo.wait_unit(f"u{i}")
@@ -144,7 +144,7 @@ class TestEvictionAndReload:
 
     def test_wait_reloads_evicted_unit(self):
         """wait_unit on an evicted unit transparently re-fetches it."""
-        with GBO(mem_bytes=5000, background_io=False) as gbo:
+        with GBO(mem=5000, background_io=False) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))
                 gbo.wait_unit(f"u{i}")
@@ -157,7 +157,7 @@ class TestEvictionAndReload:
             assert (data == 2.5).all()
 
     def test_multithread_wait_reloads_evicted_unit(self):
-        with GBO(mem_bytes=5000) as gbo:
+        with GBO(mem=5000) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))
                 gbo.wait_unit(f"u{i}")
@@ -171,7 +171,7 @@ class TestEvictionAndReload:
     def test_query_touch_protects_hot_unit(self):
         """Touching a finished unit's records updates LRU recency, so
         the hot unit survives eviction."""
-        with GBO(mem_bytes=7000, background_io=False) as gbo:
+        with GBO(mem=7000, background_io=False) as gbo:
             for i in range(3):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))
                 gbo.wait_unit(f"u{i}")
@@ -189,7 +189,7 @@ class TestEvictionAndReload:
         when the application finishes a unit (section 3.2)."""
         unit_bytes = 2000
         budget = 2 * (unit_bytes + 200)
-        with GBO(mem_bytes=budget) as gbo:
+        with GBO(mem=budget) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=unit_bytes))
             gbo.wait_unit("u0")

@@ -221,7 +221,7 @@ class TestRecordInstances:
 
 class TestMemoryProperties:
     def test_mem_accessors(self):
-        with GBO(mem_bytes=10_000) as gbo:
+        with GBO(mem=10_000) as gbo:
             assert gbo.mem_budget_bytes == 10_000
             assert gbo.mem_used_bytes == 0
             assert gbo.mem_high_water_bytes == 0
@@ -230,13 +230,13 @@ class TestMemoryProperties:
         with pytest.raises(ValueError):
             GBO()
         with pytest.raises(ValueError):
-            GBO(mem_mb=1, mem_bytes=1024)
+            GBO(mem_mb=1, mem=1024)
 
     def test_set_mem_space(self):
         with GBO(mem_mb=1) as gbo:
             gbo.set_mem_space(mem_mb=2)
             assert gbo.mem_budget_bytes == 2 * 1024 * 1024
-            gbo.set_mem_space(mem_bytes=4096)
+            gbo.set_mem_space(mem=4096)
             assert gbo.mem_budget_bytes == 4096
             with pytest.raises(ValueError):
                 gbo.set_mem_space()

@@ -75,7 +75,7 @@ class TestMemSpellings:
     def test_constructor_spellings_agree(self):
         for kwargs in (
             {"mem": "8MB"}, {"mem": 8 * MB}, {"mem": 8.0},
-            {"mem_mb": 8}, {"mem_bytes": 8 * MB},
+            {"mem_mb": 8},
         ):
             with GBO(**kwargs) as gbo:
                 assert gbo.mem_budget_bytes == 8 * MB, kwargs
@@ -86,7 +86,7 @@ class TestMemSpellings:
         with pytest.raises(ValueError, match="exactly one"):
             GBO(mem="8MB", mem_mb=8)
         with pytest.raises(ValueError, match="exactly one"):
-            GBO(mem_mb=8, mem_bytes=8 * MB)
+            GBO(mem_mb=8, mem=8 * MB)
 
     def test_set_mem_space_spellings(self):
         with GBO(mem="8MB") as gbo:
@@ -94,7 +94,7 @@ class TestMemSpellings:
             assert gbo.mem_budget_bytes == 16 * MB
             gbo.set_mem_space(mem="4MB")
             assert gbo.mem_budget_bytes == 4 * MB
-            gbo.set_mem_space(mem_bytes=MB)
+            gbo.set_mem_space(mem=MB)
             assert gbo.mem_budget_bytes == MB
             with pytest.raises(ValueError, match="exactly one"):
                 gbo.set_mem_space(8, mem="8MB")

@@ -87,6 +87,40 @@ class TestDesign:
         assert parsed == expected
 
 
+class TestAdrIndex:
+    """DESIGN.md §6 opens with a one-line-each index of ``docs/adr/``."""
+
+    INDEX_LINE = re.compile(r"^- `docs/adr/(\d{3}-[\w-]+\.md)` — PR \d+: \S")
+
+    def indexed(self):
+        section = read("DESIGN.md").split("## 6. Key internal decisions")[1]
+        return [m.group(1) for m in map(self.INDEX_LINE.match,
+                                        section.splitlines()) if m]
+
+    def test_index_and_directory_agree(self):
+        indexed = self.indexed()
+        on_disk = sorted(os.listdir(os.path.join(ROOT, "docs", "adr")))
+        assert indexed == on_disk, (indexed, on_disk)
+        assert [name[:3] for name in indexed] == [
+            f"{n:03d}" for n in range(1, len(indexed) + 1)
+        ], "ADR numbers are consecutive from 001"
+
+    def test_every_record_has_the_header(self):
+        for name in self.indexed():
+            text = read(os.path.join("docs", "adr", name))
+            assert text.startswith(f"# ADR-{name[:3]}: "), name
+            for field in ("**Status:**", "**Date:**", "**PR:**",
+                          "**Verdict:**"):
+                assert field in text.split("\n\n", 2)[1], (name, field)
+
+    def test_every_mention_of_a_record_resolves(self):
+        for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md",
+                    os.path.join("docs", "API.md")):
+            for name in re.findall(r"docs/adr/([\w-]+\.md)", read(doc)):
+                assert os.path.exists(
+                    os.path.join(ROOT, "docs", "adr", name)), (doc, name)
+
+
 class TestExperiments:
     def test_every_bench_documented(self):
         """EXPERIMENTS.md references every benchmark module."""
@@ -114,6 +148,16 @@ class TestApiDoc:
             if name not in api and name != "__version__"
         ]
         assert not missing, missing
+
+    def test_removed_budget_spelling_is_not_documented(self):
+        for doc in ("README.md", "DESIGN.md",
+                    os.path.join("docs", "API.md"),
+                    os.path.join("docs", "SERVICE.md"),
+                    os.path.join("docs", "SHARDING.md"),
+                    os.path.join("src", "repro", "api.py")):
+            text = read(doc)
+            assert "mem_bytes" not in text, doc
+            assert "parse_budget" not in text, doc
 
     def test_documented_modules_import(self):
         import importlib

@@ -184,6 +184,23 @@ class TestValidation:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"io_workers": 0}, "io_workers must be at least 1"),
+        ({"eviction_policy": "random"}, "unknown eviction policy 'random'"),
+    ])
+    def test_bad_engine_knob_fails_in_the_parent(self, small_dataset,
+                                                 bad, message):
+        """Regression: the coordinator checked the compute knobs but let
+        these two through, so both hosts were spawned, each died in
+        ``GBO.__init__``, and ``render_all`` reported an exit code with
+        the ``ValueError`` text lost on the children's stderr."""
+        segments = set(glob.glob("/dev/shm/godiva-shard*"))
+        children = multiprocessing.active_children()
+        with pytest.raises(ValueError, match=message):
+            ShardedGBO(small_dataset.directory, 2, test=TEST, **bad)
+        assert multiprocessing.active_children() == children
+        assert set(glob.glob("/dev/shm/godiva-shard*")) == segments
+
 
 class TestComputePlaneWiring:
     def test_compute_args_validated(self, small_dataset):
@@ -204,7 +221,7 @@ class TestComputePlaneWiring:
                              compute_backend="process")
         expected = max(1, (_os.cpu_count() or 1) // 2)
         for spec in sharded._specs:
-            assert spec.compute_workers == 4
-            assert spec.compute_backend == "process"
-            assert spec.compute_max_threads == expected
+            assert spec.config.compute_workers == 4
+            assert spec.config.compute_backend == "process"
+            assert spec.config.compute_max_threads == expected
         sharded.close()

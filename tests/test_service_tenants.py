@@ -427,7 +427,7 @@ class TestAsyncClients:
     def test_sixty_four_concurrent_clients(self):
         async def one_client(svc, i):
             client = await AsyncGodivaClient.connect(
-                svc, f"c{i}", mem_bytes=16 * KB
+                svc, f"c{i}", mem=16 * KB
             )
             async with client:
                 for step in range(2):
