@@ -48,6 +48,12 @@ REP110   No function parameter or dataclass field that is named like an
          ``repro/simulate/`` — a tier forwards engine keywords
          (``**engine``) to the config, where each knob's default and
          rule live once (:data:`ENGINE_KNOB_NAMES` is the list).
+REP111   No ``multiprocessing`` ``Process``/``Pool``/``Queue``/
+         ``SimpleQueue``/``Pipe`` construction and no ``get_context``
+         call (module attribute or imported name) outside
+         ``repro/core/child.py`` — every child process is a
+         :class:`~repro.core.child.Child`, so a message crosses a
+         process boundary in exactly one place.
 =======  ==============================================================
 
 Pre-existing violations live in a committed baseline file
@@ -137,6 +143,13 @@ ENGINE_KNOB_NAMES = frozenset({
 })
 _ENGINE_KNOB_EXEMPT = ("repro/core/config.py", "repro/simulate/")
 
+#: ``multiprocessing`` names that start a process or open a channel to
+#: one (REP111) — only the supervised child may call them.
+_PROCESS_NAMES = frozenset({
+    "Process", "Pool", "Queue", "SimpleQueue", "Pipe", "get_context",
+})
+_PROCESS_EXEMPT = ("repro/core/child.py",)
+
 _MUTABLE_DEFAULT_NODES = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
 )
@@ -162,11 +175,16 @@ class _Linter(ast.NodeVisitor):
         self._class_depth = 0
         self._while_depth = 0
         self._threading_imports: Set[str] = set()
+        #: Local names bound to the multiprocessing package / one of
+        #: its REP111 names.
+        self._mp_modules: Set[str] = set()
+        self._mp_names: Set[str] = set()
         self._concurrency_exempt = _is_exempt(path, _CONCURRENCY_EXEMPT)
         self._engine_exempt = _is_exempt(path, _ENGINE_EXEMPT)
         self._arena_exempt = _is_exempt(path, _ARENA_EXEMPT)
         self._core_module = "repro/core/" in path
         self._knob_exempt = _is_exempt(path, _ENGINE_KNOB_EXEMPT)
+        self._process_exempt = _is_exempt(path, _PROCESS_EXEMPT)
 
     # -- plumbing ------------------------------------------------------
     def _qualname(self, name: Optional[str] = None) -> str:
@@ -188,6 +206,10 @@ class _Linter(ast.NodeVisitor):
                     self._threading_imports.add(
                         alias.asname or alias.name
                     )
+        if node.module and node.module.split(".")[0] == "multiprocessing":
+            for alias in node.names:
+                if alias.name in _PROCESS_NAMES:
+                    self._mp_names.add(alias.asname or alias.name)
         if not self._engine_exempt and node.module is not None:
             if node.module in _ENGINE_MODULES:
                 self._add(
@@ -226,6 +248,10 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name.split(".")[0] == "multiprocessing":
+                self._mp_modules.add((alias.asname or alias.name)
+                                     .split(".")[0])
         if not self._engine_exempt:
             for alias in node.names:
                 if alias.name in _ENGINE_MODULES:
@@ -354,6 +380,12 @@ class _Linter(ast.NodeVisitor):
                     "spurious wakeups and missed notifies require "
                     "`while not predicate: cond.wait()`",
                 )
+        if not self._process_exempt and self._starts_process(func):
+            self._add(
+                "REP111", node,
+                "multiprocessing process/channel built outside "
+                "repro.core.child — spawn through repro.core.child.Child",
+            )
         if isinstance(func, ast.Attribute) \
                 and func.attr in PAPER_ALIAS_NAMES:
             self._add(
@@ -379,6 +411,20 @@ class _Linter(ast.NodeVisitor):
                     "through read callbacks / injected seams",
                 )
         self.generic_visit(node)
+
+    def _starts_process(self, func: ast.AST) -> bool:
+        """REP111: ``func`` is a multiprocessing process/channel
+        constructor or ``get_context``, spelled as an imported name or
+        as an attribute of the imported package."""
+        if isinstance(func, ast.Name):
+            return func.id in self._mp_names
+        if not isinstance(func, ast.Attribute) \
+                or func.attr not in _PROCESS_NAMES:
+            return False
+        root = func.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        return isinstance(root, ast.Name) and root.id in self._mp_modules
 
     @staticmethod
     def _receiver_is_condition(value: ast.AST) -> bool:

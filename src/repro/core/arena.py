@@ -19,7 +19,7 @@ Two arenas ship:
   memory, so a *sharded* GBO (``repro.parallel.sharded``) can render
   into its arena and let the coordinator map frames zero-copy: the
   producer calls :meth:`Arena.seal` + :meth:`Arena.export_token`, the
-  consumer calls :func:`attach_token` and receives a **read-only**
+  consumer calls :meth:`AttachCache.attach` and receives a **read-only**
   ndarray view of the same physical pages — the PR-5 read-only-view
   discipline extended across process boundaries (attached views are
   built over ``memoryview.toreadonly()`` so they cannot be flipped
@@ -107,7 +107,7 @@ class Arena:
     Array interface (derived products, frames): :meth:`allocate` returns
     a tracked ndarray; :meth:`seal` makes it read-only and exportable;
     :meth:`release` returns its bytes; :meth:`export_token` /
-    :func:`attach_token` move it across a process boundary without
+    :meth:`AttachCache.attach` move it across a process boundary without
     copying. Subclasses implement the raw primitives; the tracked-array
     bookkeeping lives here.
     """
@@ -285,7 +285,7 @@ class SharedMemoryArena(Arena):
     it is *retired* (no longer the open segment) and its last
     allocation is freed; :meth:`close` unlinks everything else. Only
     the creating process unlinks — attachers (see
-    :func:`attach_token`) merely close their mapping.
+    :class:`AttachCache`) merely close their mapping.
 
     The arena lock is a leaf (rank 4): it nests inside the engine and
     record locks at the allocation sites and is never held across a
@@ -524,49 +524,33 @@ def _destroy_segment(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-class AttachedBuffer:
-    """A consumer-side mapping of one exported arena buffer.
+class AttachCache:
+    """The consumer side of token transport: exported buffers mapped
+    into this process, one mapping per segment.
 
-    ``array`` is a zero-copy, **read-only** ndarray over the shared
-    pages — built from ``memoryview.toreadonly()``, so not even
-    ``flags.writeable = True`` can re-arm writes. Close (or use as a
-    context manager) when done; closing only unmaps, it never unlinks
-    (the creating arena owns the segment's lifetime).
+    :meth:`attach` returns a zero-copy, **read-only** ndarray over the
+    token's pages — built from ``memoryview.toreadonly()``, so not even
+    ``flags.writeable = True`` can re-arm writes — and reuses the
+    segment's mapping for every later token naming it. :meth:`close`
+    unmaps every segment and never unlinks (the creating arena owns
+    that); views still alive keep their pages mapped.
     """
 
-    __slots__ = ("token", "_shm", "_array")
+    def __init__(self) -> None:
+        self._maps: Dict[str, shared_memory.SharedMemory] = {}
 
-    def __init__(self, token: BufferToken) -> None:
-        self.token = token
-        self._shm = shared_memory.SharedMemory(name=token.segment)
-        ro = self._shm.buf[
-            token.offset:token.offset + token.nbytes
-        ].toreadonly()
-        array = np.frombuffer(ro, dtype=np.dtype(token.dtype))
-        self._array = array.reshape(token.shape)
-
-    @property
-    def array(self) -> np.ndarray:
-        """The read-only zero-copy view of the shared pages."""
-        if self._array is None:
-            raise ArenaError("attached buffer is closed")
-        return self._array
+    def attach(self, token: BufferToken) -> np.ndarray:
+        """A read-only zero-copy ndarray over the token's pages."""
+        shm = self._maps.get(token.segment)
+        if shm is None:
+            shm = shared_memory.SharedMemory(name=token.segment)
+            self._maps[token.segment] = shm
+        ro = shm.buf[token.offset:token.offset + token.nbytes].toreadonly()
+        return np.frombuffer(ro, dtype=np.dtype(token.dtype)).reshape(
+            token.shape)
 
     def close(self) -> None:
-        """Unmap; never unlinks (the creating arena owns that)."""
-        if self._shm is None:
-            return
-        self._array = None
-        _close_mapping(self._shm)  # parked if a caller kept a view alive
-        self._shm = None
-
-    def __enter__(self) -> "AttachedBuffer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-def attach_token(token: BufferToken) -> AttachedBuffer:
-    """Map an exported buffer into this process, read-only, zero-copy."""
-    return AttachedBuffer(token)
+        """Unmap every segment (parked while views pin it); idempotent."""
+        maps, self._maps = self._maps, {}
+        for shm in maps.values():
+            _close_mapping(shm)

@@ -5,9 +5,10 @@ A :class:`~repro.core.compute.ComputePool` subclass (selected via
 states, ``submit``/``map``/``wait_all``, helping waiters and
 cancel-on-close are inherited, and the one thing overridden is *where
 a task runs*. Each pool thread is the proxy for one long-lived worker
-process — it pops a task, ships it down the child's pipe, blocks until
-the reply (or the child's death) and settles the task — so vectorized
-kernels stop serializing on the GIL. The classic cost of
+process, a :class:`~repro.core.child.Child` — it pops a task, sends it
+down the child's pipe, blocks in ``recv`` until the reply (or the
+child's death) and settles the task — so vectorized kernels stop
+serializing on the GIL. The classic cost of
 multiprocessing — pickling the inputs — is removed by the PR-9 arena
 seam: large arrays cross the process boundary as
 :class:`~repro.core.arena.BufferToken`\\ s (a few dozen bytes naming
@@ -53,7 +54,7 @@ Degradation and hygiene
 * A worker killed mid-task wakes its thread through the process
   sentinel; the thread re-runs the task in-process, unlinks the dead
   worker's segments and keeps draining the queue in-process.
-* ``close()`` joins the pool threads and the workers, then sweeps
+* ``close()`` joins the pool threads, then closes the workers, then sweeps
   ``/dev/shm`` for any segment carrying the pool's name prefix —
   leak-checked in ``tests/test_core_compute_proc.py`` under both
   ``fork`` and ``spawn`` start methods.
@@ -65,7 +66,6 @@ it.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import secrets
@@ -73,7 +73,6 @@ import sys
 import threading
 import time
 from multiprocessing import shared_memory
-from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 import numpy as np
@@ -82,11 +81,12 @@ from repro.analysis.races import guarded_by
 from repro.core.arena import (
     DEFAULT_SEGMENT_BYTES,
     Arena,
+    AttachCache,
     BufferToken,
     SharedMemoryArena,
-    _close_mapping,
     _destroy_segment,
 )
+from repro.core.child import Child, close_all
 from repro.core.compute import CANCELLED, PENDING, ComputePool, ComputeTask
 from repro.core.stats import GodivaStats
 from repro.errors import ComputeWorkerError
@@ -94,9 +94,6 @@ from repro.errors import ComputeWorkerError
 #: Arrays at or above this many bytes cross the boundary as tokens;
 #: smaller ones are cheaper to pickle than to stage + attach.
 TOKEN_MIN_BYTES = 32 * 1024
-
-#: Worker join grace before escalating to terminate() at close.
-_JOIN_TIMEOUT_S = 10.0
 
 #: ``SharedInput.token`` while one pool thread is staging the array.
 _STAGING = object()
@@ -194,35 +191,7 @@ def _is_dispatchable(fn: Callable[..., Any]) -> bool:
     return getattr(sys.modules.get(module), name, None) is fn
 
 
-class _AttachCache:
-    """Per-process cache of segment mappings for token attachment.
-
-    One :class:`~multiprocessing.shared_memory.SharedMemory` mapping
-    per segment, reused across every token that names it — attaching N
-    tokens costs one mmap per distinct segment, not N.
-    """
-
-    def __init__(self) -> None:
-        self._maps: Dict[str, shared_memory.SharedMemory] = {}
-
-    def attach(self, token: BufferToken) -> np.ndarray:
-        """A read-only zero-copy ndarray over the token's pages."""
-        shm = self._maps.get(token.segment)
-        if shm is None:
-            shm = shared_memory.SharedMemory(name=token.segment)
-            self._maps[token.segment] = shm
-        ro = shm.buf[token.offset:token.offset + token.nbytes].toreadonly()
-        array = np.frombuffer(ro, dtype=np.dtype(token.dtype))
-        return array.reshape(token.shape)
-
-    def close(self) -> None:
-        """Unmap every cached segment (never unlinks)."""
-        maps, self._maps = self._maps, {}
-        for shm in maps.values():
-            _close_mapping(shm)
-
-
-def _decode(value: Any, cache: _AttachCache) -> Any:
+def _decode(value: Any, cache: AttachCache) -> Any:
     """Resolve _TokenRef markers to attached read-only arrays."""
     return _map_tree(value, lambda item: cache.attach(item.token)
                      if isinstance(item, _TokenRef) else item)
@@ -264,21 +233,21 @@ def _resolve_fn(module: str, name: str) -> Callable[..., Any]:
     return fn
 
 
-def _worker_main(arena_prefix: str, segment_bytes: int, threshold: int,
-                 conn) -> None:
+def _worker_main(conn, arena_prefix: str, segment_bytes: int,
+                 threshold: int) -> None:
     """Worker process main loop: attach inputs, run, token the results.
 
     Owns a private result :class:`SharedMemoryArena` (``arena_prefix``
     names it, so the coordinator can sweep it if this process dies
-    uncleanly) and an input attach cache. One message per task,
+    uncleanly) and an input :class:`AttachCache`. One message per task,
     ``(id, module, name, args, kwargs, frees)`` — ``frees`` lists
     earlier tasks whose result copies may go — answered by one
-    ``(result, error, seconds, result token bytes)``; ``None`` stops
-    the loop.
+    ``(result, error, seconds, result token bytes)``; ``"stop"`` or EOF
+    ends the loop.
     """
     arena = SharedMemoryArena(name_prefix=arena_prefix,
                               segment_bytes=segment_bytes)
-    cache = _AttachCache()
+    cache = AttachCache()
     held: Dict[int, List[np.ndarray]] = {}
     try:
         while True:
@@ -286,7 +255,7 @@ def _worker_main(arena_prefix: str, segment_bytes: int, threshold: int,
                 msg = conn.recv()
             except (EOFError, OSError):
                 break
-            if msg is None:
+            if msg == "stop":
                 break
             task_id, module, name, enc_args, enc_kwargs, frees = msg
             for freed in frees:
@@ -323,24 +292,22 @@ def _worker_main(arena_prefix: str, segment_bytes: int, threshold: int,
         arena.close()
 
 
-class _Child:
+class _Child(Child):
     """Coordinator-side handle to one worker process.
 
-    ``conn`` (None once the process was found dead) and ``cache`` (the
-    mappings of its result segments) are used only by the pool thread
-    that proxies this child, and by ``close()`` after that thread was
-    joined; ``frees`` — ids of settled tasks whose result copies the
-    worker may free, sent along with its next task — is guarded by the
-    pool lock.
+    Its pipe and ``cache`` (its result segments' mappings) are used
+    only by the pool thread proxying it, and by ``close()`` once that
+    thread was joined; ``frees`` (settled tasks whose result copies
+    the worker may free, sent with its next task) is pool-locked.
     """
 
-    __slots__ = ("index", "proc", "conn", "cache", "frees")
-
-    def __init__(self, index: int, proc: Any, conn: Any) -> None:
+    def __init__(self, pool: "ProcessComputePool", index: int) -> None:
+        super().__init__(_worker_main, f"{pool.shm_prefix}-w{index}",
+                         pool._segment_bytes, pool._token_min,
+                         name=f"{pool._name}-{index}",
+                         start_method=pool._start_method)
         self.index = index
-        self.proc = proc
-        self.conn = conn
-        self.cache = _AttachCache()
+        self.cache = AttachCache()
         self.frees: List[int] = []
 
 
@@ -457,36 +424,12 @@ class ProcessComputePool(ComputePool):
         """Create the staging arena and start the workers. Lock held,
         so a concurrent close() sees all of them or none."""
         self._check_locked()
-        # Start the resource tracker *before* the workers exist, so
-        # every process (coordinator and children alike) registers
-        # segments with the one shared tracker — otherwise each fork
-        # child lazily spawns its own and the per-tracker
-        # register/unregister ledgers can never balance (spurious
-        # "leaked shared_memory" warnings at exit).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platform-specific
-            pass
         self._staging = SharedMemoryArena(
             name_prefix=f"{self.shm_prefix}-s",
             segment_bytes=self._segment_bytes,
         )
-        ctx = multiprocessing.get_context(self._start_method)
-        for index in range(self._worker_count()):
-            conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(f"{self.shm_prefix}-w{index}", self._segment_bytes,
-                      self._token_min, child_conn),
-                name=f"{self._name}-{index}", daemon=True,
-            )
-            proc.start()
-            # The child holds the only copy of its end now, so its
-            # death reads as EOF/EPIPE on ours.
-            child_conn.close()
-            self._children.append(_Child(index, proc, conn))
+        self._children = [_Child(self, index)
+                          for index in range(self._worker_count())]
         self._unclaimed = iter(self._children)
 
     def close(self) -> None:
@@ -506,19 +449,8 @@ class ProcessComputePool(ComputePool):
         if staging is None:  # never started, or closed already
             return
         # Every pool thread has exited, so every live child is idle.
+        close_all(children, "stop")
         for child in children:
-            if child.conn is not None:
-                try:
-                    child.conn.send(None)
-                except OSError:  # died idle; nobody noticed until now
-                    pass
-        for child in children:
-            child.proc.join(timeout=_JOIN_TIMEOUT_S)
-            if child.proc.is_alive():  # pragma: no cover - stuck worker
-                child.proc.terminate()
-                child.proc.join()
-            if child.conn is not None:
-                child.conn.close()
             child.cache.close()
         staging.close()
         sweep_shm_prefix(self.shm_prefix)
@@ -612,9 +544,8 @@ class ProcessComputePool(ComputePool):
                 # Staging, pickling, the pipe or the result attach
                 # failed, or the child is dead (then its result arena
                 # is ours to unlink): same result, computed here.
-                if child.conn is not None and not child.proc.is_alive():
-                    child.conn.close()
-                    child.conn = None
+                if not child.conn.closed and not child.proc.is_alive():
+                    child.close()
                     sweep_shm_prefix(f"{self.shm_prefix}-w{child.index}-")
                 with self._lock:
                     self.stats.compute_fallback_inline += 1
@@ -634,7 +565,7 @@ class ProcessComputePool(ComputePool):
         """Ship ``task`` to ``child`` and block for the reply:
         ``(result, error, worker-side seconds, result bytes returned
         as tokens)``. Raises if it cannot be had. Lock NOT held."""
-        if child.conn is None:
+        if child.conn.closed:  # found dead earlier: stage nothing
             raise ComputeWorkerError(f"worker {child.index} has died")
         task.shared = pinned = []
 
@@ -654,14 +585,9 @@ class ProcessComputePool(ComputePool):
                 item.array.nbytes for item in pinned
             )
             frees, child.frees = child.frees, []
-        child.conn.send((task.task_id, task._fn.__module__,
-                         task._fn.__qualname__, enc_args, enc_kwargs,
-                         frees))
-        # The sentinel wakes the wait when the child dies mid-task; a
-        # reply that beat the death is still read.
-        if child.conn not in wait([child.conn, child.proc.sentinel]):
-            raise ComputeWorkerError(f"worker {child.index} has died")
-        encoded, error, elapsed, shipped = child.conn.recv()
+        child.send((task.task_id, task._fn.__module__,
+                    task._fn.__qualname__, enc_args, enc_kwargs, frees))
+        encoded, error, elapsed, shipped = child.recv()
         return _decode(encoded, child.cache), error, elapsed, shipped
 
     def _settle(self, task: ProcComputeTask, result: Any,

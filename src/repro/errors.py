@@ -110,6 +110,13 @@ class ComputeWorkerError(GodivaError):
     re-raised as themselves, same as the thread pool."""
 
 
+class ChildExitedError(GodivaError):
+    """A supervised child process (:class:`~repro.core.child.Child`)
+    is gone without the message its parent was waiting for; the
+    message names the child and its exit code, e.g.
+    ``"houston-1 (exitcode -9)"``."""
+
+
 class AdmissionError(GodivaError):
     """The service cannot admit a session: the requested per-tenant
     carve-out would over-subscribe the global memory budget (and, in

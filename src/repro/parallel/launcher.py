@@ -9,10 +9,10 @@ per-worker results into a :class:`ParallelResult`.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
+from repro.core.child import Child, ready
 from repro.parallel.scheduler import partition_snapshots
 from repro.viz.voyager import Voyager, VoyagerConfig, VoyagerResult
 
@@ -46,9 +46,13 @@ class ParallelResult:
         return sum(w.n_snapshots for w in self.workers)
 
 
-def _run_worker(config: VoyagerConfig) -> VoyagerResult:
-    """Module-level worker entry point (must be picklable)."""
-    return Voyager(config).run()
+def _run_worker(conn, config: VoyagerConfig) -> None:
+    """Worker process body: one partition's pass, answered with
+    ``(result, error)``."""
+    try:
+        conn.send((Voyager(config).run(), None))
+    except Exception as err:  # re-raised in the parent
+        conn.send((None, err))
 
 
 def run_parallel_voyager(
@@ -64,7 +68,9 @@ def run_parallel_voyager(
     image directory so outputs never collide). With
     ``use_processes=False`` the partitions run sequentially in-process —
     useful for deterministic tests and for measuring partition overhead
-    alone.
+    alone. A worker's exception is re-raised once every worker answered;
+    a worker gone unanswered raises :class:`~repro.errors.ChildExitedError`
+    naming it (``voyager-w1 (exitcode -9)``) at once.
     """
     from repro.gen.snapshot import load_manifest
 
@@ -85,10 +91,24 @@ def run_parallel_voyager(
         worker_config.out_dir = out_dir
         worker_configs.append(worker_config)
 
-    if use_processes and n_workers > 1:
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=n_workers) as pool:
-            results = pool.map(_run_worker, worker_configs)
-    else:
-        results = [_run_worker(cfg) for cfg in worker_configs]
-    return ParallelResult(n_workers=n_workers, workers=list(results))
+    if not (use_processes and n_workers > 1):
+        return ParallelResult(n_workers=n_workers, workers=[
+            Voyager(cfg).run() for cfg in worker_configs])
+    workers = [Child(_run_worker, cfg, name=f"voyager-w{index}")
+               for index, cfg in enumerate(worker_configs)]
+    replies: Dict[Child, tuple] = {}
+    try:
+        while len(replies) < len(workers):
+            for worker in ready([w for w in workers if w not in replies],
+                                None):
+                replies[worker] = worker.recv()
+    finally:
+        for worker in workers:
+            if worker not in replies:  # the run failed; it never reads
+                worker.proc.terminate()
+            worker.close()
+    for _, error in replies.values():
+        if error is not None:
+            raise error
+    return ParallelResult(n_workers=n_workers,
+                          workers=[replies[w][0] for w in workers])

@@ -15,7 +15,7 @@ layout but turns the fleet into one database:
   attaches the exported :class:`~repro.core.arena.BufferToken`\\ s and
   reads frames **zero-copy, read-only** (the PR-5 view discipline,
   across process boundaries); only tokens — a few dozen bytes — cross
-  the queues.
+  the pipes.
 * **Global budget protocol** — the coordinator carves the global
   memory budget into per-shard slices and tracks them on a
   :class:`~repro.service.tenancy.TenantLedger` (shards are tenants
@@ -32,18 +32,19 @@ Lock discipline: the coordinator owns one lock, ``ShardedGBO._lock``,
 registered under the **engine** role (rank 0) in
 ``repro.analysis.lockfacts`` — the borrowed :class:`TenantLedger`
 "Lock held." contracts therefore resolve against it, exactly as they
-do against ``GBO._lock`` in the service layer. Shard hosts run in
-child processes and reuse the engine's existing locks; the only
-cross-thread state inside a host flows through queues.
+do against ``GBO._lock`` in the service layer. Shard hosts are
+:class:`~repro.core.child.Child` processes, one pipe each, and reuse the
+engine's existing locks; inside a host the two threads share only a
+queue of grant verdicts and the lock serializing their sends.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_module
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -51,16 +52,13 @@ import numpy as np
 
 from repro.analysis.primitives import TrackedLock, make_held_checker
 from repro.analysis.races import guarded_by
-from repro.core.arena import (
-    AttachedBuffer,
-    BufferToken,
-    SharedMemoryArena,
-    attach_token,
-)
+from repro.core.arena import AttachCache, BufferToken, SharedMemoryArena
+from repro.core.child import Child, close_all, ready
 from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
 from repro.core.stats import GodivaStats
 from repro.errors import (
+    ChildExitedError,
     GodivaDeadlockError,
     GodivaError,
     MemoryBudgetError,
@@ -188,13 +186,14 @@ class _ShardHost:
     shard's snapshot steps; a control thread serves coordinator
     commands (budget reclaims, grants, shutdown) concurrently — every
     GBO entry point it uses is thread-safe, and the two threads share
-    state only through :class:`queue.SimpleQueue`.
+    state only through :class:`queue.SimpleQueue`. Both send on the one
+    pipe, so :meth:`_send` serializes them.
     """
 
-    def __init__(self, spec: ShardSpec, cmd_q, res_q) -> None:
+    def __init__(self, spec: ShardSpec, conn) -> None:
         self.spec = spec
-        self.cmd_q = cmd_q
-        self.res_q = res_q
+        self.conn = conn
+        self._send_lock = TrackedLock(f"_ShardHost._send_lock@{id(self):#x}")
         self.arena = SharedMemoryArena(
             name_prefix=f"godiva-{spec.shard_id}",
             segment_bytes=spec.segment_bytes,
@@ -216,47 +215,55 @@ class _ShardHost:
 
     # -- control thread ------------------------------------------------
     def _control_loop(self) -> None:
-        """Serve coordinator commands until shutdown."""
-        while True:
-            msg = self.cmd_q.get()
-            kind = msg["type"]
-            if kind == "shutdown":
-                self._shutdown.set()
-                return
-            if kind == "reclaim":
-                # Wait out an in-flight step first: it completes (or
-                # fails) in bounded time, and ``_stepping`` is clear
-                # whenever the render thread is parked waiting on its
-                # own grant — so two starving shards take turns
-                # instead of stealing each other's grants mid-load.
-                deadline = (time.monotonic()
-                            + self.spec.protocol_timeout_s)
-                while (self._stepping.is_set()
-                       and time.monotonic() < deadline):
-                    time.sleep(0.005)
-                freed = self._shrink_by(int(msg["steal_bytes"]))
-                self._send({
-                    "type": "reclaimed",
-                    "req": msg["req"],
-                    "freed": freed,
-                    "used": self.gbo.mem_used_bytes,
-                    "budget": self.gbo.mem_budget_bytes,
-                })
-            elif kind == "grant":
-                # Applied here, not in the render thread: the control
-                # thread is the *only* budget mutator on a host, so a
-                # grant can never interleave with a concurrent
-                # reclaim's read-modify-write of the budget.
-                self.gbo.set_mem_space(
-                    mem=self.gbo.mem_budget_bytes + int(msg["mem_delta"])
-                )
-                # Shield the grant until the retry actually runs: a
-                # reclaim landing between here and the render thread's
-                # next attempt would steal the grant straight back.
-                self._stepping.set()
-                self._grants.put(msg)
-            elif kind == "deny":
-                self._grants.put(msg)
+        """Serve coordinator commands until shutdown, until the
+        coordinator is gone (EOF), or until serving one fails — all
+        three release the render thread."""
+        try:
+            while True:
+                try:
+                    msg = self.conn.recv()
+                except (EOFError, OSError):
+                    return
+                kind = msg["type"]
+                if kind == "shutdown":
+                    return
+                if kind == "reclaim":
+                    # Wait out an in-flight step first: it completes (or
+                    # fails) in bounded time, and ``_stepping`` is clear
+                    # whenever the render thread is parked waiting on
+                    # its own grant — so two starving shards take turns
+                    # instead of stealing each other's grants mid-load.
+                    deadline = (time.monotonic()
+                                + self.spec.protocol_timeout_s)
+                    while (self._stepping.is_set()
+                           and time.monotonic() < deadline):
+                        time.sleep(0.005)
+                    freed = self._shrink_by(int(msg["steal_bytes"]))
+                    self._send({
+                        "type": "reclaimed",
+                        "req": msg["req"],
+                        "freed": freed,
+                        "used": self.gbo.mem_used_bytes,
+                        "budget": self.gbo.mem_budget_bytes,
+                    })
+                elif kind == "grant":
+                    # Applied here, not in the render thread: the control
+                    # thread is the *only* budget mutator on a host, so
+                    # a grant can never interleave with a concurrent
+                    # reclaim's read-modify-write of the budget.
+                    self.gbo.set_mem_space(
+                        mem=self.gbo.mem_budget_bytes + int(msg["mem_delta"])
+                    )
+                    # Shield the grant until the retry actually runs: a
+                    # reclaim landing between here and the render
+                    # thread's next attempt would steal it straight back.
+                    self._stepping.set()
+                    self._grants.put(msg)
+                elif kind == "deny":
+                    self._grants.put(msg)
+        finally:
+            self._shutdown.set()
+            self._grants.put({"type": "shutdown"})  # wakes a grant waiter
 
     def _shrink_by(self, steal_bytes: int) -> int:
         """Shrink the budget by ``steal_bytes``; returns bytes freed.
@@ -282,7 +289,8 @@ class _ShardHost:
     # -- render loop (main thread) -------------------------------------
     def _send(self, msg: dict) -> None:
         msg["shard"] = self.spec.shard_id
-        self.res_q.put(msg)
+        with self._send_lock:
+            self.conn.send(msg)
 
     def _request_grant(self, error: BaseException) -> bool:
         """The pressure round-trip; True when the coordinator granted.
@@ -435,8 +443,6 @@ class _ShardHost:
                 ),
             })
         except BaseException as err:  # ship the verdict, then clean up
-            import traceback
-
             self._send({
                 "type": "error",
                 "kind": type(err).__name__,
@@ -444,17 +450,18 @@ class _ShardHost:
                 "traceback": traceback.format_exc(),
             })
         finally:
-            # Keep the arena mapped until the coordinator has attached
-            # every token it wants; it signals with "shutdown".
-            self._shutdown.wait(self.spec.protocol_timeout_s)
+            # Keep the arena mapped, and keep answering reclaims, until
+            # the coordinator signals "shutdown" — or dies: the control
+            # thread reads its pipe's EOF as shutdown.
+            self._shutdown.wait()
             self.gbo.close()
             self._frames.clear()
             self.arena.close()
 
 
-def _shard_main(spec: ShardSpec, cmd_q, res_q) -> None:
+def _shard_main(conn, spec: ShardSpec) -> None:
     """Child-process entry point (must be module-level for spawn)."""
-    _ShardHost(spec, cmd_q, res_q).run()
+    _ShardHost(spec, conn).run()
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +491,8 @@ class ShardedGBO:
     """Coordinator for a fleet of shard-host processes.
 
     Partitions the dataset's snapshot steps across ``n_shards``
-    processes (placement below), spawns one :func:`_shard_main` per
-    shard, arbitrates the global memory budget over a
+    processes (placement below), spawns one :func:`_shard_main` child
+    per shard, arbitrates the global memory budget over a
     :class:`TenantLedger`, and collects frames zero-copy.
 
     Placement: ``"rendezvous"`` (default) hashes each snapshot's unit
@@ -587,9 +594,9 @@ class ShardedGBO:
             )
             for index, shard in enumerate(self.shard_ids)
         ]
-        self._processes: List[object] = []
-        self._cmd_queues: Dict[str, object] = {}
-        self._attachments: List[AttachedBuffer] = []
+        self._hosts: Dict[str, Child] = {}
+        #: The mappings of every frame the hosts publish.
+        self._attach = AttachCache()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -615,14 +622,12 @@ class ShardedGBO:
     # ------------------------------------------------------------------
     # Budget arbitration (all ledger/budget state under self._lock)
     # ------------------------------------------------------------------
-    def _note_usage(self, shard_id: str, used: Optional[int]) -> None:
-        """Refresh a shard's reported resident bytes."""
-        if used is None:
-            return
+    def _note_usage(self, msg: dict) -> None:
+        """Refresh a shard's resident bytes from one of its messages."""
         with self._lock:
             self._usage_units[
-                f"tenant::{shard_id}::resident"
-            ].resident_bytes = int(used)
+                f"tenant::{msg['shard']}::resident"
+            ].resident_bytes = int(msg["used"])
 
     def _plan_steal(self, pressure: _Pressure,
                     starving: Set[str]) -> Dict[str, int]:
@@ -666,7 +671,7 @@ class ShardedGBO:
                          pending: Dict[object, _Pressure]) -> None:
         """Open a pressure round: plan steals or deny outright."""
         shard_id = msg["shard"]
-        self._note_usage(shard_id, msg.get("used"))
+        self._note_usage(msg)
         pressure_req = msg["req"]
         with self._lock:
             # The coordinator's budget ledger stays authoritative here:
@@ -683,13 +688,11 @@ class ShardedGBO:
             for peer, steal in plan.items():
                 self._inflight[peer] += steal
         if not plan:
-            self._cmd_queues[shard_id].put(
-                {"type": "deny", "req": pressure_req}
-            )
+            self._hosts[shard_id].send({"type": "deny", "req": pressure_req})
             return
         pending[pressure_req] = pressure
         for peer, steal in plan.items():
-            self._cmd_queues[peer].put({
+            self._hosts[peer].send({
                 "type": "reclaim",
                 "req": pressure_req,
                 "steal_bytes": steal,
@@ -700,7 +703,7 @@ class ShardedGBO:
                           result: ShardedResult) -> None:
         """Fold one peer's reclaim reply; settle the round when full."""
         peer = msg["shard"]
-        self._note_usage(peer, msg.get("used"))
+        self._note_usage(msg)
         pressure = pending.get(msg["req"])
         if pressure is None:
             return
@@ -730,13 +733,13 @@ class ShardedGBO:
         if not settled:
             return
         if granted:
-            self._cmd_queues[pressure.shard_id].put({
+            self._hosts[pressure.shard_id].send({
                 "type": "grant",
                 "req": pressure.req,
                 "mem_delta": pressure.freed,
             })
         else:
-            self._cmd_queues[pressure.shard_id].put(
+            self._hosts[pressure.shard_id].send(
                 {"type": "deny", "req": pressure.req}
             )
 
@@ -751,22 +754,12 @@ class ShardedGBO:
         """
         if self._closed:
             raise GodivaError("ShardedGBO is closed")
-        context = multiprocessing.get_context("spawn")
-        res_q = context.Queue()
-        self._cmd_queues = {
-            shard: context.Queue() for shard in self.shard_ids
-        }
-        self._processes = [
-            context.Process(
-                target=_shard_main,
-                args=(spec, self._cmd_queues[spec.shard_id], res_q),
-                name=spec.shard_id,
-            )
-            for spec in self._specs
-        ]
+        # A rerun's hosts reuse the segment names: map them afresh.
+        self._attach.close()
         t0 = time.perf_counter()
-        for process in self._processes:
-            process.start()
+        self._hosts = {spec.shard_id: Child(_shard_main, spec,
+                                            name=spec.shard_id)
+                       for spec in self._specs}
 
         result = ShardedResult(
             n_shards=self.n_shards,
@@ -778,68 +771,49 @@ class ShardedGBO:
         )
         pending: Dict[object, _Pressure] = {}
         done: Dict[str, ShardReport] = {}
-        failure: Optional[Tuple[str, dict]] = None
-        poll_s = min(1.0, self.protocol_timeout_s)
-        silent_until = time.monotonic() + self.protocol_timeout_s
         try:
-            while len(done) < self.n_shards and failure is None:
-                # A host flushes its last message before it exits, so
-                # one that is gone, and still unheard from once the
-                # queue has run dry, died without reporting.
-                gone = {
-                    p.name: p.exitcode for p in self._processes
-                    if p.name not in done and not p.is_alive()
-                }
-                try:
-                    msg = res_q.get(block=not gone, timeout=poll_s)
-                except queue_module.Empty:
-                    if gone:
-                        raise GodivaError(
-                            "shard host exited without reporting: "
-                            + ", ".join(
-                                f"{shard} (exitcode {code})"
-                                for shard, code in sorted(gone.items())
+            while len(done) < self.n_shards:
+                # Every host, done ones too: they still answer reclaims.
+                woken = ready(list(self._hosts.values()),
+                              self.protocol_timeout_s)
+                if not woken:
+                    raise GodivaError(
+                        "sharded run wedged: no shard message for "
+                        f"{self.protocol_timeout_s:.0f}s"
+                    )
+                for host in woken:
+                    msg = host.recv()
+                    kind = msg["type"]
+                    if kind == "frame":
+                        self._note_usage(msg)
+                        if msg["token"] is not None:
+                            result.frames[msg["step"]] = \
+                                self._attach.attach(msg["token"])
+                    elif kind == "pressure":
+                        result.pressure_rounds += 1
+                        self._handle_pressure(msg, pending)
+                    elif kind == "reclaimed":
+                        self._handle_reclaimed(msg, pending, result)
+                    elif kind == "done":
+                        done[msg["shard"]] = msg["report"]
+                    elif kind == "error":  # raised after the shutdown
+                        shard_id = msg["shard"]
+                        if msg["kind"] in ("MemoryBudgetError",
+                                           "GodivaDeadlockError"):
+                            raise GodivaDeadlockError(
+                                f"{shard_id} out of memory after cross-shard "
+                                f"reclamation was exhausted — the cluster's "
+                                f"deadlock verdict ({msg['kind']}: {msg['message']})"
                             )
-                        )
-                    if time.monotonic() >= silent_until:
                         raise GodivaError(
-                            "sharded run wedged: no shard message for "
-                            f"{self.protocol_timeout_s:.0f}s"
+                            f"{shard_id} failed: {msg['kind']}: {msg['message']}\n"
+                            f"{msg['traceback']}"
                         )
-                    continue
-                silent_until = time.monotonic() + self.protocol_timeout_s
-                kind = msg["type"]
-                if kind == "frame":
-                    self._note_usage(msg["shard"], msg.get("used"))
-                    token = msg["token"]
-                    if token is not None:
-                        attached = attach_token(token)
-                        self._attachments.append(attached)
-                        result.frames[msg["step"]] = attached.array
-                elif kind == "pressure":
-                    result.pressure_rounds += 1
-                    self._handle_pressure(msg, pending)
-                elif kind == "reclaimed":
-                    self._handle_reclaimed(msg, pending, result)
-                elif kind == "done":
-                    done[msg["shard"]] = msg["report"]
-                elif kind == "error":
-                    failure = (msg["shard"], msg)
+        except ChildExitedError as err:  # a recv, or a send to a peer
+            raise GodivaError(
+                f"shard host exited without reporting: {err}") from None
         finally:
             self._shutdown_shards()
-        if failure is not None:
-            shard_id, msg = failure
-            if msg["kind"] in ("MemoryBudgetError",
-                               "GodivaDeadlockError"):
-                raise GodivaDeadlockError(
-                    f"{shard_id} out of memory after cross-shard "
-                    f"reclamation was exhausted — the cluster's "
-                    f"deadlock verdict ({msg['kind']}: {msg['message']})"
-                )
-            raise GodivaError(
-                f"{shard_id} failed: {msg['kind']}: {msg['message']}\n"
-                f"{msg['traceback']}"
-            )
         result.wall_s = time.perf_counter() - t0
         for shard in self.shard_ids:
             report = done[shard]
@@ -854,18 +828,9 @@ class ShardedGBO:
         return result
 
     def _shutdown_shards(self) -> None:
-        """Release every shard host and join the processes."""
-        for shard, cmd_q in self._cmd_queues.items():
-            try:
-                cmd_q.put({"type": "shutdown"})
-            except (OSError, ValueError):
-                pass
-        for process in self._processes:
-            process.join(timeout=self.protocol_timeout_s)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        self._processes = []
+        """Release and close every host."""
+        hosts, self._hosts = self._hosts, {}
+        close_all(hosts.values(), {"type": "shutdown"})
 
     # ------------------------------------------------------------------
     def ledger_snapshot(self) -> Dict[str, dict]:
@@ -884,9 +849,7 @@ class ShardedGBO:
             return
         self._closed = True
         self._shutdown_shards()
-        for attached in self._attachments:
-            attached.close()
-        self._attachments = []
+        self._attach.close()
 
     def __enter__(self) -> "ShardedGBO":
         return self

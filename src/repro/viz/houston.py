@@ -20,13 +20,14 @@ compact triangle soups cross process boundaries.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.child import Child, close_all
 from repro.core.config import EngineConfig, resolve_budget
+from repro.errors import ChildExitedError
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
 from repro.viz.gops import GraphicsOps, test_gops
@@ -69,7 +70,7 @@ class ViewReply:
     bytes_read: int
 
 
-def _server_main(conn, config: HoustonConfig,
+def _server_main(conn, config: HoustonConfig, server_index: int,
                  blocks: Sequence[str]) -> None:
     """Server process body: GBO + pipeline over one block partition."""
     # Imports inside the process keep spawn-start fast and explicit.
@@ -92,7 +93,6 @@ def _server_main(conn, config: HoustonConfig,
         profile=ENGLE_DISK, blocks=blocks,
     )
     pipeline = Pipeline(gops, render=False)
-    server_index = conn.recv()
 
     with GBO(config=config.engine) as gbo:
         solid_schema().ensure(gbo)
@@ -100,7 +100,6 @@ def _server_main(conn, config: HoustonConfig,
             message = conn.recv()
             command = message[0]
             if command == "close":
-                conn.send(("bye", server_index))
                 return
             if command == "view":
                 step = message[1]
@@ -154,20 +153,11 @@ class HoustonCluster:
             [self.manifest.block_ids[i] for i in indices]
             for indices in assignment
         ]
-        context = multiprocessing.get_context("spawn")
-        self._conns = []
-        self._procs = []
-        for index, blocks in enumerate(self.partitions):
-            parent, child = context.Pipe()
-            proc = context.Process(
-                target=_server_main,
-                args=(child, config, blocks),
-                daemon=True,
-            )
-            proc.start()
-            parent.send(index)
-            self._conns.append(parent)
-            self._procs.append(proc)
+        self._servers = [
+            Child(_server_main, config, index, blocks,
+                  name=f"houston-{index}")
+            for index, blocks in enumerate(self.partitions)
+        ]
         self.views = 0
         self.total_bytes_read = 0
 
@@ -175,11 +165,7 @@ class HoustonCluster:
         """Render one time step from all partitions; returns the image."""
         if not 0 <= step < len(self.manifest.snapshots):
             raise ValueError(f"snapshot {step} out of range")
-        for conn in self._conns:
-            conn.send(("view", step))
-        replies: List[ViewReply] = [
-            conn.recv() for conn in self._conns
-        ]
+        replies: List[ViewReply] = self._ask(("view", step))
         self.views += 1
         self.total_bytes_read += sum(r.bytes_read for r in replies)
 
@@ -196,22 +182,22 @@ class HoustonCluster:
                 )
         return renderer.image()
 
+    def _ask(self, message: tuple) -> list:
+        """Every server's reply to ``message``; a dead server closes the
+        cluster (no stale reply is read later) and its error is raised."""
+        try:
+            for server in self._servers:
+                server.send(message)
+            return [server.recv() for server in self._servers]
+        except ChildExitedError:
+            self.close()
+            raise
+
     def server_stats(self) -> List[Dict[str, float]]:
-        for conn in self._conns:
-            conn.send(("stats",))
-        return [conn.recv() for conn in self._conns]
+        return self._ask(("stats",))
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-                conn.recv()
-            except (BrokenPipeError, EOFError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-            if proc.is_alive():
-                proc.terminate()
+        close_all(self._servers, ("close",))
 
     def __enter__(self) -> "HoustonCluster":
         return self

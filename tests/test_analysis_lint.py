@@ -377,6 +377,43 @@ class TestRep110EngineKnobDefaults:
         }
 
 
+class TestRep111OneSpawnSite:
+    @pytest.mark.parametrize("source", [
+        "import multiprocessing\nP = multiprocessing.Process(target=print)\n",
+        "import multiprocessing as mp\nQ = mp.Queue()\n",
+        "import multiprocessing\nCTX = multiprocessing.get_context('spawn')\n",
+        "import multiprocessing.pool\nP = multiprocessing.pool.Pool(2)\n",
+        "from multiprocessing import Pipe\nA, B = Pipe()\n",
+        "from multiprocessing import SimpleQueue as SQ\nQ = SQ()\n",
+        "from multiprocessing.pool import Pool\nP = Pool(2)\n",
+        "def _f():\n    from multiprocessing import get_context\n"
+        "    return get_context()\n",
+    ])
+    def test_process_or_channel_construction_flagged(self, source):
+        assert rules(DOC + source) == ["REP111"]
+
+    def test_child_module_and_other_names_are_clean(self):
+        spawn = DOC + (
+            "import multiprocessing\n"
+            "CTX = multiprocessing.get_context('spawn')\n"
+        )
+        assert rules(spawn, "src/repro/core/child.py") == []
+        # Not multiprocessing: the thread-side queue, the simulator's
+        # own Process and ProcessorPool, shared memory and the tracker.
+        others = DOC + (
+            "import queue\n"
+            "from multiprocessing import resource_tracker, shared_memory\n"
+            "from repro.simulate.engine import Process\n"
+            "from repro.simulate.resources import ProcessorPool\n"
+            "Q = queue.SimpleQueue()\n"
+            "P = Process()\n"
+            "POOL = ProcessorPool(2)\n"
+            "SHM = shared_memory.SharedMemory(name='x')\n"
+            "resource_tracker.ensure_running()\n"
+        )
+        assert rules(others) == []
+
+
 class TestBaseline:
     def test_violation_key_is_line_number_free(self):
         src = DOC + "def run(count) -> int:\n    '''D.'''\n    return 1\n"

@@ -7,12 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.arena import (
-    AttachedBuffer,
-    HeapArena,
-    SharedMemoryArena,
-    attach_token,
-)
+from repro.core.arena import AttachCache, HeapArena, SharedMemoryArena
 from repro.core.database import GBO
 from repro.errors import ArenaError
 from repro.io.readers import (
@@ -34,20 +29,22 @@ def _shm_entries():
 
 def _child_try_write(token, out_q):
     """Spawn target: attach a sealed buffer and try to mutate it."""
-    buf = attach_token(token)
+    cache = AttachCache()
     try:
+        view = cache.attach(token)
         try:
-            buf.array[0] = 99
+            view[0] = 99
             out_q.put("wrote")
         except (ValueError, TypeError) as err:
             out_q.put(type(err).__name__)
         try:
-            buf.array.flags.writeable = True
+            view.flags.writeable = True
             out_q.put("flipped")
         except ValueError:
             out_q.put("flip-blocked")
+        del view
     finally:
-        buf.close()
+        cache.close()
 
 
 class TestCrossProcessDiscipline:
@@ -103,11 +100,15 @@ class TestLeakFreedom:
         arena.seal(array)
         token = arena.export_token(array)
         for _ in range(20):
-            buf = attach_token(token)
-            assert isinstance(buf, AttachedBuffer)
-            assert buf.array[0] == 7
-            assert not buf.array.flags.writeable
-            buf.close()
+            cache = AttachCache()
+            view = cache.attach(token)
+            # One mapping per segment: a second attach is the same pages.
+            assert np.shares_memory(view, cache.attach(token))
+            assert view[0] == 7
+            assert not view.flags.writeable
+            del view
+            cache.close()
+            cache.close()  # idempotent
         arena.release(array)
         arena.close()
         assert _shm_entries() == before

@@ -1,8 +1,13 @@
 """Snapshot partitioning and the multi-process Voyager launcher."""
 
+import multiprocessing
+import os
+import time
+
 import numpy as np
 import pytest
 
+from repro.errors import ChildExitedError
 from repro.parallel.launcher import ParallelResult, run_parallel_voyager
 from repro.parallel.scheduler import partition_snapshots
 from repro.viz.voyager import Voyager, VoyagerConfig
@@ -85,6 +90,15 @@ class TestPartitioning:
             )
 
 
+def exit_in_worker(conn, config):
+    """The first launcher worker dies without answering (what a killed
+    or crashed Voyager pass looks like to the parent); the others stay
+    mid-pass, neither answering nor reading their pipe, for a minute."""
+    if 0 in config.snapshot_indices:
+        os._exit(3)
+    time.sleep(60.0)
+
+
 class TestParallelRun:
     def base_config(self, dataset, **kwargs):
         kwargs.setdefault("render", False)
@@ -158,3 +172,38 @@ class TestParallelRun:
             use_processes=False,
         )
         assert result.n_snapshots == 3
+
+
+class TestWorkerFailure:
+    def base_config(self, dataset, **kwargs):
+        return VoyagerConfig(data_dir=dataset.directory, mode="G",
+                             mem_mb=64.0, render=False, **kwargs)
+
+    def test_dead_worker_is_named_not_waited_for(self, small_dataset,
+                                                 monkeypatch):
+        """Regression: ``Pool.map`` lost the task of a killed worker and
+        never returned; the parent now names the dead worker at once,
+        and terminates the survivor instead of joining its pass."""
+        from repro.parallel import launcher
+
+        monkeypatch.setattr(launcher, "_run_worker", exit_in_worker)
+        t0 = time.monotonic()
+        with pytest.raises(ChildExitedError,
+                           match=r"voyager-w0 \(exitcode 3\)"):
+            run_parallel_voyager(self.base_config(small_dataset),
+                                 n_workers=2, use_processes=True)
+        assert time.monotonic() - t0 < 5.0
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("voyager-w")]
+
+    def test_worker_exception_is_reraised_in_the_parent(self,
+                                                         small_dataset):
+        """The op-set name resolves only inside the worker's pass, so
+        its ``ValueError`` is raised there and re-raised here."""
+        with pytest.raises(ValueError, match="no-such-test"):
+            run_parallel_voyager(
+                self.base_config(small_dataset, test="no-such-test"),
+                n_workers=2, use_processes=True,
+            )
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("voyager-w")]

@@ -132,11 +132,59 @@ class TestBudgetProtocol:
             )
 
 
-def exit_at_startup(spec, cmd_q, res_q):
+def exit_at_startup(conn, spec):
     """A shard host that dies before it says anything (what a `spawn`
     fleet whose ``__main__`` cannot be re-imported does in every
     host)."""
     os._exit(3)
+
+
+#: Pause before each of ``shard1``'s frames in :func:`slow_shard1`.
+PAUSE_S = 1.0
+
+
+def slow_shard1(conn, spec):
+    """A shard host whose ``shard1`` pauses before every frame, so it
+    reports ``done`` seconds after ``shard0`` (each pause is shorter
+    than the protocol timeout, so the run is never silent that long)."""
+    from repro.parallel import sharded
+
+    host = sharded._ShardHost(spec, conn)
+    if spec.shard_id == "shard1":
+        publish = host._publish_frame
+
+        def paused_publish(*args):
+            time.sleep(PAUSE_S)
+            publish(*args)
+
+        host._publish_frame = paused_publish
+    host.run()
+
+
+class TestDoneHosts:
+    def test_done_host_waits_out_a_slow_peer(self, small_dataset,
+                                             monkeypatch):
+        """Regression: a done host waited ``protocol_timeout_s`` for its
+        shutdown and then exited, so a peer still rendering turned the
+        run into "shard0 exited without reporting". A done host now
+        waits for the coordinator's shutdown (or its death) only."""
+        from repro.parallel import sharded
+
+        monkeypatch.setattr(sharded, "_shard_main", slow_shard1)
+        reference = serial_frames(small_dataset)
+        timeout = 2.0
+        with ShardedGBO(small_dataset.directory, 2, test=TEST,
+                        mem_mb=64.0, placement="weighted",
+                        weights=[10.0, 1.0, 1.0, 1.0],
+                        protocol_timeout_s=timeout) as fleet:
+            # shard0 draws one step; shard1 three, one pause each.
+            assert 3 * PAUSE_S > timeout > PAUSE_S
+            result = fleet.render_all()
+            assert result.frames.keys() == reference.keys()
+            for step, frame in result.frames.items():
+                assert frame.tobytes() == reference[step]
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("shard")]
 
 
 class TestHostFailure:
@@ -156,8 +204,8 @@ class TestHostFailure:
                            match=r"shard\d+ \(exitcode 3\)"):
             fleet.render_all()
         assert time.monotonic() - t0 < 5.0
-        # _shutdown_shards still joined every host.
-        assert fleet._processes == []
+        # _shutdown_shards still closed every host.
+        assert fleet._hosts == {}
         assert not [p for p in multiprocessing.active_children()
                     if p.name.startswith("shard")]
         fleet.close()

@@ -1,8 +1,14 @@
 """Apollo/Houston client-server parallel mode."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+from repro.errors import ChildExitedError
 from repro.viz.houston import HoustonCluster, HoustonConfig
 
 
@@ -89,3 +95,28 @@ class TestHouston:
             cluster.view(0)
             assert cluster.total_bytes_read < 1.5 * serial_bytes
             assert cluster.total_bytes_read > 0.9 * serial_bytes
+
+    def test_dead_server_is_named_and_closes_the_cluster(
+            self, cluster_dataset):
+        """A SIGKILLed server: ``view`` raises naming it (not a bare
+        ``EOFError`` / ``BrokenPipeError``) and closes the cluster, so
+        no survivor's unread reply can answer a later view."""
+        cluster = make_cluster(cluster_dataset, n_servers=2)
+        try:
+            cluster.view(0)
+            (victim,) = [p for p in multiprocessing.active_children()
+                         if p.name == "houston-1"]
+            os.kill(victim.pid, signal.SIGKILL)
+            t0 = time.monotonic()
+            with pytest.raises(ChildExitedError,
+                               match=r"houston-1 \(exitcode -9\)"):
+                cluster.view(1)
+            assert time.monotonic() - t0 < 5.0
+            assert not [p for p in multiprocessing.active_children()
+                        if p.name.startswith("houston-")]
+            with pytest.raises(ChildExitedError):
+                cluster.view(1)
+        finally:
+            cluster.close()
+        assert not [p for p in multiprocessing.active_children()
+                    if p.name.startswith("houston-")]
