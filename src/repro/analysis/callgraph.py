@@ -209,6 +209,23 @@ class Program:
         for (cls, attr), target in WIRING.items():
             if cls in self.classes:
                 self.classes[cls].attr_types[attr] = target
+        for info in self.classes.values():
+            self._inherit(info, info)
+
+    def _inherit(self, info: ClassInfo, base: ClassInfo) -> None:
+        """Give ``info`` the attribute types and methods of ``base``'s
+        indexed ancestors it does not define itself (a scoped GBO
+        facade shares its engine's layers and verbs)."""
+        for node in base.node.bases:
+            parent = self.classes.get(getattr(node, "id", None))
+            if parent is None or parent is info:
+                continue
+            for attr, cls in parent.attr_types.items():
+                info.attr_types.setdefault(attr, cls)
+            for (owner, name), func in list(self.methods.items()):
+                if owner == parent.name:
+                    self.methods.setdefault((info.name, name), func)
+            self._inherit(info, parent)
 
     def _infer_attr_types(self, info: ClassInfo,
                           deferred: list) -> None:

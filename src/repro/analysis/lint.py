@@ -25,7 +25,7 @@ REP106   Public functions and methods need complete type annotations
          (every parameter and the return type).
 REP107   No engine-layer imports (``RecordEngine``, ``UnitStore``,
          ``MemoryManager``, ``IoScheduler``, ``LoadYield``) outside
-         :mod:`repro.core` and :mod:`repro.service` — clients go
+         :mod:`repro.core` — clients, the service among them, go
          through the blessed API (:mod:`repro.api`: ``GBO``,
          ``GodivaService``/``ServiceSession``). The arena seam
          (:mod:`repro.core.arena`) has a slightly wider blessed
@@ -108,9 +108,9 @@ _THREADING_PRIMITIVES = frozenset({
 #: own wrappers must build on the raw primitives.
 _CONCURRENCY_EXEMPT = ("repro/analysis/",)
 
-#: Engine-layer modules and class names that only the core facade and
-#: the service layer may import (REP107); everyone else goes through
-#: ``repro.api`` / ``repro`` exports.
+#: Engine-layer modules and class names that only the core may import
+#: (REP107); everyone else goes through ``repro.api`` / ``repro``
+#: exports.
 _ENGINE_MODULES = frozenset({
     "repro.core.record_engine",
     "repro.core.unit_store",
@@ -121,7 +121,7 @@ _ENGINE_NAMES = frozenset({
     "RecordEngine", "UnitStore", "MemoryManager", "IoScheduler",
     "LoadYield",
 })
-_ENGINE_EXEMPT = ("repro/core/", "repro/service/")
+_ENGINE_EXEMPT = ("repro/core/",)
 
 #: The arena seam is engine-adjacent but deliberately wider: the
 #: parallel layer (sharded GBO, shard hosts) and the API facade

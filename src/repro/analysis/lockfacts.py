@@ -142,8 +142,6 @@ WIRING: Dict[Tuple[str, str], str] = {
     ("IoScheduler", "_memory"): "MemoryManager",
     ("IoScheduler", "_owner"): "GBO",
     ("TenantLedger", "_derived"): "DerivedCache",
-    ("ServiceSession", "_gbo"): "GBO",
-    ("ServiceSession", "_service"): "GodivaService",
     ("GodivaService", "_gbo"): "GBO",
     ("GodivaService", "_ledger"): "TenantLedger",
     ("ComputeTask", "_pool"): "ComputePool",

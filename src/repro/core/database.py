@@ -10,12 +10,19 @@ paper API is unchanged: the *TG* build (``background_io=True``) drains
 the queue with ``io_workers`` workers, the *G* build reads inside
 ``wait_unit`` (section 4.2); read callbacks run lock-free and may
 re-enter the record interfaces (``REPRO_ANALYSIS=1`` sanitizes both).
+
+A facade may also be *scoped* over another GBO's layers (the service's
+tenant sessions): unit and record-type names then gain the scope's
+prefix where they enter the engine, derived keys enter a scoped view
+of the same cache, and read callbacks and :class:`UnitHandle` objects
+see the facade and its local names.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -65,6 +72,10 @@ class GBO:
     unit_name, now)`` observes unit transitions under the engine lock
     (see :class:`repro.core.trace.UnitTracer`).
     """
+
+    #: Prefix every unit and record-type name gains on entering the
+    #: engine: empty here, ``<scope>::`` on a scoped facade (:meth:`_attach`).
+    _prefix = ""
 
     def __init__(
         self,
@@ -141,6 +152,37 @@ class GBO:
                 setattr(self, name, getattr(self._records, name))
             self.read_unit = self._io.read_unit
             self.wait_unit = self._io.wait_unit
+
+    def _attach(self, engine: "GBO", scope: str) -> None:
+        """Make this (uninitialised) facade a view of ``engine`` scoped
+        to ``scope``: it shares the engine's layers, lock, condition,
+        stats and pools, builds no engine of its own, and owns none of
+        the engine's teardown (a subclass overrides ``close``,
+        ``closed`` and ``_check_open``). Unit and record-type names gain
+        ``<scope>::``; field types stay shared; ``derived`` is the
+        cache's view of the same scope."""
+        self.config, self.stats = engine.config, engine.stats
+        self._lock, self._cond = engine._lock, engine._cond
+        self._arena, self._compute = engine._arena, engine._compute
+        self._records, self._store = engine._records, engine._store
+        self._mem, self._io = engine._mem, engine._io
+        self._derived = (None if engine._derived is None
+                         else engine._derived._scoped(scope))
+        self._prefix = f"{scope}::"
+
+    def _local_read_fn(self, read_fn: Optional[ReadFunction]) -> Optional[ReadFunction]:
+        """``read_fn`` as the engine calls it, ``(engine, name)``, adapted
+        so it receives ``(this facade, local name)``; unchanged unscoped."""
+        if not self._prefix or read_fn is None:
+            return read_fn
+        cut = len(self._prefix)
+        return lambda _engine, name: read_fn(self, name[cut:])
+
+    def _blocking(self, verb: Callable[..., None], *args: Any) -> None:
+        """Run a blocking unit verb (``read_unit`` / ``wait_unit`` of the
+        I/O layer) — the hook a scoped facade overrides to report a
+        close racing the block."""
+        verb(*args)
 
     # Record-layer seams; called WITHOUT the record lock held, so the
     # engine → record lock order is never reversed.
@@ -310,33 +352,33 @@ class GBO:
 
     def define_record(self, name: str, num_keys: int) -> RecordType:
         """Start a new record type with ``num_keys`` declared key fields."""
-        return self._records.define_record(name, num_keys)
+        return self._records.define_record(self._prefix + name, num_keys)
 
     def has_record_type(self, name: str) -> bool:
         """Whether a record type with this name exists."""
-        return self._records.has_record_type(name)
+        return self._records.has_record_type(self._prefix + name)
 
     def record_type(self, name: str) -> RecordType:
         """The named record type, or raise :class:`UnknownTypeError`."""
-        return self._records.record_type(name)
+        return self._records.record_type(self._prefix + name)
 
     def insert_field(self, record_type_name: str, field_name: str,
                      is_key: bool) -> None:
         """Add a predefined field type to a record type's field set."""
-        self._records.insert_field(record_type_name, field_name, is_key)
+        self._records.insert_field(self._prefix + record_type_name, field_name, is_key)
 
     def commit_record_type(self, name: str) -> None:
         """Conclude a record type definition; instances may now be made."""
-        self._records.commit_record_type(name)
+        self._records.commit_record_type(self._prefix + name)
 
     def ensure_record_type(self, name: str, num_keys: int,
                            fields: Sequence[Tuple[str, bool]]) -> RecordType:
         """Atomically look up, or define and commit, a record type."""
-        return self._records.ensure_record_type(name, num_keys, fields)
+        return self._records.ensure_record_type(self._prefix + name, num_keys, fields)
 
     def new_record(self, record_type_name: str) -> Record:
         """Create a record; known-size field buffers are allocated now."""
-        return self._records.new_record(record_type_name)
+        return self._records.new_record(self._prefix + record_type_name)
 
     def alloc_field_buffer(self, record: Record, field_name: str,
                            nbytes: int) -> FieldBuffer:
@@ -353,31 +395,35 @@ class GBO:
 
     def record_count(self, record_type_name: Optional[str] = None) -> int:
         """Number of committed records (optionally of one type)."""
+        if record_type_name is not None:
+            record_type_name = self._prefix + record_type_name
         return self._records.record_count(record_type_name)
 
     def records_of_type(self, record_type_name: str) -> List[Record]:
         """All committed records of a type, ordered by key."""
-        return self._records.records_of_type(record_type_name)
+        return self._records.records_of_type(self._prefix + record_type_name)
 
     def get_record(self, record_type_name: str,
                    key_values: Sequence) -> Record:
         """Key lookup: the record under the key-value combination."""
-        return self._records.get_record(record_type_name, key_values)
+        return self._records.get_record(self._prefix + record_type_name, key_values)
 
     def get_field_buffer(self, record_type_name: str, field_name: str,
                          key_values: Sequence) -> np.ndarray:
         """The live, zero-copy data buffer of the looked-up field."""
-        return self._records.get_field_buffer(record_type_name, field_name, key_values)
+        return self._records.get_field_buffer(self._prefix + record_type_name,
+                                              field_name, key_values)
 
     def get_field_buffer_size(self, record_type_name: str, field_name: str,
                               key_values: Sequence) -> int:
         """The looked-up field's buffer size in bytes."""
-        return self._records.get_field_buffer_size(record_type_name, field_name, key_values)
+        return self._records.get_field_buffer_size(self._prefix + record_type_name,
+                                                   field_name, key_values)
 
     def has_record(self, record_type_name: str,
                    key_values: Sequence) -> bool:
         """Whether a record exists under the key-value combination."""
-        return self._records.has_record(record_type_name, key_values)
+        return self._records.has_record(self._prefix + record_type_name, key_values)
 
     def add_unit(self, name: str, read_fn: ReadFunction,
                  priority: float = 0.0) -> UnitHandle:
@@ -385,56 +431,59 @@ class GBO:
         priority first, FIFO ties (the paper's prefetch list)."""
         if read_fn is None:
             raise ValueError("add_unit requires a read function")
+        read_fn = self._local_read_fn(read_fn)
         with self._cond:
             self._check_open()
-            return self._io.enqueue(name, read_fn, priority)
+            self._io.enqueue(self._prefix + name, read_fn, priority)
+        return UnitHandle(self, name)
 
     def read_unit(self, name: str,
                   read_fn: Optional[ReadFunction] = None) -> None:
         """Blocking foreground read (interactive mode, section 3.2);
         never from inside a read callback."""
-        self._io.read_unit(name, read_fn)
+        self._blocking(self._io.read_unit, self._prefix + name,
+                       self._local_read_fn(read_fn))
 
     def wait_unit(self, name: str) -> None:
         """Block until resident (evicted units re-queue, or re-read
         inline in the G build); raises on a true deadlock."""
-        self._io.wait_unit(name)
+        self._blocking(self._io.wait_unit, self._prefix + name)
 
     def finish_unit(self, name: str) -> None:
         """Declare processing complete; evictable once unreferenced."""
         with self._cond:
             self._check_open()
-            self._store.finish(name)
+            self._store.finish(self._prefix + name)
 
     def delete_unit(self, name: str) -> None:
         """Explicitly delete the unit's records and free their memory."""
         with self._cond:
             self._check_open()
-            self._store.delete(name)
+            self._store.delete(self._prefix + name)
 
     def cancel_unit(self, name: str) -> bool:
         """Cancel a pending prefetch: True only if still QUEUED (never
         interrupts a started read — then False)."""
         with self._cond:
             self._check_open()
-            return self._store.cancel(name)
+            return self._store.cancel(self._prefix + name)
 
     def unit(self, name: str) -> UnitHandle:
         """A :class:`UnitHandle` for an already-added unit."""
         with self._lock:
-            self._store.require(name)
+            self._store.require(self._prefix + name)
             return UnitHandle(self, name)
 
     def unit_priority(self, name: str) -> float:
         """The unit's stored prefetch priority."""
         with self._lock:
-            return self._store.priority_of(name)
+            return self._store.priority_of(self._prefix + name)
 
     def set_unit_priority(self, name: str, priority: float) -> None:
         """Change a unit's prefetch priority, reordering if still QUEUED."""
         with self._cond:
             self._check_open()
-            self._io.reprioritize(name, priority)
+            self._io.reprioritize(self._prefix + name, priority)
 
     @property
     def queue_depth(self) -> int:
@@ -450,12 +499,12 @@ class GBO:
     def unit_state(self, name: str) -> UnitState:
         """The unit's lifecycle state."""
         with self._lock:
-            return self._store.state_of(name)
+            return self._store.state_of(self._prefix + name)
 
     def is_resident(self, name: str) -> bool:
         """Whether the named unit is currently RESIDENT."""
         with self._lock:
-            unit = self._store.get(name)
+            unit = self._store.get(self._prefix + name)
             return unit is not None and unit.state is UnitState.RESIDENT
 
     def try_wait_unit(self, name: str) -> bool:
@@ -474,12 +523,12 @@ class GBO:
         """
         with self._lock:
             self._check_open()
-            unit = self._store.get(name)
+            unit = self._store.get(self._prefix + name)
             if unit is None or unit.state is not UnitState.RESIDENT:
                 return False
             self.stats.wait_hits += 1
             unit.ref_count += 1
-            self._mem.remove_evictable(name)
+            self._mem.remove_evictable(unit.name)
             return True
 
     def list_units(self) -> List[Tuple[str, UnitState]]:
@@ -490,7 +539,7 @@ class GBO:
     def resident_bytes_of(self, name: str) -> int:
         """Bytes currently charged to the named unit."""
         with self._lock:
-            return self._store.resident_bytes_of(name)
+            return self._store.resident_bytes_of(self._prefix + name)
 
     # Layer views: GBO internals under their original names (used by
     # analysis.invariants and white-box tests); engine-lock rules apply.

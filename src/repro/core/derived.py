@@ -39,6 +39,7 @@ lock; eviction releases the arena storage.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import sys
 import time
@@ -263,6 +264,23 @@ class DerivedCache:
         #: few dozen bytes per token are not worth budget accounting).
         self._tokens: Dict[Hashable, str] = {}
 
+    #: Scope of a view made by :meth:`_scoped` (None: the whole cache)
+    #: and the policy-name prefix its keys are registered under.
+    _scope: Optional[str] = None
+    _prefix = DERIVED_PREFIX
+
+    def _scoped(self, scope: str) -> "DerivedCache":
+        """A view sharing this cache's entries, tokens and budget whose
+        keys are named ``derived::<scope>|<key>`` and whose token
+        identities are ``(scope, identity)``: two scopes using one key
+        never see each other's entry or token. The one entry point of
+        a scope into the cache; ``clear`` drops only the scope's
+        entries, while introspection stays cache-wide."""
+        view = copy.copy(self)
+        view._scope = scope
+        view._prefix = f"{DERIVED_PREFIX}{scope}|"
+        return view
+
     # ------------------------------------------------------------------
     # Policy-name ownership
     # ------------------------------------------------------------------
@@ -276,12 +294,16 @@ class DerivedCache:
         """The eviction-policy name under which a key is registered."""
         return DERIVED_PREFIX + canonical_key(key)
 
+    def _name(self, key: Any) -> str:
+        """:meth:`policy_name` within this view's scope."""
+        return self._prefix + canonical_key(key)
+
     # ------------------------------------------------------------------
     # Lookup / insert
     # ------------------------------------------------------------------
     def get(self, key: Any) -> Optional[Any]:
         """The cached value for ``key``, or None (counts a hit/miss)."""
-        name = self.policy_name(key)
+        name = self._name(key)
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
@@ -315,7 +337,7 @@ class DerivedCache:
             if self._arena is not None else None
         )
         store = shared if shared is not None else value
-        name = self.policy_name(key)
+        name = self._name(key)
         with self._cond:
             existing = self._entries.get(name)
             if existing is not None:
@@ -354,7 +376,7 @@ class DerivedCache:
 
     def invalidate(self, key: Any) -> bool:
         """Drop one entry, returning its bytes to the budget."""
-        name = self.policy_name(key)
+        name = self._name(key)
         with self._cond:
             if name not in self._entries:
                 return False
@@ -397,6 +419,8 @@ class DerivedCache:
         self, identity: Hashable,
         compute: Callable[[], Optional[str]],
     ) -> Optional[str]:
+        if self._scope is not None:
+            identity = (self._scope, identity)
         with self._lock:
             tok = self._tokens.get(identity)
         if tok is not None:
@@ -430,17 +454,19 @@ class DerivedCache:
         return entry.nbytes
 
     def clear_locked(self) -> int:
-        """Drop every entry and token (close path). Lock held."""
+        """Drop every entry and token (close path) — on a scoped view,
+        the scope's entries only. Lock held."""
         self._check_locked()
         freed = 0
-        for name in list(self._entries):
+        for name in [n for n in self._entries if n.startswith(self._prefix)]:
             self._memory.policy.remove(name)
             freed += self.evict_locked(name)
-        self._tokens.clear()
+        if self._scope is None:
+            self._tokens.clear()
         return freed
 
     def clear(self) -> int:
-        """Drop every entry and token; returns the bytes freed."""
+        """:meth:`clear_locked` under the lock; returns the bytes freed."""
         with self._cond:
             freed = self.clear_locked()
             self._cond.notify_all()
@@ -466,7 +492,7 @@ class DerivedCache:
 
     def __contains__(self, key: Any) -> bool:
         with self._lock:
-            return self.policy_name(key) in self._entries
+            return self._name(key) in self._entries
 
     def entry_names_locked(self) -> List[str]:
         """Policy names of every live entry. Lock held."""
@@ -485,20 +511,6 @@ class DerivedCache:
             (name, entry.nbytes)
             for name, entry in self._entries.items()
         ]
-
-    def invalidate_prefix_locked(self, prefix: str) -> int:
-        """Drop every entry whose policy name starts with ``prefix``.
-
-        Returns the bytes freed. Lock held. The service layer uses this
-        on session close to drop one tenant's share of the cache plane
-        (entries of other tenants are untouched).
-        """
-        self._check_locked()
-        freed = 0
-        for name in [n for n in self._entries if n.startswith(prefix)]:
-            self._memory.policy.remove(name)
-            freed += self.evict_locked(name)
-        return freed
 
     def report(self) -> List[Tuple[str, int]]:
         """(policy name, nbytes) per entry, insertion-ordered."""

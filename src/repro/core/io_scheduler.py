@@ -35,7 +35,6 @@ from repro.core.stats import GodivaStats
 from repro.core.units import (
     ProcessingUnit,
     ReadFunction,
-    UnitHandle,
     UnitState,
 )
 from repro.errors import (
@@ -130,8 +129,7 @@ class IoScheduler:
     ) -> None:
         """Wire the facade and collaborating layers.
 
-        ``owner`` is the object passed to read callbacks and bound into
-        returned :class:`UnitHandle` objects; ``check_open`` raises once
+        ``owner`` is the object passed to read callbacks; ``check_open`` raises once
         the database is closing and ``closing`` reports the same flag —
         both are called with the engine lock held.
         """
@@ -203,7 +201,7 @@ class IoScheduler:
     # Queue operations (Lock held.)
     # ------------------------------------------------------------------
     def enqueue(self, name: str, read_fn: ReadFunction,
-                priority: float) -> UnitHandle:
+                priority: float) -> None:
         """Admit a unit and append it to the prefetch queue. Lock held."""
         self._check_locked()
         unit = self._units.admit(name, read_fn, priority)
@@ -213,7 +211,6 @@ class IoScheduler:
             self.stats.queue_depth_peak = len(self._queue)
         self._units.emit("added", name)
         self._cond.notify_all()
-        return UnitHandle(self._owner, name)
 
     def remove_queued(self, name: str) -> bool:
         """Drop a unit from the pending queue. Lock held."""

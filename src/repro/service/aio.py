@@ -37,6 +37,7 @@ import functools
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro.core.units import ReadFunction, UnitHandle, UnitState
+from repro.errors import DatabaseClosedError
 from repro.service.service import GodivaService, ServiceSession
 
 
@@ -162,12 +163,12 @@ class AsyncGodivaClient:
 
         Uses a private single-shot thread when the service's pool is
         already gone (service close raced us) so close never raises
-        from the bridge itself.
+        from the bridge itself; any other failure propagates.
         """
         loop = asyncio.get_running_loop()
         try:
             executor = self._service.executor
-        except Exception:
+        except DatabaseClosedError:
             await loop.run_in_executor(None, self._session.close)
             return
         await loop.run_in_executor(executor, self._session.close)

@@ -2,11 +2,11 @@
 
 The paper's GBO is one database per process; the service re-hosts that
 exact engine (a private :class:`~repro.core.database.GBO`, so the
-paper-faithful API is untouched) behind **session handles**. Each
-:class:`ServiceSession` belongs to one tenant and sees a private
-namespace: unit and record-type names are transparently prefixed
-``tenant::<id>::``, and the session's view of the derived-data cache
-(:class:`TenantDerivedView`) scopes keys the same way — while records,
+paper-faithful API is untouched) behind **session handles**. A
+:class:`ServiceSession` *is* a GBO facade bound to one tenant over the
+engine's shared layers: unit and record-type names are scoped
+``tenant::<id>::`` where they enter the engine, and the session's
+``derived`` is the cache's view of the tenant's scope — while records,
 buffers, the prefetch queue, the I/O worker pool, and the one global
 memory budget are shared.
 
@@ -39,114 +39,36 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import (Any, Callable, Dict, Hashable, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
-
-import numpy as np
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.races import guarded_by
 from repro.core.cache import make_policy
 from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
-from repro.core.derived import DERIVED_PREFIX, DerivedCache
-from repro.core.record import FieldBuffer, Record
 from repro.core.stats import GodivaStats
-from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
 from repro.core.units import ReadFunction, UnitHandle, UnitState
 from repro.errors import (AdmissionError, DatabaseClosedError,
                           UnitStateError, UnknownUnitError)
 from repro.service.tenancy import (TENANT_PREFIX, TenantBudget, TenantLedger,
-                                   TenantAwareEvictionPolicy, scoped_name,
-                                   unscoped_name, validate_tenant_id)
-
-
-class TenantDerivedView:
-    """One tenant's window onto the shared derived-data cache.
-
-    Keys (and token identities) are prefixed with the tenant scope
-    before reaching the shared :class:`~repro.core.derived.DerivedCache`,
-    so two tenants using identical keys never observe each other's
-    entries — and every cached byte is attributable (and charged) to
-    its owner by name (``derived::tenant::<id>|...``). The interface
-    mirrors the cache's client surface, so pipeline code written
-    against a GBO's ``derived`` runs unchanged against a session's.
-    """
-
-    __slots__ = ("_cache", "_scope")
-
-    def __init__(self, cache: DerivedCache, tenant: str) -> None:
-        self._cache = cache
-        self._scope = f"{TENANT_PREFIX}{tenant}"
-
-    def _scoped(self, key: Any) -> Tuple[Any, ...]:
-        """The shared-cache key for a tenant-local key."""
-        if isinstance(key, (tuple, list)):
-            return (self._scope, *key)
-        return (self._scope, key)
-
-    def get(self, key: Any) -> Optional[Any]:
-        """The tenant's cached value for ``key``, or None."""
-        return self._cache.get(self._scoped(key))
-
-    def put(self, key: Any, value: Any,
-            nbytes: Optional[int] = None) -> Any:
-        """Insert a computed value under the tenant's scope."""
-        return self._cache.put(self._scoped(key), value, nbytes=nbytes)
-
-    def get_or_compute(self, key: Any, compute: Callable[[], Any],
-                       nbytes: Optional[int] = None) -> Any:
-        """Memoized call within the tenant's scope."""
-        return self._cache.get_or_compute(self._scoped(key), compute,
-                                          nbytes=nbytes)
-
-    def invalidate(self, key: Any) -> bool:
-        """Drop one of the tenant's entries."""
-        return self._cache.invalidate(self._scoped(key))
-
-    def token(self, identity: Hashable,
-              array_provider: Callable[[], np.ndarray]) -> str:
-        """Tenant-scoped content token (see ``DerivedCache.token``).
-
-        The identity memo is scoped too: the same identity tuple in two
-        tenants may name different bits, so sharing the memo would
-        alias their tokens.
-        """
-        return self._cache.token((self._scope, identity), array_provider)
-
-    def folded_token(
-        self, identity: Hashable,
-        parts_provider: Callable[[], Iterable[Optional[str]]],
-    ) -> Optional[str]:
-        """Tenant-scoped memoized fold (see
-        ``DerivedCache.folded_token``)."""
-        return self._cache.folded_token((self._scope, identity),
-                                        parts_provider)
-
-    def __contains__(self, key: Any) -> bool:
-        return self._scoped(key) in self._cache
-
-    @property
-    def stats(self) -> GodivaStats:
-        """The shared stats sink (``derived_*`` counters are global)."""
-        return self._cache.stats
+                                   TenantAwareEvictionPolicy,
+                                   validate_tenant_id)
 
 
 @guarded_by("_session_closed", lock="_lock")
-class ServiceSession:
-    """One tenant's handle on the shared engine.
+class ServiceSession(GBO):
+    """One tenant's GBO: a facade over the service's shared engine.
 
-    Sessions are created by :meth:`GodivaService.create_session` and
-    expose the familiar GBO surface — unit verbs (``add_unit`` /
-    ``wait_unit`` / ``read_unit`` / ``finish_unit`` / ...), the record
-    and schema interfaces, and a ``derived`` view — with every unit and
-    record-type name transparently scoped to the tenant. Field *types*
-    are shared across tenants (they describe data layout, not data);
-    conflicting redefinitions raise ``SchemaError`` exactly as they
-    would inside one GBO.
+    Sessions are created by :meth:`GodivaService.create_session`. The
+    whole GBO surface — unit verbs and :class:`UnitHandle`, the record
+    and schema interfaces, ``derived``, ``compute`` — is inherited and
+    works on tenant-local names: unit and record-type names are scoped
+    to the tenant where they enter the engine. Field *types* are shared
+    across tenants (they describe data layout, not data); conflicting
+    redefinitions raise ``SchemaError`` exactly as inside one GBO.
+    Engine-wide settings and reports (``set_mem_space``,
+    ``memory_report``, ``stats``) are the shared engine's.
 
-    Read callbacks registered through a session are invoked as
-    ``read_fn(session, logical_name)`` — the callback sees the *session*
-    (scoped record interfaces) and the tenant-local unit name, so
+    Read callbacks are invoked as ``read_fn(session, local_name)``, so
     callbacks written for a private GBO port unchanged.
 
     ``close()`` (also ``with`` exit) deletes the tenant's units, drops
@@ -158,28 +80,13 @@ class ServiceSession:
 
     def __init__(self, service: "GodivaService", tenant: str,
                  budget: TenantBudget) -> None:
+        self._attach(service._gbo, f"{TENANT_PREFIX}{tenant}")
         self._service = service
-        self._gbo = service._gbo
-        self._lock = service._lock
-        self._cond = service._cond
+        self._engine = service._gbo
         self.tenant = tenant
         self._budget = budget
         self._session_closed = False
 
-    # ------------------------------------------------------------------
-    # Naming
-    # ------------------------------------------------------------------
-    def scoped(self, name: str) -> str:
-        """The engine-side (tenant-prefixed) form of a local name."""
-        return scoped_name(self.tenant, name)
-
-    def unscoped(self, name: str) -> str:
-        """The tenant-local form of an engine-side name."""
-        return unscoped_name(self.tenant, name)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
         """Whether this session (or its service) has been closed."""
@@ -191,25 +98,29 @@ class ServiceSession:
         return (self._session_closed or self._service._closing
                 or self._service._service_closed)
 
-    def _check_open_locked(self) -> None:
+    def _check_open(self) -> None:
         """Raise on a closed session/service/engine. Lock held."""
         if self._closed_locked():
             raise DatabaseClosedError(
                 f"session for tenant {self.tenant!r} is closed"
             )
-        self._gbo._check_open()
+        self._engine._check_open()
 
-    def _translate_closed(self, exc: Exception) -> None:
-        """Re-raise a unit-state error as DatabaseClosedError when the
-        session was closed under the caller (close deletes the tenant's
-        units, so blocked waiters surface unit errors, not hangs)."""
+    def _blocking(self, verb: Callable[..., None], *args: Any) -> None:
+        """Run a blocking verb on an open session. Close deletes the
+        tenant's units, so a waiter it interrupts sees a unit error:
+        reported as :class:`~repro.errors.DatabaseClosedError`."""
         with self._lock:
-            closed = self._closed_locked()
-        if closed:
-            raise DatabaseClosedError(
-                f"session for tenant {self.tenant!r} closed during the call"
-            ) from None
-        raise exc
+            self._check_open()
+        try:
+            verb(*args)
+        except (UnknownUnitError, UnitStateError):
+            if self.closed:
+                raise DatabaseClosedError(
+                    f"session for tenant {self.tenant!r} closed during "
+                    f"the call"
+                ) from None
+            raise
 
     def close(self) -> None:
         """Tear down the tenant's footprint; idempotent and race-safe.
@@ -220,114 +131,33 @@ class ServiceSession:
         derived-cache entries, and releases the carve-out so queued
         admissions can proceed. The shared engine stays up.
         """
-        with self._cond:
+        with self._lock:
             if self._session_closed:
                 return
             self._session_closed = True
-            names = [
-                name for name in self._gbo._units
-                if name.startswith(f"{TENANT_PREFIX}{self.tenant}::")
-            ]
-            self._cond.notify_all()
-        for name in names:
+        for name, _ in self.list_units():
             try:
-                self._gbo.delete_unit(name)
+                self._engine.delete_unit(self._prefix + name)
             except (UnknownUnitError, UnitStateError, DatabaseClosedError):
                 pass
         with self._cond:
-            derived = self._gbo.derived
             # The engine lock is held: read the guarded flag directly
             # (the `closed` property would re-acquire and self-deadlock).
-            if derived is not None and not self._gbo._closed:
-                derived.invalidate_prefix_locked(
-                    f"{DERIVED_PREFIX}{TENANT_PREFIX}{self.tenant}|"
-                )
+            if self._derived is not None and not self._engine._closed:
+                self._derived.clear_locked()
             self._service._ledger.unregister(self.tenant)
             self._service._sessions.pop(self.tenant, None)
             self._cond.notify_all()
 
-    def __enter__(self) -> "ServiceSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Unit verbs (client-facing: checked against session close)
-    # ------------------------------------------------------------------
-    def add_unit(self, name: str, read_fn: ReadFunction,
-                 priority: float = 0.0) -> UnitHandle:
-        """Queue a prefetch of the tenant's unit ``name``.
-
-        The returned handle is bound to *this session* and the local
-        name, so ``handle.wait()``/``handle.finish()`` go through the
-        session's checks and scoping.
-        """
-        if read_fn is None:
-            raise ValueError("add_unit requires a read function")
-        wrapped = self._wrap_read_fn(read_fn)
-        with self._cond:
-            self._check_open_locked()
-            self._gbo._io.enqueue(self.scoped(name), wrapped, priority)
-        return UnitHandle(self, name)
-
-    def _wrap_read_fn(self, read_fn: ReadFunction) -> ReadFunction:
-        """Adapt a session callback to the engine's calling convention.
-
-        The engine invokes ``wrapped(engine_gbo, scoped_name)``; the
-        client's function receives ``(session, local_name)``. No closed
-        check here — a session close racing an in-flight read must not
-        leak :class:`DatabaseClosedError` into the I/O worker loop
-        (the store's pending-delete path retires the unit instead).
-        """
-        session = self
-
-        def wrapped(_engine: object, scoped: str) -> None:
-            read_fn(session, session.unscoped(scoped))
-
-        return wrapped
-
-    def read_unit(self, name: str,
-                  read_fn: Optional[ReadFunction] = None) -> None:
-        """Blocking foreground read of the tenant's unit."""
+    def list_units(self) -> List[Tuple[str, UnitState]]:
+        """(local name, state) for every unit of this tenant."""
+        cut = len(self._prefix)
         with self._lock:
-            self._check_open_locked()
-        wrapped = self._wrap_read_fn(read_fn) if read_fn is not None else None
-        try:
-            self._gbo.read_unit(self.scoped(name), wrapped)
-        except (UnknownUnitError, UnitStateError) as exc:
-            self._translate_closed(exc)
-
-    def wait_unit(self, name: str) -> None:
-        """Block until the tenant's unit is resident.
-
-        Raises :class:`~repro.errors.DatabaseClosedError` (never hangs)
-        when the session or service closes mid-wait.
-        """
-        with self._lock:
-            self._check_open_locked()
-        try:
-            self._gbo.wait_unit(self.scoped(name))
-        except (UnknownUnitError, UnitStateError) as exc:
-            self._translate_closed(exc)
-
-    def finish_unit(self, name: str) -> None:
-        """Release one reference on the tenant's unit."""
-        with self._cond:
-            self._check_open_locked()
-            self._gbo._store.finish(self.scoped(name))
-
-    def delete_unit(self, name: str) -> None:
-        """Delete the tenant's unit and free its records."""
-        with self._cond:
-            self._check_open_locked()
-            self._gbo._store.delete(self.scoped(name))
-
-    def cancel_unit(self, name: str) -> bool:
-        """Cancel the tenant's pending prefetch (False once started)."""
-        with self._cond:
-            self._check_open_locked()
-            return self._gbo._store.cancel(self.scoped(name))
+            return [
+                (name[cut:], state)
+                for name, state in self._store.list_units()
+                if name.startswith(self._prefix)
+            ]
 
     def acquire(self, name: str, read_fn: ReadFunction,
                 priority: float = 0.0) -> UnitHandle:
@@ -339,170 +169,6 @@ class ServiceSession:
         except UnitStateError:
             handle = UnitHandle(self, name)
         return handle.wait()
-
-    def unit(self, name: str) -> UnitHandle:
-        """A handle for an already-added unit of this tenant."""
-        with self._lock:
-            self._check_open_locked()
-            self._gbo._store.require(self.scoped(name))
-        return UnitHandle(self, name)
-
-    def unit_state(self, name: str) -> UnitState:
-        """The tenant unit's lifecycle state."""
-        with self._lock:
-            return self._gbo._store.state_of(self.scoped(name))
-
-    def is_resident(self, name: str) -> bool:
-        """Whether the tenant's unit is currently RESIDENT."""
-        return self._gbo.is_resident(self.scoped(name))
-
-    def try_wait_unit(self, name: str) -> bool:
-        """Non-blocking :meth:`wait_unit`: atomically pin the tenant's
-        unit iff already RESIDENT (True), else touch nothing (False)."""
-        with self._lock:
-            self._check_open_locked()
-        return self._gbo.try_wait_unit(self.scoped(name))
-
-    def unit_priority(self, name: str) -> float:
-        """The tenant unit's stored prefetch priority."""
-        return self._gbo.unit_priority(self.scoped(name))
-
-    def set_unit_priority(self, name: str, priority: float) -> None:
-        """Change the tenant unit's prefetch priority."""
-        with self._cond:
-            self._check_open_locked()
-            self._gbo._io.reprioritize(self.scoped(name), priority)
-
-    def resident_bytes_of(self, name: str) -> int:
-        """Bytes currently charged to the tenant's unit."""
-        return self._gbo.resident_bytes_of(self.scoped(name))
-
-    def list_units(self) -> List[Tuple[str, UnitState]]:
-        """(local name, state) for every unit of this tenant."""
-        prefix = f"{TENANT_PREFIX}{self.tenant}::"
-        with self._lock:
-            return [
-                (name[len(prefix):], state)
-                for name, state in self._gbo._store.list_units()
-                if name.startswith(prefix)
-            ]
-
-    # ------------------------------------------------------------------
-    # Record & schema interfaces (unchecked: these run inside read
-    # callbacks, which must keep working while a racing session close
-    # settles — the store retires pending-delete units after the read)
-    # ------------------------------------------------------------------
-    def define_field(self, name: str, data_type: DataType,
-                     size: int = UNKNOWN) -> FieldType:
-        """Define a field type (field types are shared across tenants)."""
-        return self._gbo.define_field(name, data_type, size)
-
-    def has_field_type(self, name: str) -> bool:
-        """Whether a (shared) field type with this name exists."""
-        return self._gbo.has_field_type(name)
-
-    def field_type(self, name: str) -> FieldType:
-        """The named (shared) field type."""
-        return self._gbo.field_type(name)
-
-    def define_record(self, name: str, num_keys: int) -> RecordType:
-        """Start a record type in the tenant's namespace."""
-        return self._gbo.define_record(self.scoped(name), num_keys)
-
-    def has_record_type(self, name: str) -> bool:
-        """Whether the tenant has a record type of this name."""
-        return self._gbo.has_record_type(self.scoped(name))
-
-    def record_type(self, name: str) -> RecordType:
-        """The tenant's named record type."""
-        return self._gbo.record_type(self.scoped(name))
-
-    def insert_field(self, record_type_name: str, field_name: str,
-                     is_key: bool) -> None:
-        """Add a shared field type to a tenant record type."""
-        self._gbo.insert_field(self.scoped(record_type_name),
-                               field_name, is_key)
-
-    def commit_record_type(self, name: str) -> None:
-        """Conclude a tenant record-type definition."""
-        self._gbo.commit_record_type(self.scoped(name))
-
-    def ensure_record_type(self, name: str, num_keys: int,
-                           fields: Sequence[Tuple[str, bool]]) -> RecordType:
-        """Atomically look up, or define and commit, a tenant record type."""
-        return self._gbo.ensure_record_type(self.scoped(name),
-                                            num_keys, fields)
-
-    def new_record(self, record_type_name: str) -> Record:
-        """Create a record of a tenant record type."""
-        return self._gbo.new_record(self.scoped(record_type_name))
-
-    def alloc_field_buffer(self, record: Record, field_name: str,
-                           nbytes: int) -> FieldBuffer:
-        """Allocate an UNKNOWN-size field's buffer."""
-        return self._gbo.alloc_field_buffer(record, field_name, nbytes)
-
-    def commit_record(self, record: Record) -> None:
-        """Insert the record into the shared index."""
-        self._gbo.commit_record(record)
-
-    def delete_record(self, record: Record) -> None:
-        """Unindex a single record and free its buffers."""
-        self._gbo.delete_record(record)
-
-    def record_count(self, record_type_name: Optional[str] = None) -> int:
-        """Committed records of one tenant type (or the global count)."""
-        if record_type_name is None:
-            return self._gbo.record_count(None)
-        return self._gbo.record_count(self.scoped(record_type_name))
-
-    def records_of_type(self, record_type_name: str) -> List[Record]:
-        """All committed records of a tenant type, ordered by key."""
-        return self._gbo.records_of_type(self.scoped(record_type_name))
-
-    def get_record(self, record_type_name: str,
-                   key_values: Sequence) -> Record:
-        """Key lookup within a tenant record type."""
-        return self._gbo.get_record(self.scoped(record_type_name), key_values)
-
-    def get_field_buffer(self, record_type_name: str, field_name: str,
-                         key_values: Sequence) -> np.ndarray:
-        """The live, zero-copy buffer of the looked-up tenant field."""
-        return self._gbo.get_field_buffer(self.scoped(record_type_name),
-                                          field_name, key_values)
-
-    def get_field_buffer_size(self, record_type_name: str, field_name: str,
-                              key_values: Sequence) -> int:
-        """The looked-up tenant field's buffer size in bytes."""
-        return self._gbo.get_field_buffer_size(self.scoped(record_type_name),
-                                               field_name, key_values)
-
-    def has_record(self, record_type_name: str,
-                   key_values: Sequence) -> bool:
-        """Whether the tenant has a record under this key combination."""
-        return self._gbo.has_record(self.scoped(record_type_name), key_values)
-
-    # ------------------------------------------------------------------
-    # Shared-plane views
-    # ------------------------------------------------------------------
-    @property
-    def derived(self) -> Optional[TenantDerivedView]:
-        """The tenant's scoped view of the shared derived cache."""
-        cache = self._gbo.derived
-        if cache is None:
-            return None
-        return TenantDerivedView(cache, self.tenant)
-
-    @property
-    def compute(self):
-        """The shared engine's compute-plane worker pool (tenants share
-        its workers the way they share the I/O pool)."""
-        return self._gbo.compute
-
-    @property
-    def stats(self) -> GodivaStats:
-        """The shared engine's stats sink (global counters)."""
-        return self._gbo.stats
 
     @property
     def carveout_bytes(self) -> int:

@@ -80,9 +80,8 @@ def tenant_of(policy_name: str) -> Optional[str]:
     """The owning tenant of an eviction-policy name, or None.
 
     Understands both name shapes the shared policy tracks: scoped unit
-    names (``tenant::<id>::<unit>``) and derived-cache entries whose
-    key a :class:`~repro.service.service.TenantDerivedView` prefixed
-    (``derived::tenant::<id>|<canonical key>``).
+    names (``tenant::<id>::<unit>``) and the derived-cache entries of a
+    session's scoped cache (``derived::tenant::<id>|<canonical key>``).
     """
     name = policy_name
     if name.startswith(DERIVED_PREFIX):
@@ -277,13 +276,6 @@ class TenantLedger:
             }
             for tenant, budget in self._tenants.items()
         }
-
-    def unfair_evictions(self) -> int:
-        """Total unfair evictions across all live tenants. Lock held."""
-        self._check_locked()
-        return sum(
-            b.unfair_evictions for b in self._tenants.values()
-        )
 
     def totals(self) -> Dict[str, int]:
         """Lifetime eviction totals (survive unregister). Lock held."""

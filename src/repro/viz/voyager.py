@@ -249,7 +249,7 @@ class GodivaSnapshotData(SnapshotData):
         self._tsid = tsid
         self._tsid_key = tsid.encode("ascii")
         self._block_order = tuple(block_ids)
-        self._derived = getattr(gbo, "derived", None)
+        self._derived = gbo.derived
 
     def parallel_extract_safe(self) -> bool:
         """True: buffer queries go through the engine lock and the
@@ -417,9 +417,9 @@ class Voyager:
             return self._drive_godiva(gbo, multi_thread=multi_thread)
 
     def _drive_godiva(self, gbo, multi_thread: bool) -> VoyagerResult:
-        """The G/TG processing loop over any GBO-shaped database —
-        a private :class:`GBO` or a :class:`ServiceSession` (which
-        scopes names and shares the engine's stats across tenants)."""
+        """The G/TG processing loop over a :class:`GBO` — a private one
+        or a :class:`ServiceSession` (a GBO bound to one tenant, whose
+        names are scoped and whose engine, stats and pools are shared)."""
         images: List[str] = []
         per_snapshot: List[float] = []
         triangles = 0
@@ -440,14 +440,13 @@ class Voyager:
         # processing order (section 3.2).
         for step in dict.fromkeys(steps):
             gbo.add_unit(snapshot_unit_name(step), read_fn)
-        pool = getattr(gbo, "compute", None)
-        self.pipeline.pool = pool
+        pool = self.pipeline.pool = gbo.compute
         # Frame pipelining: with a parallel pool, begin extraction of
         # snapshot t+1 (low priority) while t rasterizes. The lookahead
         # only fires when try_wait_unit pins an already-resident unit —
         # never a blocking load, so a squeezed budget degrades to the
         # serial schedule instead of deadlocking.
-        pipelining = pool is not None and pool.parallel
+        pipelining = pool.parallel
         lookahead = None  # FramePlan for the next visit, unit pinned
         try:
             for visit, step in enumerate(steps):

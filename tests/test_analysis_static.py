@@ -294,6 +294,30 @@ class TestSC104ContractDrift:
         )
         assert keys(src, "SC104") == []
 
+    def test_subclass_inherits_layer_types(self):
+        # A facade subclass reaches layers its base built: the call
+        # still resolves, so a missing lock is still reported.
+        src = (
+            "@guarded_by('_items', lock='_lock')\n"
+            "class Widget:\n"
+            '    """Doc."""\n'
+            "    def read(self):\n"
+            '        """Lock held."""\n'
+            "        return self._items\n"
+            "class Facade:\n"
+            '    """Doc."""\n'
+            "    def __init__(self):\n"
+            "        self._widget = Widget()\n"
+            "class Scoped(Facade):\n"
+            '    """Doc."""\n'
+            "    def careless(self):\n"
+            '        """Calls an inherited layer without the lock."""\n'
+            "        return self._widget.read()\n"
+        )
+        found = [d.symbol for d in diagnostics(src)
+                 if d.rule == "SC104"]
+        assert "Scoped.careless->Widget.read" in found
+
     def test_undeclared_registry_field_reported(self):
         # A registry class that drops a declared field from its
         # decorator drifts from the DESIGN table.
