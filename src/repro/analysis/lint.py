@@ -53,7 +53,10 @@ REP111   No ``multiprocessing`` ``Process``/``Pool``/``Queue``/
          call (module attribute or imported name) outside
          ``repro/core/child.py`` — every child process is a
          :class:`~repro.core.child.Child`, so a message crosses a
-         process boundary in exactly one place.
+         process boundary in exactly one place; and no string-literal
+         ``start_method=`` passed to ``Child(...)`` or
+         ``ProcessComputePool(...)`` — every child starts the
+         platform-default way (a pass-through variable is fine).
 =======  ==============================================================
 
 Pre-existing violations live in a committed baseline file
@@ -149,6 +152,8 @@ _PROCESS_NAMES = frozenset({
     "Process", "Pool", "Queue", "SimpleQueue", "Pipe", "get_context",
 })
 _PROCESS_EXEMPT = ("repro/core/child.py",)
+#: Callables whose ``start_method=`` must not be a literal (REP111).
+_START_METHOD_CALLEES = frozenset({"Child", "ProcessComputePool"})
 
 _MUTABLE_DEFAULT_NODES = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
@@ -386,6 +391,12 @@ class _Linter(ast.NodeVisitor):
                 "multiprocessing process/channel built outside "
                 "repro.core.child — spawn through repro.core.child.Child",
             )
+        if self._pins_start_method(node):
+            self._add(
+                "REP111", node,
+                "start_method pinned to a string literal — every child "
+                "starts the platform-default way",
+            )
         if isinstance(func, ast.Attribute) \
                 and func.attr in PAPER_ALIAS_NAMES:
             self._add(
@@ -425,6 +436,20 @@ class _Linter(ast.NodeVisitor):
         while isinstance(root, ast.Attribute):
             root = root.value
         return isinstance(root, ast.Name) and root.id in self._mp_modules
+
+    @staticmethod
+    def _pins_start_method(node: ast.Call) -> bool:
+        """REP111: ``Child(...)`` / ``ProcessComputePool(...)`` called
+        with a string-literal ``start_method=``."""
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) \
+            else getattr(func, "attr", None)
+        return name in _START_METHOD_CALLEES and any(
+            keyword.arg == "start_method"
+            and isinstance(keyword.value, ast.Constant)
+            and isinstance(keyword.value.value, str)
+            for keyword in node.keywords
+        )
 
     @staticmethod
     def _receiver_is_condition(value: ast.AST) -> bool:

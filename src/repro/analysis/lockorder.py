@@ -21,6 +21,7 @@ Typical use (the pytest fixture does this automatically)::
 
 from __future__ import annotations
 
+import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -87,6 +88,10 @@ class LockOrderGraph:
         with self._lock:
             self._edges.clear()
 
+    def after_fork_in_child(self) -> None:
+        """Replace the lock, which a vanished thread may hold."""
+        self._lock = threading.Lock()
+
     def find_cycles(self) -> List[List[LockOrderEdge]]:
         """All elementary cycles, each as its list of edges.
 
@@ -150,3 +155,7 @@ class LockOrderGraph:
 
 #: Process-wide graph that every tracked lock reports into.
 GLOBAL_GRAPH = LockOrderGraph()
+if hasattr(os, "register_at_fork"):
+    # A forked child has only the forking thread; a lock another thread
+    # held at the fork would stay held there forever.
+    os.register_at_fork(after_in_child=GLOBAL_GRAPH.after_fork_in_child)

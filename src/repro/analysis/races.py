@@ -28,6 +28,7 @@ the normal, safe pattern the state machine exists to tolerate.
 
 from __future__ import annotations
 
+import os
 import threading
 import traceback
 from typing import Dict, List, Optional, Tuple, Type
@@ -139,6 +140,10 @@ class LocksetTracker:
             self._pinned.clear()
             self._reports.clear()
 
+    def after_fork_in_child(self) -> None:
+        """Replace the lock, which a vanished thread may hold."""
+        self._lock = threading.Lock()
+
     def check(self) -> None:
         """Raise :class:`DataRaceError` summarizing all findings."""
         reports = self.reports()
@@ -150,6 +155,10 @@ class LocksetTracker:
 
 
 TRACKER = LocksetTracker()
+if hasattr(os, "register_at_fork"):
+    # A forked child has only the forking thread; a lock another thread
+    # held at the fork would stay held there forever.
+    os.register_at_fork(after_in_child=TRACKER.after_fork_in_child)
 
 #: Classes annotated with :func:`guarded_by`, for :func:`install`.
 _REGISTRY: List[Type] = []

@@ -1,13 +1,17 @@
 """Child — the one supervised child process.
 
 Every process the library starts — compute workers, shard hosts,
-Houston servers, launcher workers — is a :class:`Child`: one spawn,
+Houston servers, launcher workers — is a :class:`Child`: one start,
 one channel, one liveness rule and one teardown, so a message crosses
 a process boundary in exactly one place:
 
-* **spawn** — ``target(conn, *args)`` runs in a new process holding
-  only the child's end of a duplex pipe, the parent only its own, so
-  either side's death or close reads as EOF on the other.
+* **start** — ``target(conn, *args)`` runs in a new process started
+  the platform-default way (fork on Linux up to Python 3.13, so a
+  child inherits the modules its parent already imported; spawn on
+  macOS and Windows), holding only the child's end of a duplex pipe
+  (a forked child closes every parent end it inherited, its older
+  siblings' too), the parent only its own, so either side's death or
+  close reads as EOF on the other.
 * **channel** — :meth:`Child.send` / :meth:`Child.recv` move picklable
   messages. ``recv`` waits on the pipe *and* the process sentinel: a
   message sent before the child died is still read, and a child gone
@@ -26,6 +30,7 @@ a process boundary in exactly one place:
 from __future__ import annotations
 
 import multiprocessing
+import weakref
 from contextlib import suppress
 from multiprocessing import resource_tracker, util
 from multiprocessing.connection import wait
@@ -36,9 +41,16 @@ from repro.errors import ChildExitedError
 #: Seconds :meth:`Child.close` waits for a child to exit before terminating it.
 JOIN_TIMEOUT_S = 10.0
 
+#: Every :class:`Child` this process holds; a fork copies their parent ends.
+_LIVE: weakref.WeakSet[Child] = weakref.WeakSet()
 
-def _child_main(target: Callable[..., None], parent_end, *args) -> None:
-    parent_end.close()  # a forked copy would mask the parent's close (EOF)
+
+def _child_main(target: Callable[..., None], *args) -> None:
+    # A forked child inherits the parent end of its own pipe and of
+    # every older sibling's; any copy left open would mask that
+    # parent's close (EOF). A spawned child inherits none: _LIVE is empty.
+    for child in list(_LIVE):
+        child.conn.close()
     target(*args)
 
 
@@ -46,20 +58,22 @@ class Child:
     """One child process running ``target(conn, *args)``.
 
     ``name`` names the process and every :class:`ChildExitedError`;
-    ``start_method`` is a :mod:`multiprocessing` start method (None =
-    the platform default). ``conn`` and ``proc`` are the parent's pipe
-    end and the :class:`multiprocessing.Process`.
+    ``start_method`` is a :mod:`multiprocessing` start method, for
+    tests: every supervisor leaves it None, the platform default.
+    ``conn`` and ``proc`` are the parent's pipe end and the
+    :class:`multiprocessing.Process`.
     """
 
     def __init__(self, target: Callable[..., None], *args: Any, name: str,
-                 start_method: Optional[str] = "spawn") -> None:
+                 start_method: Optional[str] = None) -> None:
         # One shared-memory tracker for parent and children: a fork
         # child would start its own, and two ledgers never balance.
         resource_tracker.ensure_running()
         context = multiprocessing.get_context(start_method)
         self.conn, child_end = context.Pipe()
         self.proc = context.Process(target=_child_main, name=name,
-                                    args=(target, self.conn, child_end, *args))
+                                    args=(target, child_end, *args))
+        _LIVE.add(self)
         self.proc.start()
         child_end.close()
         self._close_pipe = util.Finalize(self, self.conn.close, exitpriority=0)

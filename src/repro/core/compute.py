@@ -56,6 +56,14 @@ CANCELLED = "cancelled"  # still queued when the pool closed
 _TERMINAL = (DONE, FAILED, CANCELLED)
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset``, cgroup cpusets), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ComputeTask:
     """One submitted unit of compute work (a future).
 
@@ -140,7 +148,7 @@ class ComputePool:
     spawn_threads:
         Worker *threads* to spawn at :meth:`start` (clamped to
         ``workers``). Default None auto-sizes to
-        ``min(workers, cpu_count) - 1``: a waiting submitter helps, so
+        ``min(workers, usable_cores()) - 1``: a waiting submitter helps, so
         the thread complement plus the helping caller saturates the
         host without oversubscribing it — on a single-core host no
         threads are spawned and the helping caller runs every task
@@ -151,7 +159,7 @@ class ComputePool:
         ``spawn_threads``/auto sizing. This is the oversubscription
         guard for hosts running several pools in one process (the
         GBO's pool plus per-shard host pools each sizing by
-        ``os.cpu_count()`` would otherwise multiply):
+        :func:`usable_cores` would otherwise multiply):
         :class:`~repro.parallel.sharded.ShardedGBO` divides the host's
         cores among its shards through this knob. ``workers`` — and
         therefore the helping/ordering semantics — is unchanged; only
@@ -239,7 +247,7 @@ class ComputePool:
         if self._spawn_threads is not None:
             count = max(0, min(self._spawn_threads, self._workers))
         else:
-            count = max(0, min(self._workers, os.cpu_count() or 1) - 1)
+            count = max(0, min(self._workers, usable_cores()) - 1)
         if self._max_threads is not None:
             count = min(count, self._max_threads)
         return count

@@ -86,7 +86,13 @@ from repro.core.arena import (
     _destroy_segment,
 )
 from repro.core.child import Child, close_all
-from repro.core.compute import CANCELLED, PENDING, ComputePool, ComputeTask
+from repro.core.compute import (
+    CANCELLED,
+    PENDING,
+    ComputePool,
+    ComputeTask,
+    usable_cores,
+)
 from repro.core.stats import GodivaStats
 from repro.errors import ComputeWorkerError
 
@@ -405,7 +411,7 @@ class ProcessComputePool(ComputePool):
         :meth:`start` spawns (see ``spawn_procs`` and ``max_procs``)."""
         if self._spawn_procs is not None:
             return max(0, min(self._spawn_procs, self._workers))
-        count = min(self._workers, os.cpu_count() or 1)
+        count = min(self._workers, usable_cores())
         if self._max_procs is not None:
             count = min(count, self._max_procs)
         return max(1, count)

@@ -40,7 +40,6 @@ queue of grant verdicts and the lock serializing their sends.
 
 from __future__ import annotations
 
-import os
 import queue as queue_module
 import threading
 import time
@@ -54,6 +53,7 @@ from repro.analysis.primitives import TrackedLock, make_held_checker
 from repro.analysis.races import guarded_by
 from repro.core.arena import AttachCache, BufferToken, SharedMemoryArena
 from repro.core.child import Child, close_all, ready
+from repro.core.compute import usable_cores
 from repro.core.config import EngineConfig, resolve_budget
 from repro.core.database import GBO
 from repro.core.stats import GodivaStats
@@ -531,7 +531,7 @@ class ShardedGBO:
         slice_bytes = max(resolve_budget(mem_mb=mem_mb) // n_shards, 1)
         shard_config = EngineConfig(
             slice_bytes,
-            compute_max_threads=max(1, (os.cpu_count() or 1) // n_shards),
+            compute_max_threads=max(1, usable_cores() // n_shards),
             **engine,
         )
         if placement not in PLACEMENTS:

@@ -414,6 +414,29 @@ class TestRep111OneSpawnSite:
         )
         assert rules(others) == []
 
+    @pytest.mark.parametrize("source", [
+        "from repro.core.child import Child\n"
+        "C = Child(print, name='c', start_method='spawn')\n",
+        "from repro.core import compute_proc\n"
+        "P = compute_proc.ProcessComputePool(2, start_method='fork')\n",
+    ])
+    def test_literal_start_method_flagged(self, source):
+        assert rules(DOC + source) == ["REP111"]
+
+    def test_default_or_passed_through_start_method_is_clean(self):
+        source = DOC + (
+            "from repro.core.child import Child\n"
+            "from repro.core.compute_proc import ProcessComputePool\n"
+            "A = Child(print, name='a')\n"
+            "B = Child(print, name='b', start_method=None)\n"
+            "P = ProcessComputePool(2)\n"
+            "def _make(pool):\n"
+            "    \"\"\"D.\"\"\"\n"
+            "    return Child(print, name='c',\n"
+            "                 start_method=pool._start_method)\n"
+        )
+        assert rules(source) == []
+
 
 class TestBaseline:
     def test_violation_key_is_line_number_free(self):

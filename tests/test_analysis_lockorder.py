@@ -137,3 +137,41 @@ class TestTrackedLockIntegration:
         assert "POTENTIAL DEADLOCK" in message
         assert "order.a" in message and "order.b" in message
         assert "then acquired" in message  # both stacks shown
+
+
+def report_sanitizer_state(conn):
+    from repro.analysis.races import TRACKER
+
+    conn.send((GLOBAL_GRAPH.edges(), TRACKER.reports()))
+
+
+def test_a_forked_child_does_not_inherit_a_held_sanitizer_lock():
+    """A thread inside the lock-order graph or the lockset tracker at
+    the moment a supervised child forks must not leave that lock held
+    in the child, whose first sanitizer call would then hang."""
+    from repro.analysis.races import TRACKER
+    from repro.core.child import Child, ready
+
+    held, release = threading.Event(), threading.Event()
+
+    def hold_both():
+        with GLOBAL_GRAPH._lock, TRACKER._lock:
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold_both)
+    holder.start()
+    held.wait()
+    child = None
+    try:
+        child = Child(report_sanitizer_state, name="sanitizer-fork",
+                      start_method="fork")
+        assert ready([child], 10.0) == [child]
+        edges, reports = child.recv()
+        assert isinstance(edges, list) and isinstance(reports, list)
+    finally:
+        release.set()
+        holder.join(10.0)
+        if child is not None:
+            child.close()
+    assert not holder.is_alive()

@@ -50,6 +50,13 @@ def linger_after_stop(conn):
     time.sleep(1.0)
 
 
+def wait_for_eof(conn):
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+
+
 def flood_then_wait(conn):
     conn.send(b"x" * (8 << 20))  # far past the pipe buffer: blocks
     conn.recv()
@@ -134,6 +141,22 @@ def test_close_does_not_wait_out_a_child_blocked_sending():
     child.close("stop")
     assert time.monotonic() - t0 < child_module.JOIN_TIMEOUT_S / 2
     assert child.proc.exitcode not in (None, -signal.SIGTERM)
+
+
+def test_a_forked_child_does_not_hold_an_older_siblings_pipe_open():
+    """Closing ``a``'s pipe with no stop message reads as EOF in ``a``
+    although ``b`` was forked from the parent after ``a`` started: ``b``
+    must not keep a copy of ``a``'s parent end."""
+    a = Child(wait_for_eof, name="child-a", start_method="fork")
+    b = Child(wait_for_eof, name="child-b", start_method="fork")
+    try:
+        a._close_pipe()
+        a.proc.join(2.0)
+        assert a.proc.exitcode == 0
+        assert b.proc.is_alive()
+    finally:
+        close_all([a, b])
+    assert b.proc.exitcode == 0
 
 
 def test_close_is_idempotent():

@@ -5,6 +5,7 @@ Marked ``races`` (by ``conftest.py``, filename prefix) so the sanitizer
 job replays the threaded paths under the lockset race detector.
 """
 
+import os
 import threading
 
 import pytest
@@ -14,7 +15,9 @@ from repro.core.compute import (
     DONE,
     ComputePool,
     ComputeTask,
+    usable_cores,
 )
+from repro.core.compute_proc import ProcessComputePool
 from repro.core.stats import GodivaStats
 from repro.errors import ComputePoolClosedError
 
@@ -228,3 +231,25 @@ def test_max_threads_zero_means_helping_waiters_only():
 def test_max_threads_validated():
     with pytest.raises(ValueError):
         ComputePool(2, max_threads=-1)
+
+
+@pytest.fixture
+def one_cpu_of_two(monkeypatch):
+    """A 2-core host whose affinity mask (``taskset -c 0``, a cpuset)
+    leaves this process one CPU."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+
+
+def test_pools_size_themselves_to_the_affinity_mask(one_cpu_of_two):
+    assert usable_cores() == 1
+    # One usable CPU: no worker thread, the helping caller runs it all.
+    assert ComputePool(4)._worker_count() == 0
+    assert ProcessComputePool(4)._worker_count() == 1
+
+
+def test_usable_cores_without_an_affinity_call(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert usable_cores() == 1

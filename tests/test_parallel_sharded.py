@@ -3,11 +3,14 @@
 import glob
 import multiprocessing
 import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.core.child import Child
+from repro.core.compute import usable_cores
 from repro.core.database import GBO
 from repro.errors import GodivaDeadlockError, GodivaError
 from repro.io.readers import (
@@ -50,6 +53,14 @@ def serial_frames(dataset, mem_mb=64.0):
     return frames
 
 
+@pytest.fixture
+def force_spawn(monkeypatch):
+    """Start every :class:`Child` by ``spawn`` — the path macOS, Windows
+    and Python >= 3.14 take — instead of the platform default."""
+    monkeypatch.setitem(Child.__init__.__kwdefaults__, "start_method",
+                        "spawn")
+
+
 class TestByteIdentity:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_shards_match_serial(self, small_dataset, n_shards):
@@ -67,6 +78,45 @@ class TestByteIdentity:
             shard_id: len(steps)
             for shard_id, steps in result.assignment.items()
         }
+
+    def test_spawned_hosts_match_serial(self, small_dataset, force_spawn):
+        self.test_shards_match_serial(small_dataset, 2)
+
+    def test_hosts_started_beside_a_threaded_coordinator_match_serial(
+            self, small_dataset):
+        """On Linux a host forks from the coordinator, whatever runs
+        there: here a GBO with two I/O workers loading every step, a
+        started process compute pool, and a thread cycling the GBO's
+        lock throughout."""
+        reference = serial_frames(small_dataset)
+        busy = GBO(mem_mb=64.0, io_workers=2, compute_workers=2,
+                   compute_backend="process")
+        stop = threading.Event()
+
+        def cycle_lock():
+            while not stop.is_set():
+                with busy._lock:
+                    pass
+
+        cycler = threading.Thread(target=cycle_lock)
+        cycler.start()
+        try:
+            assert busy.compute.procs
+            read_fn = make_snapshot_read_fn(small_dataset)
+            solid_schema().ensure(busy)
+            for step in range(len(small_dataset.snapshots)):
+                busy.add_unit(snapshot_unit_name(step), read_fn)
+            result = render_sharded(
+                small_dataset.directory, 2, test=TEST, mem_mb=64.0,
+            )
+        finally:
+            stop.set()
+            cycler.join(10.0)
+            busy.close()
+        assert not cycler.is_alive()
+        assert result.frames.keys() == reference.keys()
+        for step, frame in result.frames.items():
+            assert frame.tobytes() == reference[step]
 
     def test_zero_copy_frames_valid_until_close(self, small_dataset):
         reference = serial_frames(small_dataset)
@@ -133,9 +183,10 @@ class TestBudgetProtocol:
 
 
 def exit_at_startup(conn, spec):
-    """A shard host that dies before it says anything (what a `spawn`
-    fleet whose ``__main__`` cannot be re-imported does in every
-    host)."""
+    """A shard host that dies before it says anything — what every host
+    of a spawned fleet does when the coordinator's script has no
+    ``__main__`` guard (macOS, Python >= 3.14). On Linux a host forks,
+    runs nothing of the script again, and such a script works."""
     os._exit(3)
 
 
@@ -210,6 +261,11 @@ class TestHostFailure:
                     if p.name.startswith("shard")]
         fleet.close()
 
+    def test_spawned_host_dead_at_startup_fails_the_run_at_once(
+            self, small_dataset, monkeypatch, force_spawn):
+        self.test_host_dead_at_startup_fails_the_run_at_once(
+            small_dataset, monkeypatch)
+
 
 class TestValidation:
     def test_bad_placement(self, small_dataset):
@@ -260,16 +316,28 @@ class TestComputePlaneWiring:
 
     def test_shard_specs_divide_cores(self, small_dataset):
         """Oversubscription fix: every shard spec carries the per-shard
-        thread cap (cores // n_shards, floored at one) alongside the
-        requested compute plane."""
-        import os as _os
-
+        thread cap (usable cores // n_shards, floored at one) alongside
+        the requested compute plane."""
         sharded = ShardedGBO(small_dataset.directory, 2,
                              compute_workers=4,
                              compute_backend="process")
-        expected = max(1, (_os.cpu_count() or 1) // 2)
+        expected = max(1, usable_cores() // 2)
         for spec in sharded._specs:
             assert spec.config.compute_workers == 4
             assert spec.config.compute_backend == "process"
             assert spec.config.compute_max_threads == expected
         sharded.close()
+
+    def test_shard_cap_follows_the_affinity_mask(self, small_dataset,
+                                                 monkeypatch):
+        """A one-shard fleet on a 2-core host whose affinity mask leaves
+        one CPU caps its host's compute threads at 1, not 2."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        fleet = ShardedGBO(small_dataset.directory, 1)
+        try:
+            assert [spec.config.compute_max_threads
+                    for spec in fleet._specs] == [1]
+        finally:
+            fleet.close()
