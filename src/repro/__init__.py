@@ -41,7 +41,6 @@ from repro.core import (
     RecordType,
     UnitHandle,
     UnitState,
-    UnitTracer,
     parse_mem,
 )
 from repro.errors import (
@@ -76,7 +75,6 @@ __all__ = [
     "UnitHandle",
     "UnitState",
     "GodivaStats",
-    "UnitTracer",
     "MB",
     "parse_mem",
     "GodivaError",

@@ -57,6 +57,14 @@ REP111   No ``multiprocessing`` ``Process``/``Pool``/``Queue``/
          ``start_method=`` passed to ``Child(...)`` or
          ``ProcessComputePool(...)`` — every child starts the
          platform-default way (a pass-through variable is fine).
+REP112   Every module-level public function and class under
+         ``src/repro`` is reachable from an entry point: a
+         ``[project.scripts]`` target, a file under ``examples/`` or
+         ``benchmarks/``, or a top-level statement of a ``src`` module.
+         A use is a loaded name, an attribute, or a string spelling the
+         name; imports and ``__all__`` are not uses, so an ``__init__``
+         re-export reaches nothing. Only uses inside reached code count.
+         ``repro/analysis/`` and ``repro/simulate/`` are exempt.
 =======  ==============================================================
 
 Pre-existing violations live in a committed baseline file
@@ -68,14 +76,19 @@ via :mod:`repro.analysis.baseline`.
 
 The linter is pure ``ast`` — it never imports the code under analysis
 (the REP109 registry lookup reads plain data from ``lockfacts``), so
-it runs in a bare CI container in milliseconds.
+it runs in a bare CI container in milliseconds. REP112 is the one
+whole-program rule: :func:`lint_paths` runs it over the repository the
+linted paths sit in (the nearest ancestor holding ``pyproject.toml``
+and ``src/repro``), whatever subset of files is linted.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import re
 import sys
-from typing import List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.baseline import (
     Finding,
@@ -154,6 +167,13 @@ _PROCESS_NAMES = frozenset({
 _PROCESS_EXEMPT = ("repro/core/child.py",)
 #: Callables whose ``start_method=`` must not be a literal (REP111).
 _START_METHOD_CALLEES = frozenset({"Child", "ProcessComputePool"})
+
+#: Packages REP112 does not report (REP110's precedent): their defs
+#: count as reached, so nothing they use is flagged either.
+_REACH_EXEMPT = ("repro/analysis/", "repro/simulate/")
+_ENTRY_DIRS = ("examples", "benchmarks")
+#: A string that spells a (dotted / ``module:name``) identifier.
+_NAME_STRING = re.compile(r"[A-Za-z_][\w.]*(?::[A-Za-z_]\w*)?")
 
 _MUTABLE_DEFAULT_NODES = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
@@ -581,15 +601,141 @@ def lint_source(source: str, path: str) -> List[Violation]:
     return linter.violations
 
 
+class _Uses(ast.NodeVisitor):
+    """The names one subtree uses (REP112)."""
+
+    def __init__(self) -> None:
+        self.names: Set[str] = set()
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) \
+                and _NAME_STRING.fullmatch(node.value):
+            self.names.add(re.split(r"[.:]", node.value)[-1])
+
+    def visit_Import(self, node: ast.AST) -> None:
+        pass
+
+    visit_ImportFrom = visit_Import
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if not any(isinstance(target, ast.Name) and target.id == "__all__"
+                   for target in node.targets):
+            self.generic_visit(node)
+
+
+def _uses(nodes: Iterable[ast.AST]) -> Set[str]:
+    visitor = _Uses()
+    for node in nodes:
+        visitor.visit(node)
+    return visitor.names
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path, "r", encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
+
+
+def _repo_root(paths: Sequence[str]) -> Optional[str]:
+    """The nearest ancestor of the first linted path (or of the working
+    directory) holding ``pyproject.toml`` and ``src/repro``."""
+    here = os.path.abspath(paths[0] if paths else os.getcwd())
+    while True:
+        if os.path.isfile(os.path.join(here, "pyproject.toml")) \
+                and os.path.isdir(os.path.join(here, "src", "repro")):
+            return here
+        parent = os.path.dirname(here)
+        if parent == here:
+            return None
+        here = parent
+
+
+def _script_defs(root: str) -> Set[Tuple[str, str]]:
+    """``(path, name)`` of each ``[project.scripts]`` target."""
+    with open(os.path.join(root, "pyproject.toml"), "r",
+              encoding="utf-8") as handle:
+        section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)",
+                            handle.read(), re.M | re.S)
+    targets = re.findall(r'=\s*"([\w.]+):(\w+)"',
+                         section.group(1) if section else "")
+    return {
+        (os.path.join(root, "src", *module.split(".")) + ".py", name)
+        for module, name in targets
+    }
+
+
+def unreached_defs(root: str, exempt: Sequence[str] = _REACH_EXEMPT,
+                   ) -> List[Tuple[str, ast.AST]]:
+    """REP112's index: the ``(path, node)`` of every module-level def
+    under ``root/src/repro`` that no entry point reaches, private ones
+    included (the rule reports only public names). Defs under an
+    ``exempt`` path fragment count as reached."""
+    nodes: Dict[Tuple[str, str], ast.AST] = {}
+    by_name: Dict[str, List[Tuple[str, str]]] = {}
+    uses: Dict[Tuple[str, str], Set[str]] = {}
+    pending = list(_script_defs(root))
+    names: Set[str] = set()
+    for path in iter_python_files([os.path.join(root, "src", "repro")]):
+        path = os.path.abspath(path)
+        top = []
+        for stmt in _parse(path).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                key = (path, stmt.name)
+                nodes[key] = stmt
+                by_name.setdefault(stmt.name, []).append(key)
+                uses[key] = _uses([stmt])
+                if _is_exempt(normalize_path(path, root), exempt):
+                    pending.append(key)
+            else:
+                top.append(stmt)
+        names |= _uses(top)
+    for path in iter_python_files(os.path.join(root, d)
+                                  for d in _ENTRY_DIRS):
+        names |= _uses([_parse(path)])
+    for name in names:
+        pending.extend(by_name.get(name, ()))
+    reached: Set[Tuple[str, str]] = set()
+    while pending:
+        key = pending.pop()
+        if key not in reached:
+            reached.add(key)
+            for name in uses.get(key, ()):
+                pending.extend(by_name.get(name, ()))
+    return [(key[0], node) for key, node in nodes.items()
+            if key not in reached]
+
+
 def lint_paths(paths: Sequence[str],
                root: Optional[str] = None) -> List[Violation]:
-    """Lint every Python file under ``paths``."""
+    """Lint every Python file under ``paths``; REP112 reports the
+    linted files' unreached public defs."""
     violations: List[Violation] = []
+    linted: Dict[str, str] = {}
     for filepath in iter_python_files(paths):
         normalized = normalize_path(filepath, root)
+        linted[os.path.abspath(filepath)] = normalized
         with open(filepath, "r", encoding="utf-8") as handle:
             source = handle.read()
         violations.extend(lint_source(source, normalized))
+    repo = _repo_root(paths)
+    if repo is not None:
+        for path, node in unreached_defs(repo):
+            if path in linted and not node.name.startswith("_"):
+                violations.append(Violation(
+                    "REP112", linted[path], node.lineno, node.name,
+                    f"{node.name!r} is reached from no entry point "
+                    f"(console script, examples/, benchmarks/, module "
+                    f"top level) — delete it or move it to tests/",
+                ))
     return violations
 
 

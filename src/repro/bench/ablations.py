@@ -18,9 +18,15 @@ ablations quantify each:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.bench.report import Table
+from repro.core.cache import (
+    EvictionPolicy,
+    FifoEvictionPolicy,
+    LruEvictionPolicy,
+    MruEvictionPolicy,
+)
 from repro.simulate.machine import Machine
 from repro.simulate.runner import simulate_voyager
 from repro.simulate.workload import IoProfile, TestWorkload
@@ -124,7 +130,7 @@ def memory_ablation(
 
 def eviction_ablation(
     data_dir: str,
-    policies: Sequence[str] = ("lru", "fifo", "mru"),
+    policies: Optional[Sequence[EvictionPolicy]] = None,
     pattern: str = "backforth",
     n_views: int = 40,
     mem_mb: float = 8.0,
@@ -134,7 +140,8 @@ def eviction_ablation(
 
     Runs a real :class:`~repro.viz.apollo.ApolloSession` over a real
     dataset with a constrained memory budget and the section-1
-    back-and-forth access trace.
+    back-and-forth access trace. ``policies`` are fresh instances
+    (default LRU, FIFO, MRU); rows are labelled by ``policy.name``.
     """
     from repro.gen.snapshot import load_manifest
     from repro.viz.apollo import ApolloSession, interactive_trace
@@ -148,6 +155,9 @@ def eviction_ablation(
         headers=("policy", "views", "hits", "hit rate",
                  "bytes read", "virtual I/O (s)"),
     )
+    if policies is None:
+        policies = (LruEvictionPolicy(), FifoEvictionPolicy(),
+                    MruEvictionPolicy())
     for policy in policies:
         with ApolloSession(
             data_dir, test=test, mem_mb=mem_mb,
@@ -157,7 +167,7 @@ def eviction_ablation(
                 session.view(step)
             stats = session.stats
             table.add(
-                policy, stats.views, stats.cache_hits,
+                policy.name, stats.views, stats.cache_hits,
                 f"{stats.hit_rate:.1%}", stats.bytes_read,
                 stats.virtual_io_s,
             )

@@ -32,7 +32,6 @@ from repro.core.memory import (
 )
 from repro.core.record import FieldBuffer, Record
 from repro.core.stats import GodivaStats
-from repro.core.trace import UnitTimeline, UnitTracer
 from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
 from repro.core.units import ProcessingUnit, UnitHandle, UnitState
 
@@ -49,8 +48,6 @@ __all__ = [
     "UnitHandle",
     "UnitState",
     "GodivaStats",
-    "UnitTracer",
-    "UnitTimeline",
     "MemoryAccountant",
     "parse_mem",
     "MB",

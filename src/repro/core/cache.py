@@ -169,21 +169,14 @@ class FifoEvictionPolicy(EvictionPolicy):
         return iter(self._queue)
 
 
-_POLICIES = {
-    cls.name: cls
-    for cls in (LruEvictionPolicy, MruEvictionPolicy, FifoEvictionPolicy)
-}
-
-
 def make_policy(policy: Union[str, EvictionPolicy]) -> EvictionPolicy:
-    """Instantiate an eviction policy by name ('lru', 'mru', 'fifo');
-    a ready instance passes through."""
+    """The paper's ``'lru'`` policy by name; any other policy is passed
+    as a ready instance, which passes through."""
     if isinstance(policy, EvictionPolicy):
         return policy
-    try:
-        return _POLICIES[policy]()
-    except KeyError:
+    if policy != LruEvictionPolicy.name:
         raise ValueError(
-            f"unknown eviction policy {policy!r}; choose from "
-            f"{sorted(_POLICIES)}"
-        ) from None
+            f"unknown eviction policy {policy!r}; the one name is "
+            f"'lru' — pass any other policy as an instance"
+        )
+    return LruEvictionPolicy()

@@ -45,6 +45,7 @@ from repro.analysis.primitives import (
 from repro.analysis.races import guarded_by
 from repro.core.stats import GodivaStats
 from repro.errors import ComputePoolClosedError
+from repro.structures.priorityqueue import PriorityQueue
 
 #: ComputeTask lifecycle states.
 PENDING = "pending"      # in the queue (or being submitted)
@@ -140,11 +141,6 @@ class ComputePool:
         private instance is created when omitted.
     clock:
         Monotonic-seconds callable used for task timing.
-    queue:
-        Injectable pending-task queue; defaults to a fresh
-        :class:`~repro.structures.priorityqueue.PriorityQueue`.
-    thread_factory:
-        Injectable ``threading.Thread``-compatible factory.
     spawn_threads:
         Worker *threads* to spawn at :meth:`start` (clamped to
         ``workers``). Default None auto-sizes to
@@ -173,6 +169,9 @@ class ComputePool:
     #: The task class :meth:`submit` instantiates.
     _task_type = ComputeTask
 
+    #: What :meth:`start` builds worker threads with.
+    _thread_factory = threading.Thread
+
     def __init__(
         self,
         workers: int = 1,
@@ -182,8 +181,6 @@ class ComputePool:
         cond: Optional[object] = None,
         stats: Optional[GodivaStats] = None,
         clock: Callable[[], float] = time.monotonic,
-        queue: Optional[object] = None,
-        thread_factory: Callable[..., threading.Thread] = threading.Thread,
         spawn_threads: Optional[int] = None,
         max_threads: Optional[int] = None,
     ) -> None:
@@ -201,14 +198,9 @@ class ComputePool:
         self._check_locked = make_held_checker(lock, "ComputePool helper")
         self._clock = clock
         self.stats = stats if stats is not None else GodivaStats()
-        if queue is None:
-            from repro.structures.priorityqueue import PriorityQueue
-
-            queue = PriorityQueue()
-        self._queue = queue
+        self._queue = PriorityQueue()
         self._workers = int(workers)
         self._name = name
-        self._thread_factory = thread_factory
         self._spawn_threads = spawn_threads
         self._max_threads = max_threads
         self._threads: List[threading.Thread] = []

@@ -35,7 +35,7 @@ Inputs: callers wrap arrays they will reuse across many tasks in
 :meth:`ProcessComputePool.share` (staged once into the pool's staging
 arena — or exported zero-copy when the array already lives in a
 shareable arena the pool was given). Unwrapped arrays above
-``token_min_bytes`` are staged automatically per task; smaller ones
+:data:`TOKEN_MIN_BYTES` are staged automatically per task; smaller ones
 ride the task message. A shared input must stay alive and unmodified
 until every task referencing it settles.
 
@@ -202,9 +202,9 @@ def _decode(value: Any, cache: AttachCache) -> Any:
                      if isinstance(item, _TokenRef) else item)
 
 
-def _tokenizable(value: Any, threshold: int) -> bool:
+def _tokenizable(value: Any) -> bool:
     return (isinstance(value, np.ndarray) and not value.dtype.hasobject
-            and value.nbytes >= threshold)
+            and value.nbytes >= TOKEN_MIN_BYTES)
 
 
 def _stage(array: np.ndarray, arena: SharedMemoryArena) -> tuple:
@@ -215,11 +215,11 @@ def _stage(array: np.ndarray, arena: SharedMemoryArena) -> tuple:
     return copy, arena.export_token(copy)
 
 
-def _export_result(value: Any, arena: SharedMemoryArena, threshold: int,
+def _export_result(value: Any, arena: SharedMemoryArena,
                    out_allocs: List[np.ndarray]) -> Any:
     """Worker-side result encoding: big arrays become arena tokens."""
     def export(item: Any) -> Any:
-        if not _tokenizable(item, threshold):
+        if not _tokenizable(item):
             return item
         copy, token = _stage(item, arena)
         out_allocs.append(copy)
@@ -238,8 +238,7 @@ def _resolve_fn(module: str, name: str) -> Callable[..., Any]:
     return fn
 
 
-def _worker_main(conn, arena_prefix: str, segment_bytes: int,
-                 threshold: int) -> None:
+def _worker_main(conn, arena_prefix: str, segment_bytes: int) -> None:
     """Worker process main loop: attach inputs, run, token the results.
 
     Owns a private result :class:`SharedMemoryArena` (``arena_prefix``
@@ -276,7 +275,7 @@ def _worker_main(conn, arena_prefix: str, segment_bytes: int,
                 kwargs = _decode(enc_kwargs, cache)
                 value = fn(*args, **kwargs)
                 allocs: List[np.ndarray] = []
-                encoded = _export_result(value, arena, threshold, allocs)
+                encoded = _export_result(value, arena, allocs)
                 if allocs:
                     held[task_id] = allocs
                     shipped = sum(a.nbytes for a in allocs)
@@ -308,7 +307,7 @@ class _Child(Child):
 
     def __init__(self, pool: "ProcessComputePool", index: int) -> None:
         super().__init__(_worker_main, f"{pool.shm_prefix}-w{index}",
-                         pool._segment_bytes, pool._token_min,
+                         pool._segment_bytes,
                          name=f"{pool._name}-{index}",
                          start_method=pool._start_method)
         self.index = index
@@ -351,9 +350,6 @@ class ProcessComputePool(ComputePool):
         Cap on spawned processes — the oversubscription guard when
         several pools coexist in one process (mirrors the thread
         pool's ``max_threads``).
-    token_min_bytes:
-        Array-size threshold for token transport (below it, pickling
-        through the pipe is cheaper).
     segment_bytes:
         Segment size for the pool's staging and worker result arenas.
     """
@@ -375,7 +371,6 @@ class ProcessComputePool(ComputePool):
         start_method: Optional[str] = None,
         spawn_procs: Optional[int] = None,
         max_procs: Optional[int] = None,
-        token_min_bytes: int = TOKEN_MIN_BYTES,
         segment_bytes: Optional[int] = None,
     ) -> None:
         if max_procs is not None and max_procs < 1:
@@ -384,7 +379,6 @@ class ProcessComputePool(ComputePool):
         self._start_method = start_method
         self._spawn_procs = spawn_procs
         self._max_procs = max_procs
-        self._token_min = int(token_min_bytes)
         self._segment_bytes = (segment_bytes if segment_bytes is not None
                                else DEFAULT_SEGMENT_BYTES)
         self._share_arena = (share_arena if share_arena is not None
@@ -576,7 +570,7 @@ class ProcessComputePool(ComputePool):
 
         def encode(item: Any) -> Any:
             """Pin every array that travels as a token."""
-            if _tokenizable(item, self._token_min):
+            if _tokenizable(item):
                 item = SharedInput(np.ascontiguousarray(item))
             if not isinstance(item, SharedInput):
                 return item

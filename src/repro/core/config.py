@@ -60,9 +60,9 @@ class EngineConfig:
     io_workers: int = field(default=1, metadata={
         "help": "background I/O threads in the TG mode (1 = the paper's "
                 "single prefetch thread)"})
-    #: ``'lru'`` / ``'fifo'`` / ``'mru'``, or a ready
-    #: :class:`~repro.core.cache.EvictionPolicy` instance (the service
-    #: injects a tenant-aware one). Rule: a name must be registered.
+    #: ``'lru'``, or a ready :class:`~repro.core.cache.EvictionPolicy`
+    #: instance (the A3 ablation passes FIFO and MRU ones; the service
+    #: injects a tenant-aware one). Rule: the only name is ``'lru'``.
     eviction_policy: Union[str, EvictionPolicy] = "lru"
     #: Attach the budget-charged derived-data memo cache.
     derived_cache: bool = field(default=True, metadata={

@@ -70,7 +70,9 @@ class GBO:
     closes only arenas it created itself); ``clock``
     injects the monotonic-seconds source; ``unit_event_hook(event,
     unit_name, now)`` observes unit transitions under the engine lock
-    (see :class:`repro.core.trace.UnitTracer`).
+    (``added``, ``boosted``, ``read_started``, ``loaded``, ``finished``,
+    ``evicted``, ``deleted``, ``failed``, ``cancelled``, and the derived
+    cache's ``derived_cached`` / ``derived_hit`` / ``derived_evicted``).
     """
 
     #: Prefix every unit and record-type name gains on entering the

@@ -12,10 +12,6 @@ with that lock held (checked under ``REPRO_ANALYSIS=1``); the methods
 that run read callbacks (``wait_unit``, ``read_unit``, the worker loop)
 acquire the engine lock themselves and always drop it around the
 callback, so callbacks can re-enter the record interfaces.
-
-Seams: the queue and the thread factory are constructor-injectable, so
-a future scheduler can substitute a sharded queue or an executor-backed
-pool without touching the facade.
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ from repro.errors import (
     UnitStateError,
     UnknownUnitError,
 )
+from repro.structures.priorityqueue import PriorityQueue
 
 
 class _WorkerStats:
@@ -73,11 +70,6 @@ class IoScheduler:
     workers:
         Background worker count; 0 is the paper's single-thread *G*
         build where reads happen inside ``wait_unit``.
-    queue:
-        Injectable pending-unit queue; defaults to a fresh
-        :class:`~repro.structures.priorityqueue.PriorityQueue`.
-    thread_factory:
-        Injectable ``threading.Thread``-compatible factory for the pool.
     """
 
     def __init__(
@@ -88,8 +80,6 @@ class IoScheduler:
         stats: Optional[GodivaStats] = None,
         clock: Callable[[], float] = time.monotonic,
         workers: int = 0,
-        queue: Optional[object] = None,
-        thread_factory: Callable[..., threading.Thread] = threading.Thread,
     ) -> None:
         if lock is None:
             lock = TrackedLock(f"IoScheduler._lock@{id(self):#x}")
@@ -99,16 +89,11 @@ class IoScheduler:
         self._check_locked = make_held_checker(lock, "IoScheduler helper")
         self._clock = clock
         self.stats = stats if stats is not None else GodivaStats()
-        if queue is None:
-            from repro.structures.priorityqueue import PriorityQueue
-
-            queue = PriorityQueue()
-        self._queue = queue
+        self._queue = PriorityQueue()
         self._workers = workers
         self._worker_stats: List[_WorkerStats] = [
             _WorkerStats() for _ in range(workers)
         ]
-        self._thread_factory = thread_factory
         self._threads: List[threading.Thread] = []
         self._thread_set: frozenset = frozenset()
         self._load_ctx = threading.local()
@@ -142,7 +127,7 @@ class IoScheduler:
     def start(self) -> None:
         """Spawn the background worker pool (no-op for ``workers=0``)."""
         for index in range(self._workers):
-            thread = self._thread_factory(
+            thread = threading.Thread(
                 target=self._io_loop, args=(index,),
                 name=f"godiva-io-{index}", daemon=True,
             )

@@ -59,8 +59,8 @@ class MemoryManager:
     budget_bytes:
         Initial memory budget.
     policy:
-        Eviction policy: a registry name (``'lru'``/``'fifo'``/``'mru'``)
-        or a ready :class:`EvictionPolicy` instance.
+        Eviction policy: ``'lru'`` or a ready :class:`EvictionPolicy`
+        instance.
     lock, cond:
         The engine lock/condition pair to share; when ``None`` a private
         tracked pair is created (standalone use in tests).

@@ -77,8 +77,6 @@ class RecordEngine:
         domain).
     clock:
         Monotonic-seconds callable (kept for seam symmetry).
-    index:
-        Injectable key index; defaults to a fresh :class:`RecordIndex`.
     arena:
         The :class:`~repro.core.arena.Arena` records allocate their
         field buffers from; ``None`` keeps plain heap ``bytearray``
@@ -92,7 +90,6 @@ class RecordEngine:
         *,
         stats: Optional[GodivaStats] = None,
         clock: Callable[[], float] = time.monotonic,
-        index: Optional[RecordIndex] = None,
         arena=None,
     ) -> None:
         self._lock = TrackedLock(f"RecordEngine._lock@{id(self):#x}")
@@ -105,7 +102,7 @@ class RecordEngine:
         self.stats = stats if stats is not None else GodivaStats()
         self._field_types: Dict[str, FieldType] = {}
         self._record_types: Dict[str, RecordType] = {}
-        self._index = index if index is not None else RecordIndex()
+        self._index = RecordIndex()
         self._closing = False
         self._closed = False
         self._charge: Callable[[int], None] = _noop_charge

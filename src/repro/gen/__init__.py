@@ -14,7 +14,7 @@ grain with a star-shaped bore, analytic time-dependent fields, and a
 snapshot writer that emits the same 8-SDF-files-per-step layout.
 """
 
-from repro.gen.partition import MeshBlock, partition_slabs
+from repro.gen.partition import MeshBlock
 from repro.gen.quantities import (
     ELEMENT_FIELDS,
     NODE_FIELDS,
@@ -36,7 +36,6 @@ __all__ = [
     "TetMesh",
     "structured_tet_block",
     "MeshBlock",
-    "partition_slabs",
     "NODE_FIELDS",
     "ELEMENT_FIELDS",
     "node_fields",

@@ -1,18 +1,17 @@
-"""Mesh partitioning into blocks with boundary duplication.
+"""Mesh blocks: the unit a partitioned mesh is stored and read in.
 
 The GENx mesh is "partitioned into 120 blocks (with a small amount of
-duplication of the boundary data)" (section 4.2). This module partitions a
-global :class:`~repro.gen.tetmesh.TetMesh` into blocks: elements are
-assigned disjointly; each block carries local copies of every node its
-elements touch, so interface nodes are duplicated across neighbouring
-blocks exactly as the paper describes.
+duplication of the boundary data)" (section 4.2). A
+:class:`MeshBlock` is one such block: a local
+:class:`~repro.gen.tetmesh.TetMesh` plus the maps back to global node and
+element indices. :mod:`repro.gen.titan` builds the blocks directly, each
+carrying its own copy of the interface nodes it shares with its
+neighbours, exactly as the paper describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 from repro.gen.tetmesh import TetMesh
@@ -45,51 +44,3 @@ class MeshBlock:
 def block_id_string(index: int) -> str:
     """The canonical 10-character block ID, e.g. ``block_0007``."""
     return f"block_{index:04d}"
-
-
-def _extract_block(mesh: TetMesh, tet_ids: np.ndarray,
-                   block_index: int) -> MeshBlock:
-    tets = mesh.tets[tet_ids]
-    global_nodes, local_tets = np.unique(tets, return_inverse=True)
-    local_tets = local_tets.reshape(tets.shape).astype(np.int32)
-    local_nodes = mesh.nodes[global_nodes]
-    return MeshBlock(
-        block_id=block_id_string(block_index),
-        mesh=TetMesh(local_nodes, local_tets),
-        global_node_ids=global_nodes.astype(np.int64),
-        global_tet_ids=np.asarray(tet_ids, dtype=np.int64),
-    )
-
-
-def partition_slabs(mesh: TetMesh, n_blocks: int, axis: int = 2
-                    ) -> List[MeshBlock]:
-    """Partition by equal-count element slabs along one coordinate axis.
-
-    Elements are ordered by centroid coordinate on ``axis`` and split into
-    ``n_blocks`` contiguous groups — a simple geometric decomposition that
-    yields the boundary-node duplication the paper notes. Every element
-    lands in exactly one block.
-    """
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
-    if mesh.n_tets < n_blocks:
-        raise ValueError(
-            f"cannot split {mesh.n_tets} elements into {n_blocks} blocks"
-        )
-    centroids = mesh.tet_centroids()[:, axis]
-    order = np.argsort(centroids, kind="stable")
-    groups = np.array_split(order, n_blocks)
-    return [
-        _extract_block(mesh, group, index)
-        for index, group in enumerate(groups)
-    ]
-
-
-def duplicated_node_count(blocks: List[MeshBlock]) -> int:
-    """How many node *copies* exist beyond the global unique count —
-    the paper's 'small amount of duplication of the boundary data'."""
-    total_local = sum(b.n_nodes for b in blocks)
-    unique_global = len(
-        np.unique(np.concatenate([b.global_node_ids for b in blocks]))
-    )
-    return total_local - unique_global

@@ -142,14 +142,3 @@ def titan_blocks(config: TitanConfig) -> Iterator[MeshBlock]:
     """Generate every block of the configured grain mesh, in ID order."""
     for index in range(config.n_blocks):
         yield titan_block(config, index)
-
-
-def mesh_summary(config: TitanConfig) -> dict:
-    """Headline mesh statistics (for DESIGN/EXPERIMENTS reporting)."""
-    return {
-        "n_blocks": config.n_blocks,
-        "nodes_per_block": config.nodes_per_block,
-        "tets_per_block": config.tets_per_block,
-        "total_node_copies": config.n_blocks * config.nodes_per_block,
-        "total_tets": config.n_blocks * config.tets_per_block,
-    }

@@ -41,24 +41,6 @@ def write_plain_array(path: str, array: np.ndarray) -> int:
     return _HEADER.size + len(data)
 
 
-def read_plain_header(path: str, stats: Optional[IoStats] = None,
-                      profile: DiskProfile = NULL_DISK
-                      ) -> Tuple[np.dtype, Tuple[int, ...]]:
-    """Read just the header: ``(dtype, shape)``."""
-    with CostedFile(path, stats=stats, profile=profile) as f:
-        header = f.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise StorageFormatError("file too small for PBIN header")
-    magic, dtype_b, rank, d0, d1, d2, d3 = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise StorageFormatError(f"bad magic {magic!r}")
-    shape: Tuple[int, ...] = tuple(
-        int(d) for d in (d0, d1, d2, d3)[:rank]
-    )
-    dtype = np.dtype(dtype_b.rstrip(b"\x00").decode("ascii"))
-    return dtype, shape
-
-
 def read_plain_array(path: str, stats: Optional[IoStats] = None,
                      profile: DiskProfile = NULL_DISK) -> np.ndarray:
     """Read the array back in one sequential pass."""
@@ -80,16 +62,3 @@ def read_plain_array(path: str, stats: Optional[IoStats] = None,
         if len(data) != nbytes:
             raise StorageFormatError("truncated PBIN data")
         return np.frombuffer(data, dtype=dtype).reshape(shape)
-
-
-def map_plain_array(path: str) -> np.ndarray:
-    """Memory-map the array read-only (zero-copy, demand-paged).
-
-    The OS pages data in lazily, so huge arrays can be sliced without
-    loading them; there is no virtual-cost metering because no explicit
-    read happens — useful as the at-scale ingestion path for read
-    callbacks that only touch a subset of a large array.
-    """
-    dtype, shape = read_plain_header(path)
-    return np.memmap(os.fspath(path), dtype=dtype, mode="r",
-                     offset=_HEADER.size, shape=shape)

@@ -194,10 +194,10 @@ class _ShardHost:
         self.spec = spec
         self.conn = conn
         self._send_lock = TrackedLock(f"_ShardHost._send_lock@{id(self):#x}")
-        self.arena = SharedMemoryArena(
-            name_prefix=f"godiva-{spec.shard_id}",
-            segment_bytes=spec.segment_bytes,
-        )
+        # The arena's own random ``godiva-<hex>`` prefix: a fixed
+        # per-shard name would collide with the same shard of another
+        # fleet alive on this host.
+        self.arena = SharedMemoryArena(segment_bytes=spec.segment_bytes)
         self.gbo = GBO(config=spec.config, arena=self.arena)
         self.io_stats = IoStats()
         #: Sealed frame arrays, kept alive until shutdown so the

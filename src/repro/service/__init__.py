@@ -15,9 +15,7 @@ from repro.service.tenancy import (
     TenantAwareEvictionPolicy,
     TenantBudget,
     TenantLedger,
-    scoped_name,
     tenant_of,
-    unscoped_name,
 )
 
 __all__ = [
@@ -28,7 +26,5 @@ __all__ = [
     "TenantAwareEvictionPolicy",
     "TenantBudget",
     "TenantLedger",
-    "scoped_name",
     "tenant_of",
-    "unscoped_name",
 ]

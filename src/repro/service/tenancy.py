@@ -61,21 +61,6 @@ def validate_tenant_id(tenant: str) -> str:
     return tenant
 
 
-def scoped_name(tenant: str, name: str) -> str:
-    """The engine-side name of a tenant's unit or record type."""
-    return f"{TENANT_PREFIX}{tenant}::{name}"
-
-
-def unscoped_name(tenant: str, name: str) -> str:
-    """Inverse of :func:`scoped_name` (raises on foreign names)."""
-    prefix = f"{TENANT_PREFIX}{tenant}::"
-    if not name.startswith(prefix):
-        raise ValueError(
-            f"{name!r} is not scoped to tenant {tenant!r}"
-        )
-    return name[len(prefix):]
-
-
 def tenant_of(policy_name: str) -> Optional[str]:
     """The owning tenant of an eviction-policy name, or None.
 

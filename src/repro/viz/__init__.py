@@ -11,7 +11,7 @@ package implements the pipeline pieces Voyager needs, from scratch:
 * :mod:`repro.viz.isosurface` — marching tetrahedra;
 * :mod:`repro.viz.slice_plane` — cutting planes through tet meshes;
 * :mod:`repro.viz.render` — a z-buffered software rasterizer;
-* :mod:`repro.viz.image` — PPM/PGM image files;
+* :mod:`repro.viz.image` — PPM image files;
 * :mod:`repro.viz.gops` — "graphics operations file" (the paper's term)
   describing what to draw, with the three evaluation op-sets
   simple/medium/complex;
@@ -24,10 +24,9 @@ package implements the pipeline pieces Voyager needs, from scratch:
 from repro.viz.apollo import ApolloSession, interactive_trace
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
-from repro.viz.export_vtk import write_tet_mesh, write_triangle_soup
 from repro.viz.gops import GraphicsOp, GraphicsOps, test_gops
 from repro.viz.houston import HoustonCluster, HoustonConfig
-from repro.viz.image import read_ppm, write_pgm, write_ppm
+from repro.viz.image import write_ppm
 from repro.viz.isosurface import TriangleSoup, marching_tets
 from repro.viz.pipeline import Pipeline, SnapshotData
 from repro.viz.render import Renderer
@@ -41,8 +40,6 @@ __all__ = [
     "GraphicsOps",
     "test_gops",
     "write_ppm",
-    "write_pgm",
-    "read_ppm",
     "TriangleSoup",
     "marching_tets",
     "slice_mesh",
@@ -56,6 +53,4 @@ __all__ = [
     "interactive_trace",
     "HoustonCluster",
     "HoustonConfig",
-    "write_triangle_soup",
-    "write_tet_mesh",
 ]

@@ -52,14 +52,6 @@ def triangle_normals(vertices: np.ndarray) -> np.ndarray:
     return normals / lengths
 
 
-def triangle_areas(vertices: np.ndarray) -> np.ndarray:
-    """Areas for (n, 3, 3) triangle vertex arrays."""
-    vertices = np.asarray(vertices, dtype=np.float64)
-    edge1 = vertices[:, 1] - vertices[:, 0]
-    edge2 = vertices[:, 2] - vertices[:, 0]
-    return 0.5 * np.linalg.norm(np.cross(edge1, edge2), axis=1)
-
-
 def node_tet_counts(n_nodes: int, tets: np.ndarray) -> np.ndarray:
     """Per-node incidence degree: how many tets touch each node.
 

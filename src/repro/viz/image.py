@@ -1,17 +1,15 @@
-"""PPM/PGM image files — the output side of the batch pipeline.
+"""PPM image files — the output side of the batch pipeline.
 
 Voyager "grinds through a collection of files and makes a series of
-images" (section 4.1). Binary PPM (P6) and PGM (P5) are implemented from
-scratch so the pipeline has a real, portable image output with zero
-dependencies.
+images" (section 4.1). Binary PPM (P6) is written from scratch so the
+pipeline has a real, portable image output with zero dependencies.
 """
 
 from __future__ import annotations
 
 import os
-import numpy as np
 
-from repro.errors import StorageFormatError
+import numpy as np
 
 
 def write_ppm(path: str, image: np.ndarray) -> int:
@@ -28,53 +26,3 @@ def write_ppm(path: str, image: np.ndarray) -> int:
         f.write(header)
         f.write(payload)
     return len(header) + len(payload)
-
-
-def write_pgm(path: str, image: np.ndarray) -> int:
-    """Write an (h, w) uint8 array as binary PGM; returns bytes written."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("PGM image must have shape (h, w)")
-    if image.dtype != np.uint8:
-        raise ValueError("PGM image must be uint8")
-    height, width = image.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    payload = image.tobytes()
-    with open(os.fspath(path), "wb") as f:
-        f.write(header)
-        f.write(payload)
-    return len(header) + len(payload)
-
-
-def _read_token(f) -> bytes:
-    """Read one whitespace-delimited header token, skipping comments."""
-    token = b""
-    while True:
-        ch = f.read(1)
-        if not ch:
-            raise StorageFormatError("unexpected EOF in PNM header")
-        if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
-            continue
-        if ch.isspace():
-            if token:
-                return token
-            continue
-        token += ch
-
-
-def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM (P6) back into an (h, w, 3) uint8 array."""
-    with open(os.fspath(path), "rb") as f:
-        if _read_token(f) != b"P6":
-            raise StorageFormatError("not a binary PPM (P6) file")
-        width = int(_read_token(f))
-        height = int(_read_token(f))
-        maxval = int(_read_token(f))
-        if maxval != 255:
-            raise StorageFormatError(f"unsupported maxval {maxval}")
-        data = f.read(width * height * 3)
-        if len(data) != width * height * 3:
-            raise StorageFormatError("truncated PPM payload")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width, 3)

@@ -51,6 +51,10 @@ TILE_SIZE = 64
 #: (DESIGN.md section 6): shorter is interpreter-bound, longer is slower
 #: *and* raises peak RSS.
 FRAGMENT_BATCH = 1 << 13
+#: Frame clear color (RGB in [0, 1]).
+BACKGROUND = (0.08, 0.08, 0.12)
+#: Unit direction of the headlight the diffuse shading uses.
+LIGHT_DIR = np.array([0.4, 0.3, 0.85]) / np.linalg.norm([0.4, 0.3, 0.85])
 
 
 def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
@@ -161,20 +165,14 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
 class Renderer:
     """Accumulates shaded triangles into an image with a z-buffer."""
 
-    def __init__(self, camera: Camera,
-                 background: Sequence[float] = (0.08, 0.08, 0.12),
-                 light_dir: Sequence[float] = (0.4, 0.3, 0.85),
-                 pool: Optional[object] = None):
+    def __init__(self, camera: Camera, pool: Optional[object] = None):
         """``pool`` is accepted from callers that hold a compute pool
         and is not used: every tile composites inline on every pool
         (docs/adr/008-tiles-composite-inline.md)."""
         self.camera = camera
         height, width = camera.height, camera.width
-        bg = np.asarray(background, dtype=np.float64)
-        self._frame = np.tile(bg, (height, width, 1))
+        self._frame = np.tile(BACKGROUND, (height, width, 1))
         self._zbuffer = np.full((height, width), np.inf)
-        light = np.asarray(light_dir, dtype=np.float64)
-        self._light = light / np.linalg.norm(light)
         #: Total triangles submitted (pipeline statistics).
         self.triangles_drawn = 0
         #: Triangles dropped by the near-plane cull. Any triangle with
@@ -208,7 +206,7 @@ class Renderer:
             )
         colors = cmap.map(soup.values)                    # (n, 3, 3)
         normals = triangle_normals(soup.vertices)
-        diffuse = 0.25 + 0.75 * np.abs(normals @ self._light)
+        diffuse = 0.25 + 0.75 * np.abs(normals @ LIGHT_DIR)
         colors = colors * diffuse[:, None, None]
         self._rasterize(soup.vertices, colors)
         self.triangles_drawn += soup.n_triangles
@@ -220,7 +218,7 @@ class Renderer:
             return
         base = np.asarray(color, dtype=np.float64)
         normals = triangle_normals(soup.vertices)
-        diffuse = 0.25 + 0.75 * np.abs(normals @ self._light)
+        diffuse = 0.25 + 0.75 * np.abs(normals @ LIGHT_DIR)
         colors = np.tile(base, (soup.n_triangles, 3, 1))
         colors *= diffuse[:, None, None]
         self._rasterize(soup.vertices, colors)

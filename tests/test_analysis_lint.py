@@ -438,6 +438,113 @@ class TestRep111OneSpawnSite:
         assert rules(source) == []
 
 
+def _def(name, body="return 1"):
+    """A documented, annotated module-level function."""
+    return f"def {name}() -> int:\n    '''D.'''\n    {body}\n"
+
+
+class TestRep112Reachability:
+    """Seeded repositories: a ``pyproject.toml`` whose one console
+    script is ``repro.cli:main``, ``src/repro`` modules, and optional
+    ``examples/`` and ``benchmarks/`` files."""
+
+    @staticmethod
+    def unreached(tmp_path, modules, examples="", benchmarks="",
+                  lint_path="src/repro"):
+        (tmp_path / "pyproject.toml").write_text(
+            '[project]\nname = "repro"\n\n'
+            '[project.scripts]\ntool = "repro.cli:main"\n\n'
+            '[tool.setuptools]\npackage-dir = { "" = "src" }\n'
+        )
+        files = {"src/repro/__init__.py": DOC,
+                 "src/repro/cli.py": DOC + _def("main", "return 0")}
+        files.update(modules)
+        if examples:
+            files["examples/demo.py"] = examples
+        if benchmarks:
+            files["benchmarks/bench_demo.py"] = benchmarks
+        for rel, source in files.items():
+            path = tmp_path / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        return sorted(
+            v.symbol for v in lint.lint_paths([str(tmp_path / lint_path)])
+            if v.rule == "REP112"
+        )
+
+    def test_dead_function_flagged(self, tmp_path):
+        assert self.unreached(
+            tmp_path, {"src/repro/mod.py": DOC + _def("orphan")}
+        ) == ["orphan"]
+
+    def test_script_and_top_level_statements_reach(self, tmp_path):
+        cli = DOC + "from repro.mod import helper\n" + _def(
+            "main", "return helper()")
+        mod = DOC + _def("helper") + (
+            "class Registered:\n    '''D.'''\n"
+            "REGISTRY = {'r': Registered}\n"
+        )
+        assert self.unreached(tmp_path, {
+            "src/repro/cli.py": cli, "src/repro/mod.py": mod,
+        }) == []
+
+    def test_examples_and_benchmarks_are_entry_points(self, tmp_path):
+        assert self.unreached(
+            tmp_path, {"src/repro/mod.py": DOC + _def("shown")
+                       + _def("measured")},
+            examples="from repro.mod import shown\nshown()\n",
+            benchmarks=("import repro.mod\n\n\n"
+                        "def test_it():\n    repro.mod.measured()\n"),
+        ) == []
+
+    def test_entry_dirs_found_whatever_path_is_linted(self, tmp_path):
+        assert self.unreached(
+            tmp_path, {"src/repro/mod.py": DOC + _def("shown")
+                       + _def("orphan"),
+                       "src/repro/other.py": DOC + _def("gone")},
+            examples="from repro.mod import shown\nshown()\n",
+            lint_path="src/repro/mod.py",
+        ) == ["orphan"]
+
+    def test_init_reexport_and_all_are_not_uses(self, tmp_path):
+        init = DOC + (
+            "from repro.mod import exported\n"
+            "__all__ = ['exported']\n"
+        )
+        assert self.unreached(tmp_path, {
+            "src/repro/__init__.py": init,
+            "src/repro/mod.py": DOC + _def("exported"),
+        }) == ["exported"]
+
+    def test_use_from_dead_code_does_not_reach(self, tmp_path):
+        mod = DOC + _def("dead", "return helper()") + _def("helper")
+        assert self.unreached(
+            tmp_path, {"src/repro/mod.py": mod}) == ["dead", "helper"]
+
+    def test_string_naming_a_function_reaches_it(self, tmp_path):
+        cli = DOC + _def(
+            "main", "return dispatch('repro.mod:named_task')"
+        ) + "def dispatch(spec: str) -> int:\n    '''D.'''\n    return 0\n"
+        assert self.unreached(tmp_path, {
+            "src/repro/cli.py": cli,
+            "src/repro/mod.py": DOC + _def("named_task"),
+        }) == []
+
+    def test_exempt_packages_are_not_reported(self, tmp_path):
+        assert self.unreached(tmp_path, {
+            "src/repro/analysis/tool.py": DOC + _def(
+                "unused_tool", "return core_helper()"),
+            "src/repro/simulate/model.py": DOC + _def("unused_model"),
+            "src/repro/core/helpers.py": DOC + _def("core_helper"),
+        }) == []
+
+    def test_baseline_holds_no_rep112_key(self):
+        baseline = lint.load_baseline(
+            os.path.join(REPO_ROOT, ".repro-lint-baseline.json"))
+        assert baseline
+        assert not [key for key in baseline if key.startswith("REP112:")]
+
+
 class TestBaseline:
     def test_violation_key_is_line_number_free(self):
         src = DOC + "def run(count) -> int:\n    '''D.'''\n    return 1\n"

@@ -9,23 +9,25 @@ from repro.core.cache import (
     make_policy,
 )
 
-ALL_POLICIES = ["lru", "fifo", "mru"]
+ALL_POLICIES = [LruEvictionPolicy, FifoEvictionPolicy, MruEvictionPolicy]
 
 
-@pytest.fixture(params=ALL_POLICIES)
+@pytest.fixture(params=ALL_POLICIES, ids=lambda cls: cls.name)
 def policy(request):
-    return make_policy(request.param)
+    return make_policy(request.param())
 
 
 def test_make_policy_names():
     assert isinstance(make_policy("lru"), LruEvictionPolicy)
-    assert isinstance(make_policy("fifo"), FifoEvictionPolicy)
-    assert isinstance(make_policy("mru"), MruEvictionPolicy)
+    for cls in (FifoEvictionPolicy, MruEvictionPolicy):
+        instance = cls()
+        assert make_policy(instance) is instance
 
 
 def test_make_policy_unknown():
-    with pytest.raises(ValueError, match="unknown eviction policy"):
-        make_policy("clock")
+    for name in ("clock", "fifo", "mru"):
+        with pytest.raises(ValueError, match="unknown eviction policy"):
+            make_policy(name)
 
 
 class TestCommonBehaviour:

@@ -248,9 +248,8 @@ class TestEngineConfig:
 
     def test_pickle_round_trip(self):
         config = EngineConfig(
-            resolve_budget("8MB"), io_workers=2, eviction_policy="fifo",
-            compute_workers=2, compute_backend="process",
-            compute_max_threads=1,
+            resolve_budget("8MB"), io_workers=2, compute_workers=2,
+            compute_backend="process", compute_max_threads=1,
         )
         assert pickle.loads(pickle.dumps(config)) == config
 

@@ -324,15 +324,13 @@ class TestInsideGbo:
         assert len(gbo.derived) == 0
 
     def test_trace_events(self):
-        from repro.core.trace import UnitTracer
-
-        tracer = UnitTracer()
+        seen = []
         with GBO(mem_mb=4, background_io=False,
-                 unit_event_hook=tracer) as gbo:
+                 unit_event_hook=lambda *event: seen.append(event)) as gbo:
             gbo.derived.put(("k",), np.arange(10.0))
             gbo.derived.get(("k",))
             gbo.derived.invalidate(("k",))
         name = DerivedCache.policy_name(("k",))
-        events = [event for event, _t in tracer.timeline(name).events]
+        events = [event for event, unit, _t in seen if unit == name]
         assert events[:3] == ["derived_cached", "derived_hit",
                               "derived_evicted"]

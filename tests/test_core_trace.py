@@ -1,11 +1,24 @@
-"""Unit-lifecycle tracing through the GBO event hook."""
+"""Unit-lifecycle events through the GBO's ``unit_event_hook``.
+
+The hook is the observability seam: the GBO calls ``hook(event,
+unit_name, now)`` on every unit transition, under the engine lock. These
+tests record with a list-appending hook and check the event contract.
+"""
 
 import pytest
 
 from repro.core.database import GBO
 from repro.core.schema import RecordSchema, SchemaField
-from repro.core.trace import UnitTimeline, UnitTracer
 from repro.core.types import DataType
+from repro.errors import ReadFunctionError
+
+#: Every unit event the GBO emits, in lifecycle order. ``boosted`` fires
+#: when ``wait_unit`` promotes a queued unit; ``cancelled`` when
+#: ``cancel_unit`` removes one before its read; the ``derived_*`` events
+#: trace the derived-data cache.
+EVENTS = ("added", "boosted", "read_started", "loaded", "finished",
+          "evicted", "deleted", "failed", "cancelled",
+          "derived_cached", "derived_hit", "derived_evicted")
 
 ITEM = RecordSchema("item", (
     SchemaField("id", DataType.STRING, 8, is_key=True),
@@ -24,50 +37,31 @@ def reader(nbytes=400):
     return read_fn
 
 
-class TestUnitTimeline:
-    def test_pairs_and_counters(self):
-        timeline = UnitTimeline("u", events=[
-            ("added", 0.0),
-            ("read_started", 1.0),
-            ("loaded", 3.0),
-            ("finished", 4.0),
-            ("evicted", 10.0),
-            ("added", 11.0),
-            ("read_started", 11.5),
-            ("loaded", 12.5),
-            ("deleted", 20.0),
-        ])
-        assert timeline.queued_seconds == pytest.approx(1.5)
-        assert timeline.read_seconds == pytest.approx(3.0)
-        assert timeline.loads == 2
-        assert timeline.evictions == 1
-        assert timeline.resident_seconds() == pytest.approx(
-            (10.0 - 3.0) + (20.0 - 12.5)
-        )
-        assert not timeline.failed
+class Recorder(list):
+    """A hook that appends ``(event, unit_name, now)``."""
 
-    def test_still_resident_uses_now(self):
-        timeline = UnitTimeline("u", events=[
-            ("added", 0.0), ("read_started", 0.0), ("loaded", 2.0),
-        ])
-        assert timeline.resident_seconds(now=5.0) == pytest.approx(3.0)
+    def __call__(self, event, unit_name, now):
+        self.append((event, unit_name, now))
+
+    def of(self, unit_name):
+        """``(event, now)`` pairs of one unit, in order."""
+        return [(event, now) for event, name, now in self
+                if name == unit_name]
+
+    def names(self, unit_name):
+        return [event for event, _now in self.of(unit_name)]
+
+
+def assert_known_events(recorder):
+    assert {event for event, _name, _now in recorder} <= set(EVENTS)
 
 
 class TestUnitTracer:
-    def test_rejects_unknown_event(self):
-        tracer = UnitTracer()
-        with pytest.raises(ValueError):
-            tracer("teleported", "u", 0.0)
-
-    def test_unknown_unit_lookup(self):
-        with pytest.raises(KeyError):
-            UnitTracer().timeline("ghost")
-
     def test_full_lifecycle_through_gbo(self):
         ticks = {"now": 0.0}
-        tracer = UnitTracer()
+        hook = Recorder()
         gbo = GBO(mem_mb=8, background_io=False,
-                  clock=lambda: ticks["now"], unit_event_hook=tracer)
+                  clock=lambda: ticks["now"], unit_event_hook=hook)
 
         def timed_read(g, name):
             ticks["now"] += 2.0
@@ -81,68 +75,53 @@ class TestUnitTracer:
         gbo.delete_unit("u0")
         gbo.close()
 
-        timeline = tracer.timeline("u0")
-        names = [name for name, _t in timeline.events]
-        assert names == [
-            "added", "read_started", "loaded", "finished", "deleted"
+        assert hook.of("u0") == [
+            ("added", 0.0), ("read_started", 1.0), ("loaded", 3.0),
+            ("finished", 8.0), ("deleted", 8.0),
         ]
-        assert timeline.queued_seconds == pytest.approx(1.0)
-        assert timeline.read_seconds == pytest.approx(2.0)
-        assert timeline.resident_seconds() == pytest.approx(5.0)
+        assert_known_events(hook)
 
     def test_eviction_and_reload_events(self):
-        tracer = UnitTracer()
+        hook = Recorder()
         with GBO(mem=5000, background_io=False,
-                 unit_event_hook=tracer) as gbo:
+                 unit_event_hook=hook) as gbo:
             for i in range(4):
                 gbo.add_unit(f"u{i}", reader(nbytes=2000))
                 gbo.wait_unit(f"u{i}")
                 gbo.finish_unit(f"u{i}")
             gbo.wait_unit("u0")   # reload after eviction
-            names = [n for n, _t in tracer.timeline("u0").events]
-            assert "evicted" in names
+            names = hook.names("u0")
+            assert names.count("evicted") == 1
             assert names.count("loaded") == 2
-            assert tracer.timeline("u0").evictions == 1
+            assert names.index("evicted") < len(names) - 1 - \
+                names[::-1].index("loaded")
+        assert_known_events(hook)
 
     def test_failed_event(self):
-        tracer = UnitTracer()
-        from repro.errors import ReadFunctionError
-
+        hook = Recorder()
         with GBO(mem_mb=8, background_io=False,
-                 unit_event_hook=tracer) as gbo:
+                 unit_event_hook=hook) as gbo:
             def broken(g, name):
                 raise IOError("nope")
 
             with pytest.raises(ReadFunctionError):
                 gbo.read_unit("bad", broken)
-            assert tracer.timeline("bad").failed
-
-    def test_totals_and_report(self):
-        tracer = UnitTracer()
-        with GBO(mem_mb=8, background_io=False,
-                 unit_event_hook=tracer) as gbo:
-            for i in range(3):
-                gbo.add_unit(f"u{i}", reader())
-                gbo.wait_unit(f"u{i}")
-                gbo.delete_unit(f"u{i}")
-        totals = tracer.totals()
-        assert totals["units"] == 3
-        assert totals["loads"] == 3
-        report = tracer.report()
-        assert len(report) == 3
-        assert report[0].startswith("u0:")
+            assert "failed" in hook.names("bad")
+            assert "loaded" not in hook.names("bad")
+        assert_known_events(hook)
 
     def test_tracer_with_background_thread(self):
-        tracer = UnitTracer()
-        with GBO(mem_mb=8, unit_event_hook=tracer) as gbo:
+        hook = Recorder()
+        with GBO(mem_mb=8, unit_event_hook=hook) as gbo:
             for i in range(3):
                 gbo.add_unit(f"u{i}", reader())
             for i in range(3):
                 gbo.wait_unit(f"u{i}")
                 gbo.delete_unit(f"u{i}")
-        assert tracer.totals()["loads"] == 3
+        assert sum(event == "loaded" for event, _n, _t in hook) == 3
         for name in ("u0", "u1", "u2"):
-            events = [n for n, _t in tracer.timeline(name).events]
+            events = hook.names(name)
             assert events[0] == "added"
             assert "loaded" in events
             assert events[-1] == "deleted"
+        assert_known_events(hook)

@@ -9,7 +9,7 @@ replaced by a byte-table seam.
 import pytest
 
 from repro.analysis.primitives import TrackedCondition, TrackedLock
-from repro.core.cache import MruEvictionPolicy
+from repro.core.cache import FifoEvictionPolicy, MruEvictionPolicy
 from repro.core.memory_manager import MemoryManager
 from repro.core.stats import GodivaStats
 from repro.core.unit_store import UnitStore
@@ -69,7 +69,7 @@ def test_lru_evicts_least_recently_used():
 
 
 def test_fifo_ignores_touches_and_evicts_oldest():
-    lock, cond, store, manager, sizes = _build("fifo")
+    lock, cond, store, manager, sizes = _build(FifoEvictionPolicy())
     for name in ("a", "b", "c"):
         _load(cond, store, manager, sizes, name, 100)
     with cond:
@@ -81,7 +81,7 @@ def test_fifo_ignores_touches_and_evicts_oldest():
 
 
 def test_mru_evicts_most_recently_used():
-    lock, cond, store, manager, sizes = _build("mru")
+    lock, cond, store, manager, sizes = _build(MruEvictionPolicy())
     for name in ("a", "b", "c"):
         _load(cond, store, manager, sizes, name, 100)
     with cond:

@@ -9,7 +9,6 @@ import pytest
 from repro.core.database import GBO
 from repro.core.memory import MB, parse_mem
 from repro.core.schema import RecordSchema, SchemaField
-from repro.core.trace import UnitTracer
 from repro.core.types import DataType
 from repro.core.units import UnitHandle, UnitState
 from repro.errors import UnknownUnitError
@@ -215,11 +214,9 @@ class TestCancellation:
     def test_cancel_queued_unit(self):
         gate = threading.Event()
         events = []
-        tracer = UnitTracer()
 
         def hook(event, name, now):
             events.append((event, name))
-            tracer(event, name, now)
 
         with GBO(mem="8MB", io_workers=1,
                  unit_event_hook=hook) as gbo:

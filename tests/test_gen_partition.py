@@ -1,94 +1,9 @@
-"""Mesh partitioning with boundary-node duplication (section 4.2)."""
+"""Mesh-block IDs: the GODIVA keys of a partitioned mesh (section 4.2)."""
 
-import numpy as np
-import pytest
-
-from repro.gen.partition import (
-    block_id_string,
-    duplicated_node_count,
-    partition_slabs,
-)
-from repro.gen.tetmesh import structured_tet_block
+from repro.gen.partition import block_id_string
 
 
 def test_block_id_format():
     assert block_id_string(7) == "block_0007"
     assert block_id_string(119) == "block_0119"
     assert len(block_id_string(0)) == 10
-
-
-@pytest.fixture(scope="module")
-def mesh():
-    return structured_tet_block(4, 4, 6)
-
-
-def test_every_element_assigned_once(mesh):
-    blocks = partition_slabs(mesh, 4)
-    all_tets = np.concatenate([b.global_tet_ids for b in blocks])
-    assert len(all_tets) == mesh.n_tets
-    assert len(np.unique(all_tets)) == mesh.n_tets
-
-
-def test_block_count_and_ids(mesh):
-    blocks = partition_slabs(mesh, 5)
-    assert [b.block_id for b in blocks] == [
-        block_id_string(i) for i in range(5)
-    ]
-
-
-def test_local_meshes_valid(mesh):
-    for block in partition_slabs(mesh, 4):
-        block.mesh.validate()
-        assert block.n_nodes == len(block.global_node_ids)
-        assert block.n_tets == len(block.global_tet_ids)
-
-
-def test_volume_preserved(mesh):
-    blocks = partition_slabs(mesh, 4)
-    total = sum(b.mesh.total_volume() for b in blocks)
-    assert total == pytest.approx(mesh.total_volume())
-
-
-def test_local_coordinates_match_global(mesh):
-    for block in partition_slabs(mesh, 3):
-        expected = mesh.nodes[block.global_node_ids]
-        assert np.array_equal(block.mesh.nodes, expected)
-
-
-def test_local_connectivity_maps_back(mesh):
-    for block in partition_slabs(mesh, 3):
-        reconstructed = block.global_node_ids[block.mesh.tets]
-        assert np.array_equal(
-            np.sort(reconstructed, axis=1),
-            np.sort(mesh.tets[block.global_tet_ids], axis=1),
-        )
-
-
-def test_boundary_duplication_positive(mesh):
-    """Slab interfaces duplicate nodes — 'a small amount of duplication
-    of the boundary data'."""
-    blocks = partition_slabs(mesh, 4)
-    duplicates = duplicated_node_count(blocks)
-    assert duplicates > 0
-    assert duplicates < mesh.n_nodes  # small, not wholesale
-
-
-def test_single_block_no_duplication(mesh):
-    blocks = partition_slabs(mesh, 1)
-    assert duplicated_node_count(blocks) == 0
-    assert blocks[0].n_tets == mesh.n_tets
-
-
-def test_axis_selection(mesh):
-    for axis in (0, 1, 2):
-        blocks = partition_slabs(mesh, 2, axis=axis)
-        centroid_a = blocks[0].mesh.tet_centroids()[:, axis].mean()
-        centroid_b = blocks[1].mesh.tet_centroids()[:, axis].mean()
-        assert centroid_a < centroid_b
-
-
-def test_invalid_parameters(mesh):
-    with pytest.raises(ValueError):
-        partition_slabs(mesh, 0)
-    with pytest.raises(ValueError):
-        partition_slabs(mesh, mesh.n_tets + 1)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.gen.titan import (
     TitanConfig,
-    mesh_summary,
     titan_block,
     titan_blocks,
 )
@@ -21,6 +20,7 @@ class TestConfig:
         assert config.n_blocks == 120
         total = config.n_blocks * config.tets_per_block
         assert abs(total - 679_008) / 679_008 < 0.005
+        assert total == 680_400
 
     def test_scaled_reduces_size(self):
         small = TitanConfig.scaled(0.2)
@@ -50,11 +50,6 @@ class TestConfig:
         assert radii.max() > config.r_bore
         assert radii.min() < config.r_bore
         assert radii.min() > 0
-
-    def test_mesh_summary(self):
-        summary = mesh_summary(TitanConfig())
-        assert summary["n_blocks"] == 120
-        assert summary["total_tets"] == 680_400
 
 
 class TestBlockGeneration:

@@ -143,7 +143,7 @@ class TestFormatIndependence:
         only the read path differs."""
         from repro.gen.snapshot import SnapshotSpec, generate_dataset
         from repro.gen.titan import TitanConfig
-        from repro.viz.image import read_ppm
+        from viz_oracles import read_ppm
         from repro.viz.voyager import Voyager, VoyagerConfig
 
         results = {}

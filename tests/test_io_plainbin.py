@@ -46,6 +46,13 @@ def test_bad_magic(tmp_path):
         read_plain_array(str(path))
 
 
+def test_too_small_for_header(tmp_path):
+    path = tmp_path / "short.pbin"
+    path.write_bytes(b"PBIN" + b"\x00" * 20)
+    with pytest.raises(StorageFormatError, match="too small"):
+        read_plain_array(str(path))
+
+
 def test_truncated_data(tmp_path):
     path = str(tmp_path / "a.pbin")
     write_plain_array(path, np.zeros(100))
@@ -77,36 +84,3 @@ def test_plain_binary_cheaper_than_sdf_for_same_array(tmp_path):
         pbin_stats.snapshot()["virtual_seconds"]
     assert sdf_stats.snapshot()["read_calls"] > \
         pbin_stats.snapshot()["read_calls"]
-
-
-def test_read_plain_header(tmp_path):
-    from repro.io.plainbin import read_plain_header
-
-    path = str(tmp_path / "h.pbin")
-    write_plain_array(path, np.zeros((3, 5), dtype="<i4"))
-    dtype, shape = read_plain_header(path)
-    assert dtype == np.dtype("<i4")
-    assert shape == (3, 5)
-
-
-def test_map_plain_array_zero_copy(tmp_path):
-    from repro.io.plainbin import map_plain_array
-
-    path = str(tmp_path / "m.pbin")
-    data = np.arange(24, dtype="<f8").reshape(4, 6)
-    write_plain_array(path, data)
-    mapped = map_plain_array(path)
-    assert isinstance(mapped, np.memmap)
-    assert mapped.shape == (4, 6)
-    assert np.array_equal(mapped, data)
-    # Read-only mapping: writes must fail.
-    with pytest.raises(ValueError):
-        mapped[0, 0] = 1.0
-
-
-def test_map_plain_array_scalar(tmp_path):
-    from repro.io.plainbin import map_plain_array
-
-    path = str(tmp_path / "s.pbin")
-    write_plain_array(path, np.float64(7.25))
-    assert map_plain_array(path)[()] == 7.25

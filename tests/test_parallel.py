@@ -156,7 +156,7 @@ class TestParallelRun:
             ),
             n_workers=2, use_processes=False,
         )
-        from repro.viz.image import read_ppm
+        from viz_oracles import read_ppm
 
         parallel_images = sorted(
             path for worker in parallel.workers

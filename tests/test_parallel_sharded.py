@@ -3,6 +3,8 @@
 import glob
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -27,6 +29,8 @@ from repro.viz.voyager import GodivaSnapshotData
 pytestmark = pytest.mark.races
 
 TEST = "simple"
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def serial_frames(dataset, mem_mb=64.0):
@@ -135,6 +139,53 @@ class TestByteIdentity:
         with ShardedGBO(small_dataset.directory, 2, test=TEST,
                         mem_mb=64.0) as cluster:
             cluster.render_all()
+        assert set(glob.glob("/dev/shm/godiva-*")) == before
+
+    def test_two_fleets_at_once_stay_apart(self, small_dataset,
+                                           tmp_path):
+        """Two fleets on one host, in two processes as in the field: both
+        are built before either renders, then both render at once. Every
+        host arena takes its own shared-memory names, so no host's
+        ``shm_open`` collides (``FileExistsError``) and no coordinator
+        attaches the other fleet's frame."""
+        reference = serial_frames(small_dataset)
+        before = set(glob.glob("/dev/shm/godiva-*"))
+        built, frames = tmp_path / "built", tmp_path / "frames.npz"
+        script = (
+            "import sys, numpy as np\n"
+            "from repro.parallel.sharded import ShardedGBO\n"
+            "data, test, built, out = sys.argv[1:]\n"
+            "with ShardedGBO(data, 2, test=test, mem_mb=64.0) as fleet:\n"
+            "    open(built, 'w').close()\n"
+            "    result = fleet.render_all()\n"
+            "    np.savez(out, **{str(k): v for k, v in "
+            "result.frames.items()})\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            SRC_DIR, env.get("PYTHONPATH"),
+        ]))
+        with ShardedGBO(small_dataset.directory, 2, test=TEST,
+                        mem_mb=64.0) as fleet:
+            other = subprocess.Popen(
+                [sys.executable, "-c", script, small_dataset.directory,
+                 TEST, str(built), str(frames)],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            deadline = time.monotonic() + 60.0
+            while not built.exists() and other.poll() is None \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            result = fleet.render_all()
+            _out, err = other.communicate(timeout=120.0)
+            assert other.returncode == 0, err
+            assert result.frames.keys() == reference.keys()
+            for step, frame in result.frames.items():
+                assert frame.tobytes() == reference[step]
+        with np.load(frames) as theirs:
+            assert {int(k) for k in theirs.files} == reference.keys()
+            for step in reference:
+                assert theirs[str(step)].tobytes() == reference[step]
         assert set(glob.glob("/dev/shm/godiva-*")) == before
 
 
@@ -298,12 +349,12 @@ class TestValidation:
         these two through, so both hosts were spawned, each died in
         ``GBO.__init__``, and ``render_all`` reported an exit code with
         the ``ValueError`` text lost on the children's stderr."""
-        segments = set(glob.glob("/dev/shm/godiva-shard*"))
+        segments = set(glob.glob("/dev/shm/godiva-*"))
         children = multiprocessing.active_children()
         with pytest.raises(ValueError, match=message):
             ShardedGBO(small_dataset.directory, 2, test=TEST, **bad)
         assert multiprocessing.active_children() == children
-        assert set(glob.glob("/dev/shm/godiva-shard*")) == segments
+        assert set(glob.glob("/dev/shm/godiva-*")) == segments
 
 
 class TestComputePlaneWiring:

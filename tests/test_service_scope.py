@@ -12,7 +12,7 @@ import pytest
 from repro.core.database import GBO
 from repro.core.units import UnitHandle, UnitState
 from repro.errors import DatabaseClosedError
-from repro.service import GodivaService, ServiceSession, scoped_name
+from repro.service import GodivaService, ServiceSession
 from repro.service.aio import AsyncGodivaClient
 from repro.simulate.tenants import payload_read_fn
 
@@ -80,7 +80,7 @@ def test_unit_handle_round_trips_through_local_names(service):
         assert session.list_units() == [("u", UnitState.RESIDENT)]
         # Engine-side the unit carries the tenant scope.
         engine = service._gbo
-        assert engine.unit_state(scoped_name("a", "u")) is UnitState.RESIDENT
+        assert engine.unit_state("tenant::a::u") is UnitState.RESIDENT
         handle.delete()
         assert handle.state is UnitState.DELETED
 

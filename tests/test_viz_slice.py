@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gen.tetmesh import structured_tet_block
-from repro.viz.geometry import triangle_areas
 from repro.viz.slice_plane import plane_signed_distance, slice_mesh
+from viz_oracles import triangle_areas
 
 
 def test_signed_distance_simple_plane():

@@ -56,7 +56,7 @@ class TestEquivalence:
             out = str(tmp_path / mode)
             result = run(small_dataset, mode, test=test, steps=2,
                          render=True, out_dir=out)
-            from repro.viz.image import read_ppm
+            from viz_oracles import read_ppm
 
             images[mode] = [read_ppm(p) for p in result.images]
         for mode in ("G", "TG"):
