@@ -13,10 +13,8 @@ asks for a victim when memory runs low.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterator, Optional, Union
-
-from repro.structures.fifoqueue import FifoQueue
-from repro.structures.lru import LruList
 
 
 class EvictionPolicy:
@@ -52,121 +50,77 @@ class EvictionPolicy:
 
 
 class LruEvictionPolicy(EvictionPolicy):
-    """Evict the least-recently-used finished unit (the paper's policy)."""
+    """Evict the least-recently-used finished unit (the paper's policy).
+
+    One ordered dict holds the evictable names, least recently used
+    first; iteration runs in that order.
+    """
 
     name = "lru"
 
     def __init__(self) -> None:
-        self._list = LruList()
+        self._order: OrderedDict[str, None] = OrderedDict()
 
     def add(self, unit_name: str) -> None:
-        """Insert at the most-recently-used end of the recency list."""
-        self._list.touch(unit_name)
+        """Insert at the most-recently-used end, or move there."""
+        self._order[unit_name] = None
+        self._order.move_to_end(unit_name)
 
     def remove(self, unit_name: str) -> bool:
-        """Drop the unit from the recency list if present."""
-        return self._list.discard(unit_name)
+        """Drop the unit if present; return whether it was."""
+        if unit_name not in self._order:
+            return False
+        del self._order[unit_name]
+        return True
 
     def touch(self, unit_name: str) -> None:
         """Move an evictable unit to the most-recently-used end."""
-        if unit_name in self._list:
-            self._list.touch(unit_name)
+        if unit_name in self._order:
+            self._order.move_to_end(unit_name)
 
     def victim(self) -> Optional[str]:
         """Pop and return the least-recently-used unit; None if empty."""
-        if not self._list:
+        if not self._order:
             return None
-        return self._list.pop_lru()
+        return self._order.popitem(last=False)[0]
 
     def __len__(self) -> int:
-        return len(self._list)
+        return len(self._order)
 
     def __contains__(self, unit_name: str) -> bool:
-        return unit_name in self._list
+        return unit_name in self._order
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._list)
+        return iter(self._order)
 
 
-class MruEvictionPolicy(EvictionPolicy):
+class MruEvictionPolicy(LruEvictionPolicy):
     """Evict the most-recently-used unit — optimal for pure sequential
     scans with wraparound, pathological for revisit locality. Included for
     the eviction-policy ablation."""
 
     name = "mru"
 
-    def __init__(self) -> None:
-        self._list = LruList()
-
-    def add(self, unit_name: str) -> None:
-        """Insert at the most-recently-used end of the recency list."""
-        self._list.touch(unit_name)
-
-    def remove(self, unit_name: str) -> bool:
-        """Drop the unit from the recency list if present."""
-        return self._list.discard(unit_name)
-
-    def touch(self, unit_name: str) -> None:
-        """Move an evictable unit to the most-recently-used end."""
-        if unit_name in self._list:
-            self._list.touch(unit_name)
-
     def victim(self) -> Optional[str]:
         """Pop and return the most-recently-used unit; None if empty."""
-        if not self._list:
+        if not self._order:
             return None
-        # MRU = the tail of the recency list.
-        candidates = list(self._list)
-        name = candidates[-1]
-        self._list.discard(name)
-        return name
-
-    def __len__(self) -> int:
-        return len(self._list)
-
-    def __contains__(self, unit_name: str) -> bool:
-        return unit_name in self._list
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._list)
+        return self._order.popitem(last=True)[0]
 
 
-class FifoEvictionPolicy(EvictionPolicy):
+class FifoEvictionPolicy(LruEvictionPolicy):
     """Evict units in the order they first became evictable, ignoring
     subsequent accesses."""
 
     name = "fifo"
 
-    def __init__(self) -> None:
-        self._queue = FifoQueue()
-
     def add(self, unit_name: str) -> None:
         """Append to the back of the queue (first add wins on re-adds)."""
-        if unit_name not in self._queue:
-            self._queue.push(unit_name)
-
-    def remove(self, unit_name: str) -> bool:
-        """Drop the unit from the queue if present."""
-        return self._queue.remove(unit_name)
+        self._order.setdefault(unit_name)
 
     def touch(self, unit_name: str) -> None:
         # FIFO ignores recency by definition.
         pass
-
-    def victim(self) -> Optional[str]:
-        """Pop and return the oldest evictable unit; None if empty."""
-        if not self._queue:
-            return None
-        return self._queue.pop()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __contains__(self, unit_name: str) -> bool:
-        return unit_name in self._queue
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._queue)
 
 
 def make_policy(policy: Union[str, EvictionPolicy]) -> EvictionPolicy:

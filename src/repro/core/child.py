@@ -11,7 +11,8 @@ a process boundary in exactly one place:
   macOS and Windows), holding only the child's end of a duplex pipe
   (a forked child closes every parent end it inherited, its older
   siblings' too), the parent only its own, so either side's death or
-  close reads as EOF on the other.
+  close reads as EOF on the other. Every fork waits for the
+  shared-memory tracker's lock, so no child inherits it held.
 * **channel** — :meth:`Child.send` / :meth:`Child.recv` move picklable
   messages. ``recv`` waits on the pipe *and* the process sentinel: a
   message sent before the child died is still read, and a child gone
@@ -30,6 +31,7 @@ a process boundary in exactly one place:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import weakref
 from contextlib import suppress
 from multiprocessing import resource_tracker, util
@@ -43,6 +45,15 @@ JOIN_TIMEOUT_S = 10.0
 
 #: Every :class:`Child` this process holds; a fork copies their parent ends.
 _LIVE: weakref.WeakSet[Child] = weakref.WeakSet()
+
+# The shared-memory tracker's lock is process-global. A fork taken while
+# another thread held it would hand the child a lock no thread of its
+# own can release, and the child's first SharedMemory would wait on it
+# forever; so every fork waits for it and both sides release it.
+_TRACKER_LOCK = resource_tracker._resource_tracker._lock
+os.register_at_fork(before=_TRACKER_LOCK.acquire,
+                    after_in_parent=_TRACKER_LOCK.release,
+                    after_in_child=_TRACKER_LOCK.release)
 
 
 def _child_main(target: Callable[..., None], *args) -> None:

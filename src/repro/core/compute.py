@@ -2,11 +2,11 @@
 
 Generalizes the :class:`~repro.core.io_scheduler.IoScheduler`'s
 priority-queue/worker machinery from I/O callbacks to arbitrary compute
-tasks: tile rasterization jobs, per-op extraction kernels, and
-whatever future compute stages need fan-out. The pool is deliberately
-engine-agnostic — it knows nothing about units, records, or budgets —
-so ``repro.viz`` may use it directly (it is not one of the REP107
-engine-internal modules).
+tasks: isosurface tet-range kernels, per-op lookahead extraction, and
+whatever future compute stages need fan-out (tiles composite inline,
+never as tasks). The pool is deliberately engine-agnostic — it knows
+nothing about units, records, or budgets — so ``repro.viz`` may use it
+directly (it is not one of the REP107 engine-internal modules).
 
 Concurrency model
 -----------------
@@ -16,9 +16,7 @@ Concurrency model
   the caller, so call order *is* execution order, byte for byte.
 * ``workers > 1`` spawns daemon worker threads that drain a
   :class:`~repro.structures.priorityqueue.PriorityQueue` of tasks
-  (highest priority first, FIFO within a priority — the same
-  submission-order discipline the renderer's deterministic compositing
-  relies on).
+  (highest priority first, FIFO within a priority).
 * :meth:`ComputeTask.wait` *helps*: if the awaited task is still
   queued, the waiting thread steals and runs it instead of blocking —
   the caller acts as an extra worker, the pool makes progress even if

@@ -71,8 +71,8 @@ class EngineConfig:
     #: Compute-plane size; 1 = the paper-faithful serial build (tasks
     #: run inline). Rule: at least 1.
     compute_workers: int = field(default=1, metadata={
-        "help": "compute-plane workers (tile compositing as pool tasks "
-                "and frame pipelining; 1 = paper-faithful serial, "
+        "help": "compute-plane workers (isosurface tet ranges as pool "
+                "tasks and frame pipelining; 1 = paper-faithful serial, "
                 "bit-identical frames either way)"})
     #: Rule: ``'thread'`` or ``'process'``.
     compute_backend: str = field(default="thread", metadata={

@@ -221,10 +221,10 @@ class GBO:
 
     @property
     def compute(self) -> ComputePool:
-        """The compute plane's worker pool (tile rasterization and
-        parallel extraction fan out here). With ``compute_workers=1``
-        the pool runs every task inline at submission — the
-        paper-faithful serial build."""
+        """The compute plane's worker pool (isosurface tet ranges and
+        per-op lookahead extraction fan out here). With
+        ``compute_workers=1`` the pool runs every task inline at
+        submission — the paper-faithful serial build."""
         return self._compute
 
     @property

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 
 class _Entry:
@@ -44,7 +44,6 @@ class PriorityQueue:
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
         self._entries: Dict[Any, _Entry] = {}
-        self._priorities: Dict[Any, float] = {}
         #: Arrival stamps: preserved across re-prioritization so ties
         #: keep FIFO order.
         self._arrival: Dict[Any, int] = {}
@@ -67,28 +66,18 @@ class PriorityQueue:
         for entry in sorted(e for e in self._heap if not e.dead):
             yield entry.item
 
-    def priority_of(self, item: Any) -> float:
-        """The priority the item was pushed (or re-prioritized) with."""
-        return self._priorities[item]
-
     def push(self, item: Any, priority: float = 0.0) -> None:
         """Enqueue ``item``; re-pushing a queued item is an error."""
         if item in self._entries:
             raise ValueError(f"item already queued: {item!r}")
         arrival = next(self._pushes)
         self._arrival[item] = arrival
-        self._priorities[item] = priority
         self._place(item, (-priority, arrival))
 
     def _place(self, item: Any, key) -> None:
         entry = _Entry(key, item)
         self._entries[item] = entry
         heapq.heappush(self._heap, entry)
-
-    def _drop(self, item: Any) -> None:
-        self._entries.pop(item).dead = True
-        self._priorities.pop(item, None)
-        self._arrival.pop(item, None)
 
     def pop(self) -> Any:
         """Remove and return the highest-priority (then oldest) item."""
@@ -97,26 +86,16 @@ class PriorityQueue:
             if entry.dead:
                 continue
             del self._entries[entry.item]
-            self._priorities.pop(entry.item, None)
-            self._arrival.pop(entry.item, None)
+            del self._arrival[entry.item]
             return entry.item
         raise IndexError("pop from empty PriorityQueue")
-
-    def peek(self) -> Any:
-        """The item :meth:`pop` would return, without removing it."""
-        while self._heap:
-            entry = self._heap[0]
-            if entry.dead:
-                heapq.heappop(self._heap)
-                continue
-            return entry.item
-        raise IndexError("peek of empty PriorityQueue")
 
     def remove(self, item: Any) -> bool:
         """Cancel a queued item; returns whether it was queued."""
         if item not in self._entries:
             return False
-        self._drop(item)
+        self._entries.pop(item).dead = True
+        del self._arrival[item]
         # Opportunistically drain dead entries at the front.
         while self._heap and self._heap[0].dead:
             heapq.heappop(self._heap)
@@ -129,28 +108,20 @@ class PriorityQueue:
             return False
         arrival = self._arrival[item]
         self._entries.pop(item).dead = True
-        self._priorities[item] = priority
         self._place(item, (-priority, arrival))
         return True
 
     def to_front(self, item: Any) -> bool:
         """Boost a queued item ahead of everything currently queued
         (later boosts pop before earlier ones). Returns whether it was
-        queued. The item's nominal priority is unchanged."""
+        queued."""
         if item not in self._entries:
             return False
         self._entries.pop(item).dead = True
         self._place(item, (float("-inf"), next(self._boosts)))
         return True
 
-    def max_priority(self) -> Optional[float]:
-        """Highest nominal priority among queued items (None if empty)."""
-        if not self._priorities:
-            return None
-        return max(self._priorities.values())
-
     def clear(self) -> None:
         self._heap.clear()
         self._entries.clear()
-        self._priorities.clear()
         self._arrival.clear()

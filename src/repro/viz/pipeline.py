@@ -208,7 +208,7 @@ class Pipeline:
         #: Paint the first op's colormap as a legend strip on each frame.
         self.colorbar = colorbar
         #: Optional :class:`~repro.core.compute.ComputePool`. When it is
-        #: parallel, tile rasterization fans out to it, and — for data
+        #: parallel, isosurface tet ranges fan out to it, and — for data
         #: backends declaring :meth:`SnapshotData.parallel_extract_safe`
         #: — per-op extraction does too, which is what lets the driver
         #: overlap extraction of t+1 with rasterization of t.
@@ -235,9 +235,9 @@ class Pipeline:
     def begin(self, data: SnapshotData) -> FramePlan:
         """Start a frame: probe the frame cache and, on a miss with a
         parallel pool and a thread-safe backend, submit one extraction
-        task per op to the pool (below tile priority, so lookahead work
-        never starves the current frame's rasterization). Frame-cache
-        hits skip the pool entirely.
+        task per op to the pool (below the tet-range tasks' priority, so
+        lookahead work never starves the current frame's extraction).
+        Frame-cache hits skip the pool entirely.
         """
         frame_key = self._frame_key(data)
         cache = data.derived_cache() if frame_key is not None else None

@@ -58,7 +58,7 @@ class VoyagerConfig:
     :attr:`engine`, the configuration of the private GBO the G/TG modes
     open (``background_io`` is the mode's to set); the O build has no
     GBO and takes only its compute pool from it. ``compute_workers``
-    > 1 runs tile compositing as pool tasks and, in the G/TG modes,
+    > 1 runs isosurface tet ranges as pool tasks and, in the G/TG modes,
     overlaps extraction of the next snapshot with rasterization of the
     current one — frames are byte-for-byte identical either way.
 
@@ -362,9 +362,9 @@ class Voyager:
         per_snapshot: List[float] = []
         visible_io = 0.0
         triangles = 0
-        # The O build has no GBO (hence no engine-owned pool), but tile
-        # rasterization still parallelizes; extraction stays serial —
-        # DirectSnapshotData's per-op grid state is not thread-safe.
+        # The O build has no GBO (hence no engine-owned pool), but its
+        # isosurface tet ranges still fan out; per-op lookahead stays
+        # off — DirectSnapshotData's per-op grid state is not thread-safe.
         pool = self.config.engine.make_compute_pool("voyager-compute")
         pool.start()
         self.pipeline.pool = pool

@@ -6,16 +6,21 @@ its exit code, promptly; ``ready`` sees exits as well as messages;
 ``close`` is the one idempotent teardown and terminates a child that
 ignores its stop message; ``close_all`` overlaps many children's exits;
 spawning and closing leaks no descriptor; a
-child nobody closed does not hold up the parent's exit.
+child nobody closed does not hold up the parent's exit; a fork taken
+while another thread holds the shared-memory tracker's lock leaves the
+child a tracker it can use.
 """
 
 import gc
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import threading
 import time
+from multiprocessing import resource_tracker
+from multiprocessing.shared_memory import SharedMemory
 
 import pytest
 
@@ -60,6 +65,13 @@ def wait_for_eof(conn):
 def flood_then_wait(conn):
     conn.send(b"x" * (8 << 20))  # far past the pipe buffer: blocks
     conn.recv()
+
+
+def create_shared_memory_then_reply(conn, name):
+    segment = SharedMemory(name=name, create=True, size=4096)
+    segment.close()
+    segment.unlink()
+    conn.send(name)
 
 
 def _open_fds():
@@ -230,3 +242,47 @@ def test_a_child_never_closed_does_not_hold_up_interpreter_exit(tmp_path):
     done = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, timeout=30)
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked child inherits the parent's locks")
+def test_a_fork_while_another_thread_holds_the_tracker_lock(monkeypatch):
+    """A second thread takes ``resource_tracker``'s process-global lock
+    after ``Child.__init__``'s own ``ensure_running()`` and before the
+    fork, and holds it for 0.2 s. A child forked with it held would
+    inherit it taken by a thread the child does not have, so its first
+    ``SharedMemory`` would wait on it forever."""
+    tracker_lock = resource_tracker._resource_tracker._lock
+    taken = threading.Event()
+
+    def hold_tracker_lock():
+        with tracker_lock:
+            taken.set()
+            time.sleep(0.2)
+
+    holder = threading.Thread(target=hold_tracker_lock)
+
+    def ensure_running_then_take_the_lock():
+        resource_tracker._resource_tracker.ensure_running()
+        holder.start()
+        taken.wait()
+
+    monkeypatch.setattr(resource_tracker, "ensure_running",
+                        ensure_running_then_take_the_lock)
+    name = f"repro-fork-lock-{os.getpid()}"
+    child = Child(create_shared_memory_then_reply, name,
+                  name="child-tracker-lock")
+    reply = None
+    try:
+        if ready([child], timeout=5.0):
+            reply = child.recv()
+        else:
+            child.proc.terminate()  # hung on the inherited lock
+    finally:
+        child.close()
+        holder.join(5.0)
+        leaked = os.path.exists(f"/dev/shm/{name}")
+        if leaked:
+            os.unlink(f"/dev/shm/{name}")
+    assert reply == name, "the child hung on the tracker lock"
+    assert not leaked

@@ -42,21 +42,14 @@ def test_push_duplicate_raises():
         q.push("a")
 
 
-def test_pop_and_peek_empty_raise():
+def test_pop_empty_raises():
     q = PriorityQueue()
     with pytest.raises(IndexError):
         q.pop()
-    with pytest.raises(IndexError):
-        q.peek()
-
-
-def test_peek_is_nondestructive():
-    q = PriorityQueue()
     q.push("a")
-    q.push("b", priority=2.0)
-    assert q.peek() == "b"
-    assert len(q) == 2
-    assert q.pop() == "b"
+    q.pop()
+    with pytest.raises(IndexError):
+        q.pop()
 
 
 def test_membership_and_len():
@@ -85,8 +78,8 @@ def test_remove_front_then_pop():
     q.push("a")
     q.push("b")
     assert q.remove("a") is True
-    assert q.peek() == "b"
     assert q.pop() == "b"
+    assert len(q) == 0
 
 
 def test_to_front_overrides_priority():
@@ -111,21 +104,12 @@ def test_to_front_unknown_item():
     assert q.to_front("ghost") is False
 
 
-def test_to_front_keeps_nominal_priority():
-    q = PriorityQueue()
-    q.push("a", priority=3.0)
-    q.to_front("a")
-    assert q.priority_of("a") == 3.0
-    assert q.max_priority() == 3.0
-
-
 def test_reprioritize_reorders():
     q = PriorityQueue()
     q.push("a")
     q.push("b")
     assert q.reprioritize("b", 10.0) is True
     assert q.reprioritize("nope", 1.0) is False
-    assert q.priority_of("b") == 10.0
     assert drain(q) == ["b", "a"]
 
 
@@ -151,16 +135,17 @@ def test_iter_yields_pop_order_nondestructively():
     assert len(q) == 3
 
 
-def test_max_priority_and_clear():
+def test_clear_empties_the_queue():
     q = PriorityQueue()
-    assert q.max_priority() is None
     q.push("a", priority=1.5)
     q.push("b", priority=-2.0)
-    assert q.max_priority() == 1.5
+    q.to_front("b")
     q.clear()
     assert len(q) == 0
-    assert q.max_priority() is None
     assert not q
+    assert list(q) == []
+    q.push("a")
+    assert drain(q) == ["a"]
 
 
 def test_interleaved_operations_stay_consistent():
