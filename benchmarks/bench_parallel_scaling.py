@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench.figure3 import trace_all_workloads
 from repro.bench.report import Table
-from repro.simulate.cluster import simulate_cluster_voyager
+from repro.simulate import simulate_cluster_voyager
 from repro.simulate.machine import TURING
 
 

@@ -91,6 +91,19 @@ class PlacementMap:
             groups[self.shard_of(name)].append(name)
         return groups
 
+    def steps(self, n_steps: int) -> Dict[str, List[int]]:
+        """Snapshot steps ``0 .. n_steps-1`` per shard (every shard
+        keyed, steps ascending), placed by their unit names."""
+        from repro.io.readers import snapshot_unit_name, unit_step
+
+        groups = self.partition(
+            [snapshot_unit_name(step) for step in range(n_steps)]
+        )
+        return {
+            shard: sorted(unit_step(name) for name in names)
+            for shard, names in groups.items()
+        }
+
     def rebalance(self, new_shard_ids: Sequence[str],
                   unit_names: Sequence[str]) -> Set[str]:
         """Re-target this map at a new shard set; returns moved units.

@@ -605,15 +605,7 @@ class ShardedGBO:
                 ) -> Dict[str, List[int]]:
         """Snapshot steps per shard id under the chosen placement."""
         if placement == "rendezvous":
-            from repro.io.readers import unit_step
-
-            groups = self.placement.partition(
-                [snapshot_unit_name(step) for step in range(n_steps)]
-            )
-            return {
-                shard: sorted(unit_step(name) for name in names)
-                for shard, names in groups.items()
-            }
+            return self.placement.steps(n_steps)
         if placement == "weighted":
             return weighted_assignment(n_steps, self.shard_ids, weights)
         parts = partition_snapshots(n_steps, self.n_shards, placement)

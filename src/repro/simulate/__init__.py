@@ -8,44 +8,45 @@ package provides a small discrete-event simulation substrate:
 
 * :mod:`repro.simulate.engine` — event heap + generator-based processes;
 * :mod:`repro.simulate.resources` — processor-sharing CPU pool, FIFO
-  disk, condition variables and semaphores;
+  disk, latches and semaphores;
 * :mod:`repro.simulate.machine` — the ENGLE and TURING machine configs;
 * :mod:`repro.simulate.workload` — per-test I/O + compute cost profiles,
   traced from the real pipeline or calibrated to the paper's scale;
-* :mod:`repro.simulate.runner` — the simulated Voyager schedules
-  (O / G / TG, with an optional CPU-hogging competitor for TG1);
-* :mod:`repro.simulate.shards` — the sharded-GBO scaling sweep over
-  the real rendezvous placement (dozens of simulated shard hosts).
+* :mod:`repro.simulate.runner` — the one simulated Voyager node loop
+  (O / G / TG, with an optional CPU-hogging competitor for TG1), run on
+  one node (``simulate_voyager``), on N nodes over a snapshot split
+  (``simulate_cluster_voyager``) or over the live rendezvous placement
+  (``simulate_sharded_gbo``), plus the compute-plane sweep;
+* :mod:`repro.simulate.shards` — the sharded-GBO scaling sweep
+  (dozens of simulated shard hosts);
+* :mod:`repro.simulate.tenants` — a deterministic multi-tenant
+  contention driver over a real ``GodivaService`` (not a virtual-time
+  model).
 """
 
-from repro.simulate.cluster import (
-    ClusterRunResult,
-    simulate_cluster_voyager,
-)
 from repro.simulate.engine import Process, Simulator
 from repro.simulate.machine import ENGLE, TURING, Machine, compute_host
 from repro.simulate.resources import (
-    Condition,
     DiskFifo,
     ProcessorPool,
-    Semaphore,
-    SimCondition,
     SimLatch,
     SimSemaphore,
 )
 from repro.simulate.runner import (
     PROCESS_DISPATCH_OVERHEAD,
     THREAD_GIL_FRACTION,
+    ClusterRunResult,
     ComputeSweepPoint,
     SimRunResult,
     compute_sweep,
+    simulate_cluster_voyager,
+    simulate_sharded_gbo,
     simulate_voyager,
 )
 from repro.simulate.shards import (
     ShardSweepPoint,
     ShardSweepResult,
     shard_sweep,
-    simulate_sharded_gbo,
 )
 from repro.simulate.tenants import (
     TenantOutcome,
@@ -62,10 +63,7 @@ __all__ = [
     "ProcessorPool",
     "DiskFifo",
     "SimLatch",
-    "SimCondition",
     "SimSemaphore",
-    "Condition",
-    "Semaphore",
     "Machine",
     "ENGLE",
     "TURING",

@@ -183,9 +183,9 @@ class SimLatch:
     """A one-way latch: processes wait until it is set.
 
     Virtual-time analogue of a condition/event for simulated processes —
-    named ``Sim*`` (with a ``SimCondition`` alias) so it can never be
-    mistaken for a ``threading.Condition``: the repro-lint concurrency
-    rules (REP101/REP102) apply to real locks only.
+    named ``Sim*`` so it can never be mistaken for a
+    ``threading.Condition``: the repro-lint concurrency rules
+    (REP101/REP102) apply to real locks only.
     """
 
     def __init__(self, sim: Simulator):
@@ -241,11 +241,3 @@ class SimSemaphore:
     @property
     def available(self) -> int:
         return self._count
-
-
-#: Back-compat spellings from before the concurrency sanitizer landed;
-#: prefer the ``Sim*`` names so real and simulated primitives cannot be
-#: confused at a call site.
-SimCondition = SimLatch
-Condition = SimLatch
-Semaphore = SimSemaphore

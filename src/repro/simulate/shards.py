@@ -11,12 +11,12 @@ coordinator uses, so the simulated sweep inherits the genuine placement
 skew (binomial imbalance shrinking as units/shard grows), not an
 idealized even split.
 
-Each simulated shard host mirrors the TG build: a background I/O
-process prefetches its shard's units through a bounded memory window
-(the per-shard budget slice, in units) while the render process
-consumes them; disks are private per shard host or one shared device
-(the cluster-filesystem regime, where the storage service time bounds
-the makespan regardless of shard count).
+Each point is one :func:`~repro.simulate.runner.simulate_sharded_gbo`
+run: every simulated shard host replays the TG schedule of
+:func:`~repro.simulate.runner.simulate_voyager` over its shard's units,
+on private disks or one shared device (the cluster-filesystem regime,
+where the storage service time bounds the makespan regardless of shard
+count).
 """
 
 from __future__ import annotations
@@ -24,15 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.simulate.cluster import ClusterRunResult, WorkerRun
-from repro.simulate.engine import Simulator
 from repro.simulate.machine import Machine
-from repro.simulate.resources import (
-    DiskFifo,
-    ProcessorPool,
-    SimLatch,
-    SimSemaphore,
-)
+from repro.simulate.runner import simulate_sharded_gbo
 from repro.simulate.workload import TestWorkload
 
 #: Default shard counts of :func:`shard_sweep` — "dozens of simulated
@@ -69,106 +62,6 @@ class ShardSweepResult:
             if candidate.n_shards == n_shards:
                 return candidate
         raise KeyError(f"no sweep point at {n_shards} shards")
-
-
-def _placement_assignment(n_units: int,
-                          n_shards: int) -> List[List[int]]:
-    """Snapshot steps per shard under the live rendezvous placement."""
-    from repro.io.readers import snapshot_unit_name, unit_step
-    from repro.parallel.placement import PlacementMap
-
-    placement = PlacementMap([f"shard{i}" for i in range(n_shards)])
-    groups = placement.partition(
-        [snapshot_unit_name(step) for step in range(n_units)]
-    )
-    return [
-        sorted(unit_step(name) for name in groups[f"shard{i}"])
-        for i in range(n_shards)
-    ]
-
-
-def simulate_sharded_gbo(
-    machine: Machine,
-    workload: TestWorkload,
-    n_shards: int,
-    shared_disk: bool = False,
-    window_units: int = 12,
-) -> ClusterRunResult:
-    """Simulate one sharded-GBO run at a fixed shard count.
-
-    Every shard host runs the TG pipeline over its rendezvous-assigned
-    units: an I/O process prefetches through a ``window_units``-deep
-    budget window (the shard's memory slice, expressed in units), the
-    render process consumes in order. ``shared_disk`` funnels every
-    host through one storage device.
-    """
-    if n_shards < 1:
-        raise ValueError("need at least one shard")
-    if window_units < 1:
-        raise ValueError("window_units must be at least 1")
-
-    assignment = _placement_assignment(workload.n_snapshots, n_shards)
-    profile = workload.godiva
-    disk_s = profile.disk_seconds(machine.disk)
-    parse_s = profile.parse_seconds(machine)
-
-    sim = Simulator()
-    if shared_disk:
-        shared = DiskFifo(sim)
-        disks = [shared] * n_shards
-    else:
-        disks = [DiskFifo(sim) for _ in range(n_shards)]
-    cpus = [
-        ProcessorPool(sim, machine.n_cpus,
-                      contention=machine.smp_contention)
-        for _ in range(n_shards)
-    ]
-
-    result = ClusterRunResult(
-        mode="TG", n_workers=n_shards, shared_disk=shared_disk
-    )
-    finished: List[WorkerRun] = [None] * n_shards  # type: ignore
-
-    for shard_index, units in enumerate(assignment):
-        cpu = cpus[shard_index]
-        disk = disks[shard_index]
-        n_units = len(units)
-        waits: List[float] = []
-        window = SimSemaphore(sim, window_units)
-        loaded = [SimLatch(sim) for _ in range(n_units)]
-
-        def _io_proc(cpu=cpu, disk=disk, window=window,
-                    loaded=loaded, n_units=n_units):
-            for i in range(n_units):
-                yield window.acquire()
-                yield disk.read(disk_s)
-                yield cpu.use(parse_s)
-                loaded[i].set()
-
-        def _main_proc(shard_index=shard_index, cpu=cpu,
-                      window=window, loaded=loaded,
-                      n_units=n_units, waits=waits):
-            for i in range(n_units):
-                t0 = sim.now
-                yield loaded[i].wait()
-                waits.append(sim.now - t0)
-                yield cpu.use(workload.compute_s)
-                window.release()
-            finished[shard_index] = WorkerRun(
-                worker=shard_index, n_units=n_units,
-                finish_s=sim.now, visible_io_s=sum(waits),
-            )
-
-        sim.spawn(_io_proc())
-        sim.spawn(_main_proc())
-
-    sim.run()
-    result.workers = [run for run in finished if run is not None]
-    unique_disks = {id(d): d for d in disks}
-    result.disk_busy_s = sum(
-        d.busy_seconds for d in unique_disks.values()
-    )
-    return result
 
 
 def shard_sweep(

@@ -54,6 +54,14 @@ class TestRendezvous:
         flat = sorted(u for group in groups.values() for u in group)
         assert flat == sorted(UNITS)
 
+    def test_steps_follow_the_unit_partition(self):
+        placement = PlacementMap(shard_ids(5))
+        steps = placement.steps(len(UNITS))
+        groups = placement.partition(UNITS)
+        assert list(steps) == shard_ids(5)
+        for shard, names in groups.items():
+            assert steps[shard] == sorted(UNITS.index(n) for n in names)
+
 
 class TestRebalance:
     def test_growth_moves_about_one_over_n(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulate.cluster import simulate_cluster_voyager
+from repro.simulate import simulate_cluster_voyager
 from repro.simulate.machine import TURING
 from repro.simulate.workload import IoProfile, TestWorkload
 
@@ -30,16 +30,17 @@ class TestValidation:
 
 class TestScaling:
     def test_single_worker_matches_runner(self):
-        """n_workers=1 degenerates to the sequential simulation."""
+        """n_workers=1 is the sequential simulation, event for event:
+        both replay the one node loop."""
         from repro.simulate.runner import simulate_voyager
 
         w = workload()
-        cluster = simulate_cluster_voyager(TURING, w, "G", 1)
-        serial = simulate_voyager(TURING, w, "G")
-        assert cluster.makespan_s == pytest.approx(serial.total_s)
-        assert cluster.total_visible_io_s == pytest.approx(
-            serial.visible_io_s
-        )
+        for mode in ("G", "TG"):
+            cluster = simulate_cluster_voyager(TURING, w, mode, 1)
+            serial = simulate_voyager(TURING, w, mode)
+            assert cluster.makespan_s == serial.total_s
+            assert cluster.total_visible_io_s == serial.visible_io_s
+            assert cluster.disk_busy_s == serial.disk_busy_s
 
     def test_private_disks_scale_nearly_linearly(self):
         w = workload(n=16)

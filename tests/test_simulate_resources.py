@@ -4,10 +4,10 @@ import pytest
 
 from repro.simulate.engine import Simulator
 from repro.simulate.resources import (
-    Condition,
     DiskFifo,
     ProcessorPool,
-    Semaphore,
+    SimLatch,
+    SimSemaphore,
 )
 
 
@@ -154,7 +154,7 @@ class TestDiskFifo:
 class TestSyncPrimitives:
     def test_condition_wakes_waiters(self):
         sim = Simulator()
-        cond = Condition(sim)
+        cond = SimLatch(sim)
         log = []
 
         def waiter(name):
@@ -173,7 +173,7 @@ class TestSyncPrimitives:
 
     def test_condition_already_set_immediate(self):
         sim = Simulator()
-        cond = Condition(sim)
+        cond = SimLatch(sim)
         cond.set()
         log = []
 
@@ -187,14 +187,14 @@ class TestSyncPrimitives:
 
     def test_condition_double_set_harmless(self):
         sim = Simulator()
-        cond = Condition(sim)
+        cond = SimLatch(sim)
         cond.set()
         cond.set()
 
     def test_semaphore_window(self):
         """A 2-slot window admits two producers, then gates on release."""
         sim = Simulator()
-        sem = Semaphore(sim, 2)
+        sem = SimSemaphore(sim, 2)
         log = []
 
         def producer(name):
@@ -213,14 +213,14 @@ class TestSyncPrimitives:
 
     def test_semaphore_release_without_waiters(self):
         sim = Simulator()
-        sem = Semaphore(sim, 0)
+        sem = SimSemaphore(sim, 0)
         sem.release()
         assert sem.available == 1
 
     def test_semaphore_negative_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            Semaphore(sim, -1)
+            SimSemaphore(sim, -1)
 
 
 class TestConservationProperties:

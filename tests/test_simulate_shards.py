@@ -1,10 +1,13 @@
 """Simulated sharded-GBO sweep: scaling shape and placement fidelity."""
 
+import itertools
+
 import pytest
 
 from repro.io.readers import snapshot_unit_name
 from repro.parallel.placement import PlacementMap
 from repro.simulate.machine import ENGLE, TURING
+from repro.simulate.runner import simulate_voyager
 from repro.simulate.shards import (
     DEFAULT_SHARD_COUNTS,
     shard_sweep,
@@ -42,6 +45,22 @@ def test_assignment_matches_live_placement():
     per_shard = {w.worker: w.n_units for w in run.workers}
     for i in range(3):
         assert per_shard.get(i, 0) == len(groups[f"shard{i}"])
+
+
+def test_one_shard_is_the_serial_tg_run():
+    """One shard host replays simulate_voyager's TG schedule exactly."""
+    workload = make_workload(30)
+    # This workload is I/O-bound, so only a one-unit window binds.
+    for machine, window in itertools.product((ENGLE, TURING), (1, 12)):
+        run = simulate_sharded_gbo(machine, workload, 1,
+                                   window_units=window)
+        serial = simulate_voyager(machine, workload, "TG",
+                                  window_units=window)
+        [worker] = run.workers
+        assert worker.n_units == serial.n_snapshots
+        assert worker.finish_s == serial.total_s
+        assert worker.visible_io_s == serial.visible_io_s
+        assert run.disk_busy_s == serial.disk_busy_s
 
 
 def test_deterministic():
