@@ -266,7 +266,9 @@ def test_bench_rasterizer_regimes(benchmark, n, spread, size):
         return renderer
 
     renderer = benchmark(render)
-    assert renderer.fragments_evaluated > 10 * n
+    # Pixel-centre-tight bboxes: ~4 fragments a triangle in the
+    # few-pixel regime (15 862 for 4 000), the line ~1.47x below it.
+    assert renderer.fragments_evaluated > 2.7 * n
     assert np.isfinite(renderer._zbuffer).any()
 
 

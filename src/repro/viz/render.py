@@ -21,15 +21,22 @@ one-triangle-at-a-time loop kept as ``tests/reference_raster.py``:
 (a) every fragment's floats are computed with the same operands in the
 same association order as that loop (pixel centers are exact ``integer
 + 0.5`` values either way); (b) a pixel's winner within a run is its
-minimum depth, the earliest submission on ties — the first entry of the
-pixel's group after a stable ``np.lexsort`` over fragments laid out in
+minimum depth, the earliest submission on ties — two ``np.minimum.at``
+reductions over the tile's pixels, the depth and then the smallest
+fragment index at that depth, exact because ``ufunc.at`` is unbuffered
+and applies every repeated index, over fragments laid out in
 submission order — tested with the same strict ``pixel_z < z`` against
 the buffer as it stood before the run, and runs apply in ascending
 submission order, so later triangles never overwrite an equal-depth
-earlier one; (c) a fragment exists only inside its own triangle's bbox
-∩ tile, exactly the pixels the reference loop touches, and tiles are
-disjoint pixel sets, so the order tiles composite in cannot matter.
-Frames are byte-for-byte the reference's for every ``FRAGMENT_BATCH``.
+earlier one; (c) a fragment exists only for a pixel of its own
+triangle's bbox ∩ tile whose centre lies within a margin ``m`` of the
+triangle's coordinate range, and every pixel of the reference's
+``floor``/``ceil`` bbox left out provably fails the inside test as the
+reference computes it in float64 (``m = 2 max(w, h) E`` with ``E = 32 u
+(1 + K)^2`` bounding each computed weight's error, see
+:func:`_centre_margin`); tiles are disjoint pixel sets, so the order
+tiles composite in cannot matter. Frames are byte-for-byte the
+reference's for every ``FRAGMENT_BATCH``.
 """
 
 from __future__ import annotations
@@ -48,13 +55,74 @@ TILE_SIZE = 64
 #: Most (triangle, pixel) fragments one vectorized pass evaluates: the
 #: pass's temporaries (~20 float64 arrays this long) should stay inside
 #: the L2 cache. Swept 2^10..2^17 on the e2e and full-scale meshes
-#: (DESIGN.md section 6): shorter is interpreter-bound, longer is slower
-#: *and* raises peak RSS.
+#: (ADR-002), and 2^12..2^15 again under the pixel-centre-tight bbox
+#: (ADR-013, docs/adr/): shorter is interpreter-bound, longer raises
+#: peak RSS.
 FRAGMENT_BATCH = 1 << 13
 #: Frame clear color (RGB in [0, 1]).
 BACKGROUND = (0.08, 0.08, 0.12)
 #: Unit direction of the headlight the diffuse shading uses.
 LIGHT_DIR = np.array([0.4, 0.3, 0.85]) / np.linalg.norm([0.4, 0.3, 0.85])
+
+
+def _centre_margin(w: np.ndarray, h: np.ndarray, denom: np.ndarray,
+                   reach: np.ndarray) -> np.ndarray:
+    """Per-triangle screen margin m such that a pixel centre farther
+    than m outside ``[min, max]`` of the triangle's coordinates fails
+    the inside test *as computed*; derived in
+    docs/adr/013-one-fragment-per-covered-pixel.md.
+
+    ``w``/``h`` are the triangle's x/y extents, ``denom`` its computed
+    edge-function denominator, ``reach`` its largest absolute
+    coordinate, ``u`` the float64 unit roundoff 2^-53. For a centre in
+    the ``floor``/``ceil`` bbox each computed weight (the reference's
+    expressions) is within ``E = 32 u (1 + K)^2`` of its exact
+    barycentric, ``K = (h (w + 2) + w (h + 2)) / |denom|``, while a
+    centre at distance d outside has an exact barycentric
+    ``<= -d / (2 max(w, h))``: past ``2 max(w, h) E`` one computed
+    weight is negative. ``8 u (reach + 1)`` covers the rounding of the
+    span arithmetic; past ``K = 2^49`` the error analysis no longer
+    holds and the margin is infinite (the old bbox).
+    """
+    u = np.finfo(np.float64).eps / 2
+    # The floor only keeps undrawable (|denom| < 1e-12) triangles finite.
+    k = (h * (w + 2) + w * (h + 2)) / np.maximum(np.abs(denom), 1e-12)
+    err = 32 * u * (1 + k) ** 2
+    margin = 2 * np.maximum(w, h) * err + 8 * u * (reach + 1)
+    return np.where(k < 2.0 ** 49, margin, np.inf)
+
+
+def _centre_span(lo: np.ndarray, hi: np.ndarray, margin: np.ndarray,
+                 size: int):
+    """Inclusive pixel range ``[first, last]`` along one screen axis:
+    the pixels ``i`` of the ``floor``/``ceil`` bbox and the screen whose
+    centre ``i + 0.5`` lies in ``[lo - margin, hi + margin]``; empty
+    (``first > last``) when there is none."""
+    first = np.maximum(np.ceil(lo - margin - 0.5), np.floor(lo))
+    last = np.minimum(np.floor(hi + margin - 0.5), np.ceil(hi))
+    return (np.clip(first, 0, size).astype(np.int64),
+            np.clip(last, -1, size - 1).astype(np.int64))
+
+
+def _centre_bbox(pts: np.ndarray, width: int, height: int):
+    """Per triangle of ``pts`` (n, 3, 2): the inclusive, screen-clipped
+    pixel bbox ``x_min, x_max, y_min, y_max`` whose centres can pass
+    the inside test (:func:`_centre_span` on each axis, with
+    :func:`_centre_margin`), and the edge-function ``denom``."""
+    x0, x1, x2 = pts[:, 0, 0], pts[:, 1, 0], pts[:, 2, 0]
+    y0, y1, y2 = pts[:, 0, 1], pts[:, 1, 1], pts[:, 2, 1]
+    denom = (y1 - y2) * (x0 - x2) + (x2 - x1) * (y0 - y2)
+    # Elementwise over the three vertices: a reduction along an axis of
+    # length 3 costs ~20x more.
+    lo_x = np.minimum(np.minimum(x0, x1), x2)
+    hi_x = np.maximum(np.maximum(x0, x1), x2)
+    lo_y = np.minimum(np.minimum(y0, y1), y2)
+    hi_y = np.maximum(np.maximum(y0, y1), y2)
+    # Largest |coordinate|: lo <= hi, so max(|lo|, |hi|) = max(-lo, hi).
+    reach = np.maximum(np.maximum(-lo_x, hi_x), np.maximum(-lo_y, hi_y))
+    margin = _centre_margin(hi_x - lo_x, hi_y - lo_y, denom, reach)
+    return (*_centre_span(lo_x, hi_x, margin, width),
+            *_centre_span(lo_y, hi_y, margin, height), denom)
 
 
 def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
@@ -67,12 +135,12 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
 
     ``zbuf``/``frame`` are views of exactly the tile's pixel region
     ``[py0..py1] × [px0..px1]`` of the renderer's buffers and are
-    updated in place. Each triangle's bbox is clipped to the tile;
-    submission-ordered runs of triangles whose clipped areas sum to at
-    most FRAGMENT_BATCH (a larger triangle is a run of its own) are
-    expanded into flat (triangle, pixel) fragment arrays and evaluated
-    in one vectorized pass. Why the result is the reference loop's, bit
-    for bit:
+    updated in place. Each triangle's pixel-centre-tight bbox
+    (:func:`_centre_bbox`) is clipped to the tile; submission-ordered
+    runs of triangles whose clipped areas sum to at most FRAGMENT_BATCH
+    (a larger triangle is a run of its own) are expanded into flat
+    (triangle, pixel) fragment arrays and evaluated in one vectorized
+    pass. Why the result is the reference loop's, bit for bit:
 
     (a) every fragment evaluates the reference's barycentric, ``inv_z``
         and color expressions on the same operands in the same
@@ -82,13 +150,17 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
     (b) a fragment survives only if it is inside and strictly ``<`` the
         buffer *as it stood before the run*; among a pixel's survivors
         the winner is the minimum z, the earliest submission on ties —
-        ``np.lexsort`` is documented stable and fragments are laid out
-        in submission order, so the first entry of each pixel group is
-        that winner — and runs apply in ascending submission order:
-        together the reference's strict-``<`` first-wins rule;
-    (c) a fragment exists only for a pixel of its triangle's bbox ∩
-        tile, so coverage is confined to the pixels the reference
-        evaluates by construction, whatever the submission order.
+        ``np.minimum.at`` over the tile's pixels finds each pixel's
+        least z, then the least fragment index at it; ``ufunc.at`` is
+        documented unbuffered, so every repeated pixel index is
+        applied, and fragments are laid out in submission order — and
+        runs apply in ascending submission order: together the
+        reference's strict-``<`` first-wins rule;
+    (c) a fragment exists only for a pixel of its triangle's tight bbox
+        ∩ tile, a subset of the pixels the reference evaluates, and
+        every pixel the tight bbox leaves out fails the reference's
+        inside test as computed (:func:`_centre_margin`), so coverage
+        is the reference's whatever the submission order.
     """
     bx0 = np.maximum(x_min[tri], px0)
     by0 = np.maximum(y_min[tri], py0)
@@ -147,12 +219,19 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         closer = np.nonzero(pixel_z < zbuf[ry, rx])[0]
         if closer.size == 0:
             continue
-        # Sort by pixel, then depth; the stable sort keeps submission
-        # order among equals, so each pixel group leads with its winner.
+        # Each pixel's minimum depth, then the first fragment at that
+        # depth: fragments are laid out in submission order, and
+        # ufunc.at applies every index, repeated ones included.
         pix = ry[closer] * width + rx[closer]
-        order = np.lexsort((pixel_z[closer], pix))
-        win = closer[order[np.diff(pix[order], prepend=-1) != 0]]
-        ry, rx, pz, cw = ry[win], rx[win], pixel_z[win], cols[t[win]]
+        pz = pixel_z[closer]
+        least = np.full(zbuf.size, np.inf)
+        np.minimum.at(least, pix, pz)
+        tied = np.nonzero(pz == least[pix])[0]
+        first = np.full(zbuf.size, closer.size)
+        np.minimum.at(first, pix[tied], tied)
+        sel = tied[first[pix[tied]] == tied]
+        win = closer[sel]
+        ry, rx, pz, cw = ry[win], rx[win], pz[sel], cols[t[win]]
         zbuf[ry, rx] = pz
         # Same association order as the reference color blend.
         frame[ry, rx] = (
@@ -181,8 +260,8 @@ class Renderer:
         #: limitation); this counter makes the loss observable.
         self.triangles_culled = 0
         #: (triangle, pixel) pairs evaluated: the sum of the drawable
-        #: triangles' screen-clipped bbox areas — the compositor's cost
-        #: model input.
+        #: triangles' pixel-centre-tight, screen-clipped bbox areas —
+        #: the compositor's cost model input.
         self.fragments_evaluated = 0
 
     def draw(self, soup: TriangleSoup, colormap: Colormap,
@@ -238,26 +317,11 @@ class Renderer:
         visible = np.all(depth > self.camera.near, axis=1)
         self.triangles_culled += int(visible.size - int(visible.sum()))
         pts = xy[visible]                              # (n, 3, 2)
-        x = pts[:, :, 0]
-        y = pts[:, :, 1]
-        x_min = np.maximum(
-            np.floor(x.min(axis=1)).astype(np.int64), 0
-        )
-        x_max = np.minimum(
-            np.ceil(x.max(axis=1)).astype(np.int64), width - 1
-        )
-        y_min = np.maximum(
-            np.floor(y.min(axis=1)).astype(np.int64), 0
-        )
-        y_max = np.minimum(
-            np.ceil(y.max(axis=1)).astype(np.int64), height - 1
-        )
-        denom = (
-            (y[:, 1] - y[:, 2]) * (x[:, 0] - x[:, 2])
-            + (x[:, 2] - x[:, 1]) * (y[:, 0] - y[:, 2])
-        )
-        # Off-screen bboxes and screen-degenerate triangles contribute
-        # nothing. Boolean masks keep submission order.
+        x_min, x_max, y_min, y_max, denom = _centre_bbox(pts, width,
+                                                         height)
+        # Bboxes holding no on-screen pixel centre the triangle can
+        # cover and screen-degenerate triangles contribute nothing.
+        # Boolean masks keep submission order.
         drawable = (
             (x_min <= x_max) & (y_min <= y_max)
             & (np.abs(denom) >= 1e-12)

@@ -211,9 +211,15 @@ class TestFragmentsEvaluatedStat:
         assert renderer.fragments_evaluated == 0
         soup = facing_triangle()
         xy, _ = camera.project(soup.vertices.reshape(-1, 3))
-        lo = np.floor(xy.min(axis=0)).astype(int)
-        hi = np.ceil(xy.max(axis=0)).astype(int)
-        area = int(np.prod(hi - lo + 1))
+        lo, hi = xy.min(axis=0), xy.max(axis=0)
+        # Per axis, the pixels of the floor/ceil bbox whose centre lies
+        # in the triangle's coordinate range (no centre sits within the
+        # renderer's ~1e-13 px margin of an extreme here).
+        spans = [np.arange(np.floor(a), np.ceil(b) + 1) + 0.5
+                 for a, b in zip(lo, hi)]
+        area = int(np.prod([((c >= a) & (c <= b)).sum()
+                            for c, a, b in zip(spans, lo, hi)]))
+        assert area < np.prod([c.size for c in spans])
         renderer.draw_flat(soup, (1.0, 1.0, 1.0))
         assert renderer.fragments_evaluated == area
         # Accumulates per draw; covered pixels are a subset of it.
