@@ -1,8 +1,9 @@
 """Shared fixtures for the test suite, plus the races plugin.
 
 The ``races`` marker turns the existing ``test_database_*``,
-``test_service_*`` and ``test_core_compute*`` suites into lockset-race
-tests: with ``REPRO_ANALYSIS=1`` (see
+``test_service_*`` and ``test_core_compute*`` suites, plus the
+model-checked ``TestGboUnitMachine`` (marked at class level), into
+lockset-race tests: with ``REPRO_ANALYSIS=1`` (see
 :mod:`repro.analysis`), every GBO built by a test uses tracked locks,
 the ``@guarded_by`` descriptors are installed for the duration of each
 test, and the Eraser tracker plus the lock-order graph are checked
