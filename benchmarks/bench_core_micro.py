@@ -209,7 +209,7 @@ def test_bench_derived_hit(benchmark):
 
     memory = MemoryManager(64 << 20)
     cache = DerivedCache(memory)
-    memory.bind(units=None, release_records=lambda name: 0,
+    memory.bind(release_records=lambda name: 0,
                 derived=cache)
     payload = np.random.default_rng(5).random(10_000)
     cache.put(("bench", "entry"), payload)

@@ -23,8 +23,8 @@ REP104   No mutable default arguments (list/dict/set literals,
 REP105   Public modules, classes, functions and methods need docstrings.
 REP106   Public functions and methods need complete type annotations
          (every parameter and the return type).
-REP107   No engine-layer imports (``RecordEngine``, ``UnitStore``,
-         ``MemoryManager``, ``IoScheduler``, ``LoadYield``) outside
+REP107   No engine-layer imports (``RecordEngine``, ``MemoryManager``,
+         ``IoScheduler``, ``LoadYield``) outside
          :mod:`repro.core` — clients, the service among them, go
          through the blessed API (:mod:`repro.api`: ``GBO``,
          ``GodivaService``/``ServiceSession``). The arena seam
@@ -37,11 +37,6 @@ REP108   No ``time.sleep(...)`` or bare ``open(...)`` inside
          ``repro/core/`` — engine code must go through the injected
          ``clock``/read-callback seams so the simulator and the tests
          control time and I/O.
-REP109   Every ``@guarded_by``-declared field must appear in the
-         machine-readable lock registry
-         (:mod:`repro.analysis.lockfacts`) or be covered by a
-         "Lock held." contract in its class, so the static checker
-         (``repro-check``) can verify it.
 REP110   No function parameter or dataclass field that is named like an
          :class:`~repro.core.config.EngineConfig` field *and* carries a
          default, outside ``repro/core/config.py`` and
@@ -74,9 +69,8 @@ so the rules can be adopted without a flag-day cleanup. Run
 suppression. The baseline/CLI machinery is shared with ``repro-check``
 via :mod:`repro.analysis.baseline`.
 
-The linter is pure ``ast`` — it never imports the code under analysis
-(the REP109 registry lookup reads plain data from ``lockfacts``), so
-it runs in a bare CI container in milliseconds. REP112 is the one
+The linter is pure ``ast`` — it never imports the code under analysis,
+so it runs in a bare CI container in milliseconds. REP112 is the one
 whole-program rule: :func:`lint_paths` runs it over the repository the
 linted paths sit in (the nearest ancestor holding ``pyproject.toml``
 and ``src/repro``), whatever subset of files is linted.
@@ -99,7 +93,6 @@ from repro.analysis.baseline import (
     run_gate,
     write_baseline,
 )
-from repro.analysis.lockfacts import CONTRACT_RE, GUARDED_FIELDS
 
 __all__ = [
     "PAPER_ALIAS_NAMES", "ENGINE_KNOB_NAMES", "Violation", "lint_source", "lint_paths",
@@ -129,13 +122,11 @@ _CONCURRENCY_EXEMPT = ("repro/analysis/",)
 #: exports.
 _ENGINE_MODULES = frozenset({
     "repro.core.record_engine",
-    "repro.core.unit_store",
     "repro.core.memory_manager",
     "repro.core.io_scheduler",
 })
 _ENGINE_NAMES = frozenset({
-    "RecordEngine", "UnitStore", "MemoryManager", "IoScheduler",
-    "LoadYield",
+    "RecordEngine", "MemoryManager", "IoScheduler", "LoadYield",
 })
 _ENGINE_EXEMPT = ("repro/core/",)
 
@@ -310,7 +301,6 @@ class _Linter(ast.NodeVisitor):
     # -- rule dispatch on defs -----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_camelcase_def(node)
-        self._check_guarded_fields(node)
         self._check_engine_knob_defaults(node, [
             stmt.target.id for stmt in node.body
             if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
@@ -478,35 +468,6 @@ class _Linter(ast.NodeVisitor):
         if isinstance(value, ast.Name):
             return "cond" in value.id.lower()
         return False
-
-    def _check_guarded_fields(self, node: ast.ClassDef) -> None:
-        """REP109: every ``@guarded_by`` field is registered or under
-        a "Lock held." contract."""
-        from repro.analysis.callgraph import parse_guarded_by
-
-        declared = parse_guarded_by(node)
-        if not declared:
-            return
-        docstrings = [ast.get_docstring(node) or ""] + [
-            ast.get_docstring(stmt) or ""
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        has_contract = any(
-            CONTRACT_RE.search(doc) for doc in docstrings if doc
-        )
-        for field in declared:
-            if (node.name, field) in GUARDED_FIELDS:
-                continue
-            if has_contract:
-                continue
-            self._add(
-                "REP109", node,
-                f"@guarded_by field {field!r} is neither in the "
-                f"repro.analysis.lockfacts registry nor covered by a "
-                f"'Lock held.' contract in {node.name!r}",
-                symbol=self._qualname(f"{node.name}.{field}"),
-            )
 
     # -- helpers for the def rules -------------------------------------
     def _check_camelcase_def(self, node) -> None:

@@ -4,10 +4,10 @@ The prose lock table in ``DESIGN.md`` ("Lock ownership") is the
 authoritative statement of GODIVA's lock discipline; this module is the
 same table as plain data so tools can consume it: the static checker
 (:mod:`repro.analysis.static`) verifies guarded-field accesses and the
-acquisition hierarchy against it, ``repro-lint``'s REP109 requires
-every ``@guarded_by``-declared field to appear here (or in a
-"Lock held." contract), and ``tests/test_docs_consistency.py`` parses
-the DESIGN table and asserts the two never drift.
+acquisition hierarchy against it (its SC104 requires every
+``@guarded_by``-declared field to appear here or under a "Lock held."
+contract), and ``tests/test_docs_consistency.py`` parses the DESIGN
+table and asserts the two never drift.
 
 The module is pure data plus a markdown parser — it imports nothing
 from the engine, so the analysis tools never import the code they
@@ -33,11 +33,10 @@ LOCK_TABLE: Dict[str, dict] = {
         "owner": "GBO._lock",
         "classes": {
             "GBO": ("_closing", "_closed"),
-            "UnitStore": ("_units",),
             "MemoryManager": (
                 "_accountant", "_policy", "_io_blocked", "_abort_loads",
             ),
-            "IoScheduler": ("_queue", "_worker_stats"),
+            "IoScheduler": ("_units", "_queue", "_worker_stats"),
             "DerivedCache": ("_entries", "_tokens"),
             "GodivaService": ("_sessions", "_closing", "_service_closed"),
             "ServiceSession": ("_session_closed",),
@@ -133,12 +132,8 @@ LEAF_ROLES: FrozenSet[str] = frozenset(
 #: here instead. Constructor-call assignments (``self._io =
 #: IoScheduler(...)``) are inferred automatically and need no entry.
 WIRING: Dict[Tuple[str, str], str] = {
-    ("UnitStore", "_memory"): "MemoryManager",
-    ("UnitStore", "_scheduler"): "IoScheduler",
-    ("MemoryManager", "_units"): "UnitStore",
     ("MemoryManager", "_scheduler"): "IoScheduler",
     ("MemoryManager", "_derived"): "DerivedCache",
-    ("IoScheduler", "_units"): "UnitStore",
     ("IoScheduler", "_memory"): "MemoryManager",
     ("IoScheduler", "_owner"): "GBO",
     ("TenantLedger", "_derived"): "DerivedCache",

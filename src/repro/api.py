@@ -2,7 +2,7 @@
 
 Import from here (or from :mod:`repro` itself) rather than from engine
 modules; ``repro-lint`` rule REP107 enforces that engine-layer classes
-(``RecordEngine``, ``UnitStore``, ``MemoryManager``, ``IoScheduler``)
+(``RecordEngine``, ``MemoryManager``, ``IoScheduler``)
 are only imported inside :mod:`repro.core` and :mod:`repro.service`.
 
 Two ways to hold a database:

@@ -23,7 +23,6 @@ from repro.core.index import normalize_key_values
 from repro.core.io_scheduler import IoScheduler
 from repro.core.memory_manager import LoadYield, MemoryManager
 from repro.core.record_engine import RecordEngine
-from repro.core.unit_store import UnitStore
 from repro.core.memory import (
     MB,
     RECORD_OVERHEAD_BYTES,
@@ -59,7 +58,6 @@ __all__ = [
     "make_policy",
     "normalize_key_values",
     "RecordEngine",
-    "UnitStore",
     "MemoryManager",
     "IoScheduler",
     "LoadYield",

@@ -1,10 +1,10 @@
 """The GBO (GODIVA Buffer Object) — the in-memory GODIVA database.
 
-One GBO per process (section 3.3); a *facade* over four layers (lock
+One GBO per process (section 3.3); a *facade* over three layers (lock
 discipline per module and in ``DESIGN.md``): RecordEngine (schema,
-records, index, queries — its **own** record lock), UnitStore (unit
-table), MemoryManager (accounting, eviction) and IoScheduler (prefetch
-queue, workers, deadlock detection); the last three share the
+records, index, queries — its **own** record lock), MemoryManager
+(accounting, eviction) and IoScheduler (unit table and state machine,
+prefetch queue, workers, deadlock detection); the last two share the
 facade-owned *engine* lock; global lock order is engine → record. The
 paper API is unchanged: the *TG* build (``background_io=True``) drains
 the queue with ``io_workers`` workers, the *G* build reads inside
@@ -39,7 +39,6 @@ from repro.core.record import FieldBuffer, Record
 from repro.core.record_engine import RecordEngine
 from repro.core.stats import GodivaStats
 from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
-from repro.core.unit_store import UnitStore
 from repro.core.units import ReadFunction, UnitHandle, UnitState
 from repro.errors import DatabaseClosedError
 
@@ -54,7 +53,7 @@ _RECORD_DELEGATES = (
 
 @guarded_by("_closing", "_closed", lock="_lock")
 class GBO:
-    """The GODIVA database object (facade over the four engine layers).
+    """The GODIVA database object (facade over the three engine layers).
 
     ``mem`` / ``mem_mb`` spell the budget and ``**engine`` names any
     other :class:`~repro.core.config.EngineConfig` field (defaults and
@@ -116,25 +115,23 @@ class GBO:
 
         self._records = RecordEngine(stats=self.stats, clock=clock,
                                      arena=self._arena)
-        self._store = UnitStore(lock=self._lock, cond=self._cond, stats=self.stats,
-                                clock=clock, unit_event_hook=unit_event_hook)
         self._mem = MemoryManager(config.budget_bytes,
                                   policy=config.eviction_policy, lock=self._lock,
                                   cond=self._cond, stats=self.stats, clock=clock)
         self._io = IoScheduler(lock=self._lock, cond=self._cond, stats=self.stats,
                                clock=clock,
-                               workers=config.io_workers if config.background_io else 0)
+                               workers=config.io_workers if config.background_io else 0,
+                               unit_event_hook=unit_event_hook)
         self._derived = (
             DerivedCache(self._mem, lock=self._lock, cond=self._cond, stats=self.stats,
                          clock=clock, event_hook=unit_event_hook, arena=self._arena)
             if config.derived_cache else None
         )
-        self._store.bind(memory=self._mem, scheduler=self._io)
-        self._mem.bind(units=self._store, scheduler=self._io,
+        self._mem.bind(scheduler=self._io,
                        release_records=self._records.drop_unit_records,
                        closing=lambda: self._closing, derived=self._derived,
                        arena=self._arena)
-        self._io.bind(owner=self, units=self._store, memory=self._mem,
+        self._io.bind(owner=self, memory=self._mem,
                       check_open=self._check_open, closing=lambda: self._closing)
         self._records.bind(charge=self._charge_bytes, release=self._release_bytes,
                            current_load_unit=self._io.current_load_unit,
@@ -166,8 +163,7 @@ class GBO:
         self.config, self.stats = engine.config, engine.stats
         self._lock, self._cond = engine._lock, engine._cond
         self._arena, self._compute = engine._arena, engine._compute
-        self._records, self._store = engine._records, engine._store
-        self._mem, self._io = engine._mem, engine._io
+        self._records, self._mem, self._io = engine._records, engine._mem, engine._io
         self._derived = (None if engine._derived is None
                          else engine._derived._scoped(scope))
         self._prefix = f"{scope}::"
@@ -285,8 +281,7 @@ class GBO:
         with self._cond:
             if self._derived is not None:
                 self._derived.clear_locked()
-            self._store.clear()
-            self._io.clear_queue()
+            self._io.clear()
             self._mem.drain()
             self._closed = True
             self._cond.notify_all()
@@ -455,31 +450,31 @@ class GBO:
         """Declare processing complete; evictable once unreferenced."""
         with self._cond:
             self._check_open()
-            self._store.finish(self._prefix + name)
+            self._io.finish(self._prefix + name)
 
     def delete_unit(self, name: str) -> None:
         """Explicitly delete the unit's records and free their memory."""
         with self._cond:
             self._check_open()
-            self._store.delete(self._prefix + name)
+            self._io.delete(self._prefix + name)
 
     def cancel_unit(self, name: str) -> bool:
         """Cancel a pending prefetch: True only if still QUEUED (never
         interrupts a started read — then False)."""
         with self._cond:
             self._check_open()
-            return self._store.cancel(self._prefix + name)
+            return self._io.cancel(self._prefix + name)
 
     def unit(self, name: str) -> UnitHandle:
         """A :class:`UnitHandle` for an already-added unit."""
         with self._lock:
-            self._store.require(self._prefix + name)
+            self._io.require(self._prefix + name)
             return UnitHandle(self, name)
 
     def unit_priority(self, name: str) -> float:
         """The unit's stored prefetch priority."""
         with self._lock:
-            return self._store.priority_of(self._prefix + name)
+            return self._io.require(self._prefix + name).priority
 
     def set_unit_priority(self, name: str, priority: float) -> None:
         """Change a unit's prefetch priority, reordering if still QUEUED."""
@@ -501,12 +496,12 @@ class GBO:
     def unit_state(self, name: str) -> UnitState:
         """The unit's lifecycle state."""
         with self._lock:
-            return self._store.state_of(self._prefix + name)
+            return self._io.state_of(self._prefix + name)
 
     def is_resident(self, name: str) -> bool:
         """Whether the named unit is currently RESIDENT."""
         with self._lock:
-            unit = self._store.get(self._prefix + name)
+            unit = self._io.units.get(self._prefix + name)
             return unit is not None and unit.state is UnitState.RESIDENT
 
     def try_wait_unit(self, name: str) -> bool:
@@ -525,29 +520,27 @@ class GBO:
         """
         with self._lock:
             self._check_open()
-            unit = self._store.get(self._prefix + name)
+            unit = self._io.units.get(self._prefix + name)
             if unit is None or unit.state is not UnitState.RESIDENT:
                 return False
-            self.stats.wait_hits += 1
-            unit.ref_count += 1
-            self._mem.remove_evictable(unit.name)
+            self._io.pin(unit)
             return True
 
     def list_units(self) -> List[Tuple[str, UnitState]]:
         """(name, state) for every known unit."""
         with self._lock:
-            return self._store.list_units()
+            return self._io.list_units()
 
     def resident_bytes_of(self, name: str) -> int:
         """Bytes currently charged to the named unit."""
         with self._lock:
-            return self._store.resident_bytes_of(self._prefix + name)
+            return self._io.require(self._prefix + name).resident_bytes
 
     # Layer views: GBO internals under their original names (used by
     # analysis.invariants and white-box tests); engine-lock rules apply.
     @property
     def _units(self) -> Dict[str, object]:
-        return self._store.units  # unit table (UnitStore)
+        return self._io.units  # unit table (IoScheduler)
 
     @property
     def _memory(self) -> MemoryAccountant:

@@ -17,11 +17,11 @@ demand load needs bytes, the ordinary eviction loop reclaims cache
 entries (and idle units) before the deadlock detector is ever consulted.
 
 All cache state is mutated under the *engine* lock (the facade-injected
-lock/condition pair shared with the unit store, memory manager, and I/O
-scheduler); methods documented "Lock held." must be called with it held
-(checked under ``REPRO_ANALYSIS=1``). Compute callables and content
-hashing run **without** the lock, so a slow kernel never stalls the I/O
-workers.
+lock/condition pair shared with the memory manager and the I/O
+scheduler, which holds the unit table); methods documented "Lock held."
+must be called with it held (checked under ``REPRO_ANALYSIS=1``).
+Compute callables and content hashing run **without** the lock, so a
+slow kernel never stalls the I/O workers.
 
 Entry values are frozen (``writeable=False``) before insertion: callers
 receive shared arrays, and sharing is only safe because nobody can

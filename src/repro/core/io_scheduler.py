@@ -1,28 +1,35 @@
-"""IoScheduler — the background-I/O layer of the GODIVA engine.
+"""IoScheduler — the unit lifecycle of the GODIVA engine.
 
-Owns the priority prefetch queue, the worker pool that drains it, the
-demand-boost path (``wait_unit`` jumps a queued unit to the front), the
-pool-generalized deadlock detector, and the foreground read paths
-(``read_unit`` and the single-thread *G*-build ``wait_unit``).
+Owns the table of :class:`~repro.core.units.ProcessingUnit` objects,
+their :class:`~repro.core.units.UnitState` machine and unit-level
+reference counts (section 3.3: "Reference counts are kept at the unit
+level"), the unit-event hook, the priority prefetch queue, the worker
+pool that drains it, the demand-boost path (``wait_unit`` jumps a
+queued unit to the front), the pool-generalized deadlock detector, and
+the foreground read paths (``read_unit`` and the single-thread
+*G*-build ``wait_unit``). Every unit transition is made here except
+eviction (RESIDENT -> EVICTED, or DELETED on a delete), which the
+memory manager makes in :meth:`MemoryManager.evict`.
 
-Queue and worker bookkeeping live under the *engine* lock — the
-lock/condition pair the facade injects and shares with the unit store
-and the memory manager. Methods documented "Lock held." must be called
-with that lock held (checked under ``REPRO_ANALYSIS=1``); the methods
-that run read callbacks (``wait_unit``, ``read_unit``, the worker loop)
-acquire the engine lock themselves and always drop it around the
-callback, so callbacks can re-enter the record interfaces.
+All of it lives under the *engine* lock — the lock/condition pair the
+facade injects and shares with the memory manager. Methods documented
+"Lock held." must be called with that lock held (checked under
+``REPRO_ANALYSIS=1``); the methods that run read callbacks
+(``wait_unit``, ``read_unit``, the worker loop) acquire the engine
+lock themselves and always drop it around the callback, so callbacks
+can re-enter the record interfaces.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.primitives import (
     TrackedCondition,
     TrackedLock,
+    analysis_enabled,
     make_held_checker,
 )
 from repro.analysis.races import guarded_by
@@ -42,6 +49,16 @@ from repro.errors import (
 )
 from repro.structures.priorityqueue import PriorityQueue
 
+#: Unit states in which a name is considered *active* — re-adding an
+#: active unit is an error; terminal/evicted names may be resurrected.
+_ACTIVE_STATES = (UnitState.QUEUED, UnitState.READING, UnitState.RESIDENT)
+
+
+def _emit_nothing(event: str, unit_name: str) -> None:
+    """Instance-bound in place of :meth:`IoScheduler.emit` when no hook
+    is configured (saves two call frames on every hot-path transition)."""
+    return None
+
 
 class _WorkerStats:
     """Per-I/O-worker utilization counters, mutated under the engine lock."""
@@ -54,9 +71,9 @@ class _WorkerStats:
         self.units_loaded = 0
 
 
-@guarded_by("_queue", "_worker_stats", lock="_lock")
+@guarded_by("_units", "_queue", "_worker_stats", lock="_lock")
 class IoScheduler:
-    """Prefetch queue, worker pool, and wait/deadlock machinery.
+    """Unit table, prefetch queue, worker pool, and wait/deadlock machinery.
 
     Parameters
     ----------
@@ -64,12 +81,16 @@ class IoScheduler:
         The engine lock/condition pair to share; when ``None`` a private
         tracked pair is created (standalone use in tests).
     stats:
-        The :class:`GodivaStats` sink for queue/wait counters.
+        The :class:`GodivaStats` sink for unit/queue/wait counters.
     clock:
-        Monotonic-seconds callable for queue/read timing.
+        Monotonic-seconds callable for queue/read timing and event
+        timestamps.
     workers:
         Background worker count; 0 is the paper's single-thread *G*
         build where reads happen inside ``wait_unit``.
+    unit_event_hook:
+        Optional ``hook(event, unit_name, now)`` observability callback,
+        invoked with the engine lock held.
     """
 
     def __init__(
@@ -80,6 +101,7 @@ class IoScheduler:
         stats: Optional[GodivaStats] = None,
         clock: Callable[[], float] = time.monotonic,
         workers: int = 0,
+        unit_event_hook: Optional[Callable[[str, str, float], None]] = None,
     ) -> None:
         if lock is None:
             lock = TrackedLock(f"IoScheduler._lock@{id(self):#x}")
@@ -89,6 +111,13 @@ class IoScheduler:
         self._check_locked = make_held_checker(lock, "IoScheduler helper")
         self._clock = clock
         self.stats = stats if stats is not None else GodivaStats()
+        self._unit_event_hook = unit_event_hook
+        if unit_event_hook is None and not analysis_enabled():
+            # Nothing observes transitions: short-circuit emit. Under
+            # analysis the real method stays so the "Lock held."
+            # contract in emit() is still exercised.
+            self.emit = _emit_nothing
+        self._units: Dict[str, ProcessingUnit] = {}
         self._queue = PriorityQueue()
         self._workers = workers
         self._worker_stats: List[_WorkerStats] = [
@@ -98,7 +127,6 @@ class IoScheduler:
         self._thread_set: frozenset = frozenset()
         self._load_ctx = threading.local()
         self._owner = None
-        self._units = None
         self._memory = None
         self._check_open: Callable[[], None] = lambda: None
         self._closing: Callable[[], bool] = lambda: False
@@ -107,7 +135,6 @@ class IoScheduler:
         self,
         *,
         owner: object,
-        units: object,
         memory: object,
         check_open: Callable[[], None],
         closing: Callable[[], bool],
@@ -119,7 +146,6 @@ class IoScheduler:
         both are called with the engine lock held.
         """
         self._owner = owner
-        self._units = units
         self._memory = memory
         self._check_open = check_open
         self._closing = closing
@@ -154,6 +180,11 @@ class IoScheduler:
         """The pending-unit queue (engine-lock discipline applies)."""
         return self._queue
 
+    @property
+    def units(self) -> Dict[str, ProcessingUnit]:
+        """The live name -> unit table (engine-lock discipline applies)."""
+        return self._units
+
     def is_io_thread(self, thread: threading.Thread) -> bool:
         """Whether ``thread`` belongs to the background pool."""
         return thread in self._thread_set
@@ -183,29 +214,118 @@ class IoScheduler:
         ]
 
     # ------------------------------------------------------------------
-    # Queue operations (Lock held.)
+    # Unit table and queue (Lock held.)
     # ------------------------------------------------------------------
+    def emit(self, event: str, unit_name: str) -> None:
+        """Fire the unit-event hook. Lock held."""
+        self._check_locked()
+        if self._unit_event_hook is not None:
+            self._unit_event_hook(event, unit_name, self._clock())
+
+    def require(self, name: str) -> ProcessingUnit:
+        """The named unit, or raise :class:`UnknownUnitError`. Lock held."""
+        self._check_locked()
+        unit = self._units.get(name)
+        if unit is None:
+            raise UnknownUnitError(f"unit {name!r} was never added")
+        return unit
+
+    def state_of(self, name: str) -> UnitState:
+        """The unit's lifecycle state. Lock held."""
+        return self.require(name).state
+
+    def list_units(self) -> List[Tuple[str, UnitState]]:
+        """(name, state) for every known unit. Lock held."""
+        self._check_locked()
+        return [(u.name, u.state) for u in self._units.values()]
+
+    def admit(self, name: str, read_fn: Optional[ReadFunction],
+              priority: float) -> ProcessingUnit:
+        """Create a fresh QUEUED unit under ``name``. Lock held.
+
+        Re-adding an active (queued/reading/resident) name raises
+        :class:`UnitStateError`; evicted/failed/deleted names are
+        resurrected with a brand-new unit.
+        """
+        self._check_locked()
+        unit = self._units.get(name)
+        if unit is not None and unit.state in _ACTIVE_STATES:
+            raise UnitStateError(
+                f"unit {name!r} is already {unit.state.value}"
+            )
+        unit = ProcessingUnit(name, read_fn, priority=priority)
+        self._units[name] = unit
+        self.stats.units_added += 1
+        return unit
+
     def enqueue(self, name: str, read_fn: ReadFunction,
                 priority: float) -> None:
         """Admit a unit and append it to the prefetch queue. Lock held."""
-        self._check_locked()
-        unit = self._units.admit(name, read_fn, priority)
-        unit.enqueued_at = self._clock()
-        self._queue.push(name, priority=priority)
+        unit = self.admit(name, read_fn, priority)
+        self._requeue(unit)
         if len(self._queue) > self.stats.queue_depth_peak:
             self.stats.queue_depth_peak = len(self._queue)
-        self._units.emit("added", name)
+        self.emit("added", name)
         self._cond.notify_all()
 
-    def remove_queued(self, name: str) -> bool:
-        """Drop a unit from the pending queue. Lock held."""
+    def pin(self, unit: ProcessingUnit, hit: bool = True) -> None:
+        """Take a reference on a RESIDENT unit and pull it from the
+        eviction policy; ``hit`` counts a wait hit (False for a waiter
+        whose miss is already counted). Lock held."""
         self._check_locked()
-        return self._queue.remove(name)
+        if hit:
+            self.stats.wait_hits += 1
+        unit.ref_count += 1
+        self._memory.remove_evictable(unit.name)
+
+    def finish(self, name: str) -> None:
+        """Declare processing complete; evictable at zero refs. Lock held."""
+        unit = self.require(name)
+        if unit.state is not UnitState.RESIDENT:
+            raise UnitStateError(
+                f"cannot finish unit {name!r} in state "
+                f"{unit.state.value}"
+            )
+        unit.finished = True
+        if unit.ref_count > 0:
+            unit.ref_count -= 1
+        self.emit("finished", name)
+        if unit.evictable:
+            self._memory.make_evictable(name)
+
+    def delete(self, name: str) -> None:
+        """Delete the unit's records and free their memory. Lock held."""
+        unit = self.require(name)
+        if unit.state is UnitState.DELETED:
+            return  # idempotent
+        if unit.state is UnitState.READING:
+            # The loader deletes it the moment the callback returns.
+            unit.pending_delete = True
+            return
+        if unit.state is UnitState.RESIDENT:
+            self._memory.evict(unit, deleting=True)
+        else:  # QUEUED, EVICTED or FAILED — nothing resident to free
+            self._queue.remove(name)
+            unit.state = UnitState.DELETED
+            self.emit("deleted", name)
+        self.stats.units_deleted += 1
+        self._cond.notify_all()
+
+    def cancel(self, name: str) -> bool:
+        """Cancel a still-QUEUED prefetch; False otherwise. Lock held."""
+        unit = self.require(name)
+        if unit.state is not UnitState.QUEUED:
+            return False
+        self._queue.remove(name)
+        unit.state = UnitState.DELETED
+        self.stats.units_cancelled += 1
+        self.emit("cancelled", name)
+        self._cond.notify_all()
+        return True
 
     def reprioritize(self, name: str, priority: float) -> None:
         """Store a new priority, reordering if still queued. Lock held."""
-        self._check_locked()
-        unit = self._units.require(name)
+        unit = self.require(name)
         unit.priority = priority
         if self._queue.reprioritize(name, priority):
             self._cond.notify_all()
@@ -215,10 +335,39 @@ class IoScheduler:
         self._check_locked()
         return len(self._queue)
 
-    def clear_queue(self) -> None:
-        """Empty the pending queue (close path). Lock held."""
+    def clear(self) -> None:
+        """Drop every unit and empty the queue (close path). Lock held."""
         self._check_locked()
+        self._units.clear()
         self._queue.clear()
+
+    def _requeue(self, unit: ProcessingUnit) -> None:
+        """Put a unit (back) on the prefetch queue at its priority.
+        Lock held."""
+        unit.state = UnitState.QUEUED
+        unit.finished = False
+        unit.enqueued_at = self._clock()
+        self._queue.push(unit.name, priority=unit.priority)
+
+    def _claim(self, unit: ProcessingUnit) -> ReadFunction:
+        """Mark a unit READING for an inline read, taking it off the
+        queue; returns the read function to run. Lock held."""
+        if unit.state is UnitState.QUEUED:
+            self._queue.remove(unit.name)
+        if unit.read_fn is None:
+            raise UnknownUnitError(
+                f"unit {unit.name!r} has no read function to reload with"
+            )
+        unit.state = UnitState.READING
+        return unit.read_fn
+
+    @staticmethod
+    def _raise_if_failed(unit: ProcessingUnit) -> None:
+        """Re-raise a FAILED unit's read error to its waiter."""
+        if unit.state is UnitState.FAILED:
+            raise ReadFunctionError(
+                f"read function for unit {unit.name!r} failed"
+            ) from unit.error
 
     # ------------------------------------------------------------------
     # Foreground paths (acquire the engine lock themselves)
@@ -235,82 +384,57 @@ class IoScheduler:
                         f"unit {name!r} is unknown and no read function "
                         f"was supplied"
                     )
-                unit = ProcessingUnit(name, read_fn)
-                self._units.add(unit)
+                unit = self._units[name] = ProcessingUnit(name, read_fn)
                 self.stats.units_added += 1
             elif read_fn is not None:
                 unit.read_fn = read_fn
 
             if unit.state is UnitState.RESIDENT:
-                self.stats.wait_hits += 1
-                unit.ref_count += 1
-                self._memory.remove_evictable(name)
+                self.pin(unit)
                 return
             if unit.state is UnitState.READING:
                 # Background thread has it; fall back to waiting.
                 self.stats.wait_misses += 1
                 self._wait_until_resident(unit)
                 return
-            if unit.state is UnitState.QUEUED:
-                self._queue.remove(name)
-            if unit.read_fn is None:
-                raise UnknownUnitError(
-                    f"unit {name!r} has no read function to reload with"
-                )
-            unit.state = UnitState.READING
+            read_callable = self._claim(unit)
             self.stats.wait_misses += 1
-            read_callable = unit.read_fn
-        self.run_read(name, read_callable, foreground=True)
-        self._settle_foreground(name)
+        self._read_inline(name, read_callable)
 
     def wait_unit(self, name: str) -> None:
         """Block until the unit is resident; see :meth:`GBO.wait_unit`."""
         with self._cond:
             self._check_open()
-            unit = self._units.require(name)
+            unit = self.require(name)
             if unit.state is UnitState.RESIDENT:
-                self.stats.wait_hits += 1
-                unit.ref_count += 1
-                self._memory.remove_evictable(name)
+                self.pin(unit)
                 return
             if unit.state is UnitState.DELETED:
                 raise UnitStateError(f"unit {name!r} was deleted")
             self.stats.wait_misses += 1
-
-            if not self._threads:
-                # Single-thread build: the read happens inside wait_unit
-                # (the paper's G library, section 4.2).
-                if unit.state is UnitState.QUEUED:
-                    self._queue.remove(name)
-                if unit.read_fn is None:
-                    raise UnknownUnitError(
-                        f"unit {name!r} has no read function"
-                    )
-                unit.state = UnitState.READING
-                read_callable = unit.read_fn
-            else:
+            if self._threads:
                 if unit.state is UnitState.QUEUED:
                     # The application is blocked on this unit right now:
                     # jump it past everything else still pending.
                     if self._queue.to_front(name):
                         self.stats.wait_boosts += 1
-                        self._units.emit("boosted", name)
+                        self.emit("boosted", name)
                         self._cond.notify_all()
                 self._wait_until_resident(unit)
                 return
-        # Single-thread inline read, outside the lock.
-        self.run_read(name, read_callable, foreground=True)
-        self._settle_foreground(name)
+            # Single-thread build: the read happens inside wait_unit
+            # (the paper's G library, section 4.2).
+            read_callable = self._claim(unit)
+        self._read_inline(name, read_callable)
 
-    def _settle_foreground(self, name: str) -> None:
-        """Post-read bookkeeping shared by the blocking paths."""
+    def _read_inline(self, name: str, read_fn: ReadFunction) -> None:
+        """Run a claimed unit's read on this thread (lock NOT held),
+        then raise its error or take the caller's reference."""
+        self.run_read(name, read_fn, foreground=True)
         with self._cond:
-            unit = self._units.require(name)
-            if unit.state is UnitState.FAILED:
-                raise ReadFunctionError(
-                    f"read function for unit {name!r} failed"
-                ) from unit.error
-            unit.ref_count += 1
+            unit = self.require(name)
+            self._raise_if_failed(unit)
+            self.pin(unit, hit=False)
 
     def _wait_until_resident(self, unit: ProcessingUnit) -> None:
         """Multi-thread wait loop with deadlock detection. Lock held."""
@@ -319,13 +443,9 @@ class IoScheduler:
         try:
             while True:
                 if unit.state is UnitState.RESIDENT:
-                    unit.ref_count += 1
-                    self._memory.remove_evictable(unit.name)
+                    self.pin(unit, hit=False)
                     return
-                if unit.state is UnitState.FAILED:
-                    raise ReadFunctionError(
-                        f"read function for unit {unit.name!r} failed"
-                    ) from unit.error
+                self._raise_if_failed(unit)
                 if unit.state is UnitState.DELETED:
                     raise UnitStateError(
                         f"unit {unit.name!r} was deleted while being "
@@ -339,10 +459,7 @@ class IoScheduler:
                             f"unit {unit.name!r} was evicted and has no "
                             f"read function to reload with"
                         )
-                    unit.state = UnitState.QUEUED
-                    unit.finished = False
-                    unit.enqueued_at = self._clock()
-                    self._queue.push(unit.name, priority=unit.priority)
+                    self._requeue(unit)
                     self._queue.to_front(unit.name)
                     self._cond.notify_all()
                 self._check_deadlock(unit)
@@ -471,9 +588,9 @@ class IoScheduler:
     def run_read(self, name: str, read_fn: ReadFunction,
                  foreground: bool, worker: Optional[int] = None) -> None:
         """Invoke a read callback (lock NOT held) and settle unit state."""
-        if self._units.hook is not None:
+        if self._unit_event_hook is not None:
             with self._lock:
-                self._units.emit("read_started", name)
+                self.emit("read_started", name)
         self._load_ctx.unit_name = name
         self._load_ctx.worker = worker
         t0 = self._clock()
@@ -504,28 +621,8 @@ class IoScheduler:
                     ws.read_seconds += elapsed
                     if error is None:
                         ws.units_loaded += 1
-            if isinstance(error, LoadYield):
-                # Roll back the partial load and put the unit back in the
-                # queue: its charges go to a waited-on load, and it will
-                # be re-read once memory frees up.
-                self._memory.free_unit_records(unit)
-                if unit.pending_delete:
-                    self._memory.evict(unit, deleting=True)
-                    self.stats.units_deleted += 1
-                else:
-                    unit.state = UnitState.QUEUED
-                    unit.finished = False
-                    unit.enqueued_at = self._clock()
-                    self._queue.push(name, priority=unit.priority)
-                self._cond.notify_all()
-                return
-            if error is not None:
-                self._memory.free_unit_records(unit)
-                unit.state = UnitState.FAILED
-                unit.error = error
-                self.stats.units_failed += 1
-                self._units.emit("failed", name)
-            else:
+            yielded = isinstance(error, LoadYield)
+            if error is None:
                 unit.loads += 1
                 if unit.loads > 1:
                     self.stats.units_reloaded += 1
@@ -533,11 +630,22 @@ class IoScheduler:
                     self.stats.units_read_foreground += 1
                 else:
                     self.stats.units_prefetched += 1
-                if unit.pending_delete:
-                    self._memory.evict(unit, deleting=True)
-                    self.stats.units_deleted += 1
-                else:
-                    unit.state = UnitState.RESIDENT
-                    unit.finished = False
-                    self._units.emit("loaded", name)
+            else:
+                self._memory.free_unit_records(unit)
+            if error is not None and not yielded:
+                unit.state = UnitState.FAILED
+                unit.error = error
+                self.stats.units_failed += 1
+                self.emit("failed", name)
+            elif unit.pending_delete:
+                self._memory.evict(unit, deleting=True)
+                self.stats.units_deleted += 1
+            elif yielded:
+                # The partial load was rolled back so its charges go to a
+                # waited-on load; re-read it once memory frees up.
+                self._requeue(unit)
+            else:
+                unit.state = UnitState.RESIDENT
+                unit.finished = False
+                self.emit("loaded", name)
             self._cond.notify_all()

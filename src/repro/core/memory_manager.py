@@ -8,7 +8,8 @@ that lets a demand fetch beat speculation (section 3.3, generalized to
 ``io_workers=N``).
 
 All state lives under the *engine* lock — the lock/condition pair the
-facade injects and shares with the unit store and the I/O scheduler.
+facade injects and shares with the I/O scheduler, which owns the unit
+table this manager evicts from.
 Methods documented "Lock held." must be called with that lock held
 (checked under ``REPRO_ANALYSIS=1``). When constructed standalone (no
 ``lock=``), the manager creates its own tracked pair, so eviction
@@ -98,7 +99,6 @@ class MemoryManager:
         #: Names of in-flight loads told to roll back and re-queue so a
         #: stalled, waited-on load can claim their partial memory charges.
         self._abort_loads: set = set()
-        self._units = None
         self._scheduler = None
         self._derived = None
         self._arena = None
@@ -108,7 +108,6 @@ class MemoryManager:
     def bind(
         self,
         *,
-        units: object,
         release_records: Callable[[str], int],
         scheduler: Optional[object] = None,
         closing: Optional[Callable[[], bool]] = None,
@@ -117,7 +116,9 @@ class MemoryManager:
     ) -> None:
         """Wire the collaborating layers and seams.
 
-        ``release_records(unit_name)`` drops every record of a unit and
+        ``scheduler`` is the :class:`~repro.core.io_scheduler.IoScheduler`
+        holding the unit table (None for a standalone manager that
+        tracks no units); ``release_records(unit_name)`` drops every record of a unit and
         returns the bytes freed (the record layer's
         ``drop_unit_records``); ``closing()`` reports whether the
         database has begun shutting down (read with the lock held);
@@ -128,7 +129,6 @@ class MemoryManager:
         accounting is arena-agnostic, the manager only surfaces the
         arena's segment statistics in :meth:`report`.
         """
-        self._units = units
         self._scheduler = scheduler
         self._release_records = release_records
         if closing is not None:
@@ -259,7 +259,7 @@ class MemoryManager:
             scheduler.current_load_unit() if scheduler is not None else None
         )
         if unit_name is not None:
-            unit = self._units.get(unit_name)
+            unit = scheduler.units.get(unit_name)
             if unit is not None:
                 unit.resident_bytes += nbytes
 
@@ -269,7 +269,7 @@ class MemoryManager:
         self._accountant.release(nbytes)
         self.stats.bytes_released += nbytes
         if unit_name is not None:
-            unit = self._units.get(unit_name)
+            unit = self._scheduler.units.get(unit_name)
             if unit is not None:
                 unit.resident_bytes -= nbytes
 
@@ -302,7 +302,7 @@ class MemoryManager:
         if self._derived is not None and self._derived.owns(victim):
             self._derived.evict_locked(victim)
         else:
-            self.evict(self._units.require(victim), deleting=False)
+            self.evict(self._scheduler.require(victim), deleting=False)
         return True
 
     def make_evictable(self, name: str) -> None:
@@ -345,11 +345,11 @@ class MemoryManager:
         unit.ref_count = 0
         if deleting:
             unit.state = UnitState.DELETED
-            self._units.emit("deleted", unit.name)
+            self._scheduler.emit("deleted", unit.name)
         else:
             unit.state = UnitState.EVICTED
             self.stats.evictions += 1
-            self._units.emit("evicted", unit.name)
+            self._scheduler.emit("evicted", unit.name)
         self._cond.notify_all()
 
     def reclaim_for(self, needed: int, waiting: ProcessingUnit) -> bool:
@@ -365,8 +365,9 @@ class MemoryManager:
         must break with ``finish_unit``/``delete_unit``.
         """
         self._check_locked()
+        units = self._scheduler.units
         idle_prefetched = [
-            u for u in self._units.values()
+            u for u in units.values()
             if u.state is UnitState.RESIDENT and not u.finished
             and u.ref_count == 0 and u.name != waiting.name
         ]
@@ -376,7 +377,7 @@ class MemoryManager:
         }
         rollback = [
             u for name in blocked_loading if name != waiting.name
-            for u in (self._units.get(name),) if u is not None
+            for u in (units.get(name),) if u is not None
         ]
         reclaimable = (
             sum(u.resident_bytes for u in idle_prefetched)
@@ -408,7 +409,7 @@ class MemoryManager:
         self._check_locked()
         per_unit = {
             unit.name: unit.resident_bytes
-            for unit in self._units.values()
+            for unit in self._scheduler.units.values()
             if unit.resident_bytes
         }
         used = self._accountant.used_bytes

@@ -7,11 +7,12 @@ interface groups, including the TOCTOU-safe ``ensure_record_type``
 definition path.
 
 This layer has its **own** lock/condition pair (the *record* lock),
-independent of the engine lock shared by the unit store, memory
-manager, and I/O scheduler. The global lock order is **engine → record**:
-eviction holds the engine lock and nests the record lock inside
-:meth:`drop_unit_records`; record operations never call an engine-lock
-seam while holding the record lock, so the reverse edge cannot form.
+independent of the engine lock shared by the memory manager and the
+I/O scheduler (which holds the unit table). The global lock order is
+**engine → record**: eviction holds the engine lock and nests the
+record lock inside :meth:`drop_unit_records`; record operations never
+call an engine-lock seam while holding the record lock, so the reverse
+edge cannot form.
 Methods documented "Lock held." refer to the record lock (checked under
 ``REPRO_ANALYSIS=1``).
 

@@ -146,7 +146,7 @@ class ShardedResult:
 class _ShardUsage:
     """Coordinator-side mirror of one shard's resident bytes.
 
-    Quacks like a :class:`~repro.core.unit_store.ProcessingUnit` just
+    Quacks like a :class:`~repro.core.units.ProcessingUnit` just
     enough for :meth:`TenantLedger.usage_by_tenant`, which only reads
     ``resident_bytes`` of the unit table it was bound to. One synthetic
     unit per shard, named ``tenant::<shard>::resident`` so

@@ -155,7 +155,7 @@ class ServiceSession(GBO):
         with self._lock:
             return [
                 (name[cut:], state)
-                for name, state in self._store.list_units()
+                for name, state in self._io.list_units()
                 if name.startswith(self._prefix)
             ]
 

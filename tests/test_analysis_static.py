@@ -1,7 +1,7 @@
 """repro-check: each SC rule on synthetic sources, the interprocedural
 propagation machinery, and the repo-cleanliness gate CI enforces.
 
-Synthetic classes reuse registry names (``ComputePool``, ``UnitStore``,
+Synthetic classes reuse registry names (``ComputePool``, ``IoScheduler``,
 ``RecordEngine``...) to inherit their lock roles; the registry-drift
 pass then also reports the fields those stand-ins do not declare, so
 assertions here are membership-based rather than exact-list."""
@@ -74,14 +74,14 @@ class TestSC101GuardedAccess:
             "class Holder:\n"
             '    """Doc."""\n'
             "    def __init__(self):\n"
-            "        self._store = UnitStore()\n"
+            "        self._store = IoScheduler()\n"
             "    def sizes(self):\n"
             '        """No lock."""\n'
             "        return len(self._store._units)\n"
-            "class UnitStore:\n"
+            "class IoScheduler:\n"
             '    """Doc."""\n'
         )
-        assert "SC101:src/repro/somewhere.py:Holder.sizes:UnitStore._units" \
+        assert "SC101:src/repro/somewhere.py:Holder.sizes:IoScheduler._units" \
             in keys(src, "SC101")
 
     def test_init_is_exempt(self):
@@ -144,7 +144,7 @@ class TestSC102Hierarchy:
 
     def test_reacquire_flagged_as_self_deadlock(self):
         src = (
-            "class UnitStore:\n"
+            "class IoScheduler:\n"
             '    """Doc."""\n'
             "    def stuck(self):\n"
             '        """Double acquisition."""\n'
@@ -153,7 +153,7 @@ class TestSC102Hierarchy:
         )
         found = [d for d in diagnostics(src) if d.rule == "SC102"]
         assert [d.symbol for d in found] == [
-            "UnitStore.stuck:engine<-engine"
+            "IoScheduler.stuck:engine<-engine"
         ]
         assert "self-deadlock" in found[0].message
 
@@ -215,7 +215,7 @@ class TestSC103BlockingUnderLeaf:
         src = (
             "class ComputePool:\n"
             '    """Doc."""\n'
-            "    def cross(self, store: 'UnitStore'):\n"
+            "    def cross(self, store: 'IoScheduler'):\n"
             '        """Waits on a different lock\'s condition."""\n'
             "        with self._lock:\n"
             "            store._cond.wait()\n"
@@ -225,7 +225,7 @@ class TestSC103BlockingUnderLeaf:
     def test_blocking_under_non_leaf_is_clean(self):
         src = (
             "import time\n"
-            "class UnitStore:\n"
+            "class IoScheduler:\n"
             '    """Doc."""\n'
             "    def nap(self):\n"
             '        """Engine lock is not a leaf."""\n'
@@ -323,20 +323,20 @@ class TestSC104ContractDrift:
         # decorator drifts from the DESIGN table.
         src = (
             "@guarded_by(lock='_lock')\n"
-            "class UnitStore:\n"
+            "class IoScheduler:\n"
             '    """Doc."""\n'
             "    pass\n"
         )
-        assert "SC104:src/repro/somewhere.py:UnitStore._units:undeclared" \
+        assert "SC104:src/repro/somewhere.py:IoScheduler._units:undeclared" \
             in keys(src, "SC104")
 
     def test_unregistered_field_on_registry_class_reported(self):
         src = (
             "@guarded_by('_units', '_bogus', lock='_lock')\n"
-            "class UnitStore:\n"
+            "class IoScheduler:\n"
             '    """Doc."""\n'
         )
-        assert "SC104:src/repro/somewhere.py:UnitStore._bogus:unregistered" \
+        assert "SC104:src/repro/somewhere.py:IoScheduler._bogus:unregistered" \
             in keys(src, "SC104")
 
     def test_uncontracted_nonregistry_field_reported(self):

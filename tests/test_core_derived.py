@@ -38,7 +38,7 @@ def memory():
 @pytest.fixture
 def cache(memory):
     cache = DerivedCache(memory)
-    memory.bind(units=None, release_records=lambda name: 0,
+    memory.bind(release_records=lambda name: 0,
                 derived=cache)
     return cache
 

@@ -1,18 +1,19 @@
 """Direct unit tests for the engine layers — no full GBO involved.
 
 Exercises eviction-policy subclasses (LRU/FIFO/MRU and injected
-instances) against a standalone :class:`MemoryManager` wired to a
-:class:`UnitStore` over a shared tracked lock, with the record layer
-replaced by a byte-table seam.
+instances) against a standalone :class:`MemoryManager` wired to the
+unit table of an :class:`IoScheduler` (no workers, no facade) over a
+shared tracked lock, with the record layer replaced by a byte-table
+seam.
 """
 
 import pytest
 
 from repro.analysis.primitives import TrackedCondition, TrackedLock
 from repro.core.cache import FifoEvictionPolicy, MruEvictionPolicy
+from repro.core.io_scheduler import IoScheduler
 from repro.core.memory_manager import MemoryManager
 from repro.core.stats import GodivaStats
-from repro.core.unit_store import UnitStore
 from repro.core.units import UnitState
 from repro.errors import (
     DatabaseClosedError,
@@ -23,7 +24,8 @@ from repro.errors import (
 
 
 def _build(policy, budget=300):
-    """A MemoryManager + UnitStore pair sharing one engine lock.
+    """A MemoryManager + IoScheduler pair sharing one engine lock; the
+    scheduler's unit table is the ``store``.
 
     The record layer is replaced by a plain ``sizes`` dict: eviction
     frees whatever the test charged to the unit.
@@ -31,13 +33,15 @@ def _build(policy, budget=300):
     lock = TrackedLock(f"engine-layer-test@{id(policy):#x}")
     cond = TrackedCondition(lock)
     stats = GodivaStats()
-    store = UnitStore(lock=lock, cond=cond, stats=stats)
+    store = IoScheduler(lock=lock, cond=cond, stats=stats)
     manager = MemoryManager(
         budget, policy=policy, lock=lock, cond=cond, stats=stats
     )
     sizes = {}
-    store.bind(memory=manager, scheduler=None)
-    manager.bind(units=store, release_records=lambda name: sizes.pop(name, 0))
+    store.bind(owner=None, memory=manager, check_open=lambda: None,
+               closing=lambda: False)
+    manager.bind(scheduler=store,
+                 release_records=lambda name: sizes.pop(name, 0))
     return lock, cond, store, manager, sizes
 
 
@@ -171,25 +175,13 @@ def test_reclaim_for_refuses_a_genuine_deadlock():
         assert manager.reclaim_for(100, waiting) is False
 
 
-class _IoThreadStub:
-    """Scheduler seam that flags the calling thread as an I/O worker."""
-
-    def is_io_thread(self, thread):
-        return True
-
-    def current_load_unit(self):
-        return None
-
-    def note_blocked(self, seconds):
-        pass
-
-
 def test_blocked_charge_raises_instead_of_waiting_once_closing():
     """Lost-wakeup regression: close() fires one notify_all, so an I/O
     charge that would block AFTER close has begun must raise — waiting
     would sleep forever and deadlock close()'s join()."""
     lock, cond, store, manager, sizes = _build("lru", budget=200)
-    manager.bind(units=store, scheduler=_IoThreadStub(),
+    store.is_io_thread = lambda thread: True  # the caller is a worker
+    manager.bind(scheduler=store,
                  release_records=lambda name: sizes.pop(name, 0),
                  closing=lambda: True)
     _load(cond, store, manager, sizes, "pinned", 200, finished=False)

@@ -324,7 +324,7 @@ def test_merge_blocks_offsets_and_block_index():
 def _standalone_cache(budget_bytes):
     memory = MemoryManager(budget_bytes)
     cache = DerivedCache(memory)
-    memory.bind(units=None, release_records=lambda name: 0,
+    memory.bind(release_records=lambda name: 0,
                 derived=cache)
     return cache
 
