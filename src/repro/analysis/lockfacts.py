@@ -47,11 +47,10 @@ LOCK_TABLE: Dict[str, dict] = {
             # (engine lock).") but owns no guarded fields of its own —
             # registered so those contracts resolve to the engine role.
             "TenantAwareEvictionPolicy": (),
-            # The sharded coordinator's lock plays the engine role for
-            # the TenantLedger it borrows: ledger "Lock held."
-            # contracts resolve against it exactly as against
-            # GBO._lock in the service layer.
-            "ShardedGBO": ("_budgets", "_usage_units", "_inflight"),
+            # The sharded coordinator's own lock, ranked with the
+            # engine role: it guards the fleet's budget table and
+            # nests no other lock.
+            "ShardedGBO": ("_budgets", "_ledger", "_inflight"),
         },
     },
     "record": {

@@ -147,8 +147,9 @@ class GodivaStats:
         GodivaStats owns no lock of its own — every field is guarded
         by its engine's lock (the ``compute_*`` counters by the pool's
         leaf lock), so a caller merging two *live* stats objects must
-        hold both owning engine locks, acquired in id order exactly as
-        :meth:`repro.io.disk.IoStats.merge` acquires its own pair. The
+        copy ``other`` under its owning engine's lock, then fold the
+        copy in under this one's — one lock at a time, as
+        :meth:`repro.io.disk.IoStats.merge` does. The
         sharded coordinator never faces that case: each shard's final
         stats arrive by value over the result queue after the shard's
         engine has closed, so both operands are dead copies. Merging

@@ -164,30 +164,31 @@ class IoStats:
         learn that call's virtual cost) and then contribute the traffic to
         the application-wide aggregate.
 
-        Both stats objects are locked for the whole merge (so a
-        concurrent ``record_read`` on ``other`` cannot slip between the
-        read and the add), and the two locks are always acquired in a
-        globally consistent order — by object id — so two threads
-        cross-merging (``a.merge(b)`` racing ``b.merge(a)``) cannot
-        deadlock. Merging an instance into itself is a no-op.
+        ``other`` is read under its own lock (so a concurrent
+        ``record_read`` on it is counted wholly or not at all), then the
+        copy is added under this one's; holding one lock at a time means
+        two threads cross-merging (``a.merge(b)`` racing ``b.merge(a)``)
+        have no lock order to get wrong. Merging an instance into itself
+        is a no-op.
         """
         if other is self:
             return
-        first, second = (
-            (self, other) if id(self) < id(other) else (other, self)
-        )
-        with first._lock:
-            with second._lock:
-                self.bytes_read += other.bytes_read
-                self.read_calls += other.read_calls
-                self.seeks += other.seeks
-                self.settles += other.settles
-                self.opens += other.opens
-                self.virtual_seconds += other.virtual_seconds
-                for path, nbytes in other.per_file_bytes.items():
-                    self.per_file_bytes[path] = (
-                        self.per_file_bytes.get(path, 0) + nbytes
-                    )
+        with other._lock:
+            bytes_read, read_calls = other.bytes_read, other.read_calls
+            seeks, settles = other.seeks, other.settles
+            opens, virtual_seconds = other.opens, other.virtual_seconds
+            per_file = dict(other.per_file_bytes)
+        with self._lock:
+            self.bytes_read += bytes_read
+            self.read_calls += read_calls
+            self.seeks += seeks
+            self.settles += settles
+            self.opens += opens
+            self.virtual_seconds += virtual_seconds
+            for path, nbytes in per_file.items():
+                self.per_file_bytes[path] = (
+                    self.per_file_bytes.get(path, 0) + nbytes
+                )
 
     def reset(self) -> None:
         with self._lock:

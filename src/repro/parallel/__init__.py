@@ -13,18 +13,17 @@ section 3.3).
 
 The sharded build (:mod:`repro.parallel.sharded`) goes one step
 further: the per-process engines allocate from shared-memory arenas,
-placement (:mod:`repro.parallel.placement`) assigns units to shards
-deterministically, and the coordinator arbitrates one global memory
-budget and reads frames zero-copy.
+rendezvous placement assigns units to shards deterministically, and
+the coordinator arbitrates one global memory budget and reads frames
+zero-copy. :mod:`repro.parallel.placement` owns both splits.
 """
 
 from repro.parallel.launcher import ParallelResult, run_parallel_voyager
 from repro.parallel.placement import (
     PlacementMap,
+    partition_snapshots,
     rendezvous_shard,
-    weighted_assignment,
 )
-from repro.parallel.scheduler import STRATEGIES, partition_snapshots
 from repro.parallel.sharded import (
     ShardedGBO,
     ShardedResult,
@@ -34,12 +33,10 @@ from repro.parallel.sharded import (
 
 __all__ = [
     "partition_snapshots",
-    "STRATEGIES",
     "run_parallel_voyager",
     "ParallelResult",
     "PlacementMap",
     "rendezvous_shard",
-    "weighted_assignment",
     "ShardedGBO",
     "ShardedResult",
     "ShardSpec",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.child import Child, ready
-from repro.parallel.scheduler import partition_snapshots
+from repro.parallel.placement import partition_snapshots
 from repro.viz.voyager import Voyager, VoyagerConfig, VoyagerResult
 
 
@@ -58,10 +58,10 @@ def _run_worker(conn, config: VoyagerConfig) -> None:
 def run_parallel_voyager(
     config: VoyagerConfig,
     n_workers: int,
-    strategy: str = "block",
     use_processes: bool = True,
 ) -> ParallelResult:
-    """Run Voyager over ``n_workers`` partitions of the snapshot series.
+    """Run Voyager over ``n_workers`` contiguous blocks of the snapshot
+    series.
 
     ``config`` is the per-worker template; each worker receives the same
     configuration with its own ``snapshot_indices`` (and a worker-suffixed
@@ -78,7 +78,7 @@ def run_parallel_voyager(
     n = len(manifest.snapshots)
     if config.steps is not None:
         n = min(n, config.steps)
-    assignment = partition_snapshots(n, n_workers, strategy)
+    assignment = partition_snapshots(n, n_workers)
 
     worker_configs: List[VoyagerConfig] = []
     for worker, indices in enumerate(assignment):

@@ -1,11 +1,18 @@
-"""Unit-to-shard placement for the sharded GBO.
+"""Which worker gets which snapshot — one policy per fleet shape.
 
-Placement answers one question — *which shard host owns a processing
-unit?* — and must answer it identically in every process (coordinator,
-shard hosts, simulator) with no coordination. We use **rendezvous
-(highest-random-weight) hashing**: every ``(unit, shard)`` pair gets a
-deterministic score from a keyed blake2b digest and the unit lives on
-the highest-scoring shard. Properties that make it the right tool:
+**Independent workers** (the launcher, the cluster simulator, and
+Houston's split of the data blocks) take :func:`partition_snapshots`'
+contiguous *block* ranges: each process owns its own GBO and a
+disjoint stretch of the time series, the paper's parallel Voyager
+(section 3.3).
+
+**The sharded fleet** (:class:`~repro.parallel.sharded.ShardedGBO`,
+the shard simulator) places each unit by **rendezvous
+(highest-random-weight) hashing**, which must answer identically in
+every process (coordinator, shard hosts, simulator) with no
+coordination: every ``(unit, shard)`` pair gets a deterministic score
+from a keyed blake2b digest and the unit lives on the highest-scoring
+shard. Properties that make it the right tool:
 
 * **Deterministic** — pure function of the unit name and the shard-id
   list; any process computes it locally.
@@ -15,20 +22,34 @@ the highest-scoring shard. Properties that make it the right tool:
   lived on it (each to its runner-up shard); adding a shard steals on
   average ``1/(n+1)`` of the units and moves nothing else. A modulo
   scheme would reshuffle nearly everything.
-
-Cost-aware balance (heterogeneous snapshot weights) composes via
-:func:`weighted_assignment`, which delegates to the scheduler's LPT
-``"weighted"`` strategy when explicit per-unit costs are known — used
-for static batch plans, while hash placement covers the open-ended
-case.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.parallel.scheduler import partition_snapshots
+
+def partition_snapshots(n_snapshots: int,
+                        n_workers: int) -> List[List[int]]:
+    """Contiguous near-equal snapshot ranges, one per worker.
+
+    Every snapshot is assigned exactly once; earlier workers take the
+    remainder, and workers receive empty lists when there are more
+    workers than snapshots.
+    """
+    if n_snapshots < 0:
+        raise ValueError("negative snapshot count")
+    if n_workers < 1:
+        raise ValueError("need at least one worker")
+    base, extra = divmod(n_snapshots, n_workers)
+    assignment: List[List[int]] = []
+    start = 0
+    for worker in range(n_workers):
+        count = base + (1 if worker < extra else 0)
+        assignment.append(list(range(start, start + count)))
+        start += count
+    return assignment
 
 
 def rendezvous_score(unit_name: str, shard_id: str) -> int:
@@ -124,19 +145,3 @@ class PlacementMap:
             name for name in unit_names
             if self.shard_of(name) != old[name]
         }
-
-
-def weighted_assignment(n_snapshots: int, shard_ids: Sequence[str],
-                        weights: Optional[Sequence[float]] = None
-                        ) -> Dict[str, List[int]]:
-    """Cost-balanced static assignment of snapshot steps to shards.
-
-    For batch plans where per-snapshot costs are known up front, LPT
-    balancing (the scheduler's ``"weighted"`` strategy) beats hash
-    placement; the result maps each shard id to its ascending step
-    list.
-    """
-    parts = partition_snapshots(
-        n_snapshots, len(shard_ids), strategy="weighted", weights=weights
-    )
-    return {shard: steps for shard, steps in zip(shard_ids, parts)}

@@ -5,10 +5,9 @@ independent Voyager passes: each worker owns a private GBO and returns
 only scalar metrics. The *sharded* build keeps the process-per-shard
 layout but turns the fleet into one database:
 
-* **Placement** — unit names map to shards deterministically
-  (:mod:`repro.parallel.placement` rendezvous hashing by default, or a
-  cost-weighted static split); every participant computes the owner
-  locally, so there is no placement traffic at all.
+* **Placement** — unit names map to shards by
+  :mod:`repro.parallel.placement` rendezvous hashing; every participant
+  computes the owner locally, so there is no placement traffic at all.
 * **Shared-memory data plane** — every shard host allocates its GBO's
   buffers from a :class:`~repro.core.arena.SharedMemoryArena` and
   publishes rendered frames as sealed arena buffers. The coordinator
@@ -17,9 +16,9 @@ layout but turns the fleet into one database:
   across process boundaries); only tokens — a few dozen bytes — cross
   the pipes.
 * **Global budget protocol** — the coordinator carves the global
-  memory budget into per-shard slices and tracks them on a
-  :class:`~repro.service.tenancy.TenantLedger` (shards are tenants
-  with carve-out *floors*). A shard that exhausts its slice — after
+  memory budget into per-shard slices, each with a carve-out *floor*,
+  and keeps them in its own per-shard table. A shard that exhausts its
+  slice — after
   its own engine has already tried eviction and
   :class:`~repro.core.memory_manager.LoadYield` rollback — raises
   ``pressure``; the coordinator *work-steals* budget from peers above
@@ -30,9 +29,8 @@ layout but turns the fleet into one database:
 
 Lock discipline: the coordinator owns one lock, ``ShardedGBO._lock``,
 registered under the **engine** role (rank 0) in
-``repro.analysis.lockfacts`` — the borrowed :class:`TenantLedger`
-"Lock held." contracts therefore resolve against it, exactly as they
-do against ``GBO._lock`` in the service layer. Shard hosts are
+``repro.analysis.lockfacts``; it guards the budget table and nests no
+other lock. Shard hosts are
 :class:`~repro.core.child.Child` processes, one pipe each, and reuse the
 engine's existing locks; inside a host the two threads share only a
 queue of grant verdicts and the lock serializing their sends.
@@ -45,7 +43,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -70,16 +68,11 @@ from repro.io.readers import (
     snapshot_unit_name,
     solid_schema,
 )
-from repro.parallel.placement import PlacementMap, weighted_assignment
-from repro.parallel.scheduler import partition_snapshots
-from repro.service.tenancy import TenantLedger
+from repro.parallel.placement import PlacementMap
 from repro.viz.camera import Camera
 from repro.viz.gops import test_gops
 from repro.viz.pipeline import Pipeline
 from repro.viz.voyager import GodivaSnapshotData
-
-#: Placement strategies :class:`ShardedGBO` accepts.
-PLACEMENTS = ("rendezvous", "weighted", "block", "cyclic")
 
 #: How long a shard waits for the coordinator's grant/deny verdict, and
 #: how long the coordinator waits for any shard message, before
@@ -88,12 +81,17 @@ DEFAULT_PROTOCOL_TIMEOUT_S = 60.0
 
 _MB = 1024 * 1024
 
+#: Each shard host's arena segment size.
+SEGMENT_BYTES = 4 * _MB
+
+#: Pressure rounds one step may raise before its budget failure stands.
+MAX_PRESSURE_ROUNDS = 8
+
 
 @dataclass
 class ShardSpec:
     """Everything one shard host needs to run (picklable, spawn-safe)."""
 
-    shard_index: int
     shard_id: str
     data_dir: str
     test: str
@@ -104,8 +102,6 @@ class ShardSpec:
     config: EngineConfig
     render: bool = True
     disk: DiskProfile = ENGLE_DISK
-    segment_bytes: int = 4 * _MB
-    max_pressure_rounds: int = 8
     protocol_timeout_s: float = DEFAULT_PROTOCOL_TIMEOUT_S
 
 
@@ -141,22 +137,6 @@ class ShardedResult:
     pressure_rounds: int = 0
     reclaims: int = 0
     wall_s: float = 0.0
-
-
-class _ShardUsage:
-    """Coordinator-side mirror of one shard's resident bytes.
-
-    Quacks like a :class:`~repro.core.units.ProcessingUnit` just
-    enough for :meth:`TenantLedger.usage_by_tenant`, which only reads
-    ``resident_bytes`` of the unit table it was bound to. One synthetic
-    unit per shard, named ``tenant::<shard>::resident`` so
-    :func:`~repro.service.tenancy.tenant_of` attributes it.
-    """
-
-    __slots__ = ("resident_bytes",)
-
-    def __init__(self) -> None:
-        self.resident_bytes = 0
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +177,7 @@ class _ShardHost:
         # The arena's own random ``godiva-<hex>`` prefix: a fixed
         # per-shard name would collide with the same shard of another
         # fleet alive on this host.
-        self.arena = SharedMemoryArena(segment_bytes=spec.segment_bytes)
+        self.arena = SharedMemoryArena(segment_bytes=SEGMENT_BYTES)
         self.gbo = GBO(config=spec.config, arena=self.arena)
         self.io_stats = IoStats()
         #: Sealed frame arrays, kept alive until shutdown so the
@@ -400,7 +380,7 @@ class _ShardHost:
                         # be able to shrink this shard too, or two
                         # starved shards livelock each other.
                         self.gbo.delete_unit(unit)
-                    if attempts > spec.max_pressure_rounds:
+                    if attempts > MAX_PRESSURE_ROUNDS:
                         raise cause
                     if not self._request_grant(cause):
                         # Denied: the peers had nothing to spare *right
@@ -471,35 +451,27 @@ def _shard_main(conn, spec: ShardSpec) -> None:
 class _Pressure:
     """One in-flight pressure request's coordinator-side state."""
 
-    __slots__ = ("shard_id", "req", "needed", "awaiting", "freed",
-                 "usage", "over", "plan")
+    __slots__ = ("shard_id", "req", "needed", "awaiting", "freed", "plan")
 
-    def __init__(self, shard_id: str, req, needed: int,
-                 usage: Dict[str, int], over: List[str]) -> None:
+    def __init__(self, shard_id: str, req, needed: int) -> None:
         self.shard_id = shard_id
         self.req = req
         self.needed = needed
         self.awaiting: set = set()
         self.freed = 0
-        self.usage = usage
-        self.over = over
         self.plan: Dict[str, int] = {}
 
 
-@guarded_by("_budgets", "_usage_units", "_inflight", lock="_lock")
+@guarded_by("_budgets", "_ledger", "_inflight", lock="_lock")
 class ShardedGBO:
     """Coordinator for a fleet of shard-host processes.
 
-    Partitions the dataset's snapshot steps across ``n_shards``
-    processes (placement below), spawns one :func:`_shard_main` child
-    per shard, arbitrates the global memory budget over a
-    :class:`TenantLedger`, and collects frames zero-copy.
-
-    Placement: ``"rendezvous"`` (default) hashes each snapshot's unit
-    name onto the shard set — deterministic, coordination-free, and
-    minimally disturbed by shard-count changes; ``"weighted"``
-    LPT-balances explicit per-snapshot ``weights``; ``"block"`` /
-    ``"cyclic"`` are the launcher's classic splits.
+    Places the dataset's snapshot steps on ``n_shards`` processes by
+    rendezvous-hashing each step's unit name onto the shard set —
+    deterministic, coordination-free, and minimally disturbed by
+    shard-count changes — spawns one :func:`_shard_main` child per
+    shard, arbitrates the global memory budget, and collects frames
+    zero-copy.
 
     Budget: the global ``mem_mb`` is sliced evenly into per-shard
     budgets; each shard's *carve-out* (guaranteed floor) is
@@ -514,8 +486,6 @@ class ShardedGBO:
                  test: str = "simple",
                  mem_mb: float = 384.0,
                  carveout_fraction: float = 0.5,
-                 placement: str = "rendezvous",
-                 weights: Optional[Sequence[float]] = None,
                  steps: Optional[int] = None,
                  render: bool = True,
                  disk: DiskProfile = ENGLE_DISK,
@@ -534,11 +504,6 @@ class ShardedGBO:
             compute_max_threads=max(1, usable_cores() // n_shards),
             **engine,
         )
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; choose one of "
-                + ", ".join(repr(p) for p in PLACEMENTS)
-            )
         if not 0.0 <= carveout_fraction <= 1.0:
             raise ValueError("carveout_fraction must be in [0, 1]")
         self.data_dir = data_dir
@@ -547,7 +512,6 @@ class ShardedGBO:
         self.render = render
         self.protocol_timeout_s = protocol_timeout_s
         self.shard_ids = [f"shard{i}" for i in range(n_shards)]
-        self.placement = PlacementMap(self.shard_ids)
 
         from repro.gen.snapshot import load_manifest
 
@@ -555,7 +519,7 @@ class ShardedGBO:
         n_steps = len(manifest.snapshots)
         if steps is not None:
             n_steps = min(n_steps, steps)
-        self.assignment = self._assign(placement, n_steps, weights)
+        self.assignment = PlacementMap(self.shard_ids).steps(n_steps)
 
         self._lock = TrackedLock(f"ShardedGBO._lock@{id(self):#x}")
         self._check_locked = make_held_checker(self._lock, "ShardedGBO")
@@ -568,21 +532,19 @@ class ShardedGBO:
         self._inflight: Dict[str, int] = {
             shard: 0 for shard in self.shard_ids
         }
-        self._usage_units: Dict[str, _ShardUsage] = {
-            f"tenant::{shard}::resident": _ShardUsage()
+        #: Per shard: its carve-out floor, the resident bytes it last
+        #: reported, and the reclaims that freed bytes from it.
+        self._ledger: Dict[str, Dict[str, int]] = {
+            shard: {
+                "carveout_bytes": int(slice_bytes * carveout_fraction),
+                "used_bytes": 0,
+                "evictions": 0,
+            }
             for shard in self.shard_ids
         }
-        self._ledger = TenantLedger()
-        self._ledger.bind(lock=self._lock, units=self._usage_units)
-        with self._lock:
-            for shard in self.shard_ids:
-                self._ledger.register(
-                    shard, int(slice_bytes * carveout_fraction)
-                )
 
         self._specs = [
             ShardSpec(
-                shard_index=index,
                 shard_id=shard,
                 data_dir=data_dir,
                 test=test,
@@ -592,7 +554,7 @@ class ShardedGBO:
                 disk=disk,
                 protocol_timeout_s=protocol_timeout_s,
             )
-            for index, shard in enumerate(self.shard_ids)
+            for shard in self.shard_ids
         ]
         self._hosts: Dict[str, Child] = {}
         #: The mappings of every frame the hosts publish.
@@ -600,33 +562,19 @@ class ShardedGBO:
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _assign(self, placement: str, n_steps: int,
-                weights: Optional[Sequence[float]]
-                ) -> Dict[str, List[int]]:
-        """Snapshot steps per shard id under the chosen placement."""
-        if placement == "rendezvous":
-            return self.placement.steps(n_steps)
-        if placement == "weighted":
-            return weighted_assignment(n_steps, self.shard_ids, weights)
-        parts = partition_snapshots(n_steps, self.n_shards, placement)
-        return dict(zip(self.shard_ids, parts))
-
-    # ------------------------------------------------------------------
-    # Budget arbitration (all ledger/budget state under self._lock)
+    # Budget arbitration (all budget-table state under self._lock)
     # ------------------------------------------------------------------
     def _note_usage(self, msg: dict) -> None:
         """Refresh a shard's resident bytes from one of its messages."""
         with self._lock:
-            self._usage_units[
-                f"tenant::{msg['shard']}::resident"
-            ].resident_bytes = int(msg["used"])
+            self._ledger[msg["shard"]]["used_bytes"] = int(msg["used"])
 
     def _plan_steal(self, pressure: _Pressure,
                     starving: Set[str]) -> Dict[str, int]:
         """Per-peer *steal amounts* covering ``needed`` bytes. Lock held.
 
         Peers are raided richest-slack-first; no peer is pushed below
-        its carve-out floor (that is the ledger's guarantee to every
+        its carve-out floor (the coordinator's guarantee to every
         shard), and the requester is never its own victim. Peers with
         their *own* pressure round open (``starving``) are exempt —
         two starving shards raiding each other just shuttle the same
@@ -641,7 +589,7 @@ class ShardedGBO:
         candidates = sorted(
             (
                 (self._budgets[peer]
-                 - self._ledger.carveout_of(peer)
+                 - self._ledger[peer]["carveout_bytes"]
                  - self._inflight[peer],
                  peer)
                 for peer in self.shard_ids
@@ -666,13 +614,10 @@ class ShardedGBO:
         self._note_usage(msg)
         pressure_req = msg["req"]
         with self._lock:
-            # The coordinator's budget ledger stays authoritative here:
+            # The coordinator's budget table stays authoritative here:
             # the shard's self-reported budget can predate an in-flight
             # reclaim and would un-account the steal.
-            usage = self._ledger.usage_by_tenant()
-            over = self._ledger.over_carveout(usage)
-            pressure = _Pressure(shard_id, pressure_req,
-                                 int(msg["needed"]), usage, over)
+            pressure = _Pressure(shard_id, pressure_req, int(msg["needed"]))
             starving = {p.shard_id for p in pending.values()}
             plan = self._plan_steal(pressure, starving)
             pressure.plan = plan
@@ -701,7 +646,7 @@ class ShardedGBO:
             return
         freed = int(msg["freed"])
         with self._lock:
-            # Delta accounting: the ledger moves exactly the bytes the
+            # Delta accounting: the table moves exactly the bytes the
             # victim actually freed — self-reported absolute budgets
             # can predate a concurrent grant and would un-account it.
             self._budgets[peer] -= freed
@@ -710,12 +655,7 @@ class ShardedGBO:
             pressure.freed += freed
             if freed > 0:
                 result.reclaims += 1
-                # Charge the eviction to the raided shard on the
-                # ledger, against the usage snapshot the plan used.
-                self._ledger.note_victim(
-                    f"tenant::{peer}::resident",
-                    pressure.usage, sorted(pressure.over),
-                )
+                self._ledger[peer]["evictions"] += 1
             settled = not pressure.awaiting
             if settled:
                 del pending[pressure.req]
@@ -826,9 +766,9 @@ class ShardedGBO:
 
     # ------------------------------------------------------------------
     def ledger_snapshot(self) -> Dict[str, dict]:
-        """Per-shard carve-out/usage/eviction report off the ledger."""
+        """Per-shard ``carveout_bytes`` / ``used_bytes`` / ``evictions``."""
         with self._lock:
-            return self._ledger.snapshot()
+            return {shard: dict(row) for shard, row in self._ledger.items()}
 
     def budgets(self) -> Dict[str, int]:
         """The coordinator's view of each shard's current budget."""

@@ -25,7 +25,7 @@ One node loop, :func:`_run_nodes`, replays that schedule on any number
 of simulated nodes sharing one virtual clock. :func:`simulate_voyager`
 runs one node; :func:`simulate_cluster_voyager` splits the snapshots
 across N nodes with
-:func:`~repro.parallel.scheduler.partition_snapshots` (the paper's
+:func:`~repro.parallel.placement.partition_snapshots` (the paper's
 four-process experiment, generalised into a scaling sweep);
 :func:`simulate_sharded_gbo` assigns them by the live rendezvous
 :class:`~repro.parallel.placement.PlacementMap`. Each node owns its
@@ -400,7 +400,7 @@ def simulate_cluster_voyager(
 
     Each worker runs on its own node (private CPU pool, the paper's
     one-Voyager-process-per-node setup) over its
-    :func:`~repro.parallel.scheduler.partition_snapshots` share; disks
+    :func:`~repro.parallel.placement.partition_snapshots` share; disks
     are private per node or one shared device. ``mode``: 'G' (blocking)
     or 'TG' (background prefetch per worker — each worker owns a
     private GODIVA database and I/O thread, section 3.3).
@@ -410,7 +410,7 @@ def simulate_cluster_voyager(
     if n_workers < 1:
         raise ValueError("need at least one worker")
 
-    from repro.parallel.scheduler import partition_snapshots
+    from repro.parallel.placement import partition_snapshots
 
     return _cluster_run(
         machine, workload, mode,

@@ -136,7 +136,7 @@ class HoustonCluster:
     def __init__(self, config: HoustonConfig,
                  camera: Optional[Camera] = None):
         from repro.gen.snapshot import load_manifest
-        from repro.parallel.scheduler import partition_snapshots
+        from repro.parallel.placement import partition_snapshots
 
         self.config = config
         self.manifest = load_manifest(config.data_dir)

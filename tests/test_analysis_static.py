@@ -422,11 +422,8 @@ class TestRepoCleanliness:
         assert found == load_baseline(".repro-check-baseline.json")
 
     def test_accepted_suppressions_are_the_documented_ones(self):
-        """The only accepted imprecision is IoStats.merge's id-ordered
-        local lock aliasing (documented in docs/ANALYSIS.md)."""
-        baseline = load_baseline(
-            os.path.join(REPO_ROOT, ".repro-check-baseline.json")
-        )
-        assert baseline
-        for key in baseline:
-            assert key.startswith("SC101:src/repro/io/disk.py:IoStats.merge:")
+        """No finding is accepted: the committed baseline is empty
+        (documented in docs/ANALYSIS.md)."""
+        path = os.path.join(REPO_ROOT, ".repro-check-baseline.json")
+        assert os.path.exists(path)
+        assert load_baseline(path) == set()

@@ -169,7 +169,7 @@ class TestIoStatsMerge:
         assert private.snapshot()["bytes_read"] == 50
 
     def test_concurrent_cross_merge_does_not_deadlock(self):
-        """a.merge(b) racing b.merge(a): the id-ordered dual locking
+        """a.merge(b) racing b.merge(a): holding one lock at a time
         must make this safe. A join timeout converts a lock-order
         deadlock into a test failure."""
         import threading

@@ -9,7 +9,7 @@ import pytest
 
 from repro.errors import ChildExitedError
 from repro.parallel.launcher import ParallelResult, run_parallel_voyager
-from repro.parallel.scheduler import partition_snapshots
+from repro.parallel.placement import partition_snapshots
 from repro.viz.voyager import Voyager, VoyagerConfig
 
 
@@ -23,18 +23,12 @@ class TestPartitioning:
         parts = partition_snapshots(10, 3)
         assert parts == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
 
-    def test_cyclic(self):
-        assert partition_snapshots(7, 3, "cyclic") == [
-            [0, 3, 6], [1, 4], [2, 5]
-        ]
-
     def test_every_snapshot_exactly_once(self):
-        for strategy in ("block", "cyclic"):
-            for n, w in ((13, 4), (4, 7), (0, 3)):
-                parts = partition_snapshots(n, w, strategy)
-                flat = sorted(i for part in parts for i in part)
-                assert flat == list(range(n))
-                assert len(parts) == w
+        for n, w in ((13, 4), (4, 7), (0, 3)):
+            parts = partition_snapshots(n, w)
+            flat = sorted(i for part in parts for i in part)
+            assert flat == list(range(n))
+            assert len(parts) == w
 
     def test_more_workers_than_snapshots(self):
         parts = partition_snapshots(2, 5)
@@ -45,49 +39,6 @@ class TestPartitioning:
             partition_snapshots(4, 0)
         with pytest.raises(ValueError):
             partition_snapshots(-1, 2)
-        with pytest.raises(ValueError):
-            partition_snapshots(4, 2, "zigzag")
-
-    def test_invalid_names_every_strategy(self):
-        with pytest.raises(ValueError) as excinfo:
-            partition_snapshots(4, 2, "zigzag")
-        message = str(excinfo.value)
-        for strategy in ("block", "cyclic", "weighted"):
-            assert repr(strategy) in message
-
-    def test_weighted_balances_loads(self):
-        # One heavy snapshot: LPT puts it alone, the six light ones
-        # share the other worker.
-        parts = partition_snapshots(
-            7, 2, "weighted", weights=[6, 1, 1, 1, 1, 1, 1]
-        )
-        assert parts == [[0], [1, 2, 3, 4, 5, 6]]
-
-    def test_weighted_every_snapshot_exactly_once(self):
-        weights = [(i * 7 + 3) % 11 + 1 for i in range(13)]
-        parts = partition_snapshots(13, 4, "weighted", weights=weights)
-        flat = sorted(i for part in parts for i in part)
-        assert flat == list(range(13))
-        assert all(part == sorted(part) for part in parts)
-
-    def test_weighted_deterministic(self):
-        weights = [3.0, 3.0, 3.0, 3.0]
-        first = partition_snapshots(4, 2, "weighted", weights=weights)
-        second = partition_snapshots(4, 2, "weighted", weights=weights)
-        assert first == second
-
-    def test_weighted_uniform_defaults(self):
-        # No weights -> every snapshot costs 1; counts stay even.
-        parts = partition_snapshots(8, 3, "weighted")
-        assert sorted(len(p) for p in parts) == [2, 3, 3]
-
-    def test_weighted_validation(self):
-        with pytest.raises(ValueError):
-            partition_snapshots(4, 2, "weighted", weights=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            partition_snapshots(
-                3, 2, "weighted", weights=[1.0, -2.0, 1.0]
-            )
 
 
 def exit_in_worker(conn, config):

@@ -7,7 +7,6 @@ from repro.parallel.placement import (
     PlacementMap,
     rendezvous_score,
     rendezvous_shard,
-    weighted_assignment,
 )
 
 UNITS = [snapshot_unit_name(step) for step in range(200)]
@@ -92,19 +91,3 @@ class TestRebalance:
             placement.rebalance(["a", "a"], UNITS)
         with pytest.raises(ValueError):
             PlacementMap([])
-
-
-class TestWeightedAssignment:
-    def test_maps_steps_to_shard_ids(self):
-        shards = shard_ids(2)
-        groups = weighted_assignment(
-            4, shards, weights=[5.0, 1.0, 1.0, 1.0]
-        )
-        assert set(groups) == set(shards)
-        flat = sorted(s for steps in groups.values() for s in steps)
-        assert flat == [0, 1, 2, 3]
-        assert groups["shard0"] == [0]
-
-    def test_uniform_default(self):
-        groups = weighted_assignment(6, shard_ids(3))
-        assert sorted(len(v) for v in groups.values()) == [2, 2, 2]

@@ -222,6 +222,22 @@ class TestBudgetProtocol:
             assert evictions == result.reclaims
             assert evictions > 0
 
+    def test_budget_bytes_are_conserved_above_the_floors(
+            self, small_dataset):
+        """Stealing moves budget between shards, never makes or loses
+        it, and never pushes a shard below its carve-out floor."""
+        with ShardedGBO(small_dataset.directory, 2, test=TEST,
+                        mem_mb=0.09375, carveout_fraction=0.25,
+                        background_io=False) as cluster:
+            before = sum(cluster.budgets().values())
+            result = cluster.render_all()
+            assert result.reclaims > 0
+            after = cluster.budgets()
+            assert sum(after.values()) == before
+            floors = cluster.ledger_snapshot()
+            for shard, budget in after.items():
+                assert budget >= floors[shard]["carveout_bytes"]
+
     def test_no_slack_is_the_deadlock_verdict(self, small_dataset):
         """carveout_fraction=1.0 leaves nothing to steal: pressure is
         denied and the failure surfaces as GodivaDeadlockError."""
@@ -241,18 +257,18 @@ def exit_at_startup(conn, spec):
     os._exit(3)
 
 
-#: Pause before each of ``shard1``'s frames in :func:`slow_shard1`.
+#: Pause before each of ``shard0``'s frames in :func:`slow_shard0`.
 PAUSE_S = 1.0
 
 
-def slow_shard1(conn, spec):
-    """A shard host whose ``shard1`` pauses before every frame, so it
-    reports ``done`` seconds after ``shard0`` (each pause is shorter
+def slow_shard0(conn, spec):
+    """A shard host whose ``shard0`` pauses before every frame, so it
+    reports ``done`` seconds after ``shard1`` (each pause is shorter
     than the protocol timeout, so the run is never silent that long)."""
     from repro.parallel import sharded
 
     host = sharded._ShardHost(spec, conn)
-    if spec.shard_id == "shard1":
+    if spec.shard_id == "shard0":
         publish = host._publish_frame
 
         def paused_publish(*args):
@@ -272,14 +288,15 @@ class TestDoneHosts:
         waits for the coordinator's shutdown (or its death) only."""
         from repro.parallel import sharded
 
-        monkeypatch.setattr(sharded, "_shard_main", slow_shard1)
+        monkeypatch.setattr(sharded, "_shard_main", slow_shard0)
         reference = serial_frames(small_dataset)
         timeout = 2.0
         with ShardedGBO(small_dataset.directory, 2, test=TEST,
-                        mem_mb=64.0, placement="weighted",
-                        weights=[10.0, 1.0, 1.0, 1.0],
-                        protocol_timeout_s=timeout) as fleet:
-            # shard0 draws one step; shard1 three, one pause each.
+                        mem_mb=64.0, protocol_timeout_s=timeout) as fleet:
+            # Rendezvous gives shard1 one step; shard0 three, one pause
+            # each.
+            assert fleet.assignment == {"shard0": [0, 2, 3],
+                                        "shard1": [1]}
             assert 3 * PAUSE_S > timeout > PAUSE_S
             result = fleet.render_all()
             assert result.frames.keys() == reference.keys()
@@ -319,25 +336,9 @@ class TestHostFailure:
 
 
 class TestValidation:
-    def test_bad_placement(self, small_dataset):
-        with pytest.raises(ValueError) as excinfo:
-            ShardedGBO(small_dataset.directory, 2, placement="spiral")
-        assert "rendezvous" in str(excinfo.value)
-
     def test_bad_shard_count(self, small_dataset):
         with pytest.raises(ValueError):
             ShardedGBO(small_dataset.directory, 0)
-
-    def test_weighted_placement_assignment(self, small_dataset):
-        cluster = ShardedGBO(
-            small_dataset.directory, 2, placement="weighted",
-            weights=[10.0, 1.0, 1.0, 1.0],
-        )
-        try:
-            assert cluster.assignment["shard0"] == [0]
-            assert cluster.assignment["shard1"] == [1, 2, 3]
-        finally:
-            cluster.close()
 
     @pytest.mark.parametrize("bad, message", [
         ({"io_workers": 0}, "io_workers must be at least 1"),
