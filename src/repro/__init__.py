@@ -8,6 +8,10 @@ HDF4-like scientific file format, a GENx-like rocket-simulation dataset
 generator, a Rocketeer/Voyager-like visualization pipeline, and a
 platform simulator used by the benchmark harness.
 
+This package exports the paper's single-process API only, so
+``import repro`` loads the GBO and nothing else; the service and fleet
+tiers are gathered in :mod:`repro.api`.
+
 Quickstart::
 
     from repro import GBO, DataType, UNKNOWN
@@ -60,7 +64,6 @@ from repro.errors import (
     UnknownTypeError,
     UnknownUnitError,
 )
-from repro.service import AsyncGodivaClient, GodivaService, ServiceSession
 
 __version__ = "1.0.0"
 
@@ -92,8 +95,5 @@ __all__ = [
     "ReadFunctionError",
     "AdmissionError",
     "ArenaError",
-    "GodivaService",
-    "ServiceSession",
-    "AsyncGodivaClient",
     "__version__",
 ]

@@ -31,55 +31,3 @@ Three layers, all optional and all off by default:
 
 See ``docs/ANALYSIS.md`` for the operator's guide.
 """
-
-from repro.analysis.lockfacts import (
-    CLASS_ROLE,
-    GUARDED_FIELDS,
-    LOCK_TABLE,
-    parse_design_lock_table,
-)
-from repro.analysis.lockorder import (
-    GLOBAL_GRAPH,
-    LockOrderEdge,
-    LockOrderGraph,
-)
-from repro.analysis.primitives import (
-    ENV_FLAG,
-    TrackedCondition,
-    TrackedLock,
-    analysis_enabled,
-    assert_lock_held,
-    current_lockset,
-    disable,
-    enable,
-    make_held_checker,
-)
-from repro.analysis.races import (
-    TRACKER,
-    LocksetTracker,
-    RaceReport,
-    guarded_by,
-)
-
-__all__ = [
-    "ENV_FLAG",
-    "TrackedLock",
-    "TrackedCondition",
-    "analysis_enabled",
-    "enable",
-    "disable",
-    "assert_lock_held",
-    "make_held_checker",
-    "current_lockset",
-    "GLOBAL_GRAPH",
-    "LockOrderGraph",
-    "LockOrderEdge",
-    "TRACKER",
-    "LocksetTracker",
-    "RaceReport",
-    "guarded_by",
-    "LOCK_TABLE",
-    "CLASS_ROLE",
-    "GUARDED_FIELDS",
-    "parse_design_lock_table",
-]

@@ -19,13 +19,16 @@ still has control.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.units import UnitState
 from repro.errors import InvariantViolation
 
+if TYPE_CHECKING:
+    from repro.core.database import GBO
 
-def check_invariants(gbo, raise_on_violation: bool = True) -> List[str]:
+
+def check_invariants(gbo: GBO, raise_on_violation: bool = True) -> List[str]:
     """Verify the GBO's cross-structure invariants.
 
     Returns the list of violation descriptions (empty when healthy);
@@ -142,7 +145,7 @@ def check_invariants(gbo, raise_on_violation: bool = True) -> List[str]:
     return problems
 
 
-def io_blocked_report(gbo) -> List[dict]:
+def io_blocked_report(gbo: GBO) -> List[dict]:
     """Which I/O workers are currently blocked on memory, and on what."""
     with gbo._lock:
         return [
@@ -155,7 +158,8 @@ def io_blocked_report(gbo) -> List[dict]:
         ]
 
 
-def predict_deadlock(gbo, unit_name: Optional[str] = None) -> Optional[str]:
+def predict_deadlock(gbo: GBO,
+                     unit_name: Optional[str] = None) -> Optional[str]:
     """Report, without blocking, whether waiting would deadlock *now*.
 
     With ``unit_name`` given, answers "would ``wait_unit(unit_name)``

@@ -23,9 +23,10 @@ REP104   No mutable default arguments (list/dict/set literals,
 REP105   Public modules, classes, functions and methods need docstrings.
 REP106   Public functions and methods need complete type annotations
          (every parameter and the return type).
-REP107   No engine-layer imports (``RecordEngine``, ``MemoryManager``,
-         ``IoScheduler``, ``LoadYield``) outside
-         :mod:`repro.core` — clients, the service among them, go
+REP107   No import of an engine-layer module (``record_engine``,
+         ``memory_manager``, ``io_scheduler``) outside
+         :mod:`repro.core`, which does not re-export their classes —
+         clients, the service among them, go
          through the blessed API (:mod:`repro.api`: ``GBO``,
          ``GodivaService``/``ServiceSession``). The arena seam
          (:mod:`repro.core.arena`) has a slightly wider blessed
@@ -117,16 +118,12 @@ _THREADING_PRIMITIVES = frozenset({
 #: own wrappers must build on the raw primitives.
 _CONCURRENCY_EXEMPT = ("repro/analysis/",)
 
-#: Engine-layer modules and class names that only the core may import
-#: (REP107); everyone else goes through ``repro.api`` / ``repro``
-#: exports.
+#: Engine-layer modules that only the core may import (REP107);
+#: everyone else goes through ``repro.api``.
 _ENGINE_MODULES = frozenset({
     "repro.core.record_engine",
     "repro.core.memory_manager",
     "repro.core.io_scheduler",
-})
-_ENGINE_NAMES = frozenset({
-    "RecordEngine", "MemoryManager", "IoScheduler", "LoadYield",
 })
 _ENGINE_EXEMPT = ("repro/core/",)
 
@@ -226,28 +223,13 @@ class _Linter(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in _PROCESS_NAMES:
                     self._mp_names.add(alias.asname or alias.name)
-        if not self._engine_exempt and node.module is not None:
-            if node.module in _ENGINE_MODULES:
-                self._add(
-                    "REP107", node,
-                    f"engine-layer import from {node.module!r} outside "
-                    f"repro.core/repro.service — use the blessed API "
-                    f"(repro.api)",
-                    symbol=f"import:{node.module}",
-                )
-            elif node.module in ("repro.core", "repro"):
-                leaked = sorted(
-                    alias.name for alias in node.names
-                    if alias.name in _ENGINE_NAMES
-                )
-                if leaked:
-                    self._add(
-                        "REP107", node,
-                        f"engine-layer names {', '.join(leaked)} "
-                        f"imported outside repro.core/repro.service — "
-                        f"use the blessed API (repro.api)",
-                        symbol=f"import:{','.join(leaked)}",
-                    )
+        if not self._engine_exempt and node.module in _ENGINE_MODULES:
+            self._add(
+                "REP107", node,
+                f"engine-layer import from {node.module!r} outside "
+                f"repro.core — use the blessed API (repro.api)",
+                symbol=f"import:{node.module}",
+            )
         if not self._arena_exempt and node.module is not None:
             if node.module == _ARENA_MODULE or (
                 node.module == "repro.core"
@@ -274,8 +256,7 @@ class _Linter(ast.NodeVisitor):
                     self._add(
                         "REP107", node,
                         f"engine-layer import {alias.name!r} outside "
-                        f"repro.core/repro.service — use the blessed "
-                        f"API (repro.api)",
+                        f"repro.core — use the blessed API (repro.api)",
                         symbol=f"import:{alias.name}",
                     )
         if not self._arena_exempt:

@@ -27,7 +27,7 @@ import itertools
 import os
 import threading
 import traceback
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import LockContractError
 
@@ -244,7 +244,8 @@ def TrackedLock(name: Optional[str] = None) -> AnyLock:
 
 
 def TrackedCondition(lock: Optional[AnyLock] = None,
-                     name: Optional[str] = None):
+                     name: Optional[str] = None,
+                     ) -> Union[threading.Condition, _TrackedCondition]:
     """A condition variable matching the lock flavour in play.
 
     Accepts the lock returned by :func:`TrackedLock` (either flavour);
@@ -271,7 +272,7 @@ def assert_lock_held(lock: AnyLock, what: str = "this operation") -> None:
         )
 
 
-def make_held_checker(lock: AnyLock, what: str):
+def make_held_checker(lock: AnyLock, what: str) -> Callable[[], None]:
     """A zero-argument closure asserting ``lock`` is held.
 
     Returns a shared no-op when the lock is a plain ``threading.Lock``

@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import threading
 import traceback
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.analysis.primitives import current_lockset
 from repro.errors import DataRaceError
@@ -164,7 +164,8 @@ if hasattr(os, "register_at_fork"):
 _REGISTRY: List[Type] = []
 
 
-def guarded_by(*fields: str, lock: str = "_lock"):
+def guarded_by(*fields: str,
+               lock: str = "_lock") -> Callable[[Type], Type]:
     """Class decorator declaring which instance fields a lock guards.
 
     Pure metadata: records ``__guarded_fields__`` on the class and

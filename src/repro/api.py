@@ -1,9 +1,12 @@
 """repro.api — the blessed client surface of the GODIVA reproduction.
 
-Import from here (or from :mod:`repro` itself) rather than from engine
-modules; ``repro-lint`` rule REP107 enforces that engine-layer classes
-(``RecordEngine``, ``MemoryManager``, ``IoScheduler``)
-are only imported inside :mod:`repro.core` and :mod:`repro.service`.
+Import the tiers from here rather than from engine modules. The
+service and fleet names come from here (or from their packages) only:
+:mod:`repro` itself exports the paper's single-process GBO API and
+nothing that would load another tier. ``repro-lint`` rule REP107
+enforces that the engine-layer modules (``record_engine``,
+``memory_manager``, ``io_scheduler``) are only imported inside
+:mod:`repro.core`.
 
 Two ways to hold a database:
 

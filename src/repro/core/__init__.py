@@ -1,7 +1,9 @@
 """The GODIVA core: the paper's primary contribution.
 
 Exports the GBO database object, the type system, and the supporting
-pieces (units, policies, stats).
+pieces (units, policies, stats). The engine-layer classes behind the
+GBO facade are not exported here: code inside :mod:`repro.core`
+imports them from their own modules (``repro-lint`` REP107).
 """
 
 from repro.core.cache import (
@@ -20,9 +22,6 @@ from repro.core.derived import (
     nbytes_of,
 )
 from repro.core.index import normalize_key_values
-from repro.core.io_scheduler import IoScheduler
-from repro.core.memory_manager import LoadYield, MemoryManager
-from repro.core.record_engine import RecordEngine
 from repro.core.memory import (
     MB,
     RECORD_OVERHEAD_BYTES,
@@ -57,10 +56,6 @@ __all__ = [
     "FifoEvictionPolicy",
     "make_policy",
     "normalize_key_values",
-    "RecordEngine",
-    "MemoryManager",
-    "IoScheduler",
-    "LoadYield",
     "DerivedCache",
     "DERIVED_PREFIX",
     "content_token",

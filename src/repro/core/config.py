@@ -17,7 +17,6 @@ from typing import List, Optional, Union
 from repro.core.arena import Arena
 from repro.core.cache import EvictionPolicy, make_policy
 from repro.core.compute import ComputePool
-from repro.core.compute_proc import ProcessComputePool
 from repro.core.memory import parse_mem
 
 
@@ -109,6 +108,8 @@ class EngineConfig:
         ``**pool`` is what both pool classes take (``stats=``,
         ``clock=``)."""
         if self.process_compute:
+            from repro.core.compute_proc import ProcessComputePool
+
             return ProcessComputePool(
                 self.compute_workers, name=name, share_arena=share_arena,
                 max_procs=self.compute_max_threads, **pool)

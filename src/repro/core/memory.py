@@ -12,6 +12,8 @@ database, which owns the lock.
 
 from __future__ import annotations
 
+from typing import Union
+
 from repro.errors import MemoryBudgetError
 
 #: Bytes charged per record for index bookkeeping (tree node, unit list
@@ -30,7 +32,7 @@ _MEM_SUFFIXES = {
 }
 
 
-def parse_mem(value) -> int:
+def parse_mem(value: Union[str, int, float]) -> int:
     """Normalize a memory-budget spec to bytes.
 
     Accepts the three spellings ``mem=`` takes at every tier

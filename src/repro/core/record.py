@@ -16,7 +16,7 @@ the historical ``bytearray``, byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -123,7 +123,8 @@ class FieldBuffer:
             )
         return bytes(self._data)
 
-    def write(self, data) -> None:
+    def write(self, data: Union[bytes, bytearray, memoryview,
+                                np.ndarray]) -> None:
         """Copy ``data`` (bytes-like or ndarray) into the buffer.
 
         The source must exactly fill the buffer; partial writes would leave

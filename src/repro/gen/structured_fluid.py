@@ -11,14 +11,18 @@ benchmark.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.core.database import GBO
 from repro.core.record import Record
 from repro.core.schema import fluid_sample_schema
+from repro.core.units import ReadFunction
 from repro.gen.snapshot import block_key, timestep_id
+
+if TYPE_CHECKING:
+    from repro.io.disk import DiskProfile, IoStats
 
 
 def fluid_block_arrays(nx: int = 100, ny: int = 100, t: float = 25e-6,
@@ -84,7 +88,9 @@ def generate_fluid_dataset(directory: str, n_blocks: int = 4,
     return paths
 
 
-def make_fluid_read_fn(stats=None, profile=None):
+def make_fluid_read_fn(stats: Optional[IoStats] = None,
+                       profile: Optional[DiskProfile] = None,
+                       ) -> ReadFunction:
     """A GODIVA read callback over :func:`generate_fluid_dataset` files.
 
     Unit name = file path (the quickstart's convention); one record per

@@ -15,7 +15,9 @@ can overlap several reads of the same snapshot.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.database import GBO
 from repro.core.schema import RecordSchema, SchemaField
@@ -30,6 +32,9 @@ from repro.gen.snapshot import (
 )
 from repro.io.disk import NULL_DISK, DiskProfile, IoStats
 from repro.io.sdf import SdfReader
+
+if TYPE_CHECKING:
+    from repro.io.cdf import CdfReader
 
 #: Every dataset a snapshot block carries, in file order.
 ALL_SOLID_FIELDS: List[str] = (
@@ -60,7 +65,8 @@ def solid_schema() -> RecordSchema:
 
 def open_scientific_file(path: str, file_format: str = "sdf",
                          stats: Optional[IoStats] = None,
-                         profile: DiskProfile = NULL_DISK):
+                         profile: DiskProfile = NULL_DISK,
+                         ) -> Union[SdfReader, CdfReader]:
     """Open a dataset file in whichever scientific format it uses.
 
     Both readers expose the same surface, which is what keeps the GODIVA
@@ -248,7 +254,7 @@ def make_file_read_fn(
     profile: DiskProfile = NULL_DISK,
     blocks: Optional[Sequence[str]] = None,
     pace: bool = False,
-    sleep=time.sleep,
+    sleep: Callable[[float], None] = time.sleep,
 ) -> ReadFunction:
     """Build a read callback for per-file units (:func:`file_unit_name`).
 

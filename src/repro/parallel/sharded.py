@@ -42,6 +42,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -423,12 +424,15 @@ class _ShardHost:
                 ),
             })
         except BaseException as err:  # ship the verdict, then clean up
-            self._send({
-                "type": "error",
-                "kind": type(err).__name__,
-                "message": str(err),
-                "traceback": traceback.format_exc(),
-            })
+            # A coordinator gone mid-run is the shutdown that
+            # _control_loop already reads from EOF: nobody to tell.
+            with suppress(OSError):
+                self._send({
+                    "type": "error",
+                    "kind": type(err).__name__,
+                    "message": str(err),
+                    "traceback": traceback.format_exc(),
+                })
         finally:
             # Keep the arena mapped, and keep answering reclaims, until
             # the coordinator signals "shutdown" — or dies: the control

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -112,7 +112,8 @@ class Camera:
         )
 
     @classmethod
-    def fit_bounds(cls, lo, hi, width: int = 320, height: int = 240,
+    def fit_bounds(cls, lo: Sequence[float], hi: Sequence[float],
+                   width: int = 320, height: int = 240,
                    fov_deg: float = 40.0) -> "Camera":
         """A camera that comfortably frames an axis-aligned bounding box.
 

@@ -10,11 +10,14 @@ structured CFD data.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.viz.colormap import Colormap
+
+if TYPE_CHECKING:
+    from repro.core.database import GBO
 
 
 def sample_block(
@@ -116,11 +119,11 @@ def render_fluid_blocks(
 
 
 def render_from_gbo(
-    gbo,
+    gbo: GBO,
     block_keys: Sequence[Tuple[bytes, bytes]],
     field: str = "pressure",
     record_type: str = "fluid",
-    **render_kwargs,
+    **render_kwargs: object,
 ) -> np.ndarray:
     """Render fluid blocks straight out of a GODIVA database.
 

@@ -43,7 +43,7 @@ from repro.io.readers import (
 )
 from repro.io.sdf import SdfReader
 from repro.viz.camera import Camera
-from repro.viz.gops import GraphicsOps, test_gops
+from repro.viz.gops import GraphicsOp, GraphicsOps, test_gops
 from repro.viz.image import write_ppm
 from repro.viz.pipeline import Pipeline, SnapshotData, field_components
 
@@ -182,7 +182,7 @@ class DirectSnapshotData(SnapshotData):
                     self._block_order.append(block_id)
         self.read_wall_s += time.perf_counter() - t0
 
-    def begin_op(self, op) -> None:
+    def begin_op(self, op: GraphicsOp) -> None:
         if op.field != self._grid_variable:
             # Grid rebuild for a new variable: coordinates are re-read.
             self._grid_variable = op.field

@@ -14,7 +14,8 @@ import pickle
 
 import pytest
 
-from repro import GBO, MB, AsyncGodivaClient, GodivaService
+from repro import GBO, MB
+from repro.api import AsyncGodivaClient, GodivaService
 from repro.core.config import EngineConfig, resolve_budget
 from repro.errors import MemoryBudgetError
 from repro.parallel.sharded import ShardedGBO

@@ -335,6 +335,81 @@ class TestHostFailure:
             small_dataset, monkeypatch)
 
 
+#: A coordinator whose hosts print their pids, then run as
+#: :func:`slow_shard0`'s, so they are mid-render when it is killed.
+KILLED_COORDINATOR = """
+import os, sys
+from repro.parallel import sharded
+from test_parallel_sharded import slow_shard0
+
+def host_main(conn, spec):
+    os.write(1, b"%d\\n" % os.getpid())  # one write: hosts share the pipe
+    slow_shard0(conn, spec)
+
+if __name__ == "__main__":
+    sharded._shard_main = host_main
+    with sharded.ShardedGBO(sys.argv[1], 2, test=sys.argv[2],
+                            mem_mb=64.0) as fleet:
+        fleet.render_all()
+"""
+
+
+def _exited(pid: int) -> bool:
+    """Gone, or a zombie: an orphan's reaper (PID 1) may never reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestCoordinatorDeath:
+    def test_hosts_of_a_killed_coordinator_exit_and_clean_up(
+            self, small_dataset, tmp_path):
+        """SIGKILL the coordinator mid-render: each host reads its
+        pipe's EOF (or a broken pipe) as shutdown, unmaps and unlinks
+        its segments, and exits within seconds, printing nothing."""
+        script = tmp_path / "coordinator.py"
+        script.write_text(KILLED_COORDINATOR)
+        errors = tmp_path / "stderr.txt"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            SRC_DIR, os.path.dirname(os.path.abspath(__file__)),
+            env.get("PYTHONPATH"),
+        ]))
+        before = set(glob.glob("/dev/shm/godiva-*"))
+        hosts = []
+        with open(errors, "w") as stderr:
+            coordinator = subprocess.Popen(
+                [sys.executable, str(script), small_dataset.directory,
+                 TEST], env=env, stdout=subprocess.PIPE, stderr=stderr,
+                text=True,
+            )
+        try:
+            for _ in range(2):
+                line = coordinator.stdout.readline()
+                assert line, errors.read_text()
+                hosts.append(int(line))
+            coordinator.kill()
+            coordinator.wait(10.0)
+            deadline = time.monotonic() + 10.0
+            while (not all(map(_exited, hosts))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in hosts if not _exited(pid)] == []
+            assert set(glob.glob("/dev/shm/godiva-*")) <= before
+            assert "Traceback" not in errors.read_text()
+        finally:
+            coordinator.kill()
+            coordinator.stdout.close()
+            for pid in hosts:
+                if not _exited(pid):
+                    os.kill(pid, 9)
+            for leaked in set(glob.glob("/dev/shm/godiva-*")) - before:
+                os.unlink(leaked)
+
+
 class TestValidation:
     def test_bad_shard_count(self, small_dataset):
         with pytest.raises(ValueError):
