@@ -1,8 +1,8 @@
 """Micro-benchmarks of the substrate hot paths.
 
 Not a paper artifact — engineering guardrails for the pieces every
-experiment exercises: the record index, the SDF reader, marching
-tetrahedra, and the rasterizer.
+experiment exercises: the record index, the SDF reader, the GBO's
+per-buffer calls, marching tetrahedra, and the rasterizer.
 """
 
 import numpy as np
@@ -100,6 +100,90 @@ def test_bench_read_into(benchmark, tmp_path):
 
     benchmark(read_all)
     assert np.array_equal(buf.as_array(), data)
+
+
+#: Records and buffers of one e2e unit file: 30 blocks of the solid
+#: schema, 7 of its 14 UNKNOWN-size fields each (2.8 KB a buffer).
+_FILE_RECORDS = 30
+_BUFFER_BYTES = 2800
+
+
+def _solid_gbo():
+    """A G-build GBO with the snapshot datasets' 'solid' record type."""
+    from repro.core.database import GBO
+    from repro.io.readers import solid_schema
+
+    gbo = GBO(mem_mb=64, background_io=False, derived_cache=False)
+    solid_schema().ensure(gbo)
+    return gbo
+
+
+def test_bench_new_record(benchmark):
+    """30 ``new_record`` calls (one e2e file's blocks): the type check,
+    16 field buffers (the two key buffers allocated), the charge and the
+    unit tracking. Per call = round / 30."""
+    with _solid_gbo() as gbo:
+        records = []
+
+        def make():
+            for _ in range(_FILE_RECORDS):
+                records.append(gbo.new_record("solid"))
+
+        def drop():
+            while records:
+                gbo.delete_record(records.pop())
+
+        benchmark.pedantic(make, teardown=drop, rounds=300)
+        drop()
+        assert gbo.mem_used_bytes == 0
+
+
+def test_bench_alloc_field_buffer(benchmark):
+    """210 ``alloc_field_buffer`` calls of 2.8 KB (one e2e file's
+    buffers over 30 fresh records): the claim, the charge and the
+    storage. Per call = round / 210."""
+    from repro.io.readers import ALL_SOLID_FIELDS
+
+    fields = ALL_SOLID_FIELDS[:7]
+    with _solid_gbo() as gbo:
+        records = []
+
+        def make():
+            records.extend(gbo.new_record("solid")
+                           for _ in range(_FILE_RECORDS))
+            return (), {}
+
+        def alloc():
+            for record in records:
+                for name in fields:
+                    gbo.alloc_field_buffer(record, name, _BUFFER_BYTES)
+
+        def drop():
+            while records:
+                gbo.delete_record(records.pop())
+
+        benchmark.pedantic(alloc, setup=make, teardown=drop, rounds=300)
+        drop()
+        assert gbo.mem_used_bytes == 0
+
+
+def test_bench_get_field_buffer(benchmark):
+    """One ``get_field_buffer`` among 1 000 committed records of a
+    resident, pinned unit — the query every visualization op makes."""
+    with _solid_gbo() as gbo:
+        def read_fn(gbo, unit_name):
+            for i in range(1000):
+                record = gbo.new_record("solid")
+                record.field("block id").write(f"block_{i:04d}$".encode())
+                record.field("time-step id").write(b"0.000025$")
+                gbo.alloc_field_buffer(record, "coords", _BUFFER_BYTES)
+                gbo.commit_record(record)
+
+        gbo.add_unit("unit", read_fn)
+        gbo.wait_unit("unit")
+        key = [b"block_0777$", b"0.000025$"]
+        buf = benchmark(lambda: gbo.get_field_buffer("solid", "coords", key))
+        assert buf.nbytes == _BUFFER_BYTES
 
 
 def test_bench_sdf_read(benchmark, tmp_path):

@@ -25,15 +25,17 @@ REP106   Public functions and methods need complete type annotations
          (every parameter and the return type).
 REP107   No import of an engine-layer module (``record_engine``,
          ``memory_manager``, ``io_scheduler``) outside
-         :mod:`repro.core`, which does not re-export their classes —
-         clients, the service among them, go
+         :mod:`repro.core`, whether spelled ``import
+         repro.core.record_engine`` or ``from repro.core import
+         record_engine``; :mod:`repro.core` does not re-export their
+         classes — clients, the service among them, go
          through the blessed API (:mod:`repro.api`: ``GBO``,
          ``GodivaService``/``ServiceSession``). The arena seam
-         (:mod:`repro.core.arena`) has a slightly wider blessed
-         surface — the parallel layer and the API facade build on it
-         directly — but rendering code (``repro/viz/``) must stay
-         arena-agnostic: it receives zero-copy arrays, never the
-         allocator.
+         (:mod:`repro.core.arena`, :mod:`repro.core.shared_arena`) has
+         a slightly wider blessed surface — the parallel layer and the
+         API facade build on it directly — but rendering code
+         (``repro/viz/``) must stay arena-agnostic: it receives
+         zero-copy arrays, never the allocator.
 REP108   No ``time.sleep(...)`` or bare ``open(...)`` inside
          ``repro/core/`` — engine code must go through the injected
          ``clock``/read-callback seams so the simulator and the tests
@@ -131,7 +133,7 @@ _ENGINE_EXEMPT = ("repro/core/",)
 #: parallel layer (sharded GBO, shard hosts) and the API facade
 #: allocate from arenas directly. Everyone else — above all the
 #: rendering layer — must stay arena-agnostic.
-_ARENA_MODULE = "repro.core.arena"
+_ARENA_MODULES = frozenset({"repro.core.arena", "repro.core.shared_arena"})
 _ARENA_EXEMPT = (
     "repro/core/", "repro/service/", "repro/parallel/", "repro/api.py",
 )
@@ -223,53 +225,41 @@ class _Linter(ast.NodeVisitor):
             for alias in node.names:
                 if alias.name in _PROCESS_NAMES:
                     self._mp_names.add(alias.asname or alias.name)
-        if not self._engine_exempt and node.module in _ENGINE_MODULES:
+        # ``from repro.core import x`` imports the module repro.core.x.
+        modules = [node.module] if node.module else []
+        if node.module == "repro.core":
+            modules += [f"repro.core.{a.name}" for a in node.names]
+        for module in modules:
+            self._check_layer_import(node, module, "from ")
+        self.generic_visit(node)
+
+    def _check_layer_import(self, node: ast.AST, module: str,
+                            spelling: str) -> None:
+        """REP107 for one imported module name."""
+        if not self._engine_exempt and module in _ENGINE_MODULES:
             self._add(
                 "REP107", node,
-                f"engine-layer import from {node.module!r} outside "
+                f"engine-layer import {spelling}{module!r} outside "
                 f"repro.core — use the blessed API (repro.api)",
-                symbol=f"import:{node.module}",
+                symbol=f"import:{module}",
             )
-        if not self._arena_exempt and node.module is not None:
-            if node.module == _ARENA_MODULE or (
-                node.module == "repro.core"
-                and any(a.name == "arena" for a in node.names)
-            ):
-                self._add(
-                    "REP107", node,
-                    f"arena import from {_ARENA_MODULE!r} outside its "
-                    f"blessed surface (repro.core/service/parallel, "
-                    f"repro.api) — rendering and client code must stay "
-                    f"arena-agnostic",
-                    symbol=f"import:{_ARENA_MODULE}",
-                )
-        self.generic_visit(node)
+        if not self._arena_exempt and module in _ARENA_MODULES:
+            self._add(
+                "REP107", node,
+                f"arena import {spelling}{module!r} outside its "
+                f"blessed surface (repro.core/service/parallel, "
+                f"repro.api) — rendering and client code must stay "
+                f"arena-agnostic",
+                symbol=f"import:{module}",
+            )
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
             if alias.name.split(".")[0] == "multiprocessing":
                 self._mp_modules.add((alias.asname or alias.name)
                                      .split(".")[0])
-        if not self._engine_exempt:
-            for alias in node.names:
-                if alias.name in _ENGINE_MODULES:
-                    self._add(
-                        "REP107", node,
-                        f"engine-layer import {alias.name!r} outside "
-                        f"repro.core — use the blessed API (repro.api)",
-                        symbol=f"import:{alias.name}",
-                    )
-        if not self._arena_exempt:
-            for alias in node.names:
-                if alias.name == _ARENA_MODULE:
-                    self._add(
-                        "REP107", node,
-                        f"arena import {_ARENA_MODULE!r} outside its "
-                        f"blessed surface (repro.core/service/parallel, "
-                        f"repro.api) — rendering and client code must "
-                        f"stay arena-agnostic",
-                        symbol=f"import:{_ARENA_MODULE}",
-                    )
+        for alias in node.names:
+            self._check_layer_import(node, alias.name, "")
         self.generic_visit(node)
 
     # -- module docstring ----------------------------------------------

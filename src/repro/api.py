@@ -39,14 +39,15 @@ the batch visualization tool against a shared engine.
 * **Sharded** — :class:`~repro.parallel.sharded.ShardedGBO` places
   processing units across shard-host processes by rendezvous hashing
   and serves frames zero-copy out of each shard's
-  :class:`~repro.core.arena.SharedMemoryArena`;
+  :class:`~repro.core.shared_arena.SharedMemoryArena`;
   :func:`~repro.parallel.sharded.render_sharded` is the one-call batch
   entry point. The :class:`~repro.core.arena.Arena` seam itself
   (``HeapArena`` default, ``SharedMemoryArena``) is part of this
   blessed surface — ``GBO(arena=...)`` accepts either.
 """
 
-from repro.core.arena import Arena, HeapArena, SharedMemoryArena
+from repro.core.arena import Arena, HeapArena
+from repro.core.shared_arena import SharedMemoryArena
 from repro.core.config import EngineConfig
 from repro.core.database import GBO
 from repro.core.units import UnitHandle

@@ -77,11 +77,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 import numpy as np
 
 from repro.analysis.races import guarded_by
-from repro.core.arena import (
+from repro.core.arena import Arena, BufferToken
+from repro.core.shared_arena import (
     DEFAULT_SEGMENT_BYTES,
-    Arena,
     AttachCache,
-    BufferToken,
     SharedMemoryArena,
     _destroy_segment,
 )

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.analysis.primitives import TrackedCondition, TrackedLock
 from repro.analysis.races import guarded_by
-from repro.core.arena import Arena, HeapArena, SharedMemoryArena
+from repro.core.arena import Arena, HeapArena
 from repro.core.compute import ComputePool
 from repro.core.config import EngineConfig, resolve_budget
 from repro.core.derived import DerivedCache
@@ -59,12 +59,12 @@ class GBO:
     other :class:`~repro.core.config.EngineConfig` field (defaults and
     rules live there); ``config`` hands over a ready one instead. With
     the process compute backend and no injected arena the GBO defaults
-    its arena to a :class:`~repro.core.arena.SharedMemoryArena` so
+    its arena to a :class:`~repro.core.shared_arena.SharedMemoryArena` so
     resident buffers export zero-copy. ``arena`` is the
     :class:`~repro.core.arena.Arena` every buffer (unit payloads,
     derived products) is allocated from — default a private
     :class:`~repro.core.arena.HeapArena`, byte-identical to plain heap
-    storage; pass a :class:`~repro.core.arena.SharedMemoryArena` to
+    storage; pass a :class:`~repro.core.shared_arena.SharedMemoryArena` to
     place buffers in OS shared memory (the sharded build; the GBO
     closes only arenas it created itself); ``clock``
     injects the monotonic-seconds source; ``unit_event_hook(event,
@@ -109,12 +109,17 @@ class GBO:
             # Resident buffers must live in shareable memory for the
             # process pool to export them zero-copy; a HeapArena would
             # force a staging copy of every input.
+            from repro.core.shared_arena import SharedMemoryArena
+
             arena = SharedMemoryArena()
             self._owns_arena = True
         self._arena = arena if arena is not None else HeapArena()
 
-        self._records = RecordEngine(stats=self.stats, clock=clock,
-                                     arena=self._arena)
+        # Records make heap storage themselves (a bytearray, exactly what
+        # a HeapArena would hand out) and ask any other arena.
+        self._records = RecordEngine(
+            stats=self.stats, clock=clock,
+            arena=None if type(self._arena) is HeapArena else self._arena)
         self._mem = MemoryManager(config.budget_bytes,
                                   policy=config.eviction_policy, lock=self._lock,
                                   cond=self._cond, stats=self.stats, clock=clock)
@@ -133,9 +138,10 @@ class GBO:
                        arena=self._arena)
         self._io.bind(owner=self, memory=self._mem,
                       check_open=self._check_open, closing=lambda: self._closing)
-        self._records.bind(charge=self._charge_bytes, release=self._release_bytes,
+        self._records.bind(charge=self._mem.charge_bytes,
+                           release=self._mem.release_bytes,
                            current_load_unit=self._io.current_load_unit,
-                           touch_unit=self._touch_unit)
+                           touch_unit=self._mem.touch_unit)
         # The compute plane has its own leaf lock — pool tasks may take
         # the engine lock (extraction kernels do), never the reverse.
         self._compute = config.make_compute_pool(
@@ -181,21 +187,6 @@ class GBO:
         I/O layer) — the hook a scoped facade overrides to report a
         close racing the block."""
         verb(*args)
-
-    # Record-layer seams; called WITHOUT the record lock held, so the
-    # engine → record lock order is never reversed.
-    def _charge_bytes(self, nbytes: int) -> None:
-        with self._cond:
-            self._mem.charge(nbytes)
-
-    def _release_bytes(self, nbytes: int, unit_name: Optional[str]) -> None:
-        with self._cond:
-            self._mem.release(nbytes, unit_name)
-            self._cond.notify_all()
-
-    def _touch_unit(self, unit_name: str) -> None:
-        with self._lock:
-            self._mem.touch(unit_name)
 
     @property
     def derived(self) -> Optional[DerivedCache]:

@@ -32,27 +32,31 @@ def normalize_key_values(values: Sequence) -> KeyTuple:
 
     Accepts bytes, str (ASCII-encoded), or numpy arrays / memoryviews
     (raw buffer bytes) — mirroring the paper's "array of pointers to
-    buffers holding key field values".
+    buffers holding key field values". A key of ``bytes`` already is
+    that form and is only made a tuple.
     """
-    normalized: List[bytes] = []
-    for value in values:
-        if isinstance(value, bytes):
-            normalized.append(value)
-        elif isinstance(value, bytearray):
-            normalized.append(bytes(value))
-        elif isinstance(value, str):
-            normalized.append(value.encode("ascii"))
-        elif isinstance(value, memoryview):
-            normalized.append(value.tobytes())
-        else:
-            # numpy scalar/array or anything exposing the buffer protocol.
-            try:
-                normalized.append(bytes(memoryview(value)))
-            except TypeError:
-                raise TypeError(
-                    f"key value {value!r} is not bytes-like"
-                ) from None
-    return tuple(normalized)
+    key = tuple(values)
+    for value in key:
+        if type(value) is not bytes:
+            return tuple(map(_key_bytes, key))
+    return key
+
+
+def _key_bytes(value: object) -> bytes:
+    """One key value as raw bytes."""
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, bytearray):
+        return bytes(value)
+    if isinstance(value, str):
+        return value.encode("ascii")
+    if isinstance(value, memoryview):
+        return value.tobytes()
+    # numpy scalar/array or anything exposing the buffer protocol.
+    try:
+        return bytes(memoryview(value))
+    except TypeError:
+        raise TypeError(f"key value {value!r} is not bytes-like") from None
 
 
 class RecordIndex:

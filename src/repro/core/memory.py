@@ -134,6 +134,14 @@ class MemoryAccountant:
         if self._used > self._high_water:
             self._high_water = self._used
 
+    def try_charge(self, nbytes: int) -> bool:
+        """:meth:`charge` ``nbytes`` if they fit the budget; whether they
+        did."""
+        if self._used + nbytes > self._budget:
+            return False
+        self.charge(nbytes)
+        return True
+
     def release(self, nbytes: int) -> None:
         """Return bytes to the pool."""
         if nbytes < 0:

@@ -206,8 +206,21 @@ class MemoryManager:
     # ------------------------------------------------------------------
     # Charge / release
     # ------------------------------------------------------------------
-    def charge(self, nbytes: int) -> None:
-        """Charge ``nbytes``, evicting/blocking as needed. Lock held."""
+    def charge(self, nbytes: int, unit_name: Optional[str] = None) -> None:
+        """Charge ``nbytes`` — to ``unit_name``'s resident bytes when it
+        names a unit — evicting/blocking as needed. Lock held."""
+        self._check_locked()
+        if not self._accountant.try_charge(nbytes):
+            self._make_room(nbytes)
+            self._accountant.charge(nbytes)
+        self.stats.bytes_allocated += nbytes
+        if unit_name is not None:
+            unit = self._scheduler.units.get(unit_name)
+            if unit is not None:
+                unit.resident_bytes += nbytes
+
+    def _make_room(self, nbytes: int) -> None:
+        """Evict, block or yield until ``nbytes`` fit. Lock held."""
         self._check_locked()
         if not self._accountant.can_ever_fit(nbytes):
             raise MemoryBudgetError(
@@ -253,15 +266,6 @@ class MemoryManager:
                 f"finish_unit/delete_unit processed units to free space",
                 needed=nbytes,
             )
-        self._accountant.charge(nbytes)
-        self.stats.bytes_allocated += nbytes
-        unit_name = (
-            scheduler.current_load_unit() if scheduler is not None else None
-        )
-        if unit_name is not None:
-            unit = scheduler.units.get(unit_name)
-            if unit is not None:
-                unit.resident_bytes += nbytes
 
     def release(self, nbytes: int, unit_name: Optional[str]) -> None:
         """Return ``nbytes`` to the budget. Lock held."""
@@ -272,6 +276,26 @@ class MemoryManager:
             unit = self._scheduler.units.get(unit_name)
             if unit is not None:
                 unit.resident_bytes -= nbytes
+
+    # -- the record layer's seams: each takes the engine lock itself, and
+    # the record layer calls them without its own lock held (engine →
+    # record order).
+    def charge_bytes(self, nbytes: int, unit_name: Optional[str]) -> None:
+        """:meth:`charge` under the engine lock."""
+        with self._lock:
+            self.charge(nbytes, unit_name)
+
+    def release_bytes(self, nbytes: int, unit_name: Optional[str]) -> None:
+        """:meth:`release` under the engine lock, waking blocked workers."""
+        with self._lock:
+            self.release(nbytes, unit_name)
+            self._cond.notify_all()
+
+    def touch_unit(self, name: str) -> None:
+        """Record a query hit on an evictable unit (takes the engine
+        lock)."""
+        with self._lock:
+            self._policy.touch(name)
 
     def set_budget(self, budget: int) -> None:
         """Adjust the budget, evicting down to it if shrunk. Lock held."""
@@ -315,11 +339,6 @@ class MemoryManager:
         """Pull a re-acquired unit back from the policy. Lock held."""
         self._check_locked()
         self._policy.remove(name)
-
-    def touch(self, name: str) -> None:
-        """Record a query hit on an evictable unit. Lock held."""
-        self._check_locked()
-        self._policy.touch(name)
 
     def free_unit_records(self, unit: ProcessingUnit) -> None:
         """Drop all of a unit's records and release their memory.

@@ -24,6 +24,11 @@ from repro.core.types import UNKNOWN, FieldType, RecordType
 from repro.errors import RecordStateError, SchemaError
 
 
+#: What a field buffer holds between ``claim`` and ``fill``: it counts
+#: as allocated (a second claim is refused) but holds no bytes yet.
+_CLAIMED = b""
+
+
 class FieldBuffer:
     """One field's ``(size, buffer)`` pair.
 
@@ -42,10 +47,12 @@ class FieldBuffer:
         self._data = None
         self._arena = arena
         self._alloc = None
-        if field_type.has_known_size:
-            self._new_storage(field_type.size)
+        if field_type.size is not UNKNOWN:
+            self.fill(field_type.size)
 
-    def _new_storage(self, nbytes: int) -> None:
+    def fill(self, nbytes: int) -> None:
+        """Give the buffer ``nbytes`` of zeroed storage: a ``bytearray``,
+        or the arena's allocation when there is an arena."""
         if self._arena is None:
             self._data = bytearray(nbytes)
         else:
@@ -65,33 +72,51 @@ class FieldBuffer:
             )
         return len(self._data)
 
-    def allocate(self, nbytes: int) -> None:
-        """Explicitly allocate an UNKNOWN-size field's buffer."""
-        if self.field_type.has_known_size:
+    def claim(self, nbytes: int) -> None:
+        """Check that this UNKNOWN-size buffer may take ``nbytes`` and
+        reserve it for them: until :meth:`fill` it counts as allocated,
+        so a second claim fails. :meth:`release` gives a claim back.
+
+        The record engine claims under its record lock, then charges
+        the budget and fills, so of two racing allocations exactly one
+        is charged.
+        """
+        field_type = self.field_type
+        if field_type.size is not UNKNOWN:
             raise RecordStateError(
-                f"field {self.field_type.name!r} has a fixed size "
-                f"({self.field_type.size}); it was allocated at record "
+                f"field {field_type.name!r} has a fixed size "
+                f"({field_type.size}); it was allocated at record "
                 f"creation"
             )
         if self._data is not None:
             raise RecordStateError(
-                f"field {self.field_type.name!r}: buffer already allocated"
+                f"field {field_type.name!r}: buffer already allocated"
             )
         if nbytes < 0:
             raise ValueError("buffer size must be non-negative")
-        if nbytes % self.field_type.data_type.itemsize != 0:
+        if nbytes % field_type.data_type.itemsize != 0:
             raise SchemaError(
-                f"field {self.field_type.name!r}: {nbytes} bytes is not a "
-                f"multiple of the {self.field_type.data_type.name} item "
-                f"size {self.field_type.data_type.itemsize}"
+                f"field {field_type.name!r}: {nbytes} bytes is not a "
+                f"multiple of the {field_type.data_type.name} item "
+                f"size {field_type.data_type.itemsize}"
             )
-        self._new_storage(nbytes)
+        self._data = _CLAIMED
+
+    def allocate(self, nbytes: int) -> None:
+        """Explicitly allocate an UNKNOWN-size field's buffer."""
+        self.claim(nbytes)
+        try:
+            self.fill(nbytes)
+        except BaseException:
+            self._data = None
+            raise
 
     def release(self) -> int:
-        """Drop the buffer, returning the number of bytes freed."""
-        if self._data is None:
+        """Drop the buffer (or a claim), returning the bytes freed."""
+        data = self._data
+        if data is None:
             return 0
-        freed = len(self._data)
+        freed = len(data)
         self._data = None
         if self._alloc is not None:
             self._arena.free_raw(self._alloc)
@@ -107,13 +132,12 @@ class FieldBuffer:
         This is the Python analogue of the raw pointer ``getFieldBuffer``
         returns: writes through the view mutate the stored data.
         """
-        if self._data is None:
+        data = self._data
+        if data is None:
             raise RecordStateError(
                 f"field {self.field_type.name!r}: buffer not allocated"
             )
-        return np.frombuffer(
-            memoryview(self._data), dtype=self.field_type.data_type.numpy_dtype
-        )
+        return np.frombuffer(data, self.field_type.data_type.numpy_dtype)
 
     def as_bytes(self) -> bytes:
         """Immutable copy of the buffer contents (used for key values)."""
@@ -171,8 +195,8 @@ class Record:
             )
         self.record_type = record_type
         self._buffers: Dict[str, FieldBuffer] = {
-            name: FieldBuffer(record_type.field(name), arena)
-            for name in record_type.field_names
+            name: FieldBuffer(field_type, arena)
+            for name, field_type in record_type.fields()
         }
         self.committed = False
         #: Name of the processing unit that owns this record, if any.
@@ -224,7 +248,11 @@ class Record:
 
     def release_all(self) -> int:
         """Free every buffer; returns total bytes released."""
-        return sum(buf.release() for buf in self._buffers.values())
+        freed = 0
+        for buf in self._buffers.values():
+            if buf._data is not None:
+                freed += buf.release()
+        return freed
 
     def __repr__(self) -> str:
         state = "committed" if self.committed else "uncommitted"

@@ -47,7 +47,7 @@ from repro.errors import (
 )
 
 
-def _noop_charge(nbytes: int) -> None:
+def _noop_charge(nbytes: int, unit_name: Optional[str]) -> None:
     """Default charge seam: unlimited memory (standalone engine)."""
 
 
@@ -81,9 +81,9 @@ class RecordEngine:
     arena:
         The :class:`~repro.core.arena.Arena` records allocate their
         field buffers from; ``None`` keeps plain heap ``bytearray``
-        storage (identical to ``HeapArena``). The facade passes its
-        arena here so unit payloads land in shared memory under a
-        sharded build.
+        storage (identical to ``HeapArena``, which the facade therefore
+        passes as ``None``); any other arena is asked for every buffer,
+        so unit payloads land in shared memory under a sharded build.
     """
 
     def __init__(
@@ -106,7 +106,7 @@ class RecordEngine:
         self._index = RecordIndex()
         self._closing = False
         self._closed = False
-        self._charge: Callable[[int], None] = _noop_charge
+        self._charge: Callable[[int, Optional[str]], None] = _noop_charge
         self._release: Callable[[int, Optional[str]], None] = _noop_release
         self._current_load_unit: Callable[[], Optional[str]] = _no_load_unit
         self._touch_unit: Callable[[str], None] = _noop_touch
@@ -114,13 +114,15 @@ class RecordEngine:
     def bind(
         self,
         *,
-        charge: Callable[[int], None],
+        charge: Callable[[int, Optional[str]], None],
         release: Callable[[int, Optional[str]], None],
         current_load_unit: Callable[[], Optional[str]],
         touch_unit: Callable[[str], None],
     ) -> None:
         """Wire the memory/scheduler seams.
 
+        ``charge(nbytes, unit_name)`` and ``release(nbytes, unit_name)``
+        move bytes between the budget and a unit (``None``: no unit).
         Every seam is called **without** the record lock held (they
         acquire the engine lock internally), preserving the global
         engine → record lock order.
@@ -291,43 +293,50 @@ class RecordEngine:
 
         Records created inside a read callback belong to that callback's
         processing unit and are evicted with it; records created
-        elsewhere are unattached and live until deleted. The memory
-        charge happens through the bound seam *without* the record lock
-        held (engine → record lock order).
+        elsewhere are unattached and live until deleted. The record is
+        built and tracked in one hold of the record lock, then charged
+        through the bound seam after releasing it (engine → record lock
+        order); a charge that fails untracks it again.
         """
+        unit_name = self._current_load_unit()
         with self._lock:
             self._check_open()
-            record_type = self._record_type_locked(record_type_name)
-            if not record_type.committed:
-                raise SchemaError(
-                    f"record type {record_type_name!r} is not committed"
-                )
-        upfront = record_type.fixed_size_bytes() + RECORD_OVERHEAD_BYTES
-        self._charge(upfront)
+            record = Record(self._record_type_locked(record_type_name),
+                            self._arena)
+            self._index.track(record, unit_name)
         try:
-            record = Record(record_type, arena=self._arena)
+            self._charge(record.record_type.fixed_size_bytes()
+                         + RECORD_OVERHEAD_BYTES, unit_name)
         except BaseException:
-            self._release(upfront, None)
+            with self._lock:
+                self._index.drop_record(record)
+            record.release_all()
             raise
-        with self._lock:
-            self._index.track(record, self._current_load_unit())
         return record
 
     def alloc_field_buffer(self, record: Record, field_name: str,
                            nbytes: int) -> FieldBuffer:
-        """Allocate an UNKNOWN-size field's buffer (size now known)."""
+        """Allocate an UNKNOWN-size field's buffer (size now known).
+
+        The buffer is checked and claimed under the record lock, then
+        charged to the record's unit and filled; so of two threads
+        allocating one field, exactly one is charged and the other gets
+        the claim's :class:`~repro.errors.RecordStateError`.
+        """
+        buf = record.field(field_name)
         with self._lock:
             self._check_open()
-            buf = record.field(field_name)
-            # Validate pre-conditions before charging so failures do not
-            # leak budget.
-            if buf.allocated or buf.field_type.has_known_size:
-                buf.allocate(nbytes)  # raises the precise error
-        self._charge(nbytes)
+            buf.claim(nbytes)
+        unit_name = record.unit_name
+        charged = False
         try:
-            buf.allocate(nbytes)
+            self._charge(nbytes, unit_name)
+            charged = True
+            buf.fill(nbytes)
         except BaseException:
-            self._release(nbytes, record.unit_name)
+            buf.release()       # the claim; no bytes landed
+            if charged:
+                self._release(nbytes, unit_name)
             raise
         return buf
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, ItemsView, List, Tuple
 
 import numpy as np
 
@@ -129,6 +129,7 @@ class RecordType:
         self.num_keys = num_keys
         self._fields: Dict[str, FieldType] = {}
         self._key_names: List[str] = []
+        self._fixed_size_bytes = 0
         self._committed = False
 
     @property
@@ -144,6 +145,10 @@ class RecordType:
         """Key field names in insertion order — the order key values must be
         supplied to lookups."""
         return tuple(self._key_names)
+
+    def fields(self) -> ItemsView[str, FieldType]:
+        """``(name, field type)`` pairs in insertion order."""
+        return self._fields.items()
 
     def field(self, name: str) -> FieldType:
         try:
@@ -181,6 +186,8 @@ class RecordType:
                 f"key field {field_type.name!r} must have a known size"
             )
         self._fields[field_type.name] = field_type
+        if field_type.has_known_size:
+            self._fixed_size_bytes += field_type.size
         if is_key:
             if len(self._key_names) >= self.num_keys:
                 raise SchemaError(
@@ -206,9 +213,7 @@ class RecordType:
 
     def fixed_size_bytes(self) -> int:
         """Total bytes of all known-size field buffers (pre-allocatable)."""
-        return sum(
-            ft.size for ft in self._fields.values() if ft.has_known_size
-        )
+        return self._fixed_size_bytes
 
     def __repr__(self) -> str:
         state = "committed" if self._committed else "open"

@@ -28,8 +28,8 @@ import numpy as np
 from repro.errors import StorageFormatError
 from repro.io.disk import NULL_DISK, CostedFile, DiskProfile, IoStats
 from repro.io.sdf import (
-    AttrValue, DatasetInfo, WritableBuffer, _decode_attrs, _encode_attrs,
-    writable_target,
+    AttrValue, DatasetInfo, WritableBuffer, _dataset_info, _decode_attrs,
+    _encode_attrs, writable_target,
 )
 
 _MAGIC = b"CDF1"
@@ -167,6 +167,7 @@ class CdfReader:
         cursor = 4
         self._fattrs = _decode_attrs(rest[cursor:cursor + fattr_len])
         cursor += fattr_len
+        dtypes: Dict[bytes, np.dtype] = {}
         for _ in range(n_vars):
             if cursor + _VAR_FIXED.size > len(rest):
                 raise StorageFormatError("truncated CDF variable entry")
@@ -178,20 +179,13 @@ class CdfReader:
             attrs = _decode_attrs(rest[cursor:cursor + attr_len])
             cursor += attr_len
             name = name_b.rstrip(b"\x00").decode("utf-8")
-            info = DatasetInfo(
-                name=name,
-                dtype=np.dtype(
-                    dtype_b.rstrip(b"\x00").decode("ascii")
-                ),
-                shape=tuple(
-                    int(d) for d in (d0, d1, d2, d3)[:rank]
-                ),
-                data_offset=data_offset,
-                data_nbytes=data_nbytes,
-                attr_offset=0,
-                attr_nbytes=attr_len,
-            )
-            self._infos[name] = info
+            dtype = dtypes.get(dtype_b)
+            if dtype is None:
+                dtype = dtypes[dtype_b] = np.dtype(
+                    dtype_b.rstrip(b"\x00").decode("ascii"))
+            self._infos[name] = _dataset_info((
+                name, dtype, (d0, d1, d2, d3)[:rank], data_offset,
+                data_nbytes, 0, attr_len))
             self._attrs[name] = attrs
             self._order.append(name)
 
@@ -221,8 +215,7 @@ class CdfReader:
 
     def read(self, name: str) -> np.ndarray:
         info = self.info(name)
-        self._file.seek(info.data_offset)
-        data = self._file.read(info.data_nbytes)
+        data = self._file.read_at(info.data_offset, info.data_nbytes)
         if len(data) != info.data_nbytes:
             raise StorageFormatError(f"truncated data for {name!r}")
         return np.frombuffer(data, dtype=info.dtype).reshape(info.shape)
@@ -231,10 +224,14 @@ class CdfReader:
         """``SdfReader.read_into``'s contract and charging: one seek +
         ``readinto`` into a writable C-contiguous ``out`` of exactly
         ``data_nbytes`` bytes (else ``ValueError``, before any read)."""
-        info = self.info(name)
-        view = writable_target(out, info.data_nbytes, name)
-        self._file.seek(info.data_offset)
-        if self._file.readinto(view) != info.data_nbytes:
+        try:
+            info = self._infos[name]
+        except KeyError:
+            info = self.info(name)      # raises the missing-dataset error
+        nbytes = info.data_nbytes
+        if self._file.readinto_at(
+                info.data_offset,
+                writable_target(out, nbytes, name)) != nbytes:
             raise StorageFormatError(f"truncated data for {name!r}")
 
     def close(self) -> None:

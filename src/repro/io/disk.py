@@ -131,17 +131,26 @@ class IoStats:
             self.per_file_bytes.setdefault(path, 0)
 
     def record_read(self, path: str, nbytes: int, gap: Optional[int],
-                    cost_s: float, profile: "DiskProfile") -> None:
+                    profile: "DiskProfile") -> None:
+        """Count one read of ``nbytes`` that started ``gap`` bytes after
+        the previous read on its handle ended (None: the handle's first)
+        and charge its virtual cost under ``profile`` — the rule of
+        :meth:`DiskProfile.read_cost_s`, applied where the seek or
+        settle it implies is counted."""
         with self._lock:
             self.bytes_read += nbytes
             self.read_calls += 1
-            if gap != 0:
-                if gap is not None and 0 < gap <= \
-                        profile.forward_window_bytes:
-                    self.settles += 1
-                else:
-                    self.seeks += 1
-            self.virtual_seconds += cost_s
+            if gap == 0:
+                position_s = 0.0
+            elif gap is not None and 0 < gap <= \
+                    profile.forward_window_bytes:
+                self.settles += 1
+                position_s = profile.settle_s
+            else:
+                self.seeks += 1
+                position_s = profile.seek_s
+            self.virtual_seconds += (
+                position_s + nbytes / profile.bandwidth_bytes_s)
             self.per_file_bytes[path] = (
                 self.per_file_bytes.get(path, 0) + nbytes
             )
@@ -205,10 +214,11 @@ class CostedFile:
     """Read-only binary file charging virtual I/O cost per access.
 
     Supports the subset of the file protocol the formats need: ``read``,
-    ``readinto``, ``seek``, ``tell``, context management. A read is
-    *sequential* when it starts exactly where the previous read (on this
-    handle) ended — matching how a disk's head position behaves for a
-    single-stream reader.
+    ``seek``, ``tell``, context management, and the positioned
+    ``read_at`` / ``readinto_at`` (a seek and a read in one call). A
+    read is *sequential* when it starts exactly where the previous read
+    (on this handle) ended — matching how a disk's head position behaves
+    for a single-stream reader.
     """
 
     def __init__(self, path: str, stats: Optional[IoStats] = None,
@@ -227,29 +237,35 @@ class CostedFile:
         return self._path
 
     def read(self, nbytes: int = -1) -> bytes:
+        """Read up to ``nbytes`` from the current position."""
         start = self._file.tell()
         data = self._file.read(nbytes)
         self._charge(start, len(data))
         return data
 
-    def readinto(self, buffer: memoryview) -> int:
-        """Fill ``buffer`` (writable, C-contiguous) from the current
-        position and return the byte count read — fewer than its length
-        only at end of file. Charged exactly as a ``read`` of that many
-        bytes: one read call, same gap / seek / settle / cost rule."""
-        start = self._file.tell()
+    def read_at(self, offset: int, nbytes: int) -> bytes:
+        """Read up to ``nbytes`` starting at ``offset``: a ``seek`` and a
+        ``read``, charged as that one read."""
+        self._file.seek(offset)
+        data = self._file.read(nbytes)
+        self._charge(offset, len(data))
+        return data
+
+    def readinto_at(self, offset: int, buffer: memoryview) -> int:
+        """Fill ``buffer`` (writable, C-contiguous) from ``offset`` and
+        return the byte count read — fewer than its length only at end
+        of file. Charged exactly as a ``read_at`` of that many bytes:
+        one read call, same gap / seek / settle / cost rule."""
+        self._file.seek(offset)
         nbytes = self._file.readinto(buffer)
-        self._charge(start, nbytes)
+        self._charge(offset, nbytes)
         return nbytes
 
     def _charge(self, start: int, nbytes: int) -> None:
         gap = None if self._last_end is None else start - self._last_end
         self._last_end = start + nbytes
         if self._stats is not None:
-            cost = self._profile.read_cost_s(nbytes, gap)
-            self._stats.record_read(
-                self._path, nbytes, gap, cost, self._profile
-            )
+            self._stats.record_read(self._path, nbytes, gap, self._profile)
 
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
         # Seeking is free until the next read actually starts elsewhere;

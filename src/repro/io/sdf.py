@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -116,9 +116,12 @@ def _decode_attrs(blob: bytes) -> Dict[str, AttrValue]:
     return attrs
 
 
-@dataclass(frozen=True)
-class DatasetInfo:
-    """Directory metadata for one dataset (no data touched)."""
+class DatasetInfo(NamedTuple):
+    """Directory metadata for one dataset (no data touched).
+
+    An immutable named tuple: a reader builds one per directory entry
+    at open, so the type is the cheapest immutable record Python has.
+    """
 
     name: str
     dtype: np.dtype
@@ -134,6 +137,10 @@ class DatasetInfo:
         for dim in self.shape:
             n *= dim
         return n
+
+
+#: ``DatasetInfo`` from one row tuple, without a Python-level frame.
+_dataset_info = partial(tuple.__new__, DatasetInfo)
 
 
 def writable_target(out: WritableBuffer, nbytes: int,
@@ -283,28 +290,26 @@ class SdfReader:
             raise StorageFormatError("truncated SDF directory")
         self._fattr_offset = fattr_offset
         self._dir_offset = dir_offset
-        self._file.seek(dir_offset)
-        blob = self._file.read(n_datasets * _ENTRY.size)
+        blob = self._file.read_at(dir_offset, n_datasets * _ENTRY.size)
         if len(blob) != n_datasets * _ENTRY.size:
             raise StorageFormatError("truncated SDF directory")
         # One structured view over the whole directory; every column
         # leaves numpy through tolist(), so DatasetInfo holds Python ints
-        # and bytes (S-typed columns drop trailing NULs).
+        # and bytes (S-typed columns drop trailing NULs), and the rows
+        # are built column-wise with no Python frame per entry.
         entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
-        columns = (entries[field].tolist() for field in (
-            "name", "dtype", "rank", "dims", "data_offset", "data_nbytes",
-            "attr_offset", "attr_nbytes"))
-        dtypes: Dict[bytes, np.dtype] = {}
-        for (name_b, dtype_b, rank, dims, data_offset, data_nbytes,
-             attr_offset, attr_nbytes) in zip(*columns):
-            name = name_b.decode("utf-8")
-            dtype = dtypes.get(dtype_b)
-            if dtype is None:
-                dtype = dtypes[dtype_b] = np.dtype(dtype_b.decode("ascii"))
-            self._infos[name] = DatasetInfo(
-                name, dtype, tuple(dims[:rank]), data_offset, data_nbytes,
-                attr_offset, attr_nbytes)
-            self._order.append(name)
+        names = list(map(bytes.decode, entries["name"].tolist()))
+        codes = entries["dtype"].tolist()
+        dtypes = {code: np.dtype(code.decode("ascii"))
+                  for code in set(codes)}
+        shapes = map(tuple, map(list.__getitem__, entries["dims"].tolist(),
+                                map(slice, entries["rank"].tolist())))
+        self._infos = dict(zip(names, map(_dataset_info, zip(
+            names, map(dtypes.__getitem__, codes), shapes,
+            entries["data_offset"].tolist(), entries["data_nbytes"].tolist(),
+            entries["attr_offset"].tolist(),
+            entries["attr_nbytes"].tolist()))))
+        self._order = names
 
     # ------------------------------------------------------------------
     @property
@@ -325,21 +330,19 @@ class SdfReader:
 
     def file_attributes(self) -> Dict[str, AttrValue]:
         # The file-attr block runs from its offset up to the directory.
-        self._file.seek(self._fattr_offset)
-        blob = self._file.read(self._dir_offset - self._fattr_offset)
-        return _decode_attrs(blob)
+        return _decode_attrs(self._file.read_at(
+            self._fattr_offset, self._dir_offset - self._fattr_offset))
 
     def attributes(self, name: str) -> Dict[str, AttrValue]:
         """Per-dataset attributes (one seek + read)."""
         info = self.info(name)
-        self._file.seek(info.attr_offset)
-        return _decode_attrs(self._file.read(info.attr_nbytes))
+        return _decode_attrs(
+            self._file.read_at(info.attr_offset, info.attr_nbytes))
 
     def read(self, name: str) -> np.ndarray:
         """Read one dataset's data (one seek + transfer)."""
         info = self.info(name)
-        self._file.seek(info.data_offset)
-        data = self._file.read(info.data_nbytes)
+        data = self._file.read_at(info.data_offset, info.data_nbytes)
         if len(data) != info.data_nbytes:
             raise StorageFormatError(
                 f"truncated data for dataset {name!r}"
@@ -357,10 +360,14 @@ class SdfReader:
         uninterpreted — ``out``'s dtype and shape are the caller's.
         ``IoStats`` is charged exactly as :meth:`read` charges it.
         """
-        info = self.info(name)
-        view = writable_target(out, info.data_nbytes, name)
-        self._file.seek(info.data_offset)
-        if self._file.readinto(view) != info.data_nbytes:
+        try:
+            info = self._infos[name]
+        except KeyError:
+            info = self.info(name)      # raises the missing-dataset error
+        nbytes = info.data_nbytes
+        if self._file.readinto_at(
+                info.data_offset,
+                writable_target(out, nbytes, name)) != nbytes:
             raise StorageFormatError(
                 f"truncated data for dataset {name!r}"
             )

@@ -9,7 +9,7 @@ layout but turns the fleet into one database:
   :mod:`repro.parallel.placement` rendezvous hashing; every participant
   computes the owner locally, so there is no placement traffic at all.
 * **Shared-memory data plane** — every shard host allocates its GBO's
-  buffers from a :class:`~repro.core.arena.SharedMemoryArena` and
+  buffers from a :class:`~repro.core.shared_arena.SharedMemoryArena` and
   publishes rendered frames as sealed arena buffers. The coordinator
   attaches the exported :class:`~repro.core.arena.BufferToken`\\ s and
   reads frames **zero-copy, read-only** (the PR-5 view discipline,
@@ -50,7 +50,8 @@ import numpy as np
 
 from repro.analysis.primitives import TrackedLock, make_held_checker
 from repro.analysis.races import guarded_by
-from repro.core.arena import AttachCache, BufferToken, SharedMemoryArena
+from repro.core.arena import BufferToken
+from repro.core.shared_arena import AttachCache, SharedMemoryArena
 from repro.core.child import Child, close_all, ready
 from repro.core.compute import usable_cores
 from repro.core.config import EngineConfig, resolve_budget
@@ -71,9 +72,9 @@ from repro.io.readers import (
 )
 from repro.parallel.placement import PlacementMap
 from repro.viz.camera import Camera
+from repro.viz.godiva_data import GodivaSnapshotData
 from repro.viz.gops import test_gops
 from repro.viz.pipeline import Pipeline
-from repro.viz.voyager import GodivaSnapshotData
 
 #: How long a shard waits for the coordinator's grant/deny verdict, and
 #: how long the coordinator waits for any shard message, before

@@ -31,7 +31,6 @@ from repro.viz.isosurface import TriangleSoup, marching_tets
 from repro.viz.pipeline import Pipeline, SnapshotData
 from repro.viz.render import Renderer
 from repro.viz.slice_plane import slice_mesh
-from repro.viz.voyager import Voyager, VoyagerConfig, VoyagerResult
 
 __all__ = [
     "Camera",
@@ -54,3 +53,16 @@ __all__ = [
     "HoustonCluster",
     "HoustonConfig",
 ]
+
+#: Names served from :mod:`repro.viz.voyager` on first use, so importing
+#: the package does not load the batch tool's module and
+#: ``python -m repro.viz.voyager`` runs it fresh.
+_VOYAGER_NAMES = ("Voyager", "VoyagerConfig", "VoyagerResult")
+
+
+def __getattr__(name: str) -> object:
+    if name in _VOYAGER_NAMES:
+        from repro.viz import voyager
+
+        return getattr(voyager, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,9 +32,9 @@ from repro.io.readers import (
     solid_schema,
 )
 from repro.viz.camera import Camera
+from repro.viz.godiva_data import GodivaSnapshotData
 from repro.viz.gops import GraphicsOps, test_gops
 from repro.viz.pipeline import Pipeline
-from repro.viz.voyager import GodivaSnapshotData
 
 
 @dataclass

@@ -1,0 +1,108 @@
+"""GodivaSnapshotData — the pipeline's data access through a GBO.
+
+The G and TG builds of Voyager, the interactive Apollo session, the
+Houston servers and the shard hosts all hand the pipeline this one
+:class:`~repro.viz.pipeline.SnapshotData`: every array is a query of
+the GBO's buffers, none is read from a file.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from repro.core.database import GBO
+from repro.gen.snapshot import block_key
+from repro.viz.pipeline import SnapshotData, field_components
+
+
+class GodivaSnapshotData(SnapshotData):
+    """GODIVA-backed data access: query buffer locations, zero reads.
+
+    Every request resolves through ``get_field_buffer``; mesh arrays read
+    once per snapshot by the unit's read callback are reused across all
+    ops — the redundant-read elimination the paper credits for the O->G
+    I/O volume drop.
+
+    The returned arrays are zero-copy ``writeable=False`` views of the
+    GBO's live buffers: no intermediate copies, and read-only because
+    the derived-data cache keys memoized results by buffer *content* —
+    an in-place mutation through a view would silently invalidate them
+    (and corrupt the shared unit buffer for every other consumer), so
+    it raises instead. When the GBO carries a
+    :class:`~repro.core.derived.DerivedCache`, content tokens are
+    served through it, enabling frame/op/kernel memoization in the
+    pipeline.
+    """
+
+    def __init__(self, gbo: GBO, tsid: str, block_ids: Sequence[str]):
+        self._gbo = gbo
+        self._tsid = tsid
+        self._tsid_key = tsid.encode("ascii")
+        self._block_order = tuple(block_ids)
+        self._derived = gbo.derived
+
+    def parallel_extract_safe(self) -> bool:
+        """True: buffer queries go through the engine lock and the
+        derived cache tolerates racing computes, so per-op extraction
+        may run on compute-pool threads."""
+        return True
+
+    def block_ids(self) -> List[str]:
+        """The snapshot's mesh blocks, in manifest order."""
+        return list(self._block_order)
+
+    def _keys(self, block_id: str) -> List[bytes]:
+        return [block_key(block_id).encode("ascii"), self._tsid_key]
+
+    def _buffer(self, block_id: str, name: str) -> np.ndarray:
+        buf = self._gbo.get_field_buffer(
+            "solid", name, self._keys(block_id)
+        )
+        # get_field_buffer makes a fresh view object per call, so the
+        # flag flip affects this view only, not the engine's buffer.
+        buf.flags.writeable = False
+        return buf
+
+    def derived_cache(self) -> Optional[object]:
+        """The GBO's derived-data memo cache (None when disabled)."""
+        return self._derived
+
+    def derived_token(self, block_id: str, name: str) -> Optional[str]:
+        """Content token of a source buffer, memoized per identity."""
+        if self._derived is None:
+            return None
+        return self._derived.token(
+            ("solid", name, block_id, self._tsid),
+            lambda: self._gbo.get_field_buffer(
+                "solid", name, self._keys(block_id)
+            ),
+        )
+
+    def snapshot_token(self, name: str) -> Optional[str]:
+        """The folded per-block tokens, memoized per (field, snapshot)
+        identity in the cache's token table like the per-block tokens
+        themselves: a revisit asks once, not once per block."""
+        if self._derived is None:
+            return None
+        return self._derived.folded_token(
+            ("solid", name, self._block_order, self._tsid),
+            lambda: [self.derived_token(block_id, name)
+                     for block_id in self._block_order],
+        )
+
+    def coords(self, block_id: str) -> np.ndarray:
+        """The block's node coordinates, ``(n, 3)``."""
+        return self._buffer(block_id, "coords").reshape(-1, 3)
+
+    def connectivity(self, block_id: str) -> np.ndarray:
+        """The block's tetrahedra, ``(m, 4)`` node indices."""
+        return self._buffer(block_id, "conn").reshape(-1, 4)
+
+    def field(self, block_id: str, name: str) -> np.ndarray:
+        """A block's field, ``(n, 3)`` for a vector quantity."""
+        buf = self._buffer(block_id, name)
+        if field_components(name) == 3:
+            return buf.reshape(-1, 3)
+        return buf

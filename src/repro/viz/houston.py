@@ -83,7 +83,7 @@ def _server_main(conn, config: HoustonConfig, server_index: int,
         solid_schema,
     )
     from repro.viz.pipeline import Pipeline
-    from repro.viz.voyager import GodivaSnapshotData
+    from repro.viz.godiva_data import GodivaSnapshotData
 
     manifest = load_manifest(config.data_dir)
     gops = config.resolve_gops()

@@ -34,7 +34,7 @@ from repro.core.config import (
     resolve_budget,
 )
 from repro.core.database import GBO
-from repro.gen.snapshot import DatasetManifest, block_key, load_manifest
+from repro.gen.snapshot import DatasetManifest, load_manifest
 from repro.io.disk import ENGLE_DISK, NULL_DISK, DiskProfile, IoStats
 from repro.io.readers import (
     make_snapshot_read_fn,
@@ -43,9 +43,10 @@ from repro.io.readers import (
 )
 from repro.io.sdf import SdfReader
 from repro.viz.camera import Camera
+from repro.viz.godiva_data import GodivaSnapshotData
 from repro.viz.gops import GraphicsOp, GraphicsOps, test_gops
 from repro.viz.image import write_ppm
-from repro.viz.pipeline import Pipeline, SnapshotData, field_components
+from repro.viz.pipeline import Pipeline, SnapshotData
 
 MODES = ("O", "G", "TG")
 
@@ -223,93 +224,6 @@ class DirectSnapshotData(SnapshotData):
     def close(self) -> None:
         for reader in self._readers:
             reader.close()
-
-
-class GodivaSnapshotData(SnapshotData):
-    """GODIVA-backed data access: query buffer locations, zero reads.
-
-    Every request resolves through ``get_field_buffer``; mesh arrays read
-    once per snapshot by the unit's read callback are reused across all
-    ops — the redundant-read elimination the paper credits for the O->G
-    I/O volume drop.
-
-    The returned arrays are zero-copy ``writeable=False`` views of the
-    GBO's live buffers: no intermediate copies, and read-only because
-    the derived-data cache keys memoized results by buffer *content* —
-    an in-place mutation through a view would silently invalidate them
-    (and corrupt the shared unit buffer for every other consumer), so
-    it raises instead. When the GBO carries a
-    :class:`~repro.core.derived.DerivedCache`, content tokens are
-    served through it, enabling frame/op/kernel memoization in the
-    pipeline.
-    """
-
-    def __init__(self, gbo: GBO, tsid: str, block_ids: Sequence[str]):
-        self._gbo = gbo
-        self._tsid = tsid
-        self._tsid_key = tsid.encode("ascii")
-        self._block_order = tuple(block_ids)
-        self._derived = gbo.derived
-
-    def parallel_extract_safe(self) -> bool:
-        """True: buffer queries go through the engine lock and the
-        derived cache tolerates racing computes, so per-op extraction
-        may run on compute-pool threads."""
-        return True
-
-    def block_ids(self) -> List[str]:
-        return list(self._block_order)
-
-    def _keys(self, block_id: str) -> List[bytes]:
-        return [block_key(block_id).encode("ascii"), self._tsid_key]
-
-    def _buffer(self, block_id: str, name: str) -> np.ndarray:
-        buf = self._gbo.get_field_buffer(
-            "solid", name, self._keys(block_id)
-        )
-        # get_field_buffer makes a fresh view object per call, so the
-        # flag flip affects this view only, not the engine's buffer.
-        buf.flags.writeable = False
-        return buf
-
-    def derived_cache(self) -> Optional[object]:
-        """The GBO's derived-data memo cache (None when disabled)."""
-        return self._derived
-
-    def derived_token(self, block_id: str, name: str) -> Optional[str]:
-        """Content token of a source buffer, memoized per identity."""
-        if self._derived is None:
-            return None
-        return self._derived.token(
-            ("solid", name, block_id, self._tsid),
-            lambda: self._gbo.get_field_buffer(
-                "solid", name, self._keys(block_id)
-            ),
-        )
-
-    def snapshot_token(self, name: str) -> Optional[str]:
-        """The folded per-block tokens, memoized per (field, snapshot)
-        identity in the cache's token table like the per-block tokens
-        themselves: a revisit asks once, not once per block."""
-        if self._derived is None:
-            return None
-        return self._derived.folded_token(
-            ("solid", name, self._block_order, self._tsid),
-            lambda: [self.derived_token(block_id, name)
-                     for block_id in self._block_order],
-        )
-
-    def coords(self, block_id: str) -> np.ndarray:
-        return self._buffer(block_id, "coords").reshape(-1, 3)
-
-    def connectivity(self, block_id: str) -> np.ndarray:
-        return self._buffer(block_id, "conn").reshape(-1, 4)
-
-    def field(self, block_id: str, name: str) -> np.ndarray:
-        buf = self._buffer(block_id, name)
-        if field_components(name) == 3:
-            return buf.reshape(-1, 3)
-        return buf
 
 
 class Voyager:

@@ -205,9 +205,26 @@ class TestRep107EngineImports:
         src = DOC + "import repro.core.io_scheduler\n"
         assert rules(src, "src/repro/viz/x.py") == ["REP107"]
 
+    @pytest.mark.parametrize("module", [
+        "record_engine", "memory_manager", "io_scheduler"])
+    def test_engine_submodule_import_flagged(self, module):
+        src = DOC + f"from repro.core import {module}\n"
+        violations = lint.lint_source(src, "src/repro/viz/x.py")
+        assert [v.rule for v in violations] == ["REP107"]
+        assert violations[0].symbol == f"import:repro.core.{module}"
+
+    def test_engine_submodule_among_others_flagged_once(self):
+        src = DOC + "from repro.core import GBO, units, record_engine\n"
+        assert rules(src, "src/repro/viz/x.py") == ["REP107"]
+
+    def test_engine_submodule_import_exempt_in_core(self):
+        src = DOC + "from repro.core import memory_manager\n"
+        assert rules(src, "src/repro/core/database.py") == []
+
     def test_facade_imports_are_clean(self):
         src = DOC + (
             "from repro.core import GBO\n"
+            "from repro.core import units, config\n"
             "from repro.core.units import UnitHandle\n"
         )
         assert rules(src, "src/repro/viz/x.py") == []
@@ -243,6 +260,14 @@ class TestRep107ArenaImports:
         src = DOC + "import repro.core.arena\n"
         assert rules(src, "src/repro/viz/x.py") == ["REP107"]
 
+    @pytest.mark.parametrize("src", [
+        "from repro.core.shared_arena import AttachCache\n",
+        "from repro.core import shared_arena\n",
+        "import repro.core.shared_arena\n",
+    ])
+    def test_viz_shared_arena_import_flagged(self, src):
+        assert rules(DOC + src, "src/repro/viz/x.py") == ["REP107"]
+
     @pytest.mark.parametrize("path", [
         "src/repro/core/database.py",
         "src/repro/service/service.py",
@@ -250,7 +275,10 @@ class TestRep107ArenaImports:
         "src/repro/api.py",
     ])
     def test_blessed_surface_exempt(self, path):
-        src = DOC + "from repro.core.arena import HeapArena\n"
+        src = DOC + (
+            "from repro.core.arena import HeapArena\n"
+            "from repro.core.shared_arena import SharedMemoryArena\n"
+        )
         assert rules(src, path) == []
 
 

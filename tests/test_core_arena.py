@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.arena import AttachCache, HeapArena, SharedMemoryArena
+from repro.core.arena import HeapArena
+from repro.core.shared_arena import AttachCache, SharedMemoryArena
 from repro.core.database import GBO
 from repro.errors import ArenaError
 from repro.io.readers import (

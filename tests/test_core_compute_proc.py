@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.arena import SharedMemoryArena
+from repro.core.shared_arena import SharedMemoryArena
 from repro.core.compute import ComputePool
 from repro.core.compute_proc import (
     ProcessComputePool,

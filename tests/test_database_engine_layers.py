@@ -62,8 +62,8 @@ def test_lru_evicts_least_recently_used():
     lock, cond, store, manager, sizes = _build("lru")
     for name in ("a", "b", "c"):
         _load(cond, store, manager, sizes, name, 100)
+    manager.touch_unit("a")  # recency order is now b, c, a
     with cond:
-        manager.touch("a")  # recency order is now b, c, a
         manager.charge(100)  # forces exactly one eviction
     with lock:
         assert store.state_of("b") is UnitState.EVICTED
@@ -76,8 +76,8 @@ def test_fifo_ignores_touches_and_evicts_oldest():
     lock, cond, store, manager, sizes = _build(FifoEvictionPolicy())
     for name in ("a", "b", "c"):
         _load(cond, store, manager, sizes, name, 100)
+    manager.touch_unit("a")  # no effect on FIFO order
     with cond:
-        manager.touch("a")  # no effect on FIFO order
         manager.charge(100)
     with lock:
         assert store.state_of("a") is UnitState.EVICTED
@@ -88,8 +88,8 @@ def test_mru_evicts_most_recently_used():
     lock, cond, store, manager, sizes = _build(MruEvictionPolicy())
     for name in ("a", "b", "c"):
         _load(cond, store, manager, sizes, name, 100)
+    manager.touch_unit("a")  # a becomes most recently used
     with cond:
-        manager.touch("a")  # a becomes most recently used
         manager.charge(100)
     with lock:
         assert store.state_of("a") is UnitState.EVICTED
