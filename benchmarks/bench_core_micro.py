@@ -65,7 +65,10 @@ def test_bench_record_index_lookup(benchmark):
 
 def test_bench_sdf_open(benchmark, tmp_path):
     """Open a 210-entry file (one e2e unit file's directory) and read
-    its file attributes: header, directory parse, attribute block."""
+    its file attributes: header, directory parse, attribute block. The
+    parse memo is emptied each round, so every open parses."""
+    from repro.io.sdf import _parse_directory
+
     path = str(tmp_path / "open.sdf")
     with SdfWriter(path) as writer:
         writer.set_attribute("time", 0.5)
@@ -74,10 +77,35 @@ def test_bench_sdf_open(benchmark, tmp_path):
                                np.zeros(4))
 
     def open_file():
+        _parse_directory.cache_clear()
         with SdfReader(path) as reader:
             return len(reader.dataset_names), reader.file_attributes()
 
     assert benchmark(open_file) == (210, {"time": 0.5})
+
+
+def test_bench_sdf_reopen(benchmark, tmp_path):
+    """Open a 210-entry file whose directory another file of the series
+    already had (the parse memo's hit) and read its file attributes: the
+    header and directory are still read and charged."""
+    from repro.io.disk import IoStats
+
+    paths = [str(tmp_path / f"step{step}.sdf") for step in range(2)]
+    for step, path in enumerate(paths):
+        with SdfWriter(path) as writer:
+            writer.set_attribute("step", step)
+            for i in range(210):
+                writer.add_dataset(f"block_{i // 7:04d}:field{i % 7}",
+                                   np.full(4, float(step)))
+    stats = IoStats()
+    SdfReader(paths[0]).close()
+
+    def reopen():
+        with SdfReader(paths[1], stats=stats) as reader:
+            return len(reader.dataset_names), reader.file_attributes()
+
+    assert benchmark(reopen) == (210, {"step": 1})
+    assert stats.opens == stats.read_calls // 3
 
 
 def test_bench_read_into(benchmark, tmp_path):
@@ -184,6 +212,36 @@ def test_bench_get_field_buffer(benchmark):
         key = [b"block_0777$", b"0.000025$"]
         buf = benchmark(lambda: gbo.get_field_buffer("solid", "coords", key))
         assert buf.nbytes == _BUFFER_BYTES
+
+
+def test_bench_delete_unit(benchmark):
+    """``delete_unit`` of one resident unit of 30 solid records with 7
+    buffers each (one e2e file's worth): unindex, release every buffer,
+    return the bytes. The unit is loaded again between rounds, untimed."""
+    from repro.io.readers import ALL_SOLID_FIELDS
+
+    fields = ALL_SOLID_FIELDS[:7]
+    counter = {"i": 0}
+
+    def read_fn(gbo, unit_name):
+        for i in range(_FILE_RECORDS):
+            record = gbo.new_record("solid")
+            record.field("block id").write(f"block_{i:04d}$".encode())
+            record.field("time-step id").write(b"0.000025$")
+            for name in fields:
+                gbo.alloc_field_buffer(record, name, _BUFFER_BYTES)
+            gbo.commit_record(record)
+
+    with _solid_gbo() as gbo:
+        def load():
+            counter["i"] += 1
+            name = f"unit{counter['i']:06d}"
+            gbo.add_unit(name, read_fn)
+            gbo.wait_unit(name)
+            return (name,), {}
+
+        benchmark.pedantic(gbo.delete_unit, setup=load, rounds=300)
+        assert gbo.mem_used_bytes == 0
 
 
 def test_bench_sdf_read(benchmark, tmp_path):

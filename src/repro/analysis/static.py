@@ -173,6 +173,27 @@ class _OpExtractor(ast.NodeVisitor):
 
     visit_AsyncWith = visit_With
 
+    def visit_Try(self, node: ast.Try) -> None:
+        # ``<lock>.acquire()`` then ``try: ... finally: <lock>.release()``
+        # — the hot paths' spelling of ``with <lock>:`` (it binds no
+        # methods per entry). A finally that is exactly the release
+        # marks the try's body, handlers and else as holding the lock;
+        # the acquire() before it is an ordinary acquisition event.
+        role = self._released_role(node.finalbody)
+        if role is None:
+            self.generic_visit(node)
+            return
+        self._held.append(role)
+        for stmt in node.body:
+            self.visit(stmt)
+        for handler in node.handlers:
+            self.visit(handler)
+        for stmt in node.orelse:
+            self.visit(stmt)
+        self._held.pop()
+        for stmt in node.finalbody:
+            self.visit(stmt)
+
     # -- events --------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         held = tuple(self._held)
@@ -226,6 +247,18 @@ class _OpExtractor(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- classification ------------------------------------------------
+    def _released_role(self, finalbody: List[ast.stmt]) -> Optional[str]:
+        """The lock role a ``finally`` body of just ``<lock>.release()``
+        releases, else None."""
+        if len(finalbody) != 1 or not isinstance(finalbody[0], ast.Expr):
+            return None
+        call = finalbody[0].value
+        if (isinstance(call, ast.Call) and not call.args
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "release"):
+            return self._lock_role(call.func.value)
+        return None
+
     def _lock_role(self, expr: ast.AST) -> Optional[str]:
         if isinstance(expr, ast.Attribute) and expr.attr in _LOCK_ATTRS:
             owner = self._program.expr_type(expr.value, self._func)

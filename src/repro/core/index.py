@@ -24,7 +24,7 @@ from repro.errors import DuplicateKeyError, KeyLookupError
 KeyTuple = Tuple[bytes, ...]
 
 #: Read-only stand-in for a record type nothing was committed under yet.
-_EMPTY: Mapping[KeyTuple, Record] = MappingProxyType({})
+NO_RECORDS: Mapping[KeyTuple, Record] = MappingProxyType({})
 
 
 def normalize_key_values(values: Sequence) -> KeyTuple:
@@ -63,7 +63,10 @@ class RecordIndex:
     """Key index (dict per record type) + per-unit record lists."""
 
     def __init__(self) -> None:
-        self._by_type: Dict[str, Dict[KeyTuple, Record]] = {}
+        #: Record type name -> key -> record. The record engine's query
+        #: probes it directly (under its record lock); every change goes
+        #: through the methods below.
+        self.by_type: Dict[str, Dict[KeyTuple, Record]] = {}
         self._by_unit: Dict[str, List[Record]] = {}
         #: Records not attributed to any unit (created outside a read
         #: callback). They are only removed explicitly.
@@ -75,7 +78,7 @@ class RecordIndex:
     def commit(self, record: Record) -> KeyTuple:
         """Index ``record`` under its current key-field values."""
         key = record.key_tuple()
-        records = self._by_type.setdefault(record.record_type.name, {})
+        records = self.by_type.setdefault(record.record_type.name, {})
         if key in records:
             raise DuplicateKeyError(
                 f"record type {record.record_type.name!r} already has a "
@@ -94,7 +97,9 @@ class RecordIndex:
             self._by_unit.setdefault(unit_name, []).append(record)
 
     def lookup(self, type_name: str, key: KeyTuple) -> Record:
-        record = self._by_type.get(type_name, _EMPTY).get(key)
+        """The record of ``type_name`` under ``key``; raises
+        :class:`KeyLookupError` when there is none."""
+        record = self.by_type.get(type_name, NO_RECORDS).get(key)
         if record is None:
             raise KeyLookupError(
                 f"no record of type {type_name!r} with key {key!r}"
@@ -102,25 +107,27 @@ class RecordIndex:
         return record
 
     def contains(self, type_name: str, key: KeyTuple) -> bool:
-        return key in self._by_type.get(type_name, _EMPTY)
+        """Whether a record of ``type_name`` is indexed under ``key``."""
+        return key in self.by_type.get(type_name, NO_RECORDS)
 
     def records_of_type(self, type_name: str) -> Iterator[Record]:
         """All committed records of one type, in key order."""
         # Keys are unique, so the pair sort never compares two records.
         for _key, record in sorted(
-                self._by_type.get(type_name, _EMPTY).items()):
+                self.by_type.get(type_name, NO_RECORDS).items()):
             yield record
 
     def count(self, type_name: Optional[str] = None) -> int:
         """Number of committed records (optionally of one type)."""
         if type_name is not None:
-            return len(self._by_type.get(type_name, _EMPTY))
-        return sum(len(records) for records in self._by_type.values())
+            return len(self.by_type.get(type_name, NO_RECORDS))
+        return sum(len(records) for records in self.by_type.values())
 
     # ------------------------------------------------------------------
     # Unit-level removal
     # ------------------------------------------------------------------
     def unit_records(self, unit_name: str) -> List[Record]:
+        """A copy of the records tracked under ``unit_name``."""
         return list(self._by_unit.get(unit_name, ()))
 
     def drop_unit(self, unit_name: str) -> List[Record]:
@@ -154,7 +161,7 @@ class RecordIndex:
 
     def _unindex(self, record: Record) -> None:
         if record.committed and record.committed_key is not None:
-            records = self._by_type.get(record.record_type.name, _EMPTY)
+            records = self.by_type.get(record.record_type.name, NO_RECORDS)
             # The entry may already map to a different record if the
             # application mutated key buffers (paper's caveat); only
             # delete when it is really this record.
@@ -167,7 +174,7 @@ class RecordIndex:
         for bucket in self._by_unit.values():
             records.extend(bucket)
         records.extend(self._unattached)
-        self._by_type.clear()
+        self.by_type.clear()
         self._by_unit.clear()
         self._unattached.clear()
         return records

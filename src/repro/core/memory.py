@@ -91,7 +91,14 @@ def _parse_mem_text(value: str) -> int:
 
 
 class MemoryAccountant:
-    """Tracks the configured budget and the bytes currently charged."""
+    """Tracks the configured budget and the bytes currently charged.
+
+    :meth:`MemoryManager.charge_bytes
+    <repro.core.memory_manager.MemoryManager.charge_bytes>` — the
+    per-buffer charge — applies :meth:`try_charge`'s arithmetic to
+    ``_used`` / ``_high_water`` in its own frame; a change to the rule
+    here must be made there too.
+    """
 
     def __init__(self, budget_bytes: int):
         if budget_bytes <= 0:
@@ -102,14 +109,17 @@ class MemoryAccountant:
 
     @property
     def budget_bytes(self) -> int:
+        """The configured budget in bytes."""
         return self._budget
 
     @property
     def used_bytes(self) -> int:
+        """Bytes currently charged."""
         return self._used
 
     @property
     def available_bytes(self) -> int:
+        """Bytes that may still be charged before the budget is full."""
         return self._budget - self._used
 
     @property
@@ -118,6 +128,7 @@ class MemoryAccountant:
         return self._high_water
 
     def fits(self, nbytes: int) -> bool:
+        """Whether charging ``nbytes`` now would stay within budget."""
         return self._used + nbytes <= self._budget
 
     def can_ever_fit(self, nbytes: int) -> bool:

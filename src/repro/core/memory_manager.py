@@ -100,6 +100,10 @@ class MemoryManager:
         #: stalled, waited-on load can claim their partial memory charges.
         self._abort_loads: set = set()
         self._scheduler = None
+        #: The scheduler's unit table (the same dict, so engine-lock
+        #: discipline applies), read directly by the charge path; empty
+        #: while no scheduler is bound.
+        self._units: Dict[str, ProcessingUnit] = {}
         self._derived = None
         self._arena = None
         self._release_records: Callable[[str], int] = lambda name: 0
@@ -130,6 +134,7 @@ class MemoryManager:
         arena's segment statistics in :meth:`report`.
         """
         self._scheduler = scheduler
+        self._units = scheduler.units if scheduler is not None else {}
         self._release_records = release_records
         if closing is not None:
             self._closing = closing
@@ -215,7 +220,7 @@ class MemoryManager:
             self._accountant.charge(nbytes)
         self.stats.bytes_allocated += nbytes
         if unit_name is not None:
-            unit = self._scheduler.units.get(unit_name)
+            unit = self._units.get(unit_name)
             if unit is not None:
                 unit.resident_bytes += nbytes
 
@@ -273,7 +278,7 @@ class MemoryManager:
         self._accountant.release(nbytes)
         self.stats.bytes_released += nbytes
         if unit_name is not None:
-            unit = self._scheduler.units.get(unit_name)
+            unit = self._units.get(unit_name)
             if unit is not None:
                 unit.resident_bytes -= nbytes
 
@@ -281,9 +286,32 @@ class MemoryManager:
     # the record layer calls them without its own lock held (engine →
     # record order).
     def charge_bytes(self, nbytes: int, unit_name: Optional[str]) -> None:
-        """:meth:`charge` under the engine lock."""
-        with self._lock:
-            self.charge(nbytes, unit_name)
+        """:meth:`charge` under the engine lock.
+
+        The record layer's per-buffer charge: when the bytes fit the
+        budget — the common case — they are accounted here, in this one
+        frame (:meth:`MemoryAccountant.try_charge
+        <repro.core.memory.MemoryAccountant.try_charge>` and the unit's
+        share, written out); anything else goes to :meth:`charge`, whose
+        evict/block/yield loop and errors are unchanged.
+        """
+        self._lock.acquire()        # a per-buffer hold (ADR-018)
+        try:
+            accountant = self._accountant
+            used = accountant._used + nbytes
+            if nbytes < 0 or used > accountant._budget:
+                self.charge(nbytes, unit_name)
+                return
+            accountant._used = used
+            if used > accountant._high_water:
+                accountant._high_water = used
+            self.stats.bytes_allocated += nbytes
+            if unit_name is not None:
+                unit = self._units.get(unit_name)
+                if unit is not None:
+                    unit.resident_bytes += nbytes
+        finally:
+            self._lock.release()
 
     def release_bytes(self, nbytes: int, unit_name: Optional[str]) -> None:
         """:meth:`release` under the engine lock, waking blocked workers."""
@@ -294,8 +322,11 @@ class MemoryManager:
     def touch_unit(self, name: str) -> None:
         """Record a query hit on an evictable unit (takes the engine
         lock)."""
-        with self._lock:
+        self._lock.acquire()        # a per-buffer hold (ADR-018)
+        try:
             self._policy.touch(name)
+        finally:
+            self._lock.release()
 
     def set_budget(self, budget: int) -> None:
         """Adjust the budget, evicting down to it if shrunk. Lock held."""

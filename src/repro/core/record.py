@@ -26,7 +26,7 @@ from repro.errors import RecordStateError, SchemaError
 
 #: What a field buffer holds between ``claim`` and ``fill``: it counts
 #: as allocated (a second claim is refused) but holds no bytes yet.
-_CLAIMED = b""
+CLAIMED = b""
 
 
 class FieldBuffer:
@@ -61,6 +61,7 @@ class FieldBuffer:
 
     @property
     def allocated(self) -> bool:
+        """Whether the buffer holds storage (or a pending claim)."""
         return self._data is not None
 
     @property
@@ -100,7 +101,7 @@ class FieldBuffer:
                 f"multiple of the {field_type.data_type.name} item "
                 f"size {field_type.data_type.itemsize}"
             )
-        self._data = _CLAIMED
+        self._data = CLAIMED
 
     def allocate(self, nbytes: int) -> None:
         """Explicitly allocate an UNKNOWN-size field's buffer."""
@@ -204,6 +205,8 @@ class Record:
         self._key: Optional[Tuple[bytes, ...]] = None
 
     def field(self, name: str) -> FieldBuffer:
+        """The field's :class:`FieldBuffer`; :class:`SchemaError` if the
+        record type has no such field."""
         try:
             return self._buffers[name]
         except KeyError:
@@ -227,14 +230,15 @@ class Record:
         desynchronizes the index (section 3.3), and this library likewise
         does not guard against it.
         """
+        buffers = self._buffers
         values = []
         for name in self.record_type.key_field_names:
-            buf = self._buffers[name]
-            if not buf.allocated:
+            data = buffers[name]._data
+            if data is None:
                 raise RecordStateError(
                     f"key field {name!r} is not allocated; cannot form key"
                 )
-            values.append(buf.as_bytes())
+            values.append(bytes(data))
         return tuple(values)
 
     @property
@@ -243,6 +247,7 @@ class Record:
         return self._key
 
     def mark_committed(self, key: Tuple[bytes, ...]) -> None:
+        """Record that the index now holds this record under ``key``."""
         self.committed = True
         self._key = key
 
@@ -250,8 +255,15 @@ class Record:
         """Free every buffer; returns total bytes released."""
         freed = 0
         for buf in self._buffers.values():
-            if buf._data is not None:
-                freed += buf.release()
+            # FieldBuffer.release, written out: it runs for every buffer
+            # of every record a deleted or evicted unit drops.
+            data = buf._data
+            if data is not None:
+                freed += len(data)
+                buf._data = None
+                if buf._alloc is not None:
+                    buf._arena.free_raw(buf._alloc)
+                    buf._alloc = None
         return freed
 
     def __repr__(self) -> str:

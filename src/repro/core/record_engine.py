@@ -35,9 +35,9 @@ from repro.analysis.primitives import (
     make_held_checker,
 )
 from repro.analysis.races import guarded_by
-from repro.core.index import RecordIndex, normalize_key_values
+from repro.core.index import NO_RECORDS, RecordIndex, normalize_key_values
 from repro.core.memory import RECORD_OVERHEAD_BYTES
-from repro.core.record import FieldBuffer, Record
+from repro.core.record import CLAIMED, FieldBuffer, Record
 from repro.core.stats import GodivaStats
 from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
 from repro.errors import (
@@ -301,11 +301,11 @@ class RecordEngine:
         unit_name = self._current_load_unit()
         with self._lock:
             self._check_open()
-            record = Record(self._record_type_locked(record_type_name),
-                            self._arena)
+            record_type = self._record_type_locked(record_type_name)
+            record = Record(record_type, self._arena)
             self._index.track(record, unit_name)
         try:
-            self._charge(record.record_type.fixed_size_bytes()
+            self._charge(record_type.fixed_size_bytes()
                          + RECORD_OVERHEAD_BYTES, unit_name)
         except BaseException:
             with self._lock:
@@ -322,17 +322,37 @@ class RecordEngine:
         charged to the record's unit and filled; so of two threads
         allocating one field, exactly one is charged and the other gets
         the claim's :class:`~repro.errors.RecordStateError`.
+
+        The per-buffer call of every read callback, so it reaches the
+        buffer, the closing check and the claim without helper frames;
+        each helper is still what raises when its check fails.
         """
-        buf = record.field(field_name)
-        with self._lock:
-            self._check_open()
-            buf.claim(nbytes)
+        try:
+            buf = record._buffers[field_name]
+        except KeyError:
+            buf = record.field(field_name)      # raises the SchemaError
+        field_type = buf.field_type
+        self._lock.acquire()        # a per-buffer hold (ADR-018)
+        try:
+            self._check_locked()
+            if self._closing or self._closed:
+                raise DatabaseClosedError("GBO has been closed")
+            if (buf._data is not None or field_type.size is not UNKNOWN
+                    or nbytes < 0
+                    or nbytes % field_type.data_type.itemsize):
+                buf.claim(nbytes)       # raises the reason it is refused
+            buf._data = CLAIMED
+        finally:
+            self._lock.release()
         unit_name = record.unit_name
         charged = False
         try:
             self._charge(nbytes, unit_name)
             charged = True
-            buf.fill(nbytes)
+            if self._arena is None:
+                buf._data = bytearray(nbytes)
+            else:
+                buf.fill(nbytes)
         except BaseException:
             buf.release()       # the claim; no bytes landed
             if charged:
@@ -384,10 +404,43 @@ class RecordEngine:
 
     def get_field_buffer(self, record_type_name: str, field_name: str,
                          key_values: Sequence) -> np.ndarray:
-        """The live, zero-copy data buffer of the looked-up field."""
-        return self.get_record(record_type_name, key_values).field(
-            field_name
-        ).as_array()
+        """The live, zero-copy data buffer of the looked-up field.
+
+        :meth:`get_record` and :meth:`FieldBuffer.as_array
+        <repro.core.record.FieldBuffer.as_array>` in one frame: the key
+        as given is probed first (a key of ``bytes`` already is the
+        index's form), then the record lock is held once, the owning
+        unit touched, and the view made. The helpers still raise every
+        error they raise.
+        """
+        key = tuple(key_values)
+        for value in key:
+            if type(value) is not bytes:
+                key = normalize_key_values(key)
+                break
+        self._lock.acquire()        # a per-buffer hold (ADR-018)
+        try:
+            self._check_locked()
+            if self._closing or self._closed:
+                raise DatabaseClosedError("GBO has been closed")
+            self.stats.queries += 1
+            record = self._index.by_type.get(record_type_name, NO_RECORDS
+                                             ).get(key)
+            if record is None:
+                self._index.lookup(record_type_name, key)      # raises
+            unit_name = record.unit_name
+        finally:
+            self._lock.release()
+        if unit_name is not None:
+            self._touch_unit(unit_name)
+        try:
+            buf = record._buffers[field_name]
+        except KeyError:
+            buf = record.field(field_name)      # raises the SchemaError
+        data = buf._data
+        if data is None:
+            buf.as_array()                      # raises the RecordStateError
+        return np.frombuffer(data, buf.field_type.data_type.numpy_dtype)
 
     def get_field_buffer_size(self, record_type_name: str, field_name: str,
                               key_values: Sequence) -> int:

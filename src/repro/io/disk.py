@@ -29,6 +29,12 @@ from repro.analysis.primitives import TrackedLock
 from repro.analysis.races import guarded_by
 
 
+#: What :meth:`DiskProfile.gap_kind` returns, and the index of each kind's
+#: cost in ``DiskProfile.position_costs_s``: a read that continues the
+#: previous one, a short forward skip, and everything else.
+SEQUENTIAL, SETTLE, SEEK = 0, 1, 2
+
+
 @dataclass(frozen=True)
 class DiskProfile:
     """Disk timing parameters for the cost model.
@@ -55,19 +61,35 @@ class DiskProfile:
     settle_s: float = 0.0
     forward_window_bytes: int = 0
 
+    def __post_init__(self) -> None:
+        # Positioning cost by gap kind (SEQUENTIAL, SETTLE, SEEK): a
+        # derived table, not a field, so equality and repr are unchanged.
+        object.__setattr__(self, "position_costs_s",
+                           (0.0, self.settle_s, self.seek_s))
+
     def transfer_s(self, nbytes: int) -> float:
+        """Transfer time of ``nbytes`` at the profile's bandwidth."""
         return nbytes / self.bandwidth_bytes_s
+
+    def gap_kind(self, gap: Optional[int]) -> int:
+        """The gap rule: how the head gets to a read that starts ``gap``
+        bytes after the previous read on its handle ended (None: the
+        handle's first read) — :data:`SEQUENTIAL`, :data:`SETTLE` or
+        :data:`SEEK`. Both the cost model and :meth:`IoStats.record_read`
+        classify through here."""
+        if gap == 0:
+            return SEQUENTIAL
+        if gap is not None and 0 < gap <= self.forward_window_bytes:
+            return SETTLE
+        return SEEK
 
     def position_cost_s(self, gap: Optional[int]) -> float:
         """Positioning cost given the byte gap from the previous read's
         end (None = first read on the handle)."""
-        if gap == 0:
-            return 0.0
-        if gap is not None and 0 < gap <= self.forward_window_bytes:
-            return self.settle_s
-        return self.seek_s
+        return self.position_costs_s[self.gap_kind(gap)]
 
     def read_cost_s(self, nbytes: int, gap: Optional[int]) -> float:
+        """Positioning plus transfer cost of one read of ``nbytes``."""
         return self.position_cost_s(gap) + self.transfer_s(nbytes)
 
 
@@ -102,6 +124,15 @@ NULL_DISK = DiskProfile(
 )
 
 
+#: The read-ahead buffer of a :class:`CostedFile`. A scientific file is
+#: read nearly whole and in layout order (section 4.2), a few KB per
+#: dataset, so a read-ahead of many datasets turns ~150 ``read(2)``
+#: calls per MB into ~16; at 8 KB (``io.DEFAULT_BUFFER_SIZE``) the
+#: syscalls were ~7 % of a ``unit_churn`` run's CPU on a 2-core host
+#: (ADR-018).
+READ_BUFFER_BYTES = 64 * 1024
+
+
 @guarded_by("bytes_read", "read_calls", "seeks", "settles", "opens",
             "virtual_seconds", "per_file_bytes", lock="_lock")
 class IoStats:
@@ -125,6 +156,7 @@ class IoStats:
         self.per_file_bytes: Dict[str, int] = {}
 
     def record_open(self, path: str, cost_s: float) -> None:
+        """Count one open of ``path`` and charge its virtual cost."""
         with self._lock:
             self.opens += 1
             self.virtual_seconds += cost_s
@@ -134,28 +166,27 @@ class IoStats:
                     profile: "DiskProfile") -> None:
         """Count one read of ``nbytes`` that started ``gap`` bytes after
         the previous read on its handle ended (None: the handle's first)
-        and charge its virtual cost under ``profile`` — the rule of
-        :meth:`DiskProfile.read_cost_s`, applied where the seek or
-        settle it implies is counted."""
-        with self._lock:
+        and charge its virtual cost under ``profile`` — the seek or
+        settle :meth:`DiskProfile.gap_kind` names, plus the transfer."""
+        kind = profile.gap_kind(gap)
+        cost_s = (profile.position_costs_s[kind]
+                  + nbytes / profile.bandwidth_bytes_s)
+        self._lock.acquire()        # a per-buffer hold (ADR-018)
+        try:
             self.bytes_read += nbytes
             self.read_calls += 1
-            if gap == 0:
-                position_s = 0.0
-            elif gap is not None and 0 < gap <= \
-                    profile.forward_window_bytes:
-                self.settles += 1
-                position_s = profile.settle_s
-            else:
+            if kind == SEEK:
                 self.seeks += 1
-                position_s = profile.seek_s
-            self.virtual_seconds += (
-                position_s + nbytes / profile.bandwidth_bytes_s)
-            self.per_file_bytes[path] = (
-                self.per_file_bytes.get(path, 0) + nbytes
-            )
+            elif kind == SETTLE:
+                self.settles += 1
+            self.virtual_seconds += cost_s
+            per_file = self.per_file_bytes
+            per_file[path] = per_file.get(path, 0) + nbytes
+        finally:
+            self._lock.release()
 
     def snapshot(self) -> Dict[str, float]:
+        """The scalar counters, read together under the lock."""
         with self._lock:
             return {
                 "bytes_read": self.bytes_read,
@@ -200,6 +231,7 @@ class IoStats:
                 )
 
     def reset(self) -> None:
+        """Zero every counter and forget the per-file byte counts."""
         with self._lock:
             self.bytes_read = 0
             self.read_calls = 0
@@ -224,7 +256,7 @@ class CostedFile:
     def __init__(self, path: str, stats: Optional[IoStats] = None,
                  profile: DiskProfile = NULL_DISK):
         self._path = os.fspath(path)
-        self._file = open(self._path, "rb")
+        self._file = open(self._path, "rb", buffering=READ_BUFFER_BYTES)
         self._closed = False
         self._stats = stats
         self._profile = profile
@@ -234,6 +266,7 @@ class CostedFile:
 
     @property
     def path(self) -> str:
+        """The path the file was opened from."""
         return self._path
 
     def read(self, nbytes: int = -1) -> bytes:
@@ -256,30 +289,42 @@ class CostedFile:
         return the byte count read — fewer than its length only at end
         of file. Charged exactly as a ``read_at`` of that many bytes:
         one read call, same gap / seek / settle / cost rule."""
-        self._file.seek(offset)
-        nbytes = self._file.readinto(buffer)
-        self._charge(offset, nbytes)
+        file = self._file
+        file.seek(offset)
+        nbytes = file.readinto(buffer)
+        # _charge, written out: this is the per-buffer read.
+        last_end = self._last_end
+        self._last_end = offset + nbytes
+        if self._stats is not None:
+            self._stats.record_read(
+                self._path, nbytes,
+                None if last_end is None else offset - last_end,
+                self._profile)
         return nbytes
 
     def _charge(self, start: int, nbytes: int) -> None:
+        """Count a read of ``nbytes`` from ``start`` on this handle."""
         gap = None if self._last_end is None else start - self._last_end
         self._last_end = start + nbytes
         if self._stats is not None:
             self._stats.record_read(self._path, nbytes, gap, self._profile)
 
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
-        # Seeking is free until the next read actually starts elsewhere;
-        # real disks only pay when the head moves for a transfer.
+        """Move the position; free until the next read starts there."""
+        # Real disks only pay when the head moves for a transfer.
         return self._file.seek(offset, whence)
 
     def tell(self) -> int:
+        """The current position."""
         return self._file.tell()
 
     def size(self) -> int:
+        """The file's size in bytes (an ``fstat``, not a read)."""
         return os.fstat(self._file.fileno()).st_size
 
     @property
     def closed(self) -> bool:
+        """Whether :meth:`close` has run."""
         return self._closed
 
     def close(self) -> None:

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import os
 import struct
-from functools import partial
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from functools import lru_cache, partial
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -133,6 +134,7 @@ class DatasetInfo(NamedTuple):
 
     @property
     def size(self) -> int:
+        """Element count: the product of :attr:`shape`."""
         n = 1
         for dim in self.shape:
             n *= dim
@@ -141,6 +143,41 @@ class DatasetInfo(NamedTuple):
 
 #: ``DatasetInfo`` from one row tuple, without a Python-level frame.
 _dataset_info = partial(tuple.__new__, DatasetInfo)
+
+#: How many distinct directories the parse memo keeps. A snapshot
+#: series repeats one directory per file index (the e2e datasets have 8),
+#: so a small constant covers it; each entry is ~80 KB at 210 datasets.
+DIRECTORY_MEMO_SIZE = 16
+
+
+@lru_cache(maxsize=DIRECTORY_MEMO_SIZE)
+def _parse_directory(blob: bytes) -> Tuple[Mapping[str, DatasetInfo],
+                                           Tuple[str, ...]]:
+    """The datasets a directory of ``_ENTRY``-sized rows describes, as a
+    read-only name -> :class:`DatasetInfo` map and the names in file
+    order.
+
+    A pure function of the directory's bytes, memoized on them: files
+    that share a layout (every step of a snapshot series) share one
+    parse. The key is the bytes themselves, so a file rewritten with
+    another layout misses, and nothing needs invalidating.
+    """
+    # One structured view over the whole directory; every column leaves
+    # numpy through tolist(), so DatasetInfo holds Python ints and bytes
+    # (S-typed columns drop trailing NULs), and the rows are built
+    # column-wise with no Python frame per entry.
+    entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
+    names = list(map(bytes.decode, entries["name"].tolist()))
+    codes = entries["dtype"].tolist()
+    dtypes = {code: np.dtype(code.decode("ascii")) for code in set(codes)}
+    shapes = map(tuple, map(list.__getitem__, entries["dims"].tolist(),
+                            map(slice, entries["rank"].tolist())))
+    infos = dict(zip(names, map(_dataset_info, zip(
+        names, map(dtypes.__getitem__, codes), shapes,
+        entries["data_offset"].tolist(), entries["data_nbytes"].tolist(),
+        entries["attr_offset"].tolist(),
+        entries["attr_nbytes"].tolist()))))
+    return MappingProxyType(infos), tuple(names)
 
 
 def writable_target(out: WritableBuffer, nbytes: int,
@@ -224,6 +261,8 @@ class SdfWriter:
         self._names.add(name)
 
     def close(self) -> None:
+        """Write the file attributes, the directory and the header, then
+        close the file; idempotent."""
         if self._closed:
             return
         fattr_blob = _encode_attrs(self._file_attrs)
@@ -265,16 +304,17 @@ class SdfReader:
     def __init__(self, path: str, stats: Optional[IoStats] = None,
                  profile: DiskProfile = NULL_DISK):
         self._file = CostedFile(path, stats=stats, profile=profile)
-        self._infos: Dict[str, DatasetInfo] = {}
-        self._order: List[str] = []
         try:
-            self._parse_directory()
+            self._read_directory()
         except Exception:
             self._file.close()
             raise
 
-    def _parse_directory(self) -> None:
-        header = self._file.read(_HEADER.size)
+    def _read_directory(self) -> None:
+        """Read and check the header, then read the directory and take
+        its parse (from the memo when another file had the same bytes).
+        Both reads are made, and charged, on every open."""
+        header = self._file.read_at(0, _HEADER.size)
         if len(header) != _HEADER.size:
             raise StorageFormatError("file too small for SDF header")
         magic, version, n_datasets, dir_offset, n_fattrs, fattr_offset = (
@@ -286,30 +326,16 @@ class SdfReader:
             )
         if version != _VERSION:
             raise StorageFormatError(f"unsupported SDF version {version}")
-        if dir_offset + n_datasets * _ENTRY.size > self._file.size():
+        dir_nbytes = n_datasets * _ENTRY.size
+        if dir_offset + dir_nbytes > self._file.size():
             raise StorageFormatError("truncated SDF directory")
         self._fattr_offset = fattr_offset
         self._dir_offset = dir_offset
-        blob = self._file.read_at(dir_offset, n_datasets * _ENTRY.size)
-        if len(blob) != n_datasets * _ENTRY.size:
+        blob = self._file.read_at(dir_offset, dir_nbytes)
+        if len(blob) != dir_nbytes:
             raise StorageFormatError("truncated SDF directory")
-        # One structured view over the whole directory; every column
-        # leaves numpy through tolist(), so DatasetInfo holds Python ints
-        # and bytes (S-typed columns drop trailing NULs), and the rows
-        # are built column-wise with no Python frame per entry.
-        entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
-        names = list(map(bytes.decode, entries["name"].tolist()))
-        codes = entries["dtype"].tolist()
-        dtypes = {code: np.dtype(code.decode("ascii"))
-                  for code in set(codes)}
-        shapes = map(tuple, map(list.__getitem__, entries["dims"].tolist(),
-                                map(slice, entries["rank"].tolist())))
-        self._infos = dict(zip(names, map(_dataset_info, zip(
-            names, map(dtypes.__getitem__, codes), shapes,
-            entries["data_offset"].tolist(), entries["data_nbytes"].tolist(),
-            entries["attr_offset"].tolist(),
-            entries["attr_nbytes"].tolist()))))
-        self._order = names
+        #: name -> DatasetInfo, read-only: one parse may serve many files.
+        self._infos, self._order = _parse_directory(blob)
 
     # ------------------------------------------------------------------
     @property
@@ -318,6 +344,7 @@ class SdfReader:
         return list(self._order)
 
     def info(self, name: str) -> DatasetInfo:
+        """Directory metadata of dataset ``name`` (no data touched)."""
         try:
             return self._infos[name]
         except KeyError:
@@ -329,6 +356,7 @@ class SdfReader:
         return name in self._infos
 
     def file_attributes(self) -> Dict[str, AttrValue]:
+        """The file-level attributes (one seek + read)."""
         # The file-attr block runs from its offset up to the directory.
         return _decode_attrs(self._file.read_at(
             self._fattr_offset, self._dir_offset - self._fattr_offset))
@@ -373,6 +401,7 @@ class SdfReader:
             )
 
     def close(self) -> None:
+        """Close the file; idempotent."""
         self._file.close()
 
     def __enter__(self) -> "SdfReader":

@@ -67,6 +67,55 @@ class TestSC101GuardedAccess:
         )
         assert keys(src, "SC101") == []
 
+    def test_acquire_then_try_finally_release_counts_as_the_lock(self):
+        src = (
+            "@guarded_by('_items', lock='_lock')\n"
+            "class Widget:\n"
+            '    """Doc."""\n'
+            "    def add(self, x):\n"
+            '        """The hot-path spelling of with self._lock."""\n'
+            "        self._lock.acquire()\n"
+            "        try:\n"
+            "            self._items.append(x)\n"
+            "        finally:\n"
+            "            self._lock.release()\n"
+            "        return x\n"
+        )
+        assert keys(src, "SC101") == []
+
+    def test_access_after_the_release_is_flagged(self):
+        src = (
+            "@guarded_by('_items', lock='_lock')\n"
+            "class Widget:\n"
+            '    """Doc."""\n'
+            "    def add(self, x):\n"
+            '        """The lock is gone after the finally."""\n'
+            "        self._lock.acquire()\n"
+            "        try:\n"
+            "            pass\n"
+            "        finally:\n"
+            "            self._lock.release()\n"
+            "        self._items.append(x)\n"
+        )
+        found = [d for d in diagnostics(src) if d.rule == "SC101"]
+        assert [(d.symbol, d.line) for d in found] == [
+            ("Widget.add:Widget._items", 12)]
+
+    def test_try_without_the_release_holds_nothing(self):
+        src = (
+            "@guarded_by('_items', lock='_lock')\n"
+            "class Widget:\n"
+            '    """Doc."""\n'
+            "    def add(self, x):\n"
+            '        """A finally that does not release the lock."""\n'
+            "        try:\n"
+            "            self._items.append(x)\n"
+            "        finally:\n"
+            "            x = None\n"
+        )
+        assert [d.symbol for d in diagnostics(src) if d.rule == "SC101"] \
+            == ["Widget.add:Widget._items"]
+
     def test_registry_class_checked_without_decorator_noise(self):
         # A registry class (engine role) accessed through a typed
         # attribute from another class.
@@ -141,6 +190,27 @@ class TestSC102Hierarchy:
             '    """Doc."""\n'
         )
         assert keys(src, "SC102") == []
+
+    def test_out_of_order_inside_try_finally_flagged(self):
+        src = (
+            "class ComputePool:\n"
+            '    """Doc."""\n'
+            "    def bad(self, records: 'RecordEngine'):\n"
+            '        """Backwards nesting, acquire/release spelling."""\n'
+            "        self._lock.acquire()\n"
+            "        try:\n"
+            "            records._lock.acquire()\n"
+            "            try:\n"
+            "                pass\n"
+            "            finally:\n"
+            "                records._lock.release()\n"
+            "        finally:\n"
+            "            self._lock.release()\n"
+            "class RecordEngine:\n"
+            '    """Doc."""\n'
+        )
+        assert [d.symbol for d in diagnostics(src) if d.rule == "SC102"] \
+            == ["ComputePool.bad:record<-compute"]
 
     def test_reacquire_flagged_as_self_deadlock(self):
         src = (

@@ -5,9 +5,16 @@ import pytest
 from read_into_contract import ReadIntoContract
 
 from repro.errors import StorageFormatError
-from repro.io.disk import ENGLE_DISK, IoStats
+from repro.io.disk import ENGLE_DISK, NULL_DISK, IoStats
 from repro.core.types import DataType
-from repro.io.sdf import _ENTRY, _HEADER, DatasetInfo, SdfReader, SdfWriter
+from repro.io.sdf import (
+    _ENTRY,
+    _HEADER,
+    DatasetInfo,
+    SdfReader,
+    SdfWriter,
+    _parse_directory,
+)
 
 
 @pytest.fixture
@@ -329,3 +336,124 @@ class TestCostAccounting:
         assert snap["read_calls"] == 4
         assert snap["bytes_read"] > 240 + 32
         assert snap["virtual_seconds"] > 0
+
+
+def write_layout(path, step):
+    """One file of a snapshot series: the same datasets (names, shapes,
+    dtypes, attributes) at every step; values and file attributes vary."""
+    with SdfWriter(path) as writer:
+        writer.set_attribute("step", step)
+        writer.set_attribute("label", "x" * step)
+        for i in range(6):
+            writer.add_dataset(f"field{i}", np.full(256, step + i, "<f8"),
+                               attrs={"index": i})
+
+
+def open_and_read(path, profile):
+    """Open, read the file attributes and every dataset; the IoStats of
+    the whole visit and the values read."""
+    stats = IoStats()
+    with SdfReader(path, stats=stats, profile=profile) as reader:
+        values = [reader.file_attributes()]
+        for name in reader.dataset_names:
+            values.append(reader.attributes(name))
+            values.append(reader.read(name).tolist())
+    return stats.snapshot(), dict(stats.per_file_bytes), values
+
+
+class TestDirectoryMemo:
+    """Files sharing a directory's bytes share its parse; every read
+    and every count of an open is still made."""
+
+    @pytest.fixture
+    def series(self, tmp_path):
+        paths = [str(tmp_path / f"step{step}.sdf") for step in range(3)]
+        for step, path in enumerate(paths):
+            write_layout(path, step)
+        return paths
+
+    def test_shared_layout_is_one_parse(self, series):
+        _parse_directory.cache_clear()
+        readers = [SdfReader(path) for path in series]
+        try:
+            assert _parse_directory.cache_info().misses == 1
+            assert _parse_directory.cache_info().hits == 2
+            assert readers[0]._infos is readers[2]._infos
+        finally:
+            for reader in readers:
+                reader.close()
+
+    @pytest.mark.parametrize("profile", [NULL_DISK, ENGLE_DISK],
+                             ids=["null", "engle"])
+    def test_a_hit_charges_what_a_miss_charges(self, series, profile):
+        _parse_directory.cache_clear()
+        miss = open_and_read(series[0], profile)
+        assert _parse_directory.cache_info().misses == 1
+        hit = open_and_read(series[0], profile)
+        assert _parse_directory.cache_info().hits == 1
+        assert hit == miss
+        assert miss[0]["opens"] == 1
+        assert miss[0]["read_calls"] == 3 + 2 * 6
+        assert miss[1] == {series[0]: miss[0]["bytes_read"]}
+
+    def test_each_file_keeps_its_own_attributes(self, series):
+        _parse_directory.cache_clear()
+        for step, path in enumerate(series):
+            with SdfReader(path) as reader:
+                assert reader.file_attributes() == {"step": step,
+                                                    "label": "x" * step}
+                assert reader.read("field2")[0] == step + 2
+        assert _parse_directory.cache_info().hits == 2
+
+    def test_truncated_sibling_still_raises(self, series, tmp_path):
+        """A file whose directory bytes equal its sibling's but whose
+        last data block runs past the end: the open hits the memo, the
+        read of that block is still refused."""
+        with open(series[0], "rb") as f:
+            data = f.read()
+        (magic, version, n, dir_offset, n_fattrs,
+         fattr_offset) = _HEADER.unpack_from(data)
+        directory = data[dir_offset:dir_offset + n * _ENTRY.size]
+        fattrs = data[fattr_offset:dir_offset]
+        with SdfReader(series[0]) as reader:
+            last = reader.info("field5")
+        body = data[_HEADER.size:last.data_offset]
+        cut = str(tmp_path / "cut.sdf")
+        with open(cut, "wb") as f:
+            f.write(_HEADER.pack(
+                magic, version, n, last.data_offset + len(fattrs), n_fattrs,
+                last.data_offset))
+            f.write(body + fattrs + directory)
+        _parse_directory.cache_clear()
+        SdfReader(series[0]).close()
+        with SdfReader(cut) as reader:
+            assert _parse_directory.cache_info().hits == 1
+            assert reader.read("field4")[0] == 4
+            with pytest.raises(StorageFormatError, match="truncated data"):
+                reader.read("field5")
+            with pytest.raises(StorageFormatError, match="truncated data"):
+                reader.read_into("field5", np.empty(256))
+        with open(cut, "r+b") as f:
+            f.truncate(last.data_offset + len(fattrs) + len(directory) - 1)
+        with pytest.raises(StorageFormatError,
+                           match="truncated SDF directory"):
+            SdfReader(cut)
+
+    def test_shared_map_cannot_be_changed_through_a_reader(self, series):
+        _parse_directory.cache_clear()
+        with SdfReader(series[0]) as first:
+            names = first.dataset_names
+            names.append("intruder")
+            names.remove("field0")
+            info = first.info("field1")
+            with pytest.raises(AttributeError):
+                info.data_offset = 0
+            with pytest.raises(TypeError):
+                first._infos["intruder"] = info
+            assert info._replace(data_offset=0) != first.info("field1")
+        with SdfReader(series[1]) as second:
+            assert _parse_directory.cache_info().hits == 1
+            assert second.dataset_names == [f"field{i}" for i in range(6)]
+            assert "intruder" not in second
+            assert second.info("field1") == info
+            assert second.read("field1")[0] == 1 + 1
