@@ -344,6 +344,43 @@ def test_bench_boundary_faces(benchmark):
     assert len(faces) > 500
 
 
+def test_bench_snapshot_token(benchmark):
+    """A first-visit snapshot token: one field over 30 blocks of 168
+    nodes (the e2e block shape), token memo emptied before each round,
+    so every round hashes the snapshot's bytes again."""
+    from repro.core.database import GBO
+    from repro.gen.snapshot import block_key, timestep_id
+    from repro.io.readers import solid_schema
+    from repro.viz.godiva_data import GodivaSnapshotData
+
+    tsid = timestep_id(0.0)
+    block_ids = [f"block_{index:04d}" for index in range(30)]
+    values = np.random.default_rng(6).random(168)
+
+    def read_fn(gbo, unit):
+        for block_id in block_ids:
+            record = gbo.new_record("solid")
+            record.field("block id").write(block_key(block_id).encode())
+            record.field("time-step id").write(tsid.encode())
+            gbo.alloc_field_buffer(
+                record, "temperature", values.nbytes).write(values)
+            gbo.commit_record(record)
+
+    gbo = GBO(mem_mb=16, background_io=False)
+    try:
+        solid_schema().ensure(gbo)
+        gbo.add_unit("snapshot", read_fn)
+        gbo.wait_unit("snapshot")
+        data = GodivaSnapshotData(gbo, tsid, block_ids)
+        token = benchmark.pedantic(
+            lambda: data.snapshot_token("temperature"),
+            setup=gbo.derived.clear, rounds=2000,
+        )
+        assert token is not None
+    finally:
+        gbo.close()
+
+
 def test_bench_derived_hit(benchmark):
     """DerivedCache lookup cost on the hit path (lock + policy touch)."""
     from repro.core.derived import DerivedCache

@@ -48,9 +48,9 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -74,31 +74,26 @@ MAX_ENTRY_BUDGET_FRACTION = 0.5
 MAX_TOKENS = 65536
 
 
-def content_token(array: np.ndarray) -> str:
-    """A content fingerprint of an array: dtype, shape, and byte digest.
+def content_token(*arrays: np.ndarray) -> str:
+    """A content fingerprint of a sequence of arrays: one blake2b-16
+    digest over each array's dtype, shape and bytes, in order.
 
-    Two arrays share a token iff they are bit-identical with the same
-    dtype and shape — the property that makes cross-time-step reuse of
-    constant mesh data safe (a 16-byte blake2b collision is negligible).
+    Two sequences share a token iff they hold bit-identical arrays of
+    the same dtypes and shapes in the same order — the property that
+    makes cross-time-step reuse of constant mesh data safe (a 16-byte
+    blake2b collision is negligible). The arrays' dtypes and shapes
+    are hashed ahead of their bytes, so the split is part of the
+    content: one array ``ab`` and the two arrays ``a``, ``b`` never
+    share a token.
     """
-    array = np.ascontiguousarray(array)
-    digest = hashlib.blake2b(array, digest_size=16).hexdigest()
-    return f"{array.dtype.str}{array.shape}{digest}"
-
-
-def fold_tokens(tokens: Iterable[Optional[str]]) -> Optional[str]:
-    """One token for an ordered sequence of content tokens.
-
-    Names the concatenation of the arrays behind ``tokens`` (e.g. one
-    field across every block of a snapshot) without touching them.
-    None when any part is unknown — an unknown part disables caching,
-    as it does for a single token.
-    """
-    parts = list(tokens)
-    if None in parts:
-        return None
-    joined = "|".join(parts).encode("ascii")
-    return "fold:" + hashlib.blake2b(joined, digest_size=16).hexdigest()
+    arrays = [np.ascontiguousarray(array) for array in arrays]
+    # Every dtype and shape first: the header ends at the first ";",
+    # then fixes where each array's bytes start and end.
+    header = repr([(array.dtype.str, array.shape) for array in arrays])
+    digest = hashlib.blake2b(f"{header};".encode("ascii"), digest_size=16)
+    for array in arrays:
+        digest.update(array)
+    return digest.hexdigest()
 
 
 def nbytes_of(value: Any) -> int:
@@ -389,49 +384,27 @@ class DerivedCache:
     # Content tokens
     # ------------------------------------------------------------------
     def token(self, identity: Hashable,
-              array_provider: Callable[[], np.ndarray]) -> str:
-        """Memoized content token for the array behind ``identity``.
+              arrays_provider: Callable[[], Sequence[np.ndarray]]) -> str:
+        """Memoized :func:`content_token` of the arrays behind
+        ``identity``.
 
-        ``identity`` names *where* the array came from (record type,
-        field, key values); the token says *what bits it holds*. Data
-        backends key derived entries by token, which is what lets a
-        mesh that is constant across the snapshot series share one
-        cached boundary skin. Hashing runs without the lock.
+        ``identity`` names *where* the arrays came from (record type,
+        field, block order, time-step); the token says *what bits they
+        hold*. Data backends key derived entries by token, which is
+        what lets a mesh that is constant across the snapshot series
+        share one cached boundary skin. A revisit costs one lookup;
+        hashing runs without the lock.
         """
-        return self._memoized_token(
-            identity, lambda: content_token(array_provider())
-        )
-
-    def folded_token(
-        self, identity: Hashable,
-        parts_provider: Callable[[], Iterable[Optional[str]]],
-    ) -> Optional[str]:
-        """Memoized :func:`fold_tokens` for the sequence behind
-        ``identity`` — e.g. one field across every block of a snapshot,
-        so a revisit costs one lookup instead of one per block. An
-        unknown part (None) makes the fold None, which is not memoized.
-        """
-        return self._memoized_token(
-            identity, lambda: fold_tokens(parts_provider())
-        )
-
-    def _memoized_token(
-        self, identity: Hashable,
-        compute: Callable[[], Optional[str]],
-    ) -> Optional[str]:
         if self._scope is not None:
             identity = (self._scope, identity)
         with self._lock:
             tok = self._tokens.get(identity)
-        if tok is not None:
-            return tok
-        tok = compute()
         if tok is None:
-            return None
-        with self._lock:
-            while len(self._tokens) >= MAX_TOKENS:
-                self._tokens.pop(next(iter(self._tokens)))
-            self._tokens[identity] = tok
+            tok = content_token(*arrays_provider())
+            with self._lock:
+                while len(self._tokens) >= MAX_TOKENS:
+                    self._tokens.pop(next(iter(self._tokens)))
+                self._tokens[identity] = tok
         return tok
 
     # ------------------------------------------------------------------

@@ -49,6 +49,8 @@ class ViewStats:
 
     @property
     def hit_rate(self) -> float:
+        """Fraction of views served from the frame cache (0 before any
+        view)."""
         return self.cache_hits / self.views if self.views else 0.0
 
 
@@ -110,6 +112,7 @@ class ApolloSession:
 
     @property
     def gbo(self) -> GBO:
+        """The session's own GBO, for its counters and unit verbs."""
         return self._gbo
 
     def view(self, step: int) -> Optional[np.ndarray]:
@@ -164,6 +167,7 @@ class ApolloSession:
             self._gbo.add_unit(name, self._read_fn)
 
     def close(self) -> None:
+        """Close the GBO: stop its I/O and free every unit."""
         self._gbo.close()
 
     def __enter__(self) -> "ApolloSession":

@@ -63,6 +63,7 @@ class Colormap:
 
     @staticmethod
     def names() -> Tuple[str, ...]:
+        """The known colormap names, sorted."""
         return tuple(sorted(_CONTROL_POINTS))
 
     def map(self, values: np.ndarray) -> np.ndarray:

@@ -29,16 +29,25 @@ def boundary_faces(tets: np.ndarray) -> np.ndarray:
     """Extract the boundary triangles of a tet mesh.
 
     A face is boundary iff it appears in exactly one tet. Returns an
-    (n_faces, 3) int array of node indices with original winding.
+    (n_faces, 3) int array of node indices with original winding, in
+    the order the faces occur in ``tets``.
+
+    One row sort finds them: each face's node ids are sorted, the rows
+    are ordered by ``np.lexsort``, and a face is unshared iff its row
+    differs from both sorted neighbours.
     """
     tets = np.asarray(tets)
     faces = tets[:, _TET_FACES.ravel()].reshape(-1, 3)
-    sorted_faces = np.sort(faces, axis=1)
-    _unique, inverse, counts = np.unique(
-        sorted_faces, axis=0, return_inverse=True, return_counts=True
-    )
-    boundary_mask = counts[inverse] == 1
-    return faces[boundary_mask]
+    rows = np.sort(faces, axis=1)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    # differs[i]: sorted row i starts a new face (i = 0 and i = n are
+    # sentinels), so row i is alone iff it starts one and so does i + 1.
+    differs = np.ones(len(ranked) + 1, dtype=bool)
+    differs[1:-1] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    alone = np.empty(len(ranked), dtype=bool)
+    alone[order] = differs[:-1] & differs[1:]
+    return faces[alone]
 
 
 def triangle_normals(vertices: np.ndarray) -> np.ndarray:

@@ -69,26 +69,17 @@ class GodivaSnapshotData(SnapshotData):
         """The GBO's derived-data memo cache (None when disabled)."""
         return self._derived
 
-    def derived_token(self, block_id: str, name: str) -> Optional[str]:
-        """Content token of a source buffer, memoized per identity."""
+    def snapshot_token(self, name: str) -> Optional[str]:
+        """One content hash of ``name`` over every block, in
+        ``block_ids()`` order, memoized per (field, block order,
+        time-step) identity: a first visit hashes the new bytes once, a
+        revisit costs one lookup."""
         if self._derived is None:
             return None
         return self._derived.token(
-            ("solid", name, block_id, self._tsid),
-            lambda: self._gbo.get_field_buffer(
-                "solid", name, self._keys(block_id)
-            ),
-        )
-
-    def snapshot_token(self, name: str) -> Optional[str]:
-        """The folded per-block tokens, memoized per (field, snapshot)
-        identity in the cache's token table like the per-block tokens
-        themselves: a revisit asks once, not once per block."""
-        if self._derived is None:
-            return None
-        return self._derived.folded_token(
             ("solid", name, self._block_order, self._tsid),
-            lambda: [self.derived_token(block_id, name)
+            lambda: [self._gbo.get_field_buffer("solid", name,
+                                                self._keys(block_id))
                      for block_id in self._block_order],
         )
 

@@ -99,14 +99,18 @@ class TriangleSoup:
 
     @property
     def n_triangles(self) -> int:
+        """Number of triangles in the soup."""
         return len(self.vertices)
 
     @classmethod
     def empty(cls) -> "TriangleSoup":
+        """A soup with no triangles."""
         return cls(np.empty((0, 3, 3)), np.empty((0, 3)))
 
     @classmethod
     def concatenate(cls, soups: List["TriangleSoup"]) -> "TriangleSoup":
+        """One soup holding every triangle of ``soups``, in order; a
+        single non-empty soup is returned as is."""
         soups = [s for s in soups if s.n_triangles]
         if not soups:
             return cls.empty()

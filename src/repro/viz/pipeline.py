@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.derived import fold_tokens
 from repro.gen.quantities import ELEMENT_FIELDS, NODE_FIELDS
 from repro.viz.camera import Camera
 from repro.viz.colormap import Colormap
@@ -66,28 +65,17 @@ class SnapshotData:
         """
         return None
 
-    def derived_token(self, block_id: str,
-                      name: str) -> Optional[str]:
-        """Content token of a source array (``'coords'``/``'conn'``/a
-        field name), or None when unknown — any None token disables
-        caching for the lookups that would need it. Tokens must change
-        whenever the array's bits change; content-hash tokens (see
-        :func:`repro.core.derived.content_token`) additionally let
-        identical arrays — e.g. a mesh constant across time-steps —
-        share cache entries.
-        """
-        return None
-
     def snapshot_token(self, name: str) -> Optional[str]:
-        """Content token of one source array across the whole
-        snapshot: the per-block :meth:`derived_token` values folded in
-        ``block_ids()`` order, or None when any of them is unknown.
-        Extraction memoizes at this grain; backends may memoize the
-        fold itself (it is asked for once per op)."""
-        return fold_tokens([
-            self.derived_token(block_id, name)
-            for block_id in self.block_ids()
-        ])
+        """Content token of one source array (``'coords'``/``'conn'``/a
+        field name) across the whole snapshot, or None (the default)
+        when unknown — a None token disables caching for the lookups
+        that would need it. Tokens must change whenever the bits of any
+        block's array change; content-hash tokens (see
+        :func:`repro.core.derived.content_token`) additionally let
+        identical snapshots — e.g. a mesh constant across time-steps —
+        share cache entries. Extraction asks once per op, so backends
+        may memoize it."""
+        return None
 
     def parallel_extract_safe(self) -> bool:
         """Whether per-op extraction may run on compute-pool
@@ -126,6 +114,8 @@ def field_components(name: str) -> int:
 
 
 def is_element_field(name: str) -> bool:
+    """Whether a known quantity lives on tets (True) or nodes (False);
+    KeyError for an unknown name."""
     if name in ELEMENT_FIELDS:
         return True
     if name in NODE_FIELDS:
@@ -379,7 +369,7 @@ class Pipeline:
             if cache is None:
                 return None
             return cache.token(("merged-tets", coords_tok, conn_tok),
-                               lambda: tets)
+                               lambda: (tets,))
 
         def scalars():
             if raw.ndim == 2 and op.component in (None, "magnitude"):

@@ -18,7 +18,6 @@ from repro.core.derived import (
     DerivedCache,
     canonical_key,
     content_token,
-    fold_tokens,
     freeze_value,
     nbytes_of,
 )
@@ -222,40 +221,32 @@ class TestTokens:
 
         def provider():
             calls["n"] += 1
-            return array
+            return [array]
 
         first = cache.token(("solid", "coords", "b0"), provider)
         second = cache.token(("solid", "coords", "b0"), provider)
-        assert first == second
+        assert first == second == content_token(array)
         assert calls["n"] == 1
 
     def test_equal_content_shares_token(self, cache):
         a = np.arange(16.0)
-        tok0 = cache.token(("id", 0), lambda: a)
-        tok1 = cache.token(("id", 1), lambda: a.copy())
+        tok0 = cache.token(("id", 0), lambda: [a])
+        tok1 = cache.token(("id", 1), lambda: [a.copy()])
         assert tok0 == tok1
 
-    def test_fold_tokens_is_ordered_and_unambiguous(self):
-        assert fold_tokens(["a", "b"]) == fold_tokens(iter(["a", "b"]))
-        assert fold_tokens(["a", "b"]) != fold_tokens(["b", "a"])
-        assert fold_tokens(["ab"]) != fold_tokens(["a", "b"])
-        assert fold_tokens(["a", None]) is None
-
-    def test_folded_token_memoized_unless_unknown(self, cache):
-        calls = []
-
-        def parts(values):
-            calls.append(values)
-            return values
-
-        first = cache.folded_token("snap", lambda: parts(["a", "b"]))
-        assert first == fold_tokens(["a", "b"])
-        assert cache.folded_token("snap", lambda: parts(["x"])) == first
-        assert calls == [["a", "b"]]
-        # An unknown part folds to None and is asked for again.
-        assert cache.folded_token("other", lambda: ["a", None]) is None
-        assert cache.folded_token("other", lambda: ["a"]) == \
-            fold_tokens(["a"])
+    def test_content_token_frames_each_array(self):
+        a, b = np.arange(3.0), np.arange(3.0, 5.0)
+        assert content_token(a, b) == content_token(a.copy(), b.copy())
+        assert content_token(a, b) != content_token(b, a)
+        # The same bytes split differently are different content.
+        assert content_token(np.concatenate([a, b])) != content_token(a, b)
+        whole = np.arange(4.0)
+        assert content_token(whole[:1], whole[1:]) != \
+            content_token(whole[:2], whole[2:])
+        # Every part's dtype and shape count, not just the bytes.
+        assert content_token(a, b) != content_token(a.view(np.int64), b)
+        assert content_token(a, b) != content_token(a.reshape(3, 1), b)
+        assert content_token() != content_token(np.empty(0))
 
 
 def _bulk_schema():

@@ -21,6 +21,8 @@ from repro.io.readers import (
     solid_schema,
 )
 from repro.core.database import GBO
+from repro.gen.snapshot import block_key, timestep_id
+from repro.viz.apollo import ApolloSession, interactive_trace
 from repro.viz.voyager import GodivaSnapshotData, Voyager, VoyagerConfig
 
 ALL_FIELDS = ("coords", "conn", "ave_stress", "temperature",
@@ -78,12 +80,134 @@ class TestReadOnlyViews:
         )
         assert raw.flags.writeable
 
-    def test_derived_tokens_stable_and_distinct(self, godiva_data):
-        block = godiva_data.block_ids()[0]
-        tok = godiva_data.derived_token(block, "coords")
+    def test_snapshot_tokens_stable_and_distinct(self, godiva_data):
+        tok = godiva_data.snapshot_token("coords")
         assert tok is not None
-        assert godiva_data.derived_token(block, "coords") == tok
-        assert godiva_data.derived_token(block, "conn") != tok
+        assert godiva_data.snapshot_token("coords") == tok
+        assert godiva_data.snapshot_token("conn") != tok
+
+
+def _gbo_with(snapshots, **engine):
+    """A G-build GBO holding ``{tsid: {block_id: {field: array}}}``,
+    one unit per time-step named by its tsid, every unit resident."""
+    gbo = GBO(mem_mb=16, background_io=False, **engine)
+    solid_schema().ensure(gbo)
+
+    def read_fn(database, tsid):
+        for block_id, fields in snapshots[tsid].items():
+            record = database.new_record("solid")
+            record.field("block id").write(
+                block_key(block_id).encode("ascii"))
+            record.field("time-step id").write(tsid.encode("ascii"))
+            for name, values in fields.items():
+                database.alloc_field_buffer(
+                    record, name, values.nbytes).write(values)
+            database.commit_record(record)
+
+    for tsid in snapshots:
+        gbo.add_unit(tsid, read_fn)
+        gbo.wait_unit(tsid)
+    return gbo
+
+
+class TestSnapshotToken:
+    """One content hash per (field, snapshot): equality follows the
+    bytes, the block split and the dtype; the hash runs once."""
+
+    T0, T1 = timestep_id(0.0), timestep_id(1e-5)
+
+    def test_equal_bytes_equal_tokens_across_tsids(self):
+        blocks = {"block_0000": {"temperature": np.arange(5.0)},
+                  "block_0001": {"temperature": np.arange(3.0)}}
+        gbo = _gbo_with({self.T0: blocks, self.T1: blocks})
+        try:
+            ids = list(blocks)
+            tok0 = GodivaSnapshotData(gbo, self.T0, ids)
+            tok1 = GodivaSnapshotData(gbo, self.T1, ids)
+            assert tok0.snapshot_token("temperature") == \
+                tok1.snapshot_token("temperature")
+        finally:
+            gbo.close()
+
+    def test_a_different_value_changes_the_token(self):
+        gbo = _gbo_with({
+            self.T0: {"block_0000": {"temperature": np.arange(5.0)}},
+            self.T1: {"block_0000": {"temperature": np.arange(1.0, 6.0)}},
+        })
+        try:
+            tokens = {GodivaSnapshotData(gbo, tsid, ["block_0000"])
+                      .snapshot_token("temperature")
+                      for tsid in (self.T0, self.T1)}
+            assert len(tokens) == 2
+        finally:
+            gbo.close()
+
+    def test_block_split_changes_the_token(self):
+        """``[ab]`` and ``[a, b]``: the same bytes in one block or two."""
+        whole = np.arange(6.0)
+        gbo = _gbo_with({
+            self.T0: {"block_0000": {"temperature": whole}},
+            self.T1: {"block_0000": {"temperature": whole[:2]},
+                      "block_0001": {"temperature": whole[2:]}},
+        })
+        try:
+            one = GodivaSnapshotData(gbo, self.T0, ["block_0000"])
+            two = GodivaSnapshotData(gbo, self.T1,
+                                     ["block_0000", "block_0001"])
+            assert one.snapshot_token("temperature") != \
+                two.snapshot_token("temperature")
+        finally:
+            gbo.close()
+
+    def test_dtype_changes_the_token(self):
+        """The same 24 bytes as int32 ``conn`` and float64
+        ``temperature`` are different content."""
+        raw = np.arange(3.0)
+        gbo = _gbo_with({self.T0: {"block_0000": {
+            "temperature": raw, "conn": raw.view(np.int32)}}})
+        try:
+            data = GodivaSnapshotData(gbo, self.T0, ["block_0000"])
+            assert data.snapshot_token("temperature") != \
+                data.snapshot_token("conn")
+        finally:
+            gbo.close()
+
+    def test_memoized_per_identity(self):
+        blocks = {f"block_{i:04d}": {"temperature": np.full(4, float(i))}
+                  for i in range(3)}
+        gbo = _gbo_with({self.T0: blocks})
+        try:
+            data = GodivaSnapshotData(gbo, self.T0, list(blocks))
+            queries = []
+            query = gbo.get_field_buffer
+
+            def counted(*args):
+                queries.append(args)
+                return query(*args)
+
+            gbo.get_field_buffer = counted
+            first = data.snapshot_token("temperature")
+            assert len(queries) == 3   # one pass over the new bytes
+            again = GodivaSnapshotData(gbo, self.T0, list(blocks))
+            assert again.snapshot_token("temperature") == first
+            assert data.snapshot_token("temperature") == first
+            assert len(queries) == 3   # a revisit is one lookup
+            # Another block order is another identity.
+            reordered = GodivaSnapshotData(gbo, self.T0,
+                                           list(blocks)[::-1])
+            assert reordered.snapshot_token("temperature") != first
+            assert len(queries) == 6
+        finally:
+            gbo.close()
+
+    def test_none_without_a_cache(self):
+        gbo = _gbo_with({self.T0: {"block_0000": {
+            "temperature": np.arange(3.0)}}}, derived_cache=False)
+        try:
+            data = GodivaSnapshotData(gbo, self.T0, ["block_0000"])
+            assert data.snapshot_token("temperature") is None
+        finally:
+            gbo.close()
 
 
 class TestCacheDisabled:
@@ -101,9 +225,7 @@ class TestCacheDisabled:
                 small_dataset.block_ids,
             )
             assert data.derived_cache() is None
-            assert data.derived_token(
-                data.block_ids()[0], "coords"
-            ) is None
+            assert data.snapshot_token("coords") is None
         finally:
             gbo.close()
 
@@ -170,3 +292,31 @@ class TestBitIdentity:
         assert frames_on.keys() == frames_sq.keys()
         for name in frames_on:
             assert frames_on[name] == frames_sq[name]
+
+
+class TestDerivedCounts:
+    """Derived-cache hits and misses are pinned: a token change that
+    splits or merges cache keys shows here as a count change. The
+    numbers are those of the per-block-token design the one-hash
+    snapshot token replaced."""
+
+    def test_apollo_session_trace(self, small_dataset):
+        trace = interactive_trace(4, 12, "browse", seed=7)
+        session = ApolloSession(small_dataset.directory, test="medium",
+                                mem_mb=64, render=True)
+        try:
+            for step in trace:
+                session.view(step)
+            stats = session.gbo.stats
+            assert (stats.derived_hits, stats.derived_misses) == (26, 46)
+        finally:
+            session.close()
+
+    def test_tg_voyager_run(self, small_dataset, tmp_path):
+        result = Voyager(VoyagerConfig(
+            data_dir=small_dataset.directory, test="complex", mode="TG",
+            mem_mb=64, derived_cache=True, render=True,
+            out_dir=str(tmp_path), snapshot_indices=[0, 1, 0, 2, 1],
+        )).run()
+        assert (result.gbo_stats["derived_hits"],
+                result.gbo_stats["derived_misses"]) == (49, 37)

@@ -217,13 +217,13 @@ class PartitionData(SnapshotData):
     def derived_cache(self):
         return self._cache
 
-    def derived_token(self, block_id, name):
+    def snapshot_token(self, name):
         if self._cache is None:
             return None
-        coords, conn, fields = self._blocks[block_id]
-        return content_token(
+        return content_token(*[
             {"coords": coords, "conn": conn}.get(name, fields.get(name))
-        )
+            for coords, conn, fields in self._blocks.values()
+        ])
 
     def block_ids(self):
         return list(self._blocks)

@@ -89,8 +89,8 @@ def test_tenant_tokens_stay_distinct(service):
     with service.create_session("a") as a, \
             service.create_session("b") as b:
         identity = ("blob", "payload", 0)
-        tok_a = a.derived.token(identity, lambda: np.zeros(8))
-        tok_b = b.derived.token(identity, lambda: np.ones(8))
+        tok_a = a.derived.token(identity, lambda: [np.zeros(8)])
+        tok_b = b.derived.token(identity, lambda: [np.ones(8)])
         assert tok_a != tok_b
         # Each scope memoizes its own identity: no provider runs again.
         assert a.derived.token(identity, pytest.fail) == tok_a

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from reference_geometry import reference_boundary_faces
 from repro.gen.tetmesh import structured_tet_block
 from repro.viz.geometry import (
     boundary_faces,
@@ -10,6 +12,7 @@ from repro.viz.geometry import (
     node_tet_counts,
     triangle_normals,
 )
+from repro.viz.pipeline import merge_blocks
 from viz_oracles import triangle_areas
 
 
@@ -46,6 +49,65 @@ class TestBoundaryFaces:
         shared = {1, 2, 3}
         for face in faces:
             assert set(face.tolist()) != shared
+
+
+def _assert_matches_reference(tets):
+    faces = boundary_faces(tets)
+    expected = reference_boundary_faces(tets)
+    assert faces.dtype == expected.dtype
+    assert faces.shape == expected.shape
+    assert faces.tobytes() == expected.tobytes()
+
+
+class TestBoundaryFacesMatchReference:
+    """The one-row-sort skin equals the ``np.unique(axis=0)`` oracle
+    byte for byte: same faces, same order, same winding, same dtype."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        n_nodes=st.integers(4, 12),
+        n_tets=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_tets(self, dtype, n_nodes, n_tets, seed):
+        """Few nodes for many tets: faces repeat, some three or more
+        times, and tets may repeat a node or each other."""
+        rng = np.random.default_rng(seed)
+        tets = rng.integers(0, n_nodes, size=(n_tets, 4)).astype(dtype)
+        _assert_matches_reference(tets)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        picks=st.lists(st.integers(0, 47), min_size=1, max_size=60),
+        base=st.sampled_from([0, 2**31 - 64]),
+    )
+    def test_repeated_and_shared_faces(self, dtype, picks, base):
+        """Tets drawn, with repeats, from a Kuhn-split cube: shared
+        interior faces, duplicated tets, and node ids near the int32
+        ceiling."""
+        mesh = structured_tet_block(2, 2, 1)
+        tets = (mesh.tets[np.array(picks) % mesh.n_tets] + base)
+        _assert_matches_reference(tets.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_mesh(self, dtype):
+        tets = np.zeros((0, 4), dtype=dtype)
+        assert boundary_faces(tets).shape == (0, 3)
+        _assert_matches_reference(tets)
+
+    def test_single_tet(self):
+        _assert_matches_reference(np.array([[5, 1, 9, 3]]))
+
+    def test_merged_multi_block_mesh(self):
+        blocks = [structured_tet_block(2, 3, 1), structured_tet_block(1, 1, 1),
+                  structured_tet_block(3, 1, 2)]
+        _nodes, tets, _tet_block = merge_blocks(
+            [mesh.nodes for mesh in blocks],
+            [mesh.tets.astype(np.int32) for mesh in blocks],
+        )
+        _assert_matches_reference(tets)
 
 
 class TestTriangleMath:
