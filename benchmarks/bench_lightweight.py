@@ -22,7 +22,7 @@ median CPU seconds, with both sides' quartiles. When the overhead sits
 inside the floor's own spread there is nothing left to cut on the
 per-buffer path.
 
-Run the measurement (prints one JSON object)::
+Run the measurement (prints one JSON object, on one line)::
 
     PYTHONPATH=src python benchmarks/bench_lightweight.py --pairs 6
 
@@ -36,10 +36,15 @@ or once, quick-sized, as a smoke test::
   0.527-0.564) against floor 0.350 s (0.338-0.361), so
   ``overhead_frac`` is 0.36. The same file on the code before the
   directory-parse memo read 0.741 against 0.464 s, 0.37.
+* After records became rows (ADR-020), two runs a side, same
+  command: real 0.348 / 0.369 s against floor 0.258 / 0.272 s,
+  ``overhead_frac`` 0.26 / 0.26; the code before it read real
+  0.398 / 0.405 against 0.257 / 0.267, 0.35 / 0.34.
 * Six alternating fresh-process runs of each side, with the replica
   written out by hand: floor 0.274 s against real 0.477 s CPU, 0.43.
-* Each lever stripped from the real side alone: the reader layer
-  -12 %, the record-lock claim -5 %, the query's touch -6 %,
+* Each lever stripped from the real side alone, before ADR-020: the
+  reader layer -12 %, the record-lock claim -5 %, the query's touch
+  -6 % (a query of a pinned unit no longer makes it),
   ``IoStats.record_read`` -4 %, the budget charge -3 %, GC -2 %; all
   of them together -37 %.
 
@@ -270,7 +275,7 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=sorted(SIZES), default="default")
     args = parser.parse_args(argv)
-    print(json.dumps(measure(args.pairs, args.seed, args.size), indent=2))
+    print(json.dumps(measure(args.pairs, args.seed, args.size)))
 
 
 if __name__ == "__main__":

@@ -59,8 +59,8 @@ LOCK_TABLE: Dict[str, dict] = {
         "owner": "RecordEngine._lock",
         "classes": {
             "RecordEngine": (
-                "_field_types", "_record_types", "_index", "_closing",
-                "_closed",
+                "_field_types", "_record_types", "_index", "_held",
+                "_closing", "_closed",
             ),
         },
     },

@@ -118,7 +118,7 @@ class GBO:
         # Records make heap storage themselves (a bytearray, exactly what
         # a HeapArena would hand out) and ask any other arena.
         self._records = RecordEngine(
-            stats=self.stats, clock=clock,
+            stats=self.stats,
             arena=None if type(self._arena) is HeapArena else self._arena)
         self._mem = MemoryManager(config.budget_bytes,
                                   policy=config.eviction_policy, lock=self._lock,
@@ -137,7 +137,8 @@ class GBO:
                        closing=lambda: self._closing, derived=self._derived,
                        arena=self._arena)
         self._io.bind(owner=self, memory=self._mem,
-                      check_open=self._check_open, closing=lambda: self._closing)
+                      check_open=self._check_open, closing=lambda: self._closing,
+                      hold_unit=self._records.hold_unit)
         self._records.bind(charge=self._mem.charge_bytes,
                            release=self._mem.release_bytes,
                            current_load_unit=self._io.current_load_unit,

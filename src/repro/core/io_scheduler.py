@@ -130,6 +130,7 @@ class IoScheduler:
         self._memory = None
         self._check_open: Callable[[], None] = lambda: None
         self._closing: Callable[[], bool] = lambda: False
+        self._hold_unit: Callable[[str, bool], None] = lambda name, held: None
 
     def bind(
         self,
@@ -138,17 +139,24 @@ class IoScheduler:
         memory: object,
         check_open: Callable[[], None],
         closing: Callable[[], bool],
+        hold_unit: Optional[Callable[[str, bool], None]] = None,
     ) -> None:
         """Wire the facade and collaborating layers.
 
         ``owner`` is the object passed to read callbacks; ``check_open`` raises once
         the database is closing and ``closing`` reports the same flag —
-        both are called with the engine lock held.
+        both are called with the engine lock held. ``hold_unit(name,
+        held)`` (the record layer's :meth:`RecordEngine.hold_unit
+        <repro.core.record_engine.RecordEngine.hold_unit>`) is told,
+        under the engine lock, when a unit starts or ends a load and
+        when its reference count leaves or reaches zero.
         """
         self._owner = owner
         self._memory = memory
         self._check_open = check_open
         self._closing = closing
+        if hold_unit is not None:
+            self._hold_unit = hold_unit
 
     def start(self) -> None:
         """Spawn the background worker pool (no-op for ``workers=0``)."""
@@ -277,6 +285,8 @@ class IoScheduler:
             self.stats.wait_hits += 1
         unit.ref_count += 1
         self._memory.remove_evictable(unit.name)
+        if unit.ref_count == 1:
+            self._hold_unit(unit.name, True)
 
     def finish(self, name: str) -> None:
         """Declare processing complete; evictable at zero refs. Lock held."""
@@ -289,6 +299,9 @@ class IoScheduler:
         unit.finished = True
         if unit.ref_count > 0:
             unit.ref_count -= 1
+            if unit.ref_count == 0:
+                # Before make_evictable: a held unit is in no policy.
+                self._hold_unit(name, False)
         self.emit("finished", name)
         if unit.evictable:
             self._memory.make_evictable(name)
@@ -359,6 +372,7 @@ class IoScheduler:
                 f"unit {unit.name!r} has no read function to reload with"
             )
         unit.state = UnitState.READING
+        self._hold_unit(unit.name, True)
         return unit.read_fn
 
     @staticmethod
@@ -573,6 +587,7 @@ class IoScheduler:
                 if unit is None or unit.state is not UnitState.QUEUED:
                     continue  # cancelled while queued
                 unit.state = UnitState.READING
+                self._hold_unit(name, True)
                 unit.worker = worker_index
                 now = self._clock()
                 unit.read_started_at = now
@@ -647,5 +662,8 @@ class IoScheduler:
             else:
                 unit.state = UnitState.RESIDENT
                 unit.finished = False
+                # The other outcomes drop the unit's records, and its
+                # held mark with them (MemoryManager.free_unit_records).
+                self._hold_unit(name, False)
                 self.emit("loaded", name)
             self._cond.notify_all()

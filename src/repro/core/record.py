@@ -3,126 +3,122 @@
 A record is "a set of developer-defined fields", each field "composed of an
 integer storing the data size and a pointer to a data buffer" (section 3.1,
 Figure 2). GODIVA manages buffer *locations*, never interpreting contents;
-the visualization code accesses the buffers directly. Here a buffer is a
-``bytearray`` exposed through zero-copy numpy views, which is the closest
-Python analogue of handing out a raw pointer.
+the visualization code accesses the buffers directly. Here a record is a
+*row*: one slot per field, in its record type's field order, holding the
+field's storage — a ``bytearray`` exposed through zero-copy numpy views,
+the closest Python analogue of handing out a raw pointer. A
+:class:`FieldBuffer` is a view of one slot made on demand, so a record
+keeps no object per field alive (ADR-020).
 
-Where the bytes live is pluggable: pass an
-:class:`~repro.core.arena.Arena` and buffers come from it instead of
-the heap (``SharedMemoryArena`` puts them in OS shared memory for the
-sharded GBO). With no arena — or the default ``HeapArena`` — storage is
-the historical ``bytearray``, byte for byte.
+Where the bytes live is pluggable: with an :class:`~repro.core.arena.Arena`
+a slot holds its :class:`~repro.core.arena.Allocation` (whose ``view`` is
+the storage; shared memory for the sharded GBO), else a ``bytearray``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.core.arena import Allocation
 from repro.core.types import UNKNOWN, FieldType, RecordType
 from repro.errors import RecordStateError, SchemaError
 
-
-#: What a field buffer holds between ``claim`` and ``fill``: it counts
+#: What a slot holds between ``claim`` and the bytes landing: it counts
 #: as allocated (a second claim is refused) but holds no bytes yet.
 CLAIMED = b""
+#: A query's array over a ``bytearray`` (``np.frombuffer`` would keep two
+#: GC-tracked objects alive per array), and a view made without __init__.
+_ndarray, _new_object = np.ndarray, object.__new__
+
+
+def _new_storage(nbytes: int, arena) -> object:
+    """``nbytes`` of zeroed storage: a ``bytearray``, or from ``arena``."""
+    return bytearray(nbytes) if arena is None else arena.alloc_raw(nbytes)
+
+
+def _storage(data, field_type: Optional[FieldType]):
+    """A slot's bytes (an arena allocation's view); raises if empty."""
+    if data is None:
+        raise RecordStateError(f"field {field_type.name!r}: buffer not "
+                               f"allocated")
+    return data.view if data.__class__ is Allocation else data
 
 
 class FieldBuffer:
-    """One field's ``(size, buffer)`` pair.
+    """One field's ``(size, buffer)`` pair: a view of one slot of a row.
 
-    The buffer is allocated either eagerly (known-size field types, at
-    record creation) or explicitly via ``alloc_field_buffer``. Until then
-    :attr:`allocated` is False and accessors raise.
+    ``record.field(name)`` and ``alloc_field_buffer`` make a fresh view
+    per call (two views of one storage, not one object);
+    ``FieldBuffer(field_type)`` alone owns a one-slot row. Known sizes are
+    allocated at creation, UNKNOWN ones by :meth:`allocate` (or
+    ``alloc_field_buffer``); until then accessors raise.
     """
 
-    __slots__ = ("field_type", "_data", "_arena", "_alloc")
+    __slots__ = ("field_type", "_arena", "_row", "_slot")
 
-    def __init__(self, field_type: FieldType, arena=None):
+    def __init__(self, field_type: FieldType, arena=None,
+                 row: Optional[List] = None, slot: int = 0):
         self.field_type = field_type
-        #: Storage: a ``bytearray`` (heap) or an arena allocation's view
-        #: (a writable ``memoryview`` for shared memory) — both support
-        #: ``len``, slice assignment, and ``np.frombuffer``.
-        self._data = None
         self._arena = arena
-        self._alloc = None
-        if field_type.size is not UNKNOWN:
-            self.fill(field_type.size)
-
-    def fill(self, nbytes: int) -> None:
-        """Give the buffer ``nbytes`` of zeroed storage: a ``bytearray``,
-        or the arena's allocation when there is an arena."""
-        if self._arena is None:
-            self._data = bytearray(nbytes)
-        else:
-            self._alloc = self._arena.alloc_raw(nbytes)
-            self._data = self._alloc.view
+        if row is None:
+            row = [None if field_type.size is UNKNOWN
+                   else _new_storage(field_type.size, arena)]
+        self._row = row
+        self._slot = slot
 
     @property
     def allocated(self) -> bool:
         """Whether the buffer holds storage (or a pending claim)."""
-        return self._data is not None
+        return self._row[self._slot] is not None
 
     @property
     def size(self) -> int:
         """Buffer size in bytes (the paper's per-field size integer)."""
-        if self._data is None:
-            raise RecordStateError(
-                f"field {self.field_type.name!r}: buffer not allocated"
-            )
-        return len(self._data)
+        return len(_storage(self._row[self._slot], self.field_type))
 
     def claim(self, nbytes: int) -> None:
         """Check that this UNKNOWN-size buffer may take ``nbytes`` and
-        reserve it for them: until :meth:`fill` it counts as allocated,
-        so a second claim fails. :meth:`release` gives a claim back.
-
-        The record engine claims under its record lock, then charges
-        the budget and fills, so of two racing allocations exactly one
-        is charged.
-        """
+        reserve its slot (:data:`CLAIMED`): a second claim fails, and
+        :meth:`release` gives the claim back. The record engine claims
+        under its record lock, then charges and fills, so of two racing
+        allocations exactly one is charged."""
         field_type = self.field_type
         if field_type.size is not UNKNOWN:
             raise RecordStateError(
                 f"field {field_type.name!r} has a fixed size "
-                f"({field_type.size}); it was allocated at record "
-                f"creation"
-            )
-        if self._data is not None:
+                f"({field_type.size}); it was allocated at record creation")
+        if self._row[self._slot] is not None:
             raise RecordStateError(
-                f"field {field_type.name!r}: buffer already allocated"
-            )
+                f"field {field_type.name!r}: buffer already allocated")
         if nbytes < 0:
             raise ValueError("buffer size must be non-negative")
         if nbytes % field_type.data_type.itemsize != 0:
             raise SchemaError(
                 f"field {field_type.name!r}: {nbytes} bytes is not a "
                 f"multiple of the {field_type.data_type.name} item "
-                f"size {field_type.data_type.itemsize}"
-            )
-        self._data = CLAIMED
+                f"size {field_type.data_type.itemsize}")
+        self._row[self._slot] = CLAIMED
 
     def allocate(self, nbytes: int) -> None:
         """Explicitly allocate an UNKNOWN-size field's buffer."""
         self.claim(nbytes)
         try:
-            self.fill(nbytes)
+            self._row[self._slot] = _new_storage(nbytes, self._arena)
         except BaseException:
-            self._data = None
+            self._row[self._slot] = None
             raise
 
     def release(self) -> int:
         """Drop the buffer (or a claim), returning the bytes freed."""
-        data = self._data
+        row, slot = self._row, self._slot
+        data = row[slot]
         if data is None:
             return 0
-        freed = len(data)
-        self._data = None
-        if self._alloc is not None:
-            self._arena.free_raw(self._alloc)
-            self._alloc = None
-        return freed
+        row[slot] = None
+        return (len(data) if data.__class__ is not Allocation
+                else self._arena.free_raw(data))
 
     # ------------------------------------------------------------------
     # Buffer access — the "query a dataset's buffer location" side.
@@ -133,20 +129,14 @@ class FieldBuffer:
         This is the Python analogue of the raw pointer ``getFieldBuffer``
         returns: writes through the view mutate the stored data.
         """
-        data = self._data
-        if data is None:
-            raise RecordStateError(
-                f"field {self.field_type.name!r}: buffer not allocated"
-            )
+        data = self._row[self._slot]
+        if data.__class__ is not bytearray:
+            data = _storage(data, self.field_type)
         return np.frombuffer(data, self.field_type.data_type.numpy_dtype)
 
     def as_bytes(self) -> bytes:
         """Immutable copy of the buffer contents (used for key values)."""
-        if self._data is None:
-            raise RecordStateError(
-                f"field {self.field_type.name!r}: buffer not allocated"
-            )
-        return bytes(self._data)
+        return bytes(_storage(self._row[self._slot], self.field_type))
 
     def write(self, data: Union[bytes, bytearray, memoryview,
                                 np.ndarray]) -> None:
@@ -156,71 +146,71 @@ class FieldBuffer:
         silent garbage, which the library refuses even though the paper
         leaves integrity to the application.
         """
-        if self._data is None:
-            raise RecordStateError(
-                f"field {self.field_type.name!r}: buffer not allocated"
-            )
-        if isinstance(data, np.ndarray):
-            data = np.ascontiguousarray(
-                data, dtype=self.field_type.data_type.numpy_dtype
-            ).tobytes()
-        elif isinstance(data, str):
-            data = data.encode("ascii")
-        if len(data) != len(self._data):
+        storage = self._row[self._slot]
+        if storage.__class__ is not bytearray:
+            storage = _storage(storage, self.field_type)
+        if data.__class__ is not bytes:
+            if isinstance(data, np.ndarray):
+                data = np.ascontiguousarray(
+                    data, dtype=self.field_type.data_type.numpy_dtype
+                ).tobytes()
+            elif isinstance(data, str):
+                data = data.encode("ascii")
+        if len(data) != len(storage):
             raise ValueError(
                 f"field {self.field_type.name!r}: write of {len(data)} "
-                f"bytes into a {len(self._data)}-byte buffer"
+                f"bytes into a {len(storage)}-byte buffer"
             )
-        self._data[:] = data
+        storage[:] = data
 
     def __repr__(self) -> str:
-        size = len(self._data) if self._data is not None else UNKNOWN
+        data = self._row[self._slot]
+        size = UNKNOWN if data is None else len(_storage(data, None))
         return f"FieldBuffer({self.field_type.name!r}, size={size!r})"
 
 
 class Record:
-    """A record instance: one :class:`FieldBuffer` per field of its type.
+    """A record instance: one row slot per field of its type.
 
     Lifecycle: created by ``new_record`` (key and known-size buffers
     allocated), optionally ``alloc_field_buffer`` for UNKNOWN-size fields,
     then ``commit_record`` snapshots the key-field bytes into the index.
     """
 
-    __slots__ = ("record_type", "_buffers", "committed", "unit_name", "_key")
+    __slots__ = ("record_type", "_row", "_arena", "committed", "unit_name",
+                 "_key")
 
     def __init__(self, record_type: RecordType, arena=None):
         if not record_type.committed:
-            raise SchemaError(
-                f"record type {record_type.name!r} is not committed; "
-                f"call commit_record_type first"
-            )
+            raise SchemaError(f"record type {record_type.name!r} is not "
+                              f"committed; call commit_record_type first")
         self.record_type = record_type
-        self._buffers: Dict[str, FieldBuffer] = {
-            name: FieldBuffer(field_type, arena)
-            for name, field_type in record_type.fields()
-        }
+        self._arena = arena
+        self._row = row = [None] * len(record_type.field_list)
+        for slot, nbytes in record_type.fixed_slots:
+            row[slot] = _new_storage(nbytes, arena)
         self.committed = False
         #: Name of the processing unit that owns this record, if any.
         self.unit_name: Optional[str] = None
         self._key: Optional[Tuple[bytes, ...]] = None
 
     def field(self, name: str) -> FieldBuffer:
-        """The field's :class:`FieldBuffer`; :class:`SchemaError` if the
-        record type has no such field."""
-        try:
-            return self._buffers[name]
-        except KeyError:
-            raise SchemaError(
-                f"record type {self.record_type.name!r} has no field "
-                f"{name!r}"
-            ) from None
+        """A fresh :class:`FieldBuffer` view of the field's slot;
+        :class:`SchemaError` if the record type has no such field."""
+        record_type = self.record_type
+        slot = record_type.slot_of.get(name)
+        if slot is None:
+            raise SchemaError(f"record type {record_type.name!r} has no "
+                              f"field {name!r}")
+        buf = _new_object(FieldBuffer)
+        buf.field_type = record_type.field_list[slot]
+        buf._arena, buf._row, buf._slot = self._arena, self._row, slot
+        return buf
 
     def allocated_bytes(self) -> int:
         """Total bytes currently held by this record's buffers."""
-        return sum(
-            len(buf._data) for buf in self._buffers.values()
-            if buf._data is not None
-        )
+        return sum(len(_storage(data, None)) for data in self._row
+                   if data is not None)
 
     def key_tuple(self) -> Tuple[bytes, ...]:
         """Current key-field buffer contents as an index key.
@@ -230,15 +220,15 @@ class Record:
         desynchronizes the index (section 3.3), and this library likewise
         does not guard against it.
         """
-        buffers = self._buffers
+        record_type, row = self.record_type, self._row
         values = []
-        for name in self.record_type.key_field_names:
-            data = buffers[name]._data
+        for slot in record_type.key_slots:
+            data = row[slot]
             if data is None:
                 raise RecordStateError(
-                    f"key field {name!r} is not allocated; cannot form key"
-                )
-            values.append(bytes(data))
+                    f"key field {record_type.field_list[slot].name!r} is "
+                    f"not allocated; cannot form key")
+            values.append(bytes(_storage(data, None)))
         return tuple(values)
 
     @property
@@ -253,17 +243,17 @@ class Record:
 
     def release_all(self) -> int:
         """Free every buffer; returns total bytes released."""
+        row, arena = self._row, self._arena
+        if arena is None:       # every slot a bytearray, CLAIMED or None
+            freed = sum(map(len, filter(None, row)))
+            row[:] = self.record_type.blank_row
+            return freed
         freed = 0
-        for buf in self._buffers.values():
-            # FieldBuffer.release, written out: it runs for every buffer
-            # of every record a deleted or evicted unit drops.
-            data = buf._data
+        for slot, data in enumerate(row):
             if data is not None:
-                freed += len(data)
-                buf._data = None
-                if buf._alloc is not None:
-                    buf._arena.free_raw(buf._alloc)
-                    buf._alloc = None
+                row[slot] = None
+                freed += (len(data) if data.__class__ is not Allocation
+                          else arena.free_raw(data))
         return freed
 
     def __repr__(self) -> str:

@@ -19,12 +19,12 @@ Methods documented "Lock held." refer to the record lock (checked under
 Seams: memory charging/releasing, the current-load-unit probe, and the
 query-hit touch are bound callables (the facade wires them to the
 memory manager and the I/O scheduler); unbound they are no-ops, so the
-engine is fully usable standalone for schema/index tests.
+engine is fully usable standalone for schema/index tests. A query of a
+*held* unit (:meth:`RecordEngine.hold_unit`) skips the touch (ADR-020).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,8 @@ from repro.analysis.primitives import (
 from repro.analysis.races import guarded_by
 from repro.core.index import NO_RECORDS, RecordIndex, normalize_key_values
 from repro.core.memory import RECORD_OVERHEAD_BYTES
-from repro.core.record import CLAIMED, FieldBuffer, Record
+from repro.core.record import (CLAIMED, FieldBuffer, Record, _ndarray,
+                                _new_object, _storage)
 from repro.core.stats import GodivaStats
 from repro.core.types import UNKNOWN, DataType, FieldType, RecordType
 from repro.errors import (
@@ -47,25 +48,8 @@ from repro.errors import (
 )
 
 
-def _noop_charge(nbytes: int, unit_name: Optional[str]) -> None:
-    """Default charge seam: unlimited memory (standalone engine)."""
-
-
-def _noop_release(nbytes: int, unit_name: Optional[str]) -> None:
-    """Default release seam: unlimited memory (standalone engine)."""
-
-
-def _no_load_unit() -> Optional[str]:
-    """Default load-unit probe: never inside a read callback."""
-    return None
-
-
-def _noop_touch(unit_name: str) -> None:
-    """Default query-hit touch seam: no eviction policy to notify."""
-
-
-@guarded_by("_field_types", "_record_types", "_index", "_closing",
-            "_closed", lock="_lock")
+@guarded_by("_field_types", "_record_types", "_index", "_held",
+            "_closing", "_closed", lock="_lock")
 class RecordEngine:
     """Schema registry, record instances, key index, and query path.
 
@@ -76,8 +60,6 @@ class RecordEngine:
         ``queries`` are the only counters mutated here (under the
         record lock — each stats field belongs to exactly one lock
         domain).
-    clock:
-        Monotonic-seconds callable (kept for seam symmetry).
     arena:
         The :class:`~repro.core.arena.Arena` records allocate their
         field buffers from; ``None`` keeps plain heap ``bytearray``
@@ -90,7 +72,6 @@ class RecordEngine:
         self,
         *,
         stats: Optional[GodivaStats] = None,
-        clock: Callable[[], float] = time.monotonic,
         arena=None,
     ) -> None:
         self._lock = TrackedLock(f"RecordEngine._lock@{id(self):#x}")
@@ -98,18 +79,20 @@ class RecordEngine:
         self._check_locked = make_held_checker(
             self._lock, "RecordEngine helper"
         )
-        self._clock = clock
         self._arena = arena
         self.stats = stats if stats is not None else GodivaStats()
         self._field_types: Dict[str, FieldType] = {}
         self._record_types: Dict[str, RecordType] = {}
         self._index = RecordIndex()
+        #: Units marked held (loading or referenced; :meth:`hold_unit`).
+        self._held: set = set()
         self._closing = False
         self._closed = False
-        self._charge: Callable[[int, Optional[str]], None] = _noop_charge
-        self._release: Callable[[int, Optional[str]], None] = _noop_release
-        self._current_load_unit: Callable[[], Optional[str]] = _no_load_unit
-        self._touch_unit: Callable[[str], None] = _noop_touch
+        # Unbound seams: unlimited memory, never inside a read callback,
+        # no eviction policy to notify (a standalone engine).
+        self._charge = self._release = lambda nbytes, unit_name: None
+        self._current_load_unit: Callable[[], Optional[str]] = lambda: None
+        self._touch_unit: Callable[[str], None] = lambda unit_name: None
 
     def bind(
         self,
@@ -299,11 +282,14 @@ class RecordEngine:
         order); a charge that fails untracks it again.
         """
         unit_name = self._current_load_unit()
-        with self._lock:
+        self._lock.acquire()        # a per-record hold (ADR-020)
+        try:
             self._check_open()
             record_type = self._record_type_locked(record_type_name)
             record = Record(record_type, self._arena)
             self._index.track(record, unit_name)
+        finally:
+            self._lock.release()
         try:
             self._charge(record_type.fixed_size_bytes()
                          + RECORD_OVERHEAD_BYTES, unit_name)
@@ -318,30 +304,30 @@ class RecordEngine:
                            nbytes: int) -> FieldBuffer:
         """Allocate an UNKNOWN-size field's buffer (size now known).
 
-        The buffer is checked and claimed under the record lock, then
+        The slot is checked and claimed under the record lock, then
         charged to the record's unit and filled; so of two threads
         allocating one field, exactly one is charged and the other gets
-        the claim's :class:`~repro.errors.RecordStateError`.
-
-        The per-buffer call of every read callback, so it reaches the
-        buffer, the closing check and the claim without helper frames;
+        the claim's :class:`~repro.errors.RecordStateError`. The
+        per-buffer call of every read callback: no helper frames, and
         each helper is still what raises when its check fails.
         """
+        record_type = record.record_type
         try:
-            buf = record._buffers[field_name]
+            slot = record_type.slot_of[field_name]
         except KeyError:
-            buf = record.field(field_name)      # raises the SchemaError
-        field_type = buf.field_type
+            record.field(field_name)            # raises the SchemaError
+        field_type = record_type.field_list[slot]
+        row, arena = record._row, record._arena
         self._lock.acquire()        # a per-buffer hold (ADR-018)
         try:
             self._check_locked()
             if self._closing or self._closed:
                 raise DatabaseClosedError("GBO has been closed")
-            if (buf._data is not None or field_type.size is not UNKNOWN
+            if (row[slot] is not None or field_type.size is not UNKNOWN
                     or nbytes < 0
                     or nbytes % field_type.data_type.itemsize):
-                buf.claim(nbytes)       # raises the reason it is refused
-            buf._data = CLAIMED
+                record.field(field_name).claim(nbytes)      # raises
+            row[slot] = CLAIMED
         finally:
             self._lock.release()
         unit_name = record.unit_name
@@ -349,23 +335,29 @@ class RecordEngine:
         try:
             self._charge(nbytes, unit_name)
             charged = True
-            if self._arena is None:
-                buf._data = bytearray(nbytes)
-            else:
-                buf.fill(nbytes)
+            row[slot] = (bytearray(nbytes) if arena is None
+                         else arena.alloc_raw(nbytes))
         except BaseException:
-            buf.release()       # the claim; no bytes landed
+            row[slot] = None        # the claim; no bytes landed
             if charged:
                 self._release(nbytes, unit_name)
             raise
+        buf = _new_object(FieldBuffer)      # the view, without __init__
+        buf.field_type = field_type
+        buf._arena = arena
+        buf._row = row
+        buf._slot = slot
         return buf
 
     def commit_record(self, record: Record) -> None:
         """Insert the record into the index under its key-field values."""
-        with self._lock:
+        self._lock.acquire()        # a per-record hold (ADR-020)
+        try:
             self._check_open()
             self._index.commit(record)
             self.stats.records_committed += 1
+        finally:
+            self._lock.release()
 
     def delete_record(self, record: Record) -> None:
         """Unindex a single record and free its buffers."""
@@ -398,7 +390,8 @@ class RecordEngine:
             self.stats.queries += 1
             record = self._index.lookup(record_type_name, key)
             unit_name = record.unit_name
-        if unit_name is not None:
+            touch = unit_name is not None and unit_name not in self._held
+        if touch:
             self._touch_unit(unit_name)
         return record
 
@@ -407,47 +400,50 @@ class RecordEngine:
         """The live, zero-copy data buffer of the looked-up field.
 
         :meth:`get_record` and :meth:`FieldBuffer.as_array
-        <repro.core.record.FieldBuffer.as_array>` in one frame: the key
-        as given is probed first (a key of ``bytes`` already is the
-        index's form), then the record lock is held once, the owning
-        unit touched, and the view made. The helpers still raise every
-        error they raise.
+        <repro.core.record.FieldBuffer.as_array>` in one frame: one
+        record-lock hold probes the key as given (a key of ``bytes`` is
+        the index's form) and normalizes it only on a miss, the owning
+        unit is touched unless it is held, and the view is made of the
+        record's slot. The helpers still raise every error they raise.
         """
         key = tuple(key_values)
-        for value in key:
-            if type(value) is not bytes:
-                key = normalize_key_values(key)
-                break
         self._lock.acquire()        # a per-buffer hold (ADR-018)
         try:
             self._check_locked()
             if self._closing or self._closed:
                 raise DatabaseClosedError("GBO has been closed")
             self.stats.queries += 1
-            record = self._index.by_type.get(record_type_name, NO_RECORDS
-                                             ).get(key)
-            if record is None:
-                self._index.lookup(record_type_name, key)      # raises
+            try:
+                record = self._index.by_type.get(record_type_name,
+                                                 NO_RECORDS).get(key)
+            except TypeError:       # an unhashable key value
+                record = None
+            if record is None:      # not found, or not in bytes form
+                record = self._index.lookup(
+                    record_type_name, normalize_key_values(key))
             unit_name = record.unit_name
+            touch = unit_name is not None and unit_name not in self._held
         finally:
             self._lock.release()
-        if unit_name is not None:
+        if touch:
             self._touch_unit(unit_name)
+        record_type = record.record_type
         try:
-            buf = record._buffers[field_name]
+            slot = record_type.slot_of[field_name]
         except KeyError:
-            buf = record.field(field_name)      # raises the SchemaError
-        data = buf._data
-        if data is None:
-            buf.as_array()                      # raises the RecordStateError
-        return np.frombuffer(data, buf.field_type.data_type.numpy_dtype)
+            record.field(field_name)            # raises the SchemaError
+        data = record._row[slot]
+        dtype = record_type.dtypes[slot]
+        if data.__class__ is bytearray:
+            return _ndarray(len(data) // dtype.itemsize, dtype, data)
+        return np.frombuffer(_storage(data, record_type.field_list[slot]),
+                             dtype)             # an arena's view, or raises
 
     def get_field_buffer_size(self, record_type_name: str, field_name: str,
                               key_values: Sequence) -> int:
         """Like :meth:`get_field_buffer` but returns the size in bytes."""
-        return self.get_record(record_type_name, key_values).field(
-            field_name
-        ).size
+        record = self.get_record(record_type_name, key_values)
+        return record.field(field_name).size
 
     def has_record(self, record_type_name: str,
                    key_values: Sequence) -> bool:
@@ -466,10 +462,22 @@ class RecordEngine:
         engine lock, forming the sanctioned engine → record nesting.
         """
         with self._lock:
+            self._held.discard(unit_name)
             freed = 0
             for record in self._index.drop_unit(unit_name):
                 freed += record.release_all() + RECORD_OVERHEAD_BYTES
             return freed
+
+    def hold_unit(self, unit_name: str, held: bool) -> None:
+        """Mark a unit held (loading or referenced) or not: the I/O
+        scheduler calls it under the engine lock (engine → record) before
+        the unit can enter an eviction policy, so a held unit is in none
+        and a query that skips its touch orders before the finish."""
+        with self._lock:
+            if held:
+                self._held.add(unit_name)
+            else:
+                self._held.discard(unit_name)
 
     def begin_close(self) -> None:
         """Start refusing record operations; wake definition waiters."""
@@ -482,4 +490,5 @@ class RecordEngine:
         with self._lock:
             for record in self._index.clear():
                 record.release_all()
+            self._held.clear()
             self._closed = True

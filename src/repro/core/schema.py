@@ -51,10 +51,12 @@ class RecordSchema:
 
     @property
     def num_keys(self) -> int:
+        """How many of the schema's fields are key fields."""
         return sum(1 for f in self.fields if f.is_key)
 
     @property
     def key_names(self) -> Tuple[str, ...]:
+        """The key fields' names, in declaration order."""
         return tuple(f.name for f in self.fields if f.is_key)
 
     def ensure(self, gbo: GBO) -> None:

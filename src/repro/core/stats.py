@@ -168,6 +168,7 @@ class GodivaStats:
                         getattr(self, name) + getattr(other, name))
 
     def reset(self) -> None:
+        """Set every counter back to its default (zero or empty)."""
         for name, fld in self.__dataclass_fields__.items():
             if fld.default_factory is not MISSING:
                 setattr(self, name, fld.default_factory())

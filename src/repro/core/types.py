@@ -105,6 +105,7 @@ class FieldType:
 
     @property
     def has_known_size(self) -> bool:
+        """Whether the buffer size was declared (not :data:`UNKNOWN`)."""
         return self.size is not UNKNOWN
 
 
@@ -131,13 +132,25 @@ class RecordType:
         self._key_names: List[str] = []
         self._fixed_size_bytes = 0
         self._committed = False
+        #: A record's row layout, set by :meth:`commit`: each field's
+        #: slot (its position in field order), the field types and numpy
+        #: dtypes by slot, the ``(slot, size)`` of each known-size field,
+        #: the key fields' slots in key order, and a row of no storage.
+        self.slot_of: Dict[str, int] = {}
+        self.field_list: Tuple[FieldType, ...] = ()
+        self.dtypes: Tuple[np.dtype, ...] = ()
+        self.blank_row: Tuple[None, ...] = ()
+        self.fixed_slots: Tuple[Tuple[int, int], ...] = ()
+        self.key_slots: Tuple[int, ...] = ()
 
     @property
     def committed(self) -> bool:
+        """Whether :meth:`commit` has frozen the definition."""
         return self._committed
 
     @property
     def field_names(self) -> Tuple[str, ...]:
+        """Field names in insertion order (a record's slot order)."""
         return tuple(self._fields)
 
     @property
@@ -151,6 +164,7 @@ class RecordType:
         return self._fields.items()
 
     def field(self, name: str) -> FieldType:
+        """The named field type; :class:`SchemaError` if absent."""
         try:
             return self._fields[name]
         except KeyError:
@@ -159,9 +173,12 @@ class RecordType:
             ) from None
 
     def has_field(self, name: str) -> bool:
+        """Whether the record type has a field of this name."""
         return name in self._fields
 
     def is_key(self, field_name: str) -> bool:
+        """Whether the named field is a key field; :class:`SchemaError`
+        if the record type has no such field."""
         self.field(field_name)
         return field_name in self._key_names
 
@@ -210,6 +227,16 @@ class RecordType:
                 f"fields but {len(self._key_names)} were inserted"
             )
         self._committed = True
+        self.slot_of = {name: slot for slot, name in enumerate(self._fields)}
+        self.field_list = tuple(self._fields.values())
+        self.dtypes = tuple(field_type.data_type.numpy_dtype
+                            for field_type in self.field_list)
+        self.blank_row = (None,) * len(self.field_list)
+        self.fixed_slots = tuple(
+            (slot, field_type.size)
+            for slot, field_type in enumerate(self.field_list)
+            if field_type.size is not UNKNOWN)
+        self.key_slots = tuple(self.slot_of[name] for name in self._key_names)
 
     def fixed_size_bytes(self) -> int:
         """Total bytes of all known-size field buffers (pre-allocatable)."""

@@ -101,6 +101,7 @@ class ProcessingUnit:
 
     @property
     def evictable(self) -> bool:
+        """RESIDENT, finished and unreferenced: the policy may take it."""
         return (
             self.state is UnitState.RESIDENT
             and self.finished
@@ -109,10 +110,12 @@ class ProcessingUnit:
 
     @property
     def is_loaded(self) -> bool:
+        """Whether the unit's records are resident and queryable."""
         return self.state is UnitState.RESIDENT
 
     @property
     def terminal(self) -> bool:
+        """Whether the unit was deleted (no transition leaves DELETED)."""
         return self.state is UnitState.DELETED
 
     def __repr__(self) -> str:
@@ -177,22 +180,28 @@ class UnitHandle:
     # -- introspection -------------------------------------------------
     @property
     def state(self) -> UnitState:
+        """The unit's lifecycle state (see :meth:`GBO.unit_state`)."""
         return self._gbo.unit_state(self.name)
 
     @property
     def is_resident(self) -> bool:
+        """Whether the unit is RESIDENT (see :meth:`GBO.is_resident`)."""
         return self._gbo.is_resident(self.name)
 
     @property
     def priority(self) -> float:
+        """The stored prefetch priority; assigning reorders the queue
+        (see :meth:`GBO.set_unit_priority`)."""
         return self._gbo.unit_priority(self.name)
 
     @priority.setter
     def priority(self, value: float) -> None:
+        """Store a new priority, reordering the unit if still queued."""
         self._gbo.set_unit_priority(self.name, value)
 
     @property
     def resident_bytes(self) -> int:
+        """Bytes charged to the unit (see :meth:`GBO.resident_bytes_of`)."""
         return self._gbo.resident_bytes_of(self.name)
 
     def __eq__(self, other: object) -> bool:

@@ -28,8 +28,8 @@ import numpy as np
 from repro.errors import StorageFormatError
 from repro.io.disk import NULL_DISK, CostedFile, DiskProfile, IoStats
 from repro.io.sdf import (
-    AttrValue, DatasetInfo, WritableBuffer, _dataset_info, _decode_attrs,
-    _encode_attrs, writable_target,
+    AttrValue, DatasetInfo, WritableBuffer, _check_shape, _dataset_dtype,
+    _dataset_info, _decode_attrs, _encode_attrs, writable_target,
 )
 
 _MAGIC = b"CDF1"
@@ -147,6 +147,9 @@ class CdfReader:
             self._file.close()
             raise
 
+    def _bad(self, message: str) -> StorageFormatError:
+        return StorageFormatError(f"{self._file.path}: {message}")
+
     def _parse_header(self) -> None:
         fixed = self._file.read(_HEADER.size)
         if len(fixed) != _HEADER.size:
@@ -167,6 +170,7 @@ class CdfReader:
         cursor = 4
         self._fattrs = _decode_attrs(rest[cursor:cursor + fattr_len])
         cursor += fattr_len
+        size = self._file.size()
         dtypes: Dict[bytes, np.dtype] = {}
         for _ in range(n_vars):
             if cursor + _VAR_FIXED.size > len(rest):
@@ -176,16 +180,29 @@ class CdfReader:
                 data_offset, data_nbytes, attr_len,
             ) = _VAR_FIXED.unpack_from(rest, cursor)
             cursor += _VAR_FIXED.size
+            if cursor + attr_len > len(rest):
+                raise self._bad("an attribute block runs past the header")
             attrs = _decode_attrs(rest[cursor:cursor + attr_len])
             cursor += attr_len
-            name = name_b.rstrip(b"\x00").decode("utf-8")
-            dtype = dtypes.get(dtype_b)
-            if dtype is None:
-                dtype = dtypes[dtype_b] = np.dtype(
-                    dtype_b.rstrip(b"\x00").decode("ascii"))
+            try:
+                name = name_b.rstrip(b"\x00").decode("utf-8")
+                dtype = dtypes.get(dtype_b)
+                if dtype is None:
+                    dtype = dtypes[dtype_b] = _dataset_dtype(dtype_b)
+                shape = (d0, d1, d2, d3)[:rank]
+                _check_shape(name, rank, shape, dtype, data_nbytes)
+            except UnicodeDecodeError as exc:
+                raise self._bad(f"a dataset name is not UTF-8 ({exc})"
+                                ) from None
+            except StorageFormatError as exc:
+                raise self._bad(str(exc)) from None
+            if data_offset + data_nbytes > size:
+                raise self._bad(
+                    f"dataset {name!r} ends at byte "
+                    f"{data_offset + data_nbytes}, past the end of the "
+                    f"{size}-byte file")
             self._infos[name] = _dataset_info((
-                name, dtype, (d0, d1, d2, d3)[:rank], data_offset,
-                data_nbytes, 0, attr_len))
+                name, dtype, shape, data_offset, data_nbytes, 0, attr_len))
             self._attrs[name] = attrs
             self._order.append(name)
 

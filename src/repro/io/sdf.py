@@ -25,6 +25,8 @@ from __future__ import annotations
 import os
 import struct
 from functools import lru_cache, partial
+from math import prod
+from operator import add
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -150,34 +152,71 @@ _dataset_info = partial(tuple.__new__, DatasetInfo)
 DIRECTORY_MEMO_SIZE = 16
 
 
+def _dataset_dtype(code: bytes) -> np.dtype:
+    """The dtype a directory entry's code names (trailing NULs dropped);
+    :class:`StorageFormatError` for a code that names none, or one that
+    would hold Python objects."""
+    try:
+        dtype = np.dtype(code.rstrip(b"\x00").decode("ascii"))
+    except (UnicodeDecodeError, TypeError, ValueError):
+        dtype = None
+    if dtype is None or dtype.hasobject:
+        raise StorageFormatError(f"unknown dtype code {code!r}")
+    return dtype
+
+
+def _check_shape(name: str, rank: int, shape: Tuple[int, ...],
+                dtype: np.dtype, nbytes: int) -> None:
+    """Refuse an entry whose rank or shape does not describe exactly its
+    ``nbytes`` of ``dtype`` items."""
+    if rank > _MAX_RANK or prod(shape) * dtype.itemsize != nbytes:
+        raise StorageFormatError(
+            f"dataset {name!r}: rank {rank} shape {shape} of {dtype} "
+            f"does not describe its {nbytes} bytes")
+
+
 @lru_cache(maxsize=DIRECTORY_MEMO_SIZE)
 def _parse_directory(blob: bytes) -> Tuple[Mapping[str, DatasetInfo],
-                                           Tuple[str, ...]]:
+                                           Tuple[str, ...], int]:
     """The datasets a directory of ``_ENTRY``-sized rows describes, as a
-    read-only name -> :class:`DatasetInfo` map and the names in file
-    order.
+    read-only name -> :class:`DatasetInfo` map, the names in file
+    order, and the end of the furthest attribute block.
 
     A pure function of the directory's bytes, memoized on them: files
     that share a layout (every step of a snapshot series) share one
     parse. The key is the bytes themselves, so a file rewritten with
-    another layout misses, and nothing needs invalidating.
+    another layout misses, and nothing needs invalidating. A name that
+    does not decode, an unknown dtype code or a shape that does not
+    describe its bytes raises :class:`StorageFormatError` (and an
+    exception is never memoized).
     """
     # One structured view over the whole directory; every column leaves
     # numpy through tolist(), so DatasetInfo holds Python ints and bytes
     # (S-typed columns drop trailing NULs), and the rows are built
     # column-wise with no Python frame per entry.
     entries = np.frombuffer(blob, dtype=_ENTRY_DTYPE)
-    names = list(map(bytes.decode, entries["name"].tolist()))
+    try:
+        names = list(map(bytes.decode, entries["name"].tolist()))
+    except UnicodeDecodeError as exc:
+        raise StorageFormatError(
+            f"a dataset name is not UTF-8 ({exc})") from None
     codes = entries["dtype"].tolist()
-    dtypes = {code: np.dtype(code.decode("ascii")) for code in set(codes)}
-    shapes = map(tuple, map(list.__getitem__, entries["dims"].tolist(),
-                            map(slice, entries["rank"].tolist())))
+    dtypes = {code: _dataset_dtype(code) for code in set(codes)}
+    ranks = entries["rank"].tolist()
+    shapes = list(map(tuple, map(list.__getitem__, entries["dims"].tolist(),
+                                 map(slice, ranks))))
+    data_nbytes = entries["data_nbytes"].tolist()
+    attr_offsets = entries["attr_offset"].tolist()
+    attr_nbytes = entries["attr_nbytes"].tolist()
+    for name, rank, shape, code, nbytes in zip(names, ranks, shapes, codes,
+                                               data_nbytes):
+        _check_shape(name, rank, shape, dtypes[code], nbytes)
     infos = dict(zip(names, map(_dataset_info, zip(
         names, map(dtypes.__getitem__, codes), shapes,
-        entries["data_offset"].tolist(), entries["data_nbytes"].tolist(),
-        entries["attr_offset"].tolist(),
-        entries["attr_nbytes"].tolist()))))
-    return MappingProxyType(infos), tuple(names)
+        entries["data_offset"].tolist(), data_nbytes, attr_offsets,
+        attr_nbytes))))
+    return (MappingProxyType(infos), tuple(names),
+            max(map(add, attr_offsets, attr_nbytes), default=0))
 
 
 def writable_target(out: WritableBuffer, nbytes: int,
@@ -327,15 +366,26 @@ class SdfReader:
         if version != _VERSION:
             raise StorageFormatError(f"unsupported SDF version {version}")
         dir_nbytes = n_datasets * _ENTRY.size
-        if dir_offset + dir_nbytes > self._file.size():
+        size = self._file.size()
+        if dir_offset + dir_nbytes > size:
             raise StorageFormatError("truncated SDF directory")
         self._fattr_offset = fattr_offset
         self._dir_offset = dir_offset
         blob = self._file.read_at(dir_offset, dir_nbytes)
         if len(blob) != dir_nbytes:
             raise StorageFormatError("truncated SDF directory")
-        #: name -> DatasetInfo, read-only: one parse may serve many files.
-        self._infos, self._order = _parse_directory(blob)
+        path = self._file.path
+        try:
+            #: name -> DatasetInfo, read-only: one parse may serve many
+            #: files.
+            self._infos, self._order, extent = _parse_directory(blob)
+        except StorageFormatError as exc:
+            raise StorageFormatError(f"{path}: {exc}") from None
+        if extent > size:
+            # A data block past the end is refused when it is read.
+            raise StorageFormatError(
+                f"{path}: an attribute block ends at byte {extent}, past "
+                f"the end of the {size}-byte file")
 
     # ------------------------------------------------------------------
     @property

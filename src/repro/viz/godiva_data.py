@@ -8,7 +8,7 @@ the GBO's buffers, none is read from a file.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from repro.viz.pipeline import SnapshotData, field_components
 class GodivaSnapshotData(SnapshotData):
     """GODIVA-backed data access: query buffer locations, zero reads.
 
-    Every request resolves through ``get_field_buffer``; mesh arrays read
+    Every request resolves through ``get_field_buffer``, once per
+    (block, field) per snapshot object; mesh arrays read
     once per snapshot by the unit's read callback are reused across all
     ops — the redundant-read elimination the paper credits for the O->G
     I/O volume drop.
@@ -42,6 +43,11 @@ class GodivaSnapshotData(SnapshotData):
         self._tsid_key = tsid.encode("ascii")
         self._block_order = tuple(block_ids)
         self._derived = gbo.derived
+        #: Each block's key values, built on its first query (a view that
+        #: hits the frame cache queries nothing).
+        self._block_keys: Dict[str, Tuple[bytes, bytes]] = {}
+        #: (block, field) -> the read-only view of its one query.
+        self._views: Dict[Tuple[str, str], np.ndarray] = {}
 
     def parallel_extract_safe(self) -> bool:
         """True: buffer queries go through the engine lock and the
@@ -53,16 +59,25 @@ class GodivaSnapshotData(SnapshotData):
         """The snapshot's mesh blocks, in manifest order."""
         return list(self._block_order)
 
-    def _keys(self, block_id: str) -> List[bytes]:
-        return [block_key(block_id).encode("ascii"), self._tsid_key]
+    def _keys(self, block_id: str) -> Tuple[bytes, bytes]:
+        keys = self._block_keys.get(block_id)
+        if keys is None:
+            keys = self._block_keys[block_id] = (
+                block_key(block_id).encode("ascii"), self._tsid_key)
+        return keys
 
     def _buffer(self, block_id: str, name: str) -> np.ndarray:
-        buf = self._gbo.get_field_buffer(
-            "solid", name, self._keys(block_id)
-        )
-        # get_field_buffer makes a fresh view object per call, so the
-        # flag flip affects this view only, not the engine's buffer.
-        buf.flags.writeable = False
+        """The block's ``name`` buffer as a read-only view: one query per
+        (block, field) per snapshot object, shared by the token and the
+        accessors (the object lives while its unit is pinned)."""
+        buf = self._views.get((block_id, name))
+        if buf is None:
+            buf = self._gbo.get_field_buffer("solid", name,
+                                             self._keys(block_id))
+            # get_field_buffer makes a fresh view object per call, so the
+            # flag flip affects this view only, not the engine's buffer.
+            buf.flags.writeable = False
+            self._views[block_id, name] = buf
         return buf
 
     def derived_cache(self) -> Optional[object]:
@@ -78,8 +93,7 @@ class GodivaSnapshotData(SnapshotData):
             return None
         return self._derived.token(
             ("solid", name, self._block_order, self._tsid),
-            lambda: [self._gbo.get_field_buffer("solid", name,
-                                                self._keys(block_id))
+            lambda: [self._buffer(block_id, name)
                      for block_id in self._block_order],
         )
 

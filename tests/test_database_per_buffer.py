@@ -63,7 +63,10 @@ class TestConcurrentAlloc:
         losers = [o for o in outcomes if isinstance(o, Exception)]
         assert len(winners) == 1 and len(losers) == 1
         assert isinstance(losers[0], RecordStateError)
-        assert winners[0] is record.field("pressure")
+        # A view of the record's one pressure slot (ADR-020: a field
+        # buffer is made on demand, so not the same object twice).
+        assert np.shares_memory(winners[0].as_array(),
+                                record.field("pressure").as_array())
         assert winners[0].size == 800
         assert fluid_gbo.mem_used_bytes == used + 800
         assert fluid_gbo.stats.bytes_allocated == allocated + 800
@@ -155,3 +158,118 @@ class TestQueryViews:
         assert third.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 1.0
+
+
+class CountingLock:
+    """Stands in for the engine lock and counts acquisitions."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.acquired = 0
+
+    def acquire(self, *args, **kwargs):
+        self.acquired += 1
+        return self.lock.acquire(*args, **kwargs)
+
+    def release(self):
+        self.lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestQueryTouch:
+    """A query takes the engine lock only to touch an evictable unit: a
+    unit that is pinned (or loading) is in no eviction policy, so its
+    query takes the record lock alone (ADR-020)."""
+
+    @staticmethod
+    def engine_acquisitions(gbo, query):
+        counting = CountingLock(gbo._mem._lock)
+        gbo._mem._lock = counting
+        try:
+            query()
+        finally:
+            gbo._mem._lock = counting.lock
+        return counting.acquired
+
+    @pytest.mark.parametrize("background_io", [False, True],
+                             ids=["G", "TG"])
+    def test_pinned_none_evictable_one(self, fluid_gbo_factory,
+                                       background_io):
+        gbo = fluid_gbo_factory(background_io)
+
+        def read_fn(database, name):
+            record = fluid_record(database)
+            database.alloc_field_buffer(record, "pressure", 80)
+            database.commit_record(record)
+
+        gbo.add_unit("u", read_fn)
+        gbo.wait_unit("u")
+        queries = (lambda: gbo.get_field_buffer("fluid", "pressure", KEY),
+                   lambda: gbo.get_record("fluid", KEY))
+        for query in queries:
+            assert self.engine_acquisitions(gbo, query) == 0
+        gbo.finish_unit("u")
+        assert gbo.memory_report()["evictable_units"] == ["u"]
+        for query in queries:
+            assert self.engine_acquisitions(gbo, query) == 1
+        gbo.wait_unit("u")                  # pinned again
+        for query in queries:
+            assert self.engine_acquisitions(gbo, query) == 0
+
+    def test_loading_unit_query_takes_no_engine_lock(self, fluid_gbo):
+        counts = []
+
+        def read_fn(database, name):
+            record = fluid_record(database)
+            database.alloc_field_buffer(record, "pressure", 80)
+            database.commit_record(record)
+            counts.append(TestQueryTouch.engine_acquisitions(
+                database, lambda: database.get_record("fluid", KEY)))
+
+        fluid_gbo.add_unit("u", read_fn)
+        fluid_gbo.wait_unit("u")
+        assert counts == [0]
+
+    def test_touch_after_finish_keeps_lru_order(self, fluid_gbo):
+        """Units finished a, b, then a query of a: a is most recent."""
+        def read_fn(database, name):
+            record = database.new_record("fluid")
+            record.field("block id").write(name.ljust(11).encode())
+            record.field("time-step id").write(KEY[1])
+            database.commit_record(record)
+
+        for name in ("a", "b"):
+            fluid_gbo.add_unit(name, read_fn)
+            fluid_gbo.wait_unit(name)
+        fluid_gbo.get_record("fluid", [b"a".ljust(11), KEY[1]])   # pinned
+        fluid_gbo.finish_unit("a")
+        fluid_gbo.finish_unit("b")
+        assert fluid_gbo.memory_report()["evictable_units"] == ["a", "b"]
+        fluid_gbo.get_record("fluid", [b"a".ljust(11), KEY[1]])
+        assert fluid_gbo.memory_report()["evictable_units"] == ["b", "a"]
+
+
+@pytest.fixture
+def fluid_gbo_factory():
+    made = []
+
+    def make(background_io):
+        gbo = GBO(mem_mb=16, background_io=background_io)
+        gbo.define_field("block id", DataType.STRING, 11)
+        gbo.define_field("time-step id", DataType.STRING, 9)
+        gbo.define_field("pressure", DataType.DOUBLE)
+        gbo.ensure_record_type("fluid", 2, [("block id", True),
+                                            ("time-step id", True),
+                                            ("pressure", False)])
+        made.append(gbo)
+        return gbo
+
+    yield make
+    for gbo in made:
+        gbo.close()

@@ -23,6 +23,8 @@ from repro.io.readers import (
 from repro.core.database import GBO
 from repro.gen.snapshot import block_key, timestep_id
 from repro.viz.apollo import ApolloSession, interactive_trace
+from repro.viz import gops as gops_module
+from repro.viz.pipeline import Pipeline
 from repro.viz.voyager import GodivaSnapshotData, Voyager, VoyagerConfig
 
 ALL_FIELDS = ("coords", "conn", "ave_stress", "temperature",
@@ -320,3 +322,37 @@ class TestDerivedCounts:
         )).run()
         assert (result.gbo_stats["derived_hits"],
                 result.gbo_stats["derived_misses"]) == (49, 37)
+
+
+class TestOneQueryPerBuffer:
+    """A frame miss asks the GBO once per (block, field) it reads: the
+    snapshot token's provider and the accessors share one query."""
+
+    def test_tg_frame_miss(self, small_dataset):
+        gbo = GBO(mem_mb=64)
+        try:
+            solid_schema().ensure(gbo)
+            gbo.add_unit(snapshot_unit_name(0), make_snapshot_read_fn(
+                small_dataset, fields=ALL_FIELDS))
+            gbo.wait_unit(snapshot_unit_name(0))
+            data = GodivaSnapshotData(gbo, small_dataset.snapshots[0].tsid,
+                                      small_dataset.block_ids)
+            asked = []
+            query = gbo.get_field_buffer
+
+            def counted(type_name, name, keys):
+                asked.append((bytes(keys[0]), name))
+                return query(type_name, name, keys)
+
+            gbo.get_field_buffer = counted
+            before = gbo.stats.queries
+            result = Pipeline(gops_module.test_gops("complex"),
+                              render=True).process(data)
+            assert result.triangles > 0
+            assert gbo.stats.derived_misses > 0     # a miss, not a hit
+            assert len(asked) == len(set(asked))
+            assert gbo.stats.queries - before == len(asked)
+            blocks = {key for key, _name in asked}
+            assert len(blocks) == len(small_dataset.block_ids)
+        finally:
+            gbo.close()

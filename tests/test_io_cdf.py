@@ -1,11 +1,14 @@
 """CDF format: round-trips, header-first locality, format independence."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 from read_into_contract import ReadIntoContract
 
 from repro.errors import StorageFormatError
-from repro.io.cdf import CdfReader, CdfWriter
+from repro.io.cdf import _HEADER, _VAR_FIXED, CdfReader, CdfWriter
 from repro.io.disk import ENGLE_DISK, IoStats
 from repro.io.sdf import SdfReader, SdfWriter
 
@@ -186,3 +189,65 @@ class TestFormatIndependence:
 
         with pytest.raises(ValueError, match="unknown file format"):
             open_scientific_file("x", "hdf5")
+
+
+def patch_variable(path, index, **fields):
+    """Rewrite the fixed part of variable ``index``'s header entry."""
+    names = ("name", "dtype", "rank", "d0", "d1", "d2", "d3",
+             "data_offset", "data_nbytes", "attr_len")
+    with open(path, "r+b") as f:
+        f.seek(_HEADER.size)
+        (fattr_len,) = struct.unpack("<I", f.read(4))
+        at = _HEADER.size + 4 + fattr_len
+        for _ in range(index):
+            f.seek(at)
+            entry = _VAR_FIXED.unpack(f.read(_VAR_FIXED.size))
+            at += _VAR_FIXED.size + entry[-1]
+        f.seek(at)
+        entry = dict(zip(names, _VAR_FIXED.unpack(f.read(_VAR_FIXED.size))))
+        entry.update(fields)
+        f.seek(at)
+        f.write(_VAR_FIXED.pack(*(entry[name] for name in names)))
+
+
+class TestHeaderChecks:
+    """A header may not point past its file, and every variable must
+    name a decodable name, a known dtype and a shape of its bytes."""
+
+    @pytest.fixture
+    def sample(self, cdf_path):
+        with CdfWriter(cdf_path) as writer:
+            writer.add_dataset("coords", np.arange(30.0).reshape(10, 3),
+                               attrs={"kind": "node"})
+            writer.add_dataset("conn", np.arange(8, dtype="<i4"))
+        return cdf_path
+
+    def refused(self, path, match):
+        with pytest.raises(StorageFormatError, match=match) as info:
+            CdfReader(path)
+        assert path in str(info.value)
+
+    def test_data_past_end_of_file(self, sample):
+        patch_variable(sample, 1, data_offset=2 ** 20)
+        self.refused(sample, "past the end")
+
+    def test_cut_file(self, sample):
+        with open(sample, "r+b") as f:
+            f.truncate(os.path.getsize(sample) - 4)
+        self.refused(sample, "past the end")
+
+    def test_non_utf8_name(self, sample):
+        patch_variable(sample, 0, name=b"\xff\xfe".ljust(64, b"\x00"))
+        self.refused(sample, "not UTF-8")
+
+    @pytest.mark.parametrize("code", [b"zz", b"<f3", b"|O", b"\xff"])
+    def test_garbage_dtype(self, sample, code):
+        patch_variable(sample, 1, dtype=code.ljust(8, b"\x00"))
+        self.refused(sample, "unknown dtype code")
+
+    @pytest.mark.parametrize("fields", [
+        {"rank": 5}, {"d0": 11}, {"data_nbytes": 232},
+    ], ids=["rank", "dims", "nbytes"])
+    def test_bad_shape(self, sample, fields):
+        patch_variable(sample, 0, **fields)
+        self.refused(sample, "does not describe")

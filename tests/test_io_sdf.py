@@ -457,3 +457,68 @@ class TestDirectoryMemo:
             assert "intruder" not in second
             assert second.info("field1") == info
             assert second.read("field1")[0] == 1 + 1
+
+
+def patch_entry(path, index, **fields):
+    """Rewrite directory entry ``index`` of an SDF file in place."""
+    names = ("name", "dtype", "rank", "d0", "d1", "d2", "d3", "data_offset",
+             "data_nbytes", "n_attrs", "attr_offset", "attr_nbytes")
+    with open(path, "r+b") as f:
+        _magic, _version, _n, dir_offset, _nf, _fo = _HEADER.unpack(
+            f.read(_HEADER.size))
+        at = dir_offset + index * _ENTRY.size
+        f.seek(at)
+        entry = dict(zip(names, _ENTRY.unpack(f.read(_ENTRY.size))))
+        entry.update(fields)
+        f.seek(at)
+        f.write(_ENTRY.pack(*(entry[name] for name in names)))
+
+
+class TestDirectoryChecks:
+    """A directory may not point past its file, and every entry must
+    name a decodable name, a known dtype and a shape of its bytes."""
+
+    def refused(self, path, match):
+        with pytest.raises(StorageFormatError, match=match) as info:
+            SdfReader(path)
+        assert path in str(info.value)
+
+    def test_attribute_block_past_end_of_file(self, sdf_path):
+        write_sample(sdf_path)
+        patch_entry(sdf_path, 2, attr_offset=2 ** 20)
+        self.refused(sdf_path, "past the end")
+
+    def test_non_utf8_name(self, sdf_path):
+        write_sample(sdf_path)
+        patch_entry(sdf_path, 1, name=b"\xff\xfe".ljust(64, b"\x00"))
+        self.refused(sdf_path, "not UTF-8")
+
+    @pytest.mark.parametrize("code", [b"zz", b"<f3", b"|O", b"\xff"])
+    def test_garbage_dtype(self, sdf_path, code):
+        write_sample(sdf_path)
+        patch_entry(sdf_path, 0, dtype=code.ljust(8, b"\x00"))
+        self.refused(sdf_path, "unknown dtype code")
+
+    @pytest.mark.parametrize("fields", [
+        {"rank": 5}, {"d0": 11}, {"data_nbytes": 232},
+    ], ids=["rank", "dims", "nbytes"])
+    def test_bad_shape(self, sdf_path, fields):
+        write_sample(sdf_path)
+        patch_entry(sdf_path, 0, **fields)
+        self.refused(sdf_path, "does not describe")
+
+    def test_a_refused_parse_is_not_memoized(self, sdf_path, tmp_path):
+        write_sample(sdf_path)
+        bad = str(tmp_path / "bad.sdf")
+        with open(sdf_path, "rb") as f:
+            blob = f.read()
+        with open(bad, "wb") as f:
+            f.write(blob)
+        patch_entry(bad, 0, dtype=b"zz".ljust(8, b"\x00"))
+        _parse_directory.cache_clear()
+        for _ in range(2):
+            self.refused(bad, "unknown dtype code")
+        info = _parse_directory.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+        SdfReader(sdf_path).close()
+        assert _parse_directory.cache_info().currsize == 1

@@ -335,6 +335,18 @@ class GboUnitMachine(RuleBasedStateMachine):
         self.model.touch(name)
         assert self._value(name) == unit.value
 
+    @rule(name=unit_names, query_first=st.booleans())
+    def query_and_finish(self, name, query_first):
+        """A query racing a finish lands on either side of it: the query
+        of a pinned unit skips its touch (ADR-020), and the LRU order
+        after both must be the model's for that order."""
+        if query_first:
+            self.query(name)
+            self.finish(name)
+        else:
+            self.finish(name)
+            self.query(name)
+
     @invariant()
     def agrees_with_model(self):
         model, gbo = self.model, self.gbo
