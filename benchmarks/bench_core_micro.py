@@ -63,6 +63,28 @@ def test_bench_record_index_lookup(benchmark):
     assert benchmark(lambda: index.lookup("bench", key)) is records[7777]
 
 
+def test_bench_record_index_drop_record(benchmark):
+    """2 000 ``drop_record`` calls, newest first, on records tracked
+    under one unit — the order a unit's own records are deleted in.
+    Per call = round / 2 000; flat in the unit's record count."""
+    from repro.core.index import RecordIndex
+
+    records = _keyed_records(2000)
+    index = RecordIndex()
+
+    def track():
+        for record in records:
+            index.track(record, "unit")
+        return (), {}
+
+    def drop():
+        for record in reversed(records):
+            index.drop_record(record)
+
+    benchmark.pedantic(drop, setup=track, rounds=50)
+    assert index.unit_records("unit") == []
+
+
 def test_bench_sdf_open(benchmark, tmp_path):
     """Open a 210-entry file (one e2e unit file's directory) and read
     its file attributes: header, directory parse, attribute block. The
@@ -411,6 +433,49 @@ def test_bench_rasterizer(benchmark):
 
     image = benchmark(render)
     assert image.shape == (120, 160, 3)
+
+
+def _skin_and_slice():
+    """A boundary skin and a slice of one mesh: a frame's cacheable
+    draws, as the ``medium`` op list makes them."""
+    from repro.viz.geometry import boundary_faces
+    from repro.viz.isosurface import TriangleSoup
+    from repro.viz.slice_plane import slice_mesh
+
+    mesh = structured_tet_block(12, 12, 12)
+    values = np.linalg.norm(mesh.nodes - 0.5, axis=1)
+    faces = boundary_faces(mesh.tets)
+    return [TriangleSoup(mesh.nodes[faces], values[faces]),
+            slice_mesh(mesh.nodes, mesh.tets, values, (0.5, 0.5, 0.5),
+                       (0.0, 1.0, 0.0))]
+
+
+@pytest.mark.parametrize("replay", [
+    pytest.param(False, id="cover-miss"),
+    pytest.param(True, id="cover-hit"),
+])
+def test_bench_frame_cover(benchmark, replay):
+    """One frame of a skin and a slice, covered fresh (a new mesh) or
+    shaded from the stored coverages (a new time-step over an
+    unchanged mesh: only the colors are new)."""
+    soups = _skin_and_slice()
+    camera = Camera.fit_bounds((0, 0, 0), (1, 1, 1),
+                               width=320, height=240)
+    cmap = Colormap("heat", vmin=0.0, vmax=0.9)
+    stored = Renderer(camera)
+    coverages = []
+    for soup in soups:
+        coverages.append(stored.cover(soup.vertices))
+        stored.draw(soup, cmap, coverage=coverages[-1])
+    replayed = coverages if replay else [None] * len(soups)
+
+    def render():
+        renderer = Renderer(camera)
+        for soup, coverage in zip(soups, replayed):
+            renderer.draw(soup, cmap, coverage=coverage)
+        return renderer.image()
+
+    assert np.array_equal(benchmark(render), stored.image())
 
 
 def _scattered_soup(n, seed, spread, size):

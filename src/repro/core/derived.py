@@ -118,9 +118,14 @@ def share_value(arena: object, value: Any) -> Any:
 
     Recurses into tuples/lists (preserving the container type); leaves
     non-array values alone. The returned structure is the one to cache:
-    every array in it is arena-tracked, read-only, and exportable.
+    every non-empty array in it is arena-tracked, read-only, and
+    exportable. A zero-size array passes through as it is: it has no
+    bytes to share, and an arena finds a tracked array by the address
+    of its bytes.
     """
     if isinstance(value, np.ndarray):
+        if not value.size:
+            return value
         copy = arena.allocate(dtype=value.dtype, shape=value.shape)
         np.copyto(copy, value)
         return arena.seal(copy)

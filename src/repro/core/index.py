@@ -60,17 +60,23 @@ def _key_bytes(value: object) -> bytes:
 
 
 class RecordIndex:
-    """Key index (dict per record type) + per-unit record lists."""
+    """Key index (dict per record type) + per-unit record sets.
+
+    A unit's records (and the unattached ones) are the keys of an
+    insertion-ordered dict, so dropping one record is O(1) and a unit's
+    records come back in the order they were tracked."""
 
     def __init__(self) -> None:
         #: Record type name -> key -> record. The record engine's query
         #: probes it directly (under its record lock); every change goes
         #: through the methods below.
         self.by_type: Dict[str, Dict[KeyTuple, Record]] = {}
-        self._by_unit: Dict[str, List[Record]] = {}
+        #: Unit name -> its records, as the keys of a dict (values None).
+        self._by_unit: Dict[str, Dict[Record, None]] = {}
         #: Records not attributed to any unit (created outside a read
-        #: callback). They are only removed explicitly.
-        self._unattached: List[Record] = []
+        #: callback), keyed the same way. They are only removed
+        #: explicitly.
+        self._unattached: Dict[Record, None] = {}
 
     # ------------------------------------------------------------------
     # Commit / lookup
@@ -89,12 +95,13 @@ class RecordIndex:
         return key
 
     def track(self, record: Record, unit_name: Optional[str]) -> None:
-        """Attach an (indexed or not) record to its owning unit's list."""
+        """Attach an (indexed or not) record to its owning unit's
+        records."""
         record.unit_name = unit_name
         if unit_name is None:
-            self._unattached.append(record)
+            self._unattached[record] = None
         else:
-            self._by_unit.setdefault(unit_name, []).append(record)
+            self._by_unit.setdefault(unit_name, {})[record] = None
 
     def lookup(self, type_name: str, key: KeyTuple) -> Record:
         """The record of ``type_name`` under ``key``; raises
@@ -136,7 +143,7 @@ class RecordIndex:
         This is the whole-unit eviction path; the caller releases the
         records' buffers and memory charge.
         """
-        records = self._by_unit.pop(unit_name, [])
+        records = list(self._by_unit.pop(unit_name, ()))
         for record in records:
             self._unindex(record)
         return records
@@ -145,17 +152,11 @@ class RecordIndex:
         """Remove a single record from all indexes."""
         self._unindex(record)
         if record.unit_name is None:
-            try:
-                self._unattached.remove(record)
-            except ValueError:
-                pass
+            self._unattached.pop(record, None)
         else:
             bucket = self._by_unit.get(record.unit_name)
             if bucket is not None:
-                try:
-                    bucket.remove(record)
-                except ValueError:
-                    pass
+                bucket.pop(record, None)
                 if not bucket:
                     del self._by_unit[record.unit_name]
 

@@ -168,7 +168,8 @@ class CdfReader:
             raise StorageFormatError("truncated CDF header")
         (fattr_len,) = struct.unpack_from("<I", rest, 0)
         cursor = 4
-        self._fattrs = _decode_attrs(rest[cursor:cursor + fattr_len])
+        self._fattrs = _decode_attrs(rest[cursor:cursor + fattr_len],
+                                     self._file.path)
         cursor += fattr_len
         size = self._file.size()
         dtypes: Dict[bytes, np.dtype] = {}
@@ -182,7 +183,8 @@ class CdfReader:
             cursor += _VAR_FIXED.size
             if cursor + attr_len > len(rest):
                 raise self._bad("an attribute block runs past the header")
-            attrs = _decode_attrs(rest[cursor:cursor + attr_len])
+            attrs = _decode_attrs(rest[cursor:cursor + attr_len],
+                                  self._file.path)
             cursor += attr_len
             try:
                 name = name_b.rstrip(b"\x00").decode("utf-8")

@@ -88,34 +88,52 @@ def _encode_attrs(attrs: Dict[str, AttrValue]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_attrs(blob: bytes) -> Dict[str, AttrValue]:
+def _decode_attrs(blob: bytes, path: str) -> Dict[str, AttrValue]:
+    """An attribute block's name -> value map. Any block that does not
+    decode — truncated, a name or string that is not UTF-8, a number
+    that is not 8 bytes, an unknown type code — raises
+    :class:`StorageFormatError` naming ``path``."""
+    def bad(message: str) -> StorageFormatError:
+        return StorageFormatError(f"{path}: {message}")
+
+    def text(raw: bytes) -> str:
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise bad(f"an attribute name or string is not UTF-8 ({exc})"
+                      ) from None
+
     if len(blob) < 4:
-        raise StorageFormatError("truncated attribute block")
+        raise bad("truncated attribute block")
     (count,) = struct.unpack_from("<I", blob, 0)
     offset = 4
     attrs: Dict[str, AttrValue] = {}
     head = struct.Struct("<HB I")
     for _ in range(count):
         if offset + head.size > len(blob):
-            raise StorageFormatError("truncated attribute entry")
+            raise bad("truncated attribute entry")
         name_len, code, payload_len = head.unpack_from(blob, offset)
         offset += head.size
-        name = blob[offset:offset + name_len].decode("utf-8")
+        name_b = blob[offset:offset + name_len]
         offset += name_len
         payload = blob[offset:offset + payload_len]
-        if len(payload) != payload_len:
-            raise StorageFormatError("truncated attribute payload")
+        if len(name_b) != name_len or len(payload) != payload_len:
+            raise bad("truncated attribute payload")
         offset += payload_len
+        if code in (_ATTR_INT, _ATTR_FLOAT) and payload_len != 8:
+            raise bad(f"a number attribute holds {payload_len} bytes, "
+                      f"not 8")
+        name = text(name_b)
         if code == _ATTR_BYTES:
             attrs[name] = payload
         elif code == _ATTR_STR:
-            attrs[name] = payload.decode("utf-8")
+            attrs[name] = text(payload)
         elif code == _ATTR_INT:
             attrs[name] = struct.unpack("<q", payload)[0]
         elif code == _ATTR_FLOAT:
             attrs[name] = struct.unpack("<d", payload)[0]
         else:
-            raise StorageFormatError(f"unknown attribute type code {code}")
+            raise bad(f"unknown attribute type code {code}")
     return attrs
 
 
@@ -369,6 +387,11 @@ class SdfReader:
         size = self._file.size()
         if dir_offset + dir_nbytes > size:
             raise StorageFormatError("truncated SDF directory")
+        if not _HEADER.size <= fattr_offset <= dir_offset:
+            raise StorageFormatError(
+                f"{self._file.path}: the file-attribute block at byte "
+                f"{fattr_offset} does not lie between the header and the "
+                f"directory at byte {dir_offset}")
         self._fattr_offset = fattr_offset
         self._dir_offset = dir_offset
         blob = self._file.read_at(dir_offset, dir_nbytes)
@@ -409,13 +432,15 @@ class SdfReader:
         """The file-level attributes (one seek + read)."""
         # The file-attr block runs from its offset up to the directory.
         return _decode_attrs(self._file.read_at(
-            self._fattr_offset, self._dir_offset - self._fattr_offset))
+            self._fattr_offset, self._dir_offset - self._fattr_offset),
+            self._file.path)
 
     def attributes(self, name: str) -> Dict[str, AttrValue]:
         """Per-dataset attributes (one seek + read)."""
         info = self.info(name)
         return _decode_attrs(
-            self._file.read_at(info.attr_offset, info.attr_nbytes))
+            self._file.read_at(info.attr_offset, info.attr_nbytes),
+            self._file.path)
 
     def read(self, name: str) -> np.ndarray:
         """Read one dataset's data (one seek + transfer)."""

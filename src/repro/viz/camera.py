@@ -80,6 +80,7 @@ class Camera:
     # Camera position file
     # ------------------------------------------------------------------
     def save(self, path: str) -> None:
+        """Write the camera to a JSON position file (see :meth:`load`)."""
         with open(os.fspath(path), "w") as f:
             json.dump(
                 {
@@ -97,6 +98,7 @@ class Camera:
 
     @classmethod
     def load(cls, path: str) -> "Camera":
+        """Read a camera position file written by :meth:`save`."""
         with open(os.fspath(path)) as f:
             data = json.load(f)
         return cls(

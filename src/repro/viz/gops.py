@@ -71,6 +71,8 @@ class GraphicsOp:
             raise ValueError("slice op requires origin and normal")
 
     def to_json(self) -> dict:
+        """The op as a JSON-ready dict; unset optional keys are left
+        out. The inverse of :meth:`from_json`."""
         data = {"kind": self.kind, "field": self.field,
                 "colormap": self.colormap}
         for key in ("component", "isovalue", "origin", "normal",
@@ -82,6 +84,8 @@ class GraphicsOp:
 
     @classmethod
     def from_json(cls, data: dict) -> "GraphicsOp":
+        """An op from the dict :meth:`to_json` makes (JSON lists become
+        the plane's tuples)."""
         kwargs = dict(data)
         for key in ("origin", "normal"):
             if key in kwargs and kwargs[key] is not None:
@@ -131,6 +135,8 @@ class GraphicsOps:
 
     @classmethod
     def load(cls, path: str) -> "GraphicsOps":
+        """Read an op-list file: a JSON list of :meth:`GraphicsOp.to_json`
+        dicts."""
         with open(os.fspath(path)) as f:
             data = json.load(f)
         return cls([GraphicsOp.from_json(item) for item in data])

@@ -54,6 +54,7 @@ class HoustonConfig:
             background_io=False, **engine)
 
     def resolve_gops(self) -> GraphicsOps:
+        """The explicit op list, or else the named test's."""
         return self.gops if self.gops is not None else test_gops(
             self.test
         )
@@ -194,9 +195,11 @@ class HoustonCluster:
             raise
 
     def server_stats(self) -> List[Dict[str, float]]:
+        """Each server's cache and I/O counters, in server order."""
         return self._ask(("stats",))
 
     def close(self) -> None:
+        """Stop every server process and close its GBO."""
         close_all(self._servers, ("close",))
 
     def __enter__(self) -> "HoustonCluster":

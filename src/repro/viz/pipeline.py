@@ -250,7 +250,17 @@ class Pipeline:
 
     def finish(self, plan: FramePlan) -> PipelineResult:
         """Complete a frame begun with :meth:`begin`: collect (or run)
-        the extractions, rasterize, and memoize the composite."""
+        the extractions, rasterize, and memoize the composite.
+
+        With a frame cache, each draw's visibility is a derived product
+        too: a ``boundary`` or ``slice`` op's triangles are a function
+        of the mesh and the op's plane, not of its field, so the draw's
+        :meth:`~repro.viz.render.Renderer.cover` is memoized under
+        ``("cover", camera, geometry of every op drawn so far)`` and a
+        frame over an unchanged mesh only shades new colors. An
+        isosurface depends on its field: it and every later draw in the
+        frame are covered fresh and not stored.
+        """
         if plan.cached is not None:
             image, op_triangles = plan.cached
             return PipelineResult(
@@ -259,6 +269,13 @@ class Pipeline:
                 op_triangles=list(op_triangles),
             )
         renderer = Renderer(self.camera) if self.render else None
+        # Geometry keys of the ops drawn so far; None once a draw
+        # depends on a field, or when nothing is memoized.
+        drawn: Optional[tuple] = None
+        if plan.cache is not None and renderer is not None:
+            drawn = ()
+            mesh_tokens = (plan.data.snapshot_token("coords"),
+                           plan.data.snapshot_token("conn"))
         op_triangles: List[int] = []
         total = 0
         for index, op in enumerate(self.gops):
@@ -268,11 +285,18 @@ class Pipeline:
                 soup = self.extract(plan.data, op)
             op_triangles.append(soup.n_triangles)
             total += soup.n_triangles
-            if renderer is not None and soup.n_triangles:
-                renderer.draw(
-                    soup, Colormap(op.colormap),
-                    vmin=op.vmin, vmax=op.vmax,
-                )
+            if renderer is None or not soup.n_triangles:
+                continue
+            coverage = None
+            if op.kind not in ("boundary", "slice"):
+                drawn = None
+            if drawn is not None:
+                drawn += ((op.kind, op.origin, op.normal, *mesh_tokens),)
+                coverage = plan.cache.get_or_compute(
+                    ("cover", self._camera_sig(), drawn),
+                    lambda: renderer.cover(soup.vertices))
+            renderer.draw(soup, Colormap(op.colormap),
+                          vmin=op.vmin, vmax=op.vmax, coverage=coverage)
         if renderer is not None and self.colorbar:
             renderer.draw_colorbar(Colormap(self.gops.ops[0].colormap))
         image = renderer.image() if renderer is not None else None
@@ -281,6 +305,12 @@ class Pipeline:
         return PipelineResult(
             image=image, triangles=total, op_triangles=op_triangles
         )
+
+    def _camera_sig(self) -> tuple:
+        """Everything about the camera a frame's pixels depend on."""
+        cam = self.camera
+        return (tuple(cam.position), tuple(cam.look_at), tuple(cam.up),
+                cam.fov_deg, cam.width, cam.height, cam.near)
 
     def _frame_key(self, data: SnapshotData) -> Optional[tuple]:
         """Cache key covering everything the composited frame depends
@@ -296,15 +326,10 @@ class Pipeline:
         ]
         if None in tokens:
             return None
-        cam = self.camera
-        camera_sig = (
-            tuple(cam.position), tuple(cam.look_at), tuple(cam.up),
-            cam.fov_deg, cam.width, cam.height, cam.near,
-        )
         ops_sig = json.dumps(
             [op.to_json() for op in self.gops.ops], sort_keys=True
         )
-        return ("frame", ops_sig, camera_sig, self.render,
+        return ("frame", ops_sig, self._camera_sig(), self.render,
                 self.colorbar, tuple(tokens))
 
     def extract(self, data: SnapshotData,

@@ -45,6 +45,7 @@ class AccessPredictor:
 
     @property
     def history(self) -> List[int]:
+        """The recorded requests, oldest first (a copy)."""
         return list(self._history)
 
     def predict(self, n_steps: int) -> List[int]:
@@ -58,6 +59,7 @@ class AccessPredictor:
         predictions: List[int] = []
 
         def add(step: int) -> None:
+            """Append a new in-range prediction, once."""
             if 0 <= step < n_steps and step != current and \
                     step not in predictions:
                 predictions.append(step)

@@ -5,16 +5,21 @@ shades them with per-vertex colors (Gouraud) modulated by a single
 directional light, and composites into an RGB image — the VTK-replacement
 needed to make Voyager produce actual image files.
 
-There is one rasterization path. Every draw projects, culls, bins the
-surviving triangles to ``TILE_SIZE`` screen tiles (disjoint frame/
-z-buffer regions) and composites each tile with
-:func:`_composite_fragments`: submission-ordered runs of triangles,
-each expanded into one flat batch of (triangle, pixel) fragments.
-Every tile composites inline and in place, whatever pool the caller
-holds: shipping a tile to a parallel pool was measured on both
-backends at every dataset scale the repo produces, and no tile paid
-for its dispatch, staging and write-back
-(docs/adr/008-tiles-composite-inline.md).
+There is one rasterization path, and a draw is two steps.
+:meth:`Renderer.cover` projects, culls, bins the surviving triangles to
+``TILE_SIZE`` screen tiles (disjoint z-buffer regions) and covers each
+tile with :func:`_composite_fragments`: submission-ordered runs of
+triangles, each expanded into one flat batch of (triangle, pixel)
+fragments, whose winners advance the z-buffer. The result is a
+:class:`Coverage` — each written pixel's last writer and its
+interpolation terms — which :meth:`Renderer.shade` colors once. A
+coverage does not depend on the colors, so a caller may keep one and
+shade it again with new colors over the same z-buffer
+(docs/adr/021-visibility-is-a-derived-product.md). Every tile is
+covered inline and in place, whatever pool the caller holds: shipping
+a tile to a parallel pool was measured on both backends at every
+dataset scale the repo produces, and no tile paid for its dispatch,
+staging and write-back (docs/adr/008-tiles-composite-inline.md).
 
 Determinism is stated against the spec the rasterizer replaced, the
 one-triangle-at-a-time loop kept as ``tests/reference_raster.py``:
@@ -28,7 +33,8 @@ and applies every repeated index, over fragments laid out in
 submission order — tested with the same strict ``pixel_z < z`` against
 the buffer as it stood before the run, and runs apply in ascending
 submission order, so later triangles never overwrite an equal-depth
-earlier one; (c) a fragment exists only for a pixel of its own
+earlier one, and the color the loop leaves in a pixel is the one its
+last winner writes, which is what :meth:`Renderer.shade` computes; (c) a fragment exists only for a pixel of its own
 triangle's bbox ∩ tile whose centre lies within a margin ``m`` of the
 triangle's coordinate range, and every pixel of the reference's
 ``floor``/``ceil`` bbox left out provably fails the inside test as the
@@ -126,27 +132,34 @@ def _centre_bbox(pts: np.ndarray, width: int, height: int):
 
 
 def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
-                         cols: np.ndarray, x_min: np.ndarray,
-                         x_max: np.ndarray, y_min: np.ndarray,
-                         y_max: np.ndarray, denom: np.ndarray,
-                         zbuf: np.ndarray, frame: np.ndarray,
-                         px0: int, px1: int, py0: int, py1: int) -> None:
-    """Composite one tile's triangles in submission order.
+                         x_min: np.ndarray, x_max: np.ndarray,
+                         y_min: np.ndarray, y_max: np.ndarray,
+                         denom: np.ndarray, zbuf: np.ndarray,
+                         px0: int, px1: int, py0: int, py1: int,
+                         stride: int) -> Optional[tuple]:
+    """Cover one tile with its triangles in submission order.
 
-    ``zbuf``/``frame`` are views of exactly the tile's pixel region
-    ``[py0..py1] × [px0..px1]`` of the renderer's buffers and are
-    updated in place. Each triangle's pixel-centre-tight bbox
-    (:func:`_centre_bbox`) is clipped to the tile; submission-ordered
-    runs of triangles whose clipped areas sum to at most FRAGMENT_BATCH
-    (a larger triangle is a run of its own) are expanded into flat
-    (triangle, pixel) fragment arrays and evaluated in one vectorized
-    pass. Why the result is the reference loop's, bit for bit:
+    ``zbuf`` is a view of exactly the tile's pixel region
+    ``[py0..py1] × [px0..px1]`` of the renderer's z-buffer and is
+    updated in place, run by run. Each triangle's pixel-centre-tight
+    bbox (:func:`_centre_bbox`) is clipped to the tile;
+    submission-ordered runs of triangles whose clipped areas sum to at
+    most FRAGMENT_BATCH (a larger triangle is a run of its own) are
+    expanded into flat (triangle, pixel) fragment arrays and evaluated
+    in one vectorized pass. Returns the last writer of every pixel the
+    tile's runs wrote — ``(pixels, triangles, terms)``: flat frame
+    indices (row ``stride``), indices into ``tri``'s arrays, and the
+    ``(4, k)`` rows ``a0``, ``a1``, ``a2``, depth — or None when no
+    fragment won. Why shading those terms gives the reference loop's
+    frame, bit for bit:
 
-    (a) every fragment evaluates the reference's barycentric, ``inv_z``
-        and color expressions on the same operands in the same
+    (a) every fragment evaluates the reference's barycentric and
+        ``inv_z`` expressions on the same operands in the same
         association order — per-triangle and per-row terms are computed
         once and *copied* to their fragments (``np.repeat``), never
-        re-associated;
+        re-associated — and :meth:`Renderer.shade` blends the colors
+        from the recorded ``a0``/``a1``/``a2`` and depth exactly as the
+        reference does;
     (b) a fragment survives only if it is inside and strictly ``<`` the
         buffer *as it stood before the run*; among a pixel's survivors
         the winner is the minimum z, the earliest submission on ties —
@@ -155,7 +168,8 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         documented unbuffered, so every repeated pixel index is
         applied, and fragments are laid out in submission order — and
         runs apply in ascending submission order: together the
-        reference's strict-``<`` first-wins rule;
+        reference's strict-``<`` first-wins rule, under which a pixel's
+        color is its last winner's;
     (c) a fragment exists only for a pixel of its triangle's tight bbox
         ∩ tile, a subset of the pixels the reference evaluates, and
         every pixel the tight bbox leaves out fails the reference's
@@ -181,6 +195,9 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
     # triangle, and below the pixels of a row, without an integer divide.
     cell = np.array([row_ends - bh - by0, bx0, bw, tri])
     width = px1 - px0 + 1
+    # Each pixel's latest winner: its triangle (-1: none) and terms.
+    owner = np.full(zbuf.size, -1)
+    terms = np.empty((4, zbuf.size))
     lo = 0
     while lo < tri.size:
         budget = (ends[lo - 1] if lo else 0) + FRAGMENT_BATCH
@@ -231,14 +248,62 @@ def _composite_fragments(tri: np.ndarray, pts: np.ndarray, zs: np.ndarray,
         np.minimum.at(first, pix[tied], tied)
         sel = tied[first[pix[tied]] == tied]
         win = closer[sel]
-        ry, rx, pz, cw = ry[win], rx[win], pz[sel], cols[t[win]]
-        zbuf[ry, rx] = pz
-        # Same association order as the reference color blend.
-        frame[ry, rx] = (
-            a0[win][:, None] * cw[:, 0]
-            + a1[win][:, None] * cw[:, 1]
-            + a2[win][:, None] * cw[:, 2]
-        ) * pz[:, None]
+        pz = pz[sel]
+        zbuf[ry[win], rx[win]] = pz
+        # A run's winners are distinct pixels; a later run's winner
+        # overwrites an earlier one's.
+        pix = pix[sel]
+        owner[pix] = t[win]
+        terms[0, pix] = a0[win]
+        terms[1, pix] = a1[win]
+        terms[2, pix] = a2[win]
+        terms[3, pix] = pz
+    local = np.flatnonzero(owner >= 0)
+    if not local.size:
+        return None
+    ry, rx = np.divmod(local, width)
+    return ((ry + py0) * stride + (rx + px0), owner[local],
+            terms[:, local])
+
+
+class Coverage:
+    """What one draw covers: the last writer of every pixel it wrote.
+
+    The product of :meth:`Renderer.cover`, consumed by
+    :meth:`Renderer.shade`. It is a function of the soup's vertices,
+    the camera and the z-buffer the draw started from — not of the
+    colors — so a draw of the same geometry over the same earlier
+    geometry may replay it with new colors (the "visibility buffer"
+    of Burns & Hunt, JCGT 2013). Carries the counters the draw adds,
+    so a replayed draw counts what a computed one does.
+    """
+
+    __slots__ = ("pixels", "triangles", "terms", "culled", "fragments")
+
+    def __init__(self, pixels: np.ndarray, triangles: np.ndarray,
+                 terms: np.ndarray, culled: int, fragments: int):
+        #: Flat frame indices of the written pixels, each once.
+        self.pixels = pixels
+        #: Soup index of each pixel's last writer.
+        self.triangles = triangles
+        #: ``(4, k)`` float64: the writer's ``a0``, ``a1``, ``a2``
+        #: (barycentric over vertex depth) and its depth.
+        self.terms = terms
+        #: Triangles the near-plane cull dropped.
+        self.culled = culled
+        #: (triangle, pixel) pairs the draw evaluated.
+        self.fragments = fragments
+
+    def cache_nbytes(self) -> int:
+        """Budget-accounting size: the three arrays' payload."""
+        return int(self.pixels.nbytes + self.triangles.nbytes
+                   + self.terms.nbytes) + 64
+
+    def cache_freeze(self) -> "Coverage":
+        """Mark the arrays read-only (a cached coverage is shared)."""
+        for array in (self.pixels, self.triangles, self.terms):
+            array.flags.writeable = False
+        return self
 
 
 class Renderer:
@@ -266,13 +331,16 @@ class Renderer:
 
     def draw(self, soup: TriangleSoup, colormap: Colormap,
              vmin: Optional[float] = None,
-             vmax: Optional[float] = None) -> None:
+             vmax: Optional[float] = None,
+             coverage: Optional[Coverage] = None) -> None:
         """Shade and rasterize a triangle soup.
 
         Colors come from mapping the soup's per-vertex values through
         ``colormap`` (an explicit ``vmin``/``vmax`` overrides that bound
         of the colormap's own range), then scaling by a two-sided
-        diffuse factor from the triangle normal.
+        diffuse factor from the triangle normal. ``coverage``, when
+        given, is this soup's :meth:`cover` against the z-buffer as it
+        stands (a replayed product): the draw then only shades it.
         """
         if soup.n_triangles == 0:
             return
@@ -287,7 +355,10 @@ class Renderer:
         normals = triangle_normals(soup.vertices)
         diffuse = 0.25 + 0.75 * np.abs(normals @ LIGHT_DIR)
         colors = colors * diffuse[:, None, None]
-        self._rasterize(soup.vertices, colors)
+        if coverage is None:
+            self._rasterize(soup.vertices, colors)
+        else:
+            self.shade(coverage, colors)
         self.triangles_drawn += soup.n_triangles
 
     def draw_flat(self, soup: TriangleSoup,
@@ -305,8 +376,15 @@ class Renderer:
 
     def _rasterize(self, vertices: np.ndarray,
                    colors: np.ndarray) -> None:
-        """Project, cull, bin to screen tiles and composite each tile
-        in place, one after another."""
+        """Cover the triangles, then shade what they cover."""
+        self.shade(self.cover(vertices), colors)
+
+    def cover(self, vertices: np.ndarray) -> Coverage:
+        """Visibility of an ``(n, 3, 3)`` triangle array against the
+        z-buffer as it stands: project, cull, bin to screen tiles and
+        cover each tile (:func:`_composite_fragments`), one after
+        another. Advances the z-buffer; the frame and the counters are
+        :meth:`shade`'s."""
         height, width = self._zbuffer.shape
         xy, depth = self.camera.project(vertices.reshape(-1, 3))
         xy = xy.reshape(-1, 3, 2)
@@ -315,7 +393,7 @@ class Renderer:
         # Cull triangles behind the near plane (whole triangles — no
         # clipping; see triangles_culled).
         visible = np.all(depth > self.camera.near, axis=1)
-        self.triangles_culled += int(visible.size - int(visible.sum()))
+        culled = int(visible.size - int(visible.sum()))
         pts = xy[visible]                              # (n, 3, 2)
         x_min, x_max, y_min, y_max, denom = _centre_bbox(pts, width,
                                                          height)
@@ -330,14 +408,41 @@ class Renderer:
         x_min, x_max, y_min, y_max, denom = (
             a[drawable] for a in (x_min, x_max, y_min, y_max, denom)
         )
-        self.fragments_evaluated += int(
-            ((x_max - x_min + 1) * (y_max - y_min + 1)).sum())
-        arrays = (xy[keep], depth[keep], colors[keep],
-                  x_min, x_max, y_min, y_max, denom)
-        for region, bounds, tri in self._bin_tiles(x_min, x_max,
-                                                   y_min, y_max):
+        fragments = int(((x_max - x_min + 1) * (y_max - y_min + 1)).sum())
+        arrays = (xy[keep], depth[keep], x_min, x_max, y_min, y_max, denom)
+        tiles = [
             _composite_fragments(tri, *arrays, self._zbuffer[region],
-                                 self._frame[region], *bounds)
+                                 *bounds, width)
+            for region, bounds, tri in self._bin_tiles(x_min, x_max,
+                                                       y_min, y_max)
+        ]
+        tiles = [tile for tile in tiles if tile is not None]
+        if not tiles:
+            return Coverage(np.empty(0, np.int64), np.empty(0, np.int64),
+                            np.empty((4, 0)), culled, fragments)
+        pixels, tri, terms = (np.concatenate(part, axis=-1)
+                              for part in zip(*tiles))
+        return Coverage(pixels, keep[tri], terms, culled, fragments)
+
+    def shade(self, coverage: Coverage, colors: np.ndarray) -> None:
+        """Write a coverage into the buffers: each covered pixel's depth
+        and its last writer's color from ``colors`` (``(n, 3, 3)``, per
+        triangle and vertex), in the reference's association order
+        ``(a0*c0 + a1*c1 + a2*c2) * z``; adds the coverage's counters."""
+        a0, a1, a2, pz = coverage.terms
+        tri = coverage.triangles
+        self._zbuffer.reshape(-1)[coverage.pixels] = pz
+        frame = self._frame.reshape(-1)
+        first = 3 * coverage.pixels
+        # One channel at a time over contiguous per-vertex color
+        # columns: scalar gathers and scatters, no (k, 3) subspaces.
+        by_channel = np.ascontiguousarray(colors.transpose(2, 1, 0))
+        for channel, (c0, c1, c2) in enumerate(by_channel):
+            frame[first + channel] = (
+                a0 * c0.take(tri) + a1 * c1.take(tri) + a2 * c2.take(tri)
+            ) * pz
+        self.triangles_culled += coverage.culled
+        self.fragments_evaluated += coverage.fragments
 
     def _bin_tiles(self, x_min: np.ndarray, x_max: np.ndarray,
                    y_min: np.ndarray, y_max: np.ndarray):

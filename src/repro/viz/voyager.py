@@ -108,6 +108,7 @@ class VoyagerConfig:
                                    **engine)
 
     def resolve_gops(self) -> GraphicsOps:
+        """The explicit op list, or else the named test's."""
         return self.gops if self.gops is not None else test_gops(self.test)
 
 
@@ -139,6 +140,7 @@ class VoyagerResult:
 
     @property
     def compute_wall_s(self) -> float:
+        """Wall time not spent in visible I/O: the computation share."""
         return self.total_wall_s - self.visible_io_wall_s
 
 
@@ -184,12 +186,15 @@ class DirectSnapshotData(SnapshotData):
         self.read_wall_s += time.perf_counter() - t0
 
     def begin_op(self, op: GraphicsOp) -> None:
+        """Rebuild the grid for a new variable: its coordinates are
+        read again."""
         if op.field != self._grid_variable:
             # Grid rebuild for a new variable: coordinates are re-read.
             self._grid_variable = op.field
             self._coords_cache.clear()
 
     def block_ids(self) -> List[str]:
+        """The snapshot's blocks, in file and then directory order."""
         return list(self._block_order)
 
     def _read(self, block_id: str, name: str) -> np.ndarray:
@@ -200,6 +205,7 @@ class DirectSnapshotData(SnapshotData):
         return data
 
     def coords(self, block_id: str) -> np.ndarray:
+        """The block's coordinates, read once per grid."""
         cached = self._coords_cache.get(block_id)
         if cached is None:
             cached = self._read(block_id, "coords")
@@ -207,6 +213,7 @@ class DirectSnapshotData(SnapshotData):
         return cached
 
     def connectivity(self, block_id: str) -> np.ndarray:
+        """The block's connectivity, read once per snapshot."""
         cached = self._conn_cache.get(block_id)
         if cached is None:
             cached = self._read(block_id, "conn")
@@ -214,6 +221,7 @@ class DirectSnapshotData(SnapshotData):
         return cached
 
     def field(self, block_id: str, name: str) -> np.ndarray:
+        """A block's field, read once per snapshot."""
         key = (block_id, name)
         cached = self._field_cache.get(key)
         if cached is None:
@@ -222,6 +230,7 @@ class DirectSnapshotData(SnapshotData):
         return cached
 
     def close(self) -> None:
+        """Close every file of the snapshot."""
         for reader in self._readers:
             reader.close()
 
@@ -254,6 +263,8 @@ class Voyager:
         return list(range(n))
 
     def run(self) -> VoyagerResult:
+        """Process every configured snapshot in the configured mode
+        (O, G or TG) and return the run's timings and counters."""
         if self.config.mode == "O":
             return self._run_original()
         return self._run_godiva(multi_thread=self.config.mode == "TG")

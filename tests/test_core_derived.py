@@ -20,9 +20,11 @@ from repro.core.derived import (
     content_token,
     freeze_value,
     nbytes_of,
+    share_value,
 )
 from repro.core.memory_manager import MemoryManager
 from repro.core.schema import RecordSchema, SchemaField
+from repro.core.shared_arena import SharedMemoryArena
 from repro.core.types import DataType
 from repro.errors import MemoryBudgetError
 
@@ -165,6 +167,38 @@ class TestLookupInsert:
         report = dict(cache.report())
         assert report[DERIVED_PREFIX + "a"] == 80
         assert report[DERIVED_PREFIX + "b"] == 160
+
+
+class TestSharedArena:
+    """A cache over a shareable arena copies values into shared memory;
+    a zero-size array (a draw that covers no pixel) has no bytes to
+    copy and is cached as it is."""
+
+    @pytest.fixture
+    def arena(self):
+        arena = SharedMemoryArena(name_prefix="t-derived-empty")
+        yield arena
+        arena.close()
+
+    def test_share_value_passes_zero_size_through(self, arena):
+        empty = np.empty((0, 4))
+        assert share_value(arena, empty) is empty
+        pair = share_value(arena, (np.empty(0), np.arange(3.0)))
+        assert pair[0].size == 0
+        assert arena.export_token(pair[1]).nbytes == 24
+
+    def test_put_caches_a_value_holding_an_empty_array(self, memory,
+                                                       arena):
+        cache = DerivedCache(memory, arena=arena)
+        memory.bind(release_records=lambda name: 0, derived=cache)
+        stored = cache.put(("cover",), (np.empty(0, np.int64),
+                                        np.arange(4.0)))
+        assert ("cover",) in cache
+        assert cache.get(("cover",)) is stored
+        assert stored[0].size == 0 and not stored[0].flags.writeable
+        assert arena.export_token(stored[1]).nbytes == 32
+        assert cache.invalidate(("cover",))
+        assert len(cache) == 0
 
 
 class TestEviction:

@@ -134,6 +134,27 @@ class TestRecordIndex:
         assert index.count() == 0
         assert index.unit_records("u1") == []
 
+    def test_unit_records_keep_tracking_order(self):
+        """Dropping one record leaves the others in the order they were
+        tracked, for ``unit_records``, ``drop_unit`` and ``clear``."""
+        index = RecordIndex()
+        rt = make_type()
+        records = [make_record(rt, f"A{i:03d}".encode()) for i in range(6)]
+        for record in records[:5]:
+            index.commit(record)
+            index.track(record, "u")
+        index.track(records[5], None)
+        index.drop_record(records[2])
+        assert index.unit_records("u") == [records[i] for i in (0, 1, 3, 4)]
+        index.track(records[2], "u")
+        assert index.unit_records("u") == [records[i]
+                                           for i in (0, 1, 3, 4, 2)]
+        assert index.clear() == [records[i] for i in (0, 1, 3, 4, 2, 5)]
+        for record in records[:3]:
+            index.track(record, "v")
+        index.drop_record(records[1])
+        assert index.drop_unit("v") == [records[0], records[2]]
+
     def test_drop_uncommitted_record(self):
         index = RecordIndex()
         rt = make_type()

@@ -108,7 +108,7 @@ class TestFailedCharges:
                 gbo.new_record("big")
             assert gbo.mem_used_bytes == 0
             # White-box: no record of the failed call stays tracked.
-            assert gbo._records._index._unattached == []
+            assert gbo._records._index._unattached == {}
 
     def test_buffers_charge_the_records_unit(self, fluid_gbo):
         def read_fn(gbo, name):

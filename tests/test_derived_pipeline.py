@@ -303,14 +303,30 @@ class TestDerivedCounts:
     snapshot token replaced."""
 
     def test_apollo_session_trace(self, small_dataset):
+        """Pinned per product kind: the ``cover`` products (one per
+        cacheable draw of a frame miss) beside every other kind."""
         trace = interactive_trace(4, 12, "browse", seed=7)
         session = ApolloSession(small_dataset.directory, test="medium",
                                 mem_mb=64, render=True)
+        counts = {}
+        cache = session.gbo.derived
+        lookup = cache.get
+
+        def counted(key):
+            value = lookup(key)
+            kind = "cover" if key[0] == "cover" else "other"
+            hits, misses = counts.get(kind, (0, 0))
+            counts[kind] = ((hits + 1, misses) if value is not None
+                            else (hits, misses + 1))
+            return value
+
+        cache.get = counted
         try:
             for step in trace:
                 session.view(step)
+            assert counts == {"other": (26, 46), "cover": (9, 3)}
             stats = session.gbo.stats
-            assert (stats.derived_hits, stats.derived_misses) == (26, 46)
+            assert (stats.derived_hits, stats.derived_misses) == (35, 49)
         finally:
             session.close()
 

@@ -240,6 +240,41 @@ class TestHeaderChecks:
         patch_variable(sample, 0, name=b"\xff\xfe".ljust(64, b"\x00"))
         self.refused(sample, "not UTF-8")
 
+    def attributed(self, path, value):
+        """A file whose file-attribute block holds ``step = value``."""
+        with CdfWriter(path) as writer:
+            writer.set_attribute("step", value)
+            writer.add_dataset("x", np.zeros(2), attrs={"kind": "node"})
+        return _HEADER.size + 4        # the block, past its length
+
+    def test_file_attribute_name_not_utf8(self, cdf_path):
+        block = self.attributed(cdf_path, 3)
+        with open(cdf_path, "r+b") as f:
+            f.seek(block + 4 + 7)
+            f.write(b"\xff\xfe\xfd\xfc")
+        self.refused(cdf_path, "not UTF-8")
+
+    def test_dataset_attribute_string_not_utf8(self, cdf_path):
+        block = self.attributed(cdf_path, 3)
+        with open(cdf_path, "rb") as f:
+            f.seek(_HEADER.size)
+            (fattr_len,) = struct.unpack("<I", f.read(4))
+        # The variable's attribute block follows its fixed entry; its
+        # "kind" payload follows the count, the head and the name.
+        at = block + fattr_len + _VAR_FIXED.size + 4 + 7 + 4
+        with open(cdf_path, "r+b") as f:
+            f.seek(at)
+            f.write(b"\xff\xfe")
+        self.refused(cdf_path, "not UTF-8")
+
+    @pytest.mark.parametrize("value", [3, 7.5], ids=["int", "float"])
+    def test_number_attribute_not_eight_bytes(self, cdf_path, value):
+        block = self.attributed(cdf_path, value)
+        with open(cdf_path, "r+b") as f:
+            f.seek(block + 4 + 3)
+            f.write(struct.pack("<I", 4))
+        self.refused(cdf_path, "not 8")
+
     @pytest.mark.parametrize("code", [b"zz", b"<f3", b"|O", b"\xff"])
     def test_garbage_dtype(self, sample, code):
         patch_variable(sample, 1, dtype=code.ljust(8, b"\x00"))

@@ -1,5 +1,7 @@
 """SDF format: round-trips, metadata, error handling."""
 
+import struct
+
 import numpy as np
 import pytest
 from read_into_contract import ReadIntoContract
@@ -185,6 +187,83 @@ class TestReaderValidation:
                 reader.read("ghost")
             with pytest.raises(StorageFormatError):
                 reader.info("ghost")
+
+
+#: An attribute entry's head: name length u16, type code u8, payload
+#: length u32; the block starts with a u32 count.
+_ATTR_HEAD = 7
+
+
+def one_attribute_file(path, name, value):
+    """An SDF file whose one dataset and the file itself each carry the
+    single attribute ``name = value``."""
+    with SdfWriter(path) as writer:
+        writer.set_attribute(name, value)
+        writer.add_dataset("x", np.zeros(2), attrs={name: value})
+
+
+def patch_at(path, offset, data):
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        f.write(data)
+
+
+def file_attr_offset(path):
+    with open(path, "rb") as f:
+        return _HEADER.unpack(f.read(_HEADER.size))[5]
+
+
+class TestAttributeBlocks:
+    """An attribute block that does not decode raises
+    :class:`StorageFormatError` naming the file, and the file-attribute
+    block must lie between the header and the directory at open."""
+
+    def refused(self, path, match, call):
+        with pytest.raises(StorageFormatError, match=match) as info:
+            with SdfReader(path) as reader:
+                call(reader)
+        assert path in str(info.value)
+
+    @pytest.mark.parametrize("dataset", [False, True],
+                             ids=["file", "dataset"])
+    def test_name_not_utf8(self, sdf_path, dataset):
+        one_attribute_file(sdf_path, "step", 3)
+        with SdfReader(sdf_path) as reader:
+            block = (reader.info("x").attr_offset if dataset
+                     else file_attr_offset(sdf_path))
+        patch_at(sdf_path, block + 4 + _ATTR_HEAD, b"\xff\xfe\xfd\xfc")
+        self.refused(sdf_path, "not UTF-8",
+                     lambda r: r.attributes("x") if dataset
+                     else r.file_attributes())
+
+    def test_string_not_utf8(self, sdf_path):
+        one_attribute_file(sdf_path, "tsid", "0.25$")
+        block = file_attr_offset(sdf_path)
+        patch_at(sdf_path, block + 4 + _ATTR_HEAD + 4, b"\xff\xfe")
+        self.refused(sdf_path, "not UTF-8", SdfReader.file_attributes)
+
+    @pytest.mark.parametrize("value", [3, 7.5], ids=["int", "float"])
+    def test_number_not_eight_bytes(self, sdf_path, value):
+        one_attribute_file(sdf_path, "step", value)
+        block = file_attr_offset(sdf_path)
+        patch_at(sdf_path, block + 4 + 3, struct.pack("<I", 4))
+        self.refused(sdf_path, "not 8", SdfReader.file_attributes)
+
+    @pytest.mark.parametrize("where", ["inside header", "past directory",
+                                       "far away"])
+    def test_file_attribute_block_out_of_bounds(self, sdf_path, where):
+        write_sample(sdf_path)
+        with open(sdf_path, "r+b") as f:
+            header = list(_HEADER.unpack(f.read(_HEADER.size)))
+            header[5] = {"inside header": 8,
+                         "past directory": header[3] + 1,
+                         "far away": 2 ** 40}[where]
+            f.seek(0)
+            f.write(_HEADER.pack(*header))
+        with pytest.raises(StorageFormatError,
+                           match="file-attribute block") as info:
+            SdfReader(sdf_path)
+        assert sdf_path in str(info.value)
 
 
 def reference_directory(path):

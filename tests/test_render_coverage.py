@@ -1,0 +1,257 @@
+"""A draw is a coverage and a shading: visibility as a derived product.
+
+:meth:`Renderer.cover` computes which triangle last wrote each pixel
+(and its interpolation terms) against the z-buffer as it stands;
+:meth:`Renderer.shade` colors that coverage. The contracts:
+
+* any sequence of draws through ``cover`` + ``shade`` leaves the
+  per-triangle reference loop's frame and z-buffer after every draw;
+* a stored coverage shaded with new colors is the full draw with those
+  colors, counters included;
+* the pipeline memoizes a draw's coverage under its geometry — the mesh
+  tokens and the op's plane, never the field — so a new time-step over
+  an unchanged mesh replays it, a deforming mesh misses it, and an op
+  list that starts with an isosurface stores none.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from reference_raster import ReferenceRenderer
+
+from repro.core.database import GBO
+from repro.core.derived import DerivedCache, content_token
+from repro.core.memory_manager import MemoryManager
+from repro.gen.tetmesh import structured_tet_block
+from repro.io.readers import (
+    make_snapshot_read_fn,
+    snapshot_unit_name,
+    solid_schema,
+)
+from repro.viz import gops as gops_module
+from repro.viz.apollo import ApolloSession, interactive_trace
+from repro.viz.camera import Camera
+from repro.viz.colormap import Colormap
+from repro.viz.godiva_data import GodivaSnapshotData
+from repro.viz.gops import GraphicsOp, GraphicsOps
+from repro.viz.isosurface import TriangleSoup
+from repro.viz.pipeline import Pipeline, SnapshotData
+from repro.viz.render import Renderer
+
+
+def _camera(width=100, height=70):
+    return Camera(position=(0.0, -5.0, 0.0), look_at=(0.0, 0.0, 0.0),
+                  up=(0, 0, 1), width=width, height=height)
+
+
+def _same_buffers(renderer, oracle):
+    assert np.array_equal(renderer._zbuffer, oracle._zbuffer)
+    assert np.array_equal(renderer._frame, oracle._frame)
+    assert renderer.triangles_culled == oracle.triangles_culled
+    assert renderer.triangles_drawn == oracle.triangles_drawn
+
+
+_SOUPS = st.lists(
+    st.tuples(
+        arrays(dtype="<f8",
+               shape=st.tuples(st.integers(1, 25), st.just(3), st.just(3)),
+               elements=st.floats(-4.0, 4.0)),
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(draws=_SOUPS)
+def test_cover_then_shade_matches_reference_after_every_draw(draws):
+    """Random draw sequences: a renderer covering then shading each
+    soup, and one replaying those coverages with another colormap,
+    equal the reference loop drawn with each colormap, draw by draw."""
+    first, second = Colormap("rainbow"), Colormap("heat", vmin=-2.0,
+                                                     vmax=3.0)
+    covering, replaying = Renderer(_camera()), Renderer(_camera())
+    oracle_first = ReferenceRenderer(_camera())
+    oracle_second = ReferenceRenderer(_camera())
+    for vertices, seed in draws:
+        values = np.random.default_rng(seed).uniform(
+            -2.0, 3.0, size=(len(vertices), 3))
+        soup = TriangleSoup(vertices, values)
+        coverage = covering.cover(soup.vertices)
+        covering.draw(soup, first, coverage=coverage)
+        replaying.draw(soup, second, coverage=coverage)
+        oracle_first.draw(soup, first)
+        oracle_second.draw(soup, second)
+        _same_buffers(covering, oracle_first)
+        _same_buffers(replaying, oracle_second)
+
+
+def _soups():
+    """Two overlapping soups, the second partly hidden by the first,
+    and a third entirely behind the camera."""
+    rng = np.random.default_rng(11)
+    centers = rng.uniform(-1.5, 1.5, size=(300, 1, 3))
+    near = centers + rng.uniform(-0.4, 0.4, size=(300, 3, 3))
+    far = near + np.array([0.2, 1.0, 0.1])
+    behind = near + np.array([0.0, -20.0, 0.0])
+    return [TriangleSoup(v, rng.uniform(0.0, 1.0, size=(300, 3)))
+            for v in (near, far, behind)]
+
+
+def test_a_stored_coverage_shades_new_colors_on_a_fresh_renderer():
+    soups = _soups()
+    recorder = Renderer(_camera())
+    coverages = []
+    for soup in soups:
+        coverages.append(recorder.cover(soup.vertices))
+        recorder.draw(soup, Colormap("gray"), coverage=coverages[-1])
+    assert coverages[2].pixels.size == 0       # culled whole
+    assert coverages[2].culled == 300
+    replayed, drawn = Renderer(_camera()), Renderer(_camera())
+    for soup, coverage in zip(soups, coverages):
+        recolored = TriangleSoup(soup.vertices, 1.0 - soup.values)
+        replayed.draw(recolored, Colormap("rainbow"), vmax=0.8,
+                      coverage=coverage)
+        drawn.draw(recolored, Colormap("rainbow"), vmax=0.8)
+        assert np.array_equal(replayed._frame, drawn._frame)
+        assert np.array_equal(replayed._zbuffer, drawn._zbuffer)
+    for counter in ("triangles_drawn", "triangles_culled",
+                    "fragments_evaluated"):
+        assert getattr(replayed, counter) == getattr(drawn, counter) > 0
+
+
+def test_coverage_is_charged_and_frozen_by_the_derived_cache():
+    memory = MemoryManager(8 << 20)
+    cache = DerivedCache(memory)
+    memory.bind(release_records=lambda name: 0, derived=cache)
+    coverage = Renderer(_camera()).cover(_soups()[0].vertices)
+    stored = cache.put(("cover", "k"), coverage)
+    assert stored is coverage
+    assert not coverage.terms.flags.writeable
+    assert cache.resident_bytes == coverage.cache_nbytes() > 0
+
+
+# ----------------------------------------------------------------------
+# The pipeline's cover products
+# ----------------------------------------------------------------------
+
+_MESH = structured_tet_block(4, 4, 4)
+
+
+class MeshSteps(SnapshotData):
+    """One block of ``_MESH``, displaced by ``shift`` (a deforming
+    mesh when it changes), with fields whose ``y`` term is scaled by
+    ``scale`` (a new time-step when it changes)."""
+
+    def __init__(self, cache, shift=0.0, scale=1.0):
+        self._cache = cache
+        self._coords = _MESH.nodes + np.array([0.0, 0.0, shift])
+        x, y, z = _MESH.nodes.T
+        self._fields = {"temperature": x + scale * y * z,
+                        "velocity": np.stack([x, scale * y, z], axis=1)}
+
+    def derived_cache(self):
+        return self._cache
+
+    def snapshot_token(self, name):
+        return content_token({"coords": self._coords,
+                              "conn": _MESH.tets}.get(name,
+                                                      self._fields.get(name)))
+
+    def block_ids(self):
+        return ["block_0000"]
+
+    def coords(self, block_id):
+        return self._coords
+
+    def connectivity(self, block_id):
+        return _MESH.tets
+
+    def field(self, block_id, name):
+        return self._fields[name]
+
+
+_FRAME_OPS = GraphicsOps([
+    GraphicsOp("boundary", "temperature", colormap="heat"),
+    GraphicsOp("slice", "velocity", component="magnitude",
+               origin=(0.5, 0.5, 0.5), normal=(0.0, 1.0, 0.0)),
+    GraphicsOp("isosurface", "temperature", isovalue=0.6),
+])
+
+
+def _cover_entries(cache):
+    return [name for name, _nbytes in cache.report()
+            if name.startswith("derived::cover|")]
+
+
+def _pipeline(ops=_FRAME_OPS):
+    return Pipeline(ops, camera=Camera.fit_bounds(
+        (0, 0, 0), (1, 1, 1), width=96, height=72), render=True)
+
+
+@pytest.fixture
+def cache():
+    memory = MemoryManager(64 << 20)
+    cache = DerivedCache(memory)
+    memory.bind(release_records=lambda name: 0, derived=cache)
+    return cache
+
+
+def _uncached_image(pipeline, **step):
+    return pipeline.process(MeshSteps(None, **step)).image
+
+
+def test_new_step_over_unchanged_mesh_replays_cover(cache):
+    pipeline = _pipeline()
+    first = pipeline.process(MeshSteps(cache)).image
+    # Boundary and slice are stored; the isosurface ends the prefix.
+    assert len(_cover_entries(cache)) == 2
+    hits = cache.stats.derived_hits
+    second = pipeline.process(MeshSteps(cache, scale=1.5)).image
+    assert len(_cover_entries(cache)) == 2
+    assert cache.stats.derived_hits > hits
+    assert np.array_equal(first, _uncached_image(pipeline))
+    assert np.array_equal(second, _uncached_image(pipeline, scale=1.5))
+    assert not np.array_equal(first, second)
+
+
+def test_deforming_mesh_misses_cover(cache):
+    pipeline = _pipeline()
+    pipeline.process(MeshSteps(cache))
+    before = set(_cover_entries(cache))
+    moved = pipeline.process(MeshSteps(cache, shift=0.05)).image
+    after = set(_cover_entries(cache))
+    assert len(after - before) == 2
+    assert np.array_equal(moved, _uncached_image(pipeline, shift=0.05))
+
+
+def test_complex_op_list_stores_no_cover(small_dataset):
+    """Isosurfaces come first in ``complex``: no draw of its frame has
+    a geometry-only prefix, so nothing is looked up or stored."""
+    gops = gops_module.test_gops("complex")
+    with GBO(mem_mb=64, background_io=False) as gbo:
+        solid_schema().ensure(gbo)
+        gbo.add_unit(snapshot_unit_name(0), make_snapshot_read_fn(
+            small_dataset, fields=gops.fields_used()))
+        gbo.wait_unit(snapshot_unit_name(0))
+        data = GodivaSnapshotData(gbo, small_dataset.snapshots[0].tsid,
+                                  small_dataset.block_ids)
+        result = Pipeline(gops, render=True).process(data)
+        assert result.triangles > 0 and len(gbo.derived) > 0
+        assert _cover_entries(gbo.derived) == []
+
+
+def test_apollo_medium_trace_frames_match_without_cache(small_dataset):
+    trace = interactive_trace(4, 10, "backforth")
+    frames = []
+    for derived in (True, False):
+        with ApolloSession(small_dataset.directory, test="medium",
+                           mem_mb=64, render=True,
+                           derived_cache=derived) as session:
+            frames.append([session.view(step) for step in trace])
+            if derived:
+                assert _cover_entries(session.gbo.derived)
+    for cached, plain in zip(*frames):
+        assert np.array_equal(cached, plain)
