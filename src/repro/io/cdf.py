@@ -57,11 +57,16 @@ class CdfWriter:
         self._closed = False
 
     def set_attribute(self, name: str, value: AttrValue) -> None:
+        """Set a file-level attribute (written at :meth:`close`)."""
         self._file_attrs[name] = value
 
     def add_dataset(self, name: str, array: np.ndarray,
                     attrs: Optional[Dict[str, AttrValue]] = None
                     ) -> None:
+        """Buffer one dataset (little-endian, at most ``_MAX_RANK``
+        dimensions) and its attributes; laid out at :meth:`close`.
+        :class:`StorageFormatError` for a closed writer, a name too long
+        or already used, or a rank or dtype the format cannot hold."""
         if self._closed:
             raise StorageFormatError("writer is closed")
         name_b = name.encode("utf-8")
@@ -88,6 +93,8 @@ class CdfWriter:
         self._names.add(name)
 
     def close(self) -> None:
+        """Lay out and write the whole file — header, then every
+        dataset's data — once; idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -161,6 +168,13 @@ class CdfReader:
             )
         if version != _VERSION:
             raise StorageFormatError(f"unsupported CDF version {version}")
+        # The one fstat of an open, made before the header read is
+        # sized: a header length past the end is refused, not allocated.
+        size = self._file.size()
+        if not _HEADER.size + 4 <= header_len <= size:
+            raise self._bad(
+                f"truncated CDF header: {header_len} bytes claimed, "
+                f"{size}-byte file")
         # One sequential read covers the whole header — the locality
         # advantage of the header-first layout.
         rest = self._file.read(header_len - _HEADER.size)
@@ -171,7 +185,6 @@ class CdfReader:
         self._fattrs = _decode_attrs(rest[cursor:cursor + fattr_len],
                                      self._file.path)
         cursor += fattr_len
-        size = self._file.size()
         dtypes: Dict[bytes, np.dtype] = {}
         for _ in range(n_vars):
             if cursor + _VAR_FIXED.size > len(rest):
@@ -210,12 +223,14 @@ class CdfReader:
 
     @property
     def dataset_names(self) -> List[str]:
+        """Dataset names in file order."""
         return list(self._order)
 
     def __contains__(self, name: str) -> bool:
         return name in self._infos
 
     def info(self, name: str) -> DatasetInfo:
+        """Header metadata of dataset ``name`` (no data touched)."""
         try:
             return self._infos[name]
         except KeyError:
@@ -224,15 +239,18 @@ class CdfReader:
             ) from None
 
     def attributes(self, name: str) -> Dict[str, AttrValue]:
+        """Per-dataset attributes, from the header read at open."""
         self.info(name)
         # Attributes came with the header read: no extra I/O (unlike
         # SDF, whose per-dataset attribute blocks need a seek each).
         return dict(self._attrs[name])
 
     def file_attributes(self) -> Dict[str, AttrValue]:
+        """The file-level attributes, from the header read at open."""
         return dict(self._fattrs)
 
     def read(self, name: str) -> np.ndarray:
+        """Read one dataset's data (one seek + transfer)."""
         info = self.info(name)
         data = self._file.read_at(info.data_offset, info.data_nbytes)
         if len(data) != info.data_nbytes:
@@ -254,6 +272,7 @@ class CdfReader:
             raise StorageFormatError(f"truncated data for {name!r}")
 
     def close(self) -> None:
+        """Close the file; idempotent."""
         self._file.close()
 
     def __enter__(self) -> "CdfReader":

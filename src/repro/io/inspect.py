@@ -65,6 +65,8 @@ def describe_dataset(directory: str) -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Command-line entry point: print what the given file or dataset
+    directory holds; returns the exit status."""
     parser = argparse.ArgumentParser(
         description="Inspect SDF/CDF files or snapshot datasets."
     )

@@ -238,6 +238,7 @@ def make_snapshot_read_fn(
     """
 
     def read_fn(gbo: GBO, unit_name: str) -> None:
+        """Load the snapshot step ``unit_name`` names into ``gbo``."""
         load_snapshot_records(
             gbo, manifest, unit_step(unit_name),
             fields=fields, stats=stats, profile=profile,
@@ -269,6 +270,7 @@ def make_file_read_fn(
     """
 
     def read_fn(gbo: GBO, unit_name: str) -> None:
+        """Load the one snapshot file ``unit_name`` names into ``gbo``."""
         step, file_index = unit_step_file(unit_name)
         if pace:
             local = IoStats()

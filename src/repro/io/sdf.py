@@ -394,6 +394,9 @@ class SdfReader:
                 f"directory at byte {dir_offset}")
         self._fattr_offset = fattr_offset
         self._dir_offset = dir_offset
+        #: The size at open: a data block is checked against it when
+        #: read (:meth:`_data_extent`), with no ``fstat`` per read.
+        self._size = size
         blob = self._file.read_at(dir_offset, dir_nbytes)
         if len(blob) != dir_nbytes:
             raise StorageFormatError("truncated SDF directory")
@@ -405,7 +408,8 @@ class SdfReader:
         except StorageFormatError as exc:
             raise StorageFormatError(f"{path}: {exc}") from None
         if extent > size:
-            # A data block past the end is refused when it is read.
+            # A data block past the end is refused when it is read
+            # (_data_extent): the others stay readable.
             raise StorageFormatError(
                 f"{path}: an attribute block ends at byte {extent}, past "
                 f"the end of the {size}-byte file")
@@ -442,10 +446,24 @@ class SdfReader:
             self._file.read_at(info.attr_offset, info.attr_nbytes),
             self._file.path)
 
+    def _data_extent(self, info: DatasetInfo) -> int:
+        """``info``'s data length, once its block is known to end inside
+        the file as it was at open; a block past that end is refused
+        before any seek, read or allocation."""
+        nbytes = info.data_nbytes
+        if info.data_offset + nbytes > self._size:
+            raise StorageFormatError(
+                f"{self._file.path}: truncated data for dataset "
+                f"{info.name!r}: its block ends at byte "
+                f"{info.data_offset + nbytes}, past the end of the "
+                f"{self._size}-byte file")
+        return nbytes
+
     def read(self, name: str) -> np.ndarray:
         """Read one dataset's data (one seek + transfer)."""
         info = self.info(name)
-        data = self._file.read_at(info.data_offset, info.data_nbytes)
+        data = self._file.read_at(info.data_offset,
+                                  self._data_extent(info))
         if len(data) != info.data_nbytes:
             raise StorageFormatError(
                 f"truncated data for dataset {name!r}"
@@ -467,7 +485,7 @@ class SdfReader:
             info = self._infos[name]
         except KeyError:
             info = self.info(name)      # raises the missing-dataset error
-        nbytes = info.data_nbytes
+        nbytes = self._data_extent(info)
         if self._file.readinto_at(
                 info.data_offset,
                 writable_target(out, nbytes, name)) != nbytes:

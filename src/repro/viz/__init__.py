@@ -27,10 +27,10 @@ from repro.viz.colormap import Colormap
 from repro.viz.gops import GraphicsOp, GraphicsOps, test_gops
 from repro.viz.houston import HoustonCluster, HoustonConfig
 from repro.viz.image import write_ppm
-from repro.viz.isosurface import TriangleSoup, marching_tets
+from repro.viz.isosurface import TetCut, TriangleSoup, marching_tets
 from repro.viz.pipeline import Pipeline, SnapshotData
 from repro.viz.render import Renderer
-from repro.viz.slice_plane import slice_mesh
+from repro.viz.slice_plane import plane_cut, slice_mesh
 
 __all__ = [
     "Camera",
@@ -40,7 +40,9 @@ __all__ = [
     "test_gops",
     "write_ppm",
     "TriangleSoup",
+    "TetCut",
     "marching_tets",
+    "plane_cut",
     "slice_mesh",
     "Renderer",
     "Pipeline",

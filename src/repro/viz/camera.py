@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,14 +54,16 @@ class Camera:
         true_up = np.cross(right, forward)
         return right, true_up, forward
 
-    def project(self, points: np.ndarray
+    def project(self, points: np.ndarray,
+                out: Optional[Tuple[np.ndarray, np.ndarray]] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """Project world points to pixel coordinates.
 
         Returns ``(xy, depth)``: xy is (n, 2) pixel coordinates (x right,
         y down), depth is the view-space distance along the camera's
         forward axis (points with depth <= near should be culled by the
-        caller).
+        caller). ``out``, an ``(xy, depth)`` pair of that shape, receives
+        them instead of new arrays.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         eye = np.asarray(self.position, dtype=np.float64)
@@ -70,11 +72,25 @@ class Camera:
         x_cam = rel @ right
         y_cam = rel @ true_up
         depth = rel @ forward
+        del rel
         f = (self.height / 2.0) / math.tan(math.radians(self.fov_deg) / 2)
         safe_depth = np.where(depth > self.near, depth, np.inf)
-        px = self.width / 2.0 + f * x_cam / safe_depth
-        py = self.height / 2.0 - f * y_cam / safe_depth
-        return np.column_stack([px, py]), depth
+        # width/2 + f*x/d and height/2 - f*y/d, in place: the same
+        # operations on the same operands (x*f is f*x, bit for bit), so
+        # the same floats, without a temporary per step.
+        x_cam *= f
+        x_cam /= safe_depth
+        x_cam += self.width / 2.0
+        y_cam *= f
+        y_cam /= safe_depth
+        np.subtract(self.height / 2.0, y_cam, out=y_cam)
+        if out is None:
+            return np.column_stack([x_cam, y_cam]), depth
+        xy, out_depth = out
+        xy[:, 0] = x_cam
+        xy[:, 1] = y_cam
+        out_depth[...] = depth
+        return xy, out_depth
 
     # ------------------------------------------------------------------
     # Camera position file

@@ -6,18 +6,23 @@ its four vertices lie inside (value >= isovalue); the 16 sign cases yield
 0, 1, or 2 triangles whose vertices are linear interpolations along the
 cut edges. The implementation is vectorized per case over all tets.
 
-A second per-node array can be *carried*: its values are interpolated onto
-the output triangle vertices with the same edge weights — used by the
-cutting-plane stage to paint a field onto the slice.
+The kernel outputs a *cut* (:class:`TetCut`): each output corner's
+position, the two end nodes of the edge it lies on and its weight
+``t`` along that edge. A per-node array is then *carried* onto the cut
+with the same weights (:meth:`TetCut.carry`) — the isovalue field
+itself for a plain isosurface, the field of interest for a cutting
+plane. A cut depends on the mesh and the level values only, so a
+plane over an unchanged mesh is cut once and carries every
+time-step's field.
 
 There is one kernel, :func:`_case_pieces`, over a contiguous *range*
-of tets. :func:`marching_tets` runs it over the whole mesh as a
-single range; :func:`marching_tets_pieces` exposes a sub-range so one
+of tets. :func:`tet_cut` runs it over the whole mesh as a single
+range; :func:`marching_tets_pieces` exposes a sub-range so one
 large mesh can be split across compute workers instead of straggling
 as a single task. Every (sign case, case triangle) pair has a fixed
 global *piece rank* (its position in ``_CASES`` iteration order);
 each range returns its per-rank arrays and :func:`merge_tet_pieces`
-reassembles them rank-major, range-ascending, so the merged soup is
+reassembles them rank-major, range-ascending, so the merged cut is
 byte-identical no matter how the tets were split. (All per-tet
 arithmetic is elementwise or row-indexed, so subsetting rows never
 changes a row's floats.)
@@ -30,6 +35,8 @@ merge finishes with one stable sort on it, which turns rank-major
 order into block-major / rank-major / tet-ascending: exactly the
 bytes of extracting every block on its own and concatenating the
 soups in block order, from one kernel pass instead of one per block.
+(Edge ends are merged-mesh node indices, so one carry serves every
+block.)
 """
 
 from __future__ import annotations
@@ -68,11 +75,12 @@ _CASES: Dict[int, List[Tuple[int, int, int]]] = {
     0b1110: [(0, 2, 1)],
 }
 
-#: One kernel output piece: ``(rank, vertices, values, blocks)``. The
-#: rank is the piece's position in the global emission order — one per
-#: (sign case, case triangle) pair, in ``_CASES`` iteration order —
+#: One kernel output piece: ``(rank, vertices, ends, weights, blocks)``.
+#: The rank is the piece's position in the global emission order — one
+#: per (sign case, case triangle) pair, in ``_CASES`` iteration order —
 #: which is what lets the merge interleave several ranges' results.
-Piece = Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]
+Piece = Tuple[int, np.ndarray, np.ndarray, np.ndarray,
+              Optional[np.ndarray]]
 
 
 @dataclass
@@ -138,6 +146,67 @@ class TriangleSoup:
         return self
 
 
+class TetCut:
+    """Where a level set cuts a tet mesh, without any field on it.
+
+    ``vertices``: (n, 3, 3) float64 — the output triangles' corners.
+    ``ends``: (2, n, 3) int32 — each corner's cut-edge end nodes.
+    ``weights``: (n, 3) float64 — each corner's edge weight ``t``.
+
+    The product of the kernel (:func:`tet_cut`, or
+    :func:`merge_tet_pieces` over ranges). A cut depends on the mesh and
+    the level values only; :meth:`carry` paints any per-node field onto
+    it, so a cutting plane over an unchanged mesh is cut once and
+    carries each time-step's field
+    (docs/adr/022-a-cut-is-a-derived-product.md).
+    """
+
+    __slots__ = ("vertices", "ends", "weights", "n_nodes")
+
+    def __init__(self, vertices: np.ndarray, ends: np.ndarray,
+                 weights: np.ndarray, n_nodes: int):
+        self.vertices = vertices
+        self.ends = ends
+        self.weights = weights
+        #: Node count of the mesh: :meth:`carry` checks its field's.
+        self.n_nodes = n_nodes
+
+    @property
+    def n_triangles(self) -> int:
+        """Number of triangles the cut yields."""
+        return len(self.vertices)
+
+    @classmethod
+    def empty(cls, n_nodes: int) -> "TetCut":
+        """A cut with no triangles."""
+        return cls(np.empty((0, 3, 3)), np.empty((2, 0, 3), np.int32),
+                   np.empty((0, 3)), n_nodes)
+
+    def carry(self, values: np.ndarray) -> TriangleSoup:
+        """The soup of this cut with per-node ``values`` interpolated
+        onto its corners: ``ca + t * (cb - ca)`` over each corner's edge
+        ends, the kernel's own expression on the same operands."""
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != self.n_nodes:
+            raise ValueError(
+                f"{len(values)} carry values for {self.n_nodes} nodes"
+            )
+        ca = values.take(self.ends[0])
+        cb = values.take(self.ends[1])
+        return TriangleSoup(self.vertices, ca + self.weights * (cb - ca))
+
+    def cache_nbytes(self) -> int:
+        """Budget-accounting size for the derived-data cache."""
+        return int(self.vertices.nbytes + self.ends.nbytes
+                   + self.weights.nbytes)
+
+    def cache_freeze(self) -> "TetCut":
+        """Make the arrays read-only so the cut can be shared."""
+        for array in (self.vertices, self.ends, self.weights):
+            array.flags.writeable = False
+        return self
+
+
 def marching_tets(
     nodes: np.ndarray,
     tets: np.ndarray,
@@ -156,31 +225,44 @@ def marching_tets(
     multi-block mesh: the soup comes out block-major, as if each block
     had been extracted separately.
 
-    The whole mesh as one range: the kernel's pieces, merged.
+    The whole mesh's cut, carrying the field.
     """
-    return merge_tet_pieces([
-        _case_pieces(nodes, tets, level_values, carry_values, isovalue,
-                     tet_block)
-    ])
+    cut = tet_cut(nodes, tets, level_values, isovalue, tet_block)
+    return cut.carry(level_values if carry_values is None
+                     else carry_values)
+
+
+def tet_cut(
+    nodes: np.ndarray,
+    tets: np.ndarray,
+    level_values: np.ndarray,
+    isovalue: float,
+    tet_block: Optional[np.ndarray] = None,
+) -> TetCut:
+    """The ``level_values == isovalue`` cut of the whole mesh: the
+    kernel over one range, merged."""
+    return merge_tet_pieces(
+        [_case_pieces(nodes, tets, level_values, isovalue, tet_block)],
+        n_nodes=len(nodes),
+    )
 
 
 def _case_pieces(
     nodes: np.ndarray,
     tets: np.ndarray,
     level_values: np.ndarray,
-    carry_values: Optional[np.ndarray],
     isovalue: float,
     tet_block: Optional[np.ndarray] = None,
 ) -> List[Piece]:
     """The extraction kernel: rank-keyed raw piece arrays.
 
-    One ``(rank, vertices (k, 3, 3), values (k, 3), blocks)`` tuple per
-    non-empty (sign case, case triangle) pair, in rank order with tets
-    ascending within a piece. ``tets`` is the range to extract (any
-    row subset of the mesh's connectivity) and ``tet_block`` the
-    matching rows of the tet->block index; ``blocks`` is its selection
-    for the piece's triangles (None without an index). The per-node
-    arrays are validated here, once, for both entry points.
+    One ``(rank, vertices (k, 3, 3), ends (2, k, 3), weights (k, 3),
+    blocks)`` tuple per non-empty (sign case, case triangle) pair, in
+    rank order with tets ascending within a piece. ``tets`` is the
+    range to extract (any row subset of the mesh's connectivity) and
+    ``tet_block`` the matching rows of the tet->block index; ``blocks``
+    is its selection for the piece's triangles (None without an index).
+    The level values are validated here, once, for every entry point.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     tets = np.asarray(tets)
@@ -189,15 +271,9 @@ def _case_pieces(
         raise ValueError(
             f"{len(level_values)} level values for {len(nodes)} nodes"
         )
-    if carry_values is None:
-        carry_values = level_values
-    else:
-        carry_values = np.asarray(carry_values, dtype=np.float64)
-        if len(carry_values) != len(nodes):
-            raise ValueError(
-                f"{len(carry_values)} carry values for {len(nodes)} nodes"
-            )
-    tet_values = level_values[tets]                       # (m, 4)
+    # take, not fancy indexing, for every row gather below: the same
+    # values, several times faster.
+    tet_values = level_values.take(tets)                  # (m, 4)
     inside = tet_values >= isovalue
     masks = inside.astype(np.int8) @ _MASK_WEIGHTS        # (m,)
 
@@ -208,12 +284,13 @@ def _case_pieces(
         if not len(selected):
             rank += len(triangles)
             continue
-        sel_tets = tets[selected]                          # (k, 4)
-        sel_vals = tet_values[selected]                    # (k, 4)
+        sel_tets = tets.take(selected, axis=0)             # (k, 4)
+        sel_vals = tet_values.take(selected, axis=0)       # (k, 4)
         # Interpolate every cut edge used by this case once.
         edge_ids = sorted({e for tri in triangles for e in tri})
         edge_pos = {}
-        edge_carry = {}
+        edge_ends = {}
+        edge_t = {}
         for edge in edge_ids:
             a, b = _EDGES[edge]
             fa = sel_vals[:, a]
@@ -223,17 +300,18 @@ def _case_pieces(
             # the fa == fb == isovalue corner case.
             safe = np.where(np.abs(denom) < 1e-300, 1.0, denom)
             t = np.clip((isovalue - fa) / safe, 0.0, 1.0)
-            pa = nodes[sel_tets[:, a]]
-            pb = nodes[sel_tets[:, b]]
+            pa = nodes.take(sel_tets[:, a], axis=0)
+            pb = nodes.take(sel_tets[:, b], axis=0)
             edge_pos[edge] = pa + t[:, None] * (pb - pa)
-            ca = carry_values[sel_tets[:, a]]
-            cb = carry_values[sel_tets[:, b]]
-            edge_carry[edge] = ca + t * (cb - ca)
-        blocks = None if tet_block is None else tet_block[selected]
+            edge_ends[edge] = sel_tets[:, (a, b)].T.astype(np.int32)
+            edge_t[edge] = t
+        blocks = (None if tet_block is None
+                  else tet_block.take(selected))
         for tri in triangles:
             verts = np.stack([edge_pos[e] for e in tri], axis=1)
-            vals = np.stack([edge_carry[e] for e in tri], axis=1)
-            pieces.append((rank, verts, vals, blocks))
+            ends = np.stack([edge_ends[e] for e in tri], axis=2)
+            weights = np.stack([edge_t[e] for e in tri], axis=1)
+            pieces.append((rank, verts, ends, weights, blocks))
             rank += 1
     return pieces
 
@@ -245,10 +323,9 @@ def marching_tets_pieces(
     isovalue: float,
     lo: int,
     hi: int,
-    carry_values: Optional[np.ndarray] = None,
     tet_block: Optional[np.ndarray] = None,
 ) -> List[Piece]:
-    """Extract over the contiguous tet range ``tets[lo:hi]`` only.
+    """Cut the contiguous tet range ``tets[lo:hi]`` only.
 
     The sub-range compute task: a module-level function of plain
     arrays (REP107 — and re-importable by
@@ -256,26 +333,27 @@ def marching_tets_pieces(
     the mesh arrays arriving as zero-copy tokens). Returns rank-keyed
     raw piece arrays; feed every range's result, in ascending range
     order, to :func:`merge_tet_pieces` to obtain the byte-identical
-    whole-mesh soup.
+    whole-mesh cut.
     """
     return _case_pieces(
-        nodes, tets[lo:hi], level_values, carry_values, isovalue,
+        nodes, tets[lo:hi], level_values, isovalue,
         None if tet_block is None else tet_block[lo:hi],
     )
 
 
-def merge_tet_pieces(chunks: List[List[Piece]]) -> TriangleSoup:
-    """Reassemble sub-range piece lists into the whole-mesh soup.
+def merge_tet_pieces(chunks: List[List[Piece]], n_nodes: int) -> TetCut:
+    """Reassemble sub-range piece lists into the whole-mesh cut.
 
     ``chunks`` must be ordered by ascending tet range. Pieces are laid
     out rank-major, chunk-ascending: for a fixed rank the chunks hold
     disjoint ascending tet subsets, so their concatenation is the
     ascending selection a single whole-mesh range produces — the
-    merged soup does not depend on how the mesh was split. Pieces that
+    merged cut does not depend on how the mesh was split. Pieces that
     carry block indices (a merged multi-block mesh) are then stably
     sorted by block: within a rank the blocks already ascend, so the
     sort yields block-major / rank-major / tet-ascending order — the
-    concatenation of the per-block soups.
+    concatenation of the per-block cuts. ``n_nodes`` is the mesh's
+    node count, for :meth:`TetCut.carry` to check.
     """
     # Chunk-major in, stable sort on rank: rank-major, chunk-ascending.
     pieces = sorted(
@@ -283,13 +361,15 @@ def merge_tet_pieces(chunks: List[List[Piece]]) -> TriangleSoup:
         key=lambda piece: piece[0],
     )
     if not pieces:
-        return TriangleSoup.empty()
+        return TetCut.empty(n_nodes)
     vertices = np.concatenate([piece[1] for piece in pieces])
-    values = np.concatenate([piece[2] for piece in pieces])
-    if pieces[0][3] is not None:
+    ends = np.concatenate([piece[2] for piece in pieces], axis=1)
+    weights = np.concatenate([piece[3] for piece in pieces])
+    if pieces[0][4] is not None:
         order = np.argsort(
-            np.concatenate([piece[3] for piece in pieces]), kind="stable"
+            np.concatenate([piece[4] for piece in pieces]), kind="stable"
         )
-        vertices = vertices[order]
-        values = values[order]
-    return TriangleSoup(vertices, values)
+        vertices = vertices.take(order, axis=0)
+        ends = ends.take(order, axis=1)
+        weights = weights.take(order, axis=0)
+    return TetCut(vertices, ends, weights, n_nodes)

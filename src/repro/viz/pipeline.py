@@ -9,9 +9,10 @@ while the GODIVA builds query buffers that were read once (section 4.2).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.viz.isosurface import (
     merge_tet_pieces,
 )
 from repro.viz.render import Renderer
-from repro.viz.slice_plane import slice_mesh
+from repro.viz.slice_plane import plane_cut
 
 #: Minimum tets per extraction task when one op's marching-tets pass
 #: fans out over tet ranges. Meshes smaller than two grains run whole —
@@ -156,6 +157,53 @@ def merge_blocks(coords: Sequence[np.ndarray],
     return np.concatenate(coords), tets, tet_block
 
 
+def geometry_prefix(ops: Sequence[GraphicsOp]) -> int:
+    """How many leading ops are ``boundary`` or ``slice``: draws whose
+    triangles depend on the mesh and the op's plane, not on a field."""
+    for index, op in enumerate(ops):
+        if op.kind not in ("boundary", "slice"):
+            return index
+    return len(ops)
+
+
+def draw_ops(renderer: Renderer, ops: Sequence[GraphicsOp],
+             soups: Sequence[TriangleSoup],
+             memo: Optional[Callable] = None) -> None:
+    """Draw consecutive ops' soups as one submission.
+
+    Each op's lit colors (:meth:`~repro.viz.render.Renderer.colors`,
+    with its colormap and bounds) are written into its rows of one
+    ``(N, 3, 3)`` buffer, laid out channel-major so
+    :meth:`~repro.viz.render.Renderer.shade` reads it in place; the
+    soups' vertices are covered as one submission, in op order, and
+    shaded once. That is the per-op :meth:`~repro.viz.render.Renderer.
+    draw` loop byte for byte, counters included: the compositor
+    reproduces the one-triangle-at-a-time reference for any run
+    partition, so one submission in op order is the draws one after
+    another. ``memo(compute)``, when given, returns the submission's
+    coverage — memoized or ``compute()``. An empty submission draws
+    nothing and asks nothing.
+    """
+    drawn = [(op, soup) for op, soup in zip(ops, soups)
+             if soup.n_triangles]
+    if not drawn:
+        return
+    total = sum(soup.n_triangles for _op, soup in drawn)
+    colors = np.empty((3, 3, total)).transpose(2, 1, 0)
+    offset = 0
+    for op, soup in drawn:
+        end = offset + soup.n_triangles
+        renderer.colors(soup, Colormap(op.colormap), op.vmin, op.vmax,
+                        out=colors[offset:end])
+        offset = end
+    parts = [soup.vertices for _op, soup in drawn]
+    if memo is None:
+        coverage = renderer.cover(parts)
+    else:
+        coverage = memo(lambda: renderer.cover(parts))
+    renderer.draw_colored(None, colors, coverage=coverage)
+
+
 @dataclass
 class PipelineResult:
     """Per-snapshot processing outcome."""
@@ -252,14 +300,15 @@ class Pipeline:
         """Complete a frame begun with :meth:`begin`: collect (or run)
         the extractions, rasterize, and memoize the composite.
 
-        With a frame cache, each draw's visibility is a derived product
-        too: a ``boundary`` or ``slice`` op's triangles are a function
-        of the mesh and the op's plane, not of its field, so the draw's
-        :meth:`~repro.viz.render.Renderer.cover` is memoized under
-        ``("cover", camera, geometry of every op drawn so far)`` and a
-        frame over an unchanged mesh only shades new colors. An
-        isosurface depends on its field: it and every later draw in the
-        frame are covered fresh and not stored.
+        The frame is drawn as at most two submissions (:func:`draw_ops`
+        over :func:`geometry_prefix`): the leading ``boundary`` and
+        ``slice`` ops, whose triangles are a function of the mesh and
+        the ops' planes and not of their fields, then everything else.
+        With a frame cache, the first submission's
+        :meth:`~repro.viz.render.Renderer.cover` is a derived product,
+        memoized under ``("cover", camera, geometry of the prefix)``,
+        so a frame over an unchanged mesh only shades the prefix's new
+        colors. The second is covered fresh and not stored.
         """
         if plan.cached is not None:
             image, op_triangles = plan.cached
@@ -268,42 +317,34 @@ class Pipeline:
                 triangles=sum(op_triangles),
                 op_triangles=list(op_triangles),
             )
-        renderer = Renderer(self.camera) if self.render else None
-        # Geometry keys of the ops drawn so far; None once a draw
-        # depends on a field, or when nothing is memoized.
-        drawn: Optional[tuple] = None
-        if plan.cache is not None and renderer is not None:
-            drawn = ()
-            mesh_tokens = (plan.data.snapshot_token("coords"),
-                           plan.data.snapshot_token("conn"))
-        op_triangles: List[int] = []
-        total = 0
-        for index, op in enumerate(self.gops):
-            if plan.tasks is not None:
-                soup = plan.tasks[index].wait()
-            else:
-                soup = self.extract(plan.data, op)
-            op_triangles.append(soup.n_triangles)
-            total += soup.n_triangles
-            if renderer is None or not soup.n_triangles:
-                continue
-            coverage = None
-            if op.kind not in ("boundary", "slice"):
-                drawn = None
-            if drawn is not None:
-                drawn += ((op.kind, op.origin, op.normal, *mesh_tokens),)
-                coverage = plan.cache.get_or_compute(
-                    ("cover", self._camera_sig(), drawn),
-                    lambda: renderer.cover(soup.vertices))
-            renderer.draw(soup, Colormap(op.colormap),
-                          vmin=op.vmin, vmax=op.vmax, coverage=coverage)
-        if renderer is not None and self.colorbar:
-            renderer.draw_colorbar(Colormap(self.gops.ops[0].colormap))
-        image = renderer.image() if renderer is not None else None
+        ops = self.gops.ops
+        if plan.tasks is not None:
+            soups = [task.wait() for task in plan.tasks]
+        else:
+            soups = [self.extract(plan.data, op) for op in ops]
+        op_triangles = [soup.n_triangles for soup in soups]
+        image = None
+        if self.render:
+            renderer = Renderer(self.camera)
+            prefix = geometry_prefix(ops)
+            memo = None
+            if plan.cache is not None:
+                mesh_tokens = (plan.data.snapshot_token("coords"),
+                               plan.data.snapshot_token("conn"))
+                key = ("cover", self._camera_sig(), tuple(
+                    (op.kind, op.origin, op.normal, *mesh_tokens)
+                    for op in ops[:prefix]))
+                memo = functools.partial(plan.cache.get_or_compute, key)
+            draw_ops(renderer, ops[:prefix], soups[:prefix], memo)
+            draw_ops(renderer, ops[prefix:], soups[prefix:])
+            if self.colorbar:
+                renderer.draw_colorbar(Colormap(ops[0].colormap))
+            image = renderer.image()
         if plan.cache is not None:
             plan.cache.put(plan.frame_key, (image, tuple(op_triangles)))
         return PipelineResult(
-            image=image, triangles=total, op_triangles=op_triangles
+            image=image, triangles=sum(op_triangles),
+            op_triangles=op_triangles,
         )
 
     def _camera_sig(self) -> tuple:
@@ -349,7 +390,10 @@ class Pipeline:
         skin — which is where ops *within* one frame share work (the
         complex test's five stacked isosurfaces scatter the same stress
         field once) and where a mesh constant across time-steps is
-        merged once.
+        merged once. A slice's soup is not memoized: its plane's
+        :class:`~repro.viz.isosurface.TetCut` is, under
+        ``("cut", origin, normal, mesh tokens)``, and each step only
+        carries its field onto it.
 
         Source arrays are read through the accessors in a fixed order —
         for each block in turn ``coords``, ``connectivity``, ``field``
@@ -361,6 +405,8 @@ class Pipeline:
             tokens = tuple(data.snapshot_token(name)
                            for name in ("coords", "conn", op.field))
             if None not in tokens:
+                if op.kind == "slice":
+                    return self._soup(data, op, cache, tokens)
                 key = ("soup", op.kind, op.field, op.component,
                        op.isovalue, op.origin, op.normal, *tokens)
                 return cache.get_or_compute(
@@ -425,10 +471,10 @@ class Pipeline:
             return self._marching(nodes, tets, node_scalars,
                                   op.isovalue, tet_block)
         if op.kind == "slice":
-            return slice_mesh(
-                nodes, tets, node_scalars, op.origin, op.normal,
-                tet_block=tet_block,
-            )
+            cut = memo(("cut", op.origin, op.normal, coords_tok, conn_tok),
+                       lambda: plane_cut(nodes, tets, op.origin, op.normal,
+                                         tet_block=tet_block))
+            return cut.carry(node_scalars)
         raise AssertionError(f"unreachable op kind {op.kind!r}")
 
     @staticmethod
@@ -478,7 +524,8 @@ class Pipeline:
 
         The (merged) tet array is cut into contiguous ranges, each
         range runs :func:`~repro.viz.isosurface.marching_tets_pieces`,
-        and the pieces merge deterministically — the soup is
+        the pieces merge deterministically into the mesh's cut, and
+        the level values are carried onto it — the soup is
         byte-identical however many ranges there are and wherever they
         ran. A serial build or a mesh under two grains is one range,
         run here; a large mesh on a parallel pool fans out as tasks at
@@ -497,7 +544,7 @@ class Pipeline:
             return merge_tet_pieces([marching_tets_pieces(
                 nodes, tets, node_scalars, isovalue, 0, n,
                 tet_block=tet_block,
-            )])
+            )], n_nodes=len(nodes)).carry(node_scalars)
         bounds = np.linspace(0, n, n_chunks + 1).astype(np.int64)
         shared = [pool.share(a) for a in (nodes, tets, node_scalars)]
         shared_block = pool.share(tet_block)
@@ -509,7 +556,9 @@ class Pipeline:
                     int(lo), int(hi), tet_block=shared_block,
                     priority=-0.5,
                 ))
-            return merge_tet_pieces([task.wait() for task in tasks])
+            cut = merge_tet_pieces([task.wait() for task in tasks],
+                                   n_nodes=len(nodes))
+            return cut.carry(node_scalars)
         finally:
             for task in tasks:
                 task.release()

@@ -10,14 +10,25 @@ test, and the Eraser tracker plus the lock-order graph are checked
 after it. With analysis disabled (the default) the plugin is inert and
 the suites run exactly as before. CI runs
 ``REPRO_ANALYSIS=1 pytest -m races`` as a separate job.
+
+With ``CI`` set, hypothesis loads the ``ci`` profile: examples derive
+from each test's own name instead of a random seed, so a property or
+fuzz test that goes red in CI goes red the same way on a rerun.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.core.database import GBO
 from repro.core.schema import fluid_sample_schema
 from repro.gen.snapshot import SnapshotSpec, generate_dataset
 from repro.gen.titan import TitanConfig
+
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def pytest_configure(config):

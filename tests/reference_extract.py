@@ -9,17 +9,20 @@ scattered, skinned, contoured or cut on its own arrays, and the
 per-block soups are concatenated in ``block_ids()`` order. Every
 schedule of the real pipeline (no cache, derived cache, thread pool,
 process pool, any split into tet ranges) must reproduce its
-``vertices`` and ``values`` byte for byte.
+``vertices`` and ``values`` byte for byte. It contours and cuts with
+``tests/reference_kernel.py``, not with ``src``, so a change to the
+kernel cannot move the oracle with it.
 """
+
+from reference_kernel import reference_marching_tets, reference_slice_mesh
 
 from repro.viz.geometry import (
     boundary_faces,
     element_to_node,
     node_tet_counts,
 )
-from repro.viz.isosurface import TriangleSoup, marching_tets
+from repro.viz.isosurface import TriangleSoup
 from repro.viz.pipeline import is_element_field, scalarize
-from repro.viz.slice_plane import slice_mesh
 
 
 def reference_extract(data, op) -> TriangleSoup:
@@ -52,9 +55,10 @@ def _derive(data, block_id, op) -> TriangleSoup:
             return TriangleSoup.empty()
         return TriangleSoup(nodes[faces], node_scalars[faces])
     if op.kind == "isosurface":
-        return marching_tets(nodes, tets, node_scalars, op.isovalue)
+        return reference_marching_tets(nodes, tets, node_scalars,
+                                       op.isovalue)
     if op.kind == "slice":
-        return slice_mesh(
+        return reference_slice_mesh(
             nodes, tets, node_scalars, op.origin, op.normal
         )
     raise AssertionError(f"unreachable op kind {op.kind!r}")

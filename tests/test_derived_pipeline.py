@@ -21,6 +21,7 @@ from repro.io.readers import (
     solid_schema,
 )
 from repro.core.database import GBO
+from repro.core.derived import DerivedCache
 from repro.gen.snapshot import block_key, timestep_id
 from repro.viz.apollo import ApolloSession, interactive_trace
 from repro.viz import gops as gops_module
@@ -303,41 +304,60 @@ class TestDerivedCounts:
     snapshot token replaced."""
 
     def test_apollo_session_trace(self, small_dataset):
-        """Pinned per product kind: the ``cover`` products (one per
-        cacheable draw of a frame miss) beside every other kind."""
+        """Pinned per product kind: one ``cover`` per frame miss (the
+        geometry prefix, boundary + both slices, as one submission) and
+        one ``cut`` per slice per frame miss, beside every other kind."""
         trace = interactive_trace(4, 12, "browse", seed=7)
         session = ApolloSession(small_dataset.directory, test="medium",
                                 mem_mb=64, render=True)
         counts = {}
         cache = session.gbo.derived
-        lookup = cache.get
-
-        def counted(key):
-            value = lookup(key)
-            kind = "cover" if key[0] == "cover" else "other"
-            hits, misses = counts.get(kind, (0, 0))
-            counts[kind] = ((hits + 1, misses) if value is not None
-                            else (hits, misses + 1))
-            return value
-
-        cache.get = counted
+        cache.get = _counting_get(cache.get, counts)
         try:
             for step in trace:
                 session.view(step)
-            assert counts == {"other": (26, 46), "cover": (9, 3)}
+            assert counts == {
+                "bfaces": (3, 1), "cover": (3, 1), "cut": (6, 2),
+                "field": (0, 16), "frame": (8, 4), "mag": (0, 8),
+                "mesh": (15, 1), "soup": (0, 8),
+            }
             stats = session.gbo.stats
-            assert (stats.derived_hits, stats.derived_misses) == (35, 49)
+            assert (stats.derived_hits, stats.derived_misses) == (35, 41)
         finally:
             session.close()
 
-    def test_tg_voyager_run(self, small_dataset, tmp_path):
+    def test_tg_voyager_run(self, small_dataset, tmp_path, monkeypatch):
+        """``complex`` per product kind: its four slices are cut once
+        each and carried every step after; no ``cover`` is asked (an
+        isosurface comes first)."""
+        counts = {}
+        monkeypatch.setattr(DerivedCache, "get", _counting_get(
+            DerivedCache.get, counts, method=True))
         result = Voyager(VoyagerConfig(
             data_dir=small_dataset.directory, test="complex", mode="TG",
             mem_mb=64, derived_cache=True, render=True,
             out_dir=str(tmp_path), snapshot_indices=[0, 1, 0, 2, 1],
         )).run()
+        assert counts == {
+            "cut": (8, 4), "field": (21, 6), "frame": (2, 3),
+            "mesh": (26, 1), "soup": (0, 15),
+        }
         assert (result.gbo_stats["derived_hits"],
-                result.gbo_stats["derived_misses"]) == (49, 37)
+                result.gbo_stats["derived_misses"]) == (57, 29)
+
+
+def _counting_get(lookup, counts, method=False):
+    """Wrap a ``DerivedCache.get`` to count ``(hits, misses)`` per
+    product kind (the key's first part) into ``counts``."""
+    def count(key, value):
+        hits, misses = counts.get(key[0], (0, 0))
+        counts[key[0]] = ((hits + 1, misses) if value is not None
+                          else (hits, misses + 1))
+        return value
+
+    if method:
+        return lambda self, key: count(key, lookup(self, key))
+    return lambda key: count(key, lookup(key))
 
 
 class TestOneQueryPerBuffer:

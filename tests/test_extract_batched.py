@@ -337,7 +337,7 @@ def _entries(cache, stage):
 def test_constant_mesh_is_merged_once(small_dataset):
     """The generated mesh does not move between time-steps: frame 2 and
     later hit the merged-mesh entry (and the stages keyed by the merged
-    connectivity) instead of re-merging."""
+    connectivity, and each slice's cut) instead of re-merging."""
     gops = gops_module.test_gops("medium")
     pipeline = Pipeline(gops, render=False)
     with GBO(mem_mb=64, background_io=False) as gbo:
@@ -356,12 +356,15 @@ def test_constant_mesh_is_merged_once(small_dataset):
             mesh_tokens.add((data.snapshot_token("coords"),
                              data.snapshot_token("conn")))
             if step:
-                # The mesh once per op, plus the boundary skin.
+                # The mesh once per op, plus the boundary skin and the
+                # two slices' cuts.
                 assert (gbo.stats.derived_hits - before
-                        == len(gops.ops) + 1)
+                        == len(gops.ops) + 1 + 2)
         assert len(mesh_tokens) == 1
         assert len(_entries(gbo.derived, "mesh")) == 1
         assert len(_entries(gbo.derived, "bfaces")) == 1
+        assert len(_entries(gbo.derived, "cut")) == 2
+        assert len(_entries(gbo.derived, "soup")) == 3 * 2
         assert len(_entries(gbo.derived, "field")) == 3 * len(
             gops.fields_used())
 
@@ -377,7 +380,8 @@ def test_one_changed_block_invalidates_soup_not_mesh():
     for op in ops:
         pipeline.extract(before, op)
     assert len(_entries(cache, "mesh")) == 1
-    assert len(_entries(cache, "soup")) == 2
+    assert len(_entries(cache, "soup")) == 1      # a slice keeps its cut
+    assert len(_entries(cache, "cut")) == 1
     assert len(_entries(cache, "e2n")) == 1
     assert len(_entries(cache, "adj")) == 1
 
@@ -387,12 +391,14 @@ def test_one_changed_block_invalidates_soup_not_mesh():
         assert_same_soup(pipeline.extract(after, op),
                          reference_extract(after, op))
     # temperature changed in block 2: a new isosurface soup and a new
-    # merged field; the strain slice is a straight soup hit and the
-    # mesh entry served the recompute.
+    # merged field, the mesh entry serving the recompute; the strain
+    # slice carries its unchanged field onto its stored cut (mesh,
+    # field, scatter and cut hits).
     assert len(_entries(cache, "mesh")) == 1
-    assert len(_entries(cache, "soup")) == 3
+    assert len(_entries(cache, "soup")) == 2
+    assert len(_entries(cache, "cut")) == 1
     assert len(_entries(cache, "field")) == 3
-    assert cache.stats.derived_hits - hits == 2   # mesh + strain soup
+    assert cache.stats.derived_hits - hits == 1 + 4
 
 
 def test_oversized_merged_arrays_are_returned_uncached():

@@ -77,10 +77,10 @@ class TestSubBlockExtraction:
         bounds = np.linspace(0, len(tets), n_chunks + 1).astype(int)
         chunks = [
             marching_tets_pieces(nodes, tets, levels, 0.1,
-                                 int(lo), int(hi), carry_values=carry)
+                                 int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        merged = merge_tet_pieces(chunks)
+        merged = merge_tet_pieces(chunks, len(nodes)).carry(carry)
         assert merged.vertices.tobytes() == whole.vertices.tobytes()
         assert merged.values.tobytes() == whole.values.tobytes()
 
@@ -91,7 +91,7 @@ class TestSubBlockExtraction:
             marching_tets_pieces(nodes, tets, levels, -0.2, lo, hi)
             for lo, hi in ((0, 300), (300, 900))
         ]
-        merged = merge_tet_pieces(chunks)
+        merged = merge_tet_pieces(chunks, len(nodes)).carry(levels)
         assert merged.vertices.tobytes() == whole.vertices.tobytes()
         assert merged.values.tobytes() == whole.values.tobytes()
 
@@ -103,15 +103,16 @@ class TestSubBlockExtraction:
         with ProcessComputePool(2, spawn_procs=2,
                                 start_method="fork") as pool:
             shared = [pool.share(np.ascontiguousarray(a))
-                      for a in (nodes, tets, levels, carry)]
+                      for a in (nodes, tets, levels)]
             tasks = [
                 pool.submit(marching_tets_pieces, shared[0], shared[1],
-                            shared[2], 0.1, lo, hi,
-                            carry_values=shared[3])
+                            shared[2], 0.1, lo, hi)
                 for lo, hi in ((0, 450), (450, 900))
             ]
-            merged = merge_tet_pieces([t.wait() for t in tasks])
+            merged = merge_tet_pieces([t.wait() for t in tasks],
+                                      len(nodes)).carry(carry)
         assert merged.vertices.tobytes() == whole.vertices.tobytes()
+        assert merged.values.tobytes() == whole.values.tobytes()
 
 
 class TestProcessBackendVoyager:

@@ -100,12 +100,15 @@ class TestValidation:
 
     def test_pieces_entry_point_validates_too(self):
         # One kernel, one check: the sub-range entry point rejects the
-        # same length mismatches as the whole-block one.
+        # same level mismatch as the whole-block one, and the merged
+        # cut the same carry mismatch.
         with pytest.raises(ValueError, match="level values"):
             marching_tets_pieces(TET_NODES, TET, np.zeros(3), 0.5, 0, 1)
+        cut = merge_tet_pieces(
+            [marching_tets_pieces(TET_NODES, TET, np.zeros(4), 0.5, 0, 1)],
+            n_nodes=len(TET_NODES))
         with pytest.raises(ValueError, match="carry values"):
-            marching_tets_pieces(TET_NODES, TET, np.zeros(4), 0.5, 0, 1,
-                                 carry_values=np.zeros(3))
+            cut.carry(np.zeros(3))
 
 
 class TestOneKernel:
@@ -120,9 +123,9 @@ class TestOneKernel:
         bounds = np.linspace(0, mesh.n_tets, n_ranges + 1).astype(int)
         merged = merge_tet_pieces([
             marching_tets_pieces(mesh.nodes, mesh.tets, levels, 0.1,
-                                 lo, hi, carry_values=carry)
+                                 lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
-        ])
+        ], n_nodes=mesh.n_nodes).carry(carry)
         assert merged.vertices.tobytes() == whole.vertices.tobytes()
         assert merged.values.tobytes() == whole.values.tobytes()
 
