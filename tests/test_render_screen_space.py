@@ -39,9 +39,14 @@ class ScreenCamera:
     def __init__(self, width, height):
         self.width, self.height = width, height
 
-    def project(self, points):
+    def project(self, points, out=None):
+        """``Camera.project``'s contract: new arrays, or ``out``."""
         points = np.asarray(points, dtype=np.float64)
-        return points[:, :2].copy(), points[:, 2].copy()
+        if out is None:
+            return points[:, :2].copy(), points[:, 2].copy()
+        out[0][...] = points[:, :2]
+        out[1][...] = points[:, 2]
+        return out
 
 
 def assert_matches_oracle(vertices, size, batches=BATCHES):

@@ -1,7 +1,11 @@
 """Camera projection and camera-position files."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.viz.camera import Camera
 
@@ -150,3 +154,54 @@ def test_fit_bounds_narrow_fov_backs_off():
     d_near = np.linalg.norm(np.asarray(near_cam.position))
     d_far = np.linalg.norm(np.asarray(far_cam.position))
     assert d_far > d_near
+
+
+def _reference_project(camera, points):
+    """The projection as first written — ``w/2 + f*x/d``,
+    ``h/2 - f*y/d``, column-stacked — kept verbatim so that a rewrite
+    of :meth:`Camera.project` is checked against it, not against
+    itself (the rasterizer oracle projects through ``Camera.project``)."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    eye = np.asarray(camera.position, dtype=np.float64)
+    right, true_up, forward = camera.basis()
+    rel = points - eye
+    x_cam = rel @ right
+    y_cam = rel @ true_up
+    depth = rel @ forward
+    f = (camera.height / 2.0) / math.tan(math.radians(camera.fov_deg) / 2)
+    safe_depth = np.where(depth > camera.near, depth, np.inf)
+    px = camera.width / 2.0 + f * x_cam / safe_depth
+    py = camera.height / 2.0 - f * y_cam / safe_depth
+    return np.column_stack([px, py]), depth
+
+
+_COORD = st.floats(-50.0, 50.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(position=st.tuples(_COORD, _COORD, _COORD),
+       look_at=st.tuples(_COORD, _COORD, _COORD),
+       fov_deg=st.floats(5.0, 120.0),
+       width=st.integers(1, 640), height=st.integers(1, 480),
+       seed=st.integers(0, 2**32 - 1))
+def test_project_is_the_reference_expression_byte_for_byte(
+        position, look_at, fov_deg, width, height, seed):
+    """Random cameras and points, some behind the near plane: ``project``
+    and ``project(out=)`` into rows of larger buffers both give the
+    reference expression's floats exactly."""
+    assume(np.linalg.norm(np.subtract(look_at, position)) > 1e-6)
+    camera = Camera(position=position, look_at=look_at, fov_deg=fov_deg,
+                    width=width, height=height)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-60.0, 60.0, size=(int(rng.integers(1, 40)), 3))
+    want_xy, want_depth = _reference_project(camera, points)
+    xy, depth = camera.project(points)
+    assert xy.tobytes() == want_xy.tobytes()
+    assert depth.tobytes() == want_depth.tobytes()
+    n = len(points)
+    out_xy, out_depth = np.full((n + 5, 2), -1.0), np.full(n + 5, -1.0)
+    got = camera.project(points, out=(out_xy[2:2 + n], out_depth[2:2 + n]))
+    assert got[0].tobytes() == want_xy.tobytes()
+    assert got[1].tobytes() == want_depth.tobytes()
+    assert (out_xy[:2] == -1.0).all() and (out_xy[2 + n:] == -1.0).all()
+    assert (out_depth[:2] == -1.0).all() and (out_depth[2 + n:] == -1.0).all()
