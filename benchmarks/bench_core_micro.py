@@ -400,6 +400,43 @@ def test_bench_complex_frame_cover(benchmark, per_segment):
     assert np.array_equal(image, per_op())
 
 
+def test_bench_frame_miss_shade(benchmark):
+    """One ``medium`` frame miss over an unchanged mesh, drawn as
+    ``Pipeline.finish`` draws it with the geometry prefix's coverage
+    memoized: the prefix's winning triangles colored and shaded, the
+    isosurface covered and shaded, and the 8-bit image converted."""
+    from repro.viz.gops import test_gops
+    from repro.viz.pipeline import Pipeline, draw_ops, geometry_prefix
+
+    gops = test_gops("medium")
+    pipeline = Pipeline(gops, render=False)
+    data = _e2e_snapshot()
+    soups = [pipeline.extract(data, op) for op in gops]
+    camera = Camera.fit_bounds((-1.7, -1.7, 0.0), (1.7, 1.7, 10.0),
+                               width=320, height=240)
+    prefix = geometry_prefix(gops.ops)
+    assert prefix == 3
+    stored = {}
+
+    def memo(compute):
+        if "cover" not in stored:
+            stored["cover"] = compute()
+        return stored["cover"]
+
+    def frame():
+        renderer = Renderer(camera)
+        draw_ops(renderer, gops.ops[:prefix], soups[:prefix], memo)
+        draw_ops(renderer, gops.ops[prefix:], soups[prefix:])
+        return renderer.image()
+
+    frame()                                   # stores the coverage
+    image = benchmark(frame)
+    loop = Renderer(camera)
+    for op, soup in zip(gops, soups):
+        loop.draw(soup, Colormap(op.colormap), vmin=op.vmin, vmax=op.vmax)
+    assert np.array_equal(image, loop.image())
+
+
 def test_bench_scalarize_magnitude(benchmark):
     """Vector-magnitude reduction (einsum path) over a large field."""
     from repro.viz.pipeline import scalarize
@@ -532,15 +569,15 @@ def test_bench_frame_cover(benchmark, replay):
     coverages = []
     for soup in soups:
         coverages.append(stored.cover(soup.vertices))
-        stored.draw_colored(None, stored.colors(soup, cmap),
-                            coverage=coverages[-1])
-    replayed = coverages if replay else [None] * len(soups)
+        stored.shade(coverages[-1], stored.colors(soup, cmap))
 
     def render():
         renderer = Renderer(camera)
-        for soup, coverage in zip(soups, replayed):
-            renderer.draw_colored(soup.vertices, renderer.colors(soup, cmap),
-                                  coverage=coverage)
+        for soup, coverage in zip(soups, coverages):
+            colors = renderer.colors(soup, cmap)
+            if not replay:
+                coverage = renderer.cover(soup.vertices)
+            renderer.shade(coverage, colors)
         return renderer.image()
 
     assert np.array_equal(benchmark(render), stored.image())

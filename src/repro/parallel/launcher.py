@@ -31,18 +31,24 @@ class ParallelResult:
 
     @property
     def total_bytes_read(self) -> int:
+        """Bytes every worker read, summed."""
         return sum(w.bytes_read for w in self.workers)
 
     @property
     def total_visible_io_s(self) -> float:
+        """Visible I/O wall time of every worker, summed — the time the
+        workers spent waiting on input (paper §4.2)."""
         return sum(w.visible_io_wall_s for w in self.workers)
 
     @property
     def total_virtual_io_s(self) -> float:
+        """The disk model's I/O cost of every worker's traffic (volume
+        and seeks), summed."""
         return sum(w.virtual_io_s for w in self.workers)
 
     @property
     def n_snapshots(self) -> int:
+        """Snapshots processed by all workers together."""
         return sum(w.n_snapshots for w in self.workers)
 
 

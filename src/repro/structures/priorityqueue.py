@@ -122,6 +122,7 @@ class PriorityQueue:
         return True
 
     def clear(self) -> None:
+        """Drop every queued item."""
         self._heap.clear()
         self._entries.clear()
         self._arrival.clear()

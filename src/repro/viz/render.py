@@ -15,11 +15,15 @@ fragments, whose winners advance the z-buffer. The result is a
 interpolation terms — which :meth:`Renderer.shade` colors once. A
 coverage does not depend on the colors, so a caller may keep one and
 shade it again with new colors over the same z-buffer
-(docs/adr/021-visibility-is-a-derived-product.md). Every tile is
-covered inline and in place, whatever pool the caller holds: shipping
-a tile to a parallel pool was measured on both backends at every
-dataset scale the repo produces, and no tile paid for its dispatch,
-staging and write-back (docs/adr/008-tiles-composite-inline.md).
+(docs/adr/021-visibility-is-a-derived-product.md), and a caller may
+compute colors for the triangles that won a pixel only
+(:meth:`Coverage.winners`); :meth:`Renderer.image` converts only the
+written pixels (docs/adr/023-a-frame-shades-what-it-shows.md). Every
+tile is covered inline and in place, whatever pool the caller holds:
+shipping a tile to a parallel pool was measured on both backends at
+every dataset scale the repo produces, and no tile paid for its
+dispatch, staging and write-back
+(docs/adr/008-tiles-composite-inline.md).
 
 Determinism is stated against the spec the rasterizer replaced, the
 one-triangle-at-a-time loop kept as ``tests/reference_raster.py``:
@@ -47,6 +51,7 @@ reference's for every ``FRAGMENT_BATCH``.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -69,6 +74,23 @@ FRAGMENT_BATCH = 1 << 13
 BACKGROUND = (0.08, 0.08, 0.12)
 #: Unit direction of the headlight the diffuse shading uses.
 LIGHT_DIR = np.array([0.4, 0.3, 0.85]) / np.linalg.norm([0.4, 0.3, 0.85])
+
+
+def _to_bytes(frame: np.ndarray) -> np.ndarray:
+    """Float RGB in [0, 1] to uint8, rounding half up."""
+    return (np.clip(frame, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+
+
+@functools.lru_cache(maxsize=4)
+def _blank_image(height: int, width: int) -> np.ndarray:
+    """The 8-bit image of a frame nothing was written to (read-only),
+    filled from the background's three bytes with no float frame:
+    what :meth:`Renderer.image` copies before converting the written
+    pixels."""
+    image = np.empty((height, width, 3), np.uint8)
+    image[...] = _to_bytes(np.asarray(BACKGROUND))
+    image.flags.writeable = False
+    return image
 
 
 def _centre_margin(w: np.ndarray, h: np.ndarray, denom: np.ndarray,
@@ -305,6 +327,18 @@ class Coverage:
             array.flags.writeable = False
         return self
 
+    def winners(self, n: int) -> "tuple[np.ndarray, Coverage]":
+        """The rows of an ``n``-triangle submission that won a pixel,
+        ascending, and this coverage with each pixel's writer numbered
+        by its place among them — what :meth:`Renderer.shade` reads
+        when colors are computed for the winners only."""
+        won = np.zeros(n, dtype=bool)
+        won[self.triangles] = True
+        place = np.cumsum(won) - 1
+        return np.flatnonzero(won), Coverage(
+            self.pixels, place[self.triangles], self.terms, self.culled,
+            self.fragments)
+
 
 class Renderer:
     """Accumulates shaded triangles into an image with a z-buffer."""
@@ -317,6 +351,8 @@ class Renderer:
         height, width = camera.height, camera.width
         self._frame = np.tile(BACKGROUND, (height, width, 1))
         self._zbuffer = np.full((height, width), np.inf)
+        #: Frame regions :meth:`draw_colorbar` painted (no depth).
+        self._painted = []
         #: Total triangles submitted (pipeline statistics).
         self.triangles_drawn = 0
         #: Triangles dropped by the near-plane cull. Any triangle with
@@ -342,7 +378,8 @@ class Renderer:
     def colors(self, soup: TriangleSoup, colormap: Colormap,
                vmin: Optional[float] = None,
                vmax: Optional[float] = None,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
+               out: Optional[np.ndarray] = None,
+               rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The soup's lit per-vertex colors, ``(n, 3, 3)``.
 
         The soup's values map through ``colormap`` (an explicit
@@ -350,33 +387,34 @@ class Renderer:
         range), then scale by a two-sided diffuse factor from the
         triangle normal. ``out`` (``(n, 3, 3)`` float64), when given,
         receives the colors: a caller drawing several soups as one
-        submission writes each into its rows of one buffer.
+        submission writes each into its rows of one buffer. ``rows``
+        (ascending soup indices), when given, colors only those
+        triangles, each exactly as the whole soup's colors have it: an
+        autoscaled bound is the whole soup's, and a lone row is lit by
+        the matrix-vector product the whole soup's normals take, not
+        by the dot product a ``(1, 3)`` array takes, which may round
+        it differently.
         """
-        cmap = colormap
-        if vmin is not None or vmax is not None:
-            cmap = Colormap(
-                colormap.name,
-                vmin=colormap.vmin if vmin is None else vmin,
-                vmax=colormap.vmax if vmax is None else vmax,
-            )
-        mapped = cmap.map(soup.values)                    # (n, 3, 3)
-        normals = triangle_normals(soup.vertices)
+        lo = colormap.vmin if vmin is None else vmin
+        hi = colormap.vmax if vmax is None else vmax
+        values, vertices = soup.values, soup.vertices
+        if rows is not None:
+            lo = float(np.min(values)) if lo is None else lo
+            hi = float(np.max(values)) if hi is None else hi
+            values, vertices = values[rows], vertices[rows]
+        mapped = Colormap(colormap.name, vmin=lo, vmax=hi).map(values)
+        normals = triangle_normals(vertices)
+        if len(normals) == 1 < soup.n_triangles:
+            normals = np.repeat(normals, 2, axis=0)
         diffuse = 0.25 + 0.75 * np.abs(normals @ LIGHT_DIR)
-        return np.multiply(mapped, diffuse[:, None, None], out=out)
+        return np.multiply(mapped, diffuse[:len(mapped), None, None],
+                           out=out)
 
-    def draw_colored(self, vertices: Optional[np.ndarray],
-                     colors: np.ndarray,
-                     coverage: Optional[Coverage] = None) -> None:
+    def draw_colored(self, vertices: np.ndarray,
+                     colors: np.ndarray) -> None:
         """Rasterize ``(n, 3, 3)`` triangles with per-vertex ``colors``
-        as one submission, or — given their ``coverage`` against the
-        z-buffer as it stands — only shade it (``vertices`` may then be
-        None). One submission of several soups in order is their draws
-        one after another, byte for byte: the compositor reproduces the
-        one-triangle-at-a-time reference for any run partition."""
-        if coverage is None:
-            self._rasterize(vertices, colors)
-        else:
-            self.shade(coverage, colors)
+        as one submission."""
+        self._rasterize(vertices, colors)
         self.triangles_drawn += len(colors)
 
     def draw_flat(self, soup: TriangleSoup,
@@ -525,14 +563,26 @@ class Renderer:
         # One color sample per row, high values on top.
         t = np.linspace(1.0, 0.0, height - 2 * margin)
         strip = Colormap(colormap.name, vmin=0.0, vmax=1.0).map(t)
-        self._frame[margin:height - margin, x0:x0 + width] = \
-            strip[:, None, :]
+        region = (slice(margin, height - margin), slice(x0, x0 + width))
+        self._frame[region] = strip[:, None, :]
+        self._painted.append(region)
 
     def image(self) -> np.ndarray:
-        """The current frame as an (h, w, 3) uint8 array."""
-        return (np.clip(self._frame, 0.0, 1.0) * 255.0 + 0.5).astype(
-            np.uint8
-        )
+        """The current frame as an (h, w, 3) uint8 array.
+
+        Only the written pixels are converted; every other one is the
+        background's constant. A pixel is written exactly when its
+        depth is finite (a draw writes the color and the depth
+        together) or it lies in a colorbar strip, the one write that
+        has no depth."""
+        written = np.isfinite(self._zbuffer)
+        for region in self._painted:
+            written[region] = True
+        pixels = np.flatnonzero(written)
+        image = _blank_image(*written.shape).copy()
+        image.reshape(-1, 3)[pixels] = _to_bytes(
+            self._frame.reshape(-1, 3).take(pixels, axis=0))
+        return image
 
     def depth_image(self) -> np.ndarray:
         """The z-buffer normalized to uint8 (for debugging/tests)."""

@@ -7,6 +7,7 @@ verify the error surfaces, the cleanup, and the recovery paths.
 
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -89,7 +90,62 @@ class TestVoyagerUnderDamage:
             voyager.run()
 
 
+def sabotage(path: str, case: str) -> None:
+    """Rewrite one field of an SDF file's first directory entry (the
+    first block's ``coords``, which every snapshot read needs) so the
+    format layer refuses it: the damage the hostile-file tests
+    (``tests/test_io_hostile.py``) refuse one reader call at a time."""
+    blob = bytearray(open(path, "rb").read())
+    _magic, _version, _count, entry = struct.unpack_from("<4sIIQ", blob)
+    if case == "non-utf8-name":
+        blob[entry] = 0xFF
+    elif case == "unknown-dtype":
+        blob[entry + 64:entry + 72] = b"zz".ljust(8, b"\x00")
+    elif case == "block-past-end":
+        blob[entry + 108:entry + 116] = (1 << 62).to_bytes(8, "little")
+    else:
+        raise AssertionError(case)
+    open(path, "wb").write(bytes(blob))
+
+
 class TestRecoveryPaths:
+    @pytest.mark.parametrize("background_io", [False, True],
+                             ids=["foreground", "background"])
+    @pytest.mark.parametrize("case, refusal", [
+        ("non-utf8-name", "not UTF-8"),
+        ("unknown-dtype", "unknown dtype code"),
+        ("block-past-end", "truncated data"),
+    ])
+    def test_hostile_file_fails_its_unit_and_nothing_else(
+        self, fragile_dataset, case, refusal, background_io
+    ):
+        """A file the format layer refuses fails its unit with a
+        ReadFunctionError caused by the StorageFormatError, releases
+        every byte the unit took, and the next unit loads."""
+        from repro.core.database import GBO
+        from repro.io.readers import (
+            make_snapshot_read_fn,
+            snapshot_unit_name,
+        )
+
+        sabotage(fragile_dataset.snapshot_paths(1)[0], case)
+        read_fn = make_snapshot_read_fn(fragile_dataset)
+        with GBO(mem_mb=32, background_io=background_io) as gbo:
+            gbo.add_unit(snapshot_unit_name(0), read_fn)
+            gbo.wait_unit(snapshot_unit_name(0))
+            used_before = gbo.mem_used_bytes
+            gbo.add_unit(snapshot_unit_name(1), read_fn)
+            with pytest.raises(ReadFunctionError) as failure:
+                gbo.wait_unit(snapshot_unit_name(1))
+            cause = failure.value.__cause__
+            assert isinstance(cause, StorageFormatError)
+            assert refusal in str(cause)
+            assert gbo.mem_used_bytes == used_before
+            gbo.add_unit(snapshot_unit_name(2), read_fn)
+            gbo.wait_unit(snapshot_unit_name(2))
+            assert gbo.is_resident(snapshot_unit_name(2))
+            assert gbo.mem_used_bytes > used_before
+
     def test_gbo_survives_failed_unit_and_continues(
         self, fragile_dataset
     ):

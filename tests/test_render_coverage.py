@@ -11,7 +11,11 @@
 * the pipeline memoizes a draw's coverage under its geometry — the mesh
   tokens and the op's plane, never the field — so a new time-step over
   an unchanged mesh replays it, a deforming mesh misses it, and an op
-  list that starts with an isosurface stores none.
+  list that starts with an isosurface stores none;
+* the pipeline colors only the triangles that win a pixel, each as the
+  whole soup's colors have it (autoscaled bounds, a lone winner's light
+  factor), and :meth:`Renderer.image` converts only the written pixels
+  — both equal the dense computation byte for byte.
 """
 
 from unittest import mock
@@ -46,7 +50,8 @@ from repro.viz.pipeline import (
     draw_ops,
     geometry_prefix,
 )
-from repro.viz.render import Renderer
+from repro.viz.geometry import triangle_normals
+from repro.viz.render import LIGHT_DIR, Renderer
 
 
 def _camera(width=100, height=70):
@@ -59,6 +64,20 @@ def _same_buffers(renderer, oracle):
     assert np.array_equal(renderer._frame, oracle._frame)
     assert renderer.triangles_culled == oracle.triangles_culled
     assert renderer.triangles_drawn == oracle.triangles_drawn
+
+
+def _dense_image(renderer):
+    """Every pixel of the frame converted to 8 bits: the conversion
+    :meth:`Renderer.image` restricts to the written pixels."""
+    return (np.clip(renderer._frame, 0.0, 1.0) * 255.0 + 0.5).astype(
+        np.uint8)
+
+
+def _shade(renderer, coverage, colors):
+    """The draw a coverage stands for: shaded with ``colors``, and its
+    triangles counted as drawn."""
+    renderer.shade(coverage, colors)
+    renderer.triangles_drawn += len(colors)
 
 
 _SOUPS = st.lists(
@@ -88,10 +107,8 @@ def test_cover_then_shade_matches_reference_after_every_draw(draws):
             -2.0, 3.0, size=(len(vertices), 3))
         soup = TriangleSoup(vertices, values)
         coverage = covering.cover(soup.vertices)
-        covering.draw_colored(None, covering.colors(soup, first),
-                              coverage=coverage)
-        replaying.draw_colored(None, replaying.colors(soup, second),
-                               coverage=coverage)
+        _shade(covering, coverage, covering.colors(soup, first))
+        _shade(replaying, coverage, replaying.colors(soup, second))
         oracle_first.draw(soup, first)
         oracle_second.draw(soup, second)
         _same_buffers(covering, oracle_first)
@@ -116,16 +133,15 @@ def test_a_stored_coverage_shades_new_colors_on_a_fresh_renderer():
     coverages = []
     for soup in soups:
         coverages.append(recorder.cover(soup.vertices))
-        recorder.draw_colored(None, recorder.colors(soup, Colormap("gray")),
-                              coverage=coverages[-1])
+        _shade(recorder, coverages[-1],
+               recorder.colors(soup, Colormap("gray")))
     assert coverages[2].pixels.size == 0       # culled whole
     assert coverages[2].culled == 300
     replayed, drawn = Renderer(_camera()), Renderer(_camera())
     for soup, coverage in zip(soups, coverages):
         recolored = TriangleSoup(soup.vertices, 1.0 - soup.values)
-        replayed.draw_colored(
-            None, replayed.colors(recolored, Colormap("rainbow"), vmax=0.8),
-            coverage=coverage)
+        _shade(replayed, coverage,
+               replayed.colors(recolored, Colormap("rainbow"), vmax=0.8))
         drawn.draw(recolored, Colormap("rainbow"), vmax=0.8)
         assert np.array_equal(replayed._frame, drawn._frame)
         assert np.array_equal(replayed._zbuffer, drawn._zbuffer)
@@ -202,9 +218,10 @@ def _cover_entries(cache):
     return _entries(cache, "cover")
 
 
-def _pipeline(ops=_FRAME_OPS):
+def _pipeline(ops=_FRAME_OPS, colorbar=False):
     return Pipeline(ops, camera=Camera.fit_bounds(
-        (0, 0, 0), (1, 1, 1), width=96, height=72), render=True)
+        (0, 0, 0), (1, 1, 1), width=96, height=72), render=True,
+        colorbar=colorbar)
 
 
 @pytest.fixture
@@ -259,38 +276,48 @@ class RecordingRenderer(Renderer):
 
 _COUNTERS = ("triangles_drawn", "triangles_culled", "fragments_evaluated")
 
+#: Either bound of an op may be autoscaled (None): it is then the whole
+#: soup's, whichever of its triangles are seen.
+_VMIN = st.sampled_from([None, 0.3])
+_VMAX = st.sampled_from([None, 1.2])
+
 _FRAME_OP = st.one_of(
     st.builds(GraphicsOp, st.just("boundary"),
               st.sampled_from(["temperature", "velocity"]),
-              colormap=st.sampled_from(["heat", "gray"])),
+              colormap=st.sampled_from(["heat", "gray"]),
+              vmin=_VMIN, vmax=_VMAX),
     st.builds(GraphicsOp, st.just("slice"),
               st.sampled_from(["temperature", "velocity"]),
               origin=st.tuples(*[st.floats(0.1, 0.9)] * 3),
               normal=st.sampled_from([(0.0, 1.0, 0.0), (1.0, 2.0, -0.5),
                                       (0.0, 0.0, 1.0)]),
               colormap=st.sampled_from(["coolwarm", "rainbow"]),
-              vmax=st.sampled_from([None, 1.2])),
+              vmin=_VMIN, vmax=_VMAX),
     st.builds(GraphicsOp, st.just("isosurface"),
               st.sampled_from(["temperature", "velocity"]),
               isovalue=st.floats(0.2, 1.2),
-              colormap=st.sampled_from(["heat", "rainbow"])),
+              colormap=st.sampled_from(["heat", "rainbow"]),
+              vmin=_VMIN, vmax=_VMAX),
 )
 
 
 @settings(max_examples=30, deadline=None)
 @given(ops=st.lists(_FRAME_OP, min_size=1, max_size=6),
        scales=st.lists(st.sampled_from([1.0, 0.5, 2.0]), min_size=1,
-                       max_size=3, unique=True))
-def test_two_submissions_equal_the_per_op_draw_loop(ops, scales):
+                       max_size=3, unique=True),
+       colorbar=st.booleans())
+def test_two_submissions_equal_the_per_op_draw_loop(ops, scales, colorbar):
     """Random op lists in random orders, drawn as ``finish`` draws them
     (the geometry prefix as one memoized submission, the rest as
-    another) over a sequence of time-steps: every frame, z-buffer and
-    counter equals a per-op :meth:`Renderer.draw` loop's."""
+    another, each colored for its winning triangles only) over a
+    sequence of time-steps, with or without a colorbar: every frame,
+    z-buffer and counter equals a per-op :meth:`Renderer.draw` loop's,
+    whose colors are the whole soups'."""
     memory = MemoryManager(64 << 20)
     cache = DerivedCache(memory)
     memory.bind(release_records=lambda name: 0, derived=cache)
     gops = GraphicsOps(ops)
-    pipeline = _pipeline(gops)
+    pipeline = _pipeline(gops, colorbar)
     for scale in scales:
         RecordingRenderer.made.clear()
         with mock.patch.object(pipeline_module, "Renderer",
@@ -302,7 +329,9 @@ def test_two_submissions_equal_the_per_op_draw_loop(ops, scales):
         for op in gops:
             loop.draw(pipeline.extract(plain, op), Colormap(op.colormap),
                       vmin=op.vmin, vmax=op.vmax)
-        assert np.array_equal(image, loop.image())
+        if colorbar:
+            loop.draw_colorbar(Colormap(gops.ops[0].colormap))
+        assert np.array_equal(image, _dense_image(loop))
         assert np.array_equal(drawn._zbuffer, loop._zbuffer)
         assert np.array_equal(drawn._frame, loop._frame)
         for counter in _COUNTERS:
@@ -320,6 +349,84 @@ def test_draw_ops_asks_nothing_for_an_empty_submission():
              [TriangleSoup.empty(), TriangleSoup.empty()],
              memo=lambda compute: asked.append(compute))
     assert asked == [] and renderer.triangles_drawn == 0
+
+
+def _diffuse(normals):
+    """The light factor :meth:`Renderer.colors` scales colors by."""
+    return 0.25 + 0.75 * np.abs(normals @ LIGHT_DIR)
+
+
+def _lone_winner_soup():
+    """A two-triangle soup of which only the first is drawn (the second
+    is behind the camera), chosen so that its light factor computed
+    alone — from ``(1, 3) @ (3,)``, a dot product — differs in the last
+    ulp from its row of the two-row matrix-vector product the per-op
+    draw computes. None when this BLAS rounds the two alike for every
+    candidate."""
+    rng = np.random.default_rng(20241)
+    behind = np.array([[[0.0, -20.0, 0.0], [1.0, -20.0, 0.0],
+                        [0.0, -20.0, 1.0]]])
+    for _ in range(500):
+        front = rng.uniform(-1.5, 1.5, size=(1, 3, 3))
+        vertices = np.concatenate([front, behind])
+        normals = triangle_normals(vertices)
+        if _diffuse(normals[:1])[0] != _diffuse(normals)[0]:
+            return TriangleSoup(vertices, rng.uniform(0.0, 1.0, (2, 3)))
+    return None
+
+
+def test_a_lone_winner_is_lit_as_its_row_of_the_whole_soup():
+    soup = _lone_winner_soup()
+    if soup is None:
+        pytest.skip("this BLAS lights a lone row as the batched product")
+    op = GraphicsOp("boundary", "temperature", colormap="rainbow")
+    rows, _winners = Renderer(_camera()).cover(soup.vertices).winners(2)
+    assert rows.tolist() == [0]
+    deferred, loop = Renderer(_camera()), Renderer(_camera())
+    draw_ops(deferred, [op], [soup])
+    loop.draw(soup, Colormap(op.colormap))
+    _same_buffers(deferred, loop)
+
+
+def test_winners_renumber_the_coverage_to_the_colored_rows():
+    soups = _soups()
+    coverage = Renderer(_camera()).cover([soup.vertices for soup in soups])
+    rows, winners = coverage.winners(900)
+    assert rows.size and np.all(np.diff(rows) > 0)
+    assert np.array_equal(rows[winners.triangles], coverage.triangles)
+    assert winners.pixels is coverage.pixels
+    assert winners.terms is coverage.terms
+    assert (winners.culled, winners.fragments) == (coverage.culled,
+                                                   coverage.fragments)
+
+
+class TestImageConvertsWrittenPixels:
+    """:meth:`Renderer.image` converts only the pixels with a finite
+    depth or under a colorbar; every frame must read as the dense
+    conversion of the whole float frame."""
+
+    def test_empty_frame(self):
+        renderer = Renderer(_camera())
+        assert np.array_equal(renderer.image(), _dense_image(renderer))
+
+    def test_colorbar_frame(self):
+        renderer = Renderer(_camera())
+        for soup in _soups():
+            renderer.draw(soup, Colormap("heat"))
+        renderer.draw_colorbar(Colormap("coolwarm"))
+        assert np.array_equal(renderer.image(), _dense_image(renderer))
+        bare = Renderer(_camera())
+        bare.draw_colorbar(Colormap("gray"), width=5, margin=2)
+        assert np.array_equal(bare.image(), _dense_image(bare))
+
+    def test_reference_renderer(self):
+        """The oracle writes its buffers without :meth:`Renderer.shade`:
+        the written set comes from its z-buffer all the same."""
+        oracle = ReferenceRenderer(_camera())
+        for soup in _soups():
+            oracle.draw(soup, Colormap("rainbow"))
+        assert np.isfinite(oracle._zbuffer).any()
+        assert np.array_equal(oracle.image(), _dense_image(oracle))
 
 
 def test_complex_op_list_stores_no_cover(small_dataset):
