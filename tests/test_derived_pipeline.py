@@ -12,6 +12,9 @@ Two contracts from the derived-data cache plane:
   content-token mapping.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -211,6 +214,53 @@ class TestSnapshotToken:
             assert data.snapshot_token("temperature") is None
         finally:
             gbo.close()
+
+
+class TestFrameKey:
+    class _Tokens:
+        """Snapshot data reduced to what a frame key reads."""
+
+        def derived_cache(self):
+            return object()
+
+        def snapshot_token(self, name):
+            return f"token of {name}"
+
+    def test_key_is_remade_when_the_ops_camera_or_a_flag_changes(self):
+        """The frame key keeps its op list, camera and flags in canonical
+        form between frames; each change of one of them gives the key the
+        whole tuple names, as if nothing were kept."""
+        pipeline = Pipeline(gops_module.test_gops("medium"))
+        data = self._Tokens()
+
+        def spelled_out():
+            tokens = tuple(
+                data.snapshot_token(name)
+                for name in ("coords", "conn",
+                             *sorted(pipeline.gops.fields_used())))
+            ops_sig = json.dumps(
+                [op.to_json() for op in pipeline.gops.ops], sort_keys=True)
+            return ("frame", ops_sig, pipeline._camera_sig(),
+                    pipeline.render, pipeline.colorbar, tokens)
+
+        names = set()
+        for change in (
+            lambda: None,
+            lambda: setattr(pipeline.camera, "position", (4.0, 5.0, 6.0)),
+            lambda: setattr(pipeline, "gops", gops_module.GraphicsOps(
+                [dataclasses.replace(pipeline.gops.ops[0], vmax=1.0),
+                 *pipeline.gops.ops[1:]])),
+            lambda: setattr(pipeline, "colorbar", True),
+            lambda: setattr(pipeline, "render", False),
+        ):
+            change()
+            key = pipeline._frame_key(data)
+            assert key[0] == "frame"
+            name = DerivedCache.policy_name(key)
+            assert name == DerivedCache.policy_name(spelled_out())
+            assert pipeline._frame_key(data) == key
+            names.add(name)
+        assert len(names) == 5
 
 
 class TestCacheDisabled:
