@@ -47,10 +47,6 @@ LOCK_TABLE: Dict[str, dict] = {
             # (engine lock).") but owns no guarded fields of its own —
             # registered so those contracts resolve to the engine role.
             "TenantAwareEvictionPolicy": (),
-            # The sharded coordinator's own lock, ranked with the
-            # engine role: it guards the fleet's budget table and
-            # nests no other lock.
-            "ShardedGBO": ("_budgets", "_ledger", "_inflight"),
         },
     },
     "record": {

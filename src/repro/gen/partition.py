@@ -34,10 +34,12 @@ class MeshBlock:
 
     @property
     def n_nodes(self) -> int:
+        """Nodes in this block's mesh."""
         return self.mesh.n_nodes
 
     @property
     def n_tets(self) -> int:
+        """Tetrahedra in this block's mesh."""
         return self.mesh.n_tets
 
 

@@ -67,6 +67,7 @@ class SnapshotSpec:
             )
 
     def step_time(self, step: int) -> float:
+        """Simulated time of ``step``: the end of its ``dt`` interval."""
         return (step + 1) * self.dt
 
 
@@ -91,6 +92,7 @@ class DatasetManifest:
     file_format: str = "sdf"
 
     def to_json(self) -> dict:
+        """The manifest as the JSON object :meth:`save` writes."""
         return {
             "file_format": self.file_format,
             "n_blocks": self.n_blocks,
@@ -107,12 +109,15 @@ class DatasetManifest:
         }
 
     def save(self) -> str:
+        """Write ``manifest.json`` into the dataset directory; returns
+        its path."""
         path = os.path.join(self.directory, "manifest.json")
         with open(path, "w") as f:
             json.dump(self.to_json(), f, indent=1)
         return path
 
     def snapshot_paths(self, step: int) -> List[str]:
+        """Full paths of the files holding snapshot ``step``."""
         entry = self.snapshots[step]
         return [os.path.join(self.directory, name) for name in entry.files]
 

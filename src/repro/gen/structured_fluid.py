@@ -100,6 +100,7 @@ def make_fluid_read_fn(stats: Optional[IoStats] = None,
     from repro.io.sdf import SdfReader
 
     def read_fn(gbo: GBO, unit_name: str) -> None:
+        """Load every block of the SDF file ``unit_name`` names."""
         schema = fluid_sample_schema()
         schema.ensure(gbo)
         with SdfReader(unit_name, stats=stats,

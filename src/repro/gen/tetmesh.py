@@ -61,13 +61,16 @@ class TetMesh:
 
     @property
     def n_nodes(self) -> int:
+        """Number of mesh nodes."""
         return len(self.nodes)
 
     @property
     def n_tets(self) -> int:
+        """Number of tetrahedra."""
         return len(self.tets)
 
     def bounding_box(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-axis minimum and maximum node coordinates."""
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
     def tet_volumes(self) -> np.ndarray:
@@ -80,9 +83,11 @@ class TetMesh:
         return np.einsum("ij,ij->i", np.cross(b, c), d) / 6.0
 
     def total_volume(self) -> float:
+        """Sum of the absolute tetrahedron volumes."""
         return float(np.abs(self.tet_volumes()).sum())
 
     def tet_centroids(self) -> np.ndarray:
+        """Mean of each tetrahedron's four nodes, one row per tet."""
         return self.nodes[self.tets].mean(axis=1)
 
     def validate(self) -> None:

@@ -65,14 +65,17 @@ class TitanConfig:
 
     @property
     def n_blocks(self) -> int:
+        """Blocks in the mesh: axial times circumferential."""
         return self.n_axial * self.n_circum
 
     @property
     def tets_per_block(self) -> int:
+        """Tetrahedra in one block: six per hexahedral cell."""
         return 6 * self.cells_r * self.cells_theta * self.cells_z
 
     @property
     def nodes_per_block(self) -> int:
+        """Grid nodes of one block, its boundary nodes included."""
         return (
             (self.cells_r + 1)
             * (self.cells_theta + 1)

@@ -14,8 +14,9 @@ section 3.3).
 The sharded build (:mod:`repro.parallel.sharded`) goes one step
 further: the per-process engines allocate from shared-memory arenas,
 rendezvous placement assigns units to shards deterministically, and
-the coordinator arbitrates one global memory budget and reads frames
-zero-copy. :mod:`repro.parallel.placement` owns both splits.
+the coordinator reads frames zero-copy. Each shard's budget is a
+fixed share of the global one, as in the paper.
+:mod:`repro.parallel.placement` owns both splits.
 """
 
 from repro.parallel.launcher import ParallelResult, run_parallel_voyager

@@ -15,41 +15,28 @@ layout but turns the fleet into one database:
   reads frames **zero-copy, read-only** (the PR-5 view discipline,
   across process boundaries); only tokens — a few dozen bytes — cross
   the pipes.
-* **Global budget protocol** — the coordinator carves the global
-  memory budget into per-shard slices, each with a carve-out *floor*,
-  and keeps them in its own per-shard table. A shard that exhausts its
-  slice — after
-  its own engine has already tried eviction and
-  :class:`~repro.core.memory_manager.LoadYield` rollback — raises
-  ``pressure``; the coordinator *work-steals* budget from peers above
-  their carve-outs (each peer shrinks via ``set_mem_space``, evicting
-  down), then ``grant``\\ s the freed bytes. Only when no peer has
-  stealable slack does the shard's failure surface as the cluster's
-  deadlock verdict.
+* **Fixed budgets** — each shard host's budget is the global budget
+  divided by the shard count, fixed for the run: the paper's static
+  split (§3.3, §4), one private GBO per processor and no traffic
+  between the databases. A slice that cannot hold a step is the
+  fleet's deadlock verdict (ADR-024).
 
-Lock discipline: the coordinator owns one lock, ``ShardedGBO._lock``,
-registered under the **engine** role (rank 0) in
-``repro.analysis.lockfacts``; it guards the budget table and nests no
-other lock. Shard hosts are
-:class:`~repro.core.child.Child` processes, one pipe each, and reuse the
-engine's existing locks; inside a host the two threads share only a
-queue of grant verdicts and the lock serializing their sends.
+Lock discipline: the coordinator holds no lock of its own — one thread
+runs :meth:`ShardedGBO.render_all`. Shard hosts are
+:class:`~repro.core.child.Child` processes, one pipe each, and reuse
+the engine's existing locks; a host's one thread renders and sends.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
 import time
 import traceback
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.primitives import TrackedLock, make_held_checker
-from repro.analysis.races import guarded_by
 from repro.core.arena import BufferToken
 from repro.core.shared_arena import AttachCache, SharedMemoryArena
 from repro.core.child import Child, close_all, ready
@@ -62,7 +49,6 @@ from repro.errors import (
     GodivaDeadlockError,
     GodivaError,
     MemoryBudgetError,
-    ReadFunctionError,
 )
 from repro.io.disk import ENGLE_DISK, DiskProfile, IoStats
 from repro.io.readers import (
@@ -76,18 +62,14 @@ from repro.viz.godiva_data import GodivaSnapshotData
 from repro.viz.gops import test_gops
 from repro.viz.pipeline import Pipeline
 
-#: How long a shard waits for the coordinator's grant/deny verdict, and
-#: how long the coordinator waits for any shard message, before
-#: declaring the protocol wedged.
+#: How long the coordinator waits for any shard message before
+#: declaring the run wedged.
 DEFAULT_PROTOCOL_TIMEOUT_S = 60.0
 
 _MB = 1024 * 1024
 
 #: Each shard host's arena segment size.
 SEGMENT_BYTES = 4 * _MB
-
-#: Pressure rounds one step may raise before its budget failure stands.
-MAX_PRESSURE_ROUNDS = 8
 
 
 @dataclass
@@ -98,13 +80,12 @@ class ShardSpec:
     data_dir: str
     test: str
     steps: List[int]
-    #: This shard's engine: the fleet's knobs, this shard's budget
-    #: slice, and the coordinator's oversubscription guard
+    #: This shard's engine: the fleet's knobs, this shard's fixed
+    #: budget slice, and the coordinator's oversubscription guard
     #: (``compute_max_threads`` = host cores // shard count).
     config: EngineConfig
     render: bool = True
     disk: DiskProfile = ENGLE_DISK
-    protocol_timeout_s: float = DEFAULT_PROTOCOL_TIMEOUT_S
 
 
 @dataclass
@@ -117,7 +98,6 @@ class ShardReport:
     stats: GodivaStats
     io: Dict[str, float]
     arena: dict
-    pressure_rounds: int
 
 
 @dataclass
@@ -136,7 +116,10 @@ class ShardedResult:
     io_totals: Dict[str, float]
     shards: List[ShardReport] = field(default_factory=list)
     assignment: Dict[str, List[int]] = field(default_factory=dict)
+    #: Always 0: budgets are fixed, so no shard asks for more. Kept
+    #: while the e2e ``fleet_shards2`` workload still reports it.
     pressure_rounds: int = 0
+    #: Always 0, for the same reason as ``pressure_rounds``.
     reclaims: int = 0
     wall_s: float = 0.0
 
@@ -150,7 +133,7 @@ def _budget_cause(err: Optional[BaseException]
     """The budget failure behind ``err``, following the cause chain.
 
     ``wait_unit`` wraps a read callback's MemoryBudgetError in
-    ReadFunctionError; the pressure protocol cares about the root.
+    ReadFunctionError; the deadlock verdict cares about the root.
     """
     seen = set()
     while err is not None and id(err) not in seen:
@@ -164,18 +147,15 @@ def _budget_cause(err: Optional[BaseException]
 class _ShardHost:
     """The per-process shard engine: a GBO over a shared-memory arena.
 
-    The main thread runs the serial Voyager render loop over the
-    shard's snapshot steps; a control thread serves coordinator
-    commands (budget reclaims, grants, shutdown) concurrently — every
-    GBO entry point it uses is thread-safe, and the two threads share
-    state only through :class:`queue.SimpleQueue`. Both send on the one
-    pipe, so :meth:`_send` serializes them.
+    One thread runs the serial Voyager render loop over the shard's
+    snapshot steps under the shard's fixed budget, sends ``done`` (or
+    ``error``), then holds its arena until the coordinator's
+    ``shutdown`` — or its death, the pipe's EOF.
     """
 
     def __init__(self, spec: ShardSpec, conn) -> None:
         self.spec = spec
         self.conn = conn
-        self._send_lock = TrackedLock(f"_ShardHost._send_lock@{id(self):#x}")
         # The arena's own random ``godiva-<hex>`` prefix: a fixed
         # per-shard name would collide with the same shard of another
         # fleet alive on this host.
@@ -185,124 +165,10 @@ class _ShardHost:
         #: Sealed frame arrays, kept alive until shutdown so the
         #: coordinator can attach their tokens at leisure.
         self._frames: List[np.ndarray] = []
-        self._grants: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        self._shutdown = threading.Event()
-        #: Set while the render thread is mid-step (loading/rendering a
-        #: unit). Reclaims are deferred until it clears — shrinking a
-        #: shard's budget under its in-flight load fails the load and
-        #: turns two pressuring shards into a grant/steal ping-pong.
-        self._stepping = threading.Event()
-        self._req_seq = 0
-        self.pressure_rounds = 0
 
-    # -- control thread ------------------------------------------------
-    def _control_loop(self) -> None:
-        """Serve coordinator commands until shutdown, until the
-        coordinator is gone (EOF), or until serving one fails — all
-        three release the render thread."""
-        try:
-            while True:
-                try:
-                    msg = self.conn.recv()
-                except (EOFError, OSError):
-                    return
-                kind = msg["type"]
-                if kind == "shutdown":
-                    return
-                if kind == "reclaim":
-                    # Wait out an in-flight step first: it completes (or
-                    # fails) in bounded time, and ``_stepping`` is clear
-                    # whenever the render thread is parked waiting on
-                    # its own grant — so two starving shards take turns
-                    # instead of stealing each other's grants mid-load.
-                    deadline = (time.monotonic()
-                                + self.spec.protocol_timeout_s)
-                    while (self._stepping.is_set()
-                           and time.monotonic() < deadline):
-                        time.sleep(0.005)
-                    freed = self._shrink_by(int(msg["steal_bytes"]))
-                    self._send({
-                        "type": "reclaimed",
-                        "req": msg["req"],
-                        "freed": freed,
-                        "used": self.gbo.mem_used_bytes,
-                        "budget": self.gbo.mem_budget_bytes,
-                    })
-                elif kind == "grant":
-                    # Applied here, not in the render thread: the control
-                    # thread is the *only* budget mutator on a host, so
-                    # a grant can never interleave with a concurrent
-                    # reclaim's read-modify-write of the budget.
-                    self.gbo.set_mem_space(
-                        mem=self.gbo.mem_budget_bytes + int(msg["mem_delta"])
-                    )
-                    # Shield the grant until the retry actually runs: a
-                    # reclaim landing between here and the render
-                    # thread's next attempt would steal it straight back.
-                    self._stepping.set()
-                    self._grants.put(msg)
-                elif kind == "deny":
-                    self._grants.put(msg)
-        finally:
-            self._shutdown.set()
-            self._grants.put({"type": "shutdown"})  # wakes a grant waiter
-
-    def _shrink_by(self, steal_bytes: int) -> int:
-        """Shrink the budget by ``steal_bytes``; returns bytes freed.
-
-        The reclaim is *relative* — grants and reclaims race on a busy
-        host (control thread vs render thread), and deltas commute
-        where absolute targets would clobber each other.
-        ``set_mem_space`` evicts finished units and derived entries
-        down to the new budget; pinned memory that cannot be evicted
-        stays, so the achieved budget is ``max(target, used_after)`` —
-        the coordinator is told the truth, never a promise.
-        """
-        old = self.gbo.mem_budget_bytes
-        target = max(old - max(int(steal_bytes), 0), 1)
-        if target >= old:
-            return 0
-        self.gbo.set_mem_space(mem=target)
-        achieved = max(target, self.gbo.mem_used_bytes)
-        if achieved > target:
-            self.gbo.set_mem_space(mem=achieved)
-        return old - achieved
-
-    # -- render loop (main thread) -------------------------------------
     def _send(self, msg: dict) -> None:
         msg["shard"] = self.spec.shard_id
-        with self._send_lock:
-            self.conn.send(msg)
-
-    def _request_grant(self, error: BaseException) -> bool:
-        """The pressure round-trip; True when the coordinator granted.
-
-        The failing charge's ``needed`` understates the real shortfall
-        when a multi-buffer load dies on its *first* over-budget
-        allocation, so the request asks for at least a budget doubling
-        — geometric growth keeps the retry count logarithmic, and the
-        coordinator only ever moves ``min(needed, peer slack)``.
-        """
-        needed = int(getattr(error, "needed", None) or 0)
-        needed = max(needed, self.gbo.mem_budget_bytes, 1)
-        self._req_seq += 1
-        self.pressure_rounds += 1
-        req = (self.spec.shard_id, self._req_seq)
-        self._send({
-            "type": "pressure",
-            "req": req,
-            "needed": int(needed),
-            "used": self.gbo.mem_used_bytes,
-            "budget": self.gbo.mem_budget_bytes,
-        })
-        try:
-            reply = self._grants.get(
-                timeout=self.spec.protocol_timeout_s
-            )
-        except queue_module.Empty:
-            return False
-        # The control thread already applied a grant's budget delta.
-        return reply["type"] == "grant"
+        self.conn.send(msg)
 
     def _publish_frame(self, step: int, image: Optional[np.ndarray],
                        triangles: int) -> None:
@@ -320,8 +186,6 @@ class _ShardHost:
             "step": step,
             "token": token,
             "triangles": int(triangles),
-            "used": self.gbo.mem_used_bytes,
-            "budget": self.gbo.mem_budget_bytes,
         })
 
     def _render(self) -> Tuple[int, int]:
@@ -350,52 +214,12 @@ class _ShardHost:
         triangles = 0
         for step in spec.steps:
             unit = snapshot_unit_name(step)
-            attempts = 0
-            while True:
-                self._stepping.set()
-                try:
-                    self.gbo.wait_unit(unit)
-                    plan = pipeline.begin(GodivaSnapshotData(
-                        self.gbo,
-                        manifest.snapshots[step].tsid,
-                        manifest.block_ids,
-                    ))
-                    result = pipeline.finish(plan)
-                    break
-                except (MemoryBudgetError, GodivaDeadlockError,
-                        ReadFunctionError) as err:
-                    self._stepping.clear()
-                    # The engine already tried eviction and LoadYield
-                    # rollback; escalate to the coordinator before
-                    # accepting the verdict. A budget failure inside
-                    # the unit's read callback arrives wrapped in
-                    # ReadFunctionError — unwrap it, and anything
-                    # else a read function raised stays fatal.
-                    cause = _budget_cause(err)
-                    if cause is None:
-                        raise
-                    attempts += 1
-                    failed_load = isinstance(err, ReadFunctionError)
-                    if failed_load:
-                        # Drop the partial load's pinned charges before
-                        # asking for more budget — a raided peer must
-                        # be able to shrink this shard too, or two
-                        # starved shards livelock each other.
-                        self.gbo.delete_unit(unit)
-                    if attempts > MAX_PRESSURE_ROUNDS:
-                        raise cause
-                    if not self._request_grant(cause):
-                        # Denied: the peers had nothing to spare *right
-                        # now*. Pinned bytes unpin at step boundaries,
-                        # so back off and re-raise pressure; only an
-                        # exhausted round budget is the real verdict.
-                        time.sleep(min(0.1 * attempts, 0.5))
-                    if failed_load:
-                        # Reschedule the unit under whatever budget the
-                        # round ended with.
-                        self.gbo.add_unit(unit, read_fn)
-                finally:
-                    self._stepping.clear()
+            self.gbo.wait_unit(unit)
+            result = pipeline.finish(pipeline.begin(GodivaSnapshotData(
+                self.gbo,
+                manifest.snapshots[step].tsid,
+                manifest.block_ids,
+            )))
             triangles += result.triangles
             self._publish_frame(step, result.image, result.triangles)
             n_frames += 1
@@ -404,12 +228,6 @@ class _ShardHost:
 
     def run(self) -> None:
         """Render, report, then hold the arena until shutdown."""
-        control = threading.Thread(
-            target=self._control_loop,
-            name=f"{self.spec.shard_id}-control",
-            daemon=True,
-        )
-        control.start()
         try:
             n_frames, triangles = self._render()
             self._send({
@@ -421,24 +239,26 @@ class _ShardHost:
                     stats=self.gbo.stats,
                     io=self.io_stats.snapshot(),
                     arena=self.arena.report(),
-                    pressure_rounds=self.pressure_rounds,
                 ),
             })
         except BaseException as err:  # ship the verdict, then clean up
-            # A coordinator gone mid-run is the shutdown that
-            # _control_loop already reads from EOF: nobody to tell.
+            # A budget failure inside a unit's read callback arrives
+            # wrapped in ReadFunctionError: report its root.
+            cause = _budget_cause(err) or err
+            # A coordinator gone mid-run is the shutdown read below
+            # from EOF: nobody to tell.
             with suppress(OSError):
                 self._send({
                     "type": "error",
-                    "kind": type(err).__name__,
-                    "message": str(err),
+                    "kind": type(cause).__name__,
+                    "message": str(cause),
                     "traceback": traceback.format_exc(),
                 })
         finally:
-            # Keep the arena mapped, and keep answering reclaims, until
-            # the coordinator signals "shutdown" — or dies: the control
-            # thread reads its pipe's EOF as shutdown.
-            self._shutdown.wait()
+            # Keep the arena mapped until the coordinator's "shutdown"
+            # (its only message to a host) or its death (EOF).
+            with suppress(EOFError, OSError):
+                self.conn.recv()
             self.gbo.close()
             self._frames.clear()
             self.arena.close()
@@ -453,21 +273,6 @@ def _shard_main(conn, spec: ShardSpec) -> None:
 # Coordinator
 # ----------------------------------------------------------------------
 
-class _Pressure:
-    """One in-flight pressure request's coordinator-side state."""
-
-    __slots__ = ("shard_id", "req", "needed", "awaiting", "freed", "plan")
-
-    def __init__(self, shard_id: str, req, needed: int) -> None:
-        self.shard_id = shard_id
-        self.req = req
-        self.needed = needed
-        self.awaiting: set = set()
-        self.freed = 0
-        self.plan: Dict[str, int] = {}
-
-
-@guarded_by("_budgets", "_ledger", "_inflight", lock="_lock")
 class ShardedGBO:
     """Coordinator for a fleet of shard-host processes.
 
@@ -475,13 +280,11 @@ class ShardedGBO:
     rendezvous-hashing each step's unit name onto the shard set —
     deterministic, coordination-free, and minimally disturbed by
     shard-count changes — spawns one :func:`_shard_main` child per
-    shard, arbitrates the global memory budget, and collects frames
-    zero-copy.
+    shard, and collects frames zero-copy.
 
-    Budget: the global ``mem_mb`` is sliced evenly into per-shard
-    budgets; each shard's *carve-out* (guaranteed floor) is
-    ``carveout_fraction`` of its slice, and the slack above the floors
-    is what the pressure protocol can move between shards.
+    Budget: each shard host gets ``mem_mb / n_shards``, fixed for the
+    run. ``protocol_timeout_s`` is how long the coordinator waits for
+    any shard message before declaring the run wedged.
 
     ``**engine`` keywords (:class:`~repro.core.config.EngineConfig`
     fields) configure every shard host's engine alike.
@@ -490,7 +293,6 @@ class ShardedGBO:
     def __init__(self, data_dir: str, n_shards: int = 2, *,
                  test: str = "simple",
                  mem_mb: float = 384.0,
-                 carveout_fraction: float = 0.5,
                  steps: Optional[int] = None,
                  render: bool = True,
                  disk: DiskProfile = ENGLE_DISK,
@@ -503,14 +305,11 @@ class ShardedGBO:
         # the oversubscription guard — n_shards pools each sizing
         # themselves to the whole machine would run n_shards * cores
         # compute threads, so the cores are divided across shards.
-        slice_bytes = max(resolve_budget(mem_mb=mem_mb) // n_shards, 1)
         shard_config = EngineConfig(
-            slice_bytes,
+            max(resolve_budget(mem_mb=mem_mb) // n_shards, 1),
             compute_max_threads=max(1, usable_cores() // n_shards),
             **engine,
         )
-        if not 0.0 <= carveout_fraction <= 1.0:
-            raise ValueError("carveout_fraction must be in [0, 1]")
         self.data_dir = data_dir
         self.n_shards = n_shards
         self.test = test
@@ -526,28 +325,6 @@ class ShardedGBO:
             n_steps = min(n_steps, steps)
         self.assignment = PlacementMap(self.shard_ids).steps(n_steps)
 
-        self._lock = TrackedLock(f"ShardedGBO._lock@{id(self):#x}")
-        self._check_locked = make_held_checker(self._lock, "ShardedGBO")
-        self._budgets: Dict[str, int] = {
-            shard: slice_bytes for shard in self.shard_ids
-        }
-        #: Steal bytes planned but not yet confirmed by a ``reclaimed``
-        #: reply — subtracted from slack so two concurrent pressure
-        #: rounds cannot both commit the same peer bytes.
-        self._inflight: Dict[str, int] = {
-            shard: 0 for shard in self.shard_ids
-        }
-        #: Per shard: its carve-out floor, the resident bytes it last
-        #: reported, and the reclaims that freed bytes from it.
-        self._ledger: Dict[str, Dict[str, int]] = {
-            shard: {
-                "carveout_bytes": int(slice_bytes * carveout_fraction),
-                "used_bytes": 0,
-                "evictions": 0,
-            }
-            for shard in self.shard_ids
-        }
-
         self._specs = [
             ShardSpec(
                 shard_id=shard,
@@ -557,7 +334,6 @@ class ShardedGBO:
                 config=shard_config,
                 render=render,
                 disk=disk,
-                protocol_timeout_s=protocol_timeout_s,
             )
             for shard in self.shard_ids
         ]
@@ -566,123 +342,6 @@ class ShardedGBO:
         self._attach = AttachCache()
         self._closed = False
 
-    # ------------------------------------------------------------------
-    # Budget arbitration (all budget-table state under self._lock)
-    # ------------------------------------------------------------------
-    def _note_usage(self, msg: dict) -> None:
-        """Refresh a shard's resident bytes from one of its messages."""
-        with self._lock:
-            self._ledger[msg["shard"]]["used_bytes"] = int(msg["used"])
-
-    def _plan_steal(self, pressure: _Pressure,
-                    starving: Set[str]) -> Dict[str, int]:
-        """Per-peer *steal amounts* covering ``needed`` bytes. Lock held.
-
-        Peers are raided richest-slack-first; no peer is pushed below
-        its carve-out floor (the coordinator's guarantee to every
-        shard), and the requester is never its own victim. Peers with
-        their *own* pressure round open (``starving``) are exempt —
-        two starving shards raiding each other just shuttle the same
-        bytes back and forth (each round's grant cancels the other's
-        reclaim, net zero, forever); denying the later request instead
-        serializes them, and the denied shard's backoff retry wins
-        once the first round's holder finishes a step.
-        """
-        self._check_locked()
-        plan: Dict[str, int] = {}
-        remaining = pressure.needed
-        candidates = sorted(
-            (
-                (self._budgets[peer]
-                 - self._ledger[peer]["carveout_bytes"]
-                 - self._inflight[peer],
-                 peer)
-                for peer in self.shard_ids
-                if peer != pressure.shard_id and peer not in starving
-            ),
-            reverse=True,
-        )
-        for slack, peer in candidates:
-            if remaining <= 0:
-                break
-            steal = min(slack, remaining)
-            if steal <= 0:
-                continue
-            plan[peer] = steal
-            remaining -= steal
-        return plan
-
-    def _handle_pressure(self, msg: dict,
-                         pending: Dict[object, _Pressure]) -> None:
-        """Open a pressure round: plan steals or deny outright."""
-        shard_id = msg["shard"]
-        self._note_usage(msg)
-        pressure_req = msg["req"]
-        with self._lock:
-            # The coordinator's budget table stays authoritative here:
-            # the shard's self-reported budget can predate an in-flight
-            # reclaim and would un-account the steal.
-            pressure = _Pressure(shard_id, pressure_req, int(msg["needed"]))
-            starving = {p.shard_id for p in pending.values()}
-            plan = self._plan_steal(pressure, starving)
-            pressure.plan = plan
-            pressure.awaiting = set(plan)
-            for peer, steal in plan.items():
-                self._inflight[peer] += steal
-        if not plan:
-            self._hosts[shard_id].send({"type": "deny", "req": pressure_req})
-            return
-        pending[pressure_req] = pressure
-        for peer, steal in plan.items():
-            self._hosts[peer].send({
-                "type": "reclaim",
-                "req": pressure_req,
-                "steal_bytes": steal,
-            })
-
-    def _handle_reclaimed(self, msg: dict,
-                          pending: Dict[object, _Pressure],
-                          result: ShardedResult) -> None:
-        """Fold one peer's reclaim reply; settle the round when full."""
-        peer = msg["shard"]
-        self._note_usage(msg)
-        pressure = pending.get(msg["req"])
-        if pressure is None:
-            return
-        freed = int(msg["freed"])
-        with self._lock:
-            # Delta accounting: the table moves exactly the bytes the
-            # victim actually freed — self-reported absolute budgets
-            # can predate a concurrent grant and would un-account it.
-            self._budgets[peer] -= freed
-            self._inflight[peer] -= pressure.plan.get(peer, 0)
-            pressure.awaiting.discard(peer)
-            pressure.freed += freed
-            if freed > 0:
-                result.reclaims += 1
-                self._ledger[peer]["evictions"] += 1
-            settled = not pressure.awaiting
-            if settled:
-                del pending[pressure.req]
-                granted = pressure.freed > 0
-                if granted:
-                    self._budgets[pressure.shard_id] += pressure.freed
-        if not settled:
-            return
-        if granted:
-            self._hosts[pressure.shard_id].send({
-                "type": "grant",
-                "req": pressure.req,
-                "mem_delta": pressure.freed,
-            })
-        else:
-            self._hosts[pressure.shard_id].send(
-                {"type": "deny", "req": pressure.req}
-            )
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
     def render_all(self) -> ShardedResult:
         """Run every shard to completion; returns the merged result.
 
@@ -706,11 +365,9 @@ class ShardedGBO:
             io_totals={},
             assignment=dict(self.assignment),
         )
-        pending: Dict[object, _Pressure] = {}
         done: Dict[str, ShardReport] = {}
         try:
             while len(done) < self.n_shards:
-                # Every host, done ones too: they still answer reclaims.
                 woken = ready(list(self._hosts.values()),
                               self.protocol_timeout_s)
                 if not woken:
@@ -722,31 +379,27 @@ class ShardedGBO:
                     msg = host.recv()
                     kind = msg["type"]
                     if kind == "frame":
-                        self._note_usage(msg)
                         if msg["token"] is not None:
                             result.frames[msg["step"]] = \
                                 self._attach.attach(msg["token"])
-                    elif kind == "pressure":
-                        result.pressure_rounds += 1
-                        self._handle_pressure(msg, pending)
-                    elif kind == "reclaimed":
-                        self._handle_reclaimed(msg, pending, result)
                     elif kind == "done":
                         done[msg["shard"]] = msg["report"]
                     elif kind == "error":  # raised after the shutdown
                         shard_id = msg["shard"]
                         if msg["kind"] in ("MemoryBudgetError",
                                            "GodivaDeadlockError"):
+                            budget = self._specs[0].config.budget_bytes
                             raise GodivaDeadlockError(
-                                f"{shard_id} out of memory after cross-shard "
-                                f"reclamation was exhausted — the cluster's "
-                                f"deadlock verdict ({msg['kind']}: {msg['message']})"
+                                f"{shard_id} cannot hold a step in its "
+                                f"fixed {budget} B budget — the fleet's "
+                                f"deadlock verdict ({msg['kind']}: "
+                                f"{msg['message']})"
                             )
                         raise GodivaError(
                             f"{shard_id} failed: {msg['kind']}: {msg['message']}\n"
                             f"{msg['traceback']}"
                         )
-        except ChildExitedError as err:  # a recv, or a send to a peer
+        except ChildExitedError as err:
             raise GodivaError(
                 f"shard host exited without reporting: {err}") from None
         finally:
@@ -768,17 +421,6 @@ class ShardedGBO:
         """Release and close every host."""
         hosts, self._hosts = self._hosts, {}
         close_all(hosts.values(), {"type": "shutdown"})
-
-    # ------------------------------------------------------------------
-    def ledger_snapshot(self) -> Dict[str, dict]:
-        """Per-shard ``carveout_bytes`` / ``used_bytes`` / ``evictions``."""
-        with self._lock:
-            return {shard: dict(row) for shard, row in self._ledger.items()}
-
-    def budgets(self) -> Dict[str, int]:
-        """The coordinator's view of each shard's current budget."""
-        with self._lock:
-            return dict(self._budgets)
 
     def close(self) -> None:
         """Detach every frame mapping; idempotent."""

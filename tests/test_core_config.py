@@ -65,7 +65,6 @@ def _sharded(data_dir, **kw):
     # Construction alone spawns nothing; one shard's slice is the whole.
     with ShardedGBO(data_dir, 1, **kw) as fleet:
         (spec,) = fleet._specs
-        assert fleet.budgets() == {"shard0": spec.config.budget_bytes}
         return spec.config.budget_bytes
 
 

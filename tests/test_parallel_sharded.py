@@ -1,4 +1,4 @@
-"""ShardedGBO: real shard processes, byte-identity, budget protocol."""
+"""ShardedGBO: real shard processes, byte-identity, fixed budgets."""
 
 import glob
 import multiprocessing
@@ -189,64 +189,58 @@ class TestByteIdentity:
         assert set(glob.glob("/dev/shm/godiva-*")) == before
 
 
-class TestBudgetProtocol:
-    def test_pressure_steals_budget_and_still_renders(
-            self, small_dataset):
-        """A slice too small for one step forces the pressure path:
-        the coordinator work-steals slack from the peer, grants it,
-        and every frame still comes out byte-identical."""
+#: The smallest per-shard budget, in bytes, at which a host renders
+#: every step of ``small_dataset`` under the ``simple`` op-set: found by
+#: bisecting the budget of the host loop (with ``background_io=False``;
+#: the background loader fits it too). One byte less fails step 0.
+SMALLEST_SLICE = 49_392
+
+
+class TestFixedBudget:
+    def test_smallest_static_slice_still_renders(self, small_dataset):
+        """Each host's budget is the global budget over the shard
+        count, fixed for the run. At the smallest slice that holds a
+        step, every frame is byte-identical to the serial build; one
+        byte less is the deadlock verdict."""
         reference = serial_frames(small_dataset)
-        result = render_sharded(
-            small_dataset.directory, 2, test=TEST,
-            mem_mb=0.09375,          # slice 48 KiB < the ~64 KiB floor
-            carveout_fraction=0.25,  # floors low -> stealable slack
-            background_io=False,
-        )
-        assert result.pressure_rounds > 0
-        assert result.reclaims > 0
-        assert result.frames.keys() == reference.keys()
-        for step, frame in result.frames.items():
-            assert frame.tobytes() == reference[step]
-
-    def test_ledger_tracks_victims(self, small_dataset):
+        mem_mb = 2 * SMALLEST_SLICE / (1024 * 1024)
         with ShardedGBO(small_dataset.directory, 2, test=TEST,
-                        mem_mb=0.09375, carveout_fraction=0.25,
-                        background_io=False) as cluster:
-            result = cluster.render_all()
-            assert result.pressure_rounds > 0
-            snapshot = cluster.ledger_snapshot()
-            assert set(snapshot) == {"shard0", "shard1"}
-            evictions = sum(
-                row["evictions"] for row in snapshot.values()
-            )
-            assert evictions == result.reclaims
-            assert evictions > 0
+                        mem_mb=mem_mb, background_io=False) as fleet:
+            assert [spec.config.budget_bytes
+                    for spec in fleet._specs] == [SMALLEST_SLICE] * 2
+            result = fleet.render_all()
+            assert result.frames.keys() == reference.keys()
+            for step, frame in result.frames.items():
+                assert frame.tobytes() == reference[step]
+            assert result.pressure_rounds == result.reclaims == 0
+        with pytest.raises(GodivaDeadlockError,
+                           match=f"fixed {SMALLEST_SLICE - 1} B budget"):
+            render_sharded(small_dataset.directory, 2, test=TEST,
+                           mem_mb=mem_mb - 2 / (1024 * 1024),
+                           background_io=False)
 
-    def test_budget_bytes_are_conserved_above_the_floors(
+    def test_a_slice_too_small_for_a_step_is_the_verdict_at_once(
             self, small_dataset):
-        """Stealing moves budget between shards, never makes or loses
-        it, and never pushes a shard below its carve-out floor."""
-        with ShardedGBO(small_dataset.directory, 2, test=TEST,
-                        mem_mb=0.09375, carveout_fraction=0.25,
-                        background_io=False) as cluster:
-            before = sum(cluster.budgets().values())
-            result = cluster.render_all()
-            assert result.reclaims > 0
-            after = cluster.budgets()
-            assert sum(after.values()) == before
-            floors = cluster.ledger_snapshot()
-            for shard, budget in after.items():
-                assert budget >= floors[shard]["carveout_bytes"]
-
-    def test_no_slack_is_the_deadlock_verdict(self, small_dataset):
-        """carveout_fraction=1.0 leaves nothing to steal: pressure is
-        denied and the failure surfaces as GodivaDeadlockError."""
-        with pytest.raises(GodivaDeadlockError):
-            render_sharded(
-                small_dataset.directory, 2, test=TEST,
-                mem_mb=0.09375, carveout_fraction=1.0,
-                background_io=False,
-            )
+        """A 48 KiB slice cannot hold one step. The host's budget
+        failure — a MemoryBudgetError wrapped in ReadFunctionError when
+        the load runs in the foreground, the engine's own deadlock
+        verdict when the I/O worker loads it — is the fleet's
+        GodivaDeadlockError, naming the shard and its budget, within a
+        second of ``render_all``, and it leaves no segment and no host
+        behind."""
+        segments = set(glob.glob("/dev/shm/godiva-*"))
+        for background_io in (False, True):
+            fleet = ShardedGBO(small_dataset.directory, 2, test=TEST,
+                               mem_mb=0.09375, background_io=background_io)
+            t0 = time.monotonic()
+            with pytest.raises(GodivaDeadlockError,
+                               match=r"shard\d+ .* fixed 49152 B budget"):
+                fleet.render_all()
+            assert time.monotonic() - t0 < 1.0
+            fleet.close()
+            assert set(glob.glob("/dev/shm/godiva-*")) == segments
+            assert not [p for p in multiprocessing.active_children()
+                        if p.name.startswith("shard")]
 
 
 def exit_at_startup(conn, spec):
